@@ -1,12 +1,12 @@
 //! Engine-cost ablations over the design axes DESIGN.md calls out:
-//! demand-level count `N`, neighbour radius `R`, selector, and spatial
-//! index choice. (Quality ablations — how the *metrics* move along
-//! these axes — live in `src/bin/ablations.rs`.)
+//! demand-level count `N`, neighbour radius `R`, selector, and the k-d
+//! tree. (Quality ablations — how the *metrics* move along these axes —
+//! live in `src/bin/ablations.rs`.)
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use paydemand_geo::{GridIndex, KdTree, Point, Rect};
+use paydemand_geo::{KdTree, Point, Rect};
 use paydemand_sim::{engine, Scenario, SelectorKind};
 use rand::SeedableRng;
 
@@ -63,12 +63,6 @@ fn bench_spatial_indexes(c: &mut Criterion) {
     let queries: Vec<Point> = (0..20).map(|_| area.sample_uniform(&mut rng)).collect();
 
     let mut group = c.benchmark_group("spatial_index");
-    group.bench_function("grid/build+query", |b| {
-        b.iter(|| {
-            let idx = GridIndex::build(area, 1000.0, black_box(&points)).unwrap();
-            queries.iter().map(|&q| idx.count_within(q, 1000.0)).sum::<usize>()
-        });
-    });
     group.bench_function("kdtree/build+query", |b| {
         b.iter(|| {
             let tree = KdTree::build(black_box(&points));

@@ -14,11 +14,10 @@
 //! demand-wall points at 250k and 1M users × 1k tasks (fewer rounds —
 //! the naive reference arm is O(n·m) per round), and times the
 //! platform's per-round work (Eq. 5 neighbour counting + demand
-//! pricing) under six arms: the naive pairwise scan, a per-round grid
-//! rebuild, the incremental grid, the incremental grid with the
-//! pricing cache, and the cell-centric sweep serial and parallel.
-//! Outputs are cross-checked for bitwise identity before any timing is
-//! reported; see `paydemand_bench::scaling`.
+//! pricing) under two arms: the naive pairwise scan and the production
+//! cell-centric sweep with the pricing cache. Outputs are cross-checked
+//! for bitwise identity before any timing is reported; see
+//! `paydemand_bench::scaling`.
 
 use paydemand_bench::scaling::{
     measure_profiling_overhead, measure_telemetry_overhead, measure_trace_overhead, run_point,
@@ -77,7 +76,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for arm in &point.arms {
             eprintln!(
                 "  {:<16} {:>10.4} s  (demand {:.4} s = {:.1} ms/round, pricing {:.4} s, \
-                 {} delta rounds, {} rebuilds)",
+                 {} delta rounds, {} full sweeps)",
                 arm.arm.label(),
                 arm.seconds,
                 arm.demand_seconds,

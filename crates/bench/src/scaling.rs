@@ -1,6 +1,7 @@
 //! The round-loop scaling harness: how the cost of a platform round
 //! (Eq. 5 neighbour counting + demand pricing) scales with the user and
-//! task population, under each indexing/caching arm.
+//! task population, for the production cell sweep and the naive
+//! reference.
 //!
 //! Every arm runs the *same* synthetic workload — identical task
 //! locations, identical per-round user movements, identical progress
@@ -19,9 +20,9 @@ use std::time::Instant;
 use paydemand_core::demand::TaskObservation;
 use paydemand_core::neighbors::naive_counts;
 use paydemand_core::{
-    CellSweepCounter, DemandCache, DemandIndicator, DemandLevels, NeighborTracker, RewardSchedule,
+    CellSweepCounter, DemandCache, DemandIndicator, DemandLevels, RewardSchedule,
 };
-use paydemand_geo::{GridIndex, Point, Rect};
+use paydemand_geo::{Point, Rect};
 use paydemand_obs::alloc::{self, AllocPhase};
 use paydemand_obs::{prof, Recorder, Span};
 use rand::{Rng, SeedableRng};
@@ -67,35 +68,21 @@ impl Config {
 pub enum Arm {
     /// `O(n·m)` pairwise scan, demand recomputed from scratch.
     Naive,
-    /// User grid rebuilt every round, demand recomputed from scratch.
-    Rebuild,
-    /// Incremental [`NeighborTracker`], demand recomputed from scratch.
-    Indexed,
-    /// Incremental [`NeighborTracker`] plus the [`DemandCache`].
-    IndexedCached,
-    /// Cell-centric sweep ([`CellSweepCounter`]), serial, plus the
-    /// [`DemandCache`].
+    /// Cell-centric sweep ([`CellSweepCounter`]) plus the
+    /// [`DemandCache`]: the platform's production path.
     Cell,
-    /// Cell-centric sweep with all cores inside the demand phase, plus
-    /// the [`DemandCache`].
-    CellPar,
 }
 
 impl Arm {
     /// All arms, slowest reference first.
-    pub const ALL: [Arm; 6] =
-        [Arm::Naive, Arm::Rebuild, Arm::Indexed, Arm::IndexedCached, Arm::Cell, Arm::CellPar];
+    pub const ALL: [Arm; 2] = [Arm::Naive, Arm::Cell];
 
     /// Stable machine-readable label.
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
             Arm::Naive => "naive",
-            Arm::Rebuild => "rebuild",
-            Arm::Indexed => "indexed",
-            Arm::IndexedCached => "indexed_cached",
             Arm::Cell => "cell",
-            Arm::CellPar => "cell_par",
         }
     }
 
@@ -104,12 +91,6 @@ impl Arm {
     #[must_use]
     pub fn from_label(label: &str) -> Option<Arm> {
         Arm::ALL.into_iter().find(|arm| arm.label() == label)
-    }
-
-    /// Whether this arm prices through the [`DemandCache`].
-    #[must_use]
-    fn cached(self) -> bool {
-        matches!(self, Arm::IndexedCached | Arm::Cell | Arm::CellPar)
     }
 }
 
@@ -129,9 +110,9 @@ pub struct ArmResult {
     /// Seconds spent computing demands and rewards (the pricing
     /// sub-phase).
     pub pricing_seconds: f64,
-    /// Incremental tracker: rounds served by the delta path.
+    /// Cell sweep: rounds served by batched delta updates.
     pub delta_rounds: u64,
-    /// Incremental tracker: full index rebuilds.
+    /// Cell sweep: full sweeps (reported as `rebuilds`).
     pub rebuilds: u64,
     /// Heap bytes allocated per round, averaged over the whole run
     /// (all phases, this arm's profiled window).
@@ -215,16 +196,12 @@ fn run_arm(cfg: &Config, w: &SharedWorkload, arm: Arm) -> ArmResult {
 
     let mut users = w.initial_users.clone();
     let mut received: Vec<u32> = vec![0; cfg.tasks];
-    let mut tracker = NeighborTracker::new(w.area, cfg.radius, w.task_locations.clone());
     let mut cell = CellSweepCounter::new(w.area, cfg.radius, w.task_locations.clone());
-    if arm == Arm::CellPar {
-        cell.set_threads(0); // one worker per core
-    }
     let mut cache = DemandCache::new();
     let mut counts_checksum = 0xcbf2_9ce4_8422_2325u64;
     let mut rewards_checksum = counts_checksum;
 
-    // Per-arm recorder: phase breakdown and tracker counters ride along
+    // Per-arm recorder: phase breakdown and sweep counters ride along
     // with the wall-clock totals in BENCH_scaling.json. The allocator
     // stats are process-global, so the profiled window is held
     // exclusively — arms (and concurrent tests) serialize here. The
@@ -238,9 +215,8 @@ fn run_arm(cfg: &Config, w: &SharedWorkload, arm: Arm) -> ArmResult {
     let mut demand_allocs_primed = 0u64;
     let phase_demand = recorder.histogram_with("round_phase_seconds", "phase", "demand");
     let phase_pricing = recorder.histogram_with("round_phase_seconds", "phase", "pricing");
-    tracker.set_recorder(&recorder);
     cell.set_recorder(&recorder);
-    if arm.cached() {
+    if arm == Arm::Cell {
         cache.set_instruments(
             recorder.counter("demand_cache_hits_total"),
             recorder.counter("demand_cache_misses_total"),
@@ -263,16 +239,7 @@ fn run_arm(cfg: &Config, w: &SharedWorkload, arm: Arm) -> ArmResult {
         let demand_span = Span::on(&phase_demand);
         match arm {
             Arm::Naive => counts = naive_counts(&w.task_locations, &users, cfg.radius),
-            Arm::Rebuild => {
-                let index = GridIndex::build(w.area, cfg.radius, &users).expect("users in area");
-                counts.clear();
-                counts.extend(w.task_locations.iter().map(|&t| index.count_within(t, cfg.radius)));
-            }
-            Arm::Indexed | Arm::IndexedCached => {
-                counts.clear();
-                counts.extend_from_slice(tracker.counts(&users).expect("users in area"));
-            }
-            Arm::Cell | Arm::CellPar => {
+            Arm::Cell => {
                 counts.clear();
                 counts.extend_from_slice(cell.counts(&users).expect("users in area"));
             }
@@ -298,7 +265,7 @@ fn run_arm(cfg: &Config, w: &SharedWorkload, arm: Arm) -> ArmResult {
                 received: received[task],
                 neighbors: count,
             };
-            let demand = if arm.cached() {
+            let demand = if arm == Arm::Cell {
                 cache.normalized_demand(&indicator, task, &obs, round, max_neighbors)
             } else {
                 indicator.normalized_demand(&obs, round, max_neighbors)
@@ -345,15 +312,8 @@ fn run_arm(cfg: &Config, w: &SharedWorkload, arm: Arm) -> ArmResult {
             .map_or(0.0, |h| h.sum as f64 / 1e9)
     };
     let counter = |name: &str| snapshot.counter_value(name, None).unwrap_or(0);
-    // Cell arms report the sweep's own accounting through the same two
-    // columns: delta rounds and (full-sweep) rebuilds are the matching
-    // concepts.
-    let (delta_rounds, rebuilds) = match arm {
-        Arm::Cell | Arm::CellPar => {
-            (counter("cell_sweep_delta_rounds_total"), counter("cell_sweep_full_sweeps_total"))
-        }
-        _ => (counter("neighbor_delta_rounds_total"), counter("neighbor_rebuilds_total")),
-    };
+    let delta_rounds = counter("cell_sweep_delta_rounds_total");
+    let rebuilds = counter("cell_sweep_full_sweeps_total");
     ArmResult {
         arm,
         seconds,
@@ -809,22 +769,18 @@ mod tests {
     fn all_arms_agree_on_outputs() {
         let point = run_point(&tiny());
         assert!(point.identical, "arms disagreed: {point:?}");
-        assert_eq!(point.arms.len(), 6);
+        assert_eq!(point.arms.len(), 2);
         assert!(point.arms.iter().all(|a| a.seconds >= 0.0));
         for a in &point.arms {
             // The phases partition (most of) the measured loop.
             assert!(a.demand_seconds >= 0.0 && a.pricing_seconds >= 0.0);
             assert!(a.demand_seconds + a.pricing_seconds <= a.seconds + 1e-3, "{a:?}");
             match a.arm {
-                Arm::Indexed | Arm::IndexedCached => {
-                    assert_eq!(a.rebuilds, 1, "one priming rebuild: {a:?}");
-                    assert_eq!(u64::from(tiny().rounds) - 1, a.delta_rounds, "{a:?}");
-                }
-                Arm::Cell | Arm::CellPar => {
+                Arm::Cell => {
                     assert_eq!(a.rebuilds, 1, "one priming full sweep: {a:?}");
                     assert_eq!(u64::from(tiny().rounds) - 1, a.delta_rounds, "{a:?}");
                 }
-                _ => {
+                Arm::Naive => {
                     assert_eq!(a.delta_rounds, 0);
                     assert_eq!(a.rebuilds, 0);
                 }
@@ -956,10 +912,6 @@ mod tests {
     #[test]
     fn labels_are_stable() {
         assert_eq!(Arm::Naive.label(), "naive");
-        assert_eq!(Arm::Rebuild.label(), "rebuild");
-        assert_eq!(Arm::Indexed.label(), "indexed");
-        assert_eq!(Arm::IndexedCached.label(), "indexed_cached");
         assert_eq!(Arm::Cell.label(), "cell");
-        assert_eq!(Arm::CellPar.label(), "cell_par");
     }
 }

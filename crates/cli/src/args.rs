@@ -98,14 +98,10 @@ OPTIONS (both commands):
     --enforce-budget   refuse payments past the budget
     --no-cache         disable the demand/pricing cache (identical
                        results; exists for benchmarking and debugging)
-    --indexing MODE    cell | incremental | rebuild | naive neighbour
-                       counting (identical results; bench arms)
-                       [default: incremental]
+    --indexing MODE    cell | naive neighbour counting (identical
+                       results; naive is the reference)  [default: cell]
     --demand-backend MODE   alias for --indexing (names the Eq. 5
                        counting backend)
-    --demand-threads N worker threads inside the demand phase (cell
-                       backend only; 0 = all cores; results identical
-                       for every value)  [default: 1]
     --metrics-out PATH write collected metrics to PATH (implies recording;
                        round-phase latencies, cache and selector counters)
     --metrics-format F prom | json exporter for --metrics-out [default: prom]
@@ -536,9 +532,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                     }
                     "--indexing" | "--demand-backend" => {
                         scenario.indexing = parse_indexing(value)?;
-                    }
-                    "--demand-threads" => {
-                        scenario.demand_threads = parse_num(flag, value)?;
                     }
                     "--selector" => scenario.selector = parse_selector(value)?,
                     "--travel" => scenario.travel = parse_travel(value)?,
@@ -1013,9 +1006,7 @@ fn parse_selector(value: &str) -> Result<SelectorKind, String> {
 
 fn parse_indexing(value: &str) -> Result<IndexingMode, String> {
     Ok(match value {
-        "cell" | "cell-sweep" => IndexingMode::CellSweep,
-        "incremental" => IndexingMode::Incremental,
-        "rebuild" => IndexingMode::RebuildEachRound,
+        "cell" => IndexingMode::CellSweep,
         "naive" => IndexingMode::NaiveReference,
         other => return Err(format!("unknown indexing mode `{other}`")),
     })
@@ -1196,7 +1187,7 @@ mod tests {
         };
         assert_eq!(defaults.threads, None);
         assert_eq!(defaults.scenario.pricing_cache, PricingCacheMode::Enabled);
-        assert_eq!(defaults.scenario.indexing, IndexingMode::Incremental);
+        assert_eq!(defaults.scenario.indexing, IndexingMode::CellSweep);
 
         let Command::Run(zero) = parse(&argv("run --threads 0")).unwrap() else {
             panic!("expected run");
@@ -1211,28 +1202,24 @@ mod tests {
 
     #[test]
     fn demand_backend_flags_parse() {
-        let Command::Run(opts) =
-            parse(&argv("run --demand-backend cell --demand-threads 4")).unwrap()
+        let Command::Run(opts) = parse(&argv("run --demand-backend naive")).unwrap() else {
+            panic!("expected run");
+        };
+        assert_eq!(opts.scenario.indexing, IndexingMode::NaiveReference);
+
+        let Command::Run(cell) =
+            parse(&argv("run --indexing naive --demand-backend cell")).unwrap()
         else {
             panic!("expected run");
         };
-        assert_eq!(opts.scenario.indexing, IndexingMode::CellSweep);
-        assert_eq!(opts.scenario.demand_threads, 4);
+        assert_eq!(cell.scenario.indexing, IndexingMode::CellSweep);
 
-        let Command::Run(alias) = parse(&argv("run --indexing cell-sweep")).unwrap() else {
-            panic!("expected run");
-        };
-        assert_eq!(alias.scenario.indexing, IndexingMode::CellSweep);
-
-        let Command::Run(defaults) = parse(&argv("run")).unwrap() else {
-            panic!("expected run");
-        };
-        assert_eq!(defaults.scenario.demand_threads, 1);
-
-        assert!(parse(&argv("run --demand-backend quantum"))
-            .unwrap_err()
-            .contains("unknown indexing mode"));
-        assert!(parse(&argv("run --demand-threads lots")).unwrap_err().contains("cannot parse"));
+        for removed in ["incremental", "rebuild", "cell-sweep"] {
+            assert!(parse(&argv(&format!("run --demand-backend {removed}")))
+                .unwrap_err()
+                .contains("unknown indexing mode"));
+        }
+        assert!(parse(&argv("run --demand-threads 4")).unwrap_err().contains("--demand-threads"));
     }
 
     #[test]

@@ -414,7 +414,7 @@ mod tests {
         for family in [
             "round_phase_seconds",
             "demand_cache_hits_total",
-            "neighbor_rebuilds_total",
+            "cell_sweep_full_sweeps_total",
             "selector_solve_seconds",
             "runner_jobs_total",
         ] {

@@ -73,7 +73,7 @@ pub use error::CoreError;
 pub use ids::{TaskId, UserId};
 pub use incentive::DemandBreakdown;
 pub use levels::DemandLevels;
-pub use neighbors::{naive_counts_in, CellSweepCounter, IndexingMode, NeighborTracker};
+pub use neighbors::{naive_counts_in, CellSweepCounter, IndexingMode};
 pub use platform::{Platform, PlatformState, RoundContext, TaskProgress};
 pub use reward::RewardSchedule;
 pub use task::{PublishedTask, TaskSpec};

@@ -1,193 +1,33 @@
-//! Incremental neighbour counting for Eq. 5.
+//! Neighbour counting for Eq. 5.
 //!
 //! The platform needs, at every round boundary, the number of users
-//! within radius `R` of every task. Rebuilding a [`GridIndex`] over all
-//! user locations each round is `O(n)` even when almost nobody moved;
-//! [`NeighborTracker`] instead keeps a *static* grid over the task
-//! locations and turns each user movement into two localised queries:
-//! decrement the tasks around the old position, increment the tasks
-//! around the new one. A grid over the *users* is built only for full
-//! recomputes (first round, population change) and discarded — the
-//! delta path never queries it, so maintaining it per move would be
-//! pure overhead (it measurably was: see the 10k-user crossover note in
-//! `EXPERIMENTS.md`).
-//!
-//! Both directions of the query go through [`GridIndex`]'s
-//! `within_radius` / `count_within`, and `Point::distance_squared` is
-//! bitwise symmetric, so the incremental counts are *exactly* the counts
-//! a full rebuild would produce — not merely approximately so. The
-//! equivalence is locked down by tests here and by the differential
-//! battery in the test suite.
+//! within radius `R` of every task. [`CellSweepCounter`] is the
+//! production backend: the cell-centric sweep of
+//! [`paydemand_geo::CellSweeper`], which updates the counts from the
+//! users that moved and recounts in full when most of them did.
+//! [`naive_counts_in`] is the `O(n·m)` pairwise reference the tests
+//! compare it against. Both apply the same strict
+//! `distance_squared < R²` test, so their counts are identical, not
+//! merely close.
 
-use paydemand_geo::{CellSweeper, GeoError, GridIndex, Point, Positions, Rect};
+use paydemand_geo::{CellSweeper, GeoError, Point, Positions, Rect};
 use paydemand_obs::{Counter, Recorder};
 
 /// How the platform computes per-task neighbour counts each round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
 #[non_exhaustive]
 pub enum IndexingMode {
-    /// Maintain the user grid incrementally across rounds (default):
-    /// cost proportional to how many users moved, not to `n`.
+    /// Cell-centric sweep over a struct-of-arrays position mirror
+    /// ([`CellSweepCounter`]): one pass over occupied grid cells
+    /// accumulating residents into per-cell candidate tasks, with
+    /// batched dirty-cell delta updates when few users moved. The
+    /// production path (default).
     #[default]
-    Incremental,
-    /// Rebuild the user grid from scratch every round — the previous
-    /// behaviour, kept as a bench arm and differential reference.
-    RebuildEachRound,
-    /// `O(n·m)` pairwise scan with no index at all. A reference
+    CellSweep,
+    /// `O(n·m)` pairwise scan with no index at all. The reference
     /// implementation for differential tests and scaling benchmarks;
     /// never the production path.
     NaiveReference,
-    /// Cell-centric sweep over a struct-of-arrays position mirror
-    /// ([`paydemand_geo::CellSweeper`]): one pass over occupied grid
-    /// cells accumulating residents into per-cell candidate tasks,
-    /// with batched dirty-cell delta updates and optional intra-round
-    /// parallelism. The large-scale production path; counts are
-    /// bit-identical to every other mode.
-    CellSweep,
-}
-
-/// Maintains per-task neighbour counts (`N_i` of Eq. 5) across rounds,
-/// updating incrementally as users move.
-#[derive(Debug, Clone)]
-pub struct NeighborTracker {
-    area: Rect,
-    radius: f64,
-    task_locations: Vec<Point>,
-    /// Static grid over task locations; `None` when some task lies
-    /// outside the area (legal — counting still works via full
-    /// recomputes, which don't need this index).
-    task_index: Option<GridIndex>,
-    /// Whether a full recompute has seeded `prev`/`counts`.
-    primed: bool,
-    /// User locations as of the last successful [`counts`](Self::counts).
-    prev: Vec<Point>,
-    counts: Vec<usize>,
-    /// Users moved since the previous round (diagnostics for benches).
-    moved_last_round: usize,
-    /// Rounds served by the delta path (no-op unless a recorder is wired).
-    obs_delta_rounds: Counter,
-    /// Moved users folded in via delta updates.
-    obs_delta_updates: Counter,
-    /// Full recomputes (first round, population changes, fallbacks).
-    obs_rebuilds: Counter,
-}
-
-impl NeighborTracker {
-    /// Creates a tracker for fixed `task_locations` inside `area`.
-    #[must_use]
-    pub fn new(area: Rect, radius: f64, task_locations: Vec<Point>) -> Self {
-        let task_index = GridIndex::build(area, radius, &task_locations).ok();
-        NeighborTracker {
-            area,
-            radius,
-            task_locations,
-            task_index,
-            primed: false,
-            prev: Vec::new(),
-            counts: Vec::new(),
-            moved_last_round: 0,
-            obs_delta_rounds: Counter::disabled(),
-            obs_delta_updates: Counter::disabled(),
-            obs_rebuilds: Counter::disabled(),
-        }
-    }
-
-    /// Wires the tracker's delta-vs-rebuild accounting to a recorder:
-    /// `neighbor_delta_rounds_total`, `neighbor_delta_updates_total`
-    /// and `neighbor_rebuilds_total`. A disabled recorder keeps the
-    /// counters inert.
-    pub fn set_recorder(&mut self, recorder: &Recorder) {
-        self.obs_delta_rounds = recorder.counter("neighbor_delta_rounds_total");
-        self.obs_delta_updates = recorder.counter("neighbor_delta_updates_total");
-        self.obs_rebuilds = recorder.counter("neighbor_rebuilds_total");
-    }
-
-    /// Per-task neighbour counts for the given user locations.
-    ///
-    /// The first call (and any call where the user population size
-    /// changed) recomputes from a fresh user grid; subsequent calls
-    /// apply per-user movement deltas through the task grid.
-    ///
-    /// # Errors
-    ///
-    /// [`GeoError::OutOfBounds`] for the first user location outside the
-    /// area (matching `GridIndex::build`'s error and order); the tracker
-    /// state is unchanged on error.
-    pub fn counts<P: Positions + ?Sized>(&mut self, users: &P) -> Result<&[usize], GeoError> {
-        let n = users.len();
-        // Validate everything up front so a bad location leaves the
-        // tracker exactly as it was.
-        for i in 0..n {
-            let p = users.at(i);
-            if !self.area.contains(p) {
-                return Err(GeoError::OutOfBounds { point: p });
-            }
-        }
-        let incremental_ready = self.primed && self.task_index.is_some() && self.prev.len() == n;
-        if incremental_ready {
-            let task_index = self.task_index.as_ref().expect("checked above");
-            let counts = &mut self.counts;
-            let mut moved = 0usize;
-            for (i, old_slot) in self.prev.iter_mut().enumerate() {
-                let p = users.at(i);
-                let old = *old_slot;
-                if old == p {
-                    continue;
-                }
-                moved += 1;
-                // ±1 updates are order-free, so the allocation-free
-                // visitor replaces the sorted Vec `within_radius`
-                // used to return per query.
-                task_index.for_each_within(old, self.radius, |t| counts[t] -= 1);
-                task_index.for_each_within(p, self.radius, |t| counts[t] += 1);
-                *old_slot = p;
-            }
-            self.moved_last_round = moved;
-            self.obs_delta_rounds.inc();
-            self.obs_delta_updates.add(moved as u64);
-        } else {
-            // The user grid exists only for this query burst; the delta
-            // path never consults it, so it is not kept up to date.
-            let index = match users.as_point_slice() {
-                Some(slice) => GridIndex::build(self.area, self.radius, slice)?,
-                None => {
-                    let pts: Vec<Point> = (0..n).map(|i| users.at(i)).collect();
-                    GridIndex::build(self.area, self.radius, &pts)?
-                }
-            };
-            self.counts =
-                self.task_locations.iter().map(|&t| index.count_within(t, self.radius)).collect();
-            self.prev = (0..n).map(|i| users.at(i)).collect();
-            self.moved_last_round = n;
-            self.primed = true;
-            self.obs_rebuilds.inc();
-        }
-        Ok(&self.counts)
-    }
-
-    /// How many users moved at the last [`counts`](Self::counts) call
-    /// (`n` for a full recompute).
-    #[must_use]
-    pub fn moved_last_round(&self) -> usize {
-        self.moved_last_round
-    }
-
-    /// The neighbour radius `R`.
-    #[must_use]
-    pub fn radius(&self) -> f64 {
-        self.radius
-    }
-
-    /// Approximate heap footprint in bytes: the task list, the mirror
-    /// of the last user positions, the count vector, and the static
-    /// task grid (allocated capacity, not just live length).
-    #[must_use]
-    pub fn approx_bytes(&self) -> usize {
-        self.task_locations.capacity() * std::mem::size_of::<Point>()
-            + self.prev.capacity() * std::mem::size_of::<Point>()
-            + self.counts.capacity() * std::mem::size_of::<usize>()
-            + self.task_index.as_ref().map_or(0, GridIndex::approx_bytes)
-    }
 }
 
 /// The `O(n·m)` pairwise reference: for each task, scan every user.
@@ -217,44 +57,26 @@ pub fn naive_counts_in<P: Positions + ?Sized>(
 #[derive(Debug, Clone)]
 pub struct CellSweepCounter {
     sweeper: CellSweeper,
-    /// Worker threads for the intra-round sweep (`0` = one per core).
-    /// Purely a throughput knob: counts are identical for any value.
-    threads: usize,
     /// Rounds served by batched delta updates.
     obs_delta_rounds: Counter,
     /// Moved users folded in via batched dirty-cell updates.
     obs_batched_moves: Counter,
-    /// Full sweeps (first round, population changes).
+    /// Full sweeps (first round, population changes, rounds where more
+    /// than half the users moved).
     obs_full_sweeps: Counter,
 }
 
 impl CellSweepCounter {
     /// Creates a cell-sweep backend for fixed `task_locations` inside
-    /// `area`, sweeping serially until
-    /// [`set_threads`](Self::set_threads) says otherwise.
+    /// `area`.
     #[must_use]
     pub fn new(area: Rect, radius: f64, task_locations: Vec<Point>) -> Self {
         CellSweepCounter {
             sweeper: CellSweeper::new(area, radius, task_locations),
-            threads: 1,
             obs_delta_rounds: Counter::disabled(),
             obs_batched_moves: Counter::disabled(),
             obs_full_sweeps: Counter::disabled(),
         }
-    }
-
-    /// Sets the intra-round worker thread count (`0` = one per core).
-    /// Counts are bit-identical for every value — integer accumulation
-    /// commutes — so this only changes wall-clock time.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads;
-    }
-
-    /// See `CellSweeper::set_parallel_floors` (testing hook: lets small
-    /// instances drive the threaded merge paths).
-    #[doc(hidden)]
-    pub fn set_parallel_floors(&mut self, min_moves: usize, min_users: usize) {
-        self.sweeper.set_parallel_floors(min_moves, min_users);
     }
 
     /// Wires the sweep accounting to a recorder:
@@ -275,7 +97,7 @@ impl CellSweepCounter {
     /// [`GeoError::OutOfBounds`] for the first user location outside
     /// the area; the backend state is unchanged on error.
     pub fn counts<P: Positions + ?Sized>(&mut self, users: &P) -> Result<&[usize], GeoError> {
-        self.sweeper.counts(users, self.threads)?;
+        self.sweeper.counts(users)?;
         if self.sweeper.last_was_full_sweep() {
             self.obs_full_sweeps.inc();
         } else {
@@ -313,117 +135,51 @@ mod tests {
     }
 
     #[test]
-    fn first_round_matches_naive() {
-        let area = Rect::square(1000.0).unwrap();
-        let mut r = rng();
-        let tasks = sample(area, &mut r, 15);
-        let users = sample(area, &mut r, 120);
-        let mut tracker = NeighborTracker::new(area, 200.0, tasks.clone());
-        let counts = tracker.counts(&users).unwrap().to_vec();
-        assert_eq!(counts, naive_counts(&tasks, &users, 200.0));
-        assert_eq!(tracker.moved_last_round(), 120);
-    }
-
-    #[test]
-    fn incremental_rounds_match_naive_and_rebuild() {
+    fn rounds_match_naive_as_users_move() {
         let area = Rect::square(1000.0).unwrap();
         let mut r = rng();
         let tasks = sample(area, &mut r, 12);
         let mut users = sample(area, &mut r, 80);
-        let mut tracker = NeighborTracker::new(area, 250.0, tasks.clone());
-        tracker.counts(&users).unwrap();
+        let mut counter = CellSweepCounter::new(area, 250.0, tasks.clone());
+        assert_eq!(counter.counts(&users).unwrap(), naive_counts(&tasks, &users, 250.0));
+        assert_eq!(counter.moved_last_round(), 80);
         for round in 0..30 {
             // Move a varying slice of users each round.
             for i in (round % 4..users.len()).step_by(4) {
                 users[i] = area.sample_uniform(&mut r);
             }
-            let counts = tracker.counts(&users).unwrap().to_vec();
+            let counts = counter.counts(&users).unwrap().to_vec();
             assert_eq!(counts, naive_counts(&tasks, &users, 250.0), "round {round}");
-            let rebuilt = GridIndex::build(area, 250.0, &users).unwrap();
-            let via_rebuild: Vec<usize> =
-                tasks.iter().map(|&t| rebuilt.count_within(t, 250.0)).collect();
-            assert_eq!(counts, via_rebuild, "round {round}");
-            assert!(tracker.moved_last_round() <= users.len());
+            assert_eq!(counter.moved_last_round(), 20, "round {round}");
         }
+        // Nobody moved: same counts, no updates.
+        let before = counter.counts(&users).unwrap().to_vec();
+        assert_eq!(counter.counts(&users).unwrap(), before);
+        assert_eq!(counter.moved_last_round(), 0);
     }
 
     #[test]
-    fn unmoved_users_cost_no_updates() {
-        let area = Rect::square(1000.0).unwrap();
-        let mut r = rng();
-        let tasks = sample(area, &mut r, 5);
-        let users = sample(area, &mut r, 50);
-        let mut tracker = NeighborTracker::new(area, 300.0, tasks);
-        let first = tracker.counts(&users).unwrap().to_vec();
-        let second = tracker.counts(&users).unwrap().to_vec();
-        assert_eq!(first, second);
-        assert_eq!(tracker.moved_last_round(), 0);
-    }
-
-    #[test]
-    fn population_change_forces_rebuild() {
-        let area = Rect::square(1000.0).unwrap();
-        let mut r = rng();
-        let tasks = sample(area, &mut r, 8);
-        let mut tracker = NeighborTracker::new(area, 200.0, tasks.clone());
-        let users_a = sample(area, &mut r, 40);
-        tracker.counts(&users_a).unwrap();
-        let users_b = sample(area, &mut r, 55);
-        let counts = tracker.counts(&users_b).unwrap().to_vec();
-        assert_eq!(counts, naive_counts(&tasks, &users_b, 200.0));
-        assert_eq!(tracker.moved_last_round(), 55);
-    }
-
-    #[test]
-    fn recorder_counts_deltas_and_rebuilds() {
+    fn recorder_counts_full_sweeps_and_delta_rounds() {
         let area = Rect::square(1000.0).unwrap();
         let mut r = rng();
         let tasks = sample(area, &mut r, 6);
         let mut users = sample(area, &mut r, 40);
-        let mut tracker = NeighborTracker::new(area, 200.0, tasks);
+        let mut counter = CellSweepCounter::new(area, 200.0, tasks);
         let recorder = Recorder::enabled();
-        tracker.set_recorder(&recorder);
-        tracker.counts(&users).unwrap(); // full build
+        counter.set_recorder(&recorder);
+        counter.counts(&users).unwrap(); // priming sweep
         users[3] = area.sample_uniform(&mut r);
         users[17] = area.sample_uniform(&mut r);
-        tracker.counts(&users).unwrap(); // delta round, 2 moves
-        let bigger = sample(area, &mut r, 41);
-        tracker.counts(&bigger).unwrap(); // population change → rebuild
-        let snap = recorder.snapshot();
-        assert_eq!(snap.counter_value("neighbor_rebuilds_total", None), Some(2));
-        assert_eq!(snap.counter_value("neighbor_delta_rounds_total", None), Some(1));
-        assert_eq!(snap.counter_value("neighbor_delta_updates_total", None), Some(2));
-    }
-
-    #[test]
-    fn out_of_area_user_errors_and_preserves_state() {
-        let area = Rect::square(100.0).unwrap();
-        let tasks = vec![Point::new(50.0, 50.0)];
-        let mut tracker = NeighborTracker::new(area, 30.0, tasks);
-        let good = vec![Point::new(40.0, 50.0)];
-        assert_eq!(tracker.counts(&good).unwrap(), &[1]);
-        let bad = vec![Point::new(40.0, 50.0), Point::new(200.0, 0.0)];
-        let err = tracker.counts(&bad).unwrap_err();
-        assert!(matches!(err, GeoError::OutOfBounds { point } if point.x == 200.0));
-        // Tracker still answers from its last good state.
-        assert_eq!(tracker.counts(&good).unwrap(), &[1]);
-    }
-
-    #[test]
-    fn tasks_outside_area_fall_back_to_rebuilds() {
-        // A task outside the area can't live in the task grid, but
-        // counting must still work (count_within accepts any centre).
-        let area = Rect::square(100.0).unwrap();
-        let tasks = vec![Point::new(150.0, 50.0)];
-        let mut tracker = NeighborTracker::new(area, 80.0, tasks.clone());
-        let mut r = rng();
-        let mut users = sample(area, &mut r, 30);
-        for _ in 0..5 {
-            for u in users.iter_mut().step_by(3) {
-                *u = area.sample_uniform(&mut r);
-            }
-            let counts = tracker.counts(&users).unwrap().to_vec();
-            assert_eq!(counts, naive_counts(&tasks, &users, 80.0));
+        counter.counts(&users).unwrap(); // delta round, 2 moves
+        for u in &mut users {
+            *u = area.sample_uniform(&mut r);
         }
+        counter.counts(&users).unwrap(); // everyone moved: full sweep
+        let bigger = sample(area, &mut r, 41);
+        counter.counts(&bigger).unwrap(); // population change: full sweep
+        let snap = recorder.snapshot();
+        assert_eq!(snap.counter_value("cell_sweep_full_sweeps_total", None), Some(3));
+        assert_eq!(snap.counter_value("cell_sweep_delta_rounds_total", None), Some(1));
+        assert_eq!(snap.counter_value("cell_sweep_batched_moves_total", None), Some(2));
     }
 }

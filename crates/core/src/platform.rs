@@ -3,11 +3,11 @@ use std::collections::HashSet;
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
-use paydemand_geo::{GeoError, GridIndex, Point, Positions, Rect};
+use paydemand_geo::{GeoError, Point, Positions, Rect};
 use paydemand_obs::{Histogram, Recorder};
 
 use crate::incentive::IncentiveMechanism;
-use crate::neighbors::{naive_counts_in, CellSweepCounter, IndexingMode, NeighborTracker};
+use crate::neighbors::{naive_counts_in, CellSweepCounter, IndexingMode};
 use crate::{CoreError, PublishedTask, TaskId, TaskSpec, UserId};
 
 /// One task's publicly observable state at a round boundary — the data
@@ -109,15 +109,10 @@ pub struct Platform<M> {
     neighbor_radius: f64,
     /// How neighbour counts are computed each round (Eq. 5).
     indexing: IndexingMode,
-    /// Incremental neighbour state; lazily built on the first
+    /// Cell-sweep state; lazily built on the first
     /// [`publish_round`](Self::publish_round) under
-    /// [`IndexingMode::Incremental`].
-    tracker: Option<NeighborTracker>,
-    /// Cell-sweep state; lazily built under [`IndexingMode::CellSweep`].
+    /// [`IndexingMode::CellSweep`].
     cell_counter: Option<CellSweepCounter>,
-    /// Worker threads for the cell sweep's demand phase (`0` = one per
-    /// core). Output-invariant; see [`Platform::set_demand_threads`].
-    demand_threads: usize,
     round: u32,
     round_open: bool,
     total_paid: f64,
@@ -183,9 +178,7 @@ impl<M: IncentiveMechanism> Platform<M> {
             area,
             neighbor_radius,
             indexing: IndexingMode::default(),
-            tracker: None,
             cell_counter: None,
-            demand_threads: 1,
             round: 0,
             round_open: false,
             total_paid: 0.0,
@@ -202,17 +195,14 @@ impl<M: IncentiveMechanism> Platform<M> {
     /// Threads an observability recorder through the platform: the
     /// `demand` and `pricing` sub-phases of
     /// [`publish_round`](Self::publish_round) are timed into
-    /// `round_phase_seconds`, the neighbour tracker reports its
-    /// delta-vs-rebuild counts and the mechanism its cache statistics.
+    /// `round_phase_seconds`, the cell sweep reports its
+    /// full-sweep-vs-delta counts and the mechanism its cache statistics.
     /// A disabled recorder (the default) records nothing and never
     /// reads the clock, leaving behaviour bit-identical.
     pub fn set_recorder(&mut self, recorder: &Recorder) {
         self.recorder = recorder.clone();
         self.phase_demand = recorder.histogram_with("round_phase_seconds", "phase", "demand");
         self.phase_pricing = recorder.histogram_with("round_phase_seconds", "phase", "pricing");
-        if let Some(tracker) = &mut self.tracker {
-            tracker.set_recorder(recorder);
-        }
         if let Some(counter) = &mut self.cell_counter {
             counter.set_recorder(recorder);
         }
@@ -248,13 +238,12 @@ impl<M: IncentiveMechanism> Platform<M> {
     }
 
     /// Selects how per-task neighbour counts are computed (Eq. 5).
-    /// Every mode yields identical counts — the incremental default is
-    /// purely a performance choice; the others exist as differential
-    /// references and bench arms. Switching modes drops any incremental
-    /// state, so it is safe (if pointless) mid-run.
+    /// Both modes yield identical counts — the cell-sweep default is
+    /// the production path; the naive scan is the differential
+    /// reference. Switching modes drops any sweep state, so it is safe
+    /// (if pointless) mid-run.
     pub fn set_indexing_mode(&mut self, mode: IndexingMode) {
         self.indexing = mode;
-        self.tracker = None;
         self.cell_counter = None;
     }
 
@@ -264,34 +253,14 @@ impl<M: IncentiveMechanism> Platform<M> {
         self.indexing
     }
 
-    /// Worker threads for the demand phase under
-    /// [`IndexingMode::CellSweep`] (`0` = one per available core).
-    /// Output-invariant: neighbour counts are integer accumulations
-    /// merged by addition, so every thread count produces bit-identical
-    /// counts (and hence bit-identical rewards). Only wall-clock time
-    /// changes.
-    pub fn set_demand_threads(&mut self, threads: usize) {
-        self.demand_threads = threads;
-        if let Some(counter) = &mut self.cell_counter {
-            counter.set_threads(threads);
-        }
-    }
-
-    /// The configured demand-phase thread count.
-    #[must_use]
-    pub fn demand_threads(&self) -> usize {
-        self.demand_threads
-    }
-
     /// Approximate heap footprint of the platform's perf-only state,
     /// as `(mechanism cache bytes, neighbour index bytes)` — the
-    /// demand memo arrays and whichever counting backend is live.
+    /// demand memo arrays and the cell sweep's state, when live.
     /// Read-only; feeds the `memory_demand_cache_bytes` and
     /// `memory_neighbor_index_bytes` gauges.
     #[must_use]
     pub fn memory_bytes(&self) -> (usize, usize) {
-        let index = self.tracker.as_ref().map_or(0, NeighborTracker::approx_bytes)
-            + self.cell_counter.as_ref().map_or(0, CellSweepCounter::approx_bytes);
+        let index = self.cell_counter.as_ref().map_or(0, CellSweepCounter::approx_bytes);
         (self.mechanism.cache_bytes(), index)
     }
 
@@ -459,8 +428,8 @@ impl<M: IncentiveMechanism> Platform<M> {
 
     /// Serializes the platform's mutable state at a round boundary, for
     /// checkpointing. Contributor sets are exported as sorted id lists
-    /// so the state is canonical; the neighbour tracker is a perf-only
-    /// cache (all indexing modes agree exactly) and is rebuilt on
+    /// so the state is canonical; the cell sweep's state is a perf-only
+    /// cache (both indexing modes agree exactly) and is rebuilt on
     /// demand after a restore rather than exported.
     ///
     /// # Errors
@@ -528,57 +497,29 @@ impl<M: IncentiveMechanism> Platform<M> {
         self.round_open = false;
         self.total_paid = state.total_paid;
         self.spend_cap = state.spend_cap;
-        self.tracker = None;
         self.cell_counter = None;
         Ok(())
     }
 
     /// Per-task neighbour counts (`N_i`, Eq. 5) for the current user
-    /// locations, via whichever [`IndexingMode`] is configured. All
+    /// locations, via whichever [`IndexingMode`] is configured. Both
     /// modes agree exactly — `Point::distance_squared` is bitwise
-    /// symmetric and every mode applies the same strict `< R` test.
+    /// symmetric and both apply the same strict `< R` test.
     fn neighbor_counts<P: Positions + ?Sized>(
         &mut self,
         user_locations: &P,
     ) -> Result<Vec<usize>, CoreError> {
         match self.indexing {
-            IndexingMode::Incremental => {
-                if self.tracker.is_none() {
-                    let task_locations = self.specs.iter().map(|s| s.location()).collect();
-                    let mut tracker =
-                        NeighborTracker::new(self.area, self.neighbor_radius, task_locations);
-                    tracker.set_recorder(&self.recorder);
-                    self.tracker = Some(tracker);
-                }
-                let tracker = self.tracker.as_mut().expect("initialised above");
-                Ok(tracker.counts(user_locations)?.to_vec())
-            }
             IndexingMode::CellSweep => {
                 if self.cell_counter.is_none() {
                     let task_locations = self.specs.iter().map(|s| s.location()).collect();
                     let mut counter =
                         CellSweepCounter::new(self.area, self.neighbor_radius, task_locations);
-                    counter.set_threads(self.demand_threads);
                     counter.set_recorder(&self.recorder);
                     self.cell_counter = Some(counter);
                 }
                 let counter = self.cell_counter.as_mut().expect("initialised above");
                 Ok(counter.counts(user_locations)?.to_vec())
-            }
-            IndexingMode::RebuildEachRound => {
-                let index = match user_locations.as_point_slice() {
-                    Some(slice) => GridIndex::build(self.area, self.neighbor_radius, slice)?,
-                    None => {
-                        let pts: Vec<Point> =
-                            (0..user_locations.len()).map(|i| user_locations.at(i)).collect();
-                        GridIndex::build(self.area, self.neighbor_radius, &pts)?
-                    }
-                };
-                Ok(self
-                    .specs
-                    .iter()
-                    .map(|s| index.count_within(s.location(), self.neighbor_radius))
-                    .collect())
             }
             IndexingMode::NaiveReference => {
                 for i in 0..user_locations.len() {
@@ -949,54 +890,42 @@ mod tests {
             p.set_indexing_mode(mode);
             p
         };
-        let mut incremental = build(IndexingMode::Incremental);
-        let mut rebuild = build(IndexingMode::RebuildEachRound);
+        let mut cell = build(IndexingMode::CellSweep);
         let mut naive = build(IndexingMode::NaiveReference);
         for round in 0..6 {
-            // Move a third of the users.
-            for u in users.iter_mut().skip(round % 3).step_by(3) {
+            // Move a third of the users, then (odd rounds) everyone, so
+            // both the delta and the full-sweep rounds are compared.
+            for u in users.iter_mut().skip(round % 3).step_by(if round % 2 == 0 { 3 } else { 1 }) {
                 *u = area.sample_uniform(&mut move_rng);
             }
-            let a = incremental.publish_round(&users, &mut rng()).unwrap();
-            let b = rebuild.publish_round(&users, &mut rng()).unwrap();
-            let c = naive.publish_round(&users, &mut rng()).unwrap();
-            assert_eq!(a, b, "round {round}: incremental vs rebuild");
-            assert_eq!(a, c, "round {round}: incremental vs naive");
+            let a = cell.publish_round(&users, &mut rng()).unwrap();
+            let b = naive.publish_round(&users, &mut rng()).unwrap();
+            assert_eq!(a, b, "round {round}: cell vs naive");
             // Rewards must be bit-identical, not just PartialEq-equal.
             for (x, y) in a.iter().zip(&b) {
                 assert_eq!(x.reward.to_bits(), y.reward.to_bits());
             }
             // Drive some submissions so progress (and thus pricing
-            // inputs) evolve identically across the three platforms.
+            // inputs) evolve identically across both platforms.
             let mut pick = rng();
             for s in 0..10u64 {
                 let uid = UserId((round as u64 * 10 + s) as usize);
                 let tid = TaskId(pick.gen_range(0..many_specs.len()));
-                let ra = incremental.submit(uid, tid);
-                let rb = rebuild.submit(uid, tid);
-                let rc = naive.submit(uid, tid);
-                assert_eq!(ra.is_ok(), rb.is_ok());
-                assert_eq!(ra.is_ok(), rc.is_ok());
+                assert_eq!(cell.submit(uid, tid).is_ok(), naive.submit(uid, tid).is_ok());
             }
-            incremental.finish_round();
-            rebuild.finish_round();
+            cell.finish_round();
             naive.finish_round();
         }
-        assert_eq!(incremental.total_paid().to_bits(), rebuild.total_paid().to_bits());
-        assert_eq!(incremental.total_paid().to_bits(), naive.total_paid().to_bits());
+        assert_eq!(cell.total_paid().to_bits(), naive.total_paid().to_bits());
     }
 
     #[test]
     fn all_indexing_modes_reject_out_of_area_users() {
-        for mode in [
-            IndexingMode::Incremental,
-            IndexingMode::RebuildEachRound,
-            IndexingMode::NaiveReference,
-        ] {
+        for mode in [IndexingMode::CellSweep, IndexingMode::NaiveReference] {
             let mut p = platform();
             p.set_indexing_mode(mode);
             let mut r = rng();
-            // A good round first so incremental state exists.
+            // A good round first so sweep state exists.
             p.publish_round(&[Point::new(10.0, 10.0)], &mut r).unwrap();
             p.finish_round();
             let err = p
@@ -1011,9 +940,9 @@ mod tests {
     }
 
     #[test]
-    fn default_mode_is_incremental() {
+    fn default_mode_is_cell_sweep() {
         let p = platform();
-        assert_eq!(p.indexing_mode(), IndexingMode::Incremental);
+        assert_eq!(p.indexing_mode(), IndexingMode::CellSweep);
     }
 
     #[test]

@@ -1,14 +1,13 @@
 //! Cell-centric neighbour counting for Eq. 5 at large scale.
 //!
-//! [`crate::GridIndex`] answers "how many users near this task?" one
-//! task at a time; the incremental tracker in `paydemand-core` answers
-//! it one *moved user* at a time. Both walk the grid point-by-point.
-//! [`CellSweeper`] inverts the loop structure: it precomputes, for
-//! every grid cell, the tasks whose radius-`R` disc can reach that cell
-//! (a CSR candidate list), then makes one pass over the occupied cells,
-//! accumulating each resident user into the cell's candidate tasks.
-//! The candidate slice is loaded once per cell instead of once per
-//! user, so the inner loop is a dense streaming scan.
+//! A per-task probe asks "how many users near this task?" one task at
+//! a time, walking the grid point by point. [`CellSweeper`] inverts
+//! the loop structure: it precomputes, for every grid cell, the tasks
+//! whose radius-`R` disc can reach that cell (a CSR candidate list),
+//! then makes one pass over the occupied cells, accumulating each
+//! resident user into the cell's candidate tasks. The candidate slice
+//! is loaded once per cell instead of once per user, so the inner loop
+//! is a dense streaming scan.
 //!
 //! # Exactness
 //!
@@ -29,32 +28,22 @@
 //!   tasks-over-users bit for bit.
 //!
 //! Counts are integers accumulated by `+1`/`-1`, and integer addition
-//! is commutative and associative — so any iteration order, any
-//! batching of moved users, and any partition of the work across
-//! threads produces identical counts. That is the entire determinism
-//! argument for [`CellSweeper::counts`]' intra-round parallelism: the
-//! partial count vectors are merged by addition, and no float ever
-//! depends on thread scheduling.
+//! is commutative and associative — so any iteration order and any
+//! batching of moved users produces identical counts. That is why
+//! [`CellSweeper::counts`] may pick, round by round, between a full
+//! recount and a delta update without changing a single count.
 
 use crate::soa::{PositionStore, Positions};
 use crate::{GeoError, Point, Rect};
-
-/// Moved users per thread below which the delta pass stays serial —
-/// spawning threads costs more than the batch. Purely a performance
-/// knob: counts are identical either way.
-const PAR_DELTA_MIN_MOVES: usize = 4096;
-
-/// Users per thread below which the full sweep stays serial.
-const PAR_SWEEP_MIN_USERS: usize = 8192;
 
 /// Per-task neighbour counts (`N_i` of Eq. 5) maintained by cell-wise
 /// sweeps over a struct-of-arrays position mirror.
 ///
 /// The first [`counts`](Self::counts) call performs a full sweep; later
-/// calls detect moved users against the mirror, batch them by grid
-/// cell, and apply `-old`/`+new` updates through the per-cell candidate
-/// lists. Both paths optionally fan out across threads; results are
-/// bit-identical for every thread count.
+/// calls detect moved users against the mirror. When at most half the
+/// users moved, they are batched by grid cell and applied as
+/// `-old`/`+new` updates through the per-cell candidate lists;
+/// otherwise the round recounts with a full sweep.
 #[derive(Debug, Clone)]
 pub struct CellSweeper {
     area: Rect,
@@ -76,25 +65,21 @@ pub struct CellSweeper {
     moved_last_round: usize,
     last_was_full: bool,
     /// Delta-sweep scratch, kept across rounds: once capacities have
-    /// warmed to the round-over-round churn, the serial delta path
-    /// performs zero heap allocations per call.
+    /// warmed to the round-over-round churn, the delta path performs
+    /// zero heap allocations per call.
     scratch_departures: Vec<(u32, Point)>,
     scratch_arrivals: Vec<(u32, Point)>,
     scratch_deltas: Vec<i64>,
-    /// Parallel-dispatch floors (normally the `PAR_*` constants;
-    /// lowered by tests to exercise the threaded paths at small `n`).
-    par_delta_min_moves: usize,
-    par_sweep_min_users: usize,
 }
 
 impl CellSweeper {
     /// Creates a sweeper for fixed `tasks` inside `area`, counting
     /// users strictly closer than `radius`. Cell size equals the
-    /// radius, matching the grid the per-task index uses.
+    /// radius.
     ///
     /// Tasks may lie outside `area` (their candidate ranges clamp to
     /// it); `radius` values that are not finite and positive yield
-    /// all-zero counts, like `GridIndex` queries do.
+    /// all-zero counts, as the strict `< R²` test does for them.
     #[must_use]
     pub fn new(area: Rect, radius: f64, tasks: Vec<Point>) -> Self {
         let valid = radius.is_finite() && radius > 0.0;
@@ -120,8 +105,6 @@ impl CellSweeper {
             scratch_departures: Vec::new(),
             scratch_arrivals: Vec::new(),
             scratch_deltas: Vec::new(),
-            par_delta_min_moves: PAR_DELTA_MIN_MOVES,
-            par_sweep_min_users: PAR_SWEEP_MIN_USERS,
         };
         sweeper.build_candidates(valid);
         sweeper
@@ -134,7 +117,7 @@ impl CellSweeper {
     }
 
     /// How many users moved at the last [`counts`](Self::counts) call
-    /// (`n` for a full sweep).
+    /// (`n` for the priming sweep).
     #[must_use]
     pub fn moved_last_round(&self) -> usize {
         self.moved_last_round
@@ -171,18 +154,8 @@ impl CellSweeper {
             + self.scratch_deltas.capacity() * std::mem::size_of::<i64>()
     }
 
-    /// Lowers the per-thread work floors below which sweeps stay
-    /// serial. Testing hook: lets small differential instances drive
-    /// the threaded merge paths. The floors are performance knobs only
-    /// — counts are bit-identical for every setting.
-    #[doc(hidden)]
-    pub fn set_parallel_floors(&mut self, min_moves: usize, min_users: usize) {
-        self.par_delta_min_moves = min_moves;
-        self.par_sweep_min_users = min_users;
-    }
-
-    /// Grid cell (row-major) of `p` — the same clamped floor mapping
-    /// `GridIndex` uses, monotone in each coordinate.
+    /// Grid cell (row-major) of `p` — a clamped floor mapping, monotone
+    /// in each coordinate.
     fn cell_index(&self, p: Point) -> u32 {
         let c = (((p.x - self.area.min().x) / self.cell) as usize).min(self.cols - 1);
         let r = (((p.y - self.area.min().y) / self.cell) as usize).min(self.rows - 1);
@@ -245,57 +218,69 @@ impl CellSweeper {
         &self.cand_tasks[lo..hi]
     }
 
-    /// Per-task neighbour counts for `users`, sweeping with up to
-    /// `threads` worker threads (`0` means one per available core;
-    /// either way the counts are bit-identical to a serial sweep).
+    /// Per-task neighbour counts for `users`.
     ///
     /// The first call (and any call after the population size changed)
-    /// runs a full cell sweep; later calls batch the moved users by
-    /// grid cell and apply localised delta updates.
+    /// runs a full cell sweep; later calls update the counts from the
+    /// users that moved, recounting in full when more than half did.
     ///
     /// # Errors
     ///
     /// [`GeoError::OutOfBounds`] for the first user outside the area;
     /// the sweeper state is unchanged on error.
-    pub fn counts<P: Positions + ?Sized>(
-        &mut self,
-        users: &P,
-        threads: usize,
-    ) -> Result<&[usize], GeoError> {
+    pub fn counts<P: Positions + ?Sized>(&mut self, users: &P) -> Result<&[usize], GeoError> {
         let n = users.len();
+        let tracked = self.primed && self.mirror.len() == n;
         // Validate everything up front so a bad location leaves the
-        // sweeper exactly as it was.
+        // sweeper exactly as it was; the same pass counts the users
+        // that moved since the mirror was taken.
+        let mut moved = 0usize;
         for i in 0..n {
             let p = users.at(i);
             if !self.area.contains(p) {
                 return Err(GeoError::OutOfBounds { point: p });
             }
+            if tracked {
+                moved += usize::from(p != self.mirror.point(i));
+            }
         }
-        let threads = effective_threads(threads);
-        if self.primed && self.mirror.len() == n {
-            self.delta_sweep(users, threads);
+        if tracked {
+            // A delta scans the candidates of two cells per moved user
+            // (its old cell, then its new one) after sorting both move
+            // lists; a full sweep scans each user's cell once after a
+            // linear counting sort. Past `n/2` moved users the delta is
+            // the larger job, so the round recounts in full. Counts are
+            // identical either way.
+            if moved * 2 <= n {
+                self.delta_sweep(users);
+                return Ok(&self.counts);
+            }
+            for i in 0..n {
+                let p = users.at(i);
+                self.mirror.set(i, p);
+                self.mirror_cells[i] = self.cell_index(p);
+            }
+            self.moved_last_round = moved;
         } else {
-            self.full_sweep(users, threads);
+            self.mirror = (0..n).map(|i| users.at(i)).collect();
+            self.mirror_cells = (0..n).map(|i| self.cell_index(users.at(i))).collect();
+            self.primed = true;
+            self.moved_last_round = n;
         }
+        self.full_sweep();
         Ok(&self.counts)
     }
 
-    /// Rebuilds the mirror and recounts every task from scratch: users
-    /// are bucketed by cell (a counting sort), then each occupied cell
-    /// streams its residents through its candidate tasks.
-    fn full_sweep<P: Positions + ?Sized>(&mut self, users: &P, threads: usize) {
-        let n = users.len();
-        self.mirror = (0..n).map(|i| users.at(i)).collect();
-        self.mirror_cells = (0..n).map(|i| self.cell_index(users.at(i))).collect();
-        self.primed = true;
-        self.moved_last_round = n;
-        self.last_was_full = true;
-
+    /// Recounts every task from the mirror: users are bucketed by cell
+    /// (a counting sort), then each occupied cell streams its residents
+    /// through its candidate tasks.
+    fn full_sweep(&mut self) {
+        let n = self.mirror.len();
         let num_cells = self.cols * self.rows;
-        let m = self.tasks.len();
+        self.last_was_full = true;
         self.counts.clear();
-        self.counts.resize(m, 0);
-        if n == 0 || m == 0 || self.cand_tasks.is_empty() {
+        self.counts.resize(self.tasks.len(), 0);
+        if n == 0 || self.cand_tasks.is_empty() {
             return;
         }
 
@@ -319,83 +304,49 @@ impl CellSweeper {
             *slot += 1;
         }
 
-        let sweep_cells = |counts: &mut [usize], cell_lo: usize, cell_hi: usize| {
-            let r2 = self.radius * self.radius;
-            for cell in cell_lo..cell_hi {
-                let (lo, hi) = (starts[cell] as usize, starts[cell + 1] as usize);
-                if lo == hi {
-                    continue;
-                }
-                let (xs, ys) = (&sx[lo..hi], &sy[lo..hi]);
-                // Task-outer over the cell's contiguous coordinates:
-                // the inner loop is a dense branch-free scan the
-                // compiler can vectorise. The predicate is the exact
-                // `dx·dx + dy·dy < R²` of `Point::distance_squared`
-                // and the accumulation stays integer `+1`s, so counts
-                // are bit-identical to the user-outer order.
-                for &t in self.candidates(cell) {
-                    let task = self.tasks[t as usize];
-                    let mut hits = 0usize;
-                    for j in 0..xs.len() {
-                        let dx = xs[j] - task.x;
-                        let dy = ys[j] - task.y;
-                        hits += usize::from(dx * dx + dy * dy < r2);
-                    }
-                    counts[t as usize] += hits;
-                }
+        let r2 = self.radius * self.radius;
+        let mut counts = std::mem::take(&mut self.counts);
+        for cell in 0..num_cells {
+            let (lo, hi) = (starts[cell] as usize, starts[cell + 1] as usize);
+            if lo == hi {
+                continue;
             }
-        };
-
-        if threads <= 1 || n < self.par_sweep_min_users.saturating_mul(2) {
-            let mut counts = vec![0usize; m];
-            sweep_cells(&mut counts, 0, num_cells);
-            self.counts = counts;
-        } else {
-            // Partition the cell space; each worker owns a private
-            // count vector, merged by addition afterwards (integer
-            // sums are order-independent, so the result matches the
-            // serial sweep exactly).
-            let workers = threads.min(num_cells).max(1);
-            let chunk = num_cells.div_ceil(workers);
-            let partials: Vec<Vec<usize>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        let sweep = &sweep_cells;
-                        scope.spawn(move || {
-                            let mut local = vec![0usize; m];
-                            let lo = w * chunk;
-                            let hi = ((w + 1) * chunk).min(num_cells);
-                            sweep(&mut local, lo, hi);
-                            local
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("sweep worker panicked")).collect()
-            });
-            for partial in partials {
-                for (total, part) in self.counts.iter_mut().zip(partial) {
-                    *total += part;
+            let (xs, ys) = (&sx[lo..hi], &sy[lo..hi]);
+            // Task-outer over the cell's contiguous coordinates: the
+            // inner loop is a dense branch-free scan the compiler can
+            // vectorise. The predicate is the exact `dx·dx + dy·dy < R²`
+            // of `Point::distance_squared` and the accumulation stays
+            // integer `+1`s, so counts are bit-identical to the
+            // user-outer order.
+            for &t in self.candidates(cell) {
+                let task = self.tasks[t as usize];
+                let mut hits = 0usize;
+                for j in 0..xs.len() {
+                    let dx = xs[j] - task.x;
+                    let dy = ys[j] - task.y;
+                    hits += usize::from(dx * dx + dy * dy < r2);
                 }
+                counts[t as usize] += hits;
             }
         }
+        self.counts = counts;
     }
 
     /// Applies `-old`/`+new` updates for every user whose position
     /// changed since the mirror was taken, batched by grid cell so each
     /// candidate slice is resolved once per dirty cell rather than once
     /// per user.
-    fn delta_sweep<P: Positions + ?Sized>(&mut self, users: &P, threads: usize) {
-        let n = users.len();
+    fn delta_sweep<P: Positions + ?Sized>(&mut self, users: &P) {
         // (cell, position) pairs: departures from old cells and
         // arrivals into new ones. The buffers are struct-held scratch
         // (taken here, returned before every exit) so the steady-state
-        // serial path reuses their warmed capacity instead of
-        // allocating fresh vectors each round.
+        // path reuses their warmed capacity instead of allocating fresh
+        // vectors each round.
         let mut departures = std::mem::take(&mut self.scratch_departures);
         let mut arrivals = std::mem::take(&mut self.scratch_arrivals);
         departures.clear();
         arrivals.clear();
-        for i in 0..n {
+        for i in 0..users.len() {
             let new = users.at(i);
             let old = self.mirror.point(i);
             if old == new {
@@ -419,13 +370,11 @@ impl CellSweeper {
         departures.sort_unstable_by_key(|&(cell, _)| cell);
         arrivals.sort_unstable_by_key(|&(cell, _)| cell);
 
-        let m = self.tasks.len();
         let mut deltas = std::mem::take(&mut self.scratch_deltas);
         deltas.clear();
-        deltas.resize(m, 0);
-
-        let apply = |deltas: &mut [i64], moves: &[(u32, Point)], sign: i64| {
-            let r2 = self.radius * self.radius;
+        deltas.resize(self.tasks.len(), 0);
+        let r2 = self.radius * self.radius;
+        for (moves, sign) in [(&departures, -1i64), (&arrivals, 1)] {
             // Runs of moves sharing a cell resolve the candidate slice
             // once and scan task-outer; the signed indicator sum is
             // integer addition, so any grouping gives the same deltas.
@@ -446,42 +395,6 @@ impl CellSweeper {
                 }
                 i = j;
             }
-        };
-
-        if threads <= 1 || departures.len() < self.par_delta_min_moves.saturating_mul(2) {
-            apply(&mut deltas, &departures, -1);
-            apply(&mut deltas, &arrivals, 1);
-        } else {
-            let workers = threads.min(departures.len()).max(1);
-            let chunk = departures.len().div_ceil(workers);
-            let partials: Vec<Vec<i64>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        let apply = &apply;
-                        let departures = &departures;
-                        let arrivals = &arrivals;
-                        scope.spawn(move || {
-                            let mut local = vec![0i64; m];
-                            let lo = w * chunk;
-                            let dep_hi = ((w + 1) * chunk).min(departures.len());
-                            let arr_hi = ((w + 1) * chunk).min(arrivals.len());
-                            if lo < dep_hi {
-                                apply(&mut local, &departures[lo..dep_hi], -1);
-                            }
-                            if lo < arr_hi {
-                                apply(&mut local, &arrivals[lo..arr_hi], 1);
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("delta worker panicked")).collect()
-            });
-            for partial in partials {
-                for (total, part) in deltas.iter_mut().zip(partial) {
-                    *total += part;
-                }
-            }
         }
         for (count, &delta) in self.counts.iter_mut().zip(&deltas) {
             let updated = *count as i64 + delta;
@@ -491,15 +404,6 @@ impl CellSweeper {
         self.scratch_departures = departures;
         self.scratch_arrivals = arrivals;
         self.scratch_deltas = deltas;
-    }
-}
-
-/// Resolves a requested thread count: `0` means one per available core.
-fn effective_threads(threads: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        threads
     }
 }
 
@@ -525,7 +429,7 @@ mod tests {
             let tasks = sample(area, &mut rng, m);
             let users = sample(area, &mut rng, n);
             let mut sweeper = CellSweeper::new(area, radius, tasks.clone());
-            let counts = sweeper.counts(&users, 1).unwrap().to_vec();
+            let counts = sweeper.counts(&users).unwrap().to_vec();
             assert_eq!(counts, naive(&tasks, &users, radius), "n={n} m={m} R={radius}");
             assert!(sweeper.last_was_full_sweep());
             assert_eq!(sweeper.moved_last_round(), n);
@@ -539,37 +443,36 @@ mod tests {
         let tasks = sample(area, &mut rng, 30);
         let mut users = sample(area, &mut rng, 250);
         let mut sweeper = CellSweeper::new(area, 140.0, tasks.clone());
-        sweeper.counts(&users, 1).unwrap();
+        sweeper.counts(&users).unwrap();
         for round in 0..12 {
             for _ in 0..60 {
                 let who = rng.gen_range(0..users.len());
                 users[who] = area.sample_uniform(&mut rng);
             }
-            let counts = sweeper.counts(&users, 1).unwrap().to_vec();
+            let counts = sweeper.counts(&users).unwrap().to_vec();
             assert_eq!(counts, naive(&tasks, &users, 140.0), "round {round}");
             assert!(!sweeper.last_was_full_sweep(), "round {round}");
         }
     }
 
     #[test]
-    fn thread_counts_are_bit_identical() {
+    fn more_than_half_moved_recounts_in_full() {
         let area = Rect::square(2000.0).unwrap();
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x7EAD);
         let tasks = sample(area, &mut rng, 40);
         let mut users = sample(area, &mut rng, 400);
-        let mut reference = CellSweeper::new(area, 180.0, tasks.clone());
-        let mut others: Vec<_> =
-            [2usize, 4, 8].iter().map(|_| CellSweeper::new(area, 180.0, tasks.clone())).collect();
-        for _ in 0..6 {
-            let expected = reference.counts(&users, 1).unwrap().to_vec();
-            for (w, sweeper) in others.iter_mut().enumerate() {
-                let got = sweeper.counts(&users, [2, 4, 8][w]).unwrap().to_vec();
-                assert_eq!(got, expected);
+        let mut sweeper = CellSweeper::new(area, 180.0, tasks.clone());
+        sweeper.counts(&users).unwrap();
+        // Exactly n/2 moved stays a delta round; n/2 + 1 and everyone
+        // moving recount in full. Every side of the switch matches naive.
+        for (moving, full) in [(200usize, false), (201, true), (400, true), (7, false)] {
+            for u in users.iter_mut().take(moving) {
+                *u = Point::new(2000.0 - u.x, u.y);
             }
-            for _ in 0..90 {
-                let who = rng.gen_range(0..users.len());
-                users[who] = area.sample_uniform(&mut rng);
-            }
+            let counts = sweeper.counts(&users).unwrap().to_vec();
+            assert_eq!(counts, naive(&tasks, &users, 180.0), "{moving} moved");
+            assert_eq!(sweeper.moved_last_round(), moving);
+            assert_eq!(sweeper.last_was_full_sweep(), full, "{moving} moved");
         }
     }
 
@@ -592,7 +495,7 @@ mod tests {
             Point::new(100.0 + 1e-12, 300.0), // off the boundary by an ulp-ish nudge
         ];
         let mut sweeper = CellSweeper::new(area, radius, tasks.clone());
-        let counts = sweeper.counts(&users, 1).unwrap().to_vec();
+        let counts = sweeper.counts(&users).unwrap().to_vec();
         assert_eq!(counts, naive(&tasks, &users, radius));
     }
 
@@ -607,7 +510,7 @@ mod tests {
             .collect();
         for radius in [70.0, 10_000.0] {
             let mut sweeper = CellSweeper::new(area, radius, tasks.clone());
-            let counts = sweeper.counts(&users, 1).unwrap().to_vec();
+            let counts = sweeper.counts(&users).unwrap().to_vec();
             assert_eq!(counts, naive(&tasks, &users, radius), "R={radius}");
         }
     }
@@ -619,7 +522,7 @@ mod tests {
         let users = vec![Point::new(50.0, 50.0)];
         for radius in [0.0, -5.0, f64::NAN, f64::INFINITY] {
             let mut sweeper = CellSweeper::new(area, radius, tasks.clone());
-            assert_eq!(sweeper.counts(&users, 1).unwrap(), &[0], "R={radius}");
+            assert_eq!(sweeper.counts(&users).unwrap(), &[0], "R={radius}");
         }
     }
 
@@ -629,7 +532,7 @@ mod tests {
         let tasks = vec![Point::new(150.0, 50.0)];
         let users = vec![Point::new(99.0, 50.0), Point::new(10.0, 50.0)];
         let mut sweeper = CellSweeper::new(area, 80.0, tasks.clone());
-        assert_eq!(sweeper.counts(&users, 1).unwrap().to_vec(), naive(&tasks, &users, 80.0));
+        assert_eq!(sweeper.counts(&users).unwrap().to_vec(), naive(&tasks, &users, 80.0));
     }
 
     #[test]
@@ -638,11 +541,11 @@ mod tests {
         let tasks = vec![Point::new(50.0, 50.0)];
         let mut sweeper = CellSweeper::new(area, 30.0, tasks);
         let good = vec![Point::new(40.0, 50.0)];
-        assert_eq!(sweeper.counts(&good, 1).unwrap(), &[1]);
+        assert_eq!(sweeper.counts(&good).unwrap(), &[1]);
         let bad = vec![Point::new(40.0, 50.0), Point::new(200.0, 0.0)];
-        let err = sweeper.counts(&bad, 1).unwrap_err();
+        let err = sweeper.counts(&bad).unwrap_err();
         assert!(matches!(err, GeoError::OutOfBounds { point } if point.x == 200.0));
-        assert_eq!(sweeper.counts(&good, 1).unwrap(), &[1]);
+        assert_eq!(sweeper.counts(&good).unwrap(), &[1]);
     }
 
     #[test]
@@ -652,9 +555,9 @@ mod tests {
         let tasks = sample(area, &mut rng, 8);
         let mut sweeper = CellSweeper::new(area, 200.0, tasks.clone());
         let users_a = sample(area, &mut rng, 40);
-        sweeper.counts(&users_a, 1).unwrap();
+        sweeper.counts(&users_a).unwrap();
         let users_b = sample(area, &mut rng, 55);
-        let counts = sweeper.counts(&users_b, 1).unwrap().to_vec();
+        let counts = sweeper.counts(&users_b).unwrap().to_vec();
         assert_eq!(counts, naive(&tasks, &users_b, 200.0));
         assert!(sweeper.last_was_full_sweep());
     }
@@ -669,8 +572,8 @@ mod tests {
         let mut a = CellSweeper::new(area, 120.0, tasks.clone());
         let mut b = CellSweeper::new(area, 120.0, tasks);
         assert_eq!(
-            a.counts(users.as_slice(), 1).unwrap().to_vec(),
-            b.counts(&store, 2).unwrap().to_vec()
+            a.counts(users.as_slice()).unwrap().to_vec(),
+            b.counts(&store).unwrap().to_vec()
         );
     }
 }

@@ -4,10 +4,10 @@ use crate::Point;
 
 /// A static 2-d tree (k-d tree with k = 2) over a fixed set of points.
 ///
-/// Complements [`GridIndex`](crate::GridIndex): the grid is ideal when
-/// query radii are close to one known scale (the paper's neighbour radius
-/// `R`), while the k-d tree stays efficient for nearest-neighbour queries
-/// and for radii of any scale, and needs no bounding area up front.
+/// Complements [`CellSweeper`](crate::CellSweeper): the cell sweep counts
+/// every task's neighbours at one known radius (the paper's `R`), while
+/// the k-d tree answers nearest-neighbour and radius queries of any scale
+/// about single points, and needs no bounding area up front.
 ///
 /// Construction is `O(n log² n)` (median by sort), queries are
 /// `O(log n)` expected for `nearest` and output-sensitive for
@@ -219,16 +219,16 @@ mod tests {
 
     proptest! {
         #[test]
-        fn kd_and_grid_agree(
+        fn kd_matches_the_strict_squared_distance_scan(
             coords in proptest::collection::vec((0.0..300.0f64, 0.0..300.0f64), 0..40),
             qx in 0.0..300.0f64, qy in 0.0..300.0f64, r in 0.0..400.0f64,
         ) {
-            use crate::{GridIndex, Rect};
             let pts: Vec<Point> = coords.into_iter().map(Point::from).collect();
             let tree = KdTree::build(&pts);
-            let grid = GridIndex::build(Rect::square(300.0).unwrap(), 50.0, &pts).unwrap();
-            prop_assert_eq!(tree.within_radius(Point::new(qx, qy), r),
-                            grid.within_radius(Point::new(qx, qy), r));
+            let q = Point::new(qx, qy);
+            let scan: Vec<usize> =
+                (0..pts.len()).filter(|&i| pts[i].distance_squared(q) < r * r).collect();
+            prop_assert_eq!(tree.within_radius(q, r), scan);
         }
     }
 }

@@ -8,7 +8,7 @@
 //!    [`DistanceMatrix`].
 //! 2. *How many users are within radius `R` of a task?* (the "neighbouring
 //!    mobile users" criterion of the demand indicator) —
-//!    [`GridIndex::count_within`] / [`KdTree::within_radius`].
+//!    [`CellSweeper::counts`] / [`KdTree::within_radius`].
 //! 3. *Where do entities start, and how do they move between rounds?* —
 //!    [`placement`] samplers and [`mobility`] models.
 //!
@@ -18,12 +18,13 @@
 //! # Examples
 //!
 //! ```
-//! use paydemand_geo::{Point, Rect, GridIndex};
+//! use paydemand_geo::{CellSweeper, Point, Rect};
 //!
 //! let area = Rect::new(Point::ORIGIN, Point::new(3000.0, 3000.0))?;
-//! let pts = vec![Point::new(10.0, 10.0), Point::new(2900.0, 40.0)];
-//! let index = GridIndex::build(area, 100.0, &pts)?;
-//! assert_eq!(index.count_within(Point::new(0.0, 0.0), 50.0), 1);
+//! let tasks = vec![Point::new(0.0, 0.0), Point::new(2950.0, 40.0)];
+//! let users = vec![Point::new(10.0, 10.0), Point::new(2900.0, 40.0)];
+//! let mut sweeper = CellSweeper::new(area, 50.0, tasks);
+//! assert_eq!(sweeper.counts(&users)?, &[1, 0]);
 //! # Ok::<(), paydemand_geo::GeoError>(())
 //! ```
 
@@ -32,7 +33,6 @@
 
 mod cell_sweep;
 mod error;
-mod grid_index;
 mod kdtree;
 mod matrix;
 pub mod mobility;
@@ -45,7 +45,6 @@ mod soa;
 
 pub use cell_sweep::CellSweeper;
 pub use error::GeoError;
-pub use grid_index::GridIndex;
 pub use kdtree::KdTree;
 pub use matrix::DistanceMatrix;
 pub use mobility::MobilityModel;

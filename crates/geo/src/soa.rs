@@ -8,10 +8,10 @@
 //! the API boundary.
 //!
 //! [`Positions`] abstracts over both layouts so the counting backends
-//! ([`crate::CellSweeper`], the incremental tracker, the naive scan)
-//! accept either without copies: a `&[Point]`, a `Vec<Point>` and a
-//! `PositionStore` are all valid position sources, and all of them
-//! yield bit-identical coordinates for the same logical positions.
+//! ([`crate::CellSweeper`], the naive scan) accept either without
+//! copies: a `&[Point]`, a `Vec<Point>` and a `PositionStore` are all
+//! valid position sources, and all of them yield bit-identical
+//! coordinates for the same logical positions.
 
 use crate::Point;
 
@@ -32,13 +32,6 @@ pub trait Positions {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// The positions as a contiguous `[Point]` slice when the layout
-    /// is array-of-structs; `None` for split layouts. Lets consumers
-    /// that require a slice (e.g. `GridIndex::build`) skip a copy.
-    fn as_point_slice(&self) -> Option<&[Point]> {
-        None
-    }
 }
 
 impl Positions for [Point] {
@@ -48,10 +41,6 @@ impl Positions for [Point] {
 
     fn at(&self, i: usize) -> Point {
         self[i]
-    }
-
-    fn as_point_slice(&self) -> Option<&[Point]> {
-        Some(self)
     }
 }
 
@@ -63,10 +52,6 @@ impl<const N: usize> Positions for [Point; N] {
     fn at(&self, i: usize) -> Point {
         self[i]
     }
-
-    fn as_point_slice(&self) -> Option<&[Point]> {
-        Some(self)
-    }
 }
 
 impl Positions for Vec<Point> {
@@ -76,10 +61,6 @@ impl Positions for Vec<Point> {
 
     fn at(&self, i: usize) -> Point {
         self[i]
-    }
-
-    fn as_point_slice(&self) -> Option<&[Point]> {
-        Some(self)
     }
 }
 

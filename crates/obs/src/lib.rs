@@ -37,16 +37,16 @@
 //!
 //! | Metric | Kind | Meaning |
 //! |---|---|---|
-//! | `round_phase_seconds{phase}` | histogram | Per-round latency of one engine phase: `demand` (neighbour recount), `pricing` (mechanism reward computation), `selection` (per-user solver calls), `settlement` (submission + payment), `movement` (inter-round motion). |
+//! | `round_phase_seconds{phase}` | histogram | Per-round latency of one engine phase: `demand` (neighbour recount), `pricing` (mechanism reward computation), `selection` (the participation loop: order shuffle, dropout draws, each participant's open tasks and solver call), `settlement` (submission + payment), `movement` (inter-round motion). |
 //! | `engine_round_seconds` | histogram | Whole-round latency. |
 //! | `engine_rounds_total` | counter | Sensing rounds executed. |
 //! | `engine_runs_total` | counter | Complete simulation runs. |
 //! | `demand_cache_hits_total` | counter | `DemandCache` memo hits (any criterion). |
 //! | `demand_cache_misses_total` | counter | `DemandCache` cold misses (no memo entry). |
 //! | `demand_cache_dirty_total` | counter | `DemandCache` stale memo entries recomputed (key changed). |
-//! | `neighbor_delta_rounds_total` | counter | Rounds served by the incremental delta path of `NeighborTracker`. |
-//! | `neighbor_delta_updates_total` | counter | Moved users folded in via delta updates. |
-//! | `neighbor_rebuilds_total` | counter | Full spatial-index rebuilds. |
+//! | `cell_sweep_full_sweeps_total` | counter | Full Eq. 5 recounts by the cell sweep: the first round, population changes, and rounds where more than half the users moved. |
+//! | `cell_sweep_delta_rounds_total` | counter | Rounds served by the cell sweep's batched delta updates. |
+//! | `cell_sweep_batched_moves_total` | counter | Moved users folded in via batched delta updates. |
 //! | `selector_solves_total{selector}` | counter | Task-selection solves per selector. |
 //! | `selector_solve_seconds{selector}` | histogram | Per-solve latency per selector. |
 //! | `selector_states_expanded_total{selector}` | counter | DP states materialised / B&B nodes visited. |
@@ -77,7 +77,7 @@
 //! | `process_rss_bytes` | gauge | `VmRSS` from `/proc/self/status` (Linux only). |
 //! | `process_peak_rss_bytes` | gauge | `VmHWM` from `/proc/self/status` (Linux only). |
 //! | `memory_demand_cache_bytes` | gauge | Approximate heap footprint of the demand cache. |
-//! | `memory_neighbor_index_bytes` | gauge | Approximate heap footprint of the neighbour index / cell sweeper. |
+//! | `memory_neighbor_index_bytes` | gauge | Approximate heap footprint of the cell sweeper. |
 //!
 //! The `paydemand serve` daemon (the `paydemand-serve` crate) emits
 //! its ingest families through the same recorder, so they land in the

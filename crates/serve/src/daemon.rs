@@ -201,11 +201,34 @@ struct Ingest {
     /// Acked, not-yet-ticked events with their current WAL offsets
     /// (refreshed on compaction).
     pending: VecDeque<(u64, SequencedEvent)>,
+    /// The batch a tick has drained from `pending` but not yet
+    /// appended to the lineage index, so `GET /events/{id}` can answer
+    /// for it while it is in neither place.
+    applying: Option<Applying>,
     /// The next event id to assign (monotonic across restarts).
     next_event_id: u64,
     /// The next `POST /events` request id to assign.
     next_request_id: u64,
     lineage: Option<LineageState>,
+}
+
+/// A drained batch in flight: event ids `first..=last` (ids are dense
+/// and drained in FIFO order) being applied in `round`.
+#[derive(Clone, Copy)]
+struct Applying {
+    first: u64,
+    last: u64,
+    round: u32,
+}
+
+/// Clears [`Ingest::applying`] when a tick ends, however it ends: a
+/// failed tick must not report its batch as in flight forever.
+struct ApplyingWindow<'a>(&'a Shared);
+
+impl Drop for ApplyingWindow<'_> {
+    fn drop(&mut self) {
+        self.0.lock_ingest().applying = None;
+    }
 }
 
 struct Metrics {
@@ -751,6 +774,7 @@ fn recover(
     let ingest = Ingest {
         wal,
         pending,
+        applying: None,
         next_event_id: max_event_id + 1,
         next_request_id: max_request_id + 1,
         lineage: lineage_state,
@@ -1139,6 +1163,7 @@ fn run_tick(shared: &Arc<Shared>) -> Result<TickOutcome, ServeError> {
     // Make the batch composition durable before the round runs: a
     // crash after this point replays exactly this batch into exactly
     // this round.
+    let applying_window = ApplyingWindow(shared);
     let batch: Vec<(u64, SequencedEvent)> = {
         let mut ingest = shared.lock_ingest();
         let batch: Vec<(u64, SequencedEvent)> = ingest.pending.drain(..).collect();
@@ -1147,6 +1172,9 @@ fn run_tick(shared: &Arc<Shared>) -> Result<TickOutcome, ServeError> {
             ServeError::Io(format!("event log barrier write failed: {e}"))
         })?;
         shared.metrics.wal_bytes.set(ingest.wal.bytes() as i64);
+        if let (Some((_, first)), Some((_, last))) = (batch.first(), batch.last()) {
+            ingest.applying = Some(Applying { first: first.id, last: last.id, round });
+        }
         batch
     };
     // The queue gauges intentionally keep their pre-drain values until
@@ -1226,7 +1254,9 @@ fn run_tick(shared: &Arc<Shared>) -> Result<TickOutcome, ServeError> {
             shared.metrics.lineage_applied.add(applied as u64);
             absorb_frames(state, frames);
         }
+        ingest.applying = None;
     }
+    drop(applying_window);
 
     let this_tick = shared.ticks.load(Ordering::SeqCst) + 1;
     if let Some(bytes) = checkpoint {
@@ -1391,8 +1421,9 @@ fn event_payload_json(event: &ExternalEvent) -> String {
 }
 
 /// The `GET /events/{id}` body: the full lineage chain for an applied
-/// event, the queue position for a pending one, `None` (404) for an id
-/// the daemon has never acked.
+/// event, the queue position for a pending one, the round for one a
+/// tick is applying right now, `None` (404) for an id the daemon has
+/// never acked.
 fn event_json(shared: &Arc<Shared>, id: u64) -> Option<String> {
     let ingest = shared.lock_ingest();
     for (offset, seq) in &ingest.pending {
@@ -1402,6 +1433,13 @@ fn event_json(shared: &Arc<Shared>, id: u64) -> Option<String> {
                  \"wal_offset\": {offset}, \"event\": {}}}\n",
                 seq.request,
                 event_payload_json(&seq.event),
+            ));
+        }
+    }
+    if let Some(Applying { first, last, round }) = ingest.applying {
+        if (first..=last).contains(&id) {
+            return Some(format!(
+                "{{\"event_id\": {id}, \"status\": \"applying\", \"round\": {round}}}\n"
             ));
         }
     }
@@ -1467,4 +1505,62 @@ fn status_json(shared: &Arc<Shared>) -> String {
         shared.events_since_checkpoint.load(Ordering::SeqCst),
         shared.started.elapsed().as_secs_f64(),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_event_a_tick_is_applying_answers_applying_then_applied() {
+        let dir =
+            std::env::temp_dir().join(format!("paydemand-daemon-applying-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let scenario = Scenario::paper_default()
+            .with_users(30)
+            .with_tasks(10)
+            .with_max_rounds(4)
+            .with_selector(paydemand_sim::SelectorKind::Greedy);
+        let daemon = Daemon::start(DaemonConfig::new(scenario, dir.clone()), &Recorder::disabled())
+            .expect("daemon starts");
+        let body = br#"{"events": [{"type": "move", "user": 3, "x": 100.0, "y": 200.0},
+            {"type": "upload", "user": 5, "task": 2, "value": 7.5}]}"#;
+        let ack =
+            http::request(daemon.local_addr(), "POST", "/events", body, Duration::from_secs(5))
+                .expect("request completes");
+        assert_eq!(ack.status, 202, "{}", ack.body);
+
+        let shared = Arc::clone(&daemon.shared);
+        let id = shared.lock_ingest().pending.back().map(|(_, seq)| seq.id).expect("acked");
+        let round = shared.next_round.load(Ordering::SeqCst);
+        // Holding the engine lock parks the tick between draining the
+        // queue and stepping the round: the window is open until we
+        // let go.
+        let engine = shared.lock_engine();
+        let tick = std::thread::spawn({
+            let shared = Arc::clone(&shared);
+            move || run_tick(&shared)
+        });
+        let in_window = loop {
+            let status = event_json(&shared, id).expect("an acked event never answers 404");
+            if !status.contains("\"pending\"") {
+                break status;
+            }
+            std::thread::yield_now();
+        };
+        assert_eq!(
+            in_window,
+            format!("{{\"event_id\": {id}, \"status\": \"applying\", \"round\": {round}}}\n")
+        );
+        drop(engine);
+        let outcome = tick.join().expect("tick thread").expect("tick succeeds");
+        assert_eq!(outcome.applied, 2);
+        let after = event_json(&shared, id).expect("applied events resolve");
+        assert!(after.contains("\"status\": \"applied\""), "{after}");
+        assert!(after.contains(&format!("\"round\": {round}")), "{after}");
+        assert!(shared.lock_ingest().applying.is_none());
+
+        daemon.shutdown().expect("graceful shutdown");
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }

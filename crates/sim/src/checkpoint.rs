@@ -530,7 +530,6 @@ pub(crate) fn resume(
     )?;
     platform.set_publish_expired(scenario.publish_expired);
     platform.set_indexing_mode(scenario.indexing);
-    platform.set_demand_threads(scenario.demand_threads);
     platform.set_recorder(recorder);
     platform
         .restore_state(state)

@@ -645,7 +645,6 @@ impl Engine {
         }
         platform.set_publish_expired(scenario.publish_expired);
         platform.set_indexing_mode(scenario.indexing);
-        platform.set_demand_threads(scenario.demand_threads);
         platform.set_recorder(recorder);
         let travel_rng_state = rng.to_state();
         let travel = TravelContext::for_scenario(scenario, workload.area, &mut rng)?;
@@ -908,9 +907,9 @@ impl Engine {
         let m = self.workload.tasks.len();
         let n = self.workload.users.len();
         let round_span = self.recorder.scoped("round", &self.instruments.round_seconds);
-        // Selection and settlement interleave per user, so their phase
-        // times are accumulated across the round rather than spanned.
-        let mut selection_ns = 0u64;
+        // Settlement interleaves with selection per user, so its phase
+        // time is accumulated across the round; selection is the rest
+        // of the participation loop below.
         let mut settlement_ns = 0u64;
 
         let tracing = self.trace.is_enabled();
@@ -1052,6 +1051,11 @@ impl Engine {
             .collect::<Result<_, _>>()?;
         self.process_retries(round, &mut new_measurements, &mut user_profits)?;
 
+        // The selection phase spans who takes part and in which order
+        // (the shuffle and dropout draws are O(n) per round), each
+        // participant's open tasks and their solve — the loop's wall
+        // less the settlement time accumulated inside it.
+        let participation_start = self.metrics_on.then(Instant::now);
         let mut order: Vec<usize> = (0..n).collect();
         order.shuffle(&mut self.rng);
 
@@ -1113,7 +1117,6 @@ impl Engine {
             if let Some(start) = solve_start {
                 let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
                 self.instruments.solve_seconds.record(nanos);
-                selection_ns = selection_ns.saturating_add(nanos);
                 self.instruments.solves_total.inc();
                 self.instruments.states_expanded.add(stats.states_expanded);
                 self.instruments.nodes_pruned.add(stats.nodes_pruned);
@@ -1253,6 +1256,11 @@ impl Engine {
                 settlement_ns = settlement_ns.saturating_add(nanos);
             }
         }
+        let selection_ns = participation_start.map_or(0, |start| {
+            u64::try_from(start.elapsed().as_nanos())
+                .unwrap_or(u64::MAX)
+                .saturating_sub(settlement_ns)
+        });
         self.platform.finish_round();
 
         if tracing {

@@ -214,15 +214,9 @@ pub struct Scenario {
     /// The task-selection algorithm users run.
     pub selector: SelectorKind,
     /// How the platform computes per-task neighbour counts (Eq. 5).
-    /// Every mode produces identical results; non-default modes exist as
-    /// differential references and bench arms.
+    /// Both modes produce identical results; the naive scan exists as
+    /// the differential reference and bench arm.
     pub indexing: IndexingMode,
-    /// Worker threads the demand phase may use inside a round (only the
-    /// [`IndexingMode::CellSweep`] backend parallelises; other modes
-    /// ignore this). Purely a performance knob: counts merge by integer
-    /// addition, so results are bit-identical for every value. `0`
-    /// means "all available cores"; `1` (the default) stays serial.
-    pub demand_threads: usize,
     /// How the on-demand mechanism's pricing cache is used. Every mode
     /// produces bit-identical rewards; `FullRecompute` additionally
     /// asserts the cache against a from-scratch recompute each round.
@@ -269,7 +263,6 @@ impl Scenario {
             mechanism: MechanismKind::OnDemand,
             selector: SelectorKind::Dp { candidate_cap: Some(14) },
             indexing: IndexingMode::default(),
-            demand_threads: 1,
             pricing_cache: PricingCacheMode::default(),
             faults: None,
             seed: 0x5EED,
@@ -336,15 +329,6 @@ impl Scenario {
     #[must_use]
     pub fn with_indexing(mut self, indexing: IndexingMode) -> Self {
         self.indexing = indexing;
-        self
-    }
-
-    /// Sets the demand-phase thread count (`0` = all cores). Output is
-    /// bit-identical for every value; see
-    /// [`demand_threads`](Self::demand_threads).
-    #[must_use]
-    pub fn with_demand_threads(mut self, threads: usize) -> Self {
-        self.demand_threads = threads;
         self
     }
 

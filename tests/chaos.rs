@@ -150,8 +150,7 @@ fn cell_sweep_checkpoints_round_trip_byte_identically_at_every_boundary() {
     for seed in [5u64, 42] {
         let scenario = Scenario { faults: Some(plan_for(seed)), ..chaos_scenario() }
             .with_seed(seed)
-            .with_indexing(IndexingMode::CellSweep)
-            .with_demand_threads(2);
+            .with_indexing(IndexingMode::CellSweep);
         let uninterrupted = engine::run(&scenario).unwrap();
         let recorder = Recorder::disabled();
         let mut engine = Engine::new(&scenario, &recorder).unwrap();

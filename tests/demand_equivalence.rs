@@ -1,38 +1,37 @@
-//! Differential battery for the Eq. 5 demand backends.
+//! Differential battery for the Eq. 5 demand backend.
 //!
-//! The cell-centric sweep, the per-user incremental tracker and the
-//! naive pairwise scan are three implementations of the same function:
-//! per-task neighbour counts under the strict `distance < R` predicate.
-//! This battery locks their equality — not approximately, but bitwise,
-//! since counts are integers and every reward downstream is a pure
-//! function of them:
+//! The cell-centric sweep and the naive pairwise scan are two
+//! implementations of the same function: per-task neighbour counts
+//! under the strict `distance < R` predicate. This battery locks their
+//! equality — not approximately, but bitwise, since counts are integers
+//! and every reward downstream is a pure function of them:
 //!
-//! * 250+ seeded primitive instances (random geometry, churn, thread
-//!   counts 1/2/4/8 with the parallel paths force-enabled) where every
-//!   round's counts are compared across all three backends;
+//! * 250+ seeded primitive instances (random geometry and churn) where
+//!   every round's counts are compared against the naive scan;
 //! * adversarial geometry woven through the instance stream: users
 //!   exactly at distance `R`, positions on cell boundaries, the whole
 //!   population crowded into one grid cell, empty worlds, and a radius
 //!   larger than the arena;
-//! * full engine runs where `IndexingMode::CellSweep` must be
-//!   observationally equivalent to the incremental and naive modes,
-//!   with faults on and off and demand threads 1/2/4/8.
+//! * rounds on both sides of the sweep's full-recount switch: everyone
+//!   moving, exactly half the users moving, and half plus one;
+//! * full engine runs where the default `IndexingMode::CellSweep` must
+//!   be observationally equivalent to the naive mode, with faults on
+//!   and off and with every user wandering between rounds.
 
-use paydemand::core::neighbors::{naive_counts_in, CellSweepCounter, NeighborTracker};
+use paydemand::core::neighbors::{naive_counts_in, CellSweepCounter};
 use paydemand::geo::{CellSweeper, Point, PositionStore, Rect};
+use paydemand::obs::Recorder;
 use paydemand::sim::{
-    engine, FaultKind, FaultPlan, IndexingMode, MechanismKind, Scenario, SelectorKind,
+    engine, FaultKind, FaultPlan, IndexingMode, MechanismKind, Scenario, SelectorKind, UserMotion,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Seeded instances in the primitive battery. Each instance runs
-/// several churn rounds, and every round checks all three backends, so
-/// the effective number of differential checks is several times this.
+/// several churn rounds, and every round checks both cell entry points
+/// against the naive scan, so the effective number of differential
+/// checks is several times this.
 const INSTANCES: u64 = 250;
-
-/// Thread counts the cell backend cycles through.
-const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// One instance's world: geometry plus the initial population.
 struct Instance {
@@ -152,50 +151,35 @@ fn build_instance(k: u64, scale: usize) -> Instance {
 /// The backends under test for one instance, primed once and stepped
 /// through the same churn sequence.
 struct Backends {
-    tracker: NeighborTracker,
-    cell_serial: CellSweeper,
-    cell_threaded: CellSweeper,
-    cell_counter: CellSweepCounter,
+    sweeper: CellSweeper,
+    counter: CellSweepCounter,
 }
 
 impl Backends {
-    fn new(inst: &Instance, threads: usize) -> Backends {
-        let mut cell_threaded = CellSweeper::new(inst.area, inst.radius, inst.tasks.clone());
-        // Force the threaded merge paths even at battery-sized
-        // populations; the floors are performance knobs only.
-        cell_threaded.set_parallel_floors(0, 0);
-        let mut cell_counter = CellSweepCounter::new(inst.area, inst.radius, inst.tasks.clone());
-        cell_counter.set_threads(threads);
-        cell_counter.set_parallel_floors(0, 0);
+    fn new(inst: &Instance) -> Backends {
         Backends {
-            tracker: NeighborTracker::new(inst.area, inst.radius, inst.tasks.clone()),
-            cell_serial: CellSweeper::new(inst.area, inst.radius, inst.tasks.clone()),
-            cell_threaded,
-            cell_counter,
+            sweeper: CellSweeper::new(inst.area, inst.radius, inst.tasks.clone()),
+            counter: CellSweepCounter::new(inst.area, inst.radius, inst.tasks.clone()),
         }
     }
 
-    /// Asserts every backend agrees with the naive reference on the
-    /// current positions.
-    fn check(&mut self, inst: &Instance, threads: usize, round: usize) {
-        let tag = format!("shape {} threads {threads} round {round}", inst.shape);
+    /// Asserts both cell entry points agree with the naive reference on
+    /// the current positions.
+    fn check(&mut self, inst: &Instance, round: usize) {
+        let tag = format!("shape {} round {round}", inst.shape);
         let expected = naive_counts_in(&inst.tasks, inst.users.as_slice(), inst.radius);
-        let tracker = self.tracker.counts(inst.users.as_slice()).unwrap().to_vec();
-        assert_eq!(tracker, expected, "tracker vs naive: {tag}");
-        let serial = self.cell_serial.counts(inst.users.as_slice(), 1).unwrap().to_vec();
-        assert_eq!(serial, expected, "cell serial vs naive: {tag}");
-        let threaded = self.cell_threaded.counts(inst.users.as_slice(), threads).unwrap().to_vec();
-        assert_eq!(threaded, expected, "cell threaded vs naive: {tag}");
+        let sweeper = self.sweeper.counts(inst.users.as_slice()).unwrap().to_vec();
+        assert_eq!(sweeper, expected, "cell sweeper vs naive: {tag}");
         // The SoA store is the layout the engine actually feeds the
         // platform: same positions, same bits, via the core wrapper.
         let store = PositionStore::from_points(&inst.users);
-        let counter = self.cell_counter.counts(&store).unwrap().to_vec();
+        let counter = self.counter.counts(&store).unwrap().to_vec();
         assert_eq!(counter, expected, "cell counter (SoA) vs naive: {tag}");
     }
 }
 
 #[test]
-fn battery_cell_equals_incremental_equals_naive() {
+fn battery_cell_equals_naive() {
     // Debug builds (tier-1 `cargo test`) keep the full instance count
     // but smaller populations; release builds widen the worlds.
     let scale = if cfg!(debug_assertions) { 1 } else { 4 };
@@ -203,18 +187,22 @@ fn battery_cell_equals_incremental_equals_naive() {
     for k in 0..INSTANCES {
         let mut inst = build_instance(k, scale);
         shapes_seen.insert(inst.shape);
-        let threads = THREADS[(k % 4) as usize];
-        let mut backends = Backends::new(&inst, threads);
+        let mut backends = Backends::new(&inst);
         let mut rng = StdRng::seed_from_u64(0xC4_0213 ^ k);
-        backends.check(&inst, threads, 0);
+        backends.check(&inst, 0);
         let rounds = if inst.users.is_empty() { 1 } else { 3 };
         for round in 1..=rounds {
             for _ in 0..inst.churn.min(inst.users.len()) {
                 let who = rng.gen_range(0..inst.users.len());
                 inst.users[who] = inst.area.sample_uniform(&mut rng);
             }
-            backends.check(&inst, threads, round);
+            backends.check(&inst, round);
         }
+        // Every user moves: the round recounts in full.
+        for u in &mut inst.users {
+            *u = inst.area.sample_uniform(&mut rng);
+        }
+        backends.check(&inst, rounds + 1);
     }
     // The stream really does contain every adversarial shape.
     for shape in
@@ -227,19 +215,50 @@ fn battery_cell_equals_incremental_equals_naive() {
 #[test]
 fn population_churn_matches_across_backends() {
     // Users joining and leaving between rounds (population resizes)
-    // force full rebuilds in both incremental backends; the counts must
-    // still match naive at every step.
+    // force full sweeps; the counts must still match naive at every
+    // step.
     let area = Rect::square(1200.0).unwrap();
     let mut rng = StdRng::seed_from_u64(0x90_90_90);
     let tasks = sample(area, &mut rng, 18);
-    let mut tracker = NeighborTracker::new(area, 150.0, tasks.clone());
     let mut sweeper = CellSweeper::new(area, 150.0, tasks.clone());
-    sweeper.set_parallel_floors(0, 0);
     for (round, n) in [40usize, 55, 0, 25, 25, 120, 1].into_iter().enumerate() {
         let users = sample(area, &mut rng, n);
         let expected = naive_counts_in(&tasks, users.as_slice(), 150.0);
-        assert_eq!(tracker.counts(users.as_slice()).unwrap(), &expected[..], "round {round}");
-        assert_eq!(sweeper.counts(users.as_slice(), 4).unwrap(), &expected[..], "round {round}");
+        assert_eq!(sweeper.counts(users.as_slice()).unwrap(), &expected[..], "round {round}");
+    }
+}
+
+#[test]
+fn large_population_matches_naive_on_both_sides_of_the_full_sweep_switch() {
+    // The sweep batches moves while at most half the users moved and
+    // recounts in full past that. Pin the counts bit-identical to naive
+    // at exactly n/2 moved (delta), n/2 + 1 (full), everyone (full) and
+    // a light churn (delta), at a population where the cells are dense.
+    let n = if cfg!(debug_assertions) { 2_000 } else { 40_000 };
+    let area = Rect::square(3000.0).unwrap();
+    let mut rng = StdRng::seed_from_u64(0x1A96E);
+    let tasks = sample(area, &mut rng, 50);
+    let mut users = sample(area, &mut rng, n);
+    let mut sweeper = CellSweeper::new(area, 200.0, tasks.clone());
+    sweeper.counts(users.as_slice()).unwrap();
+    for (round, (moving, full)) in
+        [(n / 2, false), (n / 2 + 1, true), (n, true), (n / 10, false)].into_iter().enumerate()
+    {
+        // Distinct users, each to a fresh spot: exactly `moving` moved.
+        let mut order: Vec<usize> = (0..n).collect();
+        for i in 0..moving {
+            order.swap(i, rng.gen_range(i..n));
+            let who = order[i];
+            let mut to = area.sample_uniform(&mut rng);
+            while to == users[who] {
+                to = area.sample_uniform(&mut rng);
+            }
+            users[who] = to;
+        }
+        let got = sweeper.counts(users.as_slice()).unwrap().to_vec();
+        assert_eq!(got, naive_counts_in(&tasks, users.as_slice(), 200.0), "round {round}");
+        assert_eq!(sweeper.moved_last_round(), moving, "round {round}");
+        assert_eq!(sweeper.last_was_full_sweep(), full, "round {round}: {moving} of {n} moved");
     }
 }
 
@@ -258,22 +277,30 @@ fn engine_cell_sweep_is_observationally_equivalent() {
     for seed in [3u64, 0xD5EED, 0xBEE] {
         let base = engine_scenario(seed);
         let naive = engine::run(&base.clone().with_indexing(IndexingMode::NaiveReference)).unwrap();
-        let incremental =
-            engine::run(&base.clone().with_indexing(IndexingMode::Incremental)).unwrap();
-        assert!(
-            naive.observationally_eq(&incremental),
-            "seed {seed}: incremental diverged from naive"
+        let cell = engine::run(&base).unwrap();
+        assert!(naive.observationally_eq(&cell), "seed {seed}: cell sweep diverged from naive");
+    }
+}
+
+#[test]
+fn engine_cell_sweep_matches_naive_when_every_user_wanders() {
+    // Wandering users all move between rounds, so after the priming
+    // sweep every round takes the full-recount side of the switch; the
+    // whole simulation must still equal the naive reference's.
+    for seed in [4u64, 0xD5EED] {
+        let mut base = engine_scenario(seed).with_users(200).with_neighbor_radius(300.0);
+        base.user_motion = UserMotion::Wander { seconds: 60.0 };
+        assert_eq!(base.indexing, IndexingMode::CellSweep, "the default backend is under test");
+        let recorder = Recorder::enabled();
+        let cell = engine::run_recorded(&base, &recorder).unwrap();
+        let naive = engine::run(&base.clone().with_indexing(IndexingMode::NaiveReference)).unwrap();
+        assert!(naive.observationally_eq(&cell), "seed {seed}: wandering cell run diverged");
+        let snap = recorder.snapshot();
+        assert_eq!(
+            snap.counter_value("cell_sweep_full_sweeps_total", None),
+            snap.counter_value("engine_rounds_total", None),
+            "seed {seed}: every wandering round should recount in full"
         );
-        for threads in THREADS {
-            let cell = engine::run(
-                &base.clone().with_indexing(IndexingMode::CellSweep).with_demand_threads(threads),
-            )
-            .unwrap();
-            assert!(
-                naive.observationally_eq(&cell),
-                "seed {seed}: cell sweep (threads {threads}) diverged from naive"
-            );
-        }
     }
 }
 
@@ -290,44 +317,8 @@ fn engine_cell_sweep_is_equivalent_under_faults() {
         .with(FaultKind::BudgetShock { round: 3, factor: 0.5 });
     for seed in [11u64, 0xD5EED] {
         let base = engine_scenario(seed).with_faults(plan.clone());
-        let incremental =
-            engine::run(&base.clone().with_indexing(IndexingMode::Incremental)).unwrap();
-        for threads in [1usize, 4] {
-            let cell = engine::run(
-                &base.clone().with_indexing(IndexingMode::CellSweep).with_demand_threads(threads),
-            )
-            .unwrap();
-            assert!(
-                incremental.observationally_eq(&cell),
-                "seed {seed} threads {threads}: cell sweep diverged under faults"
-            );
-        }
-    }
-}
-
-#[test]
-fn large_population_parallel_sweep_matches_serial() {
-    // One sized instance where the parallel dispatch triggers at its
-    // *real* floors (no test hook): full sweep and delta rounds both.
-    let (n, moves) = if cfg!(debug_assertions) { (2_000, 600) } else { (40_000, 12_000) };
-    let area = Rect::square(3000.0).unwrap();
-    let mut rng = StdRng::seed_from_u64(0x1A96E);
-    let tasks = sample(area, &mut rng, 50);
-    let mut users = sample(area, &mut rng, n);
-    let mut serial = CellSweeper::new(area, 200.0, tasks.clone());
-    let mut parallel = CellSweeper::new(area, 200.0, tasks.clone());
-    if cfg!(debug_assertions) {
-        // Keep the threaded paths exercised at the reduced size too.
-        parallel.set_parallel_floors(0, 0);
-    }
-    for round in 0..3 {
-        let expected = serial.counts(users.as_slice(), 1).unwrap().to_vec();
-        let got = parallel.counts(users.as_slice(), 8).unwrap().to_vec();
-        assert_eq!(got, expected, "round {round}");
-        assert_eq!(expected, naive_counts_in(&tasks, users.as_slice(), 200.0), "round {round}");
-        for _ in 0..moves {
-            let who = rng.gen_range(0..users.len());
-            users[who] = area.sample_uniform(&mut rng);
-        }
+        let naive = engine::run(&base.clone().with_indexing(IndexingMode::NaiveReference)).unwrap();
+        let cell = engine::run(&base).unwrap();
+        assert!(naive.observationally_eq(&cell), "seed {seed}: cell sweep diverged under faults");
     }
 }

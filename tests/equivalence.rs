@@ -1,12 +1,12 @@
 //! Observational-equivalence battery for the scaling machinery.
 //!
-//! The incremental spatial index and the pricing cache are pure
+//! The cell-sweep neighbour counter and the pricing cache are pure
 //! performance work: every mode combination must produce the *same*
-//! simulation, bit for bit in every float. These tests pin that promise
-//! end to end (full engine runs) and at the primitive level (grid
-//! counts vs the naive pairwise scan).
+//! simulation, bit for bit in every float, as the naive reference.
+//! These tests pin that promise end to end (full engine runs) and at
+//! the primitive level (cell-sweep counts vs the naive pairwise scan).
 
-use paydemand::core::neighbors::{naive_counts, NeighborTracker};
+use paydemand::core::neighbors::{naive_counts, CellSweepCounter};
 use paydemand::geo::Rect;
 use paydemand::sim::{
     engine, IndexingMode, MechanismKind, PricingCacheMode, Scenario, SelectorKind,
@@ -54,20 +54,8 @@ fn pricing_cache_modes_are_observationally_equivalent() {
 fn indexing_modes_are_observationally_equivalent() {
     for seed in [2u64, 0xD5EED, 99] {
         let base = scenario(seed);
-        let incremental =
-            engine::run(&base.clone().with_indexing(IndexingMode::Incremental)).unwrap();
-        let rebuild =
-            engine::run(&base.clone().with_indexing(IndexingMode::RebuildEachRound)).unwrap();
         let naive = engine::run(&base.clone().with_indexing(IndexingMode::NaiveReference)).unwrap();
         let cell = engine::run(&base.clone().with_indexing(IndexingMode::CellSweep)).unwrap();
-        assert!(
-            naive.observationally_eq(&rebuild),
-            "seed {seed}: per-round rebuild changed the simulation"
-        );
-        assert!(
-            naive.observationally_eq(&incremental),
-            "seed {seed}: incremental index changed the simulation"
-        );
         assert!(
             naive.observationally_eq(&cell),
             "seed {seed}: cell-centric sweep changed the simulation"
@@ -85,12 +73,7 @@ fn every_mode_combination_agrees_with_the_reference() {
             .with_pricing_cache(PricingCacheMode::Disabled),
     )
     .unwrap();
-    for indexing in [
-        IndexingMode::Incremental,
-        IndexingMode::RebuildEachRound,
-        IndexingMode::NaiveReference,
-        IndexingMode::CellSweep,
-    ] {
+    for indexing in [IndexingMode::NaiveReference, IndexingMode::CellSweep] {
         for cache in
             [PricingCacheMode::Disabled, PricingCacheMode::Enabled, PricingCacheMode::FullRecompute]
         {
@@ -106,17 +89,17 @@ fn every_mode_combination_agrees_with_the_reference() {
 
 #[test]
 fn grid_counts_match_naive_scan_under_movement() {
-    // Exercise the incremental delta path directly: a tracker fed a
-    // churning population must agree with the O(n·m) scan every round.
+    // Exercise the cell sweep directly: a counter fed a churning
+    // population must agree with the O(n·m) scan every round.
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xC0117);
     let area = Rect::square(1000.0).expect("valid area");
     let radius = 120.0;
     let tasks: Vec<_> = (0..40).map(|_| area.sample_uniform(&mut rng)).collect();
     let mut users: Vec<_> = (0..300).map(|_| area.sample_uniform(&mut rng)).collect();
-    let mut tracker = NeighborTracker::new(area, radius, tasks.clone());
+    let mut counter = CellSweepCounter::new(area, radius, tasks.clone());
 
     for round in 0..10 {
-        let indexed = tracker.counts(&users).expect("users in area").to_vec();
+        let indexed = counter.counts(&users).expect("users in area").to_vec();
         let naive = naive_counts(&tasks, &users, radius);
         assert_eq!(indexed, naive, "round {round}: grid counts diverged from naive scan");
         // Move a third of the users (some onto cell boundaries via

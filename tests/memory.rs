@@ -173,9 +173,9 @@ fn cell_sweep_delta_rounds_allocate_nothing_at_scale() {
     };
     // Priming full sweep, then one warm-up delta round sized like the
     // steady-state rounds so the scratch buffers reach capacity.
-    sweeper.counts(&users, 1).unwrap();
+    sweeper.counts(&users).unwrap();
     shuffle(&mut users, 0);
-    sweeper.counts(&users, 1).unwrap();
+    sweeper.counts(&users).unwrap();
     assert!(!sweeper.last_was_full_sweep(), "warm-up round was not a delta sweep");
 
     // Steady state: every subsequent delta round is allocation-free.
@@ -183,7 +183,7 @@ fn cell_sweep_delta_rounds_allocate_nothing_at_scale() {
         shuffle(&mut users, round);
         let _tag = PhaseGuard::enter(AllocPhase::Demand);
         let before = alloc::phase_totals(AllocPhase::Demand);
-        sweeper.counts(&users, 1).unwrap();
+        sweeper.counts(&users).unwrap();
         let after = alloc::phase_totals(AllocPhase::Demand);
         assert_eq!(
             after.allocs - before.allocs,

@@ -56,13 +56,15 @@ fn enabled_recorder_captures_every_required_family() {
     assert_eq!(rounds.count, snap.counter_value("engine_rounds_total", None).unwrap());
     assert_eq!(snap.counter_value("engine_runs_total", None), Some(3));
 
-    // DemandCache hit/miss and NeighborTracker update counters.
+    // DemandCache hit/miss and cell-sweep counters.
     let hits = snap.counter_value("demand_cache_hits_total", None).unwrap();
     let misses = snap.counter_value("demand_cache_misses_total", None).unwrap();
     assert!(hits + misses > 0, "demand cache never consulted");
-    let deltas = snap.counter_value("neighbor_delta_rounds_total", None).unwrap();
-    let rebuilds = snap.counter_value("neighbor_rebuilds_total", None).unwrap();
-    assert!(deltas + rebuilds > 0, "neighbor tracker never updated");
+    let full_sweeps = snap.counter_value("cell_sweep_full_sweeps_total", None).unwrap();
+    let deltas = snap.counter_value("cell_sweep_delta_rounds_total", None).unwrap();
+    assert!(full_sweeps >= 3, "every run primes the cell sweep with a full sweep");
+    let rounds_total = snap.counter_value("engine_rounds_total", None).unwrap();
+    assert_eq!(full_sweeps + deltas, rounds_total, "one neighbour count per engine round");
 
     // Per-selector solve timings.
     let solves = snap.counter_value("selector_solves_total", Some(("selector", "dp"))).unwrap();

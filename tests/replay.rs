@@ -160,10 +160,10 @@ fn a_hundred_seeded_scenarios_replay_verify_faults_on_and_off() {
 #[test]
 fn cell_sweep_traced_large_run_replay_verifies() {
     // The demand-wall backend under the decision journal: a large
-    // traced run in CellSweep mode (all cores inside the demand phase)
-    // must replay-verify bitwise and match the incremental backend's
-    // result exactly. 100k users in release; tier-1 debug builds run a
-    // scaled-down population through the identical code paths.
+    // traced run in CellSweep mode must replay-verify bitwise and match
+    // the naive reference's result exactly. 100k users in release;
+    // tier-1 debug builds run a scaled-down population through the
+    // identical code paths.
     let users = if cfg!(debug_assertions) { 2_000 } else { 100_000 };
     let base = Scenario::paper_default()
         .with_users(users)
@@ -173,16 +173,16 @@ fn cell_sweep_traced_large_run_replay_verifies() {
         .with_mechanism(MechanismKind::OnDemand)
         .with_seed(0x100_000);
     let recorder = Recorder::disabled();
-    let cell = base.clone().with_indexing(IndexingMode::CellSweep).with_demand_threads(0);
+    let cell = base.clone().with_indexing(IndexingMode::CellSweep);
     let (result, journal) = engine::run_traced(&cell, &recorder).unwrap();
     let summary = replay::verify(&journal, &result)
         .unwrap_or_else(|e| panic!("{users}-user cell-sweep run failed replay: {e}"));
     assert_eq!(summary.rounds as usize, result.rounds.len());
     assert_eq!(summary.measurements, result.total_measurements());
-    let incremental = engine::run(&base.with_indexing(IndexingMode::Incremental)).unwrap();
+    let naive = engine::run(&base.with_indexing(IndexingMode::NaiveReference)).unwrap();
     assert!(
-        result.observationally_eq(&incremental),
-        "{users}-user cell-sweep run diverged from the incremental backend"
+        result.observationally_eq(&naive),
+        "{users}-user cell-sweep run diverged from the naive reference"
     );
 }
 
