@@ -3,16 +3,36 @@
 //! * `dp/m` — the exact DP's exponential growth in the task count;
 //! * `dp_budget/meters` — how the travel budget prunes the DP;
 //! * `greedy/m`, `greedy2opt/m` — the polynomial heuristics at scales
-//!   the DP cannot touch.
+//!   the DP cannot touch, up to the 1k candidates of a city-sized round.
+//!
+//! Every case times what the engine pays once per participant per
+//! round: building the [`SelectionProblem`] (its cost matrix included)
+//! and solving it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use paydemand_bench::{random_published_tasks, random_user};
 use paydemand_core::selection::{
-    DpSelector, GreedySelector, GreedyTwoOptSelector, SelectionProblem, TaskSelector,
+    DpSelector, GreedySelector, GreedyTwoOptSelector, SelectionOutcome, SelectionProblem,
+    TaskSelector,
 };
+use paydemand_core::PublishedTask;
+use paydemand_geo::Point;
 use rand::SeedableRng;
+
+/// One user's round: build the problem from the published tasks, then
+/// select (2 m/s walking, 0.002 $/m).
+fn build_and_select(
+    selector: &dyn TaskSelector,
+    user: Point,
+    tasks: &[PublishedTask],
+    time_budget: f64,
+) -> SelectionOutcome {
+    let problem =
+        SelectionProblem::new(black_box(user), black_box(tasks), time_budget, 2.0, 0.002).unwrap();
+    selector.select(&problem).unwrap()
+}
 
 fn bench_dp_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("dp");
@@ -20,9 +40,8 @@ fn bench_dp_scaling(c: &mut Criterion) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(m as u64);
         let tasks = random_published_tasks(m, &mut rng);
         let user = random_user(&mut rng);
-        let problem = SelectionProblem::new(user, &tasks, 900.0, 2.0, 0.002).unwrap();
-        group.bench_with_input(BenchmarkId::from_parameter(m), &problem, |b, p| {
-            b.iter(|| DpSelector.select(black_box(p)).unwrap());
+        group.bench_with_input(BenchmarkId::from_parameter(m), &tasks, |b, tasks| {
+            b.iter(|| build_and_select(&DpSelector, user, tasks, 900.0));
         });
     }
     group.finish();
@@ -34,12 +53,11 @@ fn bench_dp_budget_pruning(c: &mut Criterion) {
     let tasks = random_published_tasks(16, &mut rng);
     let user = random_user(&mut rng);
     for time_budget in [300.0f64, 600.0, 1200.0, 2400.0] {
-        let problem = SelectionProblem::new(user, &tasks, time_budget, 2.0, 0.002).unwrap();
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{}m", (time_budget * 2.0) as u64)),
-            &problem,
-            |b, p| {
-                b.iter(|| DpSelector.select(black_box(p)).unwrap());
+            &time_budget,
+            |b, &time_budget| {
+                b.iter(|| build_and_select(&DpSelector, user, &tasks, time_budget));
             },
         );
     }
@@ -51,13 +69,12 @@ fn bench_heuristics(c: &mut Criterion) {
         [("greedy", &GreedySelector as &dyn TaskSelector), ("greedy2opt", &GreedyTwoOptSelector)]
     {
         let mut group = c.benchmark_group(name);
-        for m in [20usize, 100, 400] {
+        for m in [20usize, 100, 400, 1000] {
             let mut rng = rand::rngs::StdRng::seed_from_u64(m as u64);
             let tasks = random_published_tasks(m, &mut rng);
             let user = random_user(&mut rng);
-            let problem = SelectionProblem::new(user, &tasks, 900.0, 2.0, 0.002).unwrap();
-            group.bench_with_input(BenchmarkId::from_parameter(m), &problem, |b, p| {
-                b.iter(|| selector.select(black_box(p)).unwrap());
+            group.bench_with_input(BenchmarkId::from_parameter(m), &tasks, |b, tasks| {
+                b.iter(|| build_and_select(selector, user, tasks, 900.0));
             });
         }
         group.finish();

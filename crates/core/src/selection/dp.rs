@@ -77,6 +77,16 @@ mod tests {
     }
 
     #[test]
+    fn equal_profit_ties_resolve_the_same_way_every_time() {
+        // Mirror images 100 m either side; 75 s × 2 m/s = 150 m fits one.
+        let tasks = vec![published(0, 100.0, 0.0, 1.0), published(1, -100.0, 0.0, 1.0)];
+        let p = SelectionProblem::new(Point::ORIGIN, &tasks, 75.0, 2.0, 0.002).unwrap();
+        for _ in 0..200 {
+            assert_eq!(DpSelector.select(&p).unwrap().tasks(), &[TaskId(0)]);
+        }
+    }
+
+    #[test]
     fn respects_time_budget() {
         let tasks = vec![published(0, 3000.0, 0.0, 100.0)];
         // 500 s × 2 m/s = 1000 m < 3000 m away.

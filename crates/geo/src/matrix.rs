@@ -4,12 +4,14 @@ use serde::{Deserialize, Serialize};
 
 use crate::{GeoError, Point};
 
-/// A dense, symmetric matrix of pairwise Euclidean distances.
+/// A dense, symmetric matrix of pairwise distances: Euclidean ones
+/// ([`from_points`](Self::from_points)), or any symmetric cost
+/// ([`from_fn`](Self::from_fn), e.g. road-network travel distances).
 ///
-/// The task-selection solvers repeatedly look up distances between the
-/// user's start location and task locations; precomputing them once per
-/// round turns each lookup into an array read. Only the upper triangle is
-/// stored.
+/// Building it computes all `n·(n−1)/2` pairs up front, which pays off
+/// only when most of them are read; the routing crate's Euclidean cost
+/// matrix computes task distances on demand instead. Only the upper
+/// triangle is stored.
 ///
 /// # Examples
 ///

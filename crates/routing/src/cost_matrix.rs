@@ -9,6 +9,13 @@ use paydemand_geo::{DistanceMatrix, Point};
 /// rather than an index, which rules out off-by-one confusion between
 /// "node 0 = depot" and "task 0".
 ///
+/// A Euclidean matrix ([`from_points`](Self::from_points)) keeps the
+/// task points and computes a task-to-task distance when
+/// [`between`](Self::between) asks for it: the greedy solvers read one
+/// row per pick, so an `O(m²)` table would cost far more than the reads.
+/// A matrix of explicit costs ([`from_fn`](Self::from_fn)) stores its
+/// table, since two points alone do not give those distances.
+///
 /// # Examples
 ///
 /// ```
@@ -27,8 +34,17 @@ use paydemand_geo::{DistanceMatrix, Point};
 pub struct CostMatrix {
     /// Distance start → task j.
     start: Vec<f64>,
-    /// Pairwise task distances.
-    tasks: DistanceMatrix,
+    /// Task-to-task distances, or the points they are computed from.
+    tasks: TaskDistances,
+}
+
+/// Where [`CostMatrix::between`] reads a task-to-task distance from.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+enum TaskDistances {
+    /// The task locations; Euclidean distances are computed per read.
+    Points(Vec<Point>),
+    /// An explicit table of non-Euclidean costs.
+    Table(DistanceMatrix),
 }
 
 impl CostMatrix {
@@ -37,7 +53,7 @@ impl CostMatrix {
     pub fn from_points(start: Point, task_locations: &[Point]) -> Self {
         CostMatrix {
             start: task_locations.iter().map(|&t| start.distance(t)).collect(),
-            tasks: DistanceMatrix::from_points(task_locations),
+            tasks: TaskDistances::Points(task_locations.to_vec()),
         }
     }
 
@@ -48,7 +64,7 @@ impl CostMatrix {
     #[must_use]
     pub fn from_fn<F: FnMut(usize, usize) -> f64>(start: Vec<f64>, dist: F) -> Self {
         let n = start.len();
-        CostMatrix { start, tasks: DistanceMatrix::from_fn(n, dist) }
+        CostMatrix { start, tasks: TaskDistances::Table(DistanceMatrix::from_fn(n, dist)) }
     }
 
     /// Number of tasks.
@@ -67,14 +83,29 @@ impl CostMatrix {
         self.start[j]
     }
 
-    /// Distance between tasks `i` and `j`.
+    /// Distance between tasks `i` and `j` (0 when `i == j`).
     ///
     /// # Panics
     ///
     /// Panics if either index is `>= tasks()`.
     #[must_use]
     pub fn between(&self, i: usize, j: usize) -> f64 {
-        self.tasks.get(i, j)
+        match &self.tasks {
+            TaskDistances::Points(points) => {
+                // Lower index first, the order `DistanceMatrix` evaluates
+                // a pair in, so both give the same bits; reading
+                // `points[b]` before the diagonal check keeps the
+                // out-of-range panic for `i == j` too.
+                let (a, b) = if i <= j { (i, j) } else { (j, i) };
+                let far = points[b];
+                if a == b {
+                    0.0
+                } else {
+                    points[a].distance(far)
+                }
+            }
+            TaskDistances::Table(table) => table.get(i, j),
+        }
     }
 
     /// Total length of the route start → `order[0]` → `order[1]` → …
@@ -89,7 +120,10 @@ impl CostMatrix {
     pub fn route_length(&self, order: &[usize]) -> f64 {
         match order.first() {
             None => 0.0,
-            Some(&first) => self.from_start(first) + self.tasks.path_length(order),
+            Some(&first) => {
+                let path: f64 = order.windows(2).map(|w| self.between(w[0], w[1])).sum();
+                self.from_start(first) + path
+            }
         }
     }
 }
@@ -141,6 +175,69 @@ mod tests {
         let c = CostMatrix::from_points(Point::ORIGIN, &[]);
         assert_eq!(c.tasks(), 0);
         assert_eq!(c.route_length(&[]), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn between_panics_past_the_last_task() {
+        let _ = sample().between(0, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn between_panics_on_an_out_of_range_diagonal() {
+        let _ = sample().between(3, 3);
+    }
+
+    /// Scattered points, repeats of a few locations (zero-length pairs
+    /// off the diagonal), or points on one line.
+    fn arb_points() -> impl Strategy<Value = Vec<Point>> {
+        let scattered = proptest::collection::vec((-1e4..1e4f64, -1e4..1e4f64), 0..40)
+            .prop_map(|c| c.into_iter().map(Point::from).collect::<Vec<_>>());
+        let duplicated = (
+            proptest::collection::vec((-1e4..1e4f64, -1e4..1e4f64), 1..5),
+            proptest::collection::vec(0usize..5, 0..40),
+        )
+            .prop_map(|(base, picks)| {
+                picks.iter().map(|&k| Point::from(base[k % base.len()])).collect::<Vec<_>>()
+            });
+        let collinear = (
+            (-1e4..1e4f64, -1e4..1e4f64),
+            (-10.0..10.0f64, -10.0..10.0f64),
+            proptest::collection::vec(-1e3..1e3f64, 0..40),
+        )
+            .prop_map(|((ox, oy), (dx, dy), steps)| {
+                steps.into_iter().map(|t| Point::new(ox + t * dx, oy + t * dy)).collect::<Vec<_>>()
+            });
+        prop_oneof![scattered, duplicated, collinear]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        #[test]
+        fn on_demand_distances_equal_the_table_bit_for_bit(
+            pts in arb_points(),
+            (sx, sy) in (-1e4..1e4f64, -1e4..1e4f64),
+            picks in proptest::collection::vec(0usize..1000, 0..60),
+        ) {
+            let start = Point::new(sx, sy);
+            let c = CostMatrix::from_points(start, &pts);
+            let table = DistanceMatrix::from_points(&pts);
+            for i in 0..pts.len() {
+                for j in 0..pts.len() {
+                    prop_assert_eq!(c.between(i, j).to_bits(), table.get(i, j).to_bits(),
+                        "pair ({}, {})", i, j);
+                }
+            }
+            if !pts.is_empty() {
+                let order: Vec<usize> = picks.iter().map(|&k| k % pts.len()).collect();
+                let expect = match order.first() {
+                    None => 0.0,
+                    Some(&first) => c.from_start(first) + table.path_length(&order),
+                };
+                prop_assert_eq!(c.route_length(&order).to_bits(), expect.to_bits());
+            }
+        }
     }
 
     proptest! {

@@ -6,11 +6,14 @@
 //! reduces the orienteering problem to it, so it is NP-hard. This crate
 //! implements the machinery:
 //!
-//! * [`CostMatrix`] — start location + task locations, all pairwise
-//!   distances precomputed;
+//! * [`CostMatrix`] — distances from the start location to each task,
+//!   and between tasks: Euclidean ones computed from the task points on
+//!   demand, non-Euclidean ones (`CostMatrix::from_fn`) from an explicit
+//!   table;
 //! * [`subset_dp`] — the paper's bitmask dynamic program over
 //!   `dp[mask][j]` (Eq. 11–12), with budget pruning so that only
-//!   reachable subsets are expanded;
+//!   reachable subsets are expanded, kept in one arena in the order the
+//!   masks were reached;
 //! * [`orienteering`] — exact profit maximisation on top of the DP
 //!   (the paper's "dynamic programming based task selection algorithm"),
 //!   the `O(m²)` marginal-profit greedy (Theorem 3), and a 2-opt

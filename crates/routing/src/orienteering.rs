@@ -457,6 +457,20 @@ mod tests {
     }
 
     #[test]
+    fn exact_breaks_profit_ties_the_same_way_every_time() {
+        // Mirror images: either task alone earns 1 − 0.002 · 100 = 0.8,
+        // and the 150 m budget cannot fit both (100 + 200 m).
+        let costs = CostMatrix::from_points(
+            Point::ORIGIN,
+            &[Point::new(100.0, 0.0), Point::new(-100.0, 0.0)],
+        );
+        let inst = Instance::new(&costs, &[1.0, 1.0], 150.0, 0.002).unwrap();
+        for _ in 0..200 {
+            assert_eq!(solve_exact(&inst).unwrap().order, vec![0]);
+        }
+    }
+
+    #[test]
     fn greedy_never_exceeds_budget_or_loses_money_per_step() {
         let costs = CostMatrix::from_points(
             Point::ORIGIN,
@@ -573,19 +587,34 @@ mod tests {
             budget in 0.0..2500.0f64,
         ) {
             let pts: Vec<Point> = coords.into_iter().map(Point::from).collect();
-            let costs = CostMatrix::from_points(Point::new(500.0, 500.0), &pts);
-            let inst = Instance::new(&costs, &rewards[..pts.len()], budget, 0.002)
-                .unwrap()
-                .with_service(service[..pts.len()].to_vec())
-                .unwrap();
-            let exact = solve_exact(&inst).unwrap();
-            let greedy = solve_greedy(&inst);
-            let two = solve_greedy_two_opt(&inst);
-            let ins = crate::insertion::solve_insertion(&inst);
-            let bb = crate::branch_bound::solve_branch_bound(&inst);
+            let start = Point::new(500.0, 500.0);
+            let costs = CostMatrix::from_points(start, &pts);
+            // The same distances as an explicit table: every solver must
+            // answer identically whichever storage it reads.
+            let tabled = CostMatrix::from_fn(
+                pts.iter().map(|&p| start.distance(p)).collect(),
+                |i, j| pts[i].distance(pts[j]),
+            );
+            let solve_all = |costs| {
+                let inst = Instance::new(costs, &rewards[..pts.len()], budget, 0.002)
+                    .unwrap()
+                    .with_service(service[..pts.len()].to_vec())
+                    .unwrap();
+                let solutions = [
+                    solve_exact(&inst).unwrap(),
+                    solve_greedy(&inst),
+                    solve_greedy_two_opt(&inst),
+                    crate::insertion::solve_insertion(&inst),
+                    crate::branch_bound::solve_branch_bound(&inst),
+                ];
+                (inst, solutions)
+            };
+            let (inst, solutions) = solve_all(&costs);
+            prop_assert_eq!(&solve_all(&tabled).1, &solutions);
+            let [exact, _, _, _, bb] = &solutions;
             prop_assert!((exact.profit - bb.profit).abs() < 1e-9,
                 "dp {} vs b&b {} under service", exact.profit, bb.profit);
-            for s in [&exact, &greedy, &two, &ins, &bb] {
+            for s in &solutions {
                 let load = s.distance + inst.service_load(&s.order);
                 prop_assert!(load <= budget + 1e-9, "budget violated: {load} > {budget}");
                 prop_assert!(exact.profit >= s.profit - 1e-9);

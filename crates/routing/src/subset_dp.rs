@@ -16,8 +16,15 @@
 //! paper's workload, where a user can walk 2–4 km across a 3 km × 3 km
 //! region per round — this makes the exact solver output-sensitive and
 //! fast even at m = 20. Passing `budget = ∞` reproduces the full table.
+//!
+//! The reached states live in one flat arena, a row of `m` states per
+//! mask, in the order the expansion first reached each mask. That order
+//! depends only on the costs and the budget, so every walk over the
+//! table — and with it the exact solver's choice between equal-profit
+//! subsets — repeats exactly from run to run.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::{CostMatrix, RoutingError};
 
@@ -27,6 +34,29 @@ pub const MAX_TASKS: usize = 25;
 
 /// Sentinel parent for states whose path is `start → j` directly.
 const PARENT_START: u8 = u8::MAX;
+
+/// One multiply per mask: the DP's maps are small and hot, and their
+/// keys come from the DP itself, never from outside input, so std's
+/// collision-resistant SipHash buys nothing here.
+#[derive(Default)]
+struct MaskHasher(u64);
+
+impl Hasher for MaskHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("masks hash through write_u32");
+    }
+
+    fn write_u32(&mut self, mask: u32) {
+        // Fold the well-mixed high half into the low bits the table
+        // picks its bucket from.
+        let h = u64::from(mask).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 #[derive(Debug, Clone, Copy)]
 struct State {
@@ -57,9 +87,13 @@ struct State {
 #[derive(Debug, Clone)]
 pub struct SubsetDp {
     tasks: usize,
-    /// Per feasible mask, one state per ending task index (dense, length
-    /// = number of tasks; infeasible endings hold `dist = ∞`).
-    states: HashMap<u32, Vec<State>>,
+    /// Every reached mask, in the order the expansion first reached it.
+    masks: Vec<u32>,
+    /// Row `r` (`states[r * tasks..][..tasks]`) holds one state per
+    /// ending task of `masks[r]`; infeasible endings hold `dist = ∞`.
+    states: Vec<State>,
+    /// Mask → row.
+    rows: HashMap<u32, usize, BuildHasherDefault<MaskHasher>>,
 }
 
 /// Runs the budget-pruned DP. `distance_budget` is in the same unit as
@@ -83,29 +117,28 @@ pub fn solve(costs: &CostMatrix, distance_budget: f64) -> Result<SubsetDp, Routi
         });
     }
 
-    let mut states: HashMap<u32, Vec<State>> = HashMap::new();
-    let mut frontier: Vec<u32> = Vec::new();
+    let mut dp =
+        SubsetDp { tasks: m, masks: Vec::new(), states: Vec::new(), rows: HashMap::default() };
 
     // Layer 1: start -> j.
     for j in 0..m {
         let d = costs.from_start(j);
         if d <= distance_budget {
-            let mask = 1u32 << j;
-            let mut row = vec![State { dist: f64::INFINITY, parent: PARENT_START }; m];
-            row[j] = State { dist: d, parent: PARENT_START };
-            states.insert(mask, row);
-            frontier.push(mask);
+            let row = dp.row_of(1u32 << j);
+            dp.states[row * m + j] = State { dist: d, parent: PARENT_START };
         }
     }
 
-    // Expand layer by layer (masks in a layer share a popcount, so a
-    // successor mask always lands in a strictly later layer and the
-    // frontier never revisits a mask).
-    while !frontier.is_empty() {
-        let mut next_layer: Vec<u32> = Vec::new();
-        for &mask in &frontier {
+    // Expand layer by layer. Each layer is the run of rows the previous
+    // one appended: masks in a layer share a popcount, so a successor
+    // mask always lands in a strictly later layer and no row is
+    // expanded twice.
+    let mut layer = 0..dp.masks.len();
+    while !layer.is_empty() {
+        for row in layer.clone() {
+            let mask = dp.masks[row];
             for j in 0..m {
-                let dist_j = states[&mask][j].dist;
+                let dist_j = dp.states[row * m + j].dist;
                 if !dist_j.is_finite() {
                     continue;
                 }
@@ -117,24 +150,44 @@ pub fn solve(costs: &CostMatrix, distance_budget: f64) -> Result<SubsetDp, Routi
                     if cand > distance_budget {
                         continue;
                     }
-                    let new_mask = mask | (1 << q);
-                    let row = states.entry(new_mask).or_insert_with(|| {
-                        next_layer.push(new_mask);
-                        vec![State { dist: f64::INFINITY, parent: PARENT_START }; m]
-                    });
-                    if cand < row[q].dist {
-                        row[q] = State { dist: cand, parent: j as u8 };
+                    let next = dp.row_of(mask | (1 << q));
+                    let state = &mut dp.states[next * m + q];
+                    if cand < state.dist {
+                        *state = State { dist: cand, parent: j as u8 };
                     }
                 }
             }
         }
-        frontier = next_layer;
+        layer = layer.end..dp.masks.len();
     }
 
-    Ok(SubsetDp { tasks: m, states })
+    Ok(dp)
 }
 
 impl SubsetDp {
+    /// The row of `mask`, appending an all-infeasible one the first time
+    /// the mask is reached.
+    fn row_of(&mut self, mask: u32) -> usize {
+        let next = self.masks.len();
+        let row = *self.rows.entry(mask).or_insert(next);
+        if row == next {
+            self.masks.push(mask);
+            let infeasible = State { dist: f64::INFINITY, parent: PARENT_START };
+            self.states.resize(self.states.len() + self.tasks, infeasible);
+        }
+        row
+    }
+
+    /// The states of row `row`, one per ending task.
+    fn row_at(&self, row: usize) -> &[State] {
+        &self.states[row * self.tasks..][..self.tasks]
+    }
+
+    /// The states of `mask`; `None` if the DP never reached it.
+    fn row(&self, mask: u32) -> Option<&[State]> {
+        self.rows.get(&mask).map(|&row| self.row_at(row))
+    }
+
     /// Number of tasks the DP was run over.
     #[must_use]
     pub fn tasks(&self) -> usize {
@@ -149,7 +202,7 @@ impl SubsetDp {
         if mask == 0 {
             return Some(0.0);
         }
-        let row = self.states.get(&mask)?;
+        let row = self.row(mask)?;
         let best = row.iter().map(|s| s.dist).fold(f64::INFINITY, f64::min);
         best.is_finite().then_some(best)
     }
@@ -158,8 +211,7 @@ impl SubsetDp {
     /// task `j` — the paper's `dp[ℓ][j]`. `None` when infeasible.
     #[must_use]
     pub fn shortest_ending_at(&self, mask: u32, j: usize) -> Option<f64> {
-        let row = self.states.get(&mask)?;
-        let d = row.get(j)?.dist;
+        let d = self.row(mask)?.get(j)?.dist;
         d.is_finite().then_some(d)
     }
 
@@ -170,7 +222,7 @@ impl SubsetDp {
         if mask == 0 {
             return Some(Vec::new());
         }
-        let row = self.states.get(&mask)?;
+        let row = self.row(mask)?;
         let mut j = (0..self.tasks)
             .filter(|&j| row[j].dist.is_finite())
             .min_by(|&a, &b| row[a].dist.partial_cmp(&row[b].dist).expect("finite"))?;
@@ -178,7 +230,7 @@ impl SubsetDp {
         let mut cur_mask = mask;
         loop {
             order.push(j);
-            let state = self.states.get(&cur_mask)?[j];
+            let state = self.row(cur_mask)?[j];
             cur_mask &= !(1 << j);
             if state.parent == PARENT_START {
                 debug_assert_eq!(cur_mask, 0, "parent chain must consume the mask");
@@ -190,19 +242,21 @@ impl SubsetDp {
         Some(order)
     }
 
-    /// Iterates all budget-feasible non-empty masks, in no particular
-    /// order. Mask 0 (stay home) is always implicitly feasible.
+    /// Iterates all budget-feasible non-empty masks, in the order the
+    /// DP first reached them: by popcount, and within one popcount in a
+    /// fixed order that depends only on the costs and the budget. Mask 0
+    /// (stay home) is always implicitly feasible.
     pub fn feasible_masks(&self) -> impl Iterator<Item = u32> + '_ {
-        self.states
-            .iter()
-            .filter_map(|(&mask, row)| row.iter().any(|s| s.dist.is_finite()).then_some(mask))
+        self.masks.iter().enumerate().filter_map(|(row, &mask)| {
+            self.row_at(row).iter().any(|s| s.dist.is_finite()).then_some(mask)
+        })
     }
 
     /// Number of stored (feasible) masks — useful to observe how hard
     /// the budget prunes.
     #[must_use]
     pub fn feasible_mask_count(&self) -> usize {
-        self.states.len()
+        self.masks.len()
     }
 
     /// Total number of finite `(mask, ending-task)` states the DP
@@ -210,10 +264,7 @@ impl SubsetDp {
     /// pruning. Feeds the `selector_states_expanded_total` metric.
     #[must_use]
     pub fn state_count(&self) -> u64 {
-        self.states
-            .values()
-            .map(|row| row.iter().filter(|s| s.dist.is_finite()).count() as u64)
-            .sum()
+        self.states.iter().filter(|s| s.dist.is_finite()).count() as u64
     }
 }
 
