@@ -1,8 +1,10 @@
 //! Command implementations: run the engine, aggregate, print.
 
+use std::path::Path;
+
 use paydemand_obs::{Alerts, MetricsServer, Profiler, ProfilerConfig, Recorder, TimeSeries};
 use paydemand_sim::stats::Summary;
-use paydemand_sim::{metrics, runner, Engine, MechanismKind, SimError, SimulationResult};
+use paydemand_sim::{frame, metrics, runner, Engine, MechanismKind, SimError, SimulationResult};
 
 use crate::args::{MetricsFormat, Options};
 
@@ -178,16 +180,12 @@ fn run_checkpointed(options: &Options) -> Result<RunStatus, SimError> {
     Ok(alert_status(options, &recorder))
 }
 
-/// Writes checkpoint bytes via a sibling temp file + rename, so a crash
-/// mid-write never leaves a truncated checkpoint behind.
+/// Writes checkpoint bytes via a synced sibling temp file + rename, so
+/// a crash mid-write never leaves a truncated checkpoint behind.
 fn write_checkpoint(engine: &Engine, path: &str) -> Result<(), SimError> {
     let bytes = engine.checkpoint()?;
-    let tmp = format!("{path}.tmp");
-    std::fs::write(&tmp, &bytes)
-        .map_err(|e| SimError::Io(format!("writing --checkpoint-file {tmp}: {e}")))?;
-    std::fs::rename(&tmp, path)
-        .map_err(|e| SimError::Io(format!("renaming {tmp} -> {path}: {e}")))?;
-    Ok(())
+    frame::write_atomic(Path::new(path), &bytes, true)
+        .map_err(|e| SimError::Io(format!("writing --checkpoint-file {path}: {e}")))
 }
 
 /// `paydemand compare`: the three paper mechanisms side by side on

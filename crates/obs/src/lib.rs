@@ -141,7 +141,8 @@
 //!   offline against a saved time series;
 //! * [`MetricsServer`] — an embedded zero-dependency HTTP endpoint
 //!   serving `/metrics`, `/healthz`, `/rounds.json` and `/alerts.json`
-//!   from a background thread;
+//!   from a background thread, through [`http`] — the hardened
+//!   HTTP/1.1 reader and writer the `paydemand serve` daemon uses too;
 //! * [`Logger`] — a leveled JSON flight recorder (ring buffer,
 //!   rate-limited, panic-safe, optional JSONL file sink) attachable
 //!   with [`Recorder::attach_logger`] so deep layers can emit without
@@ -175,6 +176,7 @@
 mod alerts;
 pub mod alloc;
 mod export;
+pub mod http;
 pub mod json;
 pub mod log;
 mod metrics;

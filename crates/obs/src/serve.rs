@@ -15,30 +15,23 @@
 //! The server holds only a cloned [`Recorder`]; the time series and
 //! alert evaluator attached to that recorder are reachable through it,
 //! so the serving thread shares exactly the state the engine updates.
-//! One request is handled at a time (scrapes are rare and cheap) and
-//! every response closes its connection. [`MetricsServer::stop`] shuts
-//! the thread down deterministically; dropping the handle without
-//! calling it leaves the thread serving until the process exits, which
-//! is the desired behaviour for a long-lived `--serve-metrics` run.
+//! One request is handled at a time (scrapes are rare and cheap),
+//! read and answered through [`crate::http`] — the daemon's hardened
+//! parser, with its default [`HttpLimits`] — and every response closes
+//! its connection. [`MetricsServer::stop`] shuts the thread down
+//! deterministically; dropping the handle without calling it leaves
+//! the thread serving until the process exits, which is the desired
+//! behaviour for a long-lived `--serve-metrics` run.
 
-use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
+use crate::http::{self, HttpLimits};
 use crate::recorder::Recorder;
 
-/// Longest accepted request head; more is answered with 431.
-const MAX_REQUEST_BYTES: usize = 8 * 1024;
-/// Longest accepted request line; more is answered with 414.
-const MAX_REQUEST_LINE_BYTES: usize = 2 * 1024;
-/// Wall-clock budget for receiving the complete head. This is a
-/// *total* deadline: the read timeout is re-armed with the remaining
-/// budget before every read, so a client trickling one byte per second
-/// cannot hold the serving thread by resetting a per-read timer.
-const HEAD_DEADLINE: Duration = Duration::from_secs(2);
+const TEXT: &str = "text/plain; charset=utf-8";
 
 /// A handle to the background serving thread.
 #[derive(Debug)]
@@ -85,48 +78,40 @@ impl MetricsServer {
 }
 
 fn serve_loop(listener: &TcpListener, recorder: &Recorder, shutdown: &AtomicBool) {
+    let limits = HttpLimits::default();
     for stream in listener.incoming() {
         if shutdown.load(Ordering::SeqCst) {
             return;
         }
         let Ok(stream) = stream else { continue };
-        // A stalled client must not wedge the (single) serving thread;
-        // read_head re-arms the read timeout against a total deadline.
-        let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-        handle_connection(stream, recorder);
+        // A stalled client must not wedge the (single) serving thread:
+        // the reader holds the head to a total deadline, the writer to
+        // a socket timeout.
+        let _ = stream.set_write_timeout(Some(limits.write_timeout));
+        handle_connection(stream, recorder, &limits);
     }
 }
 
-fn handle_connection(mut stream: TcpStream, recorder: &Recorder) {
-    let request_line = match read_request_line(&mut stream) {
-        Ok(line) => line,
+fn handle_connection(mut stream: TcpStream, recorder: &Recorder, limits: &HttpLimits) {
+    let request = match http::read_request(&mut stream, limits) {
+        Ok(request) => request,
         Err(error) => {
-            let (status, message) = match error {
-                HeadError::Timeout => (408, "request head not received in time\n"),
-                HeadError::TooLarge => (431, "request head too large\n"),
-                HeadError::LineTooLong => (414, "request line too long\n"),
-                HeadError::Malformed => (400, "bad request\n"),
-                // The peer is gone (or never spoke); nobody to answer.
-                HeadError::Closed => return,
-            };
-            respond(&mut stream, status, "text/plain; charset=utf-8", message);
+            // No status means the peer is gone (or never spoke).
+            if let Some((status, message)) = error.status() {
+                http::respond(&mut stream, status, TEXT, &format!("{message}\n"));
+            }
             return;
         }
     };
-    let mut parts = request_line.split_whitespace();
-    let (method, target) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
-    if method != "GET" {
-        respond(&mut stream, 405, "text/plain; charset=utf-8", "only GET is supported\n");
+    if request.method != "GET" {
+        http::respond(&mut stream, 405, TEXT, "only GET is supported\n");
         return;
     }
-    let (path, query) = match target.split_once('?') {
-        Some((path, query)) => (path, query),
-        None => (target, ""),
-    };
+    let (path, query) = request.path.split_once('?').unwrap_or((&request.path, ""));
     match path {
         "/metrics" => {
             let body = recorder.snapshot().to_prometheus();
-            respond(&mut stream, 200, "text/plain; version=0.0.4; charset=utf-8", &body);
+            http::respond(&mut stream, 200, "text/plain; version=0.0.4; charset=utf-8", &body);
         }
         "/healthz" => {
             let body = format!(
@@ -136,15 +121,15 @@ fn handle_connection(mut stream: TcpStream, recorder: &Recorder) {
                 recorder.timeseries().len(),
                 recorder.alerts().fired_total(),
             );
-            respond(&mut stream, 200, "application/json; charset=utf-8", &body);
+            http::respond(&mut stream, 200, "application/json; charset=utf-8", &body);
         }
         "/rounds.json" => {
             let body = recorder.timeseries().to_json();
-            respond(&mut stream, 200, "application/json; charset=utf-8", &body);
+            http::respond(&mut stream, 200, "application/json; charset=utf-8", &body);
         }
         "/alerts.json" => {
             let body = recorder.alerts().to_json();
-            respond(&mut stream, 200, "application/json; charset=utf-8", &body);
+            http::respond(&mut stream, 200, "application/json; charset=utf-8", &body);
         }
         "/profile" => {
             // The capture blocks the (single) serving thread for its
@@ -156,115 +141,28 @@ fn handle_connection(mut stream: TcpStream, recorder: &Recorder) {
                 Ok(request) => {
                     let profile = request.capture();
                     recorder.record_profile(&profile);
-                    respond(&mut stream, 200, request.content_type(), &request.render(&profile));
+                    http::respond(
+                        &mut stream,
+                        200,
+                        request.content_type(),
+                        &request.render(&profile),
+                    );
                 }
                 Err(message) => {
-                    respond(&mut stream, 400, "text/plain; charset=utf-8", &format!("{message}\n"));
+                    http::respond(&mut stream, 400, TEXT, &format!("{message}\n"));
                 }
             }
         }
-        _ => respond(&mut stream, 404, "text/plain; charset=utf-8", "not found\n"),
+        _ => http::respond(&mut stream, 404, TEXT, "not found\n"),
     }
-}
-
-/// Why a request head could not be read.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum HeadError {
-    /// The total head deadline expired (silent or trickling client).
-    Timeout,
-    /// The head outgrew [`MAX_REQUEST_BYTES`] without terminating.
-    TooLarge,
-    /// The request line outgrew [`MAX_REQUEST_LINE_BYTES`].
-    LineTooLong,
-    /// Not UTF-8, or no request line at all.
-    Malformed,
-    /// The client hung up before completing the head.
-    Closed,
-}
-
-/// Reads up to the end of the request head and returns its first line.
-///
-/// Hostile-input hardening, each with its own failure: the *total*
-/// time across all reads is bounded by [`HEAD_DEADLINE`] (the read
-/// timeout is re-armed with the remaining budget each iteration, so a
-/// slow-loris trickle gains nothing), the head is bounded by
-/// [`MAX_REQUEST_BYTES`] — an over-long head is an error, never served
-/// truncated — and the request line by [`MAX_REQUEST_LINE_BYTES`].
-fn read_request_line(stream: &mut TcpStream) -> Result<String, HeadError> {
-    let start = Instant::now();
-    let mut head = Vec::new();
-    let mut chunk = [0u8; 1024];
-    let complete = loop {
-        let remaining = HEAD_DEADLINE
-            .checked_sub(start.elapsed())
-            .filter(|d| !d.is_zero())
-            .ok_or(HeadError::Timeout)?;
-        stream.set_read_timeout(Some(remaining)).map_err(|_| HeadError::Closed)?;
-        let n = match stream.read(&mut chunk) {
-            Ok(0) => break false,
-            Ok(n) => n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                return Err(HeadError::Timeout);
-            }
-            Err(_) => return Err(HeadError::Closed),
-        };
-        head.extend_from_slice(&chunk[..n]);
-        if head.windows(4).any(|w| w == b"\r\n\r\n") {
-            break true;
-        }
-        if head.len() >= MAX_REQUEST_BYTES {
-            return Err(HeadError::TooLarge);
-        }
-        // Enforced before the head terminator arrives, so an unbounded
-        // first line cannot ride in under the head cap.
-        if !head.contains(&b'\n') && head.len() > MAX_REQUEST_LINE_BYTES {
-            return Err(HeadError::LineTooLong);
-        }
-    };
-    if !complete && head.is_empty() {
-        return Err(HeadError::Closed);
-    }
-    let text = std::str::from_utf8(&head).map_err(|_| HeadError::Malformed)?;
-    let line = text.lines().next().ok_or(HeadError::Malformed)?.trim();
-    if line.len() > MAX_REQUEST_LINE_BYTES {
-        return Err(HeadError::LineTooLong);
-    }
-    if line.is_empty() {
-        return Err(HeadError::Malformed);
-    }
-    Ok(line.to_owned())
-}
-
-fn respond(stream: &mut TcpStream, status: u16, content_type: &str, body: &str) {
-    let reason = match status {
-        200 => "OK",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        408 => "Request Timeout",
-        414 => "URI Too Long",
-        431 => "Request Header Fields Too Large",
-        _ => "Error",
-    };
-    let head = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    );
-    let _ = stream.write_all(head.as_bytes());
-    let _ = stream.write_all(body.as_bytes());
-    let _ = stream.flush();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{Alerts, TimeSeries};
+    use std::io::{Read as _, Write as _};
+    use std::time::{Duration, Instant};
 
     /// A blocking single-request HTTP client good enough for loopback.
     fn get(addr: SocketAddr, path: &str) -> (u16, String, String) {
@@ -401,7 +299,7 @@ mod tests {
         let (status, _, _) = get(addr, "/healthz");
         assert_eq!(status, 200);
         assert!(
-            started.elapsed() < HEAD_DEADLINE + Duration::from_secs(3),
+            started.elapsed() < HttpLimits::default().head_deadline + Duration::from_secs(3),
             "silent client wedged the loop for {:?}",
             started.elapsed()
         );
@@ -411,6 +309,7 @@ mod tests {
 
     #[test]
     fn slow_trickle_is_bounded_by_the_total_deadline() {
+        let head_deadline = HttpLimits::default().head_deadline;
         let server = MetricsServer::start("127.0.0.1:0", fixture_recorder()).unwrap();
         let addr = server.local_addr();
         let mut stream = TcpStream::connect(addr).unwrap();
@@ -419,7 +318,7 @@ mod tests {
         // Each write is far inside a naive per-read window; the sum
         // crosses the total deadline, which must win.
         loop {
-            if stream.write_all(b"G").is_err() || started.elapsed() > 2 * HEAD_DEADLINE {
+            if stream.write_all(b"G").is_err() || started.elapsed() > 2 * head_deadline {
                 break;
             }
             std::thread::sleep(Duration::from_millis(200));
@@ -427,7 +326,7 @@ mod tests {
         let mut response = String::new();
         let _ = stream.read_to_string(&mut response);
         assert!(
-            started.elapsed() < 2 * HEAD_DEADLINE + Duration::from_secs(2),
+            started.elapsed() < 2 * head_deadline + Duration::from_secs(2),
             "trickling client held the connection {:?}",
             started.elapsed()
         );
@@ -439,13 +338,14 @@ mod tests {
 
     #[test]
     fn oversized_heads_are_rejected_not_served_truncated() {
+        let limits = HttpLimits::default();
         let server = MetricsServer::start("127.0.0.1:0", fixture_recorder()).unwrap();
         let addr = server.local_addr();
 
         // Header flood past the head cap: 431, and crucially not a 200
         // for the (valid-looking) truncated prefix.
         let mut flood = b"GET /metrics HTTP/1.1\r\n".to_vec();
-        while flood.len() <= MAX_REQUEST_BYTES {
+        while flood.len() <= limits.max_head_bytes {
             flood.extend_from_slice(b"X-Flood: ffffffffffffffffffffffffffffffff\r\n");
         }
         let mut stream = TcpStream::connect(addr).unwrap();
@@ -456,7 +356,7 @@ mod tests {
 
         // Request line alone past its cap: 414.
         let mut stream = TcpStream::connect(addr).unwrap();
-        let long = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(MAX_REQUEST_LINE_BYTES));
+        let long = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(limits.max_request_line_bytes));
         let _ = stream.write_all(long.as_bytes());
         let mut response = String::new();
         let _ = stream.read_to_string(&mut response);

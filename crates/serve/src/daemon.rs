@@ -50,7 +50,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -58,6 +58,7 @@ use std::time::{Duration, Instant};
 
 use paydemand_geo::{Point, Rect};
 use paydemand_obs::{Counter, Gauge, Histogram, LogLevel, Logger, Recorder};
+use paydemand_sim::frame::write_atomic;
 use paydemand_sim::trace;
 use paydemand_sim::{Engine, EventOutcome, ExternalEvent, Scenario};
 
@@ -794,19 +795,6 @@ fn absorb_frames(state: &mut LineageState, frames: Vec<LineageFrame>) {
             }
         }
     }
-}
-
-/// Writes `bytes` to `path` atomically (tmp + rename).
-fn write_atomic(path: &Path, bytes: &[u8], fsync: bool) -> std::io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        std::io::Write::write_all(&mut f, bytes)?;
-        if fsync {
-            f.sync_all()?;
-        }
-    }
-    std::fs::rename(&tmp, path)
 }
 
 fn acceptor_loop(listener: &TcpListener, shared: &Arc<Shared>) {

@@ -9,7 +9,9 @@
 //!
 //! * [`http`] — a hardened, dependency-free HTTP/1.1 reader/writer:
 //!   total-head deadlines (slow-loris-proof), request-line/head/body
-//!   size caps, typed 4xx for malformed input, never a panic.
+//!   size caps, typed 4xx for malformed input, never a panic. It lives
+//!   in `paydemand-obs`, whose metrics endpoint shares it, and is
+//!   re-exported here.
 //! * [`events`] — the `POST /events` wire format and its two-tier
 //!   decode errors (transport → 400, schema → 422).
 //! * [`wal`] — a checksummed write-ahead log with tick barriers, torn-
@@ -19,6 +21,10 @@
 //!   offset → round → disposition → round pricing, joined against the
 //!   engine's decision journal, plus the offline `verify` replay that
 //!   re-derives every frame bit-identically.
+//!
+//!   Both are payload layouts over [`paydemand_sim::frame`], which owns
+//!   the record framing, checksum, torn-tail scan and atomic rewrite
+//!   they share with the engine's checkpoint and decision journal.
 //! * [`queue`] — the bounded connection queue behind explicit
 //!   backpressure (shed with 503/429, never unbounded growth).
 //! * [`supervisor`] — panic-isolated worker threads, respawned with
@@ -37,13 +43,14 @@
 
 pub mod daemon;
 pub mod events;
-pub mod http;
 pub mod lineage;
 pub mod loadgen;
 pub mod queue;
 pub mod signals;
 pub mod supervisor;
 pub mod wal;
+
+pub use paydemand_obs::http;
 
 pub use daemon::{Daemon, DaemonConfig, ShutdownReport, TickOutcome, ACK_SLO_TARGET};
 pub use http::HttpLimits;

@@ -15,8 +15,10 @@
 //! # On-disk format
 //!
 //! A 5-byte header — magic `PDLI`, version byte — followed by
-//! checksummed frames in the WAL's framing:
-//! `[tag u8][len u32 LE][payload][fnv1a-64-lo u32 LE]`.
+//! checksummed frames in the WAL's framing
+//! ([`paydemand_sim::frame::RecordLog`]):
+//! `[tag u8][len u32 LE][payload][fnv1a-64-lo u32 LE]`, the checksum
+//! covering the payload only. Payloads are at most 1 MiB.
 //!
 //! | tag | frame | payload |
 //! |-----|-------|---------|
@@ -24,8 +26,10 @@
 //! | 2 | `Round` | `u32` round, `u32` applied, `f64` total paid, `u32` n, n×(`u32` task, `u32` level, `f64` reward) |
 //!
 //! A torn tail (kill‑9 mid-append) fails its checksum and is truncated
-//! on open, exactly like the WAL. Crash safety leans on the tick
-//! ordering: lineage frames are appended *and fsynced before* the
+//! on open, exactly like the WAL. A file of 0–4 bytes that are a
+//! prefix of the header is a header torn at creation: open writes the
+//! header again and reports those bytes as torn. Crash safety leans on
+//! the tick ordering: lineage frames are appended *and fsynced before* the
 //! checkpoint lands, so every checkpointed round has durable lineage;
 //! frames for rounds the checkpoint does *not* cover are truncated at
 //! recovery and regenerated bit-identically by the deterministic
@@ -40,28 +44,23 @@
 //! reported as *never applied* rather than silently missing.
 
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::{Read as _, Write as _};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use paydemand_obs::Recorder;
+use paydemand_sim::frame::{self, BufMut, Cursor, CursorError, Header, HeaderError, LogError};
+use paydemand_sim::frame::{Record, RecordLog};
 use paydemand_sim::trace::{self, TraceEvent};
 use paydemand_sim::{Engine, EventOutcome, Scenario};
 
 use crate::wal::{self, SequencedEvent, WalRecord};
 use crate::ServeError;
 
-/// Index header magic.
-const LINEAGE_MAGIC: &[u8; 4] = b"PDLI";
 /// Index format version this build reads and writes.
 pub const LINEAGE_VERSION: u8 = 1;
-const HEADER_LEN: usize = 5;
+const HEADER: Header = Header { magic: *b"PDLI", version: LINEAGE_VERSION };
 
 const TAG_APPLIED: u8 = 1;
 const TAG_ROUND: u8 = 2;
-/// Round frames carry one entry per task; bound the length field well
-/// above any real workload but far below an OOM.
-const MAX_PAYLOAD: u32 = 1 << 20;
 
 /// What the engine did with one applied event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -195,16 +194,13 @@ impl LineageFrame {
 /// The append-only, checksummed lineage index file.
 #[derive(Debug)]
 pub struct LineageIndex {
-    file: File,
-    path: PathBuf,
-    fsync: bool,
-    len: u64,
+    log: RecordLog<LineageFrame>,
 }
 
 impl LineageIndex {
     /// Opens (creating if absent) the index at `path`, returning the
-    /// frames already on disk and the number of torn trailing bytes
-    /// discarded (the file is truncated past them).
+    /// frames already on disk and the number of torn bytes discarded
+    /// (the file is truncated past them; a torn header is rewritten).
     ///
     /// # Errors
     ///
@@ -214,43 +210,23 @@ impl LineageIndex {
         path: &Path,
         fsync: bool,
     ) -> Result<(LineageIndex, Vec<LineageFrame>, usize), ServeError> {
-        let (frames, torn, good_len) = if path.exists() {
-            let (frames, torn, file_len) = read_frames(path)?;
-            let good = file_len - torn as u64;
-            if torn > 0 {
-                let f = OpenOptions::new().write(true).open(path)?;
-                f.set_len(good)?;
-            }
-            (frames, torn, good)
-        } else {
-            let mut f = File::create(path)?;
-            f.write_all(LINEAGE_MAGIC)?;
-            f.write_all(&[LINEAGE_VERSION])?;
-            if fsync {
-                f.sync_all()?;
-            }
-            (Vec::new(), 0, HEADER_LEN as u64)
-        };
-        let file = OpenOptions::new().append(true).open(path)?;
-        Ok((LineageIndex { file, path: path.to_path_buf(), fsync, len: good_len }, frames, torn))
+        let (log, scan) = RecordLog::open(path, fsync).map_err(|e| match e {
+            LogError::Io(e) => e.into(),
+            LogError::Header(e) => header_error(path, e),
+        })?;
+        Ok((LineageIndex { log }, scan.records, scan.torn))
     }
 
-    /// Appends `frames` and makes them durable in one fsync.
+    /// Appends `frames` and makes them durable in one fsync, returning
+    /// the bytes written.
     ///
     /// # Errors
     ///
     /// Propagates write/fsync errors.
     pub fn append(&mut self, frames: &[LineageFrame]) -> std::io::Result<u64> {
-        let mut buf = Vec::with_capacity(frames.len() * 64);
-        for frame in frames {
-            encode_frame(&mut buf, frame);
-        }
-        self.file.write_all(&buf)?;
-        if self.fsync {
-            self.file.sync_data()?;
-        }
-        self.len += buf.len() as u64;
-        Ok(buf.len() as u64)
+        let before = self.log.bytes();
+        self.log.append(frames, None)?;
+        Ok(self.log.bytes() - before)
     }
 
     /// Atomically rewrites the index to hold exactly `frames`
@@ -262,36 +238,19 @@ impl LineageIndex {
     /// Propagates file-system errors; the old index stays valid if any
     /// step fails before the rename.
     pub fn rewrite(&mut self, frames: &[LineageFrame]) -> std::io::Result<()> {
-        let tmp = self.path.with_extension("idx.tmp");
-        let mut buf = Vec::with_capacity(HEADER_LEN + frames.len() * 64);
-        buf.extend_from_slice(LINEAGE_MAGIC);
-        buf.push(LINEAGE_VERSION);
-        for frame in frames {
-            encode_frame(&mut buf, frame);
-        }
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&buf)?;
-            if self.fsync {
-                f.sync_all()?;
-            }
-        }
-        std::fs::rename(&tmp, &self.path)?;
-        self.file = OpenOptions::new().append(true).open(&self.path)?;
-        self.len = buf.len() as u64;
-        Ok(())
+        self.log.rewrite(frames, None)
     }
 
     /// Current index size in bytes.
     #[must_use]
     pub fn bytes(&self) -> u64 {
-        self.len
+        self.log.bytes()
     }
 
     /// The index's on-disk path.
     #[must_use]
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 }
 
@@ -302,129 +261,83 @@ impl LineageIndex {
 ///
 /// I/O errors, or a bad header (wrong magic or unsupported version).
 pub fn read_frames(path: &Path) -> Result<(Vec<LineageFrame>, usize, u64), ServeError> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    if bytes.len() < HEADER_LEN || &bytes[..4] != LINEAGE_MAGIC {
-        return Err(ServeError::Config(format!(
-            "{} is not a lineage index (bad magic)",
-            path.display()
-        )));
-    }
-    if bytes[4] != LINEAGE_VERSION {
-        return Err(ServeError::Config(format!(
-            "lineage index version {} unsupported (this build reads {LINEAGE_VERSION})",
-            bytes[4]
-        )));
-    }
-    let mut frames = Vec::new();
-    let mut at = HEADER_LEN;
-    while at < bytes.len() {
-        match decode_frame(&bytes[at..]) {
-            Some((frame, used)) => {
-                frames.push(frame);
-                at += used;
-            }
-            None => break,
-        }
-    }
-    Ok((frames, bytes.len() - at, bytes.len() as u64))
+    let bytes = std::fs::read(path)?;
+    let scan = frame::scan::<LineageFrame>(&bytes).map_err(|e| header_error(path, e))?;
+    Ok((scan.records, scan.torn, bytes.len() as u64))
 }
 
-fn encode_frame(out: &mut Vec<u8>, frame: &LineageFrame) {
-    let mut payload = Vec::with_capacity(64);
-    let tag = match frame {
-        LineageFrame::Applied(f) => {
-            payload.extend_from_slice(&f.event_id.to_le_bytes());
-            payload.extend_from_slice(&f.request_id.to_le_bytes());
-            payload.extend_from_slice(&f.wal_offset.to_le_bytes());
-            payload.extend_from_slice(&f.round.to_le_bytes());
-            payload.push(f.disposition.code());
-            payload.extend_from_slice(&f.pay.to_bits().to_le_bytes());
-            TAG_APPLIED
+fn header_error(path: &Path, e: HeaderError) -> ServeError {
+    ServeError::Config(match e {
+        HeaderError::Version(v) => {
+            format!("lineage index version {v} unsupported (this build reads {LINEAGE_VERSION})")
         }
-        LineageFrame::Round(f) => {
-            payload.extend_from_slice(&f.round.to_le_bytes());
-            payload.extend_from_slice(&f.applied.to_le_bytes());
-            payload.extend_from_slice(&f.total_paid.to_bits().to_le_bytes());
-            payload.extend_from_slice(&(f.tasks.len() as u32).to_le_bytes());
-            for t in &f.tasks {
-                payload.extend_from_slice(&t.task.to_le_bytes());
-                payload.extend_from_slice(&t.level.to_le_bytes());
-                payload.extend_from_slice(&t.reward.to_bits().to_le_bytes());
-            }
-            TAG_ROUND
+        HeaderError::Truncated(_) | HeaderError::Magic => {
+            format!("{} is not a lineage index (bad magic)", path.display())
         }
-    };
-    out.push(tag);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&checksum(&payload).to_le_bytes());
+    })
 }
 
-fn decode_frame(bytes: &[u8]) -> Option<(LineageFrame, usize)> {
-    if bytes.len() < 5 {
-        return None;
-    }
-    let tag = bytes[0];
-    let len = u32::from_le_bytes(bytes[1..5].try_into().ok()?);
-    if len > MAX_PAYLOAD {
-        return None;
-    }
-    let len = len as usize;
-    let total = 5 + len + 4;
-    if bytes.len() < total {
-        return None;
-    }
-    let payload = &bytes[5..5 + len];
-    let stored = u32::from_le_bytes(bytes[5 + len..total].try_into().ok()?);
-    if checksum(payload) != stored {
-        return None;
-    }
-    let frame = match tag {
-        TAG_APPLIED if len == 37 => LineageFrame::Applied(AppliedFrame {
-            event_id: u64::from_le_bytes(payload[0..8].try_into().ok()?),
-            request_id: u64::from_le_bytes(payload[8..16].try_into().ok()?),
-            wal_offset: u64::from_le_bytes(payload[16..24].try_into().ok()?),
-            round: u32::from_le_bytes(payload[24..28].try_into().ok()?),
-            disposition: Disposition::from_code(payload[28])?,
-            pay: f64::from_bits(u64::from_le_bytes(payload[29..37].try_into().ok()?)),
-        }),
-        TAG_ROUND if len >= 20 => {
-            let n = u32::from_le_bytes(payload[16..20].try_into().ok()?) as usize;
-            if len != 20 + n * 16 {
-                return None;
-            }
-            let mut tasks = Vec::with_capacity(n);
-            for i in 0..n {
-                let at = 20 + i * 16;
-                tasks.push(TaskPrice {
-                    task: u32::from_le_bytes(payload[at..at + 4].try_into().ok()?),
-                    level: u32::from_le_bytes(payload[at + 4..at + 8].try_into().ok()?),
-                    reward: f64::from_bits(u64::from_le_bytes(
-                        payload[at + 8..at + 16].try_into().ok()?,
-                    )),
-                });
-            }
-            LineageFrame::Round(RoundFrame {
-                round: u32::from_le_bytes(payload[0..4].try_into().ok()?),
-                applied: u32::from_le_bytes(payload[4..8].try_into().ok()?),
-                total_paid: f64::from_bits(u64::from_le_bytes(payload[8..16].try_into().ok()?)),
-                tasks,
-            })
-        }
-        _ => return None,
-    };
-    Some((frame, total))
-}
+impl Record for LineageFrame {
+    const HEADER: Option<Header> = Some(HEADER);
+    /// Round frames carry one entry per task; bound the length field
+    /// well above any real workload but far below an OOM.
+    const SIZE_HINT: usize = 64;
+    const MAX_PAYLOAD: u32 = 1 << 20;
 
-/// FNV-1a 64 truncated to its low 32 bits (the WAL's checksum).
-fn checksum(bytes: &[u8]) -> u32 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    fn encode(&self, out: &mut Vec<u8>) -> u8 {
+        match self {
+            LineageFrame::Applied(f) => {
+                out.put_u64_le(f.event_id);
+                out.put_u64_le(f.request_id);
+                out.put_u64_le(f.wal_offset);
+                out.put_u32_le(f.round);
+                out.put_u8(f.disposition.code());
+                out.put_f64_le(f.pay);
+                TAG_APPLIED
+            }
+            LineageFrame::Round(f) => {
+                out.put_u32_le(f.round);
+                out.put_u32_le(f.applied);
+                out.put_f64_le(f.total_paid);
+                out.put_u32_le(f.tasks.len() as u32);
+                for t in &f.tasks {
+                    out.put_u32_le(t.task);
+                    out.put_u32_le(t.level);
+                    out.put_f64_le(t.reward);
+                }
+                TAG_ROUND
+            }
+        }
     }
-    hash as u32
+
+    fn decode(tag: u8, p: &mut Cursor<'_>) -> Result<Option<Self>, CursorError> {
+        Ok(match tag {
+            TAG_APPLIED => Some(LineageFrame::Applied(AppliedFrame {
+                event_id: p.u64()?,
+                request_id: p.u64()?,
+                wal_offset: p.u64()?,
+                round: p.u32()?,
+                disposition: match Disposition::from_code(p.u8()?) {
+                    Some(disposition) => disposition,
+                    None => return Ok(None),
+                },
+                pay: p.f64()?,
+            })),
+            TAG_ROUND => {
+                let (round, applied, total_paid) = (p.u32()?, p.u32()?, p.f64()?);
+                let n = p.u32()? as usize;
+                // Bound the task count by the bytes present before
+                // allocating for it.
+                p.need(n.saturating_mul(16))?;
+                let mut tasks = Vec::with_capacity(n);
+                for _ in 0..n {
+                    tasks.push(TaskPrice { task: p.u32()?, level: p.u32()?, reward: p.f64()? });
+                }
+                Some(LineageFrame::Round(RoundFrame { round, applied, total_paid, tasks }))
+            }
+            _ => None,
+        })
+    }
 }
 
 /// Aligns the engine's per-inbox-event outcomes back onto the full
@@ -663,6 +576,9 @@ pub fn verify(scenario: &Scenario, state_dir: &Path) -> Result<VerifyReport, Ser
 mod tests {
     use super::*;
     use paydemand_sim::ExternalEvent;
+    use std::fs::OpenOptions;
+    use std::io::Write as _;
+    use std::path::PathBuf;
 
     fn tmp_dir(name: &str) -> PathBuf {
         let dir =

@@ -21,7 +21,9 @@
 //! mid-append — fails its length or checksum test and is discarded,
 //! never mis-parsed.
 //!
-//! Record framing: `[tag u8][len u32 LE][payload][fnv1a-64-lo u32 LE]`.
+//! Record framing is [`frame::RecordLog`]'s:
+//! `[tag u8][len u32 LE][payload][fnv1a-64-lo u32 LE]`, the checksum
+//! covering the payload only. Payloads are at most 64 bytes.
 //!
 //! Since PR 9 every event record carries its lineage identity — the
 //! monotonic event id and the ingest request id assigned at `POST
@@ -31,17 +33,15 @@
 //! the `wal_offset` the lineage index stores, and the log tracks its
 //! own length so `wal_bytes` is a free gauge read.
 
-use std::fs::{File, OpenOptions};
-use std::io::{Read as _, Write as _};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
+use paydemand_sim::frame::{
+    self, BufMut, Cursor, CursorError, Header, LogError, Record, RecordLog,
+};
 use paydemand_sim::ExternalEvent;
 
 const TAG_EVENT: u8 = 1;
 const TAG_BARRIER: u8 = 2;
-/// Largest payload a well-formed record can carry; anything bigger in
-/// a length field is torn-tail garbage.
-const MAX_PAYLOAD: u32 = 64;
 
 /// An externally-ingested event plus the lineage identity the daemon
 /// assigned at ingest.
@@ -80,11 +80,7 @@ pub type OpenedWal = (Wal, Vec<(u64, WalRecord)>, usize);
 /// An append-only event log with atomic compaction.
 #[derive(Debug)]
 pub struct Wal {
-    file: File,
-    path: PathBuf,
-    fsync: bool,
-    /// Current file length; appends advance it, compaction resets it.
-    len: u64,
+    log: RecordLog<WalRecord>,
 }
 
 impl Wal {
@@ -98,23 +94,8 @@ impl Wal {
     ///
     /// Propagates file-system errors.
     pub fn open(path: &Path, fsync: bool) -> std::io::Result<OpenedWal> {
-        let (records, torn_bytes, file_len) = if path.exists() {
-            let (records, torn) = read_records(path)?;
-            (records, torn, std::fs::metadata(path)?.len())
-        } else {
-            (Vec::new(), 0, 0)
-        };
-        let good_len = file_len.saturating_sub(torn_bytes as u64);
-        if torn_bytes > 0 {
-            // Truncate the torn tail so new appends continue from the
-            // last well-formed record instead of burying garbage. The
-            // good length comes from the decoder's actual consumption,
-            // so logs holding old-format records truncate correctly.
-            let file = OpenOptions::new().write(true).open(path)?;
-            file.set_len(good_len)?;
-        }
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok((Wal { file, path: path.to_path_buf(), fsync, len: good_len }, records, torn_bytes))
+        let (log, scan) = RecordLog::open(path, fsync)?;
+        Ok((Wal { log }, scan.offsets.into_iter().zip(scan.records).collect(), scan.torn))
     }
 
     /// Appends `events` and makes them durable in one fsync, returning
@@ -126,17 +107,8 @@ impl Wal {
     /// Propagates write/fsync errors; on error the caller must treat
     /// the batch as unacknowledged.
     pub fn append_events(&mut self, events: &[SequencedEvent]) -> std::io::Result<Vec<u64>> {
-        let mut buf = Vec::with_capacity(events.len() * 48);
         let mut offsets = Vec::with_capacity(events.len());
-        for event in events {
-            offsets.push(self.len + buf.len() as u64);
-            encode_record(&mut buf, &WalRecord::Event(*event));
-        }
-        self.file.write_all(&buf)?;
-        if self.fsync {
-            self.file.sync_data()?;
-        }
-        self.len += buf.len() as u64;
+        self.log.append(events.iter().map(|&event| WalRecord::Event(event)), Some(&mut offsets))?;
         Ok(offsets)
     }
 
@@ -146,14 +118,7 @@ impl Wal {
     ///
     /// Propagates write/fsync errors.
     pub fn append_barrier(&mut self, round: u32, events: u32) -> std::io::Result<()> {
-        let mut buf = Vec::with_capacity(16);
-        encode_record(&mut buf, &WalRecord::Barrier { round, events });
-        self.file.write_all(&buf)?;
-        if self.fsync {
-            self.file.sync_data()?;
-        }
-        self.len += buf.len() as u64;
-        Ok(())
+        self.log.append([WalRecord::Barrier { round, events }], None)
     }
 
     /// Atomically rewrites the log to contain exactly `pending` (the
@@ -165,36 +130,22 @@ impl Wal {
     /// Propagates file-system errors; the old log stays valid if any
     /// step fails before the rename.
     pub fn compact(&mut self, pending: &[SequencedEvent]) -> std::io::Result<Vec<u64>> {
-        let tmp = self.path.with_extension("log.tmp");
-        let mut buf = Vec::with_capacity(pending.len() * 48);
         let mut offsets = Vec::with_capacity(pending.len());
-        for event in pending {
-            offsets.push(buf.len() as u64);
-            encode_record(&mut buf, &WalRecord::Event(*event));
-        }
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&buf)?;
-            if self.fsync {
-                f.sync_all()?;
-            }
-        }
-        std::fs::rename(&tmp, &self.path)?;
-        self.file = OpenOptions::new().create(true).append(true).open(&self.path)?;
-        self.len = buf.len() as u64;
+        self.log
+            .rewrite(pending.iter().map(|&event| WalRecord::Event(event)), Some(&mut offsets))?;
         Ok(offsets)
     }
 
     /// The log's on-disk path.
     #[must_use]
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 
     /// Current size of the log in bytes (the `wal_bytes` gauge).
     #[must_use]
     pub fn bytes(&self) -> u64 {
-        self.len
+        self.log.bytes()
     }
 }
 
@@ -207,145 +158,71 @@ impl Wal {
 /// Propagates read errors; corruption is *not* an error — parsing
 /// simply stops at the first bad record.
 pub fn read_records(path: &Path) -> std::io::Result<(Vec<(u64, WalRecord)>, usize)> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    let mut records = Vec::new();
-    let mut at = 0usize;
-    while at < bytes.len() {
-        match decode_record(&bytes[at..]) {
-            Some((record, used)) => {
-                records.push((at as u64, record));
-                at += used;
-            }
-            None => break,
-        }
-    }
-    Ok((records, bytes.len() - at))
+    let scan = frame::scan::<WalRecord>(&std::fs::read(path)?).map_err(LogError::Header)?;
+    Ok((scan.offsets.into_iter().zip(scan.records).collect(), scan.torn))
 }
 
-fn encode_record(out: &mut Vec<u8>, record: &WalRecord) {
-    let mut payload = Vec::with_capacity(40);
-    let tag = match record {
-        WalRecord::Event(seq) => {
-            match seq.event {
-                ExternalEvent::Move { user, x, y } => {
-                    payload.push(2u8);
-                    payload.extend_from_slice(&seq.id.to_le_bytes());
-                    payload.extend_from_slice(&seq.request.to_le_bytes());
-                    payload.extend_from_slice(&user.to_le_bytes());
-                    payload.extend_from_slice(&x.to_bits().to_le_bytes());
-                    payload.extend_from_slice(&y.to_bits().to_le_bytes());
+impl Record for WalRecord {
+    const HEADER: Option<Header> = None;
+    const SIZE_HINT: usize = 48;
+    const MAX_PAYLOAD: u32 = 64;
+
+    fn encode(&self, out: &mut Vec<u8>) -> u8 {
+        match self {
+            WalRecord::Event(seq) => {
+                match seq.event {
+                    ExternalEvent::Move { user, x, y } => {
+                        out.put_u8(2);
+                        out.put_u64_le(seq.id);
+                        out.put_u64_le(seq.request);
+                        out.put_u32_le(user);
+                        out.put_f64_le(x);
+                        out.put_f64_le(y);
+                    }
+                    ExternalEvent::Upload { user, task, value } => {
+                        out.put_u8(3);
+                        out.put_u64_le(seq.id);
+                        out.put_u64_le(seq.request);
+                        out.put_u32_le(user);
+                        out.put_u32_le(task);
+                        out.put_f64_le(value);
+                    }
                 }
-                ExternalEvent::Upload { user, task, value } => {
-                    payload.push(3u8);
-                    payload.extend_from_slice(&seq.id.to_le_bytes());
-                    payload.extend_from_slice(&seq.request.to_le_bytes());
-                    payload.extend_from_slice(&user.to_le_bytes());
-                    payload.extend_from_slice(&task.to_le_bytes());
-                    payload.extend_from_slice(&value.to_bits().to_le_bytes());
-                }
+                TAG_EVENT
             }
-            TAG_EVENT
+            WalRecord::Barrier { round, events } => {
+                out.put_u32_le(*round);
+                out.put_u32_le(*events);
+                TAG_BARRIER
+            }
         }
-        WalRecord::Barrier { round, events } => {
-            payload.extend_from_slice(&round.to_le_bytes());
-            payload.extend_from_slice(&events.to_le_bytes());
-            TAG_BARRIER
+    }
+
+    fn decode(tag: u8, p: &mut Cursor<'_>) -> Result<Option<Self>, CursorError> {
+        if tag == TAG_BARRIER {
+            return Ok(Some(WalRecord::Barrier { round: p.u32()?, events: p.u32()? }));
         }
-    };
-    out.push(tag);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&checksum(&payload).to_le_bytes());
-}
-
-fn decode_record(bytes: &[u8]) -> Option<(WalRecord, usize)> {
-    if bytes.len() < 5 {
-        return None;
+        if tag != TAG_EVENT {
+            return Ok(None);
+        }
+        let sub_tag = p.u8()?;
+        // Pre-lineage sub-tags 0/1 carry no ids on disk: report them as zero.
+        let (id, request) = if sub_tag >= 2 { (p.u64()?, p.u64()?) } else { (0, 0) };
+        let event = match sub_tag {
+            0 | 2 => ExternalEvent::Move { user: p.u32()?, x: p.f64()?, y: p.f64()? },
+            1 | 3 => ExternalEvent::Upload { user: p.u32()?, task: p.u32()?, value: p.f64()? },
+            _ => return Ok(None),
+        };
+        Ok(Some(WalRecord::Event(SequencedEvent { id, request, event })))
     }
-    let tag = bytes[0];
-    let len = u32::from_le_bytes(bytes[1..5].try_into().ok()?);
-    if len > MAX_PAYLOAD {
-        return None;
-    }
-    let len = len as usize;
-    let total = 5 + len + 4;
-    if bytes.len() < total {
-        return None;
-    }
-    let payload = &bytes[5..5 + len];
-    let stored = u32::from_le_bytes(bytes[5 + len..total].try_into().ok()?);
-    if checksum(payload) != stored {
-        return None;
-    }
-    let record = match tag {
-        TAG_EVENT => decode_event(payload)?,
-        TAG_BARRIER if len == 8 => WalRecord::Barrier {
-            round: u32::from_le_bytes(payload[0..4].try_into().ok()?),
-            events: u32::from_le_bytes(payload[4..8].try_into().ok()?),
-        },
-        _ => return None,
-    };
-    Some((record, total))
-}
-
-fn decode_event(payload: &[u8]) -> Option<WalRecord> {
-    let seq = |id, request, event| Some(WalRecord::Event(SequencedEvent { id, request, event }));
-    match payload.first()? {
-        // Pre-lineage sub-tags: no ids on disk, report them as zero.
-        0 if payload.len() == 21 => seq(
-            0,
-            0,
-            ExternalEvent::Move {
-                user: u32::from_le_bytes(payload[1..5].try_into().ok()?),
-                x: f64::from_bits(u64::from_le_bytes(payload[5..13].try_into().ok()?)),
-                y: f64::from_bits(u64::from_le_bytes(payload[13..21].try_into().ok()?)),
-            },
-        ),
-        1 if payload.len() == 17 => seq(
-            0,
-            0,
-            ExternalEvent::Upload {
-                user: u32::from_le_bytes(payload[1..5].try_into().ok()?),
-                task: u32::from_le_bytes(payload[5..9].try_into().ok()?),
-                value: f64::from_bits(u64::from_le_bytes(payload[9..17].try_into().ok()?)),
-            },
-        ),
-        2 if payload.len() == 37 => seq(
-            u64::from_le_bytes(payload[1..9].try_into().ok()?),
-            u64::from_le_bytes(payload[9..17].try_into().ok()?),
-            ExternalEvent::Move {
-                user: u32::from_le_bytes(payload[17..21].try_into().ok()?),
-                x: f64::from_bits(u64::from_le_bytes(payload[21..29].try_into().ok()?)),
-                y: f64::from_bits(u64::from_le_bytes(payload[29..37].try_into().ok()?)),
-            },
-        ),
-        3 if payload.len() == 33 => seq(
-            u64::from_le_bytes(payload[1..9].try_into().ok()?),
-            u64::from_le_bytes(payload[9..17].try_into().ok()?),
-            ExternalEvent::Upload {
-                user: u32::from_le_bytes(payload[17..21].try_into().ok()?),
-                task: u32::from_le_bytes(payload[21..25].try_into().ok()?),
-                value: f64::from_bits(u64::from_le_bytes(payload[25..33].try_into().ok()?)),
-            },
-        ),
-        _ => None,
-    }
-}
-
-/// FNV-1a 64 truncated to its low 32 bits.
-fn checksum(bytes: &[u8]) -> u32 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash as u32
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::OpenOptions;
+    use std::io::Write as _;
+    use std::path::PathBuf;
 
     fn tmp_path(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("paydemand-wal-{}-{name}", std::process::id()));
@@ -399,7 +276,7 @@ mod tests {
         let mut bytes = vec![TAG_EVENT];
         bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         bytes.extend_from_slice(&payload);
-        bytes.extend_from_slice(&checksum(&payload).to_le_bytes());
+        bytes.extend_from_slice(&(frame::fnv1a64(&payload) as u32).to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         let (records, torn) = read_records(&path).unwrap();
         assert_eq!(torn, 0);

@@ -7,10 +7,11 @@
 //! battery enforces this for plain, faulted, street-grid and wandering
 //! scenarios).
 //!
-//! The codec is hand-rolled over the `bytes` accessors — the vendored
-//! `serde` is a marker-trait stub with no real serialisation — and is
-//! bit-exact: every `f64` travels as its IEEE-754 bit pattern, every
-//! RNG as its raw xoshiro state. The layout is:
+//! The codec is hand-rolled over [`crate::frame`] and the `bytes`
+//! writers — the vendored `serde` is a marker-trait stub with no real
+//! serialisation — and is bit-exact: every `f64` travels as its
+//! IEEE-754 bit pattern, every RNG as its raw xoshiro state. The
+//! layout is:
 //!
 //! ```text
 //! magic "PDCK" | version u8 | scenario fingerprint u64
@@ -25,12 +26,11 @@
 //! field* (seed, fault plan, mechanism, …) is refused up front rather
 //! than silently diverging.
 //!
-//! Decoding never panics on corrupt input: every read is
-//! bounds-checked and surfaces [`SimError::Checkpoint`].
+//! Decoding never panics on corrupt input: every read goes through a
+//! bounds-checked [`Cursor`] and surfaces [`SimError::Checkpoint`].
 
 use std::collections::HashSet;
 
-use bytes::{Buf, BufMut, BytesMut};
 use rand::rngs::StdRng;
 
 use paydemand_core::{PlatformState, TaskId, TaskSpec, UserId, UserProfile};
@@ -41,33 +41,37 @@ use paydemand_obs::Recorder;
 
 use crate::engine::{build_mechanism, build_selector, EngineInstruments, PendingUpload};
 use crate::engine::{Engine, RoundRecord};
+use crate::frame::{fnv1a64, BufMut, Cursor, CursorError, Header, HeaderError};
 use crate::sensing::Estimate;
 use crate::{Scenario, SimError, UserMotion, Workload};
 
-const MAGIC: &[u8; 4] = b"PDCK";
 const VERSION: u8 = 1;
+const HEADER: Header = Header { magic: *b"PDCK", version: VERSION };
 
 /// FNV-1a 64 over the scenario's `Debug` rendering: cheap, stable
 /// within a build, and sensitive to every scenario field including the
 /// fault plan.
 fn scenario_fingerprint(scenario: &Scenario) -> u64 {
-    const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01B3;
-    let rendered = format!("{scenario:?}");
-    let mut hash = BASIS;
-    for byte in rendered.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(PRIME);
-    }
-    hash
+    fnv1a64(format!("{scenario:?}").as_bytes())
 }
 
-fn put_point(buf: &mut BytesMut, p: Point) {
+impl From<CursorError> for SimError {
+    fn from(e: CursorError) -> Self {
+        match e {
+            CursorError::Truncated { need, have } => {
+                SimError::checkpoint(format!("truncated: need {need} more bytes, have {have}"))
+            }
+            CursorError::InvalidFlag(b) => SimError::checkpoint(format!("invalid flag byte {b}")),
+        }
+    }
+}
+
+fn put_point(buf: &mut Vec<u8>, p: Point) {
     buf.put_f64_le(p.x);
     buf.put_f64_le(p.y);
 }
 
-fn put_rng_state(buf: &mut BytesMut, state: [u64; 4]) {
+fn put_rng_state(buf: &mut Vec<u8>, state: [u64; 4]) {
     for word in state {
         buf.put_u64_le(word);
     }
@@ -81,10 +85,9 @@ pub(crate) fn encode(engine: &Engine) -> Result<Vec<u8>, SimError> {
     let w = &engine.workload;
     let m = w.tasks.len();
     let n = w.users.len();
-    let mut buf = BytesMut::with_capacity(1024 + 128 * (m + n));
+    let mut buf = Vec::with_capacity(1024 + 128 * (m + n));
 
-    buf.put_slice(MAGIC);
-    buf.put_u8(VERSION);
+    buf.put_slice(&HEADER.bytes());
     buf.put_u64_le(scenario_fingerprint(&engine.scenario));
     buf.put_u32_le(engine.next_round);
     buf.put_u8(u8::from(engine.done));
@@ -241,68 +244,17 @@ pub(crate) fn encode(engine: &Engine) -> Result<Vec<u8>, SimError> {
         buf.put_u32_le(up.due_round);
     }
 
-    Ok(buf.freeze().to_vec())
+    Ok(buf)
 }
 
-/// A bounds-checked cursor over checkpoint bytes: every accessor
-/// surfaces truncation as [`SimError::Checkpoint`] instead of the
-/// panicking `bytes::Buf` reads.
-struct Reader<'a> {
-    buf: &'a [u8],
+fn point(r: &mut Cursor<'_>) -> Result<Point, CursorError> {
+    let x = r.f64()?;
+    let y = r.f64()?;
+    Ok(Point::new(x, y))
 }
 
-impl Reader<'_> {
-    fn need(&self, n: usize) -> Result<(), SimError> {
-        if self.buf.remaining() < n {
-            return Err(SimError::checkpoint(format!(
-                "truncated: need {n} more bytes, have {}",
-                self.buf.remaining()
-            )));
-        }
-        Ok(())
-    }
-
-    fn u8(&mut self) -> Result<u8, SimError> {
-        self.need(1)?;
-        Ok(self.buf.get_u8())
-    }
-
-    fn u32(&mut self) -> Result<u32, SimError> {
-        self.need(4)?;
-        Ok(self.buf.get_u32_le())
-    }
-
-    fn u64(&mut self) -> Result<u64, SimError> {
-        self.need(8)?;
-        Ok(self.buf.get_u64_le())
-    }
-
-    fn f64(&mut self) -> Result<f64, SimError> {
-        self.need(8)?;
-        Ok(self.buf.get_f64_le())
-    }
-
-    fn flag(&mut self) -> Result<bool, SimError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(SimError::checkpoint(format!("invalid flag byte {other}"))),
-        }
-    }
-
-    fn point(&mut self) -> Result<Point, SimError> {
-        let x = self.f64()?;
-        let y = self.f64()?;
-        Ok(Point::new(x, y))
-    }
-
-    fn rng_state(&mut self) -> Result<[u64; 4], SimError> {
-        Ok([self.u64()?, self.u64()?, self.u64()?, self.u64()?])
-    }
-
-    fn count(&mut self) -> Result<usize, SimError> {
-        Ok(self.u32()? as usize)
-    }
+fn rng_state(r: &mut Cursor<'_>) -> Result<[u64; 4], CursorError> {
+    Ok([r.u64()?, r.u64()?, r.u64()?, r.u64()?])
 }
 
 /// Rebuilds an engine from `bytes` under `scenario`; see
@@ -313,18 +265,15 @@ pub(crate) fn resume(
     recorder: &Recorder,
 ) -> Result<Engine, SimError> {
     scenario.validate()?;
-    let mut r = Reader { buf: bytes };
+    let mut r = Cursor::new(bytes);
 
-    r.need(4)?;
-    if r.buf.copy_take(4) != MAGIC {
-        return Err(SimError::checkpoint("bad magic: not a checkpoint"));
-    }
-    let version = r.u8()?;
-    if version != VERSION {
-        return Err(SimError::checkpoint(format!(
-            "unsupported checkpoint version {version} (expected {VERSION})"
-        )));
-    }
+    HEADER.check(&mut r).map_err(|e| match e {
+        HeaderError::Truncated(e) => e.into(),
+        HeaderError::Magic => SimError::checkpoint("bad magic: not a checkpoint"),
+        HeaderError::Version(v) => {
+            SimError::checkpoint(format!("unsupported checkpoint version {v} (expected {VERSION})"))
+        }
+    })?;
     let fingerprint = r.u64()?;
     if fingerprint != scenario_fingerprint(scenario) {
         return Err(SimError::checkpoint(
@@ -334,18 +283,18 @@ pub(crate) fn resume(
 
     let next_round = r.u32()?;
     let done = r.flag()?;
-    let main_rng_state = r.rng_state()?;
-    let travel_rng_state = r.rng_state()?;
+    let main_rng_state = rng_state(&mut r)?;
+    let travel_rng_state = rng_state(&mut r)?;
 
     // Workload.
-    let area_min = r.point()?;
-    let area_max = r.point()?;
+    let area_min = point(&mut r)?;
+    let area_max = point(&mut r)?;
     let area = Rect::new(area_min, area_max)
         .map_err(|e| SimError::checkpoint(format!("bad area: {e}")))?;
-    let m = r.count()?;
+    let m = r.u32()? as usize;
     let mut tasks = Vec::new();
     for i in 0..m {
-        let location = r.point()?;
+        let location = point(&mut r)?;
         let deadline = r.u32()?;
         let required = r.u32()?;
         tasks.push(
@@ -353,10 +302,10 @@ pub(crate) fn resume(
                 .map_err(|e| SimError::checkpoint(format!("bad task {i}: {e}")))?,
         );
     }
-    let n = r.count()?;
+    let n = r.u32()? as usize;
     let mut users = Vec::new();
     for i in 0..n {
-        let location = r.point()?;
+        let location = point(&mut r)?;
         let time_budget = r.f64()?;
         let speed = r.f64()?;
         let cost_per_meter = r.f64()?;
@@ -377,11 +326,11 @@ pub(crate) fn resume(
 
     let mut locations = paydemand_geo::PositionStore::default();
     for _ in 0..n {
-        locations.push(r.point()?);
+        locations.push(point(&mut r)?);
     }
     let mut contributed: Vec<HashSet<TaskId>> = Vec::new();
     for _ in 0..n {
-        let k = r.count()?;
+        let k = r.u32()? as usize;
         let mut set = HashSet::new();
         for _ in 0..k {
             set.insert(TaskId(r.u32()? as usize));
@@ -407,7 +356,11 @@ pub(crate) fn resume(
         let mut states = Vec::new();
         for _ in 0..n {
             let speed = r.f64()?;
-            let waypoint = if r.flag()? { Some(r.point()?) } else { None };
+            // `with_waypoint` panics on a speed it could not walk at.
+            if !(speed.is_finite() && speed > 0.0) {
+                return Err(SimError::checkpoint(format!("bad wander speed {speed}")));
+            }
+            let waypoint = if r.flag()? { Some(point(&mut r)?) } else { None };
             states.push(MobilityState::RandomWaypoint(RandomWaypoint::with_waypoint(
                 speed, waypoint,
             )));
@@ -420,7 +373,7 @@ pub(crate) fn resume(
         Vec::new()
     };
 
-    let round_count = r.count()?;
+    let round_count = r.u32()? as usize;
     let mut rounds = Vec::new();
     for _ in 0..round_count {
         let round = r.u32()?;
@@ -454,7 +407,7 @@ pub(crate) fn resume(
     }
     let mut contributors = Vec::new();
     for _ in 0..m {
-        let k = r.count()?;
+        let k = r.u32()? as usize;
         let mut ids = Vec::new();
         for _ in 0..k {
             ids.push(r.u32()? as usize);
@@ -467,7 +420,7 @@ pub(crate) fn resume(
     }
     let mut round_receipts = Vec::new();
     for _ in 0..m {
-        let k = r.count()?;
+        let k = r.u32()? as usize;
         let mut receipts = Vec::new();
         for _ in 0..k {
             receipts.push(r.u32()?);
@@ -477,9 +430,8 @@ pub(crate) fn resume(
     let platform_round = r.u32()?;
     let total_paid = r.f64()?;
     let spend_cap = if r.flag()? { Some(r.f64()?) } else { None };
-    let mech_len = r.count()?;
-    r.need(mech_len)?;
-    let mechanism_state = r.buf.copy_take(mech_len).to_vec();
+    let mech_len = r.u32()? as usize;
+    let mechanism_state = r.take(mech_len)?.to_vec();
     let state = PlatformState {
         received,
         completed_round,
@@ -492,9 +444,9 @@ pub(crate) fn resume(
         mechanism: mechanism_state,
     };
 
-    let injector_state = if r.flag()? { Some(r.rng_state()?) } else { None };
+    let injector_state = if r.flag()? { Some(rng_state(&mut r)?) } else { None };
 
-    let pending_count = r.count()?;
+    let pending_count = r.u32()? as usize;
     let mut pending = Vec::new();
     for _ in 0..pending_count {
         let user = r.u32()? as usize;
@@ -511,10 +463,10 @@ pub(crate) fn resume(
         pending.push(PendingUpload { user, task, value, attempts, due_round });
     }
 
-    if r.buf.has_remaining() {
+    if r.remaining() > 0 {
         return Err(SimError::checkpoint(format!(
             "{} trailing bytes after checkpoint payload",
-            r.buf.remaining()
+            r.remaining()
         )));
     }
 

@@ -20,7 +20,10 @@
 //!   parallel across repetitions);
 //! * [`experiments`] — one module per paper figure (Figs. 5–9), each
 //!   regenerating the corresponding series;
-//! * [`report`] — text tables and CSV for everything above.
+//! * [`report`] — text tables and CSV for everything above;
+//! * [`frame`] — the checksum, cursor, header, record log and atomic
+//!   write behind every durable format (PDCK checkpoints, PDTJ
+//!   journals, and the daemon's WAL and lineage index).
 //!
 //! # Examples
 //!
@@ -44,6 +47,7 @@ mod checkpoint;
 pub mod engine;
 mod error;
 pub mod experiments;
+pub mod frame;
 pub mod metrics;
 pub mod presets;
 pub mod quality;

@@ -50,9 +50,10 @@
 //! # Ok::<(), paydemand_sim::trace::TraceError>(())
 //! ```
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 
+use crate::frame::{Cursor, CursorError, Header, HeaderError};
 use crate::SimulationResult;
 
 /// Journal header magic; the first byte (`'P'` = 0x50) can never be a
@@ -60,6 +61,7 @@ use crate::SimulationResult;
 const JOURNAL_MAGIC: &[u8; 4] = b"PDTJ";
 /// Decision-journal format version.
 pub const JOURNAL_VERSION: u8 = 2;
+const JOURNAL: Header = Header { magic: *JOURNAL_MAGIC, version: JOURNAL_VERSION };
 
 /// Fault-frame kind: a demand-recompute outage forced stale repricing.
 pub const FAULT_STALE_PRICING: u8 = 0;
@@ -245,6 +247,15 @@ impl std::fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
+impl From<CursorError> for TraceError {
+    fn from(e: CursorError) -> Self {
+        match e {
+            CursorError::Truncated { .. } => TraceError::Truncated,
+            CursorError::InvalidFlag(b) => TraceError::InvalidFlag(b),
+        }
+    }
+}
+
 /// Encodes [`TraceEvent`]s into a compact byte buffer.
 #[derive(Debug, Default)]
 pub struct TraceWriter {
@@ -265,8 +276,7 @@ impl TraceWriter {
     #[must_use]
     pub fn journal() -> Self {
         let mut buf = BytesMut::with_capacity(4096);
-        buf.put_slice(JOURNAL_MAGIC);
-        buf.put_u8(JOURNAL_VERSION);
+        buf.put_slice(&JOURNAL.bytes());
         TraceWriter { buf, events: 0 }
     }
 
@@ -389,60 +399,15 @@ impl TraceWriter {
     }
 }
 
-/// Bounds-checked reader over the raw trace bytes: the same discipline
-/// as the checkpoint codec — every read checks remaining length first,
-/// flag bytes must be 0/1, and corrupt input is a [`TraceError`], never
-/// a panic.
-struct Reader<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> Reader<'a> {
-    fn need(&self, n: usize) -> Result<(), TraceError> {
-        if self.buf.len() < n {
-            Err(TraceError::Truncated)
-        } else {
-            Ok(())
-        }
-    }
-
-    fn u8(&mut self) -> Result<u8, TraceError> {
-        self.need(1)?;
-        Ok(self.buf.get_u8())
-    }
-
-    fn u32(&mut self) -> Result<u32, TraceError> {
-        self.need(4)?;
-        Ok(self.buf.get_u32_le())
-    }
-
-    fn u64(&mut self) -> Result<u64, TraceError> {
-        self.need(8)?;
-        Ok(self.buf.get_u64_le())
-    }
-
-    fn f64(&mut self) -> Result<f64, TraceError> {
-        self.need(8)?;
-        Ok(self.buf.get_f64_le())
-    }
-
-    fn flag(&mut self) -> Result<bool, TraceError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(TraceError::InvalidFlag(other)),
-        }
-    }
-}
-
 /// Whether `buf` opens with the decision-journal header.
 #[must_use]
 pub fn is_journal(buf: &[u8]) -> bool {
-    buf.len() >= JOURNAL_MAGIC.len() && &buf[..JOURNAL_MAGIC.len()] == JOURNAL_MAGIC
+    buf.starts_with(JOURNAL_MAGIC)
 }
 
 /// Decodes a trace buffer (headerless v1 stream or `PDTJ` journal) back
-/// into events.
+/// into events. Every read is bounds-checked: corrupt input is a
+/// [`TraceError`], never a panic.
 ///
 /// # Errors
 ///
@@ -451,16 +416,16 @@ pub fn is_journal(buf: &[u8]) -> bool {
 /// [`TraceError::InvalidFaultKind`] for corrupt data, and
 /// [`TraceError::UnsupportedVersion`] for a journal from a newer build.
 pub fn decode(buf: &[u8]) -> Result<Vec<TraceEvent>, TraceError> {
-    let mut r = Reader { buf };
+    let mut r = Cursor::new(buf);
     if is_journal(buf) {
-        r.buf = &r.buf[JOURNAL_MAGIC.len()..];
-        let version = r.u8()?;
-        if version != JOURNAL_VERSION {
-            return Err(TraceError::UnsupportedVersion(version));
-        }
+        JOURNAL.check(&mut r).map_err(|e| match e {
+            HeaderError::Version(v) => TraceError::UnsupportedVersion(v),
+            // The magic was sniffed, so only the version byte can be missing.
+            HeaderError::Truncated(_) | HeaderError::Magic => TraceError::Truncated,
+        })?;
     }
     let mut events = Vec::new();
-    while !r.buf.is_empty() {
+    while r.remaining() > 0 {
         let tag = r.u8()?;
         let event = match tag {
             TAG_ROUND_START => TraceEvent::RoundStart { round: r.u32()? },

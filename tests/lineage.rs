@@ -3,8 +3,9 @@
 //! `GET /events/{id}` bit-identically before and after a kill-9
 //! `--resume`, the offline `lineage verify` audit must agree with the
 //! replay, torn-tail events must read as *never applied* (not
-//! missing), and `/logs.json` + the new `/status` fields must serve
-//! valid JSON.
+//! missing), a lineage index whose header was torn at creation must
+//! not lock the state directory, and `/logs.json` + the new `/status`
+//! fields must serve valid JSON.
 
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -161,6 +162,44 @@ fn torn_wal_tail_reads_as_never_applied_not_missing() {
         "the decodable acked event before the tear is never-applied, not missing"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_torn_lineage_header_resumes_instead_of_locking_the_directory() {
+    // A crash while `lineage.idx` is created can leave any prefix of
+    // its 5-byte header (`PDLI`, version) beside an empty WAL.
+    let header = [b'P', b'D', b'L', b'I', lineage::LINEAGE_VERSION];
+    for torn in 0..header.len() {
+        let dir = fresh_dir(&format!("torn-header-{torn}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(paydemand_serve::daemon::WAL_FILE), b"").unwrap();
+        std::fs::write(dir.join(paydemand_serve::daemon::LINEAGE_FILE), &header[..torn]).unwrap();
+
+        let mut config = DaemonConfig::new(scenario(), dir.clone());
+        config.resume = true;
+        let recorder = Recorder::enabled();
+        let daemon = Daemon::start(config, &recorder)
+            .unwrap_or_else(|e| panic!("{torn} header bytes: resume refused: {e}"));
+        let addr = daemon.local_addr();
+        let (_, id, _) =
+            post(addr, r#"{"events": [{"type": "move", "user": 2, "x": 30.0, "y": 40.0}]}"#);
+        daemon.tick().unwrap();
+        let doc = parse_json(&get_ok(addr, &format!("/events/{id}"))).expect("event body is JSON");
+        assert_eq!(doc.get("status").and_then(|v| v.as_str()), Some("applied"));
+        daemon.shutdown().unwrap();
+
+        let torn_reported = recorder.snapshot().counter_value("lineage_torn_bytes_total", None);
+        assert_eq!(torn_reported.unwrap_or(0), torn as u64, "{torn} header bytes");
+        let report = lineage::verify(&scenario(), &dir).expect("verify runs");
+        assert!(
+            report.is_clean(),
+            "missing {:?} mismatched {:?}",
+            report.missing,
+            report.mismatched
+        );
+        assert_eq!(report.settled, 1, "{torn} header bytes: the event's frame is on disk");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
