@@ -1,12 +1,20 @@
 //! Hand-rolled argument parsing (the approved dependency set has no
-//! CLI crate; the grammar is small enough that a table-driven parser
-//! stays readable).
+//! CLI crate). One table lists every flag, the subcommands that accept
+//! it and what it sets; one token loop reads every subcommand's flags
+//! from it.
+
+use std::fmt::Display;
+use std::path::PathBuf;
+use std::str::FromStr;
+use std::time::Duration;
 
 use paydemand_obs::LogLevel;
+use paydemand_serve::DaemonConfig;
 use paydemand_sim::{
-    FaultKind, FaultPlan, IndexingMode, MechanismKind, PricingCacheMode, Scenario, SelectorKind,
-    TravelModel,
+    presets, FaultKind, FaultPlan, IndexingMode, MechanismKind, PricingCacheMode, Scenario,
+    SelectorKind, TravelModel,
 };
+use Arity::{OptionalNum, Switch, Value, ValueFor};
 
 /// Top-level usage text.
 pub const USAGE: &str = "\
@@ -26,16 +34,12 @@ USAGE:
     paydemand alerts  PATH [--rule SPEC]... [--fatal]
                                   evaluate alert rules offline against a
                                   time series saved by --timeseries-out
-    paydemand profile SUBCOMMAND  record, report, and diff sampling-
-                                  profiler captures (see docs/PROFILING.md)
+    paydemand profile SUBCOMMAND  report and diff sampling-profiler
+                                  captures (see docs/PROFILING.md)
     paydemand --help
 
 PROFILE SUBCOMMANDS (captures are the folded-stack text written by
-`profile record`, `run --profile-cpu --profile-out`, or GET /profile):
-    profile record OUT [--hz N] [--users N --tasks N --rounds N --seed N
-                        --selector NAME --mechanism NAME --budget D]
-                                  run one simulation under the sampler
-                                  and write the capture to OUT
+`run --profile-cpu --profile-out` or GET /profile):
     profile report PATH [--top N] print the hottest stacks of a capture
     profile diff BEFORE AFTER [--top N]
                                   differential profile: per-stack seconds
@@ -46,7 +50,7 @@ TRACE SUBCOMMANDS (over a journal written by `run --trace-out`):
     trace explain-task PATH T     task T's demand/level/reward trajectory
     trace explain-user PATH U     user U's selections and earnings
     trace diff PATH_A PATH_B      first divergence between two journals
-    trace export PATH [--format jsonl] [--rounds A..B]
+    trace export PATH [--rounds A..B]
                                   decode every frame to stdout, optionally
                                   only rounds A through B inclusive
     trace verify PATH             audit internal consistency (framing,
@@ -78,16 +82,17 @@ ALERTS (over a time series saved by run/compare --timeseries-out X.json):
 
 OPTIONS (both commands):
     --preset NAME      paper | dense-downtown | sparse-rural |
-                       commuter-town | flaky-fleet (apply first; later
-                       flags override preset fields)
+                       commuter-town | flaky-fleet (applied first,
+                       wherever it appears: the other flags override
+                       preset fields; the last --preset wins)
     --users N          number of mobile users          [default: 100]
     --tasks N          number of sensing tasks         [default: 20]
     --rounds N         sensing rounds                  [default: 15]
     --area METERS      square region side              [default: 3000]
     --radius METERS    neighbour radius R              [default: 1000]
     --budget DOLLARS   platform reward budget B        [default: 1000]
-    --selector NAME    dp | greedy | greedy2opt | insertion | branch-bound
-                                                       [default: dp]
+    --selector NAME    dp | dp-exact | greedy | greedy2opt | insertion |
+                       branch-bound                    [default: dp]
     --travel MODEL     euclidean | manhattan | streets:COLSxROWS:CLOSURE
                                                        [default: euclidean]
     --sensing-time S   seconds per measurement         [default: 0]
@@ -100,8 +105,6 @@ OPTIONS (both commands):
                        results; exists for benchmarking and debugging)
     --indexing MODE    cell | naive neighbour counting (identical
                        results; naive is the reference)  [default: cell]
-    --demand-backend MODE   alias for --indexing (names the Eq. 5
-                       counting backend)
     --metrics-out PATH write collected metrics to PATH (implies recording;
                        round-phase latencies, cache and selector counters)
     --metrics-format F prom | json exporter for --metrics-out [default: prom]
@@ -205,23 +208,13 @@ pub enum Command {
     Lineage(Box<LineageCommand>),
     /// Evaluate alert rules offline against a saved time series.
     Alerts(AlertsCommand),
-    /// Record, report, or diff sampling-profiler captures.
+    /// Report or diff sampling-profiler captures.
     Profile(ProfileCommand),
 }
 
 /// The `paydemand profile` subcommand family.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProfileCommand {
-    /// Run one simulation under the sampling profiler and write the
-    /// capture.
-    Record {
-        /// The scenario to run while sampling.
-        scenario: Box<Scenario>,
-        /// Sampling rate in Hz.
-        hz: u32,
-        /// Where the capture is written.
-        out: String,
-    },
     /// Print the hottest stacks of a saved capture.
     Report {
         /// Capture file.
@@ -243,34 +236,14 @@ pub enum ProfileCommand {
 /// A `paydemand serve` invocation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeCommand {
-    /// The scenario the daemon's engine runs.
-    pub scenario: Scenario,
-    /// Bind address; port 0 picks a free one.
-    pub addr: String,
-    /// Directory holding `checkpoint.ck` and `events.wal`.
-    pub state_dir: String,
-    /// Continue from the state directory's checkpoint + WAL.
-    pub resume: bool,
-    /// Milliseconds between automatic ticks; 0 = manual `POST /tick`.
-    pub tick_ms: u64,
-    /// Ingest queue capacity in events.
-    pub queue_cap: usize,
-    /// Connection worker threads.
-    pub http_workers: usize,
-    /// Checkpoint (and WAL-compaction) cadence in ticks.
-    pub checkpoint_every_ticks: u32,
-    /// Largest accepted request body in bytes.
-    pub max_body_bytes: usize,
-    /// Skip the per-append WAL fsync (throughput experiments only).
-    pub no_fsync: bool,
+    /// The daemon's configuration, scenario and state directory included.
+    pub config: DaemonConfig,
     /// Write the per-round time series here on shutdown.
     pub timeseries_out: Option<String>,
     /// Minimum severity kept by the daemon's flight recorder.
     pub log_level: LogLevel,
     /// Tee log entries to this path as JSON lines.
     pub log_json: Option<String>,
-    /// Expose `POST /debug/panic` for supervisor testing.
-    pub debug_panic_route: bool,
 }
 
 /// A `paydemand lineage` invocation over a daemon state directory.
@@ -355,8 +328,8 @@ pub enum TraceCommand {
     },
 }
 
-/// Options shared by the subcommands.
-#[derive(Debug, Clone, PartialEq)]
+/// The options of `run` and `compare`.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Options {
     /// The fully-configured scenario.
     pub scenario: Scenario,
@@ -432,515 +405,511 @@ pub enum MetricsFormat {
     Json,
 }
 
+/// Master seed when `--seed` is not given.
+const DEFAULT_SEED: u64 = 24157;
+
+/// Sampling rate when `--profile-cpu` is given without one.
+const DEFAULT_PROFILE_HZ: u32 = 99;
+
+/// A set of subcommands, one bit each.
+type Subs = u8;
+const RUN: Subs = 1;
+const COMPARE: Subs = 1 << 1;
+const SERVE: Subs = 1 << 2;
+const LINEAGE: Subs = 1 << 3;
+const TRACE: Subs = 1 << 4;
+const PROFILE: Subs = 1 << 5;
+const ALERTS: Subs = 1 << 6;
+/// The subcommands that simulate repetitions.
+const SIM: Subs = RUN | COMPARE;
+/// The subcommands that build a scenario.
+const WORLD: Subs = SIM | SERVE | LINEAGE;
+/// The subcommands whose next word is an action (`trace inspect`).
+const WITH_ACTION: Subs = LINEAGE | TRACE | PROFILE;
+/// The subcommands that take positional arguments.
+const POSITIONAL: Subs = WITH_ACTION | ALERTS;
+
+const SUBCOMMANDS: &[(&str, Subs)] = &[
+    ("run", RUN),
+    ("compare", COMPARE),
+    ("serve", SERVE),
+    ("lineage", LINEAGE),
+    ("trace", TRACE),
+    ("profile", PROFILE),
+    ("alerts", ALERTS),
+];
+
+/// What follows a flag on the command line.
+#[derive(Clone, Copy)]
+enum Arity {
+    /// Nothing: the flag is a switch.
+    Switch,
+    /// One required value.
+    Value,
+    /// A number if the next token is one (`--profile-cpu [HZ]`).
+    OptionalNum,
+    /// A required value for these subcommands; a switch for the rest.
+    ValueFor(Subs),
+}
+
+/// A flag as it appeared on the command line.
+struct Arg<'a> {
+    flag: &'static str,
+    value: Option<&'a str>,
+}
+
+impl Arg<'_> {
+    fn text(&self) -> &str {
+        self.value.unwrap_or_default()
+    }
+
+    fn path(&self) -> Option<String> {
+        self.value.map(str::to_string)
+    }
+
+    fn num<T: FromStr>(&self) -> Result<T, String>
+    where
+        T::Err: Display,
+    {
+        parse_num(self.flag, self.text())
+    }
+
+    /// A count that must be at least 1.
+    fn positive<T: FromStr + Default + PartialEq>(&self) -> Result<T, String>
+    where
+        T::Err: Display,
+    {
+        let n: T = self.num()?;
+        if n == T::default() {
+            return Err(format!("{} must be at least 1", self.flag));
+        }
+        Ok(n)
+    }
+}
+
+/// What a flag does to the invocation being parsed.
+type Setter = fn(&mut Parsed, &Arg) -> Result<(), String>;
+
+/// One row of the flag table.
+struct Flag {
+    name: &'static str,
+    /// The subcommands that accept the flag.
+    subs: Subs,
+    arity: Arity,
+    set: Setter,
+}
+
+const fn flag(name: &'static str, subs: Subs, arity: Arity, set: Setter) -> Flag {
+    Flag { name, subs, arity, set }
+}
+
+/// Stores a flag's parsed value, or passes its parse error on.
+fn put<T>(slot: &mut T, value: Result<T, String>) -> Result<(), String> {
+    *slot = value?;
+    Ok(())
+}
+
+const PRESET: &str = "--preset";
+
+/// Every flag of every subcommand. The scenario rows are the one place
+/// that sets `Scenario` fields for run, compare, serve and lineage.
+const FLAGS: &[Flag] = &[
+    flag(PRESET, WORLD, Value, |p, a| {
+        let name = a.text();
+        let preset = presets::by_name(name).ok_or_else(|| {
+            let names: Vec<&str> = presets::all().iter().map(|(n, _)| *n).collect();
+            format!("unknown preset `{name}`; available: {names:?}")
+        })?;
+        p.scenario = preset.with_seed(DEFAULT_SEED);
+        Ok(())
+    }),
+    flag("--users", WORLD, Value, |p, a| put(&mut p.scenario.users, a.num())),
+    flag("--tasks", WORLD, Value, |p, a| put(&mut p.scenario.tasks, a.num())),
+    flag("--rounds", WORLD | TRACE, Value, |p, a| match p.sub {
+        TRACE => put(&mut p.trace_rounds, parse_round_range(a.text()).map(Some)),
+        _ => put(&mut p.scenario.max_rounds, a.num()),
+    }),
+    flag("--area", WORLD, Value, |p, a| put(&mut p.scenario.area_side, a.num())),
+    flag("--radius", WORLD, Value, |p, a| put(&mut p.scenario.neighbor_radius, a.num())),
+    flag("--budget", WORLD, Value, |p, a| put(&mut p.scenario.reward_budget, a.num())),
+    flag("--seed", WORLD, Value, |p, a| put(&mut p.scenario.seed, a.num())),
+    flag("--selector", WORLD, Value, |p, a| {
+        put(&mut p.scenario.selector, lookup(SELECTORS, "selector", a.text()))
+    }),
+    flag("--travel", WORLD, Value, |p, a| put(&mut p.scenario.travel, parse_travel(a.text()))),
+    flag("--mechanism", RUN | SERVE | LINEAGE, Value, |p, a| {
+        put(&mut p.scenario.mechanism, parse_mechanism(a.text()))
+    }),
+    flag("--enforce-budget", WORLD, Switch, |p, _| put(&mut p.scenario.enforce_budget, Ok(true))),
+    flag("--sensing-time", SIM, Value, |p, a| put(&mut p.scenario.sensing_seconds, a.num())),
+    flag("--dropout", SIM, Value, |p, a| put(&mut p.scenario.dropout_rate, a.num())),
+    flag("--no-cache", SIM, Switch, |p, _| {
+        put(&mut p.scenario.pricing_cache, Ok(PricingCacheMode::Disabled))
+    }),
+    flag("--indexing", SIM, Value, |p, a| {
+        put(&mut p.scenario.indexing, lookup(INDEXING_MODES, "indexing mode", a.text()))
+    }),
+    flag("--faults", SIM, Value, |p, a| put(&mut p.faults, parse_faults(a.text()).map(Some))),
+    flag("--fault-seed", SIM, Value, |p, a| put(&mut p.fault_seed, a.num().map(Some))),
+    flag("--reps", SIM, Value, |p, a| put(&mut p.options.reps, a.positive())),
+    flag("--threads", SIM, Value, |p, a| {
+        put(&mut p.options.threads, a.num().map(|n| (n > 0).then_some(n)))
+    }),
+    flag("--metrics-out", SIM, Value, |p, a| put(&mut p.options.metrics_out, Ok(a.path()))),
+    flag("--metrics-format", SIM, Value, |p, a| {
+        put(&mut p.options.metrics_format, lookup(METRICS_FORMATS, "metrics format", a.text()))
+    }),
+    flag("--profile", SIM, Switch, |p, _| put(&mut p.options.profile, Ok(true))),
+    flag("--alloc-profile", SIM, Switch, |p, _| put(&mut p.options.alloc_profile, Ok(true))),
+    flag("--profile-cpu", SIM, OptionalNum, |p, a| {
+        let hz = if a.value.is_some() { a.positive() } else { Ok(DEFAULT_PROFILE_HZ) };
+        put(&mut p.options.profile_cpu, hz.map(Some))
+    }),
+    flag("--profile-out", SIM, Value, |p, a| put(&mut p.options.profile_out, Ok(a.path()))),
+    flag("--timeseries-out", SIM | SERVE, Value, |p, a| {
+        put(&mut p.options.timeseries_out, Ok(a.path()))
+    }),
+    flag("--trace-events", SIM, Value, |p, a| put(&mut p.options.trace_events_out, Ok(a.path()))),
+    flag("--serve-metrics", SIM, Value, |p, a| put(&mut p.options.serve_metrics, Ok(a.path()))),
+    flag("--alerts-fatal", SIM, Switch, |p, _| put(&mut p.options.alerts_fatal, Ok(true))),
+    flag("--checkpoint-every", RUN, Value, |p, a| {
+        put(&mut p.options.checkpoint_every, a.positive().map(Some))
+    }),
+    flag("--checkpoint-file", RUN, Value, |p, a| put(&mut p.options.checkpoint_file, Ok(a.path()))),
+    flag("--trace-out", RUN, Value, |p, a| put(&mut p.options.trace_out, Ok(a.path()))),
+    // `run --resume PATH` resumes a checkpoint file; `serve --resume`
+    // resumes the state directory.
+    flag("--resume", RUN | SERVE, ValueFor(RUN), |p, a| match a.value {
+        Some(_) => put(&mut p.options.resume_from, Ok(a.path())),
+        None => put(&mut p.serve.config.resume, Ok(true)),
+    }),
+    flag("--state-dir", SERVE | LINEAGE, Value, |p, a| put(&mut p.state_dir, Ok(a.path()))),
+    flag("--addr", SERVE, Value, |p, a| put(&mut p.serve.config.addr, Ok(a.text().to_string()))),
+    flag("--tick-ms", SERVE, Value, |p, a| {
+        let every = a.num().map(|ms| (ms > 0).then_some(Duration::from_millis(ms)));
+        put(&mut p.serve.config.tick_interval, every)
+    }),
+    flag("--queue-cap", SERVE, Value, |p, a| put(&mut p.serve.config.queue_capacity, a.positive())),
+    flag("--http-workers", SERVE, Value, |p, a| put(&mut p.serve.config.workers, a.positive())),
+    flag("--checkpoint-every-ticks", SERVE, Value, |p, a| {
+        put(&mut p.serve.config.checkpoint_every, a.positive())
+    }),
+    flag("--max-body-bytes", SERVE, Value, |p, a| {
+        put(&mut p.serve.config.limits.max_body_bytes, a.num())
+    }),
+    flag("--no-fsync", SERVE, Switch, |p, _| put(&mut p.serve.config.fsync, Ok(false))),
+    flag("--log-level", SERVE, Value, |p, a| {
+        put(&mut p.serve.log_level, LogLevel::parse(a.text()))
+    }),
+    flag("--log-json", SERVE, Value, |p, a| put(&mut p.serve.log_json, Ok(a.path()))),
+    flag("--debug-panic-route", SERVE, Switch, |p, _| {
+        put(&mut p.serve.config.debug_panic_route, Ok(true))
+    }),
+    flag("--top", PROFILE, Value, |p, a| put(&mut p.top, a.positive())),
+    flag("--rule", ALERTS, Value, |p, a| {
+        // Validate eagerly so a typo is reported before the run.
+        paydemand_obs::AlertRule::parse(a.text())?;
+        p.rules.push(a.text().to_string());
+        Ok(())
+    }),
+    flag("--fatal", ALERTS, Switch, |p, _| put(&mut p.fatal, Ok(true))),
+];
+
+/// `--selector` values.
+const SELECTORS: &[(&str, SelectorKind)] = &[
+    ("dp", SelectorKind::Dp { candidate_cap: Some(14) }),
+    ("dp-exact", SelectorKind::exact_dp()),
+    ("greedy", SelectorKind::Greedy),
+    ("greedy2opt", SelectorKind::GreedyTwoOpt),
+    ("insertion", SelectorKind::Insertion),
+    ("branch-bound", SelectorKind::BranchBound),
+];
+
+/// `--mechanism` values, besides `hybrid:ALPHA`.
+const MECHANISMS: &[(&str, MechanismKind)] = &[
+    ("on-demand", MechanismKind::OnDemand),
+    ("fixed", MechanismKind::Fixed),
+    ("steered", MechanismKind::Steered),
+    ("steered-paper", MechanismKind::SteeredPaperConstants),
+    ("proportional", MechanismKind::Proportional),
+];
+const HYBRID: &str = "hybrid:";
+
+/// `--travel` values, besides `streets:COLSxROWS:CLOSURE`.
+const TRAVEL_MODELS: &[(&str, TravelModel)] =
+    &[("euclidean", TravelModel::Euclidean), ("manhattan", TravelModel::Manhattan)];
+const STREETS: &str = "streets:";
+
+/// `--indexing` values.
+const INDEXING_MODES: &[(&str, IndexingMode)] =
+    &[("cell", IndexingMode::CellSweep), ("naive", IndexingMode::NaiveReference)];
+
+/// `--metrics-format` values.
+const METRICS_FORMATS: &[(&str, MetricsFormat)] =
+    &[("prom", MetricsFormat::Prometheus), ("json", MetricsFormat::Json)];
+
+/// Reads a fault arm's next `:`-separated parameter, named for errors.
+type Param<'a> = dyn FnMut(&str) -> Result<f64, String> + 'a;
+
+/// Builds a fault from its parameters, read in order.
+type FaultArm = fn(&mut Param) -> Result<FaultKind, String>;
+
+/// `--faults` arms.
+const FAULT_ARMS: &[(&str, FaultArm)] = &[
+    ("dropout", |p| Ok(FaultKind::Dropout { rate: p("RATE")? })),
+    ("late", |p| {
+        Ok(FaultKind::LateArrival {
+            fraction: p("FRACTION")?,
+            latest_round: p("LATEST_ROUND")? as u32,
+        })
+    }),
+    ("drop-upload", |p| Ok(FaultKind::DroppedUploads { rate: p("RATE")? })),
+    ("straggler", |p| {
+        Ok(FaultKind::StragglerUploads {
+            rate: p("RATE")?,
+            max_retries: p("MAX_RETRIES")? as u32,
+            backoff_rounds: p("BACKOFF_ROUNDS")? as u32,
+        })
+    }),
+    ("gps", |p| Ok(FaultKind::GpsNoise { sigma: p("SIGMA_METERS")? })),
+    ("budget-shock", |p| {
+        Ok(FaultKind::BudgetShock { round: p("ROUND")? as u32, factor: p("FACTOR")? })
+    }),
+    ("outage", |p| Ok(FaultKind::DemandOutage { rate: p("RATE")? })),
+];
+
+/// Everything the flags can set, at its default until a flag sets it.
+struct Parsed {
+    sub: Subs,
+    scenario: Scenario,
+    faults: Option<Vec<FaultKind>>,
+    fault_seed: Option<u64>,
+    /// Run and compare options; their scenario is filled in last.
+    options: Options,
+    /// Daemon options; the config's scenario and state directory are
+    /// filled in last.
+    serve: ServeCommand,
+    state_dir: Option<String>,
+    trace_rounds: Option<(u32, u32)>,
+    top: usize,
+    rules: Vec<String>,
+    fatal: bool,
+}
+
+impl Parsed {
+    fn new(sub: Subs) -> Self {
+        let mut config = DaemonConfig::new(Scenario::default(), PathBuf::new());
+        config.addr = "127.0.0.1:9300".to_string();
+        config.tick_interval = Some(Duration::from_millis(1000));
+        Parsed {
+            sub,
+            scenario: Scenario::paper_default().with_seed(DEFAULT_SEED),
+            faults: None,
+            fault_seed: None,
+            options: Options { reps: 10, ..Options::default() },
+            serve: ServeCommand {
+                config,
+                timeseries_out: None,
+                log_level: LogLevel::Info,
+                log_json: None,
+            },
+            state_dir: None,
+            trace_rounds: None,
+            top: 20,
+            rules: Vec::new(),
+            fatal: false,
+        }
+    }
+
+    /// The scenario with its fault plan attached, validated.
+    fn take_scenario(&mut self) -> Result<Scenario, String> {
+        let mut scenario = std::mem::take(&mut self.scenario);
+        match (self.faults.take(), self.fault_seed) {
+            (Some(faults), seed) => {
+                scenario.faults = Some(FaultPlan { seed: seed.unwrap_or(0), faults });
+            }
+            (None, Some(_)) => return Err("--fault-seed needs --faults".into()),
+            (None, None) => {}
+        }
+        scenario.validate().map_err(|e| e.to_string())?;
+        Ok(scenario)
+    }
+}
+
 /// Parses `argv` (without the program name).
 ///
 /// # Errors
 ///
-/// A human-readable message naming the offending flag.
+/// A human-readable message naming the offending flag or argument.
 pub fn parse(argv: &[String]) -> Result<Command, String> {
     let mut it = argv.iter().map(String::as_str).peekable();
-    let sub = match it.next() {
-        None | Some("--help" | "-h" | "help") => return Ok(Command::Help),
-        Some("serve") => return parse_serve(&mut it),
-        Some("trace") => return parse_trace(&mut it),
-        Some("lineage") => return parse_lineage(&mut it),
-        Some("alerts") => return parse_alerts(&mut it),
-        Some("profile") => return parse_profile(&mut it),
-        Some(sub @ ("run" | "compare")) => sub,
-        Some(other) => return Err(format!("unknown command `{other}`")),
+    // Nothing, `help` or `--help` where a subcommand or an action
+    // belongs asks for the usage.
+    let mut word = || it.next().filter(|w| !matches!(*w, "--help" | "-h" | "help"));
+    let Some(first) = word() else { return Ok(Command::Help) };
+    let &(name, sub) = SUBCOMMANDS
+        .iter()
+        .find(|(name, _)| *name == first)
+        .ok_or_else(|| format!("unknown command `{first}`"))?;
+    let action = match sub & WITH_ACTION {
+        0 => "",
+        _ => match word() {
+            Some(action) => action,
+            None => return Ok(Command::Help),
+        },
     };
+    let label = if action.is_empty() { name.to_string() } else { format!("{name} {action}") };
 
-    let mut scenario = Scenario::paper_default().with_seed(24157);
-    let mut reps = 10usize;
-    let mut threads: Option<usize> = None;
-    let mut metrics_out: Option<String> = None;
-    let mut metrics_format = MetricsFormat::default();
-    let mut profile = false;
-    let mut alloc_profile = false;
-    let mut fault_kinds: Option<Vec<FaultKind>> = None;
-    let mut fault_seed: Option<u64> = None;
-    let mut checkpoint_every: Option<u32> = None;
-    let mut checkpoint_file: Option<String> = None;
-    let mut resume_from: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-    let mut timeseries_out: Option<String> = None;
-    let mut trace_events_out: Option<String> = None;
-    let mut serve_metrics: Option<String> = None;
-    let mut alerts_fatal = false;
-    let mut profile_cpu: Option<u32> = None;
-    let mut profile_out: Option<String> = None;
+    let mut args: Vec<(&Flag, Arg)> = Vec::new();
+    let mut positional: Vec<&str> = Vec::new();
+    while let Some(token) = it.next() {
+        if matches!(token, "--help" | "-h") {
+            return Ok(Command::Help);
+        }
+        if !token.starts_with("--") {
+            if sub & POSITIONAL == 0 {
+                return Err(format!("unexpected argument `{token}` for `{label}`"));
+            }
+            positional.push(token);
+            continue;
+        }
+        let flag = FLAGS
+            .iter()
+            .find(|f| f.name == token && f.subs & sub != 0)
+            .ok_or_else(|| format!("unknown flag `{token}` for `{label}`"))?;
+        let value = match flag.arity {
+            Switch => None,
+            OptionalNum => it.next_if(|v| v.parse::<u32>().is_ok()),
+            ValueFor(subs) if subs & sub == 0 => None,
+            Value | ValueFor(_) => Some(it.next().ok_or_else(|| format!("{token} needs a value"))?),
+        };
+        args.push((flag, Arg { flag: flag.name, value }));
+    }
 
-    while let Some(flag) = it.next() {
-        match flag {
-            "--help" | "-h" => return Ok(Command::Help),
-            "--enforce-budget" => scenario.enforce_budget = true,
-            "--profile" => profile = true,
-            "--alloc-profile" => alloc_profile = true,
-            "--alerts-fatal" => alerts_fatal = true,
-            // The Hz operand is optional: `--profile-cpu 250` sets the
-            // rate, `--profile-cpu --seed 7` falls back to the default.
-            "--profile-cpu" => {
-                profile_cpu = Some(match it.peek().and_then(|v| v.parse::<u32>().ok()) {
-                    Some(hz) => {
-                        it.next();
-                        if hz == 0 {
-                            return Err("--profile-cpu: rate must be at least 1 Hz".into());
-                        }
-                        hz
-                    }
-                    None => DEFAULT_PROFILE_HZ,
-                });
+    // A preset lays down a whole world, so it applies before the flags
+    // that edit one, wherever it appears; the last preset wins.
+    args.sort_by_key(|(flag, _)| flag.name != PRESET);
+    let mut p = Parsed::new(sub);
+    for (flag, arg) in &args {
+        (flag.set)(&mut p, arg)?;
+    }
+    build(p, &label, action, &positional)
+}
+
+/// Turns the parsed flags and positional arguments into the command,
+/// checking what no single flag can.
+fn build(mut p: Parsed, label: &str, action: &str, positional: &[&str]) -> Result<Command, String> {
+    Ok(match p.sub {
+        RUN | COMPARE => {
+            let options = Options { scenario: p.take_scenario()?, ..p.options };
+            let checkpointed = options.checkpoint_every.is_some() || options.resume_from.is_some();
+            if options.checkpoint_every.is_some() && options.checkpoint_file.is_none() {
+                return Err("--checkpoint-every needs --checkpoint-file".into());
             }
-            "--no-cache" => scenario.pricing_cache = PricingCacheMode::Disabled,
-            "--preset" => {
-                let name = it.next().ok_or("--preset needs a name")?;
-                let seed = scenario.seed;
-                scenario = paydemand_sim::presets::by_name(name)
-                    .ok_or_else(|| {
-                        let names: Vec<&str> =
-                            paydemand_sim::presets::all().iter().map(|(n, _)| *n).collect();
-                        format!("unknown preset `{name}`; available: {names:?}")
-                    })?
-                    .with_seed(seed);
+            if checkpointed && options.reps != 1 {
+                return Err("checkpointed runs are single-repetition: add --reps 1".into());
             }
-            _ => {
-                let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
-                match flag {
-                    "--users" => scenario.users = parse_num(flag, value)?,
-                    "--tasks" => scenario.tasks = parse_num(flag, value)?,
-                    "--rounds" => scenario.max_rounds = parse_num(flag, value)?,
-                    "--area" => scenario.area_side = parse_num(flag, value)?,
-                    "--radius" => scenario.neighbor_radius = parse_num(flag, value)?,
-                    "--budget" => scenario.reward_budget = parse_num(flag, value)?,
-                    "--reps" => reps = parse_num(flag, value)?,
-                    "--seed" => scenario.seed = parse_num(flag, value)?,
-                    "--threads" => {
-                        let n: usize = parse_num(flag, value)?;
-                        threads = if n == 0 { None } else { Some(n) };
-                    }
-                    "--metrics-out" => metrics_out = Some(value.to_string()),
-                    "--profile-out" => profile_out = Some(value.to_string()),
-                    "--timeseries-out" => timeseries_out = Some(value.to_string()),
-                    "--trace-events" => trace_events_out = Some(value.to_string()),
-                    "--serve-metrics" => serve_metrics = Some(value.to_string()),
-                    "--metrics-format" => {
-                        metrics_format = match value {
-                            "prom" | "prometheus" => MetricsFormat::Prometheus,
-                            "json" => MetricsFormat::Json,
-                            other => return Err(format!("unknown metrics format `{other}`")),
-                        };
-                    }
-                    "--indexing" | "--demand-backend" => {
-                        scenario.indexing = parse_indexing(value)?;
-                    }
-                    "--selector" => scenario.selector = parse_selector(value)?,
-                    "--travel" => scenario.travel = parse_travel(value)?,
-                    "--sensing-time" => scenario.sensing_seconds = parse_num(flag, value)?,
-                    "--dropout" => scenario.dropout_rate = parse_num(flag, value)?,
-                    "--faults" => fault_kinds = Some(parse_faults(value)?),
-                    "--fault-seed" => fault_seed = Some(parse_num(flag, value)?),
-                    "--mechanism" if sub == "run" => {
-                        scenario.mechanism = parse_mechanism(value)?;
-                    }
-                    "--checkpoint-every" if sub == "run" => {
-                        checkpoint_every = Some(parse_num(flag, value)?);
-                    }
-                    "--checkpoint-file" if sub == "run" => {
-                        checkpoint_file = Some(value.to_string());
-                    }
-                    "--resume" if sub == "run" => resume_from = Some(value.to_string()),
-                    "--trace-out" if sub == "run" => trace_out = Some(value.to_string()),
-                    other => return Err(format!("unknown flag `{other}` for `{sub}`")),
+            if checkpointed && options.trace_out.is_some() {
+                return Err("--trace-out does not combine with checkpointed runs".into());
+            }
+            if options.profile_out.is_some() && options.profile_cpu.is_none() {
+                return Err("--profile-out needs --profile-cpu".into());
+            }
+            if p.sub == RUN {
+                Command::Run(options)
+            } else {
+                Command::Compare(options)
+            }
+        }
+        SERVE => {
+            let state_dir =
+                p.state_dir.take().ok_or("serve needs --state-dir DIR (checkpoint + WAL home)")?;
+            let scenario = p.take_scenario()?;
+            let mut serve = ServeCommand { timeseries_out: p.options.timeseries_out, ..p.serve };
+            serve.config.scenario = scenario;
+            serve.config.state_dir = PathBuf::from(state_dir);
+            Command::Serve(Box::new(serve))
+        }
+        LINEAGE => {
+            let state_dir = p
+                .state_dir
+                .take()
+                .ok_or("lineage needs --state-dir DIR (the daemon's state directory)")?;
+            let scenario = p.take_scenario()?;
+            let action = match action {
+                "show" => {
+                    let [] = takes(label, positional, "no positional arguments")?;
+                    LineageAction::Show
                 }
+                "trace-event" => {
+                    let [id] = takes(label, positional, "one event id")?;
+                    LineageAction::TraceEvent { id: parse_num("event id", id)? }
+                }
+                "verify" => {
+                    let [] = takes(label, positional, "no positional arguments")?;
+                    LineageAction::Verify
+                }
+                other => return Err(format!("unknown lineage subcommand `{other}`")),
+            };
+            Command::Lineage(Box::new(LineageCommand { scenario, state_dir, action }))
+        }
+        TRACE => {
+            if p.trace_rounds.is_some() && action != "export" {
+                return Err(format!("--rounds only applies to `trace export`, not `{label}`"));
             }
+            let journal = || takes::<1>(label, positional, "one journal path").map(|[path]| path);
+            Command::Trace(match action {
+                "inspect" => TraceCommand::Inspect { path: journal()?.into() },
+                "explain-task" => {
+                    let [path, task] = takes(label, positional, "a journal path and a task id")?;
+                    TraceCommand::ExplainTask {
+                        path: path.into(),
+                        task: parse_num("task id", task)?,
+                    }
+                }
+                "explain-user" => {
+                    let [path, user] = takes(label, positional, "a journal path and a user id")?;
+                    TraceCommand::ExplainUser {
+                        path: path.into(),
+                        user: parse_num("user id", user)?,
+                    }
+                }
+                "diff" => {
+                    let [a, b] = takes(label, positional, "two journal paths")?;
+                    TraceCommand::Diff { a: a.into(), b: b.into() }
+                }
+                "export" => {
+                    TraceCommand::Export { path: journal()?.into(), rounds: p.trace_rounds }
+                }
+                "verify" => TraceCommand::Verify { path: journal()?.into() },
+                other => return Err(format!("unknown trace subcommand `{other}`")),
+            })
         }
-    }
-    if reps == 0 {
-        return Err("--reps must be at least 1".into());
-    }
-    match (fault_kinds, fault_seed) {
-        (Some(kinds), seed) => {
-            scenario.faults = Some(FaultPlan { seed: seed.unwrap_or(0), faults: kinds });
+        PROFILE => Command::Profile(match action {
+            "report" => {
+                let [path] = takes(label, positional, "one capture path")?;
+                ProfileCommand::Report { path: path.into(), top: p.top }
+            }
+            "diff" => {
+                let [before, after] = takes(label, positional, "two capture paths (BEFORE AFTER)")?;
+                ProfileCommand::Diff { before: before.into(), after: after.into(), top: p.top }
+            }
+            other => return Err(format!("unknown profile subcommand `{other}`")),
+        }),
+        _ => {
+            let [path] = takes(label, positional, "one time-series path")?;
+            Command::Alerts(AlertsCommand { path: path.into(), rules: p.rules, fatal: p.fatal })
         }
-        (None, Some(_)) => return Err("--fault-seed needs --faults".into()),
-        (None, None) => {}
-    }
-    if checkpoint_every == Some(0) {
-        return Err("--checkpoint-every must be at least 1".into());
-    }
-    if checkpoint_every.is_some() && checkpoint_file.is_none() {
-        return Err("--checkpoint-every needs --checkpoint-file".into());
-    }
-    if (checkpoint_every.is_some() || resume_from.is_some()) && reps != 1 {
-        return Err("checkpointed runs are single-repetition: add --reps 1".into());
-    }
-    if trace_out.is_some() && (checkpoint_every.is_some() || resume_from.is_some()) {
-        return Err("--trace-out does not combine with checkpointed runs".into());
-    }
-    if profile_out.is_some() && profile_cpu.is_none() {
-        return Err("--profile-out needs --profile-cpu".into());
-    }
-    scenario.validate().map_err(|e| e.to_string())?;
-    let options = Options {
-        scenario,
-        reps,
-        threads,
-        metrics_out,
-        metrics_format,
-        profile,
-        alloc_profile,
-        checkpoint_every,
-        checkpoint_file,
-        resume_from,
-        trace_out,
-        timeseries_out,
-        trace_events_out,
-        serve_metrics,
-        alerts_fatal,
-        profile_cpu,
-        profile_out,
-    };
-    Ok(match sub {
-        "run" => Command::Run(options),
-        _ => Command::Compare(options),
     })
 }
 
-/// Parses the `paydemand serve` tail: daemon knobs plus the shared
-/// scenario flags (a subset of `run`'s; one scenario, no repetitions).
-fn parse_serve<'a, I: Iterator<Item = &'a str>>(it: &mut I) -> Result<Command, String> {
-    let mut scenario = Scenario::paper_default().with_seed(24157);
-    let mut addr = "127.0.0.1:9300".to_string();
-    let mut state_dir: Option<String> = None;
-    let mut resume = false;
-    let mut tick_ms = 1000u64;
-    let mut queue_cap = 4096usize;
-    let mut http_workers = 4usize;
-    let mut checkpoint_every_ticks = 1u32;
-    let mut max_body_bytes = 256 * 1024usize;
-    let mut no_fsync = false;
-    let mut timeseries_out: Option<String> = None;
-    let mut log_level = LogLevel::Info;
-    let mut log_json: Option<String> = None;
-    let mut debug_panic_route = false;
-
-    while let Some(flag) = it.next() {
-        match flag {
-            "--help" | "-h" => return Ok(Command::Help),
-            "--resume" => resume = true,
-            "--no-fsync" => no_fsync = true,
-            "--debug-panic-route" => debug_panic_route = true,
-            "--enforce-budget" => scenario.enforce_budget = true,
-            "--preset" => {
-                let name = it.next().ok_or("--preset needs a name")?;
-                let seed = scenario.seed;
-                scenario = paydemand_sim::presets::by_name(name)
-                    .ok_or_else(|| {
-                        let names: Vec<&str> =
-                            paydemand_sim::presets::all().iter().map(|(n, _)| *n).collect();
-                        format!("unknown preset `{name}`; available: {names:?}")
-                    })?
-                    .with_seed(seed);
-            }
-            _ => {
-                let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
-                match flag {
-                    "--users" => scenario.users = parse_num(flag, value)?,
-                    "--tasks" => scenario.tasks = parse_num(flag, value)?,
-                    "--rounds" => scenario.max_rounds = parse_num(flag, value)?,
-                    "--area" => scenario.area_side = parse_num(flag, value)?,
-                    "--radius" => scenario.neighbor_radius = parse_num(flag, value)?,
-                    "--budget" => scenario.reward_budget = parse_num(flag, value)?,
-                    "--seed" => scenario.seed = parse_num(flag, value)?,
-                    "--selector" => scenario.selector = parse_selector(value)?,
-                    "--travel" => scenario.travel = parse_travel(value)?,
-                    "--mechanism" => scenario.mechanism = parse_mechanism(value)?,
-                    "--addr" => addr = value.to_string(),
-                    "--state-dir" => state_dir = Some(value.to_string()),
-                    "--tick-ms" => tick_ms = parse_num(flag, value)?,
-                    "--queue-cap" => queue_cap = parse_num(flag, value)?,
-                    "--http-workers" => http_workers = parse_num(flag, value)?,
-                    "--checkpoint-every-ticks" => {
-                        checkpoint_every_ticks = parse_num(flag, value)?;
-                    }
-                    "--max-body-bytes" => max_body_bytes = parse_num(flag, value)?,
-                    "--timeseries-out" => timeseries_out = Some(value.to_string()),
-                    "--log-level" => log_level = LogLevel::parse(value)?,
-                    "--log-json" => log_json = Some(value.to_string()),
-                    other => return Err(format!("unknown flag `{other}` for `serve`")),
-                }
-            }
-        }
-    }
-    let state_dir = state_dir.ok_or("serve needs --state-dir DIR (checkpoint + WAL home)")?;
-    if queue_cap == 0 {
-        return Err("--queue-cap must be at least 1".into());
-    }
-    if http_workers == 0 {
-        return Err("--http-workers must be at least 1".into());
-    }
-    if checkpoint_every_ticks == 0 {
-        return Err("--checkpoint-every-ticks must be at least 1".into());
-    }
-    scenario.validate().map_err(|e| e.to_string())?;
-    Ok(Command::Serve(Box::new(ServeCommand {
-        scenario,
-        addr,
-        state_dir,
-        resume,
-        tick_ms,
-        queue_cap,
-        http_workers,
-        checkpoint_every_ticks,
-        max_body_bytes,
-        no_fsync,
-        timeseries_out,
-        log_level,
-        log_json,
-        debug_panic_route,
-    })))
-}
-
-/// Parses the `paydemand lineage` tail: a subcommand, `--state-dir`,
-/// and (for `verify`, which re-runs the engine) the serve scenario
-/// flags.
-fn parse_lineage<'a, I: Iterator<Item = &'a str>>(it: &mut I) -> Result<Command, String> {
-    let action = match it.next() {
-        None | Some("--help" | "-h" | "help") => return Ok(Command::Help),
-        Some(action) => action,
-    };
-    let mut scenario = Scenario::paper_default().with_seed(24157);
-    let mut state_dir: Option<String> = None;
-    let mut positional: Vec<&str> = Vec::new();
-    while let Some(arg) = it.next() {
-        match arg {
-            "--help" | "-h" => return Ok(Command::Help),
-            "--enforce-budget" => scenario.enforce_budget = true,
-            "--preset" => {
-                let name = it.next().ok_or("--preset needs a name")?;
-                let seed = scenario.seed;
-                scenario = paydemand_sim::presets::by_name(name)
-                    .ok_or_else(|| {
-                        let names: Vec<&str> =
-                            paydemand_sim::presets::all().iter().map(|(n, _)| *n).collect();
-                        format!("unknown preset `{name}`; available: {names:?}")
-                    })?
-                    .with_seed(seed);
-            }
-            flag if flag.starts_with("--") => {
-                let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
-                match flag {
-                    "--state-dir" => state_dir = Some(value.to_string()),
-                    "--users" => scenario.users = parse_num(flag, value)?,
-                    "--tasks" => scenario.tasks = parse_num(flag, value)?,
-                    "--rounds" => scenario.max_rounds = parse_num(flag, value)?,
-                    "--area" => scenario.area_side = parse_num(flag, value)?,
-                    "--radius" => scenario.neighbor_radius = parse_num(flag, value)?,
-                    "--budget" => scenario.reward_budget = parse_num(flag, value)?,
-                    "--seed" => scenario.seed = parse_num(flag, value)?,
-                    "--selector" => scenario.selector = parse_selector(value)?,
-                    "--travel" => scenario.travel = parse_travel(value)?,
-                    "--mechanism" => scenario.mechanism = parse_mechanism(value)?,
-                    other => {
-                        return Err(format!("unknown flag `{other}` for `lineage {action}`"));
-                    }
-                }
-            }
-            value => positional.push(value),
-        }
-    }
-    let state_dir =
-        state_dir.ok_or("lineage needs --state-dir DIR (the daemon's state directory)")?;
-    scenario.validate().map_err(|e| e.to_string())?;
-    let arity = |n: usize, usage: &str| -> Result<(), String> {
-        if positional.len() == n {
-            Ok(())
-        } else {
-            Err(format!("`lineage {action}` takes {usage}"))
-        }
-    };
-    let action = match action {
-        "show" => {
-            arity(0, "no positional arguments")?;
-            LineageAction::Show
-        }
-        "trace-event" => {
-            arity(1, "one event id")?;
-            LineageAction::TraceEvent { id: parse_num("event id", positional[0])? }
-        }
-        "verify" => {
-            arity(0, "no positional arguments")?;
-            LineageAction::Verify
-        }
-        other => return Err(format!("unknown lineage subcommand `{other}`")),
-    };
-    Ok(Command::Lineage(Box::new(LineageCommand { scenario, state_dir, action })))
-}
-
-fn parse_trace<'a, I: Iterator<Item = &'a str>>(it: &mut I) -> Result<Command, String> {
-    let action = match it.next() {
-        None | Some("--help" | "-h" | "help") => return Ok(Command::Help),
-        Some(action) => action,
-    };
-    let mut positional: Vec<&str> = Vec::new();
-    let mut format: Option<&str> = None;
-    let mut rounds: Option<(u32, u32)> = None;
-    while let Some(arg) = it.next() {
-        match arg {
-            "--help" | "-h" => return Ok(Command::Help),
-            "--format" => {
-                format = Some(it.next().ok_or("--format needs a value")?);
-            }
-            "--rounds" => {
-                let spec = it.next().ok_or("--rounds needs a range like 2..5")?;
-                rounds = Some(parse_round_range(spec)?);
-            }
-            flag if flag.starts_with("--") => {
-                return Err(format!("unknown flag `{flag}` for `trace {action}`"));
-            }
-            value => positional.push(value),
-        }
-    }
-    if format.is_some() && action != "export" {
-        return Err(format!("--format only applies to `trace export`, not `trace {action}`"));
-    }
-    if rounds.is_some() && action != "export" {
-        return Err(format!("--rounds only applies to `trace export`, not `trace {action}`"));
-    }
-    if let Some(fmt) = format {
-        if fmt != "jsonl" {
-            return Err(format!("unknown export format `{fmt}` (only `jsonl`)"));
-        }
-    }
-    let arity = |n: usize, usage: &str| -> Result<(), String> {
-        if positional.len() == n {
-            Ok(())
-        } else {
-            Err(format!("`trace {action}` takes {usage}"))
-        }
-    };
-    let cmd = match action {
-        "inspect" => {
-            arity(1, "one journal path")?;
-            TraceCommand::Inspect { path: positional[0].to_string() }
-        }
-        "explain-task" => {
-            arity(2, "a journal path and a task id")?;
-            TraceCommand::ExplainTask {
-                path: positional[0].to_string(),
-                task: parse_num("task id", positional[1])?,
-            }
-        }
-        "explain-user" => {
-            arity(2, "a journal path and a user id")?;
-            TraceCommand::ExplainUser {
-                path: positional[0].to_string(),
-                user: parse_num("user id", positional[1])?,
-            }
-        }
-        "diff" => {
-            arity(2, "two journal paths")?;
-            TraceCommand::Diff { a: positional[0].to_string(), b: positional[1].to_string() }
-        }
-        "export" => {
-            arity(1, "one journal path")?;
-            TraceCommand::Export { path: positional[0].to_string(), rounds }
-        }
-        "verify" => {
-            arity(1, "one journal path")?;
-            TraceCommand::Verify { path: positional[0].to_string() }
-        }
-        other => return Err(format!("unknown trace subcommand `{other}`")),
-    };
-    Ok(Command::Trace(cmd))
-}
-
-/// Default sampling rate for `--profile-cpu` and `profile record`.
-const DEFAULT_PROFILE_HZ: u32 = 99;
-
-/// Parses the `paydemand profile` tail: a subcommand, its positional
-/// capture paths, and (for `record`) the sampling rate plus a subset of
-/// the scenario flags.
-fn parse_profile<'a, I: Iterator<Item = &'a str>>(it: &mut I) -> Result<Command, String> {
-    let action = match it.next() {
-        None | Some("--help" | "-h" | "help") => return Ok(Command::Help),
-        Some(action) => action,
-    };
-    let mut scenario = Scenario::paper_default().with_seed(24157);
-    let mut hz = DEFAULT_PROFILE_HZ;
-    let mut top = 20usize;
-    let mut positional: Vec<&str> = Vec::new();
-    while let Some(arg) = it.next() {
-        match arg {
-            "--help" | "-h" => return Ok(Command::Help),
-            flag if flag.starts_with("--") => {
-                let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
-                match flag {
-                    "--hz" if action == "record" => {
-                        hz = parse_num(flag, value)?;
-                        if hz == 0 {
-                            return Err("--hz must be at least 1".into());
-                        }
-                    }
-                    "--top" if action != "record" => {
-                        top = parse_num(flag, value)?;
-                        if top == 0 {
-                            return Err("--top must be at least 1".into());
-                        }
-                    }
-                    "--users" if action == "record" => scenario.users = parse_num(flag, value)?,
-                    "--tasks" if action == "record" => scenario.tasks = parse_num(flag, value)?,
-                    "--rounds" if action == "record" => {
-                        scenario.max_rounds = parse_num(flag, value)?;
-                    }
-                    "--seed" if action == "record" => scenario.seed = parse_num(flag, value)?,
-                    "--budget" if action == "record" => {
-                        scenario.reward_budget = parse_num(flag, value)?;
-                    }
-                    "--selector" if action == "record" => {
-                        scenario.selector = parse_selector(value)?;
-                    }
-                    "--mechanism" if action == "record" => {
-                        scenario.mechanism = parse_mechanism(value)?;
-                    }
-                    other => return Err(format!("unknown flag `{other}` for `profile {action}`")),
-                }
-            }
-            value => positional.push(value),
-        }
-    }
-    let arity = |n: usize, usage: &str| -> Result<(), String> {
-        if positional.len() == n {
-            Ok(())
-        } else {
-            Err(format!("`profile {action}` takes {usage}"))
-        }
-    };
-    let cmd = match action {
-        "record" => {
-            arity(1, "one output path")?;
-            scenario.validate().map_err(|e| e.to_string())?;
-            ProfileCommand::Record {
-                scenario: Box::new(scenario),
-                hz,
-                out: positional[0].to_string(),
-            }
-        }
-        "report" => {
-            arity(1, "one capture path")?;
-            ProfileCommand::Report { path: positional[0].to_string(), top }
-        }
-        "diff" => {
-            arity(2, "two capture paths (BEFORE AFTER)")?;
-            ProfileCommand::Diff {
-                before: positional[0].to_string(),
-                after: positional[1].to_string(),
-                top,
-            }
-        }
-        other => return Err(format!("unknown profile subcommand `{other}`")),
-    };
-    Ok(Command::Profile(cmd))
+/// The positional arguments, when there are exactly `N`.
+fn takes<'a, const N: usize>(
+    label: &str,
+    positional: &[&'a str],
+    usage: &str,
+) -> Result<[&'a str; N], String> {
+    positional.try_into().map_err(|_| format!("`{label}` takes {usage}"))
 }
 
 /// Parses `A..B` (inclusive on both ends) for `trace export --rounds`.
@@ -959,126 +928,61 @@ fn parse_round_range(spec: &str) -> Result<(u32, u32), String> {
     Ok((first, last))
 }
 
-/// Parses the `paydemand alerts PATH [--rule SPEC]... [--fatal]` tail.
-fn parse_alerts<'a, I: Iterator<Item = &'a str>>(it: &mut I) -> Result<Command, String> {
-    let mut path: Option<String> = None;
-    let mut rules: Vec<String> = Vec::new();
-    let mut fatal = false;
-    while let Some(arg) = it.next() {
-        match arg {
-            "--help" | "-h" => return Ok(Command::Help),
-            "--fatal" => fatal = true,
-            "--rule" => {
-                let spec = it.next().ok_or("--rule needs METRIC,CMP,THRESHOLD,FOR_ROUNDS")?;
-                // Validate eagerly so a typo is reported before the run.
-                paydemand_obs::AlertRule::parse(spec)?;
-                rules.push(spec.to_string());
-            }
-            flag if flag.starts_with("--") => {
-                return Err(format!("unknown flag `{flag}` for `alerts`"));
-            }
-            value if path.is_none() => path = Some(value.to_string()),
-            extra => return Err(format!("`alerts` takes one time-series path, got `{extra}` too")),
-        }
-    }
-    let path = path.ok_or("`alerts` needs a time-series JSON path (from --timeseries-out)")?;
-    Ok(Command::Alerts(AlertsCommand { path, rules, fatal }))
-}
-
-fn parse_num<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String>
+fn parse_num<T: FromStr>(flag: &str, value: &str) -> Result<T, String>
 where
-    T::Err: std::fmt::Display,
+    T::Err: Display,
 {
     value.parse().map_err(|e| format!("{flag}: cannot parse `{value}`: {e}"))
 }
 
-fn parse_selector(value: &str) -> Result<SelectorKind, String> {
-    Ok(match value {
-        "dp" => SelectorKind::Dp { candidate_cap: Some(14) },
-        "dp-exact" => SelectorKind::exact_dp(),
-        "greedy" => SelectorKind::Greedy,
-        "greedy2opt" => SelectorKind::GreedyTwoOpt,
-        "insertion" => SelectorKind::Insertion,
-        "branch-bound" => SelectorKind::BranchBound,
-        other => return Err(format!("unknown selector `{other}`")),
-    })
-}
-
-fn parse_indexing(value: &str) -> Result<IndexingMode, String> {
-    Ok(match value {
-        "cell" => IndexingMode::CellSweep,
-        "naive" => IndexingMode::NaiveReference,
-        other => return Err(format!("unknown indexing mode `{other}`")),
-    })
+/// Looks `value` up in a table of names; the error says what was asked for.
+fn lookup<T: Copy>(table: &[(&str, T)], what: &str, value: &str) -> Result<T, String> {
+    table
+        .iter()
+        .find(|(name, _)| *name == value)
+        .map(|&(_, found)| found)
+        .ok_or_else(|| format!("unknown {what} `{value}`"))
 }
 
 fn parse_travel(value: &str) -> Result<TravelModel, String> {
-    if let Some(spec) = value.strip_prefix("streets:") {
-        // Format: COLSxROWS:CLOSURE, e.g. streets:20x20:0.3
-        let (dims, closure) = spec.split_once(':').ok_or("streets needs COLSxROWS:CLOSURE")?;
-        let (cols, rows) = dims.split_once('x').ok_or("streets needs COLSxROWS")?;
-        return Ok(TravelModel::StreetGrid {
-            cols: cols.parse().map_err(|e| format!("street cols: {e}"))?,
-            rows: rows.parse().map_err(|e| format!("street rows: {e}"))?,
-            closure: closure.parse().map_err(|e| format!("street closure: {e}"))?,
-        });
-    }
-    Ok(match value {
-        "euclidean" => TravelModel::Euclidean,
-        "manhattan" => TravelModel::Manhattan,
-        other => return Err(format!("unknown travel model `{other}`")),
+    let Some(spec) = value.strip_prefix(STREETS) else {
+        return lookup(TRAVEL_MODELS, "travel model", value);
+    };
+    // Format: COLSxROWS:CLOSURE, e.g. streets:20x20:0.3
+    let (dims, closure) = spec.split_once(':').ok_or("streets needs COLSxROWS:CLOSURE")?;
+    let (cols, rows) = dims.split_once('x').ok_or("streets needs COLSxROWS")?;
+    Ok(TravelModel::StreetGrid {
+        cols: cols.parse().map_err(|e| format!("street cols: {e}"))?,
+        rows: rows.parse().map_err(|e| format!("street rows: {e}"))?,
+        closure: closure.parse().map_err(|e| format!("street closure: {e}"))?,
     })
-}
-
-fn parse_faults(value: &str) -> Result<Vec<FaultKind>, String> {
-    let mut kinds = Vec::new();
-    for arm in value.split(',') {
-        let mut parts = arm.split(':');
-        let name = parts.next().unwrap_or_default();
-        let mut param = |what: &str| -> Result<f64, String> {
-            let raw = parts.next().ok_or_else(|| format!("fault `{name}` needs {what}"))?;
-            raw.parse().map_err(|e| format!("fault `{name}` {what} `{raw}`: {e}"))
-        };
-        let kind = match name {
-            "dropout" => FaultKind::Dropout { rate: param("RATE")? },
-            "late" => FaultKind::LateArrival {
-                fraction: param("FRACTION")?,
-                latest_round: param("LATEST_ROUND")? as u32,
-            },
-            "drop-upload" => FaultKind::DroppedUploads { rate: param("RATE")? },
-            "straggler" => FaultKind::StragglerUploads {
-                rate: param("RATE")?,
-                max_retries: param("MAX_RETRIES")? as u32,
-                backoff_rounds: param("BACKOFF_ROUNDS")? as u32,
-            },
-            "gps" => FaultKind::GpsNoise { sigma: param("SIGMA_METERS")? },
-            "budget-shock" => {
-                FaultKind::BudgetShock { round: param("ROUND")? as u32, factor: param("FACTOR")? }
-            }
-            "outage" => FaultKind::DemandOutage { rate: param("RATE")? },
-            other => return Err(format!("unknown fault `{other}`")),
-        };
-        if parts.next().is_some() {
-            return Err(format!("fault `{name}` has too many parameters in `{arm}`"));
-        }
-        kinds.push(kind);
-    }
-    Ok(kinds)
 }
 
 fn parse_mechanism(value: &str) -> Result<MechanismKind, String> {
-    if let Some(alpha) = value.strip_prefix("hybrid:") {
-        let alpha: f64 = alpha.parse().map_err(|e| format!("hybrid alpha `{alpha}`: {e}"))?;
-        return Ok(MechanismKind::Hybrid { alpha });
-    }
-    Ok(match value {
-        "on-demand" => MechanismKind::OnDemand,
-        "fixed" => MechanismKind::Fixed,
-        "steered" => MechanismKind::Steered,
-        "steered-paper" => MechanismKind::SteeredPaperConstants,
-        "proportional" => MechanismKind::Proportional,
-        other => return Err(format!("unknown mechanism `{other}`")),
-    })
+    let Some(alpha) = value.strip_prefix(HYBRID) else {
+        return lookup(MECHANISMS, "mechanism", value);
+    };
+    let alpha: f64 = alpha.parse().map_err(|e| format!("hybrid alpha `{alpha}`: {e}"))?;
+    Ok(MechanismKind::Hybrid { alpha })
+}
+
+fn parse_faults(value: &str) -> Result<Vec<FaultKind>, String> {
+    value
+        .split(',')
+        .map(|arm| {
+            let mut parts = arm.split(':');
+            let name = parts.next().unwrap_or_default();
+            let build = lookup(FAULT_ARMS, "fault", name)?;
+            let kind = build(&mut |what| {
+                let raw = parts.next().ok_or_else(|| format!("fault `{name}` needs {what}"))?;
+                raw.parse().map_err(|e| format!("fault `{name}` {what} `{raw}`: {e}"))
+            })?;
+            if parts.next().is_some() {
+                return Err(format!("fault `{name}` has too many parameters in `{arm}`"));
+            }
+            Ok(kind)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1138,7 +1042,7 @@ mod tests {
     #[test]
     fn all_selectors_and_mechanisms_parse() {
         for s in ["dp", "dp-exact", "greedy", "greedy2opt", "insertion", "branch-bound"] {
-            assert!(parse_selector(s).is_ok(), "{s}");
+            assert!(lookup(SELECTORS, "selector", s).is_ok(), "{s}");
         }
         for m in ["on-demand", "fixed", "steered", "steered-paper", "proportional"] {
             assert!(parse_mechanism(m).is_ok(), "{m}");
@@ -1202,20 +1106,12 @@ mod tests {
 
     #[test]
     fn demand_backend_flags_parse() {
-        let Command::Run(opts) = parse(&argv("run --demand-backend naive")).unwrap() else {
-            panic!("expected run");
-        };
-        assert_eq!(opts.scenario.indexing, IndexingMode::NaiveReference);
-
-        let Command::Run(cell) =
-            parse(&argv("run --indexing naive --demand-backend cell")).unwrap()
-        else {
-            panic!("expected run");
-        };
-        assert_eq!(cell.scenario.indexing, IndexingMode::CellSweep);
-
+        // `--indexing` is the one name for the Eq. 5 backend.
+        assert!(parse(&argv("run --demand-backend naive"))
+            .unwrap_err()
+            .contains("unknown flag `--demand-backend`"));
         for removed in ["incremental", "rebuild", "cell-sweep"] {
-            assert!(parse(&argv(&format!("run --demand-backend {removed}")))
+            assert!(parse(&argv(&format!("run --indexing {removed}")))
                 .unwrap_err()
                 .contains("unknown indexing mode"));
         }
@@ -1248,9 +1144,11 @@ mod tests {
         assert!(out_only.recording(), "--metrics-out alone implies recording");
 
         assert!(parse(&argv("compare --profile")).is_ok());
-        assert!(parse(&argv("run --metrics-format yaml"))
-            .unwrap_err()
-            .contains("unknown metrics format"));
+        for refused in ["yaml", "prometheus"] {
+            assert!(parse(&argv(&format!("run --metrics-format {refused}")))
+                .unwrap_err()
+                .contains("unknown metrics format"));
+        }
     }
 
     #[test]
@@ -1308,25 +1206,6 @@ mod tests {
 
     #[test]
     fn profile_subcommands_parse() {
-        let Command::Profile(ProfileCommand::Record { scenario, hz, out }) =
-            parse(&argv("profile record /tmp/a.prof --hz 500 --users 40 --rounds 6 --seed 3"))
-                .unwrap()
-        else {
-            panic!("expected profile record");
-        };
-        assert_eq!(out, "/tmp/a.prof");
-        assert_eq!(hz, 500);
-        assert_eq!(scenario.users, 40);
-        assert_eq!(scenario.max_rounds, 6);
-        assert_eq!(scenario.seed, 3);
-
-        let Command::Profile(ProfileCommand::Record { hz, .. }) =
-            parse(&argv("profile record /tmp/a.prof")).unwrap()
-        else {
-            panic!("expected profile record");
-        };
-        assert_eq!(hz, 99, "default rate");
-
         assert_eq!(
             parse(&argv("profile report /tmp/a.prof --top 3")).unwrap(),
             Command::Profile(ProfileCommand::Report { path: "/tmp/a.prof".into(), top: 3 })
@@ -1340,9 +1219,12 @@ mod tests {
             })
         );
         assert_eq!(parse(&argv("profile --help")).unwrap(), Command::Help);
-        assert!(parse(&argv("profile record")).unwrap_err().contains("one output path"));
+        // Captures are recorded by `run --profile-cpu HZ --profile-out OUT`.
+        assert!(parse(&argv("profile record /tmp/a.prof"))
+            .unwrap_err()
+            .contains("unknown profile subcommand"));
         assert!(parse(&argv("profile diff /tmp/a.prof")).unwrap_err().contains("two capture"));
-        assert!(parse(&argv("profile record /tmp/a.prof --hz 0"))
+        assert!(parse(&argv("profile report /tmp/a.prof --top 0"))
             .unwrap_err()
             .contains("at least 1"));
         assert!(parse(&argv("profile report /tmp/a.prof --hz 9"))
@@ -1475,10 +1357,10 @@ mod tests {
                 b: "/tmp/b.trace".into()
             })
         );
-        assert_eq!(
-            parse(&argv("trace export /tmp/a.trace --format jsonl")).unwrap(),
-            Command::Trace(TraceCommand::Export { path: "/tmp/a.trace".into(), rounds: None })
-        );
+        // JSON Lines is the only export format; there is no flag for it.
+        assert!(parse(&argv("trace export /tmp/a.trace --format jsonl"))
+            .unwrap_err()
+            .contains("unknown flag `--format`"));
         assert_eq!(
             parse(&argv("trace export /tmp/a.trace")).unwrap(),
             Command::Trace(TraceCommand::Export { path: "/tmp/a.trace".into(), rounds: None })
@@ -1506,10 +1388,9 @@ mod tests {
         assert!(parse(&argv("trace explain-task /a")).unwrap_err().contains("task id"));
         assert!(parse(&argv("trace explain-task /a pony")).unwrap_err().contains("cannot parse"));
         assert!(parse(&argv("trace diff /a")).unwrap_err().contains("two journal paths"));
-        assert!(parse(&argv("trace export /a --format xml")).unwrap_err().contains("jsonl"));
         assert!(parse(&argv("trace inspect /a --format jsonl"))
             .unwrap_err()
-            .contains("only applies to `trace export`"));
+            .contains("unknown flag"));
         assert!(parse(&argv("trace export /a --banana")).unwrap_err().contains("unknown flag"));
         assert!(parse(&argv("trace export /a --rounds 5")).unwrap_err().contains("A..B"));
         assert!(parse(&argv("trace export /a --rounds 5..2")).unwrap_err().contains("empty"));
@@ -1580,16 +1461,17 @@ mod tests {
         let Command::Serve(cmd) = parse(&argv("serve --state-dir /tmp/pd-state")).unwrap() else {
             panic!("expected serve");
         };
-        assert_eq!(cmd.state_dir, "/tmp/pd-state");
-        assert_eq!(cmd.addr, "127.0.0.1:9300");
-        assert_eq!(cmd.tick_ms, 1000);
-        assert_eq!(cmd.queue_cap, 4096);
-        assert_eq!(cmd.http_workers, 4);
-        assert_eq!(cmd.checkpoint_every_ticks, 1);
-        assert_eq!(cmd.max_body_bytes, 256 * 1024);
-        assert!(!cmd.resume && !cmd.no_fsync && !cmd.debug_panic_route);
+        let config = &cmd.config;
+        assert_eq!(config.state_dir, PathBuf::from("/tmp/pd-state"));
+        assert_eq!(config.addr, "127.0.0.1:9300");
+        assert_eq!(config.tick_interval, Some(Duration::from_millis(1000)));
+        assert_eq!(config.queue_capacity, 4096);
+        assert_eq!(config.workers, 4);
+        assert_eq!(config.checkpoint_every, 1);
+        assert_eq!(config.limits.max_body_bytes, 256 * 1024);
+        assert!(!config.resume && config.fsync && !config.debug_panic_route);
         assert_eq!(cmd.timeseries_out, None);
-        assert_eq!(cmd.scenario.seed, 24157);
+        assert_eq!(config.scenario.seed, 24157);
 
         let Command::Serve(full) = parse(&argv(
             "serve --state-dir /d --resume --addr 0.0.0.0:0 --tick-ms 0 \
@@ -1601,14 +1483,15 @@ mod tests {
         .unwrap() else {
             panic!("expected serve");
         };
-        assert!(full.resume && full.no_fsync && full.debug_panic_route);
-        assert_eq!(full.addr, "0.0.0.0:0");
-        assert_eq!(full.tick_ms, 0, "0 means manual POST /tick");
-        assert_eq!(full.queue_cap, 64);
-        assert_eq!(full.http_workers, 2);
-        assert_eq!(full.checkpoint_every_ticks, 3);
-        assert_eq!(full.max_body_bytes, 1024);
         assert_eq!(full.timeseries_out.as_deref(), Some("/tmp/ts.json"));
+        let full = full.config;
+        assert!(full.resume && !full.fsync && full.debug_panic_route);
+        assert_eq!(full.addr, "0.0.0.0:0");
+        assert_eq!(full.tick_interval, None, "0 means manual POST /tick");
+        assert_eq!(full.queue_capacity, 64);
+        assert_eq!(full.workers, 2);
+        assert_eq!(full.checkpoint_every, 3);
+        assert_eq!(full.limits.max_body_bytes, 1024);
         assert_eq!(full.scenario.users, 30);
         assert_eq!(full.scenario.seed, 7);
         assert_eq!(full.scenario.selector, SelectorKind::Greedy);
@@ -1639,8 +1522,8 @@ mod tests {
         else {
             panic!("expected serve");
         };
-        assert_eq!(preset.scenario.area_side, 1500.0);
-        assert_eq!(preset.scenario.users, 33);
+        assert_eq!(preset.config.scenario.area_side, 1500.0);
+        assert_eq!(preset.config.scenario.users, 33);
     }
 
     #[test]
@@ -1732,5 +1615,125 @@ mod tests {
         // Scenario-level validation also surfaces.
         assert!(parse(&argv("run --users 0")).unwrap_err().contains("users"));
         assert!(parse(&argv("run --mechanism hybrid:7")).unwrap_err().contains("alpha"));
+    }
+
+    #[test]
+    fn an_unknown_flag_is_named_not_asked_for_a_value() {
+        assert_eq!(parse(&argv("run --bogus")).unwrap_err(), "unknown flag `--bogus` for `run`");
+    }
+
+    #[test]
+    fn a_stray_word_is_an_unexpected_argument() {
+        assert_eq!(
+            parse(&argv("run --users 10 stray")).unwrap_err(),
+            "unexpected argument `stray` for `run`"
+        );
+    }
+
+    #[test]
+    fn a_switch_takes_no_value() {
+        assert_eq!(
+            parse(&argv("run --enforce-budget true")).unwrap_err(),
+            "unexpected argument `true` for `run`"
+        );
+    }
+
+    #[test]
+    fn a_flag_another_subcommand_takes_is_unknown_before_its_value() {
+        assert_eq!(
+            parse(&argv("compare --mechanism")).unwrap_err(),
+            "unknown flag `--mechanism` for `compare`"
+        );
+    }
+
+    #[test]
+    fn serve_resume_is_a_switch() {
+        assert_eq!(
+            parse(&argv("serve --state-dir /d --resume /x")).unwrap_err(),
+            "unexpected argument `/x` for `serve`"
+        );
+    }
+
+    /// The scenario each subcommand that builds one parses from `tail`.
+    fn scenarios(tail: &str) -> [Scenario; 3] {
+        let run = match parse(&argv(&format!("run {tail}"))).unwrap() {
+            Command::Run(opts) => opts.scenario,
+            other => panic!("expected run, got {other:?}"),
+        };
+        let serve = match parse(&argv(&format!("serve --state-dir /d {tail}"))).unwrap() {
+            Command::Serve(cmd) => cmd.config.scenario,
+            other => panic!("expected serve, got {other:?}"),
+        };
+        let lineage = match parse(&argv(&format!("lineage verify --state-dir /d {tail}"))).unwrap()
+        {
+            Command::Lineage(cmd) => cmd.scenario,
+            other => panic!("expected lineage, got {other:?}"),
+        };
+        [run, serve, lineage]
+    }
+
+    #[test]
+    fn a_preset_applies_first_wherever_it_appears() {
+        for scenario in scenarios("--users 33 --preset dense-downtown") {
+            assert_eq!(scenario.area_side, 1500.0, "the preset's world");
+            assert_eq!(scenario.users, 33, "the flag before the preset survives");
+            assert_eq!(scenario.seed, 24157, "the default seed");
+        }
+        for scenario in scenarios("--enforce-budget --seed 7 --preset paper") {
+            assert!(scenario.enforce_budget, "the budget cap survives the preset");
+            assert_eq!(scenario.seed, 7);
+        }
+        for scenario in scenarios("--preset dense-downtown --preset paper") {
+            assert_eq!(scenario.area_side, 3000.0, "the last preset wins");
+        }
+        let Command::Run(opts) = parse(&argv(
+            "run --users 20 --preset paper --tasks 5 --rounds 3 --reps 1 --selector greedy",
+        ))
+        .unwrap() else {
+            panic!("expected run");
+        };
+        assert_eq!(
+            (opts.scenario.users, opts.scenario.tasks, opts.scenario.max_rounds),
+            (20, 5, 3)
+        );
+        assert_eq!(opts.scenario.selector, SelectorKind::Greedy);
+    }
+
+    /// Whether `word` occurs in `text` with no flag-name character on
+    /// either side.
+    fn mentions(text: &str, word: &str) -> bool {
+        let name_char = |c: char| c.is_ascii_alphanumeric() || c == '-' || c == '_';
+        text.match_indices(word).any(|(at, _)| {
+            !text[..at].ends_with(name_char) && !text[at + word.len()..].starts_with(name_char)
+        })
+    }
+
+    #[test]
+    fn usage_and_parser_name_the_same_flags_and_values() {
+        let mut accepted: Vec<&str> = FLAGS.iter().map(|f| f.name).collect();
+        accepted.extend(SELECTORS.iter().map(|(n, _)| *n));
+        accepted.extend(MECHANISMS.iter().map(|(n, _)| *n));
+        accepted.extend(TRAVEL_MODELS.iter().map(|(n, _)| *n));
+        accepted.extend(INDEXING_MODES.iter().map(|(n, _)| *n));
+        accepted.extend(METRICS_FORMATS.iter().map(|(n, _)| *n));
+        accepted.extend(FAULT_ARMS.iter().map(|(n, _)| *n));
+        accepted.extend(SUBCOMMANDS.iter().map(|(n, _)| *n));
+        accepted.extend([HYBRID, STREETS].map(|prefix| prefix.trim_end_matches(':')));
+        let presets = paydemand_sim::presets::all();
+        accepted.extend(presets.iter().map(|(n, _)| *n));
+        let missing: Vec<&str> = accepted.into_iter().filter(|n| !mentions(USAGE, n)).collect();
+        assert!(missing.is_empty(), "--help never mentions {missing:?}");
+
+        let unknown: Vec<&str> = USAGE
+            .match_indices("--")
+            .map(|(at, _)| {
+                let len = USAGE[at + 2..]
+                    .find(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                    .unwrap_or(USAGE.len() - at - 2);
+                &USAGE[at..at + 2 + len]
+            })
+            .filter(|flag| *flag != "--help" && FLAGS.iter().all(|f| f.name != *flag))
+            .collect();
+        assert!(unknown.is_empty(), "--help documents flags no subcommand takes: {unknown:?}");
     }
 }

@@ -18,69 +18,40 @@ mod trace_cmd;
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match args::parse(&argv) {
+    let outcome = match args::parse(&argv) {
         Ok(args::Command::Help) => {
             println!("{}", args::USAGE);
-            ExitCode::SUCCESS
+            Ok(())
         }
-        Ok(args::Command::Run(opts)) => run_or_report(commands::run(&opts)),
-        Ok(args::Command::Compare(opts)) => run_or_report(commands::compare(&opts)),
-        Ok(args::Command::Serve(cmd)) => match serve_cmd::dispatch(&cmd) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                ExitCode::FAILURE
-            }
-        },
-        Ok(args::Command::Trace(cmd)) => match trace_cmd::dispatch(&cmd) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                ExitCode::FAILURE
-            }
-        },
-        Ok(args::Command::Lineage(cmd)) => match lineage_cmd::dispatch(&cmd) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                ExitCode::FAILURE
-            }
-        },
-        Ok(args::Command::Profile(cmd)) => match profile_cmd::dispatch(&cmd) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                ExitCode::FAILURE
-            }
-        },
+        Ok(args::Command::Run(opts)) => run_status(commands::run(&opts)),
+        Ok(args::Command::Compare(opts)) => run_status(commands::compare(&opts)),
+        Ok(args::Command::Serve(cmd)) => serve_cmd::dispatch(&cmd),
+        Ok(args::Command::Trace(cmd)) => trace_cmd::dispatch(&cmd),
+        Ok(args::Command::Lineage(cmd)) => lineage_cmd::dispatch(&cmd),
+        Ok(args::Command::Profile(cmd)) => profile_cmd::dispatch(&cmd),
         Ok(args::Command::Alerts(cmd)) => match alerts_cmd::dispatch(&cmd) {
-            Ok(fired) if fired && cmd.fatal => {
-                eprintln!("error: alert rule(s) fired (--fatal)");
-                ExitCode::FAILURE
-            }
-            Ok(_) => ExitCode::SUCCESS,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                ExitCode::FAILURE
-            }
+            Ok(true) if cmd.fatal => Err("alert rule(s) fired (--fatal)".to_string()),
+            fired => fired.map(drop),
         },
         Err(msg) => {
             eprintln!("{msg}\n\n{}", args::USAGE);
+            return ExitCode::FAILURE;
+        }
+    };
+    match outcome {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(msg) => {
+            eprintln!("error: {msg}");
             ExitCode::FAILURE
         }
     }
 }
 
-fn run_or_report(result: Result<commands::RunStatus, paydemand_sim::SimError>) -> ExitCode {
-    match result {
-        Ok(commands::RunStatus::Clean) => ExitCode::SUCCESS,
-        Ok(commands::RunStatus::AlertsFired(n)) => {
-            eprintln!("error: {n} alert rule(s) fired (--alerts-fatal)");
-            ExitCode::FAILURE
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
+fn run_status(result: Result<commands::RunStatus, paydemand_sim::SimError>) -> Result<(), String> {
+    match result.map_err(|e| e.to_string())? {
+        commands::RunStatus::Clean => Ok(()),
+        commands::RunStatus::AlertsFired(n) => {
+            Err(format!("{n} alert rule(s) fired (--alerts-fatal)"))
         }
     }
 }

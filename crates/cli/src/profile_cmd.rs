@@ -1,20 +1,19 @@
-//! `paydemand profile`: record, report, and diff sampling-profiler
-//! captures (see `docs/PROFILING.md`).
+//! `paydemand profile`: report and diff sampling-profiler captures
+//! (see `docs/PROFILING.md`; `run --profile-cpu --profile-out` records
+//! them).
 //!
-//! `record` runs one simulation under the statistical sampler and
-//! writes the capture; `report` prints a saved capture's hottest
-//! stacks; `diff` normalises two captures to seconds-per-stack and
-//! ranks the deltas worst-regression-first — point it at a before/after
-//! pair to see exactly which phase slowed down.
+//! `report` prints a saved capture's hottest stacks; `diff` normalises
+//! two captures to seconds-per-stack and ranks the deltas
+//! worst-regression-first — point it at a before/after pair to see
+//! exactly which phase slowed down.
 
-use paydemand_obs::{prof, Profile, Profiler, ProfilerConfig};
+use paydemand_obs::{prof, Profile};
 
 use crate::args::ProfileCommand;
 
 /// Runs one `paydemand profile` subcommand.
 pub fn dispatch(cmd: &ProfileCommand) -> Result<(), String> {
     match cmd {
-        ProfileCommand::Record { scenario, hz, out } => record(scenario, *hz, out),
         ProfileCommand::Report { path, top } => {
             let profile = read_capture(path)?;
             print!("{}", profile.render_report(*top));
@@ -27,29 +26,6 @@ pub fn dispatch(cmd: &ProfileCommand) -> Result<(), String> {
             Ok(())
         }
     }
-}
-
-fn record(scenario: &paydemand_sim::Scenario, hz: u32, out: &str) -> Result<(), String> {
-    eprintln!(
-        "profile: sampling at {hz} Hz over {} users x {} tasks x {} rounds ...",
-        scenario.users, scenario.tasks, scenario.max_rounds
-    );
-    let profiler = Profiler::start(ProfilerConfig::at_hz(hz));
-    let result = paydemand_sim::engine::run(scenario).map_err(|e| e.to_string())?;
-    let profile = profiler.stop();
-    std::fs::write(out, profile.to_capture()).map_err(|e| format!("writing {out}: {e}"))?;
-    eprintln!(
-        "profile: {} samples ({} dropped) across {} stacks in {:.3}s, total paid ${:.2} -> {out}",
-        profile.samples_total,
-        profile.dropped_samples,
-        profile.stacks.len(),
-        profile.duration_seconds,
-        result.total_paid,
-    );
-    if profile.is_empty() {
-        eprintln!("profile: run finished between samples; raise --hz or the scenario size");
-    }
-    Ok(())
 }
 
 fn read_capture(path: &str) -> Result<Profile, String> {

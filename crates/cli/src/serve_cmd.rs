@@ -3,15 +3,15 @@
 //! then print the final accounting.
 //!
 //! The daemon itself lives in the `paydemand-serve` crate; this module
-//! only maps parsed flags onto a [`DaemonConfig`], attaches the
-//! telemetry the flags ask for, and renders the [`ShutdownReport`].
+//! only attaches the telemetry the flags ask for, starts the daemon on
+//! the parsed [`paydemand_serve::DaemonConfig`], and renders the
+//! [`ShutdownReport`].
 
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::path::Path;
 
 use paydemand_obs::{Alerts, Logger, Recorder, TimeSeries, DEFAULT_LOG_CAPACITY};
-use paydemand_serve::{Daemon, DaemonConfig, ShutdownReport};
+use paydemand_serve::{Daemon, ShutdownReport};
 
 use crate::args::ServeCommand;
 
@@ -21,9 +21,10 @@ const TIMESERIES_CAP: usize = 4096;
 
 /// Runs the daemon to completion. Blocks until shutdown.
 pub fn dispatch(cmd: &ServeCommand) -> Result<(), String> {
+    let config = &cmd.config;
     let recorder = Recorder::enabled();
     if cmd.timeseries_out.is_some() {
-        let rounds = (cmd.scenario.max_rounds as usize).clamp(1, TIMESERIES_CAP);
+        let rounds = (config.scenario.max_rounds as usize).clamp(1, TIMESERIES_CAP);
         recorder.attach_timeseries(&TimeSeries::with_capacity(rounds));
         recorder.attach_alerts(&Alerts::with_defaults());
     }
@@ -32,18 +33,18 @@ pub fn dispatch(cmd: &ServeCommand) -> Result<(), String> {
         log.set_file_sink(Path::new(path)).map_err(|e| format!("--log-json {path}: {e}"))?;
     }
     recorder.attach_logger(&log);
-    let daemon = Daemon::start(build_config(cmd), &recorder).map_err(|e| e.to_string())?;
+    let daemon = Daemon::start(config.clone(), &recorder).map_err(|e| e.to_string())?;
     println!("serve: listening on http://{}", daemon.local_addr());
-    if cmd.resume {
+    if config.resume {
         println!(
             "serve: resumed from {} (replayed {} journaled events)",
-            cmd.state_dir,
+            config.state_dir.display(),
             daemon.replayed_events()
         );
     }
-    match cmd.tick_ms {
-        0 => println!("serve: manual rounds — advance with POST /tick"),
-        ms => println!("serve: one round every {ms} ms"),
+    match config.tick_interval {
+        None => println!("serve: manual rounds — advance with POST /tick"),
+        Some(every) => println!("serve: one round every {} ms", every.as_millis()),
     }
     let report = daemon.run().map_err(|e| e.to_string())?;
     if let Some(path) = &cmd.timeseries_out {
@@ -55,24 +56,6 @@ pub fn dispatch(cmd: &ServeCommand) -> Result<(), String> {
     }
     print!("{}", render(&report));
     Ok(())
-}
-
-/// Maps the parsed flags onto the daemon's configuration.
-fn build_config(cmd: &ServeCommand) -> DaemonConfig {
-    let mut config = DaemonConfig::new(cmd.scenario.clone(), PathBuf::from(&cmd.state_dir));
-    config.addr.clone_from(&cmd.addr);
-    config.resume = cmd.resume;
-    config.tick_interval = match cmd.tick_ms {
-        0 => None,
-        ms => Some(Duration::from_millis(ms)),
-    };
-    config.queue_capacity = cmd.queue_cap;
-    config.workers = cmd.http_workers;
-    config.checkpoint_every = cmd.checkpoint_every_ticks;
-    config.limits.max_body_bytes = cmd.max_body_bytes;
-    config.fsync = !cmd.no_fsync;
-    config.debug_panic_route = cmd.debug_panic_route;
-    config
 }
 
 /// Renders the final accounting, one `key value` row per line.
@@ -91,6 +74,9 @@ fn render(report: &ShutdownReport) -> String {
 
 #[cfg(test)]
 mod tests {
+    use std::path::PathBuf;
+    use std::time::Duration;
+
     use super::*;
     use crate::args::parse;
 
@@ -105,12 +91,12 @@ mod tests {
 
     #[test]
     fn config_mirrors_the_flags() {
-        let cmd = serve_cmd(
+        let config = serve_cmd(
             "--state-dir /tmp/pd --resume --addr 127.0.0.1:0 --tick-ms 0 \
              --queue-cap 16 --http-workers 2 --checkpoint-every-ticks 5 \
              --max-body-bytes 2048 --no-fsync --debug-panic-route",
-        );
-        let config = build_config(&cmd);
+        )
+        .config;
         assert_eq!(config.addr, "127.0.0.1:0");
         assert_eq!(config.state_dir, PathBuf::from("/tmp/pd"));
         assert!(config.resume);
@@ -122,7 +108,7 @@ mod tests {
         assert!(!config.fsync);
         assert!(config.debug_panic_route);
 
-        let timed = build_config(&serve_cmd("--state-dir /d --tick-ms 250"));
+        let timed = serve_cmd("--state-dir /d --tick-ms 250").config;
         assert_eq!(timed.tick_interval, Some(Duration::from_millis(250)));
         assert!(timed.fsync, "fsync is on unless --no-fsync");
     }

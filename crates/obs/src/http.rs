@@ -29,7 +29,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 /// Size and time limits enforced while reading one request.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HttpLimits {
     /// Longest accepted request head (request line + headers).
     pub max_head_bytes: usize,

@@ -85,7 +85,7 @@ pub const LINEAGE_FILE: &str = "lineage.idx";
 pub const ACK_SLO_TARGET: Duration = Duration::from_millis(50);
 
 /// Everything configurable about a daemon instance.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DaemonConfig {
     /// The scenario the engine runs.
     pub scenario: Scenario,
