@@ -72,10 +72,16 @@ pub struct CellSweeper {
     scratch_deltas: Vec<i64>,
 }
 
+/// Cells along the area's longer side, at most: the grid stays within
+/// about a million cells however small the radius is against the area.
+const MAX_CELLS_PER_SIDE: f64 = 1024.0;
+
 impl CellSweeper {
     /// Creates a sweeper for fixed `tasks` inside `area`, counting
-    /// users strictly closer than `radius`. Cell size equals the
-    /// radius.
+    /// users strictly closer than `radius`. A cell is `radius` wide, or
+    /// 1/1024 of the area's longer side where that is wider; a cell
+    /// never narrower than the radius keeps the `±R` candidate boxes
+    /// exact.
     ///
     /// Tasks may lie outside `area` (their candidate ranges clamp to
     /// it); `radius` values that are not finite and positive yield
@@ -83,7 +89,8 @@ impl CellSweeper {
     #[must_use]
     pub fn new(area: Rect, radius: f64, tasks: Vec<Point>) -> Self {
         let valid = radius.is_finite() && radius > 0.0;
-        let cell = if valid { radius } else { area.width().max(area.height()).max(1.0) };
+        let side = area.width().max(area.height());
+        let cell = if valid { radius.max(side / MAX_CELLS_PER_SIDE) } else { side.max(1.0) };
         let cols = (area.width() / cell).ceil().max(1.0) as usize;
         let rows = (area.height() / cell).ceil().max(1.0) as usize;
         let m = tasks.len();
@@ -434,6 +441,28 @@ mod tests {
             assert!(sweeper.last_was_full_sweep());
             assert_eq!(sweeper.moved_last_round(), n);
         }
+    }
+
+    #[test]
+    fn a_radius_tiny_against_the_area_keeps_the_grid_bounded_and_exact() {
+        // Cells of R = 1 m over a 1e9 m square would number 1e18.
+        let area = Rect::square(1e9).unwrap();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xB16);
+        let tasks = sample(area, &mut rng, 6);
+        let mut users = sample(area, &mut rng, 20);
+        // Users within, on and just past R of the first tasks.
+        for (i, &t) in tasks.iter().take(3).enumerate() {
+            users.push(Point::new(t.x + 0.5, t.y));
+            users.push(Point::new(t.x, t.y - 0.25 * i as f64));
+            users.push(Point::new(t.x + 1.0, t.y));
+            users.push(Point::new(t.x - 0.8, t.y + 0.8));
+        }
+        let users: Vec<Point> = users.into_iter().map(|p| area.clamp(p)).collect();
+        let mut sweeper = CellSweeper::new(area, 1.0, tasks.clone());
+        assert!(sweeper.cols * sweeper.rows <= 1025 * 1025, "{}x{}", sweeper.cols, sweeper.rows);
+        let counts = sweeper.counts(&users).unwrap().to_vec();
+        assert_eq!(counts, naive(&tasks, &users, 1.0));
+        assert!(counts.iter().take(3).all(|&c| c >= 2), "{counts:?}");
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Round-granular engine checkpoints.
 //!
-//! [`encode`] serialises an [`Engine`]'s complete mutable state at a
-//! round boundary into a versioned, self-describing byte buffer;
-//! [`resume`] rebuilds an engine from those bytes whose remaining
-//! rounds are byte-identical to the uninterrupted run (the chaos test
-//! battery enforces this for plain, faulted, street-grid and wandering
-//! scenarios).
+//! [`encode`] serialises an [`Engine`]'s live state at a round boundary
+//! into a versioned, self-describing byte buffer; [`resume`] rebuilds
+//! an engine from those bytes whose remaining rounds are byte-identical
+//! to the uninterrupted run (the chaos test battery enforces this for
+//! plain, faulted, street-grid and wandering scenarios).
 //!
 //! The codec is hand-rolled over [`crate::frame`] and the `bytes`
 //! writers — the vendored `serde` is a marker-trait stub with no real
@@ -14,10 +13,12 @@
 //! layout is:
 //!
 //! ```text
-//! magic "PDCK" | version u8 | scenario fingerprint u64
+//! magic "PDCK" | version u8 = 2 | scenario fingerprint u64
 //! next_round u32 | done u8 | main rng 4×u64 | travel rng 4×u64
-//! workload | locations | contributed | quality_received | estimates
+//! m u32 | n u32 | workload hash u64
+//! locations | contributed | quality_received | estimates
 //! wander | round records | platform state | injector | retry queue
+//! checksum u64
 //! ```
 //!
 //! Integers are little-endian. Variable-length sections carry `u32`
@@ -26,33 +27,76 @@
 //! field* (seed, fault plan, mechanism, …) is refused up front rather
 //! than silently diverging.
 //!
-//! Decoding never panics on corrupt input: every read goes through a
-//! bounds-checked [`Cursor`] and surfaces [`SimError::Checkpoint`].
+//! Only state that changes is written. The workload (tasks, user
+//! profiles, qualities, truths) is never stored: [`resume`] draws it
+//! again from the scenario seed, and refuses the file unless the draw
+//! leaves the main RNG exactly on the stored travel state and hashes to
+//! the stored workload hash. Per-user data is sparse, in user order:
+//! `contributed` lists only users with a contribution (`user u32 | k
+//! u32 | k task ids`), and each round record lists only the users with
+//! an entry (`user u32 | profit f64 | selected u32`).
+//!
+//! The checksum trailer is [`fnv1a64_words`] over every byte before it,
+//! read as little-endian words (the last one zero-padded). It is
+//! checked right after the magic and version, so a damaged or cut file
+//! is refused before any field is read, and a file of another version
+//! is refused by its version. Decoding never panics on corrupt input:
+//! every read goes through a bounds-checked [`Cursor`] and surfaces
+//! [`SimError::Checkpoint`].
 
 use std::collections::HashSet;
+use std::sync::OnceLock;
 
 use rand::rngs::StdRng;
+use rand::SeedableRng;
 
-use paydemand_core::{PlatformState, TaskId, TaskSpec, UserId, UserProfile};
+use paydemand_core::{PlatformState, TaskId};
 use paydemand_faults::FaultInjector;
 use paydemand_geo::mobility::{MobilityState, RandomWaypoint};
-use paydemand_geo::{Point, Rect};
+use paydemand_geo::Point;
 use paydemand_obs::Recorder;
 
 use crate::engine::{build_mechanism, build_selector, EngineInstruments, PendingUpload};
-use crate::engine::{Engine, RoundRecord};
-use crate::frame::{fnv1a64, BufMut, Cursor, CursorError, Header, HeaderError};
+use crate::engine::{Engine, RoundRecord, UserRound};
+use crate::frame::{fnv1a64, fnv1a64_words, BufMut, Cursor, CursorError, Header, HeaderError};
 use crate::sensing::Estimate;
 use crate::{Scenario, SimError, UserMotion, Workload};
 
-const VERSION: u8 = 1;
+const VERSION: u8 = 2;
 const HEADER: Header = Header { magic: *b"PDCK", version: VERSION };
+const TRAILER_LEN: usize = 8;
 
 /// FNV-1a 64 over the scenario's `Debug` rendering: cheap, stable
 /// within a build, and sensitive to every scenario field including the
 /// fault plan.
 fn scenario_fingerprint(scenario: &Scenario) -> u64 {
     fnv1a64(format!("{scenario:?}").as_bytes())
+}
+
+/// Every field of `w`, each `f64` by its bits, as one word hash.
+pub(crate) fn workload_hash(w: &Workload) -> u64 {
+    let point = |p: Point| [p.x.to_bits(), p.y.to_bits()];
+    let area = point(w.area.min()).into_iter().chain(point(w.area.max()));
+    let tasks = w.tasks.iter().flat_map(|t| {
+        let [x, y] = point(t.location());
+        [x, y, u64::from(t.deadline()), u64::from(t.required())]
+    });
+    let users = w.users.iter().flat_map(|u| {
+        let [x, y] = point(u.location());
+        [x, y, u.time_budget().to_bits(), u.speed().to_bits(), u.cost_per_meter().to_bits()]
+    });
+    let values = w.qualities.iter().chain(&w.truths).map(|v| v.to_bits());
+    fnv1a64_words(area.chain(tasks).chain(users).chain(values))
+}
+
+/// The trailer over `body`: its little-endian words, the last one
+/// zero-padded.
+fn checksum(body: &[u8]) -> u64 {
+    let (words, tail) = body.as_chunks::<8>();
+    let mut last = [0u8; 8];
+    last[..tail.len()].copy_from_slice(tail);
+    let last = (!tail.is_empty()).then_some(u64::from_le_bytes(last));
+    fnv1a64_words(words.iter().map(|w| u64::from_le_bytes(*w)).chain(last))
 }
 
 impl From<CursorError> for SimError {
@@ -85,7 +129,8 @@ pub(crate) fn encode(engine: &Engine) -> Result<Vec<u8>, SimError> {
     let w = &engine.workload;
     let m = w.tasks.len();
     let n = w.users.len();
-    let mut buf = Vec::with_capacity(1024 + 128 * (m + n));
+    let per_user = if engine.wander.is_empty() { 16 } else { 41 };
+    let mut buf = Vec::with_capacity(1024 + per_user * n + (64 + 16 * engine.rounds.len()) * m);
 
     buf.put_slice(&HEADER.bytes());
     buf.put_u64_le(scenario_fingerprint(&engine.scenario));
@@ -94,38 +139,20 @@ pub(crate) fn encode(engine: &Engine) -> Result<Vec<u8>, SimError> {
     put_rng_state(&mut buf, engine.rng.to_state());
     put_rng_state(&mut buf, engine.travel_rng_state);
 
-    // Workload. Task and user ids are their indices by construction.
-    put_point(&mut buf, w.area.min());
-    put_point(&mut buf, w.area.max());
+    // The workload itself is drawn again at resume.
     buf.put_u32_le(m as u32);
-    for t in &w.tasks {
-        put_point(&mut buf, t.location());
-        buf.put_u32_le(t.deadline());
-        buf.put_u32_le(t.required());
-    }
     buf.put_u32_le(n as u32);
-    for u in &w.users {
-        put_point(&mut buf, u.location());
-        buf.put_f64_le(u.time_budget());
-        buf.put_f64_le(u.speed());
-        buf.put_f64_le(u.cost_per_meter());
-    }
-    for &q in &w.qualities {
-        buf.put_f64_le(q);
-    }
-    for &t in &w.truths {
-        buf.put_f64_le(t);
-    }
+    buf.put_u64_le(*engine.workload_hash.get_or_init(|| workload_hash(w)));
 
-    // The SoA store serialises exactly as the old `Vec<Point>` did —
-    // x,y little-endian pairs in index order — so PDCK v1 stays
-    // byte-identical across the layout change.
     for p in engine.locations.iter() {
         put_point(&mut buf, p);
     }
-    for set in &engine.contributed {
+    let contributors = engine.contributed.iter().enumerate().filter(|(_, set)| !set.is_empty());
+    buf.put_u32_le(contributors.clone().count() as u32);
+    for (user, set) in contributors {
         let mut ids: Vec<u32> = set.iter().map(|t| t.0 as u32).collect();
         ids.sort_unstable();
+        buf.put_u32_le(user as u32);
         buf.put_u32_le(ids.len() as u32);
         for id in ids {
             buf.put_u32_le(id);
@@ -176,14 +203,13 @@ pub(crate) fn encode(engine: &Engine) -> Result<Vec<u8>, SimError> {
         for &c in &rr.new_measurements {
             buf.put_u32_le(c);
         }
-        for &p in &rr.user_profits {
-            buf.put_f64_le(p);
-        }
-        for &s in &rr.user_selected {
-            buf.put_u32_le(s);
+        buf.put_u32_le(rr.users.len() as u32);
+        for u in &rr.users {
+            buf.put_u32_le(u.user);
+            buf.put_f64_le(u.profit);
+            buf.put_u32_le(u.selected);
         }
     }
-
     // Platform state.
     for &r in &state.received {
         buf.put_u32_le(r);
@@ -244,6 +270,8 @@ pub(crate) fn encode(engine: &Engine) -> Result<Vec<u8>, SimError> {
         buf.put_u32_le(up.due_round);
     }
 
+    let sum = checksum(&buf);
+    buf.put_u64_le(sum);
     Ok(buf)
 }
 
@@ -257,6 +285,16 @@ fn rng_state(r: &mut Cursor<'_>) -> Result<[u64; 4], CursorError> {
     Ok([r.u64()?, r.u64()?, r.u64()?, r.u64()?])
 }
 
+/// Reads a user id that must name one of `n` users and, within one
+/// sparse list, come after `prev`.
+fn next_user(r: &mut Cursor<'_>, prev: Option<u32>, n: usize) -> Result<u32, SimError> {
+    let user = r.u32()?;
+    if user as usize >= n || prev.is_some_and(|p| user <= p) {
+        return Err(SimError::checkpoint(format!("user {user} is unknown or out of order")));
+    }
+    Ok(user)
+}
+
 /// Rebuilds an engine from `bytes` under `scenario`; see
 /// [`Engine::resume`].
 pub(crate) fn resume(
@@ -265,7 +303,8 @@ pub(crate) fn resume(
     recorder: &Recorder,
 ) -> Result<Engine, SimError> {
     scenario.validate()?;
-    let mut r = Cursor::new(bytes);
+    let (body, trailer) = bytes.split_at(bytes.len().saturating_sub(TRAILER_LEN));
+    let mut r = Cursor::new(body);
 
     HEADER.check(&mut r).map_err(|e| match e {
         HeaderError::Truncated(e) => e.into(),
@@ -274,6 +313,10 @@ pub(crate) fn resume(
             SimError::checkpoint(format!("unsupported checkpoint version {v} (expected {VERSION})"))
         }
     })?;
+    // The header left a body, so the trailer is whole.
+    if Cursor::new(trailer).u64()? != checksum(body) {
+        return Err(SimError::checkpoint("checksum mismatch: the checkpoint is damaged"));
+    }
     let fingerprint = r.u64()?;
     if fingerprint != scenario_fingerprint(scenario) {
         return Err(SimError::checkpoint(
@@ -286,56 +329,46 @@ pub(crate) fn resume(
     let main_rng_state = rng_state(&mut r)?;
     let travel_rng_state = rng_state(&mut r)?;
 
-    // Workload.
-    let area_min = point(&mut r)?;
-    let area_max = point(&mut r)?;
-    let area = Rect::new(area_min, area_max)
-        .map_err(|e| SimError::checkpoint(format!("bad area: {e}")))?;
+    // Workload: drawn again from the scenario seed, as `Engine::new`
+    // drew it, and checked against the checkpointed engine's.
     let m = r.u32()? as usize;
-    let mut tasks = Vec::new();
-    for i in 0..m {
-        let location = point(&mut r)?;
-        let deadline = r.u32()?;
-        let required = r.u32()?;
-        tasks.push(
-            TaskSpec::new(TaskId(i), location, deadline, required)
-                .map_err(|e| SimError::checkpoint(format!("bad task {i}: {e}")))?,
-        );
-    }
     let n = r.u32()? as usize;
-    let mut users = Vec::new();
-    for i in 0..n {
-        let location = point(&mut r)?;
-        let time_budget = r.f64()?;
-        let speed = r.f64()?;
-        let cost_per_meter = r.f64()?;
-        users.push(
-            UserProfile::new(UserId(i), location, time_budget, speed, cost_per_meter)
-                .map_err(|e| SimError::checkpoint(format!("bad user {i}: {e}")))?,
-        );
+    let stored_hash = r.u64()?;
+    let mut rng = StdRng::seed_from_u64(scenario.seed);
+    let workload = Workload::generate(scenario, &mut rng)?;
+    if (workload.tasks.len(), workload.users.len()) != (m, n) {
+        return Err(SimError::checkpoint(format!(
+            "checkpoint has {m} tasks and {n} users; the scenario draws {} and {}",
+            workload.tasks.len(),
+            workload.users.len()
+        )));
     }
-    let mut qualities = Vec::new();
-    for _ in 0..n {
-        qualities.push(r.f64()?);
+    if rng.to_state() != travel_rng_state {
+        return Err(SimError::checkpoint(
+            "the scenario's workload draw does not end on the checkpointed RNG state",
+        ));
     }
-    let mut truths = Vec::new();
-    for _ in 0..m {
-        truths.push(r.f64()?);
+    let hash = workload_hash(&workload);
+    if hash != stored_hash {
+        return Err(SimError::checkpoint(
+            "workload does not match the checkpointed run (workload hash mismatch)",
+        ));
     }
-    let workload = Workload { area, tasks, users, qualities, truths };
 
     let mut locations = paydemand_geo::PositionStore::default();
     for _ in 0..n {
         locations.push(point(&mut r)?);
     }
-    let mut contributed: Vec<HashSet<TaskId>> = Vec::new();
-    for _ in 0..n {
+    let mut contributed: Vec<HashSet<TaskId>> = vec![HashSet::new(); n];
+    let mut prev = None;
+    for _ in 0..r.u32()? {
+        let user = next_user(&mut r, prev, n)?;
+        prev = Some(user);
         let k = r.u32()? as usize;
-        let mut set = HashSet::new();
+        let set = &mut contributed[user as usize];
         for _ in 0..k {
             set.insert(TaskId(r.u32()? as usize));
         }
-        contributed.push(set);
     }
     let mut quality_received = Vec::new();
     for _ in 0..m {
@@ -385,15 +418,16 @@ pub(crate) fn resume(
         for _ in 0..m {
             new_measurements.push(r.u32()?);
         }
-        let mut user_profits = Vec::new();
-        for _ in 0..n {
-            user_profits.push(r.f64()?);
+        let mut users = Vec::new();
+        let mut prev = None;
+        for _ in 0..r.u32()? {
+            let user = next_user(&mut r, prev, n)?;
+            prev = Some(user);
+            let profit = r.f64()?;
+            let selected = r.u32()?;
+            users.push(UserRound { user, profit, selected });
         }
-        let mut user_selected = Vec::new();
-        for _ in 0..n {
-            user_selected.push(r.u32()?);
-        }
-        rounds.push(RoundRecord { round, rewards, new_measurements, user_profits, user_selected });
+        rounds.push(RoundRecord { round, rewards, new_measurements, users });
     }
 
     // Platform state.
@@ -519,6 +553,7 @@ pub(crate) fn resume(
     Ok(Engine {
         scenario: scenario.clone(),
         workload,
+        workload_hash: OnceLock::from(hash),
         rng: StdRng::from_state(main_rng_state),
         travel_rng_state,
         travel,
@@ -619,7 +654,128 @@ mod tests {
         let mut bytes = engine.checkpoint().unwrap();
         bytes.push(0);
         let err = Engine::resume(&s, &bytes, &Recorder::disabled()).unwrap_err();
-        assert!(err.to_string().contains("trailing"), "{err}");
+        assert!(err.to_string().contains("checksum"), "{err}");
+    }
+
+    #[test]
+    fn a_workload_the_scenario_does_not_draw_is_refused() {
+        // `with_workload` engines checkpoint like any other, but resume
+        // draws the workload from the scenario seed and finds another.
+        let s = scenario();
+        let recorder = Recorder::disabled();
+        let resume_error = |workload: Workload, rng: StdRng| {
+            let engine = Engine::with_workload(&s, workload, rng, &recorder).unwrap();
+            let bytes = engine.checkpoint().unwrap();
+            match Engine::resume(&s, &bytes, &recorder) {
+                Err(SimError::Checkpoint { message }) => message,
+                other => panic!("resumed a foreign workload: {other:?}"),
+            }
+        };
+        let mut rng = StdRng::seed_from_u64(s.seed);
+        let mut edited = Workload::generate(&s, &mut rng).unwrap();
+        edited.qualities[3] = 0.5;
+        assert!(resume_error(edited, rng).contains("workload hash"));
+        let mut other_seed = StdRng::seed_from_u64(s.seed + 1);
+        let other = Workload::generate(&s, &mut other_seed).unwrap();
+        assert!(resume_error(other, other_seed).contains("RNG state"));
+    }
+
+    #[test]
+    fn resume_keeps_the_workload_and_its_hash() {
+        let s = faulted();
+        let recorder = Recorder::disabled();
+        let mut engine = Engine::new(&s, &recorder).unwrap();
+        engine.step_round().unwrap();
+        let bytes = engine.checkpoint().unwrap();
+        let resumed = Engine::resume(&s, &bytes, &recorder).unwrap();
+        assert_eq!(resumed.workload, engine.workload);
+        assert_eq!(resumed.workload_hash.get(), engine.workload_hash.get());
+        assert_eq!(resumed.workload_hash.get(), Some(&workload_hash(&engine.workload)));
+    }
+
+    /// `bytes` with its body changed by `edit` and signed again, as a
+    /// file written by another build would be.
+    fn resigned(mut bytes: Vec<u8>, edit: impl FnOnce(&mut [u8])) -> Vec<u8> {
+        bytes.truncate(bytes.len() - TRAILER_LEN);
+        edit(&mut bytes);
+        let sum = checksum(&bytes);
+        bytes.put_u64_le(sum);
+        bytes
+    }
+
+    /// Offset of the `contributed` section of an `n`-user checkpoint:
+    /// after the header, fingerprint, round, done flag, both RNGs, m, n,
+    /// the workload hash and the locations.
+    fn contributed_at(n: usize) -> usize {
+        5 + 8 + 4 + 1 + 2 * 32 + 4 + 4 + 8 + 16 * n
+    }
+
+    fn refusal(s: &Scenario, bytes: &[u8]) -> String {
+        match Engine::resume(s, bytes, &Recorder::disabled()) {
+            Err(SimError::Checkpoint { message }) => message,
+            other => panic!("resumed or failed otherwise: {:?}", other.map(|_| ())),
+        }
+    }
+
+    #[test]
+    fn signed_round_entries_with_unknown_or_out_of_order_users_are_refused() {
+        let s = scenario();
+        let mut engine = Engine::new(&s, &Recorder::disabled()).unwrap();
+        engine.step_round().unwrap();
+        let n = engine.workload.users.len() as u32;
+        let entry = |user| UserRound { user, profit: 1.0, selected: 1 };
+        for users in [vec![entry(3), entry(1)], vec![entry(2), entry(2)], vec![entry(n)]] {
+            engine.rounds[0].users = users;
+            let bytes = engine.checkpoint().unwrap();
+            assert!(refusal(&s, &bytes).contains("unknown or out of order"));
+        }
+    }
+
+    #[test]
+    fn signed_contributions_with_unknown_or_out_of_order_users_are_refused() {
+        let s = scenario();
+        let mut engine = Engine::new(&s, &Recorder::disabled()).unwrap();
+        engine.contributed[1].insert(TaskId(0));
+        engine.contributed[2].insert(TaskId(1));
+        let bytes = engine.checkpoint().unwrap();
+        assert!(Engine::resume(&s, &bytes, &Recorder::disabled()).is_ok());
+        let n = engine.workload.users.len();
+        let at = contributed_at(n);
+        let words: Vec<u32> = bytes[at..at + 28]
+            .chunks(4)
+            .map(|w| u32::from_le_bytes(w.try_into().unwrap()))
+            .collect();
+        // count | user 1 | k | task 0 | user 2 | k | task 1
+        assert_eq!(words, [2, 1, 1, 0, 2, 1, 1]);
+        for second in [0, 1, n as u32] {
+            let damaged = resigned(bytes.clone(), |body| {
+                body[at + 16..at + 20].copy_from_slice(&second.to_le_bytes());
+            });
+            assert!(refusal(&s, &damaged).contains("unknown or out of order"), "user {second}");
+        }
+    }
+
+    #[test]
+    fn a_signed_wander_speed_that_cannot_be_walked_is_refused() {
+        let mut s = scenario();
+        s.user_motion = UserMotion::Wander { seconds: 60.0 };
+        let engine = Engine::new(&s, &Recorder::disabled()).unwrap();
+        let (m, n) = (engine.workload.tasks.len(), engine.workload.users.len());
+        let bytes = engine.checkpoint().unwrap();
+        // After an empty `contributed` list, `quality_received` and the
+        // estimates: the wander flag, then the first user's speed.
+        let at = contributed_at(n) + 4 + 28 * m;
+        let MobilityState::RandomWaypoint(first) = &engine.wander[0] else {
+            panic!("wander state is a random waypoint");
+        };
+        assert_eq!(bytes[at], 1);
+        assert_eq!(bytes[at + 1..at + 9], first.speed().to_le_bytes());
+        for speed in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let damaged = resigned(bytes.clone(), |body| {
+                body[at + 1..at + 9].copy_from_slice(&speed.to_le_bytes());
+            });
+            assert!(refusal(&s, &damaged).contains("bad wander speed"), "speed {speed}");
+        }
     }
 
     #[test]

@@ -45,6 +45,7 @@
 
 use std::collections::HashSet;
 use std::fmt;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
@@ -286,12 +287,48 @@ pub struct RoundRecord {
     /// New measurements received per task id during this round
     /// (including retried uploads finally delivered this round).
     pub new_measurements: Vec<u32>,
-    /// Profit earned by each user id this round. Under upload faults a
-    /// user's round profit can be negative: they paid to travel but the
-    /// upload never arrived (or arrives, and is paid, in a later round).
-    pub user_profits: Vec<f64>,
-    /// Number of tasks each user selected this round.
-    pub user_selected: Vec<u32>,
+    /// What users earned and selected this round: one entry per user
+    /// whose profit bits or selected count is nonzero, in user order.
+    /// Every other user earned `+0.0` and selected nothing.
+    pub users: Vec<UserRound>,
+}
+
+/// One user's entry in a [`RoundRecord`].
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct UserRound {
+    /// The user id.
+    pub user: u32,
+    /// Profit earned this round. Under upload faults it can be
+    /// negative: the user paid to travel but the upload never arrived
+    /// (or arrives, and is paid, in a later round, which then shows a
+    /// profit with nothing selected).
+    pub profit: f64,
+    /// Number of tasks the user selected this round.
+    pub selected: u32,
+}
+
+impl UserRound {
+    /// Folds a round's per-user contributions, given in the order they
+    /// were made, into its [`RoundRecord::users`]: each user's profits
+    /// are summed from `+0.0` in that order, exactly as a per-user
+    /// accumulator would, and all-zero entries are dropped.
+    pub(crate) fn fold(mut parts: Vec<UserRound>) -> Vec<UserRound> {
+        // Stable: each user's contributions keep their order.
+        parts.sort_by_key(|p| p.user);
+        let mut users: Vec<UserRound> = Vec::with_capacity(parts.len());
+        for p in parts {
+            match users.last_mut() {
+                Some(u) if u.user == p.user => {
+                    u.profit += p.profit;
+                    u.selected += p.selected;
+                }
+                // The accumulator's first step: `0.0 + -0.0` is `+0.0`.
+                _ => users.push(UserRound { profit: 0.0 + p.profit, ..p }),
+            }
+        }
+        users.retain(|u| u.profit.to_bits() != 0 || u.selected != 0);
+        users
+    }
 }
 
 /// The complete outcome of one simulation repetition.
@@ -558,6 +595,10 @@ pub(crate) struct PendingUpload {
 pub struct Engine {
     pub(crate) scenario: Scenario,
     pub(crate) workload: Workload,
+    /// The checkpoint's hash of `workload`, taken at the first
+    /// checkpoint (or verified at resume) and kept: the workload never
+    /// changes.
+    pub(crate) workload_hash: OnceLock<u64>,
     /// The main RNG stream (workload tail + round loop draws).
     pub(crate) rng: StdRng,
     /// Main-stream state captured *before* the travel context consumed
@@ -674,6 +715,7 @@ impl Engine {
         Ok(Engine {
             scenario: scenario.clone(),
             workload,
+            workload_hash: OnceLock::new(),
             rng,
             travel_rng_state,
             travel,
@@ -1036,20 +1078,21 @@ impl Engine {
         }
 
         let mut new_measurements = vec![0u32; m];
-        let mut user_profits = vec![0.0; n];
-        let mut user_selected = vec![0u32; n];
+        // Every profit and selection of the round, as it happens; folded
+        // into the record's sparse per-user entries at the end.
+        let mut user_parts: Vec<UserRound> = Vec::new();
 
         self.apply_external_uploads(
             external_uploads,
             &mut outcomes,
             &mut new_measurements,
-            &mut user_profits,
+            &mut user_parts,
         )?;
         self.last_outcomes = outcomes
             .into_iter()
             .map(|o| o.ok_or_else(|| SimError::invariant("inbox event resolved no outcome")))
             .collect::<Result<_, _>>()?;
-        self.process_retries(round, &mut new_measurements, &mut user_profits)?;
+        self.process_retries(round, &mut new_measurements, &mut user_parts)?;
 
         // The selection phase spans who takes part and in which order
         // (the shuffle and dropout draws are O(n) per round), each
@@ -1225,9 +1268,9 @@ impl Engine {
                     }
                 }
             }
-            if performed == outcome.tasks().len() && !faulted {
-                user_profits[ui] += outcome.profit();
+            let profit = if performed == outcome.tasks().len() && !faulted {
                 self.locations.set(ui, outcome.end_location());
+                outcome.profit()
             } else {
                 // Recompute the visited prefix's economics: travelled
                 // cost against whatever was actually paid.
@@ -1246,10 +1289,10 @@ impl Engine {
                     distance += self.travel.distance(here, next)?;
                     here = next;
                 }
-                user_profits[ui] += payments - self.scenario.cost_per_meter * distance;
                 self.locations.set(ui, here);
-            }
-            user_selected[ui] = performed as u32;
+                payments - self.scenario.cost_per_meter * distance
+            };
+            user_parts.push(UserRound { user: ui as u32, profit, selected: performed as u32 });
             drop(settlement_tag);
             if let Some(start) = settle_start {
                 let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -1282,8 +1325,7 @@ impl Engine {
             round,
             rewards,
             new_measurements,
-            user_profits,
-            user_selected,
+            users: UserRound::fold(user_parts),
         });
 
         self.instruments.phase_selection.record(selection_ns);
@@ -1372,7 +1414,7 @@ impl Engine {
         uploads: Vec<(usize, usize, TaskId, f64)>,
         outcomes: &mut [Option<EventOutcome>],
         new_measurements: &mut [u32],
-        user_profits: &mut [f64],
+        user_parts: &mut Vec<UserRound>,
     ) -> Result<(), SimError> {
         for (idx, user, task, value) in uploads {
             outcomes[idx] = Some(match self.platform.submit(UserId(user), task) {
@@ -1386,7 +1428,7 @@ impl Engine {
                     }
                     self.contributed[user].insert(task);
                     new_measurements[task.0] += 1;
-                    user_profits[user] += pay;
+                    user_parts.push(UserRound { user: user as u32, profit: pay, selected: 0 });
                     self.quality_received[task.0] += self.workload.qualities[user];
                     self.estimates[task.0].add(value);
                     self.recorder.counter("external_uploads_total").inc();
@@ -1422,7 +1464,7 @@ impl Engine {
         &mut self,
         round: u32,
         new_measurements: &mut [u32],
-        user_profits: &mut [f64],
+        user_parts: &mut Vec<UserRound>,
     ) -> Result<(), SimError> {
         if self.pending.is_empty() {
             return Ok(());
@@ -1447,7 +1489,7 @@ impl Engine {
                         });
                     }
                     new_measurements[up.task.0] += 1;
-                    user_profits[up.user] += pay;
+                    user_parts.push(UserRound { user: up.user as u32, profit: pay, selected: 0 });
                     self.quality_received[up.task.0] += self.workload.qualities[up.user];
                     self.estimates[up.task.0].add(up.value);
                     if let Some(inj) = self.injector.as_mut() {
@@ -1482,9 +1524,11 @@ impl Engine {
         Ok(())
     }
 
-    /// Serialises the engine's complete state at the current round
-    /// boundary. The bytes round-trip through [`Engine::resume`] into an
-    /// engine whose remaining rounds are byte-identical to this one's.
+    /// Serialises the engine's state at the current round boundary:
+    /// everything that changes, and a hash of the workload, which
+    /// [`Engine::resume`] draws again from the scenario seed. The bytes
+    /// round-trip into an engine whose remaining rounds are
+    /// byte-identical to this one's.
     ///
     /// # Errors
     ///
@@ -1513,9 +1557,10 @@ impl Engine {
     /// # Errors
     ///
     /// [`SimError::Checkpoint`] for corrupt or truncated bytes, a
-    /// version mismatch, or a scenario that does not match the one
-    /// checkpointed; [`SimError::InvalidScenario`] if `scenario` itself
-    /// is invalid.
+    /// version mismatch, a scenario that does not match the one
+    /// checkpointed, or a checkpointed workload that the scenario's
+    /// seed does not draw; [`SimError::InvalidScenario`] if `scenario`
+    /// itself is invalid.
     pub fn resume(
         scenario: &Scenario,
         bytes: &[u8],
@@ -1769,6 +1814,18 @@ mod tests {
         }
     }
 
+    /// A round's user entries are in strictly increasing user order,
+    /// name workload users, and none is all-zero.
+    fn check_user_entries(rr: &RoundRecord, n: usize) {
+        for pair in rr.users.windows(2) {
+            assert!(pair[0].user < pair[1].user, "entries out of user order: {pair:?}");
+        }
+        for u in &rr.users {
+            assert!((u.user as usize) < n, "entry for unknown user {}", u.user);
+            assert!(u.profit.to_bits() != 0 || u.selected != 0, "all-zero entry {u:?}");
+        }
+    }
+
     fn check_invariants(r: &SimulationResult) {
         let m = r.workload.tasks.len();
         let n = r.workload.users.len();
@@ -1785,9 +1842,9 @@ mod tests {
         }
         // Profits are never negative (rational users).
         for rr in &r.rounds {
-            assert_eq!(rr.user_profits.len(), n);
-            for &p in &rr.user_profits {
-                assert!(p >= 0.0, "negative profit {p}");
+            check_user_entries(rr, n);
+            for u in &rr.users {
+                assert!(u.profit >= 0.0, "negative profit {}", u.profit);
             }
             // Published rewards only for incomplete tasks, and positive.
             for reward in rr.rewards.iter().flatten() {
@@ -1858,7 +1915,7 @@ mod tests {
         // The first upload lands (task 0 is incomplete in round 1); the
         // duplicate is dropped silently, mirroring the retry queue.
         assert!(e.rounds[0].new_measurements[0] >= 1);
-        assert!(e.rounds[0].user_profits[0] > 0.0);
+        assert!(e.rounds[0].users.first().is_some_and(|u| u.user == 0 && u.profit > 0.0));
     }
 
     #[test]
@@ -1924,7 +1981,8 @@ mod tests {
         // Per user, count task selections across rounds; since each
         // contribution is a distinct (user, task) pair, the total
         // measurements equal the number of distinct pairs.
-        let total_selected: u32 = r.rounds.iter().flat_map(|rr| rr.user_selected.iter()).sum();
+        let total_selected: u32 =
+            r.rounds.iter().flat_map(|rr| &rr.users).map(|u| u.selected).sum();
         assert_eq!(u64::from(total_selected), r.total_measurements());
     }
 
@@ -1947,7 +2005,7 @@ mod tests {
         // Profits remain rational under every travel model.
         for r in [&euclid, &manhattan, &streets] {
             for rr in &r.rounds {
-                assert!(rr.user_profits.iter().all(|&p| p >= -1e-9));
+                assert!(rr.users.iter().all(|u| u.profit >= -1e-9));
             }
         }
     }
@@ -1966,9 +2024,10 @@ mod tests {
         assert!(slow.total_measurements() > 0);
         // Per-round, a user can at most fit budget/(sensing time) tasks.
         for rr in &slow.rounds {
-            for (&sel, profile) in rr.user_selected.iter().zip(&slow.workload.users) {
-                let cap = (profile.time_budget() / 300.0).floor() as u32;
-                assert!(sel <= cap, "user fit {sel} tasks over cap {cap}");
+            for u in &rr.users {
+                let cap =
+                    (slow.workload.users[u.user as usize].time_budget() / 300.0).floor() as u32;
+                assert!(u.selected <= cap, "user fit {} tasks over cap {cap}", u.selected);
             }
         }
         // Validation rejects nonsense.
@@ -2093,7 +2152,7 @@ mod tests {
         assert!(uncapped.total_paid > uncapped.scenario.reward_budget);
         // Truncated users still never lose money.
         for rr in &r.rounds {
-            assert!(rr.user_profits.iter().all(|&p| p >= -1e-9));
+            assert!(rr.users.iter().all(|u| u.profit >= -1e-9));
         }
     }
 
@@ -2344,7 +2403,8 @@ mod tests {
             .rounds
             .iter()
             .filter(|rr| rr.round < 3)
-            .flat_map(|rr| rr.user_profits.iter())
+            .flat_map(|rr| &rr.users)
+            .map(|u| u.profit)
             .sum::<f64>();
         // Settled payments stand (profits net out travel, so just check
         // the platform total is what rounds 1-2 produced and positive).

@@ -5,7 +5,8 @@
 //! ([`crate::Engine::checkpoint`]), the PDTJ decision journal
 //! ([`crate::trace`]), and, in `paydemand-serve`, the event WAL and the
 //! PDLI lineage index. Each owns only its payload layout and shares
-//! one of each piece here: the [`fnv1a64`] checksum, the bounds-checked
+//! one of each piece here: the [`fnv1a64`] checksum (and its word-wise
+//! [`fnv1a64_words`] for whole-file hashes), the bounds-checked
 //! [`Cursor`], the magic+version [`Header`], the [`RecordLog`] of
 //! `[tag u8][len u32 LE][payload][fnv1a-64-lo u32 LE]` records (the
 //! checksum covers the payload only, not the tag or the length) and
@@ -20,16 +21,24 @@ use std::path::{Path, PathBuf};
 /// The little-endian writers every format encodes with.
 pub use bytes::BufMut;
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
 /// FNV-1a, 64-bit. Record checksums keep its low 32 bits; the PDCK
 /// scenario fingerprint is the full hash.
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    fnv1a64_words(bytes.iter().map(|&b| u64::from(b)))
+}
+
+/// FNV-1a's xor-multiply step applied to 64-bit words instead of bytes:
+/// one multiply per eight bytes, for hashes over megabytes (the PDCK
+/// trailer and workload hash). Bytes travel as little-endian words.
+/// The prime is odd, so each step is a bijection of the running hash:
+/// changing any one word, hence any one byte, changes the result.
+#[must_use]
+pub fn fnv1a64_words(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(FNV_OFFSET, |hash, word| (hash ^ word).wrapping_mul(FNV_PRIME))
 }
 
 /// Why a [`Cursor`] read failed.
@@ -394,6 +403,22 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    #[test]
+    fn word_hash_is_fnv1a_over_words_and_sees_every_byte() {
+        // A word below 256 is one FNV-1a byte step.
+        assert_eq!(fnv1a64_words([]), fnv1a64(b""));
+        assert_eq!(fnv1a64_words([u64::from(b'a')]), fnv1a64(b"a"));
+        let words = [0x0123_4567_89ab_cdefu64, 0, u64::MAX];
+        let hash = fnv1a64_words(words);
+        for i in 0..words.len() {
+            for bit in [0, 7, 8, 63] {
+                let mut damaged = words;
+                damaged[i] ^= 1 << bit;
+                assert_ne!(fnv1a64_words(damaged), hash, "word {i} bit {bit}");
+            }
+        }
     }
 
     #[test]

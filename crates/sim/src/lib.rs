@@ -62,7 +62,9 @@ pub mod sweep;
 pub mod trace;
 mod workload;
 
-pub use engine::{Engine, EventOutcome, ExternalEvent, RoundRecord, SimulationResult, TaskStatus};
+pub use engine::{
+    Engine, EventOutcome, ExternalEvent, RoundRecord, SimulationResult, TaskStatus, UserRound,
+};
 pub use error::SimError;
 pub use paydemand_core::incentive::PricingCacheMode;
 pub use paydemand_core::IndexingMode;

@@ -147,10 +147,14 @@ pub fn average_profit_at_round(result: &SimulationResult, k: u32) -> f64 {
     let Some(rr) = result.rounds.get(k as usize - 1) else {
         return 0.0;
     };
-    if rr.user_profits.is_empty() {
+    let n = result.workload.users.len();
+    if n == 0 {
         return 0.0;
     }
-    rr.user_profits.iter().sum::<f64>() / rr.user_profits.len() as f64
+    // Starts at +0.0, as a dense sum does after its first +0.0 term, so
+    // a round with no entries averages +0.0.
+    let sum = rr.users.iter().fold(0.0, |sum, u| sum + u.profit);
+    sum / n as f64
 }
 
 /// Total profit each user earned across all rounds, by user id.
@@ -159,8 +163,8 @@ pub fn user_total_profits(result: &SimulationResult) -> Vec<f64> {
     let n = result.workload.users.len();
     let mut totals = vec![0.0; n];
     for rr in &result.rounds {
-        for (t, &p) in totals.iter_mut().zip(&rr.user_profits) {
-            *t += p;
+        for u in &rr.users {
+            totals[u.user as usize] += u.profit;
         }
     }
     totals
@@ -406,7 +410,8 @@ mod tests {
         let r = result();
         let totals = user_total_profits(&r);
         assert_eq!(totals.len(), r.workload.users.len());
-        let total_from_rounds: f64 = r.rounds.iter().flat_map(|rr| rr.user_profits.iter()).sum();
+        let total_from_rounds: f64 =
+            r.rounds.iter().flat_map(|rr| &rr.users).map(|u| u.profit).sum();
         let total: f64 = totals.iter().sum();
         assert!((total - total_from_rounds).abs() < 1e-9);
         assert!(totals.iter().all(|&p| p >= 0.0));

@@ -33,7 +33,7 @@ use serde::{Deserialize, Serialize};
 use paydemand_core::TaskId;
 use paydemand_geo::Point;
 
-use crate::engine::{RoundRecord, SimulationResult};
+use crate::engine::{RoundRecord, SimulationResult, UserRound};
 use crate::{Scenario, SimError, Workload};
 
 /// How auction winners are paid.
@@ -172,8 +172,7 @@ pub fn run_sat(scenario: &Scenario, config: &SatConfig) -> Result<SimulationResu
         bids.sort_by(|a, b| a.ask.partial_cmp(&b.ask).expect("finite asks"));
         let mut assigned_count = vec![0u32; n];
         let mut round_new = vec![0u32; m];
-        let mut user_profits = vec![0.0f64; n];
-        let mut user_selected = vec![0u32; n];
+        let mut user_parts: Vec<UserRound> = Vec::new();
         let remaining_budget = |paid: f64| {
             if scenario.enforce_budget {
                 (scenario.reward_budget - paid).max(0.0)
@@ -218,16 +217,18 @@ pub fn run_sat(scenario: &Scenario, config: &SatConfig) -> Result<SimulationResu
                 completed_round[bid.task] = Some(round);
             }
             total_paid += payment;
-            user_profits[bid.user] += payment - bid.cost;
-            user_selected[bid.user] += 1;
+            user_parts.push(UserRound {
+                user: bid.user as u32,
+                profit: payment - bid.cost,
+                selected: 1,
+            });
             locations[bid.user] = spec.location();
         }
         rounds.push(RoundRecord {
             round,
             rewards: vec![None; m],
             new_measurements: round_new,
-            user_profits,
-            user_selected,
+            users: UserRound::fold(user_parts),
         });
         if scenario.stop_when_complete
             && received.iter().zip(&workload.tasks).all(|(&r, s)| r >= s.required())
@@ -276,11 +277,11 @@ mod tests {
         assert_eq!(u64::from(total), r.total_measurements());
         // Winners never lose money (ask ≥ cost by construction).
         for rr in &r.rounds {
-            assert!(rr.user_profits.iter().all(|&p| p >= -1e-9));
+            assert!(rr.users.iter().all(|u| u.profit >= -1e-9));
             // SAT posts no prices.
             assert!(rr.rewards.iter().all(Option::is_none));
             // At most one assignment per user per round (default config).
-            assert!(rr.user_selected.iter().all(|&s| s <= 1));
+            assert!(rr.users.iter().all(|u| u.selected <= 1));
         }
     }
 
@@ -330,7 +331,7 @@ mod tests {
         // Total measurements equal distinct (user, task) pairs: since
         // each user acts once per round and never re-bids a done task,
         // sum of per-round selections equals total measurements.
-        let selected: u32 = r.rounds.iter().flat_map(|rr| rr.user_selected.iter()).sum();
+        let selected: u32 = r.rounds.iter().flat_map(|rr| &rr.users).map(|u| u.selected).sum();
         assert_eq!(u64::from(selected), r.total_measurements());
     }
 

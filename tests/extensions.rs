@@ -111,7 +111,7 @@ fn street_travel_runs_through_public_api() {
     assert!(streets.total_measurements() > 0);
     // Streets never make sensing cheaper for the users.
     let profit = |r: &paydemand::sim::SimulationResult| {
-        r.rounds.iter().flat_map(|rr| rr.user_profits.iter()).sum::<f64>()
+        r.rounds.iter().flat_map(|rr| &rr.users).map(|u| u.profit).sum::<f64>()
     };
     assert!(profit(&streets) <= profit(&euclid) + 1e-6);
 }

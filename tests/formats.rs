@@ -16,8 +16,15 @@
 //!   b^0x80), `open` keeps exactly the records before the one holding
 //!   that byte, and refuses a damaged PDLI header.
 //! * PDCK checkpoints of a plain, a faulted and a wandering engine,
-//!   after 0, 1 and 2 rounds, cut and damaged the same way, resume or
-//!   fail with `SimError::Checkpoint`, and never panic.
+//!   after 0, 1 and 2 rounds, cut and damaged the same way, are all
+//!   refused with `SimError::Checkpoint`: the checksum trailer covers
+//!   every byte. Each cut or damaged body is also signed again with a
+//!   valid trailer, as a file from another build would be, to reach
+//!   the decoder's own checks: a re-signed cut is still refused, and a
+//!   re-signed replacement resumes or is refused, never panics. A PDCK
+//!   v1 file (`tests/fixtures/pdck-v1.ck`) is refused with its version
+//!   named, by `Engine::resume` and by a daemon resuming a state
+//!   directory that holds it.
 //!
 //! A debug build runs a reduced set; `cargo test --release --test
 //! formats` runs all of it.
@@ -25,6 +32,7 @@
 use std::path::{Path, PathBuf};
 
 use paydemand::obs::Recorder;
+use paydemand::sim::frame::fnv1a64_words;
 use paydemand::sim::{
     Engine, ExternalEvent, FaultKind, FaultPlan, Scenario, SelectorKind, SimError, UserMotion,
 };
@@ -32,6 +40,7 @@ use paydemand_serve::lineage::{
     AppliedFrame, Disposition, LineageFrame, LineageIndex, RoundFrame, TaskPrice,
 };
 use paydemand_serve::wal::{SequencedEvent, Wal, WalRecord};
+use paydemand_serve::{Daemon, DaemonConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -424,14 +433,37 @@ fn lineage_keeps_exactly_the_frames_before_a_cut_or_a_damaged_byte() {
     cuts_and_damage::<LineageFormat>(0xF0_3D4, 4..12);
 }
 
-#[test]
-fn checkpoints_resume_or_refuse_under_every_cut_and_byte_replacement() {
-    let plain = Scenario::paper_default()
+/// The 15-user scenario behind every checkpoint here, and behind
+/// `tests/fixtures/pdck-v1.ck` (written after one round by the last
+/// build that wrote PDCK v1).
+fn plain_scenario() -> Scenario {
+    Scenario::paper_default()
         .with_users(15)
         .with_tasks(6)
         .with_max_rounds(5)
         .with_selector(SelectorKind::Greedy)
-        .with_seed(21);
+        .with_seed(21)
+}
+
+const V1_FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/pdck-v1.ck");
+const V1_REFUSAL: &str = "unsupported checkpoint version 1 (expected 2)";
+
+/// `body` followed by a valid PDCK trailer: the word hash of its
+/// little-endian 8-byte words, the last one zero-padded.
+fn signed(body: &[u8]) -> Vec<u8> {
+    let words = body.chunks(8).map(|chunk| {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        u64::from_le_bytes(word)
+    });
+    let mut bytes = body.to_vec();
+    bytes.extend_from_slice(&fnv1a64_words(words).to_le_bytes());
+    bytes
+}
+
+#[test]
+fn checkpoints_refuse_every_cut_and_byte_replacement() {
+    let plain = plain_scenario();
     let faulted = plain.clone().with_faults(
         FaultPlan::new(4)
             .with(FaultKind::DroppedUploads { rate: 0.2 })
@@ -451,6 +483,8 @@ fn checkpoints_resume_or_refuse_under_every_cut_and_byte_replacement() {
                 engine.step_round().unwrap();
             }
             let bytes = engine.checkpoint().unwrap();
+            let body = &bytes[..bytes.len() - 8];
+            assert_eq!(signed(body), bytes, "{name} after {rounds}: trailer");
             assert!(Engine::resume(&scenario, &bytes, &recorder).is_ok(), "{name} after {rounds}");
             let sampled = |at: &usize| at % stride == rounds % stride;
             for cut in (0..bytes.len()).filter(sampled) {
@@ -460,19 +494,62 @@ fn checkpoints_resume_or_refuse_under_every_cut_and_byte_replacement() {
                     "{name} after {rounds} rounds, cut at {cut}: {:?}",
                     result.err()
                 );
+                if cut < body.len() {
+                    let result = Engine::resume(&scenario, &signed(&body[..cut]), &recorder);
+                    assert!(
+                        matches!(result, Err(SimError::Checkpoint { .. })),
+                        "{name} after {rounds} rounds, re-signed cut at {cut}: {:?}",
+                        result.err()
+                    );
+                }
             }
             for at in (0..bytes.len()).filter(sampled) {
                 for value in replacements(bytes[at]) {
                     let mut damaged = bytes.clone();
                     damaged[at] = value;
-                    match Engine::resume(&scenario, &damaged, &recorder) {
-                        Ok(_) | Err(SimError::Checkpoint { .. }) => {}
-                        Err(other) => panic!(
-                            "{name} after {rounds} rounds, byte {at} = {value:#04x}: {other}"
-                        ),
+                    let result = Engine::resume(&scenario, &damaged, &recorder);
+                    assert!(
+                        matches!(result, Err(SimError::Checkpoint { .. })),
+                        "{name} after {rounds} rounds, byte {at} = {value:#04x}: {:?}",
+                        result.map(|_| "resumed")
+                    );
+                    if at < body.len() {
+                        let resigned = signed(&damaged[..body.len()]);
+                        match Engine::resume(&scenario, &resigned, &recorder) {
+                            Ok(_) | Err(SimError::Checkpoint { .. }) => {}
+                            Err(other) => panic!(
+                                "{name} after {rounds} rounds, re-signed byte {at} = \
+                                 {value:#04x}: {other}"
+                            ),
+                        }
                     }
                 }
             }
         }
     }
+}
+
+#[test]
+fn a_v1_checkpoint_is_refused_with_its_version_named() {
+    let bytes = std::fs::read(V1_FIXTURE).unwrap();
+    match Engine::resume(&plain_scenario(), &bytes, &Recorder::disabled()) {
+        Err(SimError::Checkpoint { message }) => assert!(message.contains(V1_REFUSAL), "{message}"),
+        other => panic!("a v1 checkpoint resumed or failed otherwise: {:?}", other.map(|_| ())),
+    }
+}
+
+#[test]
+fn a_daemon_refuses_to_resume_a_v1_state_directory() {
+    let dir = scratch("v1-state");
+    std::fs::copy(V1_FIXTURE, dir.join("checkpoint.ck")).unwrap();
+    let mut config = DaemonConfig::new(plain_scenario(), dir.clone());
+    config.resume = true;
+    match Daemon::start(config, &Recorder::disabled()) {
+        Err(e) => assert!(e.to_string().contains(V1_REFUSAL), "{e}"),
+        Ok(daemon) => {
+            let _ = daemon.shutdown();
+            panic!("a daemon resumed a v1 state directory");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
