@@ -15,9 +15,8 @@
 //! the naive reference arm is O(n·m) per round), and times the
 //! platform's per-round work (Eq. 5 neighbour counting + demand
 //! pricing) under two arms: the naive pairwise scan and the production
-//! cell-centric sweep with the pricing cache. Outputs are cross-checked
-//! for bitwise identity before any timing is reported; see
-//! `paydemand_bench::scaling`.
+//! cell-centric sweep. Outputs are cross-checked for bitwise identity
+//! before any timing is reported; see `paydemand_bench::scaling`.
 
 use paydemand_bench::scaling::{
     measure_profiling_overhead, measure_telemetry_overhead, measure_trace_overhead, run_point,

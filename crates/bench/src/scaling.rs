@@ -19,9 +19,7 @@ use std::time::Instant;
 
 use paydemand_core::demand::TaskObservation;
 use paydemand_core::neighbors::naive_counts;
-use paydemand_core::{
-    CellSweepCounter, DemandCache, DemandIndicator, DemandLevels, RewardSchedule,
-};
+use paydemand_core::{CellSweepCounter, DemandIndicator, DemandLevels, RewardSchedule};
 use paydemand_geo::{Point, Rect};
 use paydemand_obs::alloc::{self, AllocPhase};
 use paydemand_obs::{prof, Recorder, Span};
@@ -66,10 +64,10 @@ impl Config {
 /// How one arm computes the round loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Arm {
-    /// `O(n·m)` pairwise scan, demand recomputed from scratch.
+    /// `O(n·m)` pairwise scan.
     Naive,
-    /// Cell-centric sweep ([`CellSweepCounter`]) plus the
-    /// [`DemandCache`]: the platform's production path.
+    /// Cell-centric sweep ([`CellSweepCounter`]): the platform's
+    /// production path.
     Cell,
 }
 
@@ -197,7 +195,6 @@ fn run_arm(cfg: &Config, w: &SharedWorkload, arm: Arm) -> ArmResult {
     let mut users = w.initial_users.clone();
     let mut received: Vec<u32> = vec![0; cfg.tasks];
     let mut cell = CellSweepCounter::new(w.area, cfg.radius, w.task_locations.clone());
-    let mut cache = DemandCache::new();
     let mut counts_checksum = 0xcbf2_9ce4_8422_2325u64;
     let mut rewards_checksum = counts_checksum;
 
@@ -216,14 +213,6 @@ fn run_arm(cfg: &Config, w: &SharedWorkload, arm: Arm) -> ArmResult {
     let phase_demand = recorder.histogram_with("round_phase_seconds", "phase", "demand");
     let phase_pricing = recorder.histogram_with("round_phase_seconds", "phase", "pricing");
     cell.set_recorder(&recorder);
-    if arm == Arm::Cell {
-        cache.set_instruments(
-            recorder.counter("demand_cache_hits_total"),
-            recorder.counter("demand_cache_misses_total"),
-            recorder.counter("demand_cache_dirty_total"),
-            recorder.counter("demand_cache_batch_invalidated_total"),
-        );
-    }
 
     let started = Instant::now();
     // Reused across rounds (clear + copy) so the counting arms' own
@@ -265,11 +254,7 @@ fn run_arm(cfg: &Config, w: &SharedWorkload, arm: Arm) -> ArmResult {
                 received: received[task],
                 neighbors: count,
             };
-            let demand = if arm == Arm::Cell {
-                cache.normalized_demand(&indicator, task, &obs, round, max_neighbors)
-            } else {
-                indicator.normalized_demand(&obs, round, max_neighbors)
-            };
+            let demand = indicator.normalized_demand(&obs, round, max_neighbors);
             let reward = schedule.reward_for_demand(demand);
             rewards_checksum = fold(rewards_checksum, reward.to_bits());
         }

@@ -11,8 +11,7 @@ use std::time::Duration;
 use paydemand_obs::LogLevel;
 use paydemand_serve::DaemonConfig;
 use paydemand_sim::{
-    presets, FaultKind, FaultPlan, IndexingMode, MechanismKind, PricingCacheMode, Scenario,
-    SelectorKind, TravelModel,
+    presets, FaultKind, FaultPlan, IndexingMode, MechanismKind, Scenario, SelectorKind, TravelModel,
 };
 use Arity::{OptionalNum, Switch, Value, ValueFor};
 
@@ -101,12 +100,10 @@ OPTIONS (both commands):
     --seed N           master seed                     [default: 24157]
     --threads N        worker threads (0 = all cores)  [default: 0]
     --enforce-budget   refuse payments past the budget
-    --no-cache         disable the demand/pricing cache (identical
-                       results; exists for benchmarking and debugging)
     --indexing MODE    cell | naive neighbour counting (identical
                        results; naive is the reference)  [default: cell]
     --metrics-out PATH write collected metrics to PATH (implies recording;
-                       round-phase latencies, cache and selector counters)
+                       round-phase latencies and selector counters)
     --metrics-format F prom | json exporter for --metrics-out [default: prom]
     --profile          record metrics and print a latency/counter summary
                        to stderr (identical simulation results either way)
@@ -543,9 +540,6 @@ const FLAGS: &[Flag] = &[
     flag("--enforce-budget", WORLD, Switch, |p, _| put(&mut p.scenario.enforce_budget, Ok(true))),
     flag("--sensing-time", SIM, Value, |p, a| put(&mut p.scenario.sensing_seconds, a.num())),
     flag("--dropout", SIM, Value, |p, a| put(&mut p.scenario.dropout_rate, a.num())),
-    flag("--no-cache", SIM, Switch, |p, _| {
-        put(&mut p.scenario.pricing_cache, Ok(PricingCacheMode::Disabled))
-    }),
     flag("--indexing", SIM, Value, |p, a| {
         put(&mut p.scenario.indexing, lookup(INDEXING_MODES, "indexing mode", a.text()))
     }),
@@ -1076,21 +1070,17 @@ mod tests {
     }
 
     #[test]
-    fn threads_cache_and_indexing_flags_parse() {
-        let Command::Run(opts) =
-            parse(&argv("run --threads 4 --no-cache --indexing naive")).unwrap()
-        else {
+    fn threads_and_indexing_flags_parse() {
+        let Command::Run(opts) = parse(&argv("run --threads 4 --indexing naive")).unwrap() else {
             panic!("expected run");
         };
         assert_eq!(opts.threads, Some(4));
-        assert_eq!(opts.scenario.pricing_cache, PricingCacheMode::Disabled);
         assert_eq!(opts.scenario.indexing, IndexingMode::NaiveReference);
 
         let Command::Run(defaults) = parse(&argv("run")).unwrap() else {
             panic!("expected run");
         };
         assert_eq!(defaults.threads, None);
-        assert_eq!(defaults.scenario.pricing_cache, PricingCacheMode::Enabled);
         assert_eq!(defaults.scenario.indexing, IndexingMode::CellSweep);
 
         let Command::Run(zero) = parse(&argv("run --threads 0")).unwrap() else {
@@ -1101,7 +1091,11 @@ mod tests {
         assert!(parse(&argv("run --indexing quantum"))
             .unwrap_err()
             .contains("unknown indexing mode"));
-        assert!(parse(&argv("compare --no-cache --threads 2")).is_ok());
+        // Every round prices straight from Eqs. 3–7; there is no
+        // pricing cache to switch off.
+        for cmd in ["run --no-cache", "compare --no-cache --threads 2"] {
+            assert!(parse(&argv(cmd)).unwrap_err().contains("unknown flag `--no-cache`"), "{cmd}");
+        }
     }
 
     #[test]

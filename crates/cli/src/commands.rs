@@ -411,7 +411,6 @@ mod tests {
         let body = std::fs::read_to_string(&json).unwrap();
         for family in [
             "round_phase_seconds",
-            "demand_cache_hits_total",
             "cell_sweep_full_sweeps_total",
             "selector_solve_seconds",
             "runner_jobs_total",

@@ -223,8 +223,8 @@ impl DemandIndicator {
     }
 
     /// The three criterion scores `(X₁, X₂, X₃)` of Eq. 3–5 for one
-    /// task. Exposed separately so a cache can recompute only the
-    /// criteria whose inputs changed; combining the parts with
+    /// task. Exposed separately so a price can be explained criterion
+    /// by criterion; combining the parts with
     /// [`normalized_from_parts`](Self::normalized_from_parts) is
     /// bit-identical to [`normalized_demand`](Self::normalized_demand).
     #[must_use]
@@ -314,260 +314,6 @@ impl DemandIndicator {
 impl Default for DemandIndicator {
     fn default() -> Self {
         DemandIndicator::paper_default()
-    }
-}
-
-/// Deadline-criterion memo size: `X₁` depends only on the rounds
-/// remaining, which in any realistic scenario is far below this.
-const DEADLINE_MEMO_CAP: usize = 4096;
-
-/// Per-criterion memoisation of the demand indicator across rounds.
-///
-/// The three criteria of Eq. 3–5 have disjoint inputs, each dirtied by
-/// a different event:
-///
-/// * `X₂` (progress) changes only when a task receives an **upload** —
-///   keyed on `(received, required)` per task;
-/// * `X₃` (scarcity) changes only when **user movement** shifts the
-///   task's neighbour count or the round's `N_max` — keyed on
-///   `(neighbors, max_neighbors)` per task;
-/// * `X₁` (deadline) is dirtied by every **round boundary**, but
-///   depends only on the rounds remaining, so it is memoised by
-///   `remaining` across all tasks.
-///
-/// A task whose key components are unchanged is *clean* and reuses the
-/// stored criterion value; recomputation happens only for dirty
-/// criteria. Because stored values are the exact `f64`s the criterion
-/// functions produced, and the parts are recombined through
-/// [`DemandIndicator::normalized_from_parts`] (the same expression the
-/// uncached path uses), cached demands are bit-identical to uncached
-/// ones — asserted in `full_recompute` mode via
-/// [`normalized_demand_checked`](Self::normalized_demand_checked).
-#[derive(Debug, Clone, Default)]
-pub struct DemandCache {
-    /// Per task id: `((received, required), X₂)`.
-    progress: Vec<Option<((u32, u32), f64)>>,
-    /// Per task id: `((neighbors, max_neighbors), X₃)`.
-    neighbors: Vec<Option<((usize, usize), f64)>>,
-    /// `X₁` memo indexed by rounds remaining (NaN = unfilled).
-    deadline_by_remaining: Vec<f64>,
-    hits: u64,
-    misses: u64,
-    /// The `N_max` most recently declared via
-    /// [`begin_round`](Self::begin_round); `None` until the first call.
-    last_max_neighbors: Option<usize>,
-    /// Scarcity entries dropped by batched round-boundary sweeps.
-    batch_invalidations: u64,
-    /// Observability mirrors (no-ops unless wired to a live recorder):
-    /// `obs_hits` tracks [`hits`](Self::hits); cold lookups land in
-    /// `obs_misses` and stale-key recomputes in `obs_dirty`, so
-    /// `misses == obs_misses + obs_dirty` once wired. `obs_batched`
-    /// tracks [`batch_invalidations`](Self::batch_invalidations).
-    obs_hits: paydemand_obs::Counter,
-    obs_misses: paydemand_obs::Counter,
-    obs_dirty: paydemand_obs::Counter,
-    obs_batched: paydemand_obs::Counter,
-}
-
-impl DemandCache {
-    /// An empty cache.
-    #[must_use]
-    pub fn new() -> Self {
-        DemandCache::default()
-    }
-
-    /// Wires the cache's lookups to observability counters: `hits` for
-    /// answered lookups, `misses` for cold entries, `dirty` for stale
-    /// entries whose key changed and had to be recomputed, `batched`
-    /// for scarcity entries dropped by round-boundary sweeps. Disabled
-    /// counters (the default) keep this a no-op.
-    pub fn set_instruments(
-        &mut self,
-        hits: paydemand_obs::Counter,
-        misses: paydemand_obs::Counter,
-        dirty: paydemand_obs::Counter,
-        batched: paydemand_obs::Counter,
-    ) {
-        self.obs_hits = hits;
-        self.obs_misses = misses;
-        self.obs_dirty = dirty;
-        self.obs_batched = batched;
-    }
-
-    /// Approximate heap footprint of the memo arrays in bytes
-    /// (allocated capacity, not just live length).
-    #[must_use]
-    pub fn approx_bytes(&self) -> usize {
-        self.progress.capacity() * std::mem::size_of::<Option<((u32, u32), f64)>>()
-            + self.neighbors.capacity() * std::mem::size_of::<Option<((usize, usize), f64)>>()
-            + self.deadline_by_remaining.capacity() * std::mem::size_of::<f64>()
-    }
-
-    /// Declares the round's `N_max` before any per-task lookup, letting
-    /// the cache drop every stale scarcity entry in one batched sweep
-    /// instead of discovering staleness entry by entry inside the hot
-    /// loop. When `max_neighbors` differs from the previous round's,
-    /// one pass over the dense entry array clears each `X₃` keyed on
-    /// the old value; the round's lookups then take the cold path
-    /// directly, with no key comparison against a doomed entry.
-    ///
-    /// Calling this is optional and never changes produced demands: a
-    /// dropped entry cold-misses exactly where the unbatched path would
-    /// have dirty-missed, and the recomputed `X₃` is the same pure
-    /// function of `(neighbors, max_neighbors)` either way. Totals from
-    /// [`hits`](Self::hits)/[`misses`](Self::misses) are identical;
-    /// only the miss *attribution* (cold vs dirty) shifts.
-    pub fn begin_round(&mut self, max_neighbors: usize) {
-        if self.last_max_neighbors == Some(max_neighbors) {
-            return;
-        }
-        self.last_max_neighbors = Some(max_neighbors);
-        let mut cleared = 0u64;
-        for slot in &mut self.neighbors {
-            if matches!(slot, Some(((_, m), _)) if *m != max_neighbors) {
-                *slot = None;
-                cleared += 1;
-            }
-        }
-        if cleared > 0 {
-            self.batch_invalidations += cleared;
-            self.obs_batched.add(cleared);
-        }
-    }
-
-    /// Scarcity entries dropped by [`begin_round`](Self::begin_round)
-    /// sweeps since construction.
-    #[must_use]
-    pub fn batch_invalidations(&self) -> u64 {
-        self.batch_invalidations
-    }
-
-    /// Cached equivalent of [`DemandIndicator::normalized_demand`]:
-    /// recomputes only the criteria whose inputs changed since this
-    /// task was last priced.
-    ///
-    /// `task` is the task's dense id; the cache grows to fit. The same
-    /// cache must always be used with the same indicator (criterion
-    /// values embed its `λ`s).
-    #[must_use]
-    pub fn normalized_demand(
-        &mut self,
-        indicator: &DemandIndicator,
-        task: usize,
-        obs: &TaskObservation,
-        round: u32,
-        max_neighbors: usize,
-    ) -> f64 {
-        if self.progress.len() <= task {
-            self.progress.resize(task + 1, None);
-            self.neighbors.resize(task + 1, None);
-        }
-
-        // X₁ — dirtied every round boundary; memoised by remaining.
-        let remaining = i64::from(obs.deadline) - (i64::from(round) - 1);
-        let x1 = if (1..DEADLINE_MEMO_CAP as i64).contains(&remaining) {
-            let idx = remaining as usize;
-            if self.deadline_by_remaining.len() <= idx {
-                self.deadline_by_remaining.resize(idx + 1, f64::NAN);
-            }
-            if self.deadline_by_remaining[idx].is_nan() {
-                self.misses += 1;
-                self.obs_misses.inc();
-                self.deadline_by_remaining[idx] =
-                    indicator.criteria().deadline_demand(obs.deadline, round);
-            } else {
-                self.hits += 1;
-                self.obs_hits.inc();
-            }
-            self.deadline_by_remaining[idx]
-        } else {
-            // Past-deadline saturation (a constant) or an absurdly far
-            // deadline: compute directly.
-            indicator.criteria().deadline_demand(obs.deadline, round)
-        };
-
-        // X₂ — dirtied by uploads.
-        let progress_key = (obs.received, obs.required);
-        let x2 = match self.progress[task] {
-            Some((key, value)) if key == progress_key => {
-                self.hits += 1;
-                self.obs_hits.inc();
-                value
-            }
-            stale => {
-                self.misses += 1;
-                if stale.is_some() {
-                    self.obs_dirty.inc();
-                } else {
-                    self.obs_misses.inc();
-                }
-                let value = indicator.criteria().progress_demand(obs.received, obs.required);
-                self.progress[task] = Some((progress_key, value));
-                value
-            }
-        };
-
-        // X₃ — dirtied by user movement (directly or through N_max).
-        let neighbor_key = (obs.neighbors, max_neighbors);
-        let x3 = match self.neighbors[task] {
-            Some((key, value)) if key == neighbor_key => {
-                self.hits += 1;
-                self.obs_hits.inc();
-                value
-            }
-            stale => {
-                self.misses += 1;
-                if stale.is_some() {
-                    self.obs_dirty.inc();
-                } else {
-                    self.obs_misses.inc();
-                }
-                let value = indicator.criteria().neighbor_demand(obs.neighbors, max_neighbors);
-                self.neighbors[task] = Some((neighbor_key, value));
-                value
-            }
-        };
-
-        indicator.normalized_from_parts(x1, x2, x3)
-    }
-
-    /// [`normalized_demand`](Self::normalized_demand) under the
-    /// `full_recompute` debug mode: also computes the demand from
-    /// scratch and asserts the cached answer is bit-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if cache and recompute disagree — that would mean the
-    /// cache invalidation logic is wrong.
-    #[must_use]
-    pub fn normalized_demand_checked(
-        &mut self,
-        indicator: &DemandIndicator,
-        task: usize,
-        obs: &TaskObservation,
-        round: u32,
-        max_neighbors: usize,
-    ) -> f64 {
-        let cached = self.normalized_demand(indicator, task, obs, round, max_neighbors);
-        let fresh = indicator.normalized_demand(obs, round, max_neighbors);
-        assert!(
-            cached.to_bits() == fresh.to_bits(),
-            "demand cache diverged for task {task} at round {round}: \
-             cached {cached} vs recomputed {fresh}"
-        );
-        cached
-    }
-
-    /// Criterion lookups answered from the cache.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Criterion lookups that had to recompute.
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.misses
     }
 }
 
@@ -726,61 +472,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_matches_uncached_bitwise() {
-        let ind = DemandIndicator::paper_default();
-        let mut cache = DemandCache::new();
-        for round in 1..=12 {
-            for (task, o) in
-                [obs(10, 20, round.min(20), 3), obs(5, 8, 0, 0), obs(30, 40, 2 * round, 7)]
-                    .iter()
-                    .enumerate()
-            {
-                let cached = cache.normalized_demand(&ind, task, o, round, 9);
-                let fresh = ind.normalized_demand(o, round, 9);
-                assert_eq!(cached.to_bits(), fresh.to_bits(), "task {task} round {round}");
-            }
-        }
-    }
-
-    #[test]
-    fn clean_tasks_hit_dirty_tasks_miss() {
-        let ind = DemandIndicator::paper_default();
-        let mut cache = DemandCache::new();
-        let o = obs(10, 20, 3, 4);
-        let _ = cache.normalized_demand(&ind, 0, &o, 1, 8);
-        let cold_misses = cache.misses();
-        assert!(cold_misses >= 3, "all criteria cold-miss");
-        // Same observation next round: only X₁ changes, and it comes
-        // from the remaining-memo only when that remaining was seen.
-        let _ = cache.normalized_demand(&ind, 0, &o, 2, 8);
-        assert_eq!(cache.misses(), cold_misses + 1, "only the deadline term recomputes");
-        // An upload dirties X₂ only.
-        let uploaded = TaskObservation { received: 4, ..o };
-        let _ = cache.normalized_demand(&ind, 0, &uploaded, 2, 8);
-        assert_eq!(cache.misses(), cold_misses + 2);
-        // Movement dirties X₃ only.
-        let moved = TaskObservation { neighbors: 5, ..uploaded };
-        let _ = cache.normalized_demand(&ind, 0, &moved, 2, 8);
-        assert_eq!(cache.misses(), cold_misses + 3);
-        // Fully clean repeat: pure hits.
-        let before_hits = cache.hits();
-        let _ = cache.normalized_demand(&ind, 0, &moved, 2, 8);
-        assert_eq!(cache.misses(), cold_misses + 3);
-        assert_eq!(cache.hits(), before_hits + 3);
-    }
-
-    #[test]
-    fn checked_mode_accepts_correct_cache() {
-        let ind = DemandIndicator::paper_default();
-        let mut cache = DemandCache::new();
-        for round in 1u32..=6 {
-            let o = obs(8, 10, round - 1, round as usize % 3);
-            let d = cache.normalized_demand_checked(&ind, 0, &o, round, 5);
-            assert!((0.0..=1.0).contains(&d));
-        }
-    }
-
-    #[test]
     fn parts_recombine_to_normalized_demand() {
         let ind = DemandIndicator::paper_default();
         let o = obs(7, 20, 5, 2);
@@ -793,24 +484,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn cached_demand_always_bit_identical(
-            deadline in 1u32..30, required in 1u32..50,
-            received in 0u32..60, neighbors in 0usize..50,
-            max_extra in 0usize..50, round in 1u32..40,
-        ) {
-            let ind = DemandIndicator::paper_default();
-            let mut cache = DemandCache::new();
-            let o = obs(deadline, required, received, neighbors);
-            let max_n = neighbors + max_extra;
-            // Twice: cold then warm, both must equal the uncached value.
-            for _ in 0..2 {
-                let cached = cache.normalized_demand(&ind, 0, &o, round, max_n);
-                let fresh = ind.normalized_demand(&o, round, max_n);
-                prop_assert_eq!(cached.to_bits(), fresh.to_bits());
-            }
-        }
-
         #[test]
         fn normalized_demand_is_in_unit_interval(
             deadline in 1u32..30, required in 1u32..50,

@@ -64,10 +64,6 @@ impl IncentiveMechanism for HybridIncentive {
             .map(|r| (1.0 - self.alpha) * self.flat + self.alpha * r)
             .collect()
     }
-
-    fn set_recorder(&mut self, recorder: &paydemand_obs::Recorder) {
-        self.inner.set_recorder(recorder);
-    }
 }
 
 #[cfg(test)]

@@ -26,7 +26,7 @@ mod steered;
 
 pub use fixed::FixedIncentive;
 pub use hybrid::HybridIncentive;
-pub use on_demand::{OnDemandIncentive, PricingCacheMode};
+pub use on_demand::OnDemandIncentive;
 pub use proportional::ProportionalIncentive;
 pub use steered::SteeredIncentive;
 
@@ -70,18 +70,9 @@ pub trait IncentiveMechanism: std::fmt::Debug + Send {
     /// return exactly `ctx.tasks.len()` rewards.
     fn rewards(&mut self, ctx: &RoundContext, rng: &mut dyn RngCore) -> Vec<f64>;
 
-    /// Wires the mechanism's internals (caches, work counters) to an
-    /// observability recorder. The default is a no-op: most mechanisms
-    /// have nothing to report. Implementations must guarantee that a
-    /// recorder — enabled or not — never changes the rewards produced.
-    fn set_recorder(&mut self, recorder: &paydemand_obs::Recorder) {
-        let _ = recorder;
-    }
-
     /// Serializes any mutable pricing state into an opaque blob, for
     /// checkpointing. Stateless mechanisms (the default) return an
-    /// empty blob. Perf-only caches that are rebuilt bit-identically on
-    /// demand must NOT be included.
+    /// empty blob.
     fn export_state(&self) -> Vec<u8> {
         Vec::new()
     }
@@ -101,20 +92,12 @@ pub trait IncentiveMechanism: std::fmt::Debug + Send {
         }
     }
 
-    /// Approximate heap footprint of the mechanism's internal caches
-    /// in bytes, for memory observability. The default — right for
-    /// cacheless baselines — is 0. Must be read-only and must never
-    /// influence pricing.
-    fn cache_bytes(&self) -> usize {
-        0
-    }
-
     /// Explains the pricing of `ctx`: one [`DemandBreakdown`] per task
     /// in `ctx.tasks`, in order, for mechanisms whose pricing
     /// decomposes into criteria/score/level. The default — and the
     /// right answer for the baselines, whose prices carry no demand
-    /// decomposition — is `None`. Must be read-only: no RNG, no cache
-    /// mutation, no effect on future [`IncentiveMechanism::rewards`].
+    /// decomposition — is `None`. Must be read-only: no RNG and no
+    /// effect on future [`IncentiveMechanism::rewards`].
     fn explain(&self, ctx: &RoundContext) -> Option<Vec<DemandBreakdown>> {
         let _ = ctx;
         None
@@ -130,20 +113,12 @@ impl<T: IncentiveMechanism + ?Sized> IncentiveMechanism for Box<T> {
         (**self).rewards(ctx, rng)
     }
 
-    fn set_recorder(&mut self, recorder: &paydemand_obs::Recorder) {
-        (**self).set_recorder(recorder);
-    }
-
     fn export_state(&self) -> Vec<u8> {
         (**self).export_state()
     }
 
     fn restore_state(&mut self, state: &[u8]) -> Result<(), crate::CoreError> {
         (**self).restore_state(state)
-    }
-
-    fn cache_bytes(&self) -> usize {
-        (**self).cache_bytes()
     }
 
     fn explain(&self, ctx: &RoundContext) -> Option<Vec<DemandBreakdown>> {

@@ -1,30 +1,9 @@
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
-use crate::demand::{DemandCache, TaskObservation};
+use crate::demand::TaskObservation;
 use crate::incentive::{DemandBreakdown, IncentiveMechanism};
-use crate::{CoreError, DemandIndicator, RewardSchedule, RoundContext, TaskSpec};
-
-/// How [`OnDemandIncentive`] uses its per-task [`DemandCache`].
-///
-/// Every mode produces bit-identical rewards; they differ only in how
-/// much work is redone each round, which the scaling benches measure and
-/// the equivalence tests lock down.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-#[non_exhaustive]
-pub enum PricingCacheMode {
-    /// Recompute every task's demand from scratch each round.
-    Disabled,
-    /// Reuse cached criterion values for clean tasks (the default):
-    /// only criteria whose inputs changed since the last round are
-    /// recomputed.
-    #[default]
-    Enabled,
-    /// Debug mode: consult the cache *and* recompute everything, then
-    /// assert the two agree to the bit. Slowest; catches any stale
-    /// cache entry at its first use.
-    FullRecompute,
-}
+use crate::{CoreError, DemandIndicator, RewardSchedule, RoundContext, TaskProgress, TaskSpec};
 
 /// The paper's demand-based dynamic incentive mechanism (§IV).
 ///
@@ -50,38 +29,18 @@ pub enum PricingCacheMode {
 /// assert_eq!(mechanism.schedule().base_reward(), 0.5); // Eq. 9
 /// # Ok::<(), paydemand_core::CoreError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OnDemandIncentive {
     indicator: DemandIndicator,
     schedule: RewardSchedule,
-    cache_mode: PricingCacheMode,
-    #[serde(skip)]
-    cache: DemandCache,
-}
-
-/// Equality is over the pricing *configuration* (indicator, schedule,
-/// cache mode) — never the cache's runtime state, which is an
-/// implementation detail that two behaviourally identical mechanisms may
-/// legitimately disagree on.
-impl PartialEq for OnDemandIncentive {
-    fn eq(&self, other: &Self) -> bool {
-        self.indicator == other.indicator
-            && self.schedule == other.schedule
-            && self.cache_mode == other.cache_mode
-    }
 }
 
 impl OnDemandIncentive {
     /// Creates the mechanism from a demand indicator and a reward
-    /// schedule, with the pricing cache [enabled](PricingCacheMode::Enabled).
+    /// schedule.
     #[must_use]
     pub fn new(indicator: DemandIndicator, schedule: RewardSchedule) -> Self {
-        OnDemandIncentive {
-            indicator,
-            schedule,
-            cache_mode: PricingCacheMode::default(),
-            cache: DemandCache::new(),
-        }
+        OnDemandIncentive { indicator, schedule }
     }
 
     /// The paper's evaluation configuration for the given task set:
@@ -104,26 +63,6 @@ impl OnDemandIncentive {
         Ok(OnDemandIncentive::new(DemandIndicator::paper_default(), schedule))
     }
 
-    /// Selects how the pricing cache is used. Every mode yields
-    /// bit-identical rewards; see [`PricingCacheMode`].
-    pub fn set_cache_mode(&mut self, mode: PricingCacheMode) {
-        self.cache_mode = mode;
-        self.cache = DemandCache::new();
-    }
-
-    /// The pricing-cache mode in use.
-    #[must_use]
-    pub fn cache_mode(&self) -> PricingCacheMode {
-        self.cache_mode
-    }
-
-    /// `(hits, misses)` of the demand cache so far — diagnostics for
-    /// benches and the equivalence tests.
-    #[must_use]
-    pub fn cache_stats(&self) -> (u64, u64) {
-        (self.cache.hits(), self.cache.misses())
-    }
-
     /// The demand indicator in use.
     #[must_use]
     pub fn indicator(&self) -> &DemandIndicator {
@@ -136,67 +75,28 @@ impl OnDemandIncentive {
         &self.schedule
     }
 
-    /// The demand levels this mechanism would assign for `ctx` —
-    /// exposed so reports can show level trajectories, not just prices.
-    /// Always computed fresh (reporting must not disturb cache stats).
-    #[must_use]
-    pub fn levels_for(&self, ctx: &RoundContext) -> Vec<u32> {
-        self.uncached_demands(ctx).into_iter().map(|d| self.schedule.levels().level_of(d)).collect()
-    }
-
-    fn uncached_demands(&self, ctx: &RoundContext) -> Vec<f64> {
-        ctx.tasks
-            .iter()
-            .map(|t| {
-                let obs = observation_of(t);
-                self.indicator.normalized_demand(&obs, ctx.round, ctx.max_neighbors)
-            })
-            .collect()
-    }
-
-    /// Demands for the pricing path. Cache entries are keyed by task
-    /// *id* — `ctx.tasks` holds only the incomplete tasks, so positions
-    /// shift as tasks complete but ids are stable.
-    fn normalized_demands(&mut self, ctx: &RoundContext) -> Vec<f64> {
-        if self.cache_mode == PricingCacheMode::Disabled {
-            return self.uncached_demands(ctx);
+    /// Prices one task of `ctx`: its criteria (Eqs. 3–5), their
+    /// normalised AHP blend (Eq. 2, §IV-C) and the level that score
+    /// maps to (Eq. 7). The one path behind both
+    /// [`rewards`](IncentiveMechanism::rewards) and
+    /// [`explain`](IncentiveMechanism::explain), so a posted price and
+    /// its explanation cannot drift apart.
+    fn breakdown(&self, task: &TaskProgress, ctx: &RoundContext) -> DemandBreakdown {
+        let obs = TaskObservation {
+            deadline: task.deadline,
+            required: task.required,
+            received: task.received,
+            neighbors: task.neighbors,
+        };
+        let (x1, x2, x3) = self.indicator.criterion_parts(&obs, ctx.round, ctx.max_neighbors);
+        let score = self.indicator.normalized_from_parts(x1, x2, x3);
+        DemandBreakdown {
+            deadline_criterion: x1,
+            progress_criterion: x2,
+            scarcity_criterion: x3,
+            score,
+            level: self.schedule.levels().level_of(score),
         }
-        let OnDemandIncentive { indicator, cache, cache_mode, .. } = self;
-        // Batched round-boundary invalidation: clear every scarcity
-        // entry staled by an N_max shift in one sweep, so the per-task
-        // loop below never pays the stale-key branch.
-        cache.begin_round(ctx.max_neighbors);
-        ctx.tasks
-            .iter()
-            .map(|t| {
-                let obs = observation_of(t);
-                match cache_mode {
-                    PricingCacheMode::FullRecompute => cache.normalized_demand_checked(
-                        indicator,
-                        t.id.0,
-                        &obs,
-                        ctx.round,
-                        ctx.max_neighbors,
-                    ),
-                    _ => cache.normalized_demand(
-                        indicator,
-                        t.id.0,
-                        &obs,
-                        ctx.round,
-                        ctx.max_neighbors,
-                    ),
-                }
-            })
-            .collect()
-    }
-}
-
-fn observation_of(t: &crate::TaskProgress) -> TaskObservation {
-    TaskObservation {
-        deadline: t.deadline,
-        required: t.required,
-        received: t.received,
-        neighbors: t.neighbors,
     }
 }
 
@@ -206,53 +106,16 @@ impl IncentiveMechanism for OnDemandIncentive {
     }
 
     fn rewards(&mut self, ctx: &RoundContext, _rng: &mut dyn RngCore) -> Vec<f64> {
-        self.normalized_demands(ctx)
-            .into_iter()
-            .map(|d| self.schedule.reward_for_demand(d))
+        ctx.tasks
+            .iter()
+            .map(|t| self.schedule.reward_for_level(self.breakdown(t, ctx).level))
             .collect()
     }
 
-    /// Per-task criterion values, AHP score and mapped level — computed
-    /// fresh like [`OnDemandIncentive::levels_for`], so explaining a
-    /// round can never disturb the pricing cache. Combining the parts
-    /// through [`DemandIndicator::normalized_from_parts`] is
-    /// bit-identical to the pricing path's `normalized_demand`.
+    /// Per-task criterion values, AHP score and mapped level: the
+    /// breakdown every posted reward is priced from.
     fn explain(&self, ctx: &RoundContext) -> Option<Vec<DemandBreakdown>> {
-        Some(
-            ctx.tasks
-                .iter()
-                .map(|t| {
-                    let obs = observation_of(t);
-                    let (x1, x2, x3) =
-                        self.indicator.criterion_parts(&obs, ctx.round, ctx.max_neighbors);
-                    let score = self.indicator.normalized_from_parts(x1, x2, x3);
-                    DemandBreakdown {
-                        deadline_criterion: x1,
-                        progress_criterion: x2,
-                        scarcity_criterion: x3,
-                        score,
-                        level: self.schedule.levels().level_of(score),
-                    }
-                })
-                .collect(),
-        )
-    }
-
-    /// Routes the demand cache's hit/miss/dirty accounting to
-    /// `demand_cache_{hits,misses,dirty}_total`. Counters only observe
-    /// lookups — they cannot perturb the cached values, so pricing is
-    /// unchanged.
-    fn set_recorder(&mut self, recorder: &paydemand_obs::Recorder) {
-        self.cache.set_instruments(
-            recorder.counter("demand_cache_hits_total"),
-            recorder.counter("demand_cache_misses_total"),
-            recorder.counter("demand_cache_dirty_total"),
-            recorder.counter("demand_cache_batch_invalidated_total"),
-        );
-    }
-
-    fn cache_bytes(&self) -> usize {
-        self.cache.approx_bytes()
+        Some(ctx.tasks.iter().map(|t| self.breakdown(t, ctx)).collect())
     }
 }
 
@@ -334,17 +197,6 @@ mod tests {
     }
 
     #[test]
-    fn levels_match_rewards() {
-        let mut m = paper_mechanism();
-        let c = ctx(3, vec![snapshot(0, 5, 20, 3, 1), snapshot(1, 12, 20, 15, 6)]);
-        let rewards = m.rewards(&c, &mut rng());
-        let levels = m.levels_for(&c);
-        for (r, l) in rewards.iter().zip(&levels) {
-            assert_eq!(*r, m.schedule().reward_for_level(*l));
-        }
-    }
-
-    #[test]
     fn empty_round_prices_nothing() {
         let mut m = paper_mechanism();
         let c = ctx(1, vec![]);
@@ -391,74 +243,20 @@ mod tests {
     }
 
     #[test]
-    fn all_cache_modes_price_bit_identically() {
-        let mut cached = paper_mechanism();
-        let mut uncached = paper_mechanism();
-        uncached.set_cache_mode(PricingCacheMode::Disabled);
-        let mut checked = paper_mechanism();
-        checked.set_cache_mode(PricingCacheMode::FullRecompute);
-        for c in trajectory() {
-            let a = cached.rewards(&c, &mut rng());
-            let b = uncached.rewards(&c, &mut rng());
-            let d = checked.rewards(&c, &mut rng());
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&a), bits(&b), "round {}", c.round);
-            assert_eq!(bits(&a), bits(&d), "round {}", c.round);
-        }
-        let (hits, misses) = cached.cache_stats();
-        assert!(hits > 0, "steady-state rounds must hit the cache");
-        assert!(misses > 0);
-        assert_eq!(uncached.cache_stats(), (0, 0), "disabled mode must not touch the cache");
-    }
-
-    #[test]
-    fn equality_ignores_cache_state() {
-        let mut a = paper_mechanism();
-        let b = paper_mechanism();
-        assert_eq!(a, b);
-        let c = ctx(1, vec![snapshot(0, 9, 20, 7, 2)]);
-        a.rewards(&c, &mut rng()); // warms a's cache
-        assert_eq!(a, b, "cache contents must not affect equality");
-        let mut d = paper_mechanism();
-        d.set_cache_mode(PricingCacheMode::Disabled);
-        assert_ne!(a, d, "cache *mode* is configuration and must");
-    }
-
-    #[test]
-    fn set_cache_mode_resets_stats() {
-        let mut m = paper_mechanism();
-        let c = ctx(1, vec![snapshot(0, 9, 20, 7, 2)]);
-        m.rewards(&c, &mut rng());
-        assert_ne!(m.cache_stats(), (0, 0));
-        m.set_cache_mode(PricingCacheMode::Enabled);
-        assert_eq!(m.cache_stats(), (0, 0));
-        assert_eq!(m.cache_mode(), PricingCacheMode::Enabled);
-    }
-
-    #[test]
-    fn levels_for_leaves_cache_untouched() {
-        let m = paper_mechanism();
-        let c = ctx(3, vec![snapshot(0, 5, 20, 3, 1), snapshot(1, 12, 20, 15, 6)]);
-        let _ = m.levels_for(&c);
-        assert_eq!(m.cache_stats(), (0, 0));
-    }
-
-    #[test]
-    fn explain_agrees_with_pricing_bit_for_bit_and_skips_the_cache() {
+    fn explain_agrees_with_pricing_bit_for_bit() {
         let mut m = paper_mechanism();
         for c in trajectory() {
             let breakdowns = m.explain(&c).expect("on-demand pricing is explainable");
             assert_eq!(breakdowns.len(), c.tasks.len());
             let rewards = m.rewards(&c, &mut rng());
-            let levels = m.levels_for(&c);
-            for ((b, reward), level) in breakdowns.iter().zip(&rewards).zip(&levels) {
-                assert_eq!(b.level, *level, "round {}", c.round);
+            for (b, reward) in breakdowns.iter().zip(&rewards) {
                 assert_eq!(
                     m.schedule().reward_for_level(b.level).to_bits(),
                     reward.to_bits(),
                     "round {}",
                     c.round
                 );
+                assert_eq!(b.level, m.schedule().levels().level_of(b.score), "round {}", c.round);
                 // The recorded score re-derives from the recorded parts.
                 let recombined = m.indicator().normalized_from_parts(
                     b.deadline_criterion,
@@ -468,10 +266,6 @@ mod tests {
                 assert_eq!(recombined.to_bits(), b.score.to_bits());
             }
         }
-        let fresh = paper_mechanism();
-        let c = ctx(1, vec![snapshot(0, 5, 20, 3, 1)]);
-        let _ = fresh.explain(&c);
-        assert_eq!(fresh.cache_stats(), (0, 0), "explain must not touch the cache");
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub mod selection;
 mod task;
 mod user;
 
-pub use demand::{DemandCache, DemandCriteria, DemandIndicator, DemandWeights};
+pub use demand::{DemandCriteria, DemandIndicator, DemandWeights};
 pub use error::CoreError;
 pub use ids::{TaskId, UserId};
 pub use incentive::DemandBreakdown;

@@ -195,10 +195,10 @@ impl<M: IncentiveMechanism> Platform<M> {
     /// Threads an observability recorder through the platform: the
     /// `demand` and `pricing` sub-phases of
     /// [`publish_round`](Self::publish_round) are timed into
-    /// `round_phase_seconds`, the cell sweep reports its
-    /// full-sweep-vs-delta counts and the mechanism its cache statistics.
-    /// A disabled recorder (the default) records nothing and never
-    /// reads the clock, leaving behaviour bit-identical.
+    /// `round_phase_seconds` and the cell sweep reports its
+    /// full-sweep-vs-delta counts. A disabled recorder (the default)
+    /// records nothing and never reads the clock, leaving behaviour
+    /// bit-identical.
     pub fn set_recorder(&mut self, recorder: &Recorder) {
         self.recorder = recorder.clone();
         self.phase_demand = recorder.histogram_with("round_phase_seconds", "phase", "demand");
@@ -206,7 +206,6 @@ impl<M: IncentiveMechanism> Platform<M> {
         if let Some(counter) = &mut self.cell_counter {
             counter.set_recorder(recorder);
         }
-        self.mechanism.set_recorder(recorder);
     }
 
     /// Controls whether incomplete tasks stay published after their
@@ -253,15 +252,12 @@ impl<M: IncentiveMechanism> Platform<M> {
         self.indexing
     }
 
-    /// Approximate heap footprint of the platform's perf-only state,
-    /// as `(mechanism cache bytes, neighbour index bytes)` — the
-    /// demand memo arrays and the cell sweep's state, when live.
-    /// Read-only; feeds the `memory_demand_cache_bytes` and
-    /// `memory_neighbor_index_bytes` gauges.
+    /// Approximate heap footprint of the neighbour index in bytes —
+    /// the cell sweep's state, when live. Read-only; feeds the
+    /// `memory_neighbor_index_bytes` gauge.
     #[must_use]
-    pub fn memory_bytes(&self) -> (usize, usize) {
-        let index = self.cell_counter.as_ref().map_or(0, CellSweepCounter::approx_bytes);
-        (self.mechanism.cache_bytes(), index)
+    pub fn memory_bytes(&self) -> usize {
+        self.cell_counter.as_ref().map_or(0, CellSweepCounter::approx_bytes)
     }
 
     /// Budget remaining under the cap (`+∞` when no cap is set).

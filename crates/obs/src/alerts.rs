@@ -24,15 +24,13 @@
 //! * `…:p99` — the p99 of a histogram's *per-round* observations
 //!   (bucket-delta estimate), in seconds for `*_seconds` histograms;
 //!   also aggregated across labels under the bare family name;
-//! * `demand_cache_hit_rate` — per-round `Δhits / (Δhits + Δmisses +
-//!   Δdirty)`, present only in rounds with cache activity;
 //! * `ingest_ack_slo_burn_rate` — per-round
 //!   `(Δingest_ack_slo_breaches_total / Δingest_ack_total) / 0.01`
 //!   (the 1% error budget of the 99% ack-latency SLO), present only in
 //!   rounds that acked at least one ingest batch.
 //!
-//! A key absent in a given round (e.g. the hit rate in a round with no
-//! demand work) resets the rule's streak rather than firing it.
+//! A key absent in a given round (e.g. the burn rate in a round with no
+//! acks) resets the rule's streak rather than firing it.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -118,7 +116,6 @@ impl AlertRule {
     /// | Rule | Fires when |
     /// |---|---|
     /// | `budget_overrun_proximity` | spend reaches 95% of the cap (`engine_budget_spent_permille >= 950`) for 2 rounds |
-    /// | `demand_cache_hit_rate_collapse` | `demand_cache_hit_rate < 0.05` for 3 rounds |
     /// | `straggler_queue_growth` | `engine_retry_queue_depth >= 1` for 2 rounds |
     /// | `solve_latency_p99_regression` | per-round `selector_solve_seconds:p99 > 0.05` (50 ms) for 2 rounds |
     /// | `memory_leak_suspected` | live heap strictly grows (`memory_live_bytes:delta > 0`) for 5 consecutive rounds |
@@ -152,13 +149,6 @@ impl AlertRule {
                 Comparator::Ge,
                 950.0,
                 2,
-            ),
-            rule(
-                "demand_cache_hit_rate_collapse",
-                "demand_cache_hit_rate",
-                Comparator::Lt,
-                0.05,
-                3,
             ),
             rule("straggler_queue_growth", "engine_retry_queue_depth", Comparator::Ge, 1.0, 2),
             rule(
@@ -523,24 +513,18 @@ pub fn flatten(prev: Option<&Snapshot>, cur: &Snapshot) -> BTreeMap<String, f64>
         let scale = scale_of(family);
         view.entry(format!("{family}:p99")).or_insert(as_f64(delta.quantile(0.99)) / scale);
     }
-    let cache_delta = |name: &str| {
+    let counter_delta = |name: &str| {
         let now = cur.counter_total(name).unwrap_or(0);
         let before = prev.and_then(|p| p.counter_total(name)).unwrap_or(0);
         now.saturating_sub(before)
     };
-    let hits = cache_delta("demand_cache_hits_total");
-    let attempts =
-        hits + cache_delta("demand_cache_misses_total") + cache_delta("demand_cache_dirty_total");
-    if attempts > 0 {
-        view.insert("demand_cache_hit_rate".to_owned(), as_f64(hits) / as_f64(attempts));
-    }
     // Ack-latency SLO burn rate: fraction of the round's acks that
     // breached the latency objective, normalised by the 1% error
     // budget. 1.0 = burning exactly the sustainable rate; 100.0 =
     // every ack breached.
-    let acks = cache_delta("ingest_ack_total");
+    let acks = counter_delta("ingest_ack_total");
     if acks > 0 {
-        let breaches = cache_delta("ingest_ack_slo_breaches_total");
+        let breaches = counter_delta("ingest_ack_slo_breaches_total");
         view.insert(
             "ingest_ack_slo_burn_rate".to_owned(),
             (as_f64(breaches) / as_f64(acks)) / 0.01,
@@ -627,27 +611,27 @@ mod tests {
 
     #[test]
     #[allow(clippy::float_cmp)] // counter deltas and small ratios are exact in f64
-    fn flatten_exposes_values_deltas_and_hit_rate() {
+    fn flatten_exposes_values_deltas_and_burn_rate() {
         let first = snap(|r| {
-            r.counter("demand_cache_hits_total").add(3);
-            r.counter("demand_cache_misses_total").add(1);
+            r.counter("ingest_ack_total").add(4);
+            r.counter("ingest_ack_slo_breaches_total").add(1);
             r.gauge("engine_retry_queue_depth").set(2);
             r.histogram_with("selector_solve_seconds", "selector", "dp").record(2_000_000);
         });
         let second = snap(|r| {
-            r.counter("demand_cache_hits_total").add(3);
-            r.counter("demand_cache_misses_total").add(13);
+            r.counter("ingest_ack_total").add(104);
+            r.counter("ingest_ack_slo_breaches_total").add(1);
             r.gauge("engine_retry_queue_depth").set(0);
             let h = r.histogram_with("selector_solve_seconds", "selector", "dp");
             h.record(2_000_000);
             h.record(600_000_000);
         });
         let view = flatten(Some(&first), &second);
-        assert_eq!(view["demand_cache_hits_total"], 3.0);
-        assert_eq!(view["demand_cache_hits_total:delta"], 0.0);
-        assert_eq!(view["demand_cache_misses_total:delta"], 12.0);
+        assert_eq!(view["ingest_ack_slo_breaches_total"], 1.0);
+        assert_eq!(view["ingest_ack_slo_breaches_total:delta"], 0.0);
+        assert_eq!(view["ingest_ack_total:delta"], 100.0);
         assert_eq!(view["engine_retry_queue_depth"], 0.0);
-        assert_eq!(view["demand_cache_hit_rate"], 0.0);
+        assert_eq!(view["ingest_ack_slo_burn_rate"], 0.0);
         assert_eq!(view["selector_solve_seconds{selector=\"dp\"}:count"], 2.0);
         assert_eq!(view["selector_solve_seconds{selector=\"dp\"}:delta_count"], 1.0);
         let p99 = view["selector_solve_seconds:p99"];
@@ -655,12 +639,12 @@ mod tests {
 
         // No prior snapshot: deltas equal the cumulative values.
         let cold = flatten(None, &first);
-        assert_eq!(cold["demand_cache_hits_total:delta"], 3.0);
-        assert_eq!(cold["demand_cache_hit_rate"], 0.75);
+        assert_eq!(cold["ingest_ack_total:delta"], 4.0);
+        assert_eq!(cold["ingest_ack_slo_burn_rate"], 25.0);
 
-        // No cache activity in the round: the hit rate key is absent.
+        // No acks in the round: the burn rate key is absent.
         let idle = flatten(Some(&second), &second);
-        assert!(!idle.contains_key("demand_cache_hit_rate"));
+        assert!(!idle.contains_key("ingest_ack_slo_burn_rate"));
         assert!(!idle.contains_key("selector_solve_seconds:p99"), "no new observations");
     }
 
@@ -700,23 +684,25 @@ mod tests {
     #[test]
     fn missing_metric_resets_the_streak() {
         let alerts = Alerts::with_rules(vec![AlertRule {
-            name: "rate".into(),
-            metric: "demand_cache_hit_rate".into(),
-            comparator: Comparator::Lt,
-            threshold: 0.5,
+            name: "burn".into(),
+            metric: "ingest_ack_slo_burn_rate".into(),
+            comparator: Comparator::Ge,
+            threshold: 1.0,
             for_rounds: 2,
         }]);
         let recorder = Recorder::enabled();
-        let miss = |n: u64| {
+        // Every ack breaches, so any round with acks burns at 100×.
+        let acked = |n: u64| {
             snap(|r| {
-                r.counter("demand_cache_misses_total").add(n);
+                r.counter("ingest_ack_total").add(n);
+                r.counter("ingest_ack_slo_breaches_total").add(n);
             })
         };
-        alerts.evaluate(1, &miss(5), &recorder);
-        alerts.evaluate(2, &miss(5), &recorder);
-        assert_eq!(alerts.fired_total(), 0, "round 2 had no cache activity: reset");
-        alerts.evaluate(3, &miss(6), &recorder);
-        alerts.evaluate(4, &miss(7), &recorder);
+        alerts.evaluate(1, &acked(5), &recorder);
+        alerts.evaluate(2, &acked(5), &recorder);
+        assert_eq!(alerts.fired_total(), 0, "round 2 had no acks: reset");
+        alerts.evaluate(3, &acked(6), &recorder);
+        alerts.evaluate(4, &acked(7), &recorder);
         assert_eq!(alerts.fired_total(), 1);
     }
 
@@ -730,8 +716,6 @@ mod tests {
             let snapshot = snap(|r| {
                 r.gauge("engine_budget_spent_permille").set(if round >= 3 { 990 } else { 400 });
                 r.gauge("engine_retry_queue_depth").set(i64::from(round % 2));
-                r.counter("demand_cache_hits_total").add(u64::from(round) * 10);
-                r.counter("demand_cache_misses_total").add(2);
             });
             ts.record(round, snapshot.clone());
             alerts.evaluate(round, &snapshot, &recorder);
@@ -923,7 +907,7 @@ mod tests {
         alerts.evaluate(1, &hot, &recorder);
         alerts.evaluate(2, &hot, &recorder);
         let doc = crate::json::parse_json(&alerts.to_json()).unwrap();
-        assert_eq!(doc.get("rules").unwrap().as_array().unwrap().len(), 10);
+        assert_eq!(doc.get("rules").unwrap().as_array().unwrap().len(), 9);
         let fired = doc.get("fired").unwrap().as_array().unwrap();
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].get("rule").unwrap().as_str(), Some("budget_overrun_proximity"));

@@ -15,6 +15,10 @@
 //!   (414 / 431 / 413) rather than truncated parses;
 //! * malformed framing (bad request line, unparsable `Content-Length`,
 //!   non-numeric garbage) is a 400, never a panic;
+//! * a body is framed one way only: two `Content-Length`s that
+//!   disagree are a 400 (RFC 9112 §6.3) and any `Transfer-Encoding`,
+//!   which this layer does not implement, a 501 (§6.1), so no
+//!   intermediary can read a request's end differently from us;
 //! * a peer that closes early is a clean [`ParseError::ClientClosed`]
 //!   — the connection is dropped without a response, and without
 //!   counting as a server failure.
@@ -84,8 +88,11 @@ pub enum ParseError {
     HeadTooLarge,
     /// The declared body exceeds [`HttpLimits::max_body_bytes`].
     BodyTooLarge,
-    /// Unparsable framing (request line, header syntax, content length).
+    /// Unparsable framing (request line, header syntax, content length,
+    /// conflicting content lengths).
     Malformed(&'static str),
+    /// The request names a transfer coding; none is implemented.
+    TransferCoding,
     /// A socket error other than timeout/close.
     Io(std::io::Error),
 }
@@ -102,6 +109,7 @@ impl ParseError {
             ParseError::HeadTooLarge => Some((431, "request head too large")),
             ParseError::BodyTooLarge => Some((413, "request body too large")),
             ParseError::Malformed(what) => Some((400, what)),
+            ParseError::TransferCoding => Some((501, "transfer codings are not implemented")),
         }
     }
 }
@@ -133,7 +141,7 @@ pub fn read_request(stream: &mut TcpStream, limits: &HttpLimits) -> Result<Reque
         return Err(ParseError::Malformed("invalid method"));
     }
 
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
     for line in lines {
         if line.is_empty() {
             break;
@@ -141,13 +149,21 @@ pub fn read_request(stream: &mut TcpStream, limits: &HttpLimits) -> Result<Reque
         let Some((name, value)) = line.split_once(':') else {
             return Err(ParseError::Malformed("header line without a colon"));
         };
-        if name.trim().eq_ignore_ascii_case("content-length") {
-            content_length = value
+        let name = name.trim();
+        if name.eq_ignore_ascii_case("content-length") {
+            let length = value
                 .trim()
                 .parse::<usize>()
                 .map_err(|_| ParseError::Malformed("unparsable content length"))?;
+            if content_length.is_some_and(|seen| seen != length) {
+                return Err(ParseError::Malformed("conflicting content lengths"));
+            }
+            content_length = Some(length);
+        } else if name.eq_ignore_ascii_case("transfer-encoding") {
+            return Err(ParseError::TransferCoding);
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > limits.max_body_bytes {
         return Err(ParseError::BodyTooLarge);
     }
@@ -338,6 +354,7 @@ fn reason_phrase(status: u16) -> &'static str {
         429 => "Too Many Requests",
         431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
+        501 => "Not Implemented",
         503 => "Service Unavailable",
         _ => "Error",
     }
@@ -431,6 +448,7 @@ mod tests {
         assert_eq!(ParseError::BodyTooLarge.status().map(|s| s.0), Some(413));
         assert_eq!(ParseError::HeadTooLarge.status().map(|s| s.0), Some(431));
         assert_eq!(ParseError::RequestLineTooLong.status().map(|s| s.0), Some(414));
+        assert_eq!(ParseError::TransferCoding.status().map(|s| s.0), Some(501));
         assert!(ParseError::ClientClosed.status().is_none());
     }
 }

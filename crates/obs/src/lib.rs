@@ -41,9 +41,6 @@
 //! | `engine_round_seconds` | histogram | Whole-round latency. |
 //! | `engine_rounds_total` | counter | Sensing rounds executed. |
 //! | `engine_runs_total` | counter | Complete simulation runs. |
-//! | `demand_cache_hits_total` | counter | `DemandCache` memo hits (any criterion). |
-//! | `demand_cache_misses_total` | counter | `DemandCache` cold misses (no memo entry). |
-//! | `demand_cache_dirty_total` | counter | `DemandCache` stale memo entries recomputed (key changed). |
 //! | `cell_sweep_full_sweeps_total` | counter | Full Eq. 5 recounts by the cell sweep: the first round, population changes, and rounds where more than half the users moved. |
 //! | `cell_sweep_delta_rounds_total` | counter | Rounds served by the cell sweep's batched delta updates. |
 //! | `cell_sweep_batched_moves_total` | counter | Moved users folded in via batched delta updates. |
@@ -76,7 +73,6 @@
 //! | `memory_live_bytes` | gauge | Live bytes summed over every phase. |
 //! | `process_rss_bytes` | gauge | `VmRSS` from `/proc/self/status` (Linux only). |
 //! | `process_peak_rss_bytes` | gauge | `VmHWM` from `/proc/self/status` (Linux only). |
-//! | `memory_demand_cache_bytes` | gauge | Approximate heap footprint of the demand cache. |
 //! | `memory_neighbor_index_bytes` | gauge | Approximate heap footprint of the cell sweeper. |
 //!
 //! The `paydemand serve` daemon (the `paydemand-serve` crate) emits
@@ -154,16 +150,16 @@
 //! use paydemand_obs::Recorder;
 //!
 //! let recorder = Recorder::enabled();
-//! let hits = recorder.counter("demand_cache_hits_total");
-//! hits.add(3);
+//! let rounds = recorder.counter("engine_rounds_total");
+//! rounds.add(3);
 //! {
 //!     let _span = recorder.span_with("round_phase_seconds", "phase", "pricing");
 //!     // ... timed work ...
 //! }
 //! let snapshot = recorder.snapshot();
-//! assert_eq!(snapshot.counter_value("demand_cache_hits_total", None), Some(3));
+//! assert_eq!(snapshot.counter_value("engine_rounds_total", None), Some(3));
 //! let text = snapshot.to_prometheus();
-//! assert!(text.contains("demand_cache_hits_total 3"));
+//! assert!(text.contains("engine_rounds_total 3"));
 //! ```
 
 // `deny`, not `forbid`: the `alloc` module implements `GlobalAlloc`

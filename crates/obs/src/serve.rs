@@ -218,7 +218,7 @@ mod tests {
         let (status, _, body) = get(addr, "/alerts.json");
         assert_eq!(status, 200);
         let alerts = crate::json::parse_json(&body).unwrap();
-        assert_eq!(alerts.get("rules").unwrap().as_array().unwrap().len(), 10);
+        assert_eq!(alerts.get("rules").unwrap().as_array().unwrap().len(), 9);
 
         let (status, _, _) = get(addr, "/nope");
         assert_eq!(status, 404);

@@ -56,7 +56,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use paydemand_geo::{Point, Rect};
+use paydemand_geo::Rect;
 use paydemand_obs::{Counter, Gauge, Histogram, LogLevel, Logger, Recorder};
 use paydemand_sim::frame::write_atomic;
 use paydemand_sim::trace;
@@ -182,8 +182,8 @@ pub struct ShutdownReport {
 /// life of a run, so no engine lock is needed on the hot path).
 #[derive(Debug, Clone, Copy)]
 struct Dims {
-    users: u32,
-    tasks: u32,
+    users: usize,
+    tasks: usize,
     area: Rect,
 }
 
@@ -410,11 +410,8 @@ impl Daemon {
         }
         std::fs::create_dir_all(&config.state_dir)?;
         let (engine, ingest, replayed) = recover(&config, recorder)?;
-        let dims = Dims {
-            users: engine.num_users() as u32,
-            tasks: engine.num_tasks() as u32,
-            area: engine.area(),
-        };
+        let dims =
+            Dims { users: engine.num_users(), tasks: engine.num_tasks(), area: engine.area() };
         let finished = engine.is_finished();
         let next_round = engine.next_round();
 
@@ -961,8 +958,9 @@ fn post_events(stream: &mut TcpStream, body: &[u8], shared: &Arc<Shared>) {
     // so a client never has to guess which half was accepted.
     let validate_started = Instant::now();
     let validate_frame = paydemand_obs::prof::frame("validate");
+    let Dims { users, tasks, area } = shared.dims;
     for (i, event) in batch.iter().enumerate() {
-        if let Err(message) = validate(event, &shared.dims) {
+        if let Err(message) = event.validate(users, tasks, area) {
             shared.metrics.rejected_validation.inc();
             shared.log.debug("ingest", "batch failed validation", &[("reason", &message)]);
             http::respond(stream, 422, JSON, &error_body(&format!("events[{i}]: {message}")));
@@ -1101,34 +1099,6 @@ fn post_tick(stream: &mut TcpStream, shared: &Arc<Shared>) {
         }
         Err(e) => http::respond(stream, 500, JSON, &error_body(&e.to_string())),
     }
-}
-
-fn validate(event: &ExternalEvent, dims: &Dims) -> Result<(), String> {
-    match *event {
-        ExternalEvent::Move { user, x, y } => {
-            if user >= dims.users {
-                return Err(format!("unknown user {user} (workload has {})", dims.users));
-            }
-            if !x.is_finite() || !y.is_finite() {
-                return Err(format!("non-finite coordinate ({x}, {y})"));
-            }
-            if !dims.area.contains(Point::new(x, y)) {
-                return Err(format!("position ({x}, {y}) lies outside the sensing area"));
-            }
-        }
-        ExternalEvent::Upload { user, task, value } => {
-            if user >= dims.users {
-                return Err(format!("unknown user {user} (workload has {})", dims.users));
-            }
-            if task >= dims.tasks {
-                return Err(format!("unknown task {task} (workload has {})", dims.tasks));
-            }
-            if !value.is_finite() {
-                return Err(format!("non-finite measurement value {value}"));
-            }
-        }
-    }
-    Ok(())
 }
 
 /// The tick: barrier → apply → step → lineage → checkpoint → compact.

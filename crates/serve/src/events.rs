@@ -12,9 +12,10 @@
 //! Decoding distinguishes *transport* failures (not UTF-8, not JSON —
 //! a 400) from *schema* failures (valid JSON of the wrong shape — a
 //! 422), so clients can tell a corrupted request from a wrong one.
-//! Range validation (user/task ids, area bounds) happens a layer up in
-//! [`Engine::enqueue_event`](paydemand_sim::Engine::enqueue_event)
-//! semantics, mirrored by the daemon at ingest.
+//! Range validation (user/task ids, area bounds) happens a layer up,
+//! in [`ExternalEvent::validate`], the one check the daemon's ingest
+//! and [`Engine::enqueue_event`](paydemand_sim::Engine::enqueue_event)
+//! share.
 
 use paydemand_obs::{parse_json, JsonValue};
 use paydemand_sim::ExternalEvent;

@@ -70,16 +70,17 @@ fn fixture() -> &'static Fixture {
     })
 }
 
-/// Fires `payload` at the daemon as raw bytes and enforces the two
-/// battery properties for this case.
-fn fire(payload: &[u8]) {
+/// Fires `payload` at the daemon as raw bytes, enforces the two
+/// battery properties for this case and returns the response bytes
+/// (empty when the server closed without one).
+fn fire(payload: &[u8]) -> Vec<u8> {
     let fx = fixture();
     let started = Instant::now();
+    let mut sink = Vec::new();
     if let Ok(mut stream) = TcpStream::connect_timeout(&fx.addr, CASE_BUDGET) {
         let _ = stream.set_read_timeout(Some(CASE_BUDGET));
         let _ = stream.set_write_timeout(Some(CASE_BUDGET));
         let _ = stream.write_all(payload);
-        let mut sink = Vec::new();
         let _ = stream.read_to_end(&mut sink);
     }
     let elapsed = started.elapsed();
@@ -93,11 +94,11 @@ fn fire(payload: &[u8]) {
         .expect("daemon still answers /healthz");
     assert_eq!(health.status, 200, "healthz degraded: {}", health.body);
     assert_eq!(fx.restarts.get(), 0, "a fuzz case panicked a worker");
+    sink
 }
 
-/// A well-formed events request, the honest baseline the mutations
-/// start from.
-fn valid_request(event_count: usize) -> Vec<u8> {
+/// A well-formed events batch of `event_count` moves.
+fn valid_body(event_count: usize) -> String {
     let mut body = String::from("{\"events\": [");
     for i in 0..event_count {
         if i > 0 {
@@ -109,6 +110,13 @@ fn valid_request(event_count: usize) -> Vec<u8> {
         ));
     }
     body.push_str("]}");
+    body
+}
+
+/// A well-formed events request, the honest baseline the mutations
+/// start from.
+fn valid_request(event_count: usize) -> Vec<u8> {
+    let body = valid_body(event_count);
     let mut request =
         format!("POST /events HTTP/1.1\r\nHost: fuzz\r\nContent-Length: {}\r\n\r\n", body.len())
             .into_bytes();
@@ -219,6 +227,21 @@ fn exact_edge_cases_resolve() {
     // Negative and non-numeric Content-Length.
     fire(b"POST /events HTTP/1.1\r\nContent-Length: -5\r\n\r\n");
     fire(b"POST /events HTTP/1.1\r\nContent-Length: banana\r\n\r\n");
+    // A body framed two ways, which a proxy and the server could split
+    // differently: conflicting lengths are a 400 (RFC 9112 §6.3), a
+    // transfer coding a 501 (§6.1). Identical duplicates are served.
+    let body = valid_body(1);
+    let status = |headers: String| {
+        let payload = format!("POST /events HTTP/1.1\r\n{headers}\r\n{body}");
+        String::from_utf8_lossy(&fire(payload.as_bytes())).split(' ').nth(1).map(str::to_owned)
+    };
+    let n = body.len();
+    let conflicting = status(format!("Content-Length: 0\r\nContent-Length: {n}\r\n"));
+    assert_eq!(conflicting.as_deref(), Some("400"));
+    let coded = status(format!("Transfer-Encoding: chunked\r\nContent-Length: {n}\r\n"));
+    assert_eq!(coded.as_deref(), Some("501"));
+    let duplicate = status(format!("Content-Length: {n}\r\nContent-Length: {n}\r\n"));
+    assert_eq!(duplicate.as_deref(), Some("202"));
 }
 
 /// The slow-loris case proper: bytes trickled slower than the head

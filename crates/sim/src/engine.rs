@@ -214,6 +214,44 @@ pub enum ExternalEvent {
     },
 }
 
+impl ExternalEvent {
+    /// Checks the event against a workload of `users` users and `tasks`
+    /// tasks in `area`: the ids it names exist, its numbers are finite
+    /// and a reported position lies inside the area. The one check
+    /// behind [`Engine::enqueue_event`] and a daemon's ingest.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first check the event fails.
+    pub fn validate(&self, users: usize, tasks: usize, area: Rect) -> Result<(), String> {
+        match *self {
+            ExternalEvent::Move { user, x, y } => {
+                if user as usize >= users {
+                    return Err(format!("unknown user {user} (workload has {users})"));
+                }
+                if !x.is_finite() || !y.is_finite() {
+                    return Err(format!("non-finite coordinate ({x}, {y})"));
+                }
+                if !area.contains(Point::new(x, y)) {
+                    return Err(format!("position ({x}, {y}) lies outside the sensing area"));
+                }
+            }
+            ExternalEvent::Upload { user, task, value } => {
+                if user as usize >= users {
+                    return Err(format!("unknown user {user} (workload has {users})"));
+                }
+                if task as usize >= tasks {
+                    return Err(format!("unknown task {task} (workload has {tasks})"));
+                }
+                if !value.is_finite() {
+                    return Err(format!("non-finite measurement value {value}"));
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 /// What one externally-ingested event did when its round boundary
 /// consumed it, reported by [`Engine::last_event_outcomes`] in ingest
 /// order. Outcomes restate decisions the round made anyway (the same
@@ -376,9 +414,9 @@ impl SimulationResult {
 
     /// Whether two runs produced the same *observable* outcome —
     /// everything except the scenario that configured them. This is how
-    /// the equivalence tests and scaling benches state "the indexing /
-    /// caching mode is performance-only": runs under different modes
-    /// have unequal scenarios but must be observationally equal.
+    /// the equivalence tests and scaling benches state "the indexing
+    /// mode is performance-only": runs under different modes have
+    /// unequal scenarios but must be observationally equal.
     #[must_use]
     pub fn observationally_eq(&self, other: &Self) -> bool {
         self.workload == other.workload
@@ -405,11 +443,10 @@ pub fn run(scenario: &Scenario) -> Result<SimulationResult, SimError> {
     run_recorded(scenario, &Recorder::disabled())
 }
 
-/// [`run`], with the engine's phase timings, mechanism cache counters
-/// and selector work counters reported to `recorder`. A disabled
-/// recorder makes this exactly [`run`]: no clock reads, no storage, and
-/// a result byte-identical to the unrecorded run (the determinism test
-/// battery enforces this).
+/// [`run`], with the engine's phase timings and selector work counters
+/// reported to `recorder`. A disabled recorder makes this exactly
+/// [`run`]: no clock reads, no storage, and a result byte-identical to
+/// the unrecorded run (the determinism test battery enforces this).
 ///
 /// # Errors
 ///
@@ -890,34 +927,9 @@ impl Engine {
         if self.is_finished() {
             return Err(SimError::event("run is finished; no further round will apply events"));
         }
-        let n = self.workload.users.len();
-        let m = self.workload.tasks.len();
-        match event {
-            ExternalEvent::Move { user, x, y } => {
-                if user as usize >= n {
-                    return Err(SimError::event(format!("unknown user {user} (workload has {n})")));
-                }
-                if !x.is_finite() || !y.is_finite() {
-                    return Err(SimError::event(format!("non-finite coordinate ({x}, {y})")));
-                }
-                if !self.workload.area.contains(Point::new(x, y)) {
-                    return Err(SimError::event(format!(
-                        "position ({x}, {y}) lies outside the sensing area"
-                    )));
-                }
-            }
-            ExternalEvent::Upload { user, task, value } => {
-                if user as usize >= n {
-                    return Err(SimError::event(format!("unknown user {user} (workload has {n})")));
-                }
-                if task as usize >= m {
-                    return Err(SimError::event(format!("unknown task {task} (workload has {m})")));
-                }
-                if !value.is_finite() {
-                    return Err(SimError::event(format!("non-finite measurement value {value}")));
-                }
-            }
-        }
+        event
+            .validate(self.workload.users.len(), self.workload.tasks.len(), self.workload.area)
+            .map_err(SimError::event)?;
         self.inbox.push(event);
         Ok(())
     }
@@ -1379,10 +1391,8 @@ impl Engine {
         if !self.recorder.alloc_profile_enabled() {
             return;
         }
-        let (cache_bytes, index_bytes) = self.platform.memory_bytes();
-        let clamp = |b: usize| i64::try_from(b).unwrap_or(i64::MAX);
-        self.recorder.gauge("memory_demand_cache_bytes").set(clamp(cache_bytes));
-        self.recorder.gauge("memory_neighbor_index_bytes").set(clamp(index_bytes));
+        let index_bytes = i64::try_from(self.platform.memory_bytes()).unwrap_or(i64::MAX);
+        self.recorder.gauge("memory_neighbor_index_bytes").set(index_bytes);
         self.recorder.sample_alloc();
     }
 
@@ -1646,12 +1656,10 @@ pub(crate) fn build_mechanism(
         levels,
     )?;
     Ok(match scenario.mechanism {
-        MechanismKind::OnDemand => {
-            let mut inner =
-                OnDemandIncentive::new(paydemand_core::DemandIndicator::paper_default(), schedule);
-            inner.set_cache_mode(scenario.pricing_cache);
-            Box::new(inner)
-        }
+        MechanismKind::OnDemand => Box::new(OnDemandIncentive::new(
+            paydemand_core::DemandIndicator::paper_default(),
+            schedule,
+        )),
         MechanismKind::Fixed => Box::new(FixedIncentive::new(schedule)),
         MechanismKind::Steered => Box::new(SteeredIncentive::budget_matched()),
         MechanismKind::SteeredPaperConstants => Box::new(SteeredIncentive::paper_constants()),
@@ -1660,9 +1668,8 @@ pub(crate) fn build_mechanism(
             schedule,
         )),
         MechanismKind::Hybrid { alpha } => {
-            let mut inner =
+            let inner =
                 OnDemandIncentive::new(paydemand_core::DemandIndicator::paper_default(), schedule);
-            inner.set_cache_mode(scenario.pricing_cache);
             let flat = scenario.reward_budget / scenario.total_required() as f64;
             Box::new(HybridIncentive::new(inner, alpha, flat)?)
         }

@@ -66,7 +66,6 @@ pub use engine::{
     Engine, EventOutcome, ExternalEvent, RoundRecord, SimulationResult, TaskStatus, UserRound,
 };
 pub use error::SimError;
-pub use paydemand_core::incentive::PricingCacheMode;
 pub use paydemand_core::IndexingMode;
 pub use paydemand_faults::{FaultKind, FaultPlan};
 pub use replay::{ReplayError, ReplaySummary};

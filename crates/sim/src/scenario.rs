@@ -1,6 +1,5 @@
 use serde::{Deserialize, Serialize};
 
-use paydemand_core::incentive::PricingCacheMode;
 use paydemand_core::IndexingMode;
 use paydemand_geo::placement::Placement;
 
@@ -217,10 +216,6 @@ pub struct Scenario {
     /// Both modes produce identical results; the naive scan exists as
     /// the differential reference and bench arm.
     pub indexing: IndexingMode,
-    /// How the on-demand mechanism's pricing cache is used. Every mode
-    /// produces bit-identical rewards; `FullRecompute` additionally
-    /// asserts the cache against a from-scratch recompute each round.
-    pub pricing_cache: PricingCacheMode,
     /// Faults to inject during the run, if any. The fault machinery
     /// draws from its own RNG stream (seeded from `seed` mixed with the
     /// plan's fault seed), so `None` and an empty plan are bitwise
@@ -263,7 +258,6 @@ impl Scenario {
             mechanism: MechanismKind::OnDemand,
             selector: SelectorKind::Dp { candidate_cap: Some(14) },
             indexing: IndexingMode::default(),
-            pricing_cache: PricingCacheMode::default(),
             faults: None,
             seed: 0x5EED,
         }
@@ -329,13 +323,6 @@ impl Scenario {
     #[must_use]
     pub fn with_indexing(mut self, indexing: IndexingMode) -> Self {
         self.indexing = indexing;
-        self
-    }
-
-    /// Sets the pricing-cache mode.
-    #[must_use]
-    pub fn with_pricing_cache(mut self, mode: PricingCacheMode) -> Self {
-        self.pricing_cache = mode;
         self
     }
 
@@ -478,10 +465,8 @@ mod tests {
             .with_max_rounds(7)
             .with_neighbor_radius(500.0)
             .with_time_budget_range(100.0, 200.0)
-            .with_indexing(IndexingMode::NaiveReference)
-            .with_pricing_cache(PricingCacheMode::Disabled);
+            .with_indexing(IndexingMode::NaiveReference);
         assert_eq!(s.indexing, IndexingMode::NaiveReference);
-        assert_eq!(s.pricing_cache, PricingCacheMode::Disabled);
         assert_eq!(s.users, 40);
         assert_eq!(s.tasks, 10);
         assert_eq!(s.mechanism, MechanismKind::Fixed);

@@ -106,7 +106,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("{:-<76}", "");
     println!("Selection dominates the allocation profile (per-user DP tables);");
-    println!("demand and pricing reuse their caches, so their per-round traffic");
-    println!("stays flat as rounds accumulate.");
+    println!("demand reuses the cell sweep's buffers and pricing allocates only");
+    println!("its reward list, so their per-round traffic stays flat as rounds");
+    println!("accumulate.");
     Ok(())
 }

@@ -1,16 +1,14 @@
 //! Observational-equivalence battery for the scaling machinery.
 //!
-//! The cell-sweep neighbour counter and the pricing cache are pure
-//! performance work: every mode combination must produce the *same*
-//! simulation, bit for bit in every float, as the naive reference.
-//! These tests pin that promise end to end (full engine runs) and at
-//! the primitive level (cell-sweep counts vs the naive pairwise scan).
+//! The cell-sweep neighbour counter is pure performance work: every
+//! indexing mode must produce the *same* simulation, bit for bit in
+//! every float, as the naive reference. These tests pin that promise
+//! end to end (full engine runs) and at the primitive level (cell-sweep
+//! counts vs the naive pairwise scan).
 
 use paydemand::core::neighbors::{naive_counts, CellSweepCounter};
 use paydemand::geo::Rect;
-use paydemand::sim::{
-    engine, IndexingMode, MechanismKind, PricingCacheMode, Scenario, SelectorKind,
-};
+use paydemand::sim::{engine, IndexingMode, MechanismKind, Scenario, SelectorKind};
 use rand::{Rng, SeedableRng};
 
 fn scenario(seed: u64) -> Scenario {
@@ -21,33 +19,6 @@ fn scenario(seed: u64) -> Scenario {
         .with_selector(SelectorKind::Greedy)
         .with_mechanism(MechanismKind::OnDemand)
         .with_seed(seed)
-}
-
-#[test]
-fn pricing_cache_modes_are_observationally_equivalent() {
-    // FullRecompute additionally *asserts* cache == recompute inside the
-    // mechanism, so a silently stale cache fails loudly here too.
-    let mechanisms = [MechanismKind::OnDemand, MechanismKind::Hybrid { alpha: 0.5 }];
-    for seed in [1u64, 0xD5EED, 42] {
-        for mechanism in mechanisms {
-            let base = scenario(seed).with_mechanism(mechanism);
-            let disabled =
-                engine::run(&base.clone().with_pricing_cache(PricingCacheMode::Disabled)).unwrap();
-            let enabled =
-                engine::run(&base.clone().with_pricing_cache(PricingCacheMode::Enabled)).unwrap();
-            let checked =
-                engine::run(&base.clone().with_pricing_cache(PricingCacheMode::FullRecompute))
-                    .unwrap();
-            assert!(
-                disabled.observationally_eq(&enabled),
-                "seed {seed} {mechanism:?}: cache changed the simulation"
-            );
-            assert!(
-                disabled.observationally_eq(&checked),
-                "seed {seed} {mechanism:?}: full-recompute mode changed the simulation"
-            );
-        }
-    }
 }
 
 #[test]
@@ -66,24 +37,10 @@ fn indexing_modes_are_observationally_equivalent() {
 #[test]
 fn every_mode_combination_agrees_with_the_reference() {
     let base = scenario(7);
-    let reference = engine::run(
-        &base
-            .clone()
-            .with_indexing(IndexingMode::NaiveReference)
-            .with_pricing_cache(PricingCacheMode::Disabled),
-    )
-    .unwrap();
+    let reference = engine::run(&base.clone().with_indexing(IndexingMode::NaiveReference)).unwrap();
     for indexing in [IndexingMode::NaiveReference, IndexingMode::CellSweep] {
-        for cache in
-            [PricingCacheMode::Disabled, PricingCacheMode::Enabled, PricingCacheMode::FullRecompute]
-        {
-            let run = engine::run(&base.clone().with_indexing(indexing).with_pricing_cache(cache))
-                .unwrap();
-            assert!(
-                reference.observationally_eq(&run),
-                "({indexing:?}, {cache:?}) diverged from the reference run"
-            );
-        }
+        let run = engine::run(&base.clone().with_indexing(indexing)).unwrap();
+        assert!(reference.observationally_eq(&run), "{indexing:?} diverged from the reference run");
     }
 }
 

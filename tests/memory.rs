@@ -83,7 +83,6 @@ fn profiled_run_exports_every_memory_family() {
         assert!(bytes > 0, "phase {phase} attributed no bytes");
     }
     assert!(snap.gauge_value("memory_live_bytes", None).is_some());
-    assert!(snap.gauge_value("memory_demand_cache_bytes", None).is_some());
     assert!(snap.gauge_value("memory_neighbor_index_bytes", None).is_some());
     if alloc::process_rss().is_some() {
         let rss = snap.gauge_value("process_rss_bytes", None).unwrap();
