@@ -1,11 +1,8 @@
 //! Bench regression gate: fails when a fresh `BENCH_scaling.json`
-//! regresses >25% against the committed baseline in any arm, or (in
-//! `--serve` mode) when a `BENCH_serve.json` written by the `loadgen`
-//! binary violates the daemon's robustness invariants.
+//! regresses >25% against the committed baseline in any arm.
 //!
 //! ```sh
 //! cargo run --release -p paydemand-bench --bin gate -- BASELINE FRESH
-//! cargo run --release -p paydemand-bench --bin gate -- --serve BENCH_serve.json
 //! ```
 //!
 //! Prints one verdict line per arm, reports the trace-journal overhead
@@ -19,7 +16,6 @@ use paydemand_bench::gate::{
     TRACE_OVERHEAD_TARGET,
 };
 use paydemand_bench::scaling::{profile_arm, Arm, Config};
-use paydemand_bench::serve_gate::{check_serve, parse_serve, warn_serve};
 
 /// Rounds for the post-failure attribution profile of a regressed arm:
 /// enough for the sampler to land, few enough to stay cheap even on
@@ -76,16 +72,8 @@ fn attribute_regressions(baseline: &BenchDoc, fresh: &BenchDoc, regressed: &[Str
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
-    let first = args.next();
-    if first.as_deref() == Some("--serve") {
-        let Some(path) = args.next() else {
-            eprintln!("usage: gate --serve BENCH_serve.json");
-            return ExitCode::FAILURE;
-        };
-        return serve_gate(&path, args.any(|a| a == "--quick"));
-    }
-    let (Some(baseline_path), Some(fresh_path)) = (first, args.next()) else {
-        eprintln!("usage: gate BASELINE.json FRESH.json | gate --serve BENCH_serve.json [--quick]");
+    let (Some(baseline_path), Some(fresh_path)) = (args.next(), args.next()) else {
+        eprintln!("usage: gate BASELINE.json FRESH.json");
         return ExitCode::FAILURE;
     };
     let read = |path: &str| match std::fs::read_to_string(path) {
@@ -152,57 +140,6 @@ fn main() -> ExitCode {
         let regressed: Vec<String> =
             verdicts.iter().filter(|v| v.regressed).map(|v| v.key.clone()).collect();
         attribute_regressions(&baseline, &fresh, &regressed);
-        for failure in &failures {
-            eprintln!("gate: {failure}");
-        }
-        ExitCode::FAILURE
-    }
-}
-
-/// Validates a `BENCH_serve.json`. `--quick` waives the throughput
-/// floor (CI smoke runs shrink the plan below it by design) but keeps
-/// every other invariant.
-fn serve_gate(path: &str, quick: bool) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let doc = match parse_serve(&text) {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!(
-        "serve: {} events at {:.0}/s, shed {}, attacks {} (hangs {}), restarts {}, \
-         recovery {}",
-        doc.events_accepted,
-        doc.events_per_sec,
-        doc.requests_shed,
-        doc.adversarial_requests,
-        doc.adversarial_hangs,
-        doc.worker_restarts,
-        doc.recovery_ms.map_or("none".to_owned(), |ms| format!("{ms:.1} ms")),
-    );
-    if let Some(stages) = doc.server_stage_us {
-        println!(
-            "serve: stage p99 (µs): parse {}, fsync {}, ack {}",
-            stages.parse.1, stages.fsync.1, stages.ack.1
-        );
-    }
-    for warning in warn_serve(&doc) {
-        println!("gate: WARNING: {warning}");
-    }
-    let failures: Vec<String> =
-        check_serve(&doc).into_iter().filter(|f| !(quick && f.contains("below the"))).collect();
-    if failures.is_empty() {
-        println!("gate: serve ok");
-        ExitCode::SUCCESS
-    } else {
         for failure in &failures {
             eprintln!("gate: {failure}");
         }

@@ -22,7 +22,6 @@ use rand::Rng;
 
 pub mod gate;
 pub mod scaling;
-pub mod serve_gate;
 
 /// Draws a random selection problem of `m` tasks in the paper's area,
 /// used by the solver benchmarks.

@@ -13,8 +13,9 @@
 //! * the request line, the head and the body each have independent
 //!   size caps, exceeded caps map to typed 4xx statuses
 //!   (414 / 431 / 413) rather than truncated parses;
-//! * malformed framing (bad request line, unparsable `Content-Length`,
-//!   non-numeric garbage) is a 400, never a panic;
+//! * malformed framing (bad request line, whitespace in a header name,
+//!   a `Content-Length` that is not plain digits) is a 400, never a
+//!   panic;
 //! * a body is framed one way only: two `Content-Length`s that
 //!   disagree are a 400 (RFC 9112 §6.3) and any `Transfer-Encoding`,
 //!   which this layer does not implement, a 501 (§6.1), so no
@@ -24,8 +25,7 @@
 //!   counting as a server failure.
 //!
 //! The module also carries [`request`], the minimal blocking client
-//! the tests, the load generator and the CI smoke script drive the
-//! daemon with.
+//! the tests and the end-to-end benchmark drive the daemon with.
 
 use std::fmt::Write as _;
 use std::io::{ErrorKind, Read as _, Write as _};
@@ -149,10 +149,18 @@ pub fn read_request(stream: &mut TcpStream, limits: &HttpLimits) -> Result<Reque
         let Some((name, value)) = line.split_once(':') else {
             return Err(ParseError::Malformed("header line without a colon"));
         };
-        let name = name.trim();
+        // A field name is a token: whitespace before the colon is a 400
+        // (RFC 9112 §5.1), and so is a folded line's leading space (§5.2).
+        if name.bytes().any(|b| b.is_ascii_whitespace()) {
+            return Err(ParseError::Malformed("whitespace in a header name"));
+        }
         if name.eq_ignore_ascii_case("content-length") {
-            let length = value
-                .trim()
+            // `1*DIGIT` (RFC 9110 §8.6): `usize::from_str` alone takes a `+`.
+            let digits = value.trim();
+            if !digits.bytes().all(|b| b.is_ascii_digit()) {
+                return Err(ParseError::Malformed("unparsable content length"));
+            }
+            let length = digits
                 .parse::<usize>()
                 .map_err(|_| ParseError::Malformed("unparsable content length"))?;
             if content_length.is_some_and(|seen| seen != length) {

@@ -109,7 +109,8 @@ fn field_f64(entry: &JsonValue, name: &str) -> Result<f64, String> {
 }
 
 /// Encodes a batch into the wire JSON the daemon accepts. Used by the
-/// load generator and the tests; round-trips through [`decode_batch`].
+/// end-to-end benchmark and the tests; round-trips through
+/// [`decode_batch`].
 #[must_use]
 pub fn encode_batch(events: &[ExternalEvent]) -> String {
     let mut out = String::with_capacity(events.len() * 48 + 16);

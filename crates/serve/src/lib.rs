@@ -33,8 +33,6 @@
 //! * [`daemon`] — the assembly: routes, the tick protocol
 //!   (barrier → apply → step → lineage → checkpoint → compact) and
 //!   kill‑9 recovery that continues bit-identically under `--resume`.
-//! * [`loadgen`] — a seeded load generator with honest and adversarial
-//!   clients, for `BENCH_serve.json`.
 //!
 //! See `docs/SERVING.md` for the operator-facing reference.
 
@@ -44,7 +42,6 @@
 pub mod daemon;
 pub mod events;
 pub mod lineage;
-pub mod loadgen;
 pub mod queue;
 pub mod signals;
 pub mod supervisor;
@@ -55,7 +52,6 @@ pub use paydemand_obs::http;
 pub use daemon::{Daemon, DaemonConfig, ShutdownReport, TickOutcome, ACK_SLO_TARGET};
 pub use http::HttpLimits;
 pub use lineage::VerifyReport;
-pub use loadgen::{run_load, LoadPlan, LoadProfile, LoadReport, ServerStages};
 
 use paydemand_sim::SimError;
 

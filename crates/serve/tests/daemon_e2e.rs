@@ -1,14 +1,17 @@
 //! End-to-end daemon tests: the full HTTP surface, backpressure,
-//! panic isolation, graceful shutdown and — the headline — kill‑9
-//! recovery that continues bit-identically under `--resume`.
+//! panic isolation, graceful shutdown, hostile clients racing honest
+//! ones and — the headline — kill‑9 recovery that continues
+//! bit-identically under `--resume`.
 
-use std::net::SocketAddr;
+use std::io::{Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::time::Duration;
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 use paydemand_obs::{evaluate_series, AlertRule, Alerts, Recorder, TimeSeries};
 use paydemand_serve::http;
-use paydemand_serve::{Daemon, DaemonConfig};
+use paydemand_serve::{Daemon, DaemonConfig, HttpLimits};
 use paydemand_sim::{MechanismKind, Scenario, SelectorKind};
 
 const TIMEOUT: Duration = Duration::from_secs(5);
@@ -391,6 +394,176 @@ fn double_crash_recovers() {
     // Round 2's events survived three deaths; apply and check.
     let tick = post(addr, "/tick", "");
     assert!(tick.body.contains("\"applied\": 2"), "{}", tick.body);
+    daemon.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Server deadlines while hostile clients run: short, as in
+/// `http_fuzz`, so the stalling shapes resolve quickly.
+const HOSTILE_DEADLINE: Duration = Duration::from_millis(500);
+/// Every hostile connection must resolve (an answer or a close) inside
+/// this budget: well above the deadlines, far below a hang.
+const HOSTILE_BUDGET: Duration = Duration::from_secs(4);
+const HONEST_CLIENTS: u32 = 3;
+const HONEST_POSTS: u32 = 10;
+/// The pause between one honest client's POSTs, which spreads them
+/// over the whole hostile phase.
+const HONEST_PAUSE: Duration = Duration::from_millis(80);
+const HOSTILE_CLIENTS: usize = 3;
+
+/// The hostile request shapes, each sent on a connection of its own.
+#[derive(Debug, Clone, Copy)]
+enum Hostile {
+    /// A request head trickled out past the head deadline.
+    SlowLoris,
+    /// Part of a promised body, then the client hangs up.
+    MidBodyDisconnect,
+    /// Bytes that are not HTTP where a request line should be.
+    Garbage,
+    /// A `Content-Length` far past the body cap, and a flood after it.
+    OversizedLength,
+    /// Exact framing around a body of truncated JSON.
+    TruncatedJson,
+    /// A request with junk pipelined after it.
+    PipelinedJunk,
+}
+
+const HOSTILE: [Hostile; 6] = [
+    Hostile::SlowLoris,
+    Hostile::MidBodyDisconnect,
+    Hostile::Garbage,
+    Hostile::OversizedLength,
+    Hostile::TruncatedJson,
+    Hostile::PipelinedJunk,
+];
+
+/// Sends one hostile connection and returns how long the daemon took
+/// to resolve it.
+fn send_hostile(addr: SocketAddr, shape: Hostile) -> Duration {
+    let started = Instant::now();
+    let mut stream = TcpStream::connect_timeout(&addr, HOSTILE_BUDGET).expect("daemon accepts");
+    stream.set_read_timeout(Some(HOSTILE_BUDGET)).unwrap();
+    stream.set_write_timeout(Some(HOSTILE_BUDGET)).unwrap();
+    // Write errors are expected: the daemon may hang up first.
+    match shape {
+        Hostile::SlowLoris => {
+            for chunk in [&b"POST "[..], b"/even", b"ts HT"] {
+                if stream.write_all(chunk).is_err() {
+                    break;
+                }
+                std::thread::sleep(HOSTILE_DEADLINE / 2);
+            }
+        }
+        Hostile::MidBodyDisconnect => {
+            let _ =
+                stream.write_all(b"POST /events HTTP/1.1\r\nContent-Length: 1000\r\n\r\n{\"events");
+            let _ = stream.shutdown(Shutdown::Write);
+        }
+        Hostile::Garbage => {
+            let junk: Vec<u8> =
+                (0..512u32).map(|i| (i.wrapping_mul(0x9E37_79B9) >> 13) as u8).collect();
+            let _ = stream.write_all(&junk);
+            let _ = stream.write_all(b"\r\n\r\n");
+        }
+        Hostile::OversizedLength => {
+            let _ = stream.write_all(b"POST /events HTTP/1.1\r\nContent-Length: 999999999\r\n\r\n");
+            let _ = stream.write_all(&[b'x'; 4096]);
+        }
+        Hostile::TruncatedJson => {
+            let body = b"{\"events\": [{\"type\": ";
+            let head = format!("POST /events HTTP/1.1\r\nContent-Length: {}\r\n\r\n", body.len());
+            let _ = stream.write_all(head.as_bytes());
+            let _ = stream.write_all(body);
+        }
+        Hostile::PipelinedJunk => {
+            let _ = stream.write_all(
+                b"GET /healthz HTTP/1.1\r\nContent-Length: 0\r\n\r\n\
+                  GET /junk HTTP/1.1\r\n\r\ntrailing nonsense",
+            );
+        }
+    }
+    let _ = stream.read_to_end(&mut Vec::new());
+    started.elapsed()
+}
+
+/// Hostile clients sending every malformed shape race honest clients
+/// posting valid batches. No honest POST may be refused, no hostile
+/// connection may hang or kill a worker, the daemon must count exactly
+/// the acked events, and a kill-9 must lose none of them.
+#[test]
+fn hostile_clients_never_cost_honest_ones_an_event() {
+    let dir = fresh_dir("hostile");
+    let mut config = DaemonConfig::new(scenario(), dir.clone());
+    config.limits = HttpLimits {
+        head_deadline: HOSTILE_DEADLINE,
+        body_deadline: HOSTILE_DEADLINE,
+        write_timeout: HOSTILE_DEADLINE,
+        ..HttpLimits::default()
+    };
+    // Room for exactly the honest events (two per `round_events`
+    // batch): nothing may be shed, and a hostile request that queued an
+    // event would push one out.
+    let honest_events = 2 * HONEST_CLIENTS * HONEST_POSTS;
+    config.queue_capacity = honest_events as usize;
+    let (daemon, recorder) = start(config.clone());
+    let addr = daemon.local_addr();
+
+    let go = Arc::new(Barrier::new(HONEST_CLIENTS as usize + HOSTILE_CLIENTS));
+    let honest: Vec<_> = (0..HONEST_CLIENTS)
+        .map(|client| {
+            let go = Arc::clone(&go);
+            std::thread::spawn(move || {
+                go.wait();
+                let mut acked = 0u64;
+                for post_no in 1..=HONEST_POSTS {
+                    let round = client * HONEST_POSTS + post_no;
+                    let response = post(addr, "/events", &round_events(round));
+                    assert_eq!(response.status, 202, "honest POST refused: {}", response.body);
+                    acked += extract(&response.body, "accepted").parse::<u64>().unwrap();
+                    std::thread::sleep(HONEST_PAUSE);
+                }
+                acked
+            })
+        })
+        .collect();
+    // Each hostile client sends every shape, from a different start, so
+    // the slow-loris connections do not all hold workers at once.
+    let hostile: Vec<_> = (0..HOSTILE_CLIENTS)
+        .map(|client| {
+            let go = Arc::clone(&go);
+            std::thread::spawn(move || {
+                go.wait();
+                (0..HOSTILE.len())
+                    .map(|i| {
+                        let shape = HOSTILE[(i + 2 * client) % HOSTILE.len()];
+                        (shape, send_hostile(addr, shape))
+                    })
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    let acked: u64 = honest.into_iter().map(|h| h.join().expect("honest client")).sum();
+    for (shape, took) in hostile.into_iter().flat_map(|h| h.join().expect("hostile client")) {
+        assert!(took < HOSTILE_BUDGET, "a {shape:?} connection took {took:?} to resolve");
+    }
+
+    assert_eq!(acked, u64::from(honest_events));
+    assert_eq!(
+        recorder.counter("worker_restarts_total").get(),
+        0,
+        "a hostile client killed a worker"
+    );
+    assert_eq!(recorder.counter("ingest_events_total").get(), acked);
+    let health = get(addr, "/healthz");
+    assert!(health.body.contains("\"status\": \"serving\""), "healthz: {}", health.body);
+    daemon.crash();
+
+    config.resume = true;
+    let (daemon, _r) = start(config);
+    let health = get(daemon.local_addr(), "/healthz");
+    assert_eq!(extract(&health.body, "queue_depth"), acked.to_string(), "{}", health.body);
+    let outcome = daemon.tick().expect("tick after resume");
+    assert_eq!(outcome.applied as u64, acked);
     daemon.shutdown().unwrap();
     let _ = std::fs::remove_dir_all(dir);
 }

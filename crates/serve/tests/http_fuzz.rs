@@ -242,6 +242,12 @@ fn exact_edge_cases_resolve() {
     assert_eq!(coded.as_deref(), Some("501"));
     let duplicate = status(format!("Content-Length: {n}\r\nContent-Length: {n}\r\n"));
     assert_eq!(duplicate.as_deref(), Some("202"));
+    // Whitespace before a field name's colon is a 400 (RFC 9112 §5.1),
+    // and so is a sign on a length whose grammar is `1*DIGIT`.
+    let spaced = status(format!("Content-Length : {n}\r\n"));
+    assert_eq!(spaced.as_deref(), Some("400"));
+    let signed = status(format!("Content-Length: +{n}\r\n"));
+    assert_eq!(signed.as_deref(), Some("400"));
 }
 
 /// The slow-loris case proper: bytes trickled slower than the head
