@@ -93,14 +93,14 @@ fn bench_trace_encoding(c: &mut Criterion) {
     let mut group = c.benchmark_group("trace");
     group.bench_function("encode_10k_submits", |b| {
         b.iter(|| {
-            let mut w = TraceWriter::new();
+            let mut w = TraceWriter::journal();
             for i in 0..10_000u32 {
                 w.record(TraceEvent::Submit { user: i, task: i % 20, reward: 1.5 });
             }
             w.finish()
         });
     });
-    let mut w = TraceWriter::new();
+    let mut w = TraceWriter::journal();
     for i in 0..10_000u32 {
         w.record(TraceEvent::Submit { user: i, task: i % 20, reward: 1.5 });
     }

@@ -478,7 +478,6 @@ mod tests {
         ));
         run(&opts).unwrap();
         let bytes = std::fs::read(&path).unwrap();
-        assert!(paydemand_sim::trace::is_journal(&bytes), "journal header missing");
         let summary = paydemand_sim::replay::audit(&bytes).unwrap();
         assert_eq!(summary.rounds, 3);
         assert!(summary.measurements > 0);

@@ -61,12 +61,7 @@ fn inspect(bytes: &[u8]) -> Result<String, String> {
         }
     }
     let mut out = String::new();
-    let format = if trace::is_journal(bytes) {
-        format!("decision journal v{} (PDTJ)", trace::JOURNAL_VERSION)
-    } else {
-        "legacy frame stream (headerless)".to_string()
-    };
-    let _ = writeln!(out, "format:          {format}");
+    let _ = writeln!(out, "format:          decision journal v{} (PDTJ)", trace::JOURNAL_VERSION);
     let _ = writeln!(out, "frames:          {}", events.len());
     let _ = writeln!(out, "bytes:           {}", bytes.len());
     let _ = writeln!(out, "rounds:          {rounds}");

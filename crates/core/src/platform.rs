@@ -283,14 +283,6 @@ impl<M: IncentiveMechanism> Platform<M> {
         }
     }
 
-    /// The snapshot the mechanism last priced against, when retention is
-    /// on and the last round was freshly priced (a stale republish has
-    /// no recomputed context).
-    #[must_use]
-    pub fn last_round_context(&self) -> Option<&RoundContext> {
-        self.last_context.as_ref()
-    }
-
     /// Explains the last freshly priced round: each published-or-priced
     /// task's progress snapshot paired with the mechanism's demand
     /// breakdown, in `ctx.tasks` order. `None` when context retention

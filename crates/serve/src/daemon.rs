@@ -25,14 +25,18 @@
 //!   per-task pricing) to the [`lineage`](crate::lineage) index, and
 //!   only then lands an atomic checkpoint (tmp + rename) and compacts
 //!   the WAL down to the events that arrived meanwhile — so every
-//!   checkpointed round has durable lineage.
+//!   checkpointed round has durable lineage. Feeding the batch and
+//!   building its frames is `lineage::apply_batch`, the one apply path
+//!   recovery and `lineage verify` share; the engine lock is released
+//!   before the journal is decoded.
 //! * `--resume` rebuilds the engine from the last checkpoint, truncates
 //!   lineage frames for rounds past it (the crash window), and replays
-//!   the WAL: consumed barriers are skipped, un-checkpointed barriers
-//!   re-execute their rounds deterministically *with the same lineage
-//!   joiner*, trailing events return to the pending queue. The result —
-//!   engine, WAL and lineage index alike — is bit-identical to the run
-//!   that never crashed.
+//!   the WAL through `lineage::replay_wal`, the walk `lineage verify`
+//!   uses too: consumed barriers are skipped, un-checkpointed barriers
+//!   re-execute their rounds deterministically *through the tick's own
+//!   apply path*, trailing events return to the pending queue. The
+//!   result — engine, WAL and lineage index alike — is bit-identical to
+//!   the run that never crashed.
 //! * workers are panic-isolated under a [`Supervisor`]; an engine-side
 //!   panic or error during a tick flips the daemon into a `failed`
 //!   read-only state rather than corrupting durable state.
@@ -59,15 +63,14 @@ use std::time::{Duration, Instant};
 use paydemand_geo::Rect;
 use paydemand_obs::{Counter, Gauge, Histogram, LogLevel, Logger, Recorder};
 use paydemand_sim::frame::write_atomic;
-use paydemand_sim::trace;
-use paydemand_sim::{Engine, EventOutcome, ExternalEvent, Scenario};
+use paydemand_sim::{Engine, ExternalEvent, Scenario};
 
 use crate::events::decode_batch;
 use crate::http::{self, error_body, HttpLimits, Request};
 use crate::lineage::{self, AppliedFrame, LineageFrame, LineageIndex, RoundFrame};
 use crate::queue::{Bounded, PushError};
 use crate::supervisor::{Supervisor, WorkerFn};
-use crate::wal::{SequencedEvent, Wal, WalRecord};
+use crate::wal::{SequencedEvent, Wal};
 use crate::ServeError;
 
 const JSON: &str = "application/json; charset=utf-8";
@@ -681,8 +684,11 @@ fn recover(
         None
     };
 
-    // Id watermarks: past everything the WAL holds *and* everything the
-    // lineage remembers (applied events get compacted out of the WAL).
+    // Replay: consumed barriers are skipped, the un-checkpointed ones
+    // re-execute and regenerate their lineage through the tick's own
+    // apply path. Id watermarks go past everything the WAL holds *and*
+    // everything the lineage remembers (applied events get compacted
+    // out of the WAL).
     let mut max_event_id = 0u64;
     let mut max_request_id = 0u64;
     if let Some(state) = &lineage_state {
@@ -691,71 +697,23 @@ fn recover(
             max_request_id = max_request_id.max(f.request_id);
         }
     }
-
-    let mut fifo: VecDeque<(u64, SequencedEvent)> = VecDeque::new();
+    let mut watermark = |seq: &SequencedEvent| {
+        max_event_id = max_event_id.max(seq.id);
+        max_request_id = max_request_id.max(seq.request);
+    };
     let mut replayed = 0u64;
-    for (offset, record) in records {
-        match record {
-            WalRecord::Event(seq) => {
-                max_event_id = max_event_id.max(seq.id);
-                max_request_id = max_request_id.max(seq.request);
-                fifo.push_back((offset, seq));
-            }
-            WalRecord::Barrier { round, events } => {
-                let take = events as usize;
-                if fifo.len() < take {
-                    return Err(ServeError::Config(format!(
-                        "WAL barrier for round {round} names more events than logged"
-                    )));
-                }
-                let next = engine.next_round();
-                if round < next {
-                    // This round is inside the checkpoint already; its
-                    // batch is consumed without replay.
-                    fifo.drain(..take);
-                } else if round == next && !engine.is_finished() {
-                    let batch: Vec<(u64, SequencedEvent)> = fifo.drain(..take).collect();
-                    if lineage_state.is_some() {
-                        engine.enable_trace();
-                    }
-                    let mut dropped = vec![false; batch.len()];
-                    for (i, (_, seq)) in batch.iter().enumerate() {
-                        // Rejections here replay the original tick's
-                        // behaviour exactly (validation is a pure
-                        // function of engine state), so skipping is
-                        // deterministic.
-                        if engine.enqueue_event(seq.event).is_err() {
-                            dropped[i] = true;
-                        }
-                    }
-                    engine.step_round()?;
-                    if let Some(state) = lineage_state.as_mut() {
-                        let journal_bytes = engine.take_trace().unwrap_or_default();
-                        let journal = trace::decode(&journal_bytes).map_err(|e| {
-                            ServeError::Config(format!("decision journal during replay: {e}"))
-                        })?;
-                        let dispositions =
-                            lineage::join_outcomes(&dropped, engine.last_event_outcomes());
-                        let frames = lineage::frames_for_round(
-                            round,
-                            &batch,
-                            &dispositions,
-                            engine.total_paid(),
-                            &journal,
-                        );
-                        state.index.append(&frames)?;
-                        absorb_frames(state, frames);
-                    }
-                    replayed += u64::from(events);
-                } else {
-                    return Err(ServeError::Config(format!(
-                        "WAL barrier for round {round} does not follow checkpointed round {next}; \
-                         state directory is corrupt or mixes runs"
-                    )));
-                }
-            }
+    let lineage_on = lineage_state.is_some();
+    let fifo = lineage::replay_wal(&mut engine, records, lineage_on, |_, batch, frames| {
+        batch.iter().for_each(|(_, seq)| watermark(seq));
+        let Some(frames) = frames else { return Ok(()) };
+        replayed += batch.len() as u64;
+        if let Some(state) = lineage_state.as_mut() {
+            state.index.append(&frames)?;
+            absorb_frames(state, frames);
         }
-    }
+        Ok(())
+    })?;
+    fifo.iter().for_each(|(_, seq)| watermark(seq));
     if replayed > 0 {
         recorder.counter("resume_replayed_events_total").add(replayed);
     }
@@ -1141,42 +1099,22 @@ fn run_tick(shared: &Arc<Shared>) -> Result<TickOutcome, ServeError> {
     // *started* from, not the post-drain zero.
     let applied = batch.len();
     let lineage_on = shared.config.lineage;
+    let this_tick = shared.ticks.load(Ordering::SeqCst) + 1;
+    let checkpoint_due = this_tick.is_multiple_of(u64::from(shared.config.checkpoint_every));
 
+    // The engine lock covers the round and the checkpoint encode; the
+    // journal is decoded into lineage frames after it is released.
     let stepped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let mut engine = shared.lock_engine();
-        if lineage_on {
-            engine.enable_trace();
-        }
-        let mut dropped = vec![false; batch.len()];
-        for (i, (_, seq)) in batch.iter().enumerate() {
-            // Pre-validated at ingest; rejections (e.g. the run just
-            // finished) drop deterministically, matching replay.
-            if engine.enqueue_event(seq.event).is_err() {
-                dropped[i] = true;
-            }
-        }
-        engine.step_round()?;
-        let journal = if lineage_on { engine.take_trace() } else { None };
-        let outcomes: Vec<EventOutcome> = engine.last_event_outcomes().to_vec();
-        let checkpoint = if (shared.ticks.load(Ordering::SeqCst) + 1)
-            .is_multiple_of(u64::from(shared.config.checkpoint_every))
-            || engine.is_finished()
-        {
-            Some(engine.checkpoint()?)
-        } else {
-            None
-        };
-        Ok::<_, paydemand_sim::SimError>((
-            engine.next_round(),
-            engine.is_finished(),
-            checkpoint,
-            journal,
-            outcomes,
-            dropped,
-            engine.total_paid(),
-        ))
+        lineage::apply_batch(shared.lock_engine(), round, &batch, lineage_on, |engine| {
+            let checkpoint = if checkpoint_due || engine.is_finished() {
+                Some(engine.checkpoint()?)
+            } else {
+                None
+            };
+            Ok((engine.next_round(), engine.is_finished(), checkpoint))
+        })
     }));
-    let (next_round, finished, checkpoint, journal, outcomes, dropped, total_paid) = match stepped {
+    let (frames, (next_round, finished, checkpoint)) = match stepped {
         Err(_) => {
             shared.fail("engine tick panicked", "daemon degraded to read-only");
             return Err(ServeError::Fatal(
@@ -1195,12 +1133,6 @@ fn run_tick(shared: &Arc<Shared>) -> Result<TickOutcome, ServeError> {
     // crash between the two truncates and regenerates this round's
     // frames on recovery.
     if lineage_on {
-        let journal = trace::decode(journal.as_deref().unwrap_or(&[])).map_err(|e| {
-            shared.fail("decision journal decode failed", &e.to_string());
-            ServeError::Fatal(format!("decision journal decode failed: {e}"))
-        })?;
-        let dispositions = lineage::join_outcomes(&dropped, &outcomes);
-        let frames = lineage::frames_for_round(round, &batch, &dispositions, total_paid, &journal);
         let mut ingest = shared.lock_ingest();
         if let Some(state) = ingest.lineage.as_mut() {
             let bytes = state.index.append(&frames).map_err(|e| {
@@ -1216,7 +1148,6 @@ fn run_tick(shared: &Arc<Shared>) -> Result<TickOutcome, ServeError> {
     }
     drop(applying_window);
 
-    let this_tick = shared.ticks.load(Ordering::SeqCst) + 1;
     if let Some(bytes) = checkpoint {
         let ck_path = shared.config.state_dir.join(CHECKPOINT_FILE);
         write_atomic(&ck_path, &bytes, shared.config.fsync).map_err(|e| {

@@ -33,24 +33,30 @@
 //! checkpoint lands, so every checkpointed round has durable lineage;
 //! frames for rounds the checkpoint does *not* cover are truncated at
 //! recovery and regenerated bit-identically by the deterministic
-//! replay (the regeneration uses the same [`frames_for_round`] joiner
-//! the live tick used).
+//! replay.
+//!
+//! Regeneration is bit-identical because there is one apply path:
+//! `apply_batch` feeds a WAL batch into the engine as its next round
+//! and returns the round's frames, for the live tick, crash recovery
+//! and [`verify`] alike; and one replay, `replay_wal`, walks the WAL's
+//! barriers for recovery and [`verify`].
 //!
 //! [`verify`] is the offline auditor: it replays the WAL against the
-//! checkpoint exactly like daemon recovery and proves that every
-//! consumed event has a matching frame, that regenerated frames agree
-//! bit-for-bit with what is on disk, and that acked-but-never-ticked
-//! events (including the decodable prefix of a torn batch) are
-//! reported as *never applied* rather than silently missing.
+//! checkpoint through that walk and proves that every consumed event
+//! has a matching frame, that regenerated frames agree bit-for-bit
+//! with what is on disk, and that acked-but-never-ticked events
+//! (including the decodable prefix of a torn batch) are reported as
+//! *never applied* rather than silently missing.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
+use std::ops::DerefMut;
 use std::path::Path;
 
 use paydemand_obs::Recorder;
 use paydemand_sim::frame::{self, BufMut, Cursor, CursorError, Header, HeaderError, LogError};
 use paydemand_sim::frame::{Record, RecordLog};
 use paydemand_sim::trace::{self, TraceEvent};
-use paydemand_sim::{Engine, EventOutcome, Scenario};
+use paydemand_sim::{Engine, EventOutcome, Scenario, SimError};
 
 use crate::wal::{self, SequencedEvent, WalRecord};
 use crate::ServeError;
@@ -246,12 +252,6 @@ impl LineageIndex {
     pub fn bytes(&self) -> u64 {
         self.log.bytes()
     }
-
-    /// The index's on-disk path.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        self.log.path()
-    }
 }
 
 /// Reads every well-formed frame in `path`, returning the frames, the
@@ -364,9 +364,10 @@ pub fn join_outcomes(dropped: &[bool], outcomes: &[EventOutcome]) -> Vec<(Dispos
 /// Builds the lineage frames for one executed round: one `Applied`
 /// frame per batch event (in batch order) and one `Round` frame
 /// joining the PDTJ decision journal's per-task pricing and budget
-/// trajectory. This is the *only* producer of lineage frames — the
-/// live tick, crash recovery and [`verify`] all call it, which is what
-/// makes regeneration bit-identical.
+/// trajectory. This is the *only* producer of lineage frames; the
+/// daemon reaches it through `apply_batch`, the one apply path of the
+/// live tick, crash recovery and [`verify`], which is what makes
+/// regeneration bit-identical.
 #[must_use]
 pub fn frames_for_round(
     round: u32,
@@ -445,10 +446,106 @@ impl VerifyReport {
     }
 }
 
+/// Feeds one WAL batch into `engine` as its next round, `round`, and
+/// returns the round's lineage frames: the one apply path of the live
+/// tick, crash recovery and [`verify`], which is what makes their
+/// frames bit-identical. An event the engine refuses (the run just
+/// finished) is dropped deterministically, since validation is a pure
+/// function of engine state. `then` reads whatever else the caller
+/// needs off the stepped engine; the engine handle is dropped — a
+/// daemon's engine lock released — before the journal is decoded. With
+/// `lineage` off no journal is kept and no frames are built.
+///
+/// # Errors
+///
+/// The engine's, or `then`'s; a journal this engine just wrote that
+/// does not decode is an engine invariant violation.
+pub(crate) fn apply_batch<T>(
+    mut engine: impl DerefMut<Target = Engine>,
+    round: u32,
+    batch: &[(u64, SequencedEvent)],
+    lineage: bool,
+    then: impl FnOnce(&Engine) -> Result<T, SimError>,
+) -> Result<(Vec<LineageFrame>, T), SimError> {
+    if lineage {
+        engine.enable_trace();
+    }
+    let dropped: Vec<bool> =
+        batch.iter().map(|(_, seq)| engine.enqueue_event(seq.event).is_err()).collect();
+    engine.step_round()?;
+    let journal = engine.take_trace();
+    let outcomes = engine.last_event_outcomes().to_vec();
+    let total_paid = engine.total_paid();
+    let then = then(&engine)?;
+    drop(engine);
+    let Some(journal) = journal else { return Ok((Vec::new(), then)) };
+    let journal = trace::decode(&journal).map_err(|e| SimError::EngineInvariant {
+        message: format!("decision journal decode failed: {e}"),
+    })?;
+    let dispositions = join_outcomes(&dropped, &outcomes);
+    Ok((frames_for_round(round, batch, &dispositions, total_paid, &journal), then))
+}
+
+/// Walks a WAL's records against `engine`, freshly resumed from the
+/// checkpoint: the one replay of daemon recovery and [`verify`]. Each
+/// barrier takes the oldest logged events, with their WAL offsets, as
+/// its batch. A barrier at a round the checkpoint covers is consumed
+/// as is; the one at the engine's next round re-executes through
+/// [`apply_batch`]. Each is handed to `on_barrier` in WAL order as its
+/// round, its batch and, for a re-executed round, its lineage frames.
+/// Returns the events no barrier consumed — acked, never ticked — in
+/// WAL order.
+///
+/// # Errors
+///
+/// A barrier naming more events than were logged before it, or one at
+/// a round that does not follow the engine's; the engine's errors;
+/// `on_barrier`'s.
+pub(crate) fn replay_wal(
+    engine: &mut Engine,
+    records: Vec<(u64, WalRecord)>,
+    lineage: bool,
+    mut on_barrier: impl FnMut(
+        u32,
+        Vec<(u64, SequencedEvent)>,
+        Option<Vec<LineageFrame>>,
+    ) -> Result<(), ServeError>,
+) -> Result<VecDeque<(u64, SequencedEvent)>, ServeError> {
+    let mut fifo = VecDeque::new();
+    for (offset, record) in records {
+        let (round, events) = match record {
+            WalRecord::Event(seq) => {
+                fifo.push_back((offset, seq));
+                continue;
+            }
+            WalRecord::Barrier { round, events } => (round, events as usize),
+        };
+        if fifo.len() < events {
+            return Err(ServeError::Config(format!(
+                "WAL barrier for round {round} names more events than logged"
+            )));
+        }
+        let batch: Vec<(u64, SequencedEvent)> = fifo.drain(..events).collect();
+        let next = engine.next_round();
+        let replayed = if round < next {
+            None
+        } else if round == next && !engine.is_finished() {
+            Some(apply_batch(&mut *engine, round, &batch, lineage, |_| Ok(()))?.0)
+        } else {
+            return Err(ServeError::Config(format!(
+                "WAL barrier for round {round} does not follow checkpointed round {next}; \
+                 state directory is corrupt or mixes runs"
+            )));
+        };
+        on_barrier(round, batch, replayed)?;
+    }
+    Ok(fifo)
+}
+
 /// Offline lineage audit: replays the WAL against the checkpoint with
-/// the daemon's exact recovery semantics and cross-checks every frame
-/// in the lineage index. Runs against a cold state directory (daemon
-/// stopped or crashed).
+/// the daemon's own recovery walk (`replay_wal`) and cross-checks
+/// every frame in the lineage index. Runs against a cold state
+/// directory (daemon stopped or crashed).
 ///
 /// # Errors
 ///
@@ -492,77 +589,42 @@ pub fn verify(scenario: &Scenario, state_dir: &Path) -> Result<VerifyReport, Ser
         if wal_path.exists() { wal::read_records(&wal_path)? } else { (Vec::new(), 0) };
     report.torn_wal_bytes = torn_wal;
 
-    let mut fifo: std::collections::VecDeque<(u64, SequencedEvent)> =
-        std::collections::VecDeque::new();
-    for (offset, record) in records {
-        match record {
-            WalRecord::Event(seq) => fifo.push_back((offset, seq)),
-            WalRecord::Barrier { round, events } => {
-                let take = events as usize;
-                if fifo.len() < take {
-                    return Err(ServeError::Config(format!(
-                        "WAL barrier for round {round} names more events than logged"
-                    )));
+    let never_ticked = replay_wal(&mut engine, records, true, |round, batch, replayed| {
+        match replayed {
+            // Checkpointed round: its lineage must already be durable
+            // (frames land before the checkpoint).
+            None => {
+                for (_, seq) in &batch {
+                    report.checked += 1;
+                    match settled.get(&seq.id) {
+                        Some(f) if f.round == round => {}
+                        _ => report.missing.push(seq.id),
+                    }
                 }
-                let batch: Vec<(u64, SequencedEvent)> = fifo.drain(..take).collect();
-                let next = engine.next_round();
-                if round < next {
-                    // Checkpointed round: its lineage must already be
-                    // durable (frames land before the checkpoint).
-                    for (_, seq) in &batch {
-                        report.checked += 1;
-                        match settled.get(&seq.id) {
-                            Some(f) if f.round == round => {}
-                            _ => report.missing.push(seq.id),
+            }
+            // Re-executed with the daemon's exact semantics: compare
+            // with the frames the crashed tick wrote (or would have).
+            Some(frames) => {
+                for frame in &frames {
+                    if let LineageFrame::Applied(f) = frame {
+                        report.regenerated += 1;
+                        match unsettled.get(&f.event_id) {
+                            Some(on_disk) if on_disk == f => report.matched += 1,
+                            Some(_) => report.mismatched.push(f.event_id),
+                            // Crash before the lineage append: the
+                            // frame never landed, recovery writes it.
+                            None => {}
                         }
                     }
-                } else if round == next && !engine.is_finished() {
-                    // Re-execute with the daemon's exact semantics and
-                    // regenerate the frames the crashed tick wrote (or
-                    // would have written).
-                    engine.enable_trace();
-                    let mut dropped = vec![false; batch.len()];
-                    for (i, (_, seq)) in batch.iter().enumerate() {
-                        if engine.enqueue_event(seq.event).is_err() {
-                            dropped[i] = true;
-                        }
-                    }
-                    engine.step_round()?;
-                    let journal_bytes = engine.take_trace().unwrap_or_default();
-                    let journal = trace::decode(&journal_bytes)
-                        .map_err(|e| ServeError::Config(format!("decision journal: {e}")))?;
-                    let dispositions = join_outcomes(&dropped, engine.last_event_outcomes());
-                    let regenerated = frames_for_round(
-                        round,
-                        &batch,
-                        &dispositions,
-                        engine.total_paid(),
-                        &journal,
-                    );
-                    for frame in &regenerated {
-                        if let LineageFrame::Applied(f) = frame {
-                            report.regenerated += 1;
-                            match unsettled.get(&f.event_id) {
-                                Some(on_disk) if on_disk == f => report.matched += 1,
-                                Some(_) => report.mismatched.push(f.event_id),
-                                // Crash before the lineage append: the
-                                // frame never landed, recovery writes it.
-                                None => {}
-                            }
-                        }
-                    }
-                } else {
-                    return Err(ServeError::Config(format!(
-                        "WAL barrier for round {round} does not follow checkpointed round {next}"
-                    )));
                 }
             }
         }
-    }
+        Ok(())
+    })?;
     // Whatever is left was acked but never consumed by a barrier —
     // including the decodable prefix of a torn final batch. These are
     // *never applied*, and must not have Applied frames.
-    for (_, seq) in fifo {
+    for (_, seq) in never_ticked {
         if settled.contains_key(&seq.id) {
             report.mismatched.push(seq.id);
         } else {

@@ -25,13 +25,13 @@
 //! `[tag u8][len u32 LE][payload][fnv1a-64-lo u32 LE]`, the checksum
 //! covering the payload only. Payloads are at most 64 bytes.
 //!
-//! Since PR 9 every event record carries its lineage identity — the
-//! monotonic event id and the ingest request id assigned at `POST
-//! /events` — as sub-tags 2 (move) and 3 (upload); the id-less
-//! sub-tags 0/1 still decode (with both ids zero) so pre-lineage logs
-//! replay. [`Wal::append_events`] returns each record's byte offset,
-//! the `wal_offset` the lineage index stores, and the log tracks its
-//! own length so `wal_bytes` is a free gauge read.
+//! Every event record carries its lineage identity — the monotonic
+//! event id and the ingest request id assigned at `POST /events` — as
+//! sub-tags 2 (move) and 3 (upload); any other sub-tag, the id-less
+//! pre-lineage 0/1 included, is unknown and ends the scan like a torn
+//! tail. [`Wal::append_events`] returns each record's byte offset, the
+//! `wal_offset` the lineage index stores, and the log tracks its own
+//! length so `wal_bytes` is a free gauge read.
 
 use std::path::Path;
 
@@ -136,12 +136,6 @@ impl Wal {
         Ok(offsets)
     }
 
-    /// The log's on-disk path.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        self.log.path()
-    }
-
     /// Current size of the log in bytes (the `wal_bytes` gauge).
     #[must_use]
     pub fn bytes(&self) -> u64 {
@@ -206,12 +200,14 @@ impl Record for WalRecord {
             return Ok(None);
         }
         let sub_tag = p.u8()?;
-        // Pre-lineage sub-tags 0/1 carry no ids on disk: report them as zero.
-        let (id, request) = if sub_tag >= 2 { (p.u64()?, p.u64()?) } else { (0, 0) };
-        let event = match sub_tag {
-            0 | 2 => ExternalEvent::Move { user: p.u32()?, x: p.f64()?, y: p.f64()? },
-            1 | 3 => ExternalEvent::Upload { user: p.u32()?, task: p.u32()?, value: p.f64()? },
-            _ => return Ok(None),
+        if !matches!(sub_tag, 2 | 3) {
+            return Ok(None);
+        }
+        let (id, request) = (p.u64()?, p.u64()?);
+        let event = if sub_tag == 2 {
+            ExternalEvent::Move { user: p.u32()?, x: p.f64()?, y: p.f64()? }
+        } else {
+            ExternalEvent::Upload { user: p.u32()?, task: p.u32()?, value: p.f64()? }
         };
         Ok(Some(WalRecord::Event(SequencedEvent { id, request, event })))
     }
@@ -266,27 +262,25 @@ mod tests {
     }
 
     #[test]
-    fn legacy_idless_records_still_decode() {
+    fn legacy_idless_records_do_not_decode() {
         let path = tmp_path("legacy");
-        // A pre-lineage upload record (sub-tag 1): hand-framed.
-        let mut payload = vec![1u8];
-        payload.extend_from_slice(&5u32.to_le_bytes());
-        payload.extend_from_slice(&9u32.to_le_bytes());
-        payload.extend_from_slice(&2.5f64.to_bits().to_le_bytes());
-        let mut bytes = vec![TAG_EVENT];
-        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        bytes.extend_from_slice(&(frame::fnv1a64(&payload) as u32).to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        let (records, torn) = read_records(&path).unwrap();
-        assert_eq!(torn, 0);
-        assert_eq!(
-            records,
-            vec![(
-                0,
-                WalRecord::Event(seq(0, 0, ExternalEvent::Upload { user: 5, task: 9, value: 2.5 }))
-            )]
-        );
+        // Pre-lineage move (sub-tag 0) and upload (sub-tag 1) records,
+        // hand-framed and well checksummed, each after a barrier.
+        for (sub_tag, event) in [(0u8, vec![3u8; 20]), (1, vec![5; 16])] {
+            let mut payload = vec![sub_tag];
+            payload.extend_from_slice(&event);
+            let mut bytes = vec![TAG_BARRIER, 8, 0, 0, 0];
+            bytes.extend_from_slice(&[1, 0, 0, 0, 0, 0, 0, 0]);
+            bytes.extend_from_slice(&(frame::fnv1a64(&bytes[5..]) as u32).to_le_bytes());
+            bytes.push(TAG_EVENT);
+            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(&payload);
+            bytes.extend_from_slice(&(frame::fnv1a64(&payload) as u32).to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            let (records, torn) = read_records(&path).unwrap();
+            assert_eq!(records, vec![(0, WalRecord::Barrier { round: 1, events: 0 })]);
+            assert_eq!(torn, 5 + payload.len() + 4, "sub-tag {sub_tag} read as unknown");
+        }
     }
 
     #[test]

@@ -551,40 +551,6 @@ impl EngineInstruments {
     }
 }
 
-/// Runs one repetition on an already-generated workload (used by the
-/// Fig. 5 selector comparison, which must hold the workload fixed while
-/// swapping selectors). The caller's `rng` is advanced exactly as if
-/// the round loop had consumed it directly.
-///
-/// # Errors
-///
-/// As [`run`].
-pub fn run_with_workload(
-    scenario: &Scenario,
-    workload: Workload,
-    rng: &mut StdRng,
-) -> Result<SimulationResult, SimError> {
-    run_with_workload_recorded(scenario, workload, rng, &Recorder::disabled())
-}
-
-/// [`run_with_workload`] with observability; see [`run_recorded`].
-///
-/// # Errors
-///
-/// As [`run`].
-pub fn run_with_workload_recorded(
-    scenario: &Scenario,
-    workload: Workload,
-    rng: &mut StdRng,
-    recorder: &Recorder,
-) -> Result<SimulationResult, SimError> {
-    let mut engine =
-        Engine::with_workload(scenario, workload, StdRng::from_state(rng.to_state()), recorder)?;
-    engine.run_to_completion()?;
-    *rng = StdRng::from_state(engine.rng.to_state());
-    engine.finish()
-}
-
 /// A measurement sensed but not yet delivered: it sits in the retry
 /// queue until its delivery round comes up.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -600,6 +566,33 @@ pub(crate) struct PendingUpload {
     pub(crate) attempts: u32,
     /// Round at whose start delivery is next attempted.
     pub(crate) due_round: u32,
+}
+
+/// One round in flight: what its phases hand each other, from the
+/// inbox to the round's record.
+struct RoundState {
+    /// The 1-based round number.
+    round: u32,
+    /// The inbox's uploads as `(ingest slot, user, task, value)`,
+    /// settled once the round's prices are posted.
+    uploads: Vec<(usize, usize, TaskId, f64)>,
+    /// Each inbox event's outcome, in ingest order, filled as it
+    /// resolves.
+    outcomes: Vec<Option<EventOutcome>>,
+    /// The tasks posted this round.
+    published: Vec<PublishedTask>,
+    /// Posted reward per task id; `None` for unposted tasks.
+    rewards: Vec<Option<f64>>,
+    /// Measurements landed per task id this round.
+    new_measurements: Vec<u32>,
+    /// Every profit and selection of the round, as it happens; folded
+    /// into the record's sparse per-user entries at the end.
+    user_parts: Vec<UserRound>,
+}
+
+/// Nanoseconds since `start`, saturating.
+fn nanos_since(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// A resumable instance of the round loop.
@@ -947,6 +940,12 @@ impl Engine {
     /// Executes one sensing round. Returns `false` (without running
     /// anything) once the run is finished.
     ///
+    /// A round is the paper's Fig. 1 protocol in phases: the inbox
+    /// lands, prices are posted, the inbox's uploads and the due
+    /// retries settle, users participate, the round closes and users
+    /// move. Every accepted measurement lands through one settlement
+    /// path ([`Engine::settle`]).
+    ///
     /// # Errors
     ///
     /// As [`run`], plus [`SimError::EngineInvariant`] if internal
@@ -958,73 +957,77 @@ impl Engine {
             return Ok(false);
         }
         let round = self.next_round;
-        let m = self.workload.tasks.len();
-        let n = self.workload.users.len();
         let round_span = self.recorder.scoped("round", &self.instruments.round_seconds);
-        // Settlement interleaves with selection per user, so its phase
-        // time is accumulated across the round; selection is the rest
-        // of the participation loop below.
-        let mut settlement_ns = 0u64;
+        self.trace.record(TraceEvent::RoundStart { round });
+        let mut rs = self.apply_inbox(round);
+        self.price(&mut rs)?;
+        self.settle_external_uploads(&mut rs)?;
+        self.process_retries(&mut rs)?;
+        self.participate(&mut rs)?;
+        self.close_round(&mut rs);
+        self.move_users();
+        drop(round_span);
+        self.instruments.rounds_total.inc();
+        self.sample_round_memory();
+        self.observe_round_telemetry(round);
 
-        let tracing = self.trace.is_enabled();
-        if tracing {
-            self.trace.record(TraceEvent::RoundStart { round });
+        self.next_round += 1;
+        if self.next_round > self.scenario.max_rounds
+            || (self.scenario.stop_when_complete && self.platform.all_complete())
+        {
+            self.done = true;
         }
+        Ok(true)
+    }
 
-        // Externally-ingested events land at this round boundary:
-        // moves take effect now, before demand is counted, so the
-        // published prices see them; uploads wait for those prices and
-        // settle below, right where the retry queue's deliveries do.
-        // An empty inbox leaves this a no-op (no RNG, no state). Each
-        // event's slot in `outcomes` is filled as it resolves — moves
-        // here, uploads at settlement — keeping ingest order.
+    /// Lands the inbox at the round boundary: moves take effect now,
+    /// before demand is counted, so the posted prices see them; uploads
+    /// wait for those prices and settle right where the retry queue's
+    /// deliveries do. Each event's outcome slot is filled as it
+    /// resolves, keeping ingest order. An empty inbox is a no-op (no
+    /// RNG, no state).
+    fn apply_inbox(&mut self, round: u32) -> RoundState {
         self.last_outcomes.clear();
-        let (external_uploads, mut outcomes): (Vec<(usize, usize, TaskId, f64)>, Vec<_>) =
-            if self.inbox.is_empty() {
-                (Vec::new(), Vec::new())
-            } else {
-                let inbox = std::mem::take(&mut self.inbox);
-                let mut outcomes = vec![None; inbox.len()];
-                let mut uploads = Vec::with_capacity(inbox.len());
-                for (idx, event) in inbox.into_iter().enumerate() {
-                    match event {
-                        ExternalEvent::Move { user, x, y } => {
-                            self.locations.set(user as usize, Point::new(x, y));
-                            outcomes[idx] = Some(EventOutcome::Moved);
-                        }
-                        ExternalEvent::Upload { user, task, value } => {
-                            uploads.push((idx, user as usize, TaskId(task as usize), value));
-                        }
-                    }
+        let inbox = std::mem::take(&mut self.inbox);
+        let mut outcomes = vec![None; inbox.len()];
+        let mut uploads = Vec::with_capacity(inbox.len());
+        for (idx, event) in inbox.into_iter().enumerate() {
+            match event {
+                ExternalEvent::Move { user, x, y } => {
+                    self.locations.set(user as usize, Point::new(x, y));
+                    outcomes[idx] = Some(EventOutcome::Moved);
                 }
-                (uploads, outcomes)
-            };
+                ExternalEvent::Upload { user, task, value } => {
+                    uploads.push((idx, user as usize, TaskId(task as usize), value));
+                }
+            }
+        }
+        RoundState {
+            round,
+            uploads,
+            outcomes,
+            published: Vec::new(),
+            rewards: Vec::new(),
+            new_measurements: Vec::new(),
+            user_parts: Vec::new(),
+        }
+    }
 
-        let round_faults = match self.injector.as_mut() {
-            Some(inj) => inj.begin_round(round),
+    /// Posts the round's prices. The fault plan's round draws come
+    /// first: a demand outage re-posts the previous prices, a budget
+    /// shock tightens the cap to a fraction of what is left. The
+    /// mechanism then prices against the users' positions (as the
+    /// platform sees them under GPS noise).
+    fn price(&mut self, rs: &mut RoundState) -> Result<(), SimError> {
+        let faults = match self.injector.as_mut() {
+            Some(inj) => inj.begin_round(rs.round),
             None => RoundFaults { stale_pricing: false, budget_shock: None },
         };
-        if tracing {
-            if round_faults.stale_pricing {
-                self.trace.record(TraceEvent::Fault {
-                    round,
-                    kind: trace::FAULT_STALE_PRICING,
-                    user: u32::MAX,
-                    task: u32::MAX,
-                    detail: 0.0,
-                });
-            }
-            if let Some(factor) = round_faults.budget_shock {
-                self.trace.record(TraceEvent::Fault {
-                    round,
-                    kind: trace::FAULT_BUDGET_SHOCK,
-                    user: u32::MAX,
-                    task: u32::MAX,
-                    detail: factor,
-                });
-            }
+        if faults.stale_pricing {
+            self.trace_fault(rs.round, trace::FAULT_STALE_PRICING, u32::MAX, u32::MAX, 0.0);
         }
-        if let Some(factor) = round_faults.budget_shock {
+        if let Some(factor) = faults.budget_shock {
+            self.trace_fault(rs.round, trace::FAULT_BUDGET_SHOCK, u32::MAX, u32::MAX, factor);
             // The shock scales what is *left*: for an uncapped run the
             // configured budget minus spend stands in for "remaining".
             let paid = self.platform.total_paid();
@@ -1035,7 +1038,7 @@ impl Engine {
             };
             self.platform.set_spend_cap(paid + remaining * factor)?;
         }
-        let published = match (self.injector.as_mut(), round_faults.stale_pricing) {
+        rs.published = match (self.injector.as_mut(), faults.stale_pricing) {
             (_, true) => self.platform.publish_round_stale()?,
             (Some(inj), false) if inj.has_gps_noise() => {
                 let area = self.workload.area;
@@ -1045,306 +1048,424 @@ impl Engine {
             }
             _ => self.platform.publish_round(&self.locations, &mut self.rng)?,
         };
-        let mut rewards = vec![None; m];
-        for t in &published {
-            rewards[t.id.0] = Some(t.reward);
+        let m = self.workload.tasks.len();
+        rs.rewards = vec![None; m];
+        for t in &rs.published {
+            rs.rewards[t.id.0] = Some(t.reward);
         }
+        if self.trace.is_enabled() {
+            self.journal_prices(rs, faults.stale_pricing);
+        }
+        rs.new_measurements = vec![0; m];
+        Ok(())
+    }
 
-        if tracing {
-            let _trace_tag = self.recorder.alloc_phase(AllocPhase::Trace);
-            for t in &published {
-                self.trace.record(TraceEvent::Publish { task: t.id.0 as u32, reward: t.reward });
+    /// Journals the posted prices and why: a `Publish` frame per posted
+    /// task, then a `TaskDemand` frame per *priced* task, withheld ones
+    /// included (their posted reward is 0), so the journal shows both
+    /// what was published and what the cap suppressed. A stale round
+    /// re-posts prices without recomputing demand: there are no
+    /// criterion values to explain.
+    fn journal_prices(&mut self, rs: &RoundState, stale: bool) {
+        let _trace_tag = self.recorder.alloc_phase(AllocPhase::Trace);
+        for t in &rs.published {
+            self.trace.record(TraceEvent::Publish { task: t.id.0 as u32, reward: t.reward });
+        }
+        if stale {
+            for t in &rs.published {
+                self.trace.record(TraceEvent::TaskDemand {
+                    task: t.id.0 as u32,
+                    deadline_criterion: 0.0,
+                    progress_criterion: 0.0,
+                    scarcity_criterion: 0.0,
+                    score: 0.0,
+                    level: 0,
+                    reward: t.reward,
+                    stale: true,
+                });
             }
-            if round_faults.stale_pricing {
-                // A stale round re-posts prices without recomputing
-                // demand: there are no criterion values to explain.
-                for t in &published {
-                    self.trace.record(TraceEvent::TaskDemand {
-                        task: t.id.0 as u32,
-                        deadline_criterion: 0.0,
-                        progress_criterion: 0.0,
-                        scarcity_criterion: 0.0,
-                        score: 0.0,
-                        level: 0,
-                        reward: t.reward,
-                        stale: true,
-                    });
-                }
-            } else if let Some(explained) = self.platform.explain_last_round() {
-                // One frame per *priced* task, withheld ones included
-                // (their posted reward is 0) — the journal shows both
-                // what was published and what the cap suppressed.
-                for (progress, b) in explained {
-                    self.trace.record(TraceEvent::TaskDemand {
-                        task: progress.id.0 as u32,
-                        deadline_criterion: b.deadline_criterion,
-                        progress_criterion: b.progress_criterion,
-                        scarcity_criterion: b.scarcity_criterion,
-                        score: b.score,
-                        level: b.level,
-                        reward: rewards[progress.id.0].unwrap_or(0.0),
-                        stale: false,
-                    });
-                }
+        } else if let Some(explained) = self.platform.explain_last_round() {
+            for (progress, b) in explained {
+                self.trace.record(TraceEvent::TaskDemand {
+                    task: progress.id.0 as u32,
+                    deadline_criterion: b.deadline_criterion,
+                    progress_criterion: b.progress_criterion,
+                    scarcity_criterion: b.scarcity_criterion,
+                    score: b.score,
+                    level: b.level,
+                    reward: rs.rewards[progress.id.0].unwrap_or(0.0),
+                    stale: false,
+                });
             }
         }
+    }
 
-        let mut new_measurements = vec![0u32; m];
-        // Every profit and selection of the round, as it happens; folded
-        // into the record's sparse per-user entries at the end.
-        let mut user_parts: Vec<UserRound> = Vec::new();
-
-        self.apply_external_uploads(
-            external_uploads,
-            &mut outcomes,
-            &mut new_measurements,
-            &mut user_parts,
-        )?;
-        self.last_outcomes = outcomes
+    /// Settles the inbox's uploads at the prices just posted and
+    /// publishes every inbox event's outcome. A platform refusal — the
+    /// task filled meanwhile, the user already counts, the budget ran
+    /// dry — drops the event deterministically (counted, never an
+    /// error), mirroring the retry queue's abandonment; anything else
+    /// is a real failure and propagates.
+    fn settle_external_uploads(&mut self, rs: &mut RoundState) -> Result<(), SimError> {
+        for (idx, user, task, value) in std::mem::take(&mut rs.uploads) {
+            let outcome = match self.settle(rs, user, task, Some(value)) {
+                Ok(pay) => {
+                    self.contributed[user].insert(task);
+                    rs.user_parts.push(UserRound { user: user as u32, profit: pay, selected: 0 });
+                    self.recorder.counter("external_uploads_total").inc();
+                    EventOutcome::Paid(pay)
+                }
+                Err(CoreError::TaskComplete(_)) => EventOutcome::RejectedTaskComplete,
+                Err(CoreError::DuplicateContribution { .. }) => EventOutcome::RejectedDuplicate,
+                Err(CoreError::BudgetExhausted { .. }) => EventOutcome::RejectedBudget,
+                Err(e) => return Err(e.into()),
+            };
+            if !matches!(outcome, EventOutcome::Paid(_)) {
+                self.recorder
+                    .counter_with("external_uploads_rejected_total", "reason", outcome.label())
+                    .inc();
+            }
+            rs.outcomes[idx] = Some(outcome);
+        }
+        self.last_outcomes = std::mem::take(&mut rs.outcomes)
             .into_iter()
             .map(|o| o.ok_or_else(|| SimError::invariant("inbox event resolved no outcome")))
             .collect::<Result<_, _>>()?;
-        self.process_retries(round, &mut new_measurements, &mut user_parts)?;
+        Ok(())
+    }
 
-        // The selection phase spans who takes part and in which order
-        // (the shuffle and dropout draws are O(n) per round), each
-        // participant's open tasks and their solve — the loop's wall
-        // less the settlement time accumulated inside it.
-        let participation_start = self.metrics_on.then(Instant::now);
-        let mut order: Vec<usize> = (0..n).collect();
-        order.shuffle(&mut self.rng);
-
-        for &ui in &order {
-            // Dropout: the user is offline this round (scenario-level
-            // churn draws from the main stream, exactly as the plain
-            // engine does; fault-level churn rides the fault stream).
-            if self.scenario.dropout_rate > 0.0
-                && self.rng.gen::<f64>() < self.scenario.dropout_rate
-            {
+    /// Attempts delivery of the due queued uploads, right after the
+    /// round's prices are posted so retried measurements settle at
+    /// current prices.
+    fn process_retries(&mut self, rs: &mut RoundState) -> Result<(), SimError> {
+        if self.pending.is_empty() {
+            return Ok(());
+        }
+        // Queue churn (requeues, the swap vector) is retry-queue
+        // memory; the tag covers exactly the queue operations so the
+        // platform's own allocations keep their settlement accounting.
+        let mut queued = std::mem::take(&mut self.pending);
+        for mut up in queued.drain(..) {
+            if up.due_round > rs.round {
+                let _queue_tag = self.recorder.alloc_phase(AllocPhase::RetryQueue);
+                self.pending.push(up);
                 continue;
             }
-            if let Some(inj) = self.injector.as_mut() {
-                if inj.user_offline(ui) {
-                    if tracing {
-                        self.trace.record(TraceEvent::Fault {
-                            round,
-                            kind: trace::FAULT_USER_OFFLINE,
-                            user: ui as u32,
-                            task: u32::MAX,
-                            detail: 0.0,
-                        });
+            match self.settle(rs, up.user, up.task, Some(up.value)) {
+                Ok(pay) => {
+                    rs.user_parts.push(UserRound {
+                        user: up.user as u32,
+                        profit: pay,
+                        selected: 0,
+                    });
+                    if let Some(inj) = self.injector.as_mut() {
+                        inj.count_retry_delivered();
                     }
-                    continue;
                 }
+                // The task filled up (or this user somehow already
+                // counts) while the upload was in flight: abandon it.
+                Err(CoreError::TaskComplete(_) | CoreError::DuplicateContribution { .. }) => {
+                    if let Some(inj) = self.injector.as_mut() {
+                        inj.count_retry_abandoned();
+                    }
+                }
+                // No budget right now: back off and try again, up to
+                // the plan's retry cap.
+                Err(CoreError::BudgetExhausted { .. }) => {
+                    up.attempts += 1;
+                    let backoff =
+                        self.injector.as_mut().and_then(|inj| inj.retry_backoff(up.attempts));
+                    if let Some(delay) = backoff {
+                        up.due_round = rs.round.saturating_add(delay);
+                        let _queue_tag = self.recorder.alloc_phase(AllocPhase::RetryQueue);
+                        self.pending.push(up);
+                    }
+                }
+                Err(e) => return Err(e.into()),
             }
-            let time_budget = self.workload.users[ui].time_budget();
-            let mut available: Vec<PublishedTask> = Vec::with_capacity(published.len());
-            for t in &published {
-                if self.contributed[ui].contains(&t.id) {
-                    continue;
-                }
-                let received = self.platform.received(t.id).map_err(|_| {
-                    SimError::invariant(format!(
-                        "published task {} is unknown to the platform",
-                        t.id.0
-                    ))
-                })?;
-                if received < self.workload.tasks[t.id.0].required() {
-                    available.push(*t);
-                }
+        }
+        // Release the drained swap vector under the queue's tag.
+        let _queue_tag = self.recorder.alloc_phase(AllocPhase::RetryQueue);
+        drop(queued);
+        Ok(())
+    }
+
+    /// Users, visited in a fresh random order, each solve their
+    /// selection against the tasks still open to them, travel and
+    /// upload. The selection phase spans who takes part and in which
+    /// order (the shuffle and dropout draws are O(n) per round), each
+    /// participant's open tasks and their solve — the loop's wall less
+    /// the settlement time accumulated inside it, since settlement
+    /// interleaves with selection per user.
+    fn participate(&mut self, rs: &mut RoundState) -> Result<(), SimError> {
+        let participation_start = self.metrics_on.then(Instant::now);
+        let mut settlement_ns = 0u64;
+        let mut order: Vec<usize> = (0..self.workload.users.len()).collect();
+        order.shuffle(&mut self.rng);
+        for &ui in &order {
+            if self.sits_out(rs.round, ui) {
+                continue;
             }
+            let available = self.open_tasks(&rs.published, ui)?;
             if available.is_empty() {
                 continue;
             }
-            let solve_start = self.metrics_on.then(Instant::now);
-            let selection_tag = self.recorder.alloc_phase(AllocPhase::Selection);
-            let (outcome, stats) = solve_selection_with_stats(
-                self.selector.as_ref(),
-                self.scenario.selector,
-                &self.travel,
-                self.locations.point(ui),
-                &available,
-                time_budget,
-                self.scenario.speed,
-                self.scenario.cost_per_meter,
-                self.scenario.sensing_seconds,
-            )?;
-            if let Some(start) = solve_start {
-                let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                self.instruments.solve_seconds.record(nanos);
-                self.instruments.solves_total.inc();
-                self.instruments.states_expanded.add(stats.states_expanded);
-                self.instruments.nodes_pruned.add(stats.nodes_pruned);
-                self.instruments.iterations.add(stats.iterations);
-            }
-            drop(selection_tag);
-            if tracing {
-                let _trace_tag = self.recorder.alloc_phase(AllocPhase::Trace);
-                self.trace.record(TraceEvent::Selection {
-                    user: ui as u32,
-                    solver: solver_code(self.scenario.selector),
-                    candidates: available.len() as u32,
-                    route: outcome.tasks().iter().map(|t| t.0 as u32).collect(),
-                    profit: outcome.profit(),
-                    states_expanded: stats.states_expanded,
-                    nodes_pruned: stats.nodes_pruned,
-                    iterations: stats.iterations,
-                });
-            }
+            let outcome = self.select(ui, &available)?;
             let settle_start = self.metrics_on.then(Instant::now);
             let settlement_tag = self.recorder.alloc_phase(AllocPhase::Settlement);
-            let mut payments = 0.0;
-            let mut performed = 0usize;
-            let mut faulted = false;
-            for &task in outcome.tasks() {
-                let fate = match self.injector.as_mut() {
-                    Some(inj) => inj.upload_fate(),
-                    None => UploadFate::Delivered,
-                };
-                match fate {
-                    UploadFate::Delivered => match self.platform.submit(UserId(ui), task) {
-                        Ok(pay) => {
-                            if tracing {
-                                self.trace.record(TraceEvent::Submit {
-                                    user: ui as u32,
-                                    task: task.0 as u32,
-                                    reward: pay,
-                                });
-                            }
-                            payments += pay;
-                            self.contributed[ui].insert(task);
-                            new_measurements[task.0] += 1;
-                            self.quality_received[task.0] += self.workload.qualities[ui];
-                            self.estimates[task.0].add(self.scenario.sensing.sample_measurement(
-                                self.workload.truths[task.0],
-                                self.workload.qualities[ui],
-                                &mut self.rng,
-                            ));
-                            performed += 1;
-                        }
-                        // A hard-capped platform may run out of budget
-                        // mid-route; the user stops there, keeping what
-                        // was already earned.
-                        Err(CoreError::BudgetExhausted { .. }) => break,
-                        Err(e) => return Err(e.into()),
-                    },
-                    UploadFate::Dropped => {
-                        // The user travelled and sensed; the platform
-                        // never hears about it.
-                        if tracing {
-                            self.trace.record(TraceEvent::Fault {
-                                round,
-                                kind: trace::FAULT_UPLOAD_DROPPED,
-                                user: ui as u32,
-                                task: task.0 as u32,
-                                detail: 0.0,
-                            });
-                        }
-                        self.contributed[ui].insert(task);
-                        performed += 1;
-                        faulted = true;
-                    }
-                    UploadFate::Delayed { due_in } => {
-                        if tracing {
-                            self.trace.record(TraceEvent::Fault {
-                                round,
-                                kind: trace::FAULT_UPLOAD_DELAYED,
-                                user: ui as u32,
-                                task: task.0 as u32,
-                                detail: f64::from(due_in),
-                            });
-                        }
-                        self.contributed[ui].insert(task);
-                        let Some(inj) = self.injector.as_mut() else {
-                            return Err(SimError::invariant(
-                                "delayed upload fate without a fault injector",
-                            ));
-                        };
-                        let value = self.scenario.sensing.sample_measurement(
-                            self.workload.truths[task.0],
-                            self.workload.qualities[ui],
-                            inj.rng(),
-                        );
-                        {
-                            let _queue_tag = self.recorder.alloc_phase(AllocPhase::RetryQueue);
-                            self.pending.push(PendingUpload {
-                                user: ui,
-                                task,
-                                value,
-                                attempts: 0,
-                                due_round: round.saturating_add(due_in),
-                            });
-                        }
-                        performed += 1;
-                        faulted = true;
-                    }
-                }
-            }
-            let profit = if performed == outcome.tasks().len() && !faulted {
-                self.locations.set(ui, outcome.end_location());
-                outcome.profit()
-            } else {
-                // Recompute the visited prefix's economics: travelled
-                // cost against whatever was actually paid.
-                let mut distance = 0.0;
-                let mut here = self.locations.point(ui);
-                for &task in &outcome.tasks()[..performed] {
-                    let next =
-                        published.iter().find(|t| t.id == task).map(|t| t.location).ok_or_else(
-                            || {
-                                SimError::invariant(format!(
-                                    "selected task {} was not published this round",
-                                    task.0
-                                ))
-                            },
-                        )?;
-                    distance += self.travel.distance(here, next)?;
-                    here = next;
-                }
-                self.locations.set(ui, here);
-                payments - self.scenario.cost_per_meter * distance
-            };
-            user_parts.push(UserRound { user: ui as u32, profit, selected: performed as u32 });
+            self.upload_route(rs, ui, &outcome)?;
             drop(settlement_tag);
             if let Some(start) = settle_start {
-                let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                settlement_ns = settlement_ns.saturating_add(nanos);
+                settlement_ns = settlement_ns.saturating_add(nanos_since(start));
             }
         }
-        let selection_ns = participation_start.map_or(0, |start| {
-            u64::try_from(start.elapsed().as_nanos())
-                .unwrap_or(u64::MAX)
-                .saturating_sub(settlement_ns)
-        });
-        self.platform.finish_round();
+        let selection_ns =
+            participation_start.map_or(0, |start| nanos_since(start).saturating_sub(settlement_ns));
+        self.instruments.phase_selection.record(selection_ns);
+        self.instruments.phase_settlement.record(settlement_ns);
+        Ok(())
+    }
 
-        if tracing {
+    /// Whether user `ui` sits the round out. Scenario-level churn draws
+    /// from the main stream, exactly as the plain engine does;
+    /// fault-level churn rides the fault stream.
+    fn sits_out(&mut self, round: u32, ui: usize) -> bool {
+        if self.scenario.dropout_rate > 0.0 && self.rng.gen::<f64>() < self.scenario.dropout_rate {
+            return true;
+        }
+        let offline = self.injector.as_mut().is_some_and(|inj| inj.user_offline(ui));
+        if offline {
+            self.trace_fault(round, trace::FAULT_USER_OFFLINE, ui as u32, u32::MAX, 0.0);
+        }
+        offline
+    }
+
+    /// The posted tasks still open to user `ui`: incomplete right now
+    /// and never contributed by them before.
+    fn open_tasks(
+        &self,
+        published: &[PublishedTask],
+        ui: usize,
+    ) -> Result<Vec<PublishedTask>, SimError> {
+        let mut available = Vec::with_capacity(published.len());
+        for t in published {
+            if self.contributed[ui].contains(&t.id) {
+                continue;
+            }
+            let received = self.platform.received(t.id).map_err(|_| {
+                SimError::invariant(format!("published task {} is unknown to the platform", t.id.0))
+            })?;
+            if received < self.workload.tasks[t.id.0].required() {
+                available.push(*t);
+            }
+        }
+        Ok(available)
+    }
+
+    /// Solves user `ui`'s selection over `available`, timed into the
+    /// selector's instruments and journalled as a `Selection` frame.
+    fn select(
+        &mut self,
+        ui: usize,
+        available: &[PublishedTask],
+    ) -> Result<SelectionOutcome, SimError> {
+        let solve_start = self.metrics_on.then(Instant::now);
+        let selection_tag = self.recorder.alloc_phase(AllocPhase::Selection);
+        let (outcome, stats) = solve_selection(
+            self.selector.as_ref(),
+            self.scenario.selector,
+            &self.travel,
+            self.locations.point(ui),
+            available,
+            self.workload.users[ui].time_budget(),
+            self.scenario.speed,
+            self.scenario.cost_per_meter,
+            self.scenario.sensing_seconds,
+        )?;
+        if let Some(start) = solve_start {
+            self.instruments.solve_seconds.record(nanos_since(start));
+            self.instruments.solves_total.inc();
+            self.instruments.states_expanded.add(stats.states_expanded);
+            self.instruments.nodes_pruned.add(stats.nodes_pruned);
+            self.instruments.iterations.add(stats.iterations);
+        }
+        drop(selection_tag);
+        if self.trace.is_enabled() {
             let _trace_tag = self.recorder.alloc_phase(AllocPhase::Trace);
-            for task in 0..m {
-                if self.platform.completed_round(TaskId(task)) == Ok(Some(round)) {
-                    self.trace.record(TraceEvent::TaskComplete { task: task as u32, round });
+            self.trace.record(TraceEvent::Selection {
+                user: ui as u32,
+                solver: solver_code(self.scenario.selector),
+                candidates: available.len() as u32,
+                route: outcome.tasks().iter().map(|t| t.0 as u32).collect(),
+                profit: outcome.profit(),
+                states_expanded: stats.states_expanded,
+                nodes_pruned: stats.nodes_pruned,
+                iterations: stats.iterations,
+            });
+        }
+        Ok(outcome)
+    }
+
+    /// User `ui` travels their route and uploads at each stop: the
+    /// fault plan decides whether each upload lands, is lost (the user
+    /// travelled and sensed; the platform never hears about it) or
+    /// enters the retry queue. A hard-capped platform may run out of
+    /// budget mid-route; the user stops there, keeping what was
+    /// already earned. A route cut short or faulted is paid for what
+    /// it delivered against the travel it cost.
+    fn upload_route(
+        &mut self,
+        rs: &mut RoundState,
+        ui: usize,
+        outcome: &SelectionOutcome,
+    ) -> Result<(), SimError> {
+        let mut payments = 0.0;
+        let mut performed = 0usize;
+        let mut faulted = false;
+        for &task in outcome.tasks() {
+            let fate = match self.injector.as_mut() {
+                Some(inj) => inj.upload_fate(),
+                None => UploadFate::Delivered,
+            };
+            match fate {
+                UploadFate::Delivered => match self.settle(rs, ui, task, None) {
+                    Ok(pay) => payments += pay,
+                    Err(CoreError::BudgetExhausted { .. }) => break,
+                    Err(e) => return Err(e.into()),
+                },
+                UploadFate::Dropped => {
+                    let kind = trace::FAULT_UPLOAD_DROPPED;
+                    self.trace_fault(rs.round, kind, ui as u32, task.0 as u32, 0.0);
+                    faulted = true;
+                }
+                UploadFate::Delayed { due_in } => {
+                    let kind = trace::FAULT_UPLOAD_DELAYED;
+                    self.trace_fault(rs.round, kind, ui as u32, task.0 as u32, f64::from(due_in));
+                    let Some(inj) = self.injector.as_mut() else {
+                        return Err(SimError::invariant(
+                            "delayed upload fate without a fault injector",
+                        ));
+                    };
+                    let value = self.scenario.sensing.sample_measurement(
+                        self.workload.truths[task.0],
+                        self.workload.qualities[ui],
+                        inj.rng(),
+                    );
+                    let _queue_tag = self.recorder.alloc_phase(AllocPhase::RetryQueue);
+                    let due_round = rs.round.saturating_add(due_in);
+                    self.pending.push(PendingUpload {
+                        user: ui,
+                        task,
+                        value,
+                        attempts: 0,
+                        due_round,
+                    });
+                    faulted = true;
+                }
+            }
+            self.contributed[ui].insert(task);
+            performed += 1;
+        }
+        let profit = if performed == outcome.tasks().len() && !faulted {
+            self.locations.set(ui, outcome.end_location());
+            outcome.profit()
+        } else {
+            // Recompute the visited prefix's economics: travelled cost
+            // against whatever was actually paid.
+            let mut distance = 0.0;
+            let mut here = self.locations.point(ui);
+            for &task in &outcome.tasks()[..performed] {
+                let next =
+                    rs.published.iter().find(|t| t.id == task).map(|t| t.location).ok_or_else(
+                        || {
+                            SimError::invariant(format!(
+                                "selected task {} was not published this round",
+                                task.0
+                            ))
+                        },
+                    )?;
+                distance += self.travel.distance(here, next)?;
+                here = next;
+            }
+            self.locations.set(ui, here);
+            payments - self.scenario.cost_per_meter * distance
+        };
+        rs.user_parts.push(UserRound { user: ui as u32, profit, selected: performed as u32 });
+        Ok(())
+    }
+
+    /// Lands one measurement: the platform's submit and, once it
+    /// accepts, the `Submit` frame and the task's count, data value and
+    /// estimate. Every measurement lands here — a selected route's
+    /// upload, an external `Upload` and a due straggler retry — and a
+    /// refusal changes nothing, leaving each caller its own answer: the
+    /// route stops, the event gets an outcome, the retry backs off or
+    /// is abandoned. `value` is the sensed value; `None` senses it now
+    /// from the main stream, as a route's upload does.
+    fn settle(
+        &mut self,
+        rs: &mut RoundState,
+        user: usize,
+        task: TaskId,
+        value: Option<f64>,
+    ) -> Result<f64, CoreError> {
+        let pay = self.platform.submit(UserId(user), task)?;
+        self.trace.record(TraceEvent::Submit {
+            user: user as u32,
+            task: task.0 as u32,
+            reward: pay,
+        });
+        rs.new_measurements[task.0] += 1;
+        let quality = self.workload.qualities[user];
+        self.quality_received[task.0] += quality;
+        let value = value.unwrap_or_else(|| {
+            self.scenario.sensing.sample_measurement(
+                self.workload.truths[task.0],
+                quality,
+                &mut self.rng,
+            )
+        });
+        self.estimates[task.0].add(value);
+        Ok(pay)
+    }
+
+    /// Journals a fault the round degraded through; `u32::MAX` marks a
+    /// user or task the fault does not name.
+    fn trace_fault(&mut self, round: u32, kind: u8, user: u32, task: u32, detail: f64) {
+        self.trace.record(TraceEvent::Fault { round, kind, user, task, detail });
+    }
+
+    /// Closes the round: the platform closes its books, the journal
+    /// gets the round's completions and budget, and the round's record
+    /// is kept.
+    fn close_round(&mut self, rs: &mut RoundState) {
+        self.platform.finish_round();
+        if self.trace.is_enabled() {
+            let _trace_tag = self.recorder.alloc_phase(AllocPhase::Trace);
+            for task in 0..self.workload.tasks.len() {
+                if self.platform.completed_round(TaskId(task)) == Ok(Some(rs.round)) {
+                    let (task, round) = (task as u32, rs.round);
+                    self.trace.record(TraceEvent::TaskComplete { task, round });
                 }
             }
             self.trace.record(TraceEvent::Budget {
-                round,
+                round: rs.round,
                 total_paid: self.platform.total_paid(),
                 spend_cap: self.platform.spend_cap(),
             });
-            self.trace.record(TraceEvent::RoundEnd { round });
+            self.trace.record(TraceEvent::RoundEnd { round: rs.round });
         }
-
         self.rounds.push(RoundRecord {
-            round,
-            rewards,
-            new_measurements,
-            users: UserRound::fold(user_parts),
+            round: rs.round,
+            rewards: std::mem::take(&mut rs.rewards),
+            new_measurements: std::mem::take(&mut rs.new_measurements),
+            users: UserRound::fold(std::mem::take(&mut rs.user_parts)),
         });
+    }
 
-        self.instruments.phase_selection.record(selection_ns);
-        self.instruments.phase_settlement.record(settlement_ns);
-
-        // Inter-round motion.
-        let movement_span = self.recorder.scoped("movement", &self.instruments.phase_movement);
+    /// Inter-round motion, per the scenario's [`UserMotion`].
+    fn move_users(&mut self) {
+        let _movement_span = self.recorder.scoped("movement", &self.instruments.phase_movement);
         match self.scenario.user_motion {
             UserMotion::StayAtRouteEnd => {}
             UserMotion::ReturnHome => {
@@ -1366,19 +1487,6 @@ impl Engine {
                 }
             }
         }
-        drop(movement_span);
-        drop(round_span);
-        self.instruments.rounds_total.inc();
-        self.sample_round_memory();
-        self.observe_round_telemetry(round);
-
-        self.next_round += 1;
-        if self.next_round > self.scenario.max_rounds
-            || (self.scenario.stop_when_complete && self.platform.all_complete())
-        {
-            self.done = true;
-        }
-        Ok(true)
     }
 
     /// Publishes the round's memory families when alloc profiling is
@@ -1411,127 +1519,6 @@ impl Engine {
         let snapshot = self.recorder.snapshot();
         telemetry.alerts.evaluate(round, &snapshot, &self.recorder);
         telemetry.timeseries.record(round, snapshot);
-    }
-
-    /// Settles externally-ingested uploads at the prices just
-    /// published. Platform rejections — the task filled meanwhile, the
-    /// user already counts, the budget ran dry — drop the event
-    /// deterministically (counted, never an error), mirroring the
-    /// retry queue's abandonment semantics; anything else is a real
-    /// failure and propagates.
-    fn apply_external_uploads(
-        &mut self,
-        uploads: Vec<(usize, usize, TaskId, f64)>,
-        outcomes: &mut [Option<EventOutcome>],
-        new_measurements: &mut [u32],
-        user_parts: &mut Vec<UserRound>,
-    ) -> Result<(), SimError> {
-        for (idx, user, task, value) in uploads {
-            outcomes[idx] = Some(match self.platform.submit(UserId(user), task) {
-                Ok(pay) => {
-                    if self.trace.is_enabled() {
-                        self.trace.record(TraceEvent::Submit {
-                            user: user as u32,
-                            task: task.0 as u32,
-                            reward: pay,
-                        });
-                    }
-                    self.contributed[user].insert(task);
-                    new_measurements[task.0] += 1;
-                    user_parts.push(UserRound { user: user as u32, profit: pay, selected: 0 });
-                    self.quality_received[task.0] += self.workload.qualities[user];
-                    self.estimates[task.0].add(value);
-                    self.recorder.counter("external_uploads_total").inc();
-                    EventOutcome::Paid(pay)
-                }
-                Err(CoreError::TaskComplete(_)) => {
-                    self.recorder
-                        .counter_with("external_uploads_rejected_total", "reason", "task_complete")
-                        .inc();
-                    EventOutcome::RejectedTaskComplete
-                }
-                Err(CoreError::DuplicateContribution { .. }) => {
-                    self.recorder
-                        .counter_with("external_uploads_rejected_total", "reason", "duplicate")
-                        .inc();
-                    EventOutcome::RejectedDuplicate
-                }
-                Err(CoreError::BudgetExhausted { .. }) => {
-                    self.recorder
-                        .counter_with("external_uploads_rejected_total", "reason", "budget")
-                        .inc();
-                    EventOutcome::RejectedBudget
-                }
-                Err(e) => return Err(e.into()),
-            });
-        }
-        Ok(())
-    }
-
-    /// Attempts delivery of due queued uploads; called right after the
-    /// round's publish so retried measurements settle at current prices.
-    fn process_retries(
-        &mut self,
-        round: u32,
-        new_measurements: &mut [u32],
-        user_parts: &mut Vec<UserRound>,
-    ) -> Result<(), SimError> {
-        if self.pending.is_empty() {
-            return Ok(());
-        }
-        // Queue churn (requeues, the swap vector) is retry-queue
-        // memory; the tag covers exactly the queue operations so the
-        // platform's own allocations keep their settlement accounting.
-        let mut queued = std::mem::take(&mut self.pending);
-        for mut up in queued.drain(..) {
-            if up.due_round > round {
-                let _queue_tag = self.recorder.alloc_phase(AllocPhase::RetryQueue);
-                self.pending.push(up);
-                continue;
-            }
-            match self.platform.submit(UserId(up.user), up.task) {
-                Ok(pay) => {
-                    if self.trace.is_enabled() {
-                        self.trace.record(TraceEvent::Submit {
-                            user: up.user as u32,
-                            task: up.task.0 as u32,
-                            reward: pay,
-                        });
-                    }
-                    new_measurements[up.task.0] += 1;
-                    user_parts.push(UserRound { user: up.user as u32, profit: pay, selected: 0 });
-                    self.quality_received[up.task.0] += self.workload.qualities[up.user];
-                    self.estimates[up.task.0].add(up.value);
-                    if let Some(inj) = self.injector.as_mut() {
-                        inj.count_retry_delivered();
-                    }
-                }
-                // The task filled up (or this user somehow already
-                // counts) while the upload was in flight: abandon it.
-                Err(CoreError::TaskComplete(_) | CoreError::DuplicateContribution { .. }) => {
-                    if let Some(inj) = self.injector.as_mut() {
-                        inj.count_retry_abandoned();
-                    }
-                }
-                // No budget right now: back off and try again, up to
-                // the plan's retry cap.
-                Err(CoreError::BudgetExhausted { .. }) => {
-                    up.attempts += 1;
-                    let backoff =
-                        self.injector.as_mut().and_then(|inj| inj.retry_backoff(up.attempts));
-                    if let Some(delay) = backoff {
-                        up.due_round = round.saturating_add(delay);
-                        let _queue_tag = self.recorder.alloc_phase(AllocPhase::RetryQueue);
-                        self.pending.push(up);
-                    }
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
-        // Release the drained swap vector under the queue's tag.
-        let _queue_tag = self.recorder.alloc_phase(AllocPhase::RetryQueue);
-        drop(queued);
-        Ok(())
     }
 
     /// Serialises the engine's state at the current round boundary:
@@ -1701,37 +1688,10 @@ pub(crate) fn solver_code(kind: SelectorKind) -> u8 {
 
 /// Solves one user's selection, applying the DP candidate cap if
 /// configured: only the `cap` nearest *reachable* tasks enter the
-/// exponential solver (heuristic pre-filter; see DESIGN.md).
+/// exponential solver (heuristic pre-filter; see DESIGN.md). Returns
+/// the selector's work counters beside the outcome.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn solve_selection(
-    selector: &dyn TaskSelector,
-    kind: SelectorKind,
-    travel: &TravelContext,
-    location: Point,
-    available: &[PublishedTask],
-    time_budget: f64,
-    speed: f64,
-    cost_per_meter: f64,
-    sensing_seconds: f64,
-) -> Result<SelectionOutcome, SimError> {
-    solve_selection_with_stats(
-        selector,
-        kind,
-        travel,
-        location,
-        available,
-        time_budget,
-        speed,
-        cost_per_meter,
-        sensing_seconds,
-    )
-    .map(|(outcome, _)| outcome)
-}
-
-/// [`solve_selection`], also returning the selector's work counters.
-/// The outcome is identical — stats reporting never changes decisions.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn solve_selection_with_stats(
     selector: &dyn TaskSelector,
     kind: SelectorKind,
     travel: &TravelContext,
@@ -2291,7 +2251,7 @@ mod tests {
             })
             .collect();
         tasks[1].location = Point::new(f64::NAN, f64::NAN);
-        let outcome = solve_selection(
+        let (outcome, _) = solve_selection(
             selector.as_ref(),
             SelectorKind::Dp { candidate_cap: Some(2) },
             &travel,

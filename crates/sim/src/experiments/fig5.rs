@@ -7,10 +7,14 @@
 //! (DP − greedy), which the paper reports as always positive.
 //!
 //! To hold the state fixed while swapping selectors, this module runs
-//! its own two-round loop (same semantics as the engine): round 1
-//! executes with the DP selector; at round 2, each user's selection
-//! problem is solved by *both* algorithms, the DP choice is executed,
-//! and both profits are recorded.
+//! its own two-round loop: round 1 executes with the DP selector; at
+//! round 2, each user's selection problem is solved by *both*
+//! algorithms, the DP choice is executed, and both profits are
+//! recorded. The loop is the engine's round reduced to what the
+//! comparison needs: uploads are submitted without the engine's
+//! per-measurement sensing draw, so the main stream diverges after the
+//! first measurement and its round 2 is not the engine's round 2 for
+//! the same seed.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -160,7 +164,7 @@ fn run_round(
             continue;
         }
         let travel = crate::engine::TravelContext::euclidean();
-        let dp_outcome = solve_selection(
+        let (dp_outcome, _) = solve_selection(
             &DpSelector,
             dp_kind,
             &travel,
@@ -172,7 +176,7 @@ fn run_round(
             scenario.sensing_seconds,
         )?;
         if let Some(shadow_profits) = shadow.as_deref_mut() {
-            let greedy_outcome = solve_selection(
+            let (greedy_outcome, _) = solve_selection(
                 &GreedySelector,
                 SelectorKind::Greedy,
                 &travel,

@@ -366,12 +366,6 @@ impl<R: Record> RecordLog<R> {
         Ok(())
     }
 
-    /// The log's on-disk path.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Current size of the log in bytes.
     #[must_use]
     pub fn bytes(&self) -> u64 {

@@ -471,7 +471,7 @@ mod tests {
     fn undecodable_bytes_surface_the_trace_error() {
         assert!(matches!(
             verify(&[0xFF], &engine::run(&scenario()).unwrap()),
-            Err(ReplayError::Trace(TraceError::UnknownTag(0xFF)))
+            Err(ReplayError::Trace(TraceError::MissingHeader))
         ));
     }
 }

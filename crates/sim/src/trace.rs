@@ -7,21 +7,19 @@
 //! persisted, and decodes back losslessly — the substrate for replay
 //! debugging and offline metric recomputation.
 //!
-//! Two stream flavours share the frame grammar:
-//!
-//! * the original headerless stream ([`TraceWriter::new`]) — the five
-//!   coarse v1 frames, kept byte-compatible;
-//! * the **decision journal** ([`TraceWriter::journal`]) — a 5-byte
-//!   `PDTJ` + version header followed by the same frames *plus* the
-//!   decision-level ones: per-task demand breakdowns, per-user
-//!   selection decisions, budget trajectory and fault events. This is
-//!   what [`crate::replay`] verifies and the `paydemand trace` CLI
-//!   explains.
+//! The stream is the **decision journal** ([`TraceWriter::journal`]): a
+//! 5-byte `PDTJ` + version header followed by the round's frames —
+//! publishes, payments and completions, plus per-task demand
+//! breakdowns, per-user selection decisions, budget trajectory and
+//! fault events. This is what [`crate::replay`] verifies and the
+//! `paydemand trace` CLI explains; [`decode`] refuses bytes without
+//! the header.
 //!
 //! # Wire format
 //!
-//! Every frame starts with a 1-byte tag. Integers are little-endian;
-//! floats are IEEE-754 bit patterns (bit-exact round-trips).
+//! After the header, every frame starts with a 1-byte tag. Integers
+//! are little-endian; floats are IEEE-754 bit patterns (bit-exact
+//! round-trips).
 //!
 //! | tag | frame | payload |
 //! |-----|-------|---------|
@@ -40,7 +38,7 @@
 //! ```
 //! use paydemand_sim::trace::{TraceEvent, TraceWriter};
 //!
-//! let mut writer = TraceWriter::new();
+//! let mut writer = TraceWriter::journal();
 //! writer.record(TraceEvent::RoundStart { round: 1 });
 //! writer.record(TraceEvent::Submit { user: 3, task: 7, reward: 1.5 });
 //! writer.record(TraceEvent::RoundEnd { round: 1 });
@@ -54,14 +52,10 @@ use bytes::{BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 
 use crate::frame::{Cursor, CursorError, Header, HeaderError};
-use crate::SimulationResult;
 
-/// Journal header magic; the first byte (`'P'` = 0x50) can never be a
-/// frame tag, so headerless v1 streams are sniffed apart unambiguously.
-const JOURNAL_MAGIC: &[u8; 4] = b"PDTJ";
 /// Decision-journal format version.
 pub const JOURNAL_VERSION: u8 = 2;
-const JOURNAL: Header = Header { magic: *JOURNAL_MAGIC, version: JOURNAL_VERSION };
+const JOURNAL: Header = Header { magic: *b"PDTJ", version: JOURNAL_VERSION };
 
 /// Fault-frame kind: a demand-recompute outage forced stale repricing.
 pub const FAULT_STALE_PRICING: u8 = 0;
@@ -220,6 +214,8 @@ pub enum TraceError {
     Truncated,
     /// An unknown frame tag was encountered.
     UnknownTag(u8),
+    /// The buffer does not open with the `PDTJ` journal header.
+    MissingHeader,
     /// A `PDTJ` journal header with a version this build cannot read.
     UnsupportedVersion(u8),
     /// A boolean flag byte was neither 0 nor 1.
@@ -233,6 +229,7 @@ impl std::fmt::Display for TraceError {
         match self {
             TraceError::Truncated => write!(f, "trace ended mid-frame"),
             TraceError::UnknownTag(tag) => write!(f, "unknown trace frame tag {tag}"),
+            TraceError::MissingHeader => write!(f, "not a decision journal: no PDTJ header"),
             TraceError::UnsupportedVersion(v) => {
                 write!(
                     f,
@@ -257,19 +254,13 @@ impl From<CursorError> for TraceError {
 }
 
 /// Encodes [`TraceEvent`]s into a compact byte buffer.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct TraceWriter {
     buf: BytesMut,
     events: usize,
 }
 
 impl TraceWriter {
-    /// Creates an empty headerless writer (the v1 stream flavour).
-    #[must_use]
-    pub fn new() -> Self {
-        TraceWriter { buf: BytesMut::with_capacity(4096), events: 0 }
-    }
-
     /// Creates a decision-journal writer: the stream opens with the
     /// `PDTJ` magic and a version byte, so decoders can refuse frames
     /// they do not understand instead of misparsing them.
@@ -386,12 +377,6 @@ impl TraceWriter {
         self.events == 0
     }
 
-    /// Encoded size in bytes so far (header included for journals).
-    #[must_use]
-    pub fn byte_len(&self) -> usize {
-        self.buf.len()
-    }
-
     /// Finalises the trace, returning the encoded bytes.
     #[must_use]
     pub fn finish(self) -> Bytes {
@@ -399,31 +384,23 @@ impl TraceWriter {
     }
 }
 
-/// Whether `buf` opens with the decision-journal header.
-#[must_use]
-pub fn is_journal(buf: &[u8]) -> bool {
-    buf.starts_with(JOURNAL_MAGIC)
-}
-
-/// Decodes a trace buffer (headerless v1 stream or `PDTJ` journal) back
-/// into events. Every read is bounds-checked: corrupt input is a
-/// [`TraceError`], never a panic.
+/// Decodes a `PDTJ` journal back into events. Every read is
+/// bounds-checked: corrupt input is a [`TraceError`], never a panic.
 ///
 /// # Errors
 ///
-/// [`TraceError::Truncated`] for a cut-off buffer,
+/// [`TraceError::MissingHeader`] for bytes that do not open with the
+/// `PDTJ` magic, [`TraceError::Truncated`] for a cut-off buffer,
 /// [`TraceError::UnknownTag`] / [`TraceError::InvalidFlag`] /
 /// [`TraceError::InvalidFaultKind`] for corrupt data, and
 /// [`TraceError::UnsupportedVersion`] for a journal from a newer build.
 pub fn decode(buf: &[u8]) -> Result<Vec<TraceEvent>, TraceError> {
     let mut r = Cursor::new(buf);
-    if is_journal(buf) {
-        JOURNAL.check(&mut r).map_err(|e| match e {
-            HeaderError::Version(v) => TraceError::UnsupportedVersion(v),
-            // The magic was sniffed, so only the version byte can be missing.
-            HeaderError::Truncated(_) | HeaderError::Magic => TraceError::Truncated,
-        })?;
-    }
+    JOURNAL.check(&mut r).map_err(|e| match e {
+        HeaderError::Version(v) => TraceError::UnsupportedVersion(v),
+        HeaderError::Truncated(_) if buf.starts_with(&JOURNAL.magic) => TraceError::Truncated,
+        HeaderError::Truncated(_) | HeaderError::Magic => TraceError::MissingHeader,
+    })?;
     let mut events = Vec::new();
     while r.remaining() > 0 {
         let tag = r.u8()?;
@@ -528,50 +505,11 @@ impl TraceSink {
         self.writer.as_ref().map_or(0, TraceWriter::len)
     }
 
-    /// Encoded bytes so far (0 when disabled).
-    #[must_use]
-    pub fn byte_len(&self) -> usize {
-        self.writer.as_ref().map_or(0, TraceWriter::byte_len)
-    }
-
     /// Finalises the sink, returning the journal bytes if enabled.
     #[must_use]
     pub fn finish(self) -> Option<Bytes> {
         self.writer.map(TraceWriter::finish)
     }
-}
-
-/// Reconstructs the canonical event trace of an already-run simulation
-/// from its [`SimulationResult`] round records (publishes, aggregate
-/// submissions in user-id order, completions). Useful for persisting
-/// results compactly; per-submission *ordering within a round* is not
-/// recorded in `SimulationResult` and is normalised to user-id order.
-#[must_use]
-pub fn from_result(result: &SimulationResult) -> Bytes {
-    let mut writer = TraceWriter::new();
-    for rr in &result.rounds {
-        writer.record(TraceEvent::RoundStart { round: rr.round });
-        for (task, reward) in rr.rewards.iter().enumerate() {
-            if let Some(reward) = reward {
-                writer.record(TraceEvent::Publish { task: task as u32, reward: *reward });
-            }
-        }
-        for (task, &count) in rr.new_measurements.iter().enumerate() {
-            let reward = rr.rewards[task].unwrap_or(0.0);
-            for _ in 0..count {
-                // User attribution is aggregated in RoundRecord; encode
-                // the task-side stream with user = u32::MAX sentinel.
-                writer.record(TraceEvent::Submit { user: u32::MAX, task: task as u32, reward });
-            }
-        }
-        for (task, completed) in result.completed_round.iter().enumerate() {
-            if *completed == Some(rr.round) {
-                writer.record(TraceEvent::TaskComplete { task: task as u32, round: rr.round });
-            }
-        }
-        writer.record(TraceEvent::RoundEnd { round: rr.round });
-    }
-    writer.finish()
 }
 
 #[cfg(test)]
@@ -618,38 +556,30 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_all_variants() {
-        let events = vec![
-            TraceEvent::RoundStart { round: 1 },
-            TraceEvent::Publish { task: 3, reward: 2.5 },
-            TraceEvent::Submit { user: 17, task: 3, reward: 2.5 },
-            TraceEvent::TaskComplete { task: 3, round: 1 },
-            TraceEvent::RoundEnd { round: 1 },
-        ];
-        let mut w = TraceWriter::new();
-        for e in &events {
-            w.record(e.clone());
-        }
-        assert_eq!(w.len(), 5);
-        assert!(!w.is_empty());
-        let bytes = w.finish();
-        assert_eq!(decode(&bytes).unwrap(), events);
-    }
-
-    #[test]
     fn journal_roundtrips_decision_frames() {
         let events = decision_events();
         let mut w = TraceWriter::journal();
         for e in &events {
             w.record(e.clone());
         }
+        assert_eq!(w.len(), events.len());
         let bytes = w.finish();
-        assert!(is_journal(&bytes));
+        assert!(bytes.starts_with(b"PDTJ"));
         assert_eq!(decode(&bytes).unwrap(), events);
         // An empty journal is just its header and decodes to nothing.
-        let empty = TraceWriter::journal().finish();
+        let empty = TraceWriter::journal();
+        assert!(empty.is_empty());
+        let empty = empty.finish();
         assert_eq!(empty.len(), 5);
         assert!(decode(&empty).unwrap().is_empty());
+    }
+
+    #[test]
+    fn headerless_bytes_are_refused() {
+        assert_eq!(decode(&[]), Err(TraceError::MissingHeader));
+        // A headerless `RoundStart { round: 1 }` frame.
+        assert_eq!(decode(&[1, 1, 0, 0, 0]), Err(TraceError::MissingHeader));
+        assert_eq!(decode(b"PD"), Err(TraceError::MissingHeader));
     }
 
     #[test]
@@ -658,7 +588,7 @@ mod tests {
         bytes[4] = 99;
         assert_eq!(decode(&bytes), Err(TraceError::UnsupportedVersion(99)));
         // A magic with no version byte is truncated, not a panic.
-        assert_eq!(decode(&JOURNAL_MAGIC[..]), Err(TraceError::Truncated));
+        assert_eq!(decode(b"PDTJ"), Err(TraceError::Truncated));
     }
 
     #[test]
@@ -730,20 +660,11 @@ mod tests {
     }
 
     #[test]
-    fn empty_trace() {
-        let w = TraceWriter::new();
-        assert!(w.is_empty());
-        let bytes = w.finish();
-        assert!(bytes.is_empty());
-        assert!(decode(&bytes).unwrap().is_empty());
-    }
-
-    #[test]
     fn truncated_buffer_is_an_error() {
-        let mut w = TraceWriter::new();
+        let mut w = TraceWriter::journal();
         w.record(TraceEvent::Submit { user: 1, task: 2, reward: 3.0 });
         let bytes = w.finish();
-        for cut in 1..bytes.len() {
+        for cut in 6..bytes.len() {
             assert_eq!(
                 decode(&bytes[..cut]),
                 Err(TraceError::Truncated),
@@ -759,11 +680,9 @@ mod tests {
             w.record(e.clone());
         }
         let bytes = w.finish();
-        // Cut 0 is the legitimately empty headerless stream; cuts inside
-        // the magic read as headerless frames whose first tag is 'P'.
-        assert!(decode(&bytes[..0]).unwrap().is_empty());
-        for cut in 1..JOURNAL_MAGIC.len() {
-            assert_eq!(decode(&bytes[..cut]), Err(TraceError::UnknownTag(b'P')));
+        // Cuts inside the magic leave no header.
+        for cut in 0..4 {
+            assert_eq!(decode(&bytes[..cut]), Err(TraceError::MissingHeader));
         }
         // Magic with no version byte is truncated; from the header on,
         // every cut either lands exactly on a frame boundary (a clean
@@ -781,8 +700,11 @@ mod tests {
 
     #[test]
     fn unknown_tag_is_an_error() {
-        assert_eq!(decode(&[0xFF]), Err(TraceError::UnknownTag(0xFF)));
-        assert_eq!(decode(&[0x00]), Err(TraceError::UnknownTag(0)));
+        for tag in [0xFF, 0x00] {
+            let mut bytes = TraceWriter::journal().finish().to_vec();
+            bytes.push(tag);
+            assert_eq!(decode(&bytes), Err(TraceError::UnknownTag(tag)));
+        }
     }
 
     #[test]
@@ -791,76 +713,24 @@ mod tests {
         assert!(!off.is_enabled());
         off.record(TraceEvent::RoundStart { round: 1 });
         assert_eq!(off.frames(), 0);
-        assert_eq!(off.byte_len(), 0);
         assert!(off.finish().is_none());
 
         let mut on = TraceSink::journal();
         assert!(on.is_enabled());
         on.record(TraceEvent::RoundStart { round: 1 });
         assert_eq!(on.frames(), 1);
-        assert!(on.byte_len() > 5);
         let bytes = on.finish().unwrap();
         assert_eq!(decode(&bytes).unwrap(), vec![TraceEvent::RoundStart { round: 1 }]);
     }
 
     #[test]
-    fn from_result_is_consistent_with_records() {
-        use crate::{engine, Scenario, SelectorKind};
-        let s = Scenario::paper_default()
-            .with_users(15)
-            .with_tasks(6)
-            .with_max_rounds(4)
-            .with_selector(SelectorKind::Greedy)
-            .with_seed(8);
-        let result = engine::run(&s).unwrap();
-        let trace = from_result(&result);
-        let events = decode(&trace).unwrap();
-
-        // Round framing: starts and ends pair up in order.
-        let starts: Vec<u32> = events
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::RoundStart { round } => Some(*round),
-                _ => None,
-            })
-            .collect();
-        let ends: Vec<u32> = events
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::RoundEnd { round } => Some(*round),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(starts, (1..=result.rounds.len() as u32).collect::<Vec<_>>());
-        assert_eq!(starts, ends);
-
-        // One Submit per measurement; total pay matches.
-        let submits: Vec<&TraceEvent> =
-            events.iter().filter(|e| matches!(e, TraceEvent::Submit { .. })).collect();
-        assert_eq!(submits.len() as u64, result.total_measurements());
-        let paid: f64 = submits
-            .iter()
-            .map(|e| match e {
-                TraceEvent::Submit { reward, .. } => *reward,
-                _ => 0.0,
-            })
-            .sum();
-        assert!((paid - result.total_paid).abs() < 1e-9);
-
-        // One completion event per completed task.
-        let completions =
-            events.iter().filter(|e| matches!(e, TraceEvent::TaskComplete { .. })).count();
-        assert_eq!(completions, result.completed_round.iter().flatten().count());
-    }
-
-    #[test]
     fn trace_is_far_smaller_than_debug_text() {
-        let mut w = TraceWriter::new();
+        let mut w = TraceWriter::journal();
         for i in 0..1000u32 {
             w.record(TraceEvent::Submit { user: i, task: i % 20, reward: 1.5 });
         }
         let bytes = w.finish();
-        assert_eq!(bytes.len(), 1000 * 17);
+        assert_eq!(bytes.len(), 5 + 1000 * 17);
     }
 
     fn arb_event() -> impl Strategy<Value = TraceEvent> {
@@ -925,16 +795,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn arbitrary_traces_roundtrip(events in proptest::collection::vec(arb_event(), 0..200)) {
-            let mut w = TraceWriter::new();
-            for e in &events {
-                w.record(e.clone());
-            }
-            let decoded = decode(&w.finish()).unwrap();
-            prop_assert_eq!(decoded, events);
-        }
-
         #[test]
         fn arbitrary_journals_roundtrip(events in proptest::collection::vec(arb_event(), 0..200)) {
             let mut w = TraceWriter::journal();

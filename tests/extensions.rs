@@ -1,9 +1,9 @@
-//! Integration tests for the extension features: traces, sweeps, group
-//! AHP, sensitivity analysis, the extra mechanisms/selectors and hard
+//! Integration tests for the extension features: sweeps, group AHP,
+//! sensitivity analysis, the extra mechanisms/selectors and hard
 //! budget enforcement — all exercised through the umbrella crate.
 
 use paydemand::sim::sweep::{Axis, Sweep};
-use paydemand::sim::{engine, metrics, trace, MechanismKind, Scenario, SelectorKind};
+use paydemand::sim::{engine, metrics, MechanismKind, Scenario, SelectorKind};
 
 fn small() -> Scenario {
     Scenario::paper_default()
@@ -12,15 +12,6 @@ fn small() -> Scenario {
         .with_max_rounds(5)
         .with_selector(SelectorKind::GreedyTwoOpt)
         .with_seed(60)
-}
-
-#[test]
-fn trace_roundtrips_through_bytes() {
-    let result = engine::run(&small()).unwrap();
-    let bytes = trace::from_result(&result);
-    let events = trace::decode(&bytes).unwrap();
-    let submits = events.iter().filter(|e| matches!(e, trace::TraceEvent::Submit { .. })).count();
-    assert_eq!(submits as u64, result.total_measurements());
 }
 
 #[test]

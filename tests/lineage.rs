@@ -2,8 +2,9 @@
 //! surface around it: every acked event must resolve through
 //! `GET /events/{id}` bit-identically before and after a kill-9
 //! `--resume`, the offline `lineage verify` audit must agree with the
-//! replay, torn-tail events must read as *never applied* (not
-//! missing), a lineage index whose header was torn at creation must
+//! replay and report a removed checkpointed frame as missing and an
+//! altered crash-window frame as mismatched, torn-tail events must read
+//! as *never applied* (not missing), a lineage index whose header was torn at creation must
 //! not lock the state directory, and `/logs.json` + the new `/status`
 //! fields must serve valid JSON.
 
@@ -255,5 +256,105 @@ fn logs_and_status_surface_valid_json() {
     assert_eq!(status_code, 422);
 
     daemon.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Drives the golden daemon as the kill-9 test above does — checkpoint
+/// every 4 ticks, a two-event batch applied in round 2, one more event
+/// acked, kill‑9 after 3 ticks — and returns the cold directory with
+/// the round-2 batch's first event id. Its checkpoint is the startup
+/// one, so rounds 1–3 are the crash window.
+fn crashed_after_three_ticks(tag: &str) -> (PathBuf, u64) {
+    let dir = fresh_dir(tag);
+    let mut config = DaemonConfig::new(scenario(), dir.clone());
+    config.checkpoint_every = 4;
+    let daemon = Daemon::start(config, &Recorder::disabled()).unwrap();
+    let addr = daemon.local_addr();
+    daemon.tick().unwrap();
+    let (_, first, _) = post(
+        addr,
+        r#"{"events": [{"type": "move", "user": 3, "x": 100.0, "y": 200.0},
+            {"type": "upload", "user": 5, "task": 2, "value": 7.5}]}"#,
+    );
+    daemon.tick().unwrap();
+    daemon.tick().unwrap();
+    post(addr, r#"{"events": [{"type": "move", "user": 11, "x": 900.0, "y": 40.0}]}"#);
+    daemon.crash();
+    (dir, first)
+}
+
+/// Rewrites `dir`'s lineage index to `edit` of its frames.
+fn rewrite_frames(
+    dir: &std::path::Path,
+    edit: impl FnOnce(Vec<lineage::LineageFrame>) -> Vec<lineage::LineageFrame>,
+) {
+    let path = dir.join(paydemand_serve::daemon::LINEAGE_FILE);
+    let (mut index, frames, _) = lineage::LineageIndex::open(&path, true).unwrap();
+    index.rewrite(&edit(frames)).unwrap();
+}
+
+#[test]
+fn verify_reports_a_checkpointed_event_with_no_frame_as_missing() {
+    let (dir, first) = crashed_after_three_ticks("missing");
+    // Land the checkpoint a crash between checkpoint and compaction
+    // leaves: a resumed daemon in a copy replays rounds 1–3 and
+    // checkpoints past them; that checkpoint beside the uncompacted
+    // WAL makes the round-2 batch a checkpointed one.
+    let copy = fresh_dir("missing-copy");
+    std::fs::create_dir_all(&copy).unwrap();
+    for file in [
+        paydemand_serve::daemon::CHECKPOINT_FILE,
+        paydemand_serve::daemon::WAL_FILE,
+        paydemand_serve::daemon::LINEAGE_FILE,
+    ] {
+        std::fs::copy(dir.join(file), copy.join(file)).unwrap();
+    }
+    let mut config = DaemonConfig::new(scenario(), copy.clone());
+    config.resume = true;
+    Daemon::start(config, &Recorder::disabled()).unwrap().crash();
+    let checkpoint = paydemand_serve::daemon::CHECKPOINT_FILE;
+    std::fs::copy(copy.join(checkpoint), dir.join(checkpoint)).unwrap();
+
+    let report = lineage::verify(&scenario(), &dir).expect("verify runs");
+    assert!(report.is_clean(), "missing {:?} mismatched {:?}", report.missing, report.mismatched);
+    assert_eq!((report.checked, report.regenerated), (2, 0), "rounds 1-3 are checkpointed");
+
+    rewrite_frames(&dir, |frames| {
+        frames
+            .into_iter()
+            .filter(|f| !matches!(f, lineage::LineageFrame::Applied(a) if a.event_id == first + 1))
+            .collect()
+    });
+    let report = lineage::verify(&scenario(), &dir).expect("verify runs");
+    assert_eq!(report.missing, vec![first + 1]);
+    assert!(report.mismatched.is_empty(), "{:?}", report.mismatched);
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&copy);
+}
+
+#[test]
+fn verify_reports_an_altered_crash_window_frame_as_mismatched() {
+    let (dir, first) = crashed_after_three_ticks("mismatched");
+    let report = lineage::verify(&scenario(), &dir).expect("verify runs");
+    assert!(report.is_clean(), "missing {:?} mismatched {:?}", report.missing, report.mismatched);
+    assert_eq!(report.matched, 2);
+
+    // The move's disposition and the upload's pay, each altered on disk.
+    rewrite_frames(&dir, |mut frames| {
+        for frame in &mut frames {
+            match frame {
+                lineage::LineageFrame::Applied(f) if f.event_id == first => {
+                    f.disposition = lineage::Disposition::Duplicate;
+                }
+                lineage::LineageFrame::Applied(f) if f.event_id == first + 1 => f.pay += 1.0,
+                _ => {}
+            }
+        }
+        frames
+    });
+    let report = lineage::verify(&scenario(), &dir).expect("verify runs");
+    assert_eq!(report.mismatched, vec![first, first + 1]);
+    assert!(report.missing.is_empty(), "{:?}", report.missing);
+    assert_eq!((report.regenerated, report.matched), (2, 0));
     let _ = std::fs::remove_dir_all(&dir);
 }

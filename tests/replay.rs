@@ -6,7 +6,8 @@
 //! pin that promise: the golden seed replays identically at every
 //! thread count, a hundred seeded scenarios (faults on and off) all
 //! replay-verify, and enabling the trace sink never changes what the
-//! simulation computes.
+//! simulation computes. One faulted run with external events pins the
+//! journal's bytes, and so its frame order.
 
 use paydemand::obs::Recorder;
 use paydemand::sim::replay;
@@ -205,4 +206,96 @@ fn tampered_golden_journals_are_always_caught() {
     let mut dropped = trace::decode(&journal).unwrap();
     dropped.remove(victim);
     assert!(replay::verify_events(&dropped, &result).is_err(), "dropped frame went unnoticed");
+}
+
+/// The journal's frame order, pinned: the fnv1a64 hash of the PDTJ
+/// bytes of one traced run that lands a measurement every way one can
+/// land — a selected route's upload, an external `Upload` and a due
+/// straggler retry — under the budget cap and every fault arm, with
+/// external `Move`/`Upload` events enqueued each round.
+#[test]
+fn a_faulted_evented_journal_keeps_its_bytes() {
+    use paydemand::sim::frame::fnv1a64;
+    use paydemand::sim::{Engine, EventOutcome, ExternalEvent};
+    use std::collections::HashSet;
+
+    let plan = FaultPlan::new(21)
+        .with(FaultKind::DemandOutage { rate: 0.3 })
+        .with(FaultKind::BudgetShock { round: 5, factor: 0.5 })
+        .with(FaultKind::Dropout { rate: 0.1 })
+        .with(FaultKind::DroppedUploads { rate: 0.1 })
+        .with(FaultKind::StragglerUploads { rate: 0.2, max_retries: 2, backoff_rounds: 1 })
+        .with(FaultKind::GpsNoise { sigma: 25.0 });
+    let mut scenario = golden().with_faults(plan);
+    scenario.enforce_budget = true;
+    let mut engine = Engine::new(&scenario, &Recorder::disabled()).unwrap();
+    engine.enable_trace();
+    let (users, tasks) = (engine.num_users() as u32, engine.num_tasks() as u32);
+    let area = engine.area();
+    let mut external_paid = 0;
+    while !engine.is_finished() {
+        let r = engine.next_round();
+        let (x, y) = (area.min().x + f64::from(r) * 37.0, area.min().y + f64::from(r) * 53.0);
+        engine.enqueue_event(ExternalEvent::Move { user: (r * 7) % users, x, y }).unwrap();
+        for k in 0..3 {
+            let event = ExternalEvent::Upload {
+                user: (r * 5 + k) % users,
+                task: (r + k) % tasks,
+                value: 0.5,
+            };
+            engine.enqueue_event(event).unwrap();
+        }
+        engine.step_round().unwrap();
+        external_paid += engine
+            .last_event_outcomes()
+            .iter()
+            .filter(|o| matches!(o, EventOutcome::Paid(_)))
+            .count();
+    }
+    let journal = engine.take_trace().unwrap();
+
+    // Classify every Submit: after its user's Selection frame it is a
+    // route upload; before any Selection it is an external upload or,
+    // when it redelivers an earlier delayed upload, a retry.
+    let (mut route, mut retry, mut external) = (0, 0, 0);
+    let mut delayed: HashSet<(u32, u32)> = HashSet::new();
+    let mut fault_kinds: HashSet<u8> = HashSet::new();
+    let mut selecting: Option<u32> = None;
+    for event in trace::decode(&journal).unwrap() {
+        match event {
+            TraceEvent::RoundStart { .. } => selecting = None,
+            TraceEvent::Selection { user, .. } => selecting = Some(user),
+            TraceEvent::Fault { kind, user, task, .. } => {
+                fault_kinds.insert(kind);
+                if kind == trace::FAULT_UPLOAD_DELAYED {
+                    delayed.insert((user, task));
+                }
+                if kind == trace::FAULT_USER_OFFLINE {
+                    selecting = Some(u32::MAX);
+                }
+            }
+            TraceEvent::Submit { user, task, .. } => match selecting {
+                Some(u) if u == user => route += 1,
+                Some(_) => panic!("submit for user {user} outside its selection"),
+                None if delayed.remove(&(user, task)) => retry += 1,
+                None => external += 1,
+            },
+            _ => {}
+        }
+    }
+    assert!(
+        route > 0 && retry > 0 && external > 0,
+        "{route} route, {retry} retry, {external} external"
+    );
+    assert_eq!(external, external_paid, "every paid external upload has its Submit frame");
+    for kind in [
+        trace::FAULT_STALE_PRICING,
+        trace::FAULT_BUDGET_SHOCK,
+        trace::FAULT_USER_OFFLINE,
+        trace::FAULT_UPLOAD_DROPPED,
+        trace::FAULT_UPLOAD_DELAYED,
+    ] {
+        assert!(fault_kinds.contains(&kind), "no {} fault", trace::fault_kind_label(kind));
+    }
+    assert_eq!(fnv1a64(&journal), 0xa945_b1a1_7099_765f);
 }
