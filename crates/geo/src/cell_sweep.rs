@@ -32,6 +32,16 @@
 //! batching of moved users produces identical counts. That is why
 //! [`CellSweeper::counts`] may pick, round by round, between a full
 //! recount and a delta update without changing a single count.
+//!
+//! # Kernels
+//!
+//! The full sweep's counting loop has one body, built twice: for the
+//! target's baseline instruction set (two `f64` lanes of SSE2 on
+//! x86-64) and, on x86-64, with AVX2 enabled (four lanes). The CPU
+//! picks at run time. Both builds run the same IEEE operations — a
+//! subtract, two multiplies, an add and a compare per pair, with no
+//! fused multiply-add — and add integer hits, so their counts are
+//! identical.
 
 use crate::soa::{PositionStore, Positions};
 use crate::{GeoError, Point, Rect};
@@ -70,6 +80,14 @@ pub struct CellSweeper {
     scratch_departures: Vec<(u32, Point)>,
     scratch_arrivals: Vec<(u32, Point)>,
     scratch_deltas: Vec<i64>,
+    /// Full-sweep buffers, kept across rounds like the delta scratch:
+    /// the mirror's coordinates counting-sorted by cell
+    /// (`sorted_x/sorted_y[starts[c]..starts[c + 1]]` hold cell `c`'s
+    /// residents) and the scatter's per-cell write cursor.
+    sorted_x: Vec<f64>,
+    sorted_y: Vec<f64>,
+    starts: Vec<u32>,
+    cursor: Vec<u32>,
 }
 
 /// Cells along the area's longer side, at most: the grid stays within
@@ -79,9 +97,10 @@ const MAX_CELLS_PER_SIDE: f64 = 1024.0;
 impl CellSweeper {
     /// Creates a sweeper for fixed `tasks` inside `area`, counting
     /// users strictly closer than `radius`. A cell is `radius` wide, or
-    /// 1/1024 of the area's longer side where that is wider; a cell
-    /// never narrower than the radius keeps the `±R` candidate boxes
-    /// exact.
+    /// 1/1024 of the area's longer side where that is wider. The
+    /// monotone cell mapping keeps the `±R` candidate boxes exact at
+    /// any cell width; a cell at least `R` wide only bounds each box to
+    /// 3×3 cells.
     ///
     /// Tasks may lie outside `area` (their candidate ranges clamp to
     /// it); `radius` values that are not finite and positive yield
@@ -112,6 +131,10 @@ impl CellSweeper {
             scratch_departures: Vec::new(),
             scratch_arrivals: Vec::new(),
             scratch_deltas: Vec::new(),
+            sorted_x: Vec::new(),
+            sorted_y: Vec::new(),
+            starts: Vec::new(),
+            cursor: Vec::new(),
         };
         sweeper.build_candidates(valid);
         sweeper
@@ -146,8 +169,8 @@ impl CellSweeper {
 
     /// Approximate heap footprint in bytes: the task copy, the CSR
     /// candidate lists, the SoA position mirror, the per-user cell
-    /// tags, and the count vector. Uses allocated capacity so reserved
-    /// space is visible.
+    /// tags, the count vector and the kept delta and full-sweep
+    /// buffers. Uses allocated capacity so reserved space is visible.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
         self.tasks.capacity() * std::mem::size_of::<Point>()
@@ -159,6 +182,8 @@ impl CellSweeper {
             + (self.scratch_departures.capacity() + self.scratch_arrivals.capacity())
                 * std::mem::size_of::<(u32, Point)>()
             + self.scratch_deltas.capacity() * std::mem::size_of::<i64>()
+            + (self.sorted_x.capacity() + self.sorted_y.capacity()) * std::mem::size_of::<f64>()
+            + (self.starts.capacity() + self.cursor.capacity()) * std::mem::size_of::<u32>()
     }
 
     /// Grid cell (row-major) of `p` — a clamped floor mapping, monotone
@@ -279,8 +304,8 @@ impl CellSweeper {
     }
 
     /// Recounts every task from the mirror: users are bucketed by cell
-    /// (a counting sort), then each occupied cell streams its residents
-    /// through its candidate tasks.
+    /// (a counting sort into the kept buffers), then each occupied cell
+    /// streams its residents through its candidate tasks.
     fn full_sweep(&mut self) {
         let n = self.mirror.len();
         let num_cells = self.cols * self.rows;
@@ -291,52 +316,50 @@ impl CellSweeper {
             return;
         }
 
-        // Counting sort of the coordinates themselves:
-        // `sx/sy[starts[c]..starts[c+1]]` hold the positions resident
-        // in cell `c`, contiguously.
-        let mut starts = vec![0u32; num_cells + 1];
+        // Counting sort of the mirror's coordinates by cell.
+        self.starts.clear();
+        self.starts.resize(num_cells + 1, 0);
         for &c in &self.mirror_cells {
-            starts[c as usize + 1] += 1;
+            self.starts[c as usize + 1] += 1;
         }
-        for i in 1..starts.len() {
-            starts[i] += starts[i - 1];
+        for i in 1..self.starts.len() {
+            self.starts[i] += self.starts[i - 1];
         }
-        let mut cursor = starts.clone();
-        let mut sx = vec![0.0f64; n];
-        let mut sy = vec![0.0f64; n];
+        self.cursor.clear();
+        self.cursor.extend_from_slice(&self.starts[..num_cells]);
+        self.sorted_x.resize(n, 0.0);
+        self.sorted_y.resize(n, 0.0);
+        let (xs, ys) = (self.mirror.xs(), self.mirror.ys());
         for (i, &c) in self.mirror_cells.iter().enumerate() {
-            let slot = &mut cursor[c as usize];
-            sx[*slot as usize] = self.mirror.xs()[i];
-            sy[*slot as usize] = self.mirror.ys()[i];
+            let slot = &mut self.cursor[c as usize];
+            self.sorted_x[*slot as usize] = xs[i];
+            self.sorted_y[*slot as usize] = ys[i];
             *slot += 1;
         }
 
-        let r2 = self.radius * self.radius;
         let mut counts = std::mem::take(&mut self.counts);
-        for cell in 0..num_cells {
-            let (lo, hi) = (starts[cell] as usize, starts[cell + 1] as usize);
-            if lo == hi {
-                continue;
-            }
-            let (xs, ys) = (&sx[lo..hi], &sy[lo..hi]);
-            // Task-outer over the cell's contiguous coordinates: the
-            // inner loop is a dense branch-free scan the compiler can
-            // vectorise. The predicate is the exact `dx·dx + dy·dy < R²`
-            // of `Point::distance_squared` and the accumulation stays
-            // integer `+1`s, so counts are bit-identical to the
-            // user-outer order.
-            for &t in self.candidates(cell) {
-                let task = self.tasks[t as usize];
-                let mut hits = 0usize;
-                for j in 0..xs.len() {
-                    let dx = xs[j] - task.x;
-                    let dy = ys[j] - task.y;
-                    hits += usize::from(dx * dx + dy * dy < r2);
+        self.count_sorted(Kernel::detect(), &mut counts);
+        self.counts = counts;
+    }
+
+    /// Adds each task's hits among the sorted residents to `counts`,
+    /// with `kernel`'s build of the loop.
+    fn count_sorted(&self, kernel: Kernel, counts: &mut [usize]) {
+        match kernel {
+            Kernel::Baseline => count_sorted_body(self, counts),
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx2 => {
+                assert!(std::arch::is_x86_feature_detected!("avx2"), "AVX2 kernel without AVX2");
+                // SAFETY: `count_sorted_avx2` is safe code compiled with
+                // AVX2 enabled; the one requirement for calling it is a
+                // CPU that runs AVX2, which the assert above has just
+                // checked.
+                #[allow(unsafe_code)]
+                unsafe {
+                    count_sorted_avx2(self, counts);
                 }
-                counts[t as usize] += hits;
             }
         }
-        self.counts = counts;
     }
 
     /// Applies `-old`/`+new` updates for every user whose position
@@ -414,6 +437,62 @@ impl CellSweeper {
     }
 }
 
+/// A build of the full sweep's counting loop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kernel {
+    /// The target's baseline instruction set.
+    Baseline,
+    /// AVX2: four `f64` lanes per instruction.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl Kernel {
+    /// The widest build this CPU runs.
+    fn detect() -> Kernel {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Kernel::Avx2;
+        }
+        Kernel::Baseline
+    }
+}
+
+/// The full sweep's counting loop, the one body both kernels build.
+/// Task-outer over each occupied cell's contiguous coordinates: the
+/// inner loop is a dense branch-free scan the compiler vectorises. The
+/// predicate is the exact `dx·dx + dy·dy < R²` of
+/// `Point::distance_squared` and the accumulation stays integer `+1`s,
+/// so counts are bit-identical to the user-outer order.
+#[inline(always)]
+fn count_sorted_body(sweeper: &CellSweeper, counts: &mut [usize]) {
+    let r2 = sweeper.radius * sweeper.radius;
+    for (cell, span) in sweeper.starts.windows(2).enumerate() {
+        let (lo, hi) = (span[0] as usize, span[1] as usize);
+        if lo == hi {
+            continue;
+        }
+        let (xs, ys) = (&sweeper.sorted_x[lo..hi], &sweeper.sorted_y[lo..hi]);
+        for &t in sweeper.candidates(cell) {
+            let task = sweeper.tasks[t as usize];
+            let mut hits = 0usize;
+            for (&x, &y) in xs.iter().zip(ys) {
+                let dx = x - task.x;
+                let dy = y - task.y;
+                hits += usize::from(dx * dx + dy * dy < r2);
+            }
+            counts[t as usize] += hits;
+        }
+    }
+}
+
+/// [`count_sorted_body`] built with AVX2 enabled (and no FMA).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn count_sorted_avx2(sweeper: &CellSweeper, counts: &mut [usize]) {
+    count_sorted_body(sweeper, counts);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -424,6 +503,25 @@ mod tests {
         tasks.iter().map(|&t| users.iter().filter(|u| u.distance_squared(t) < r2).count()).collect()
     }
 
+    /// Runs both kernels over the sorted buffers the last full sweep
+    /// left, where this CPU runs both: each must give the sweep's
+    /// counts. Only a release build tests the loops as shipped.
+    fn assert_kernels_agree(sweeper: &CellSweeper, label: &str) {
+        assert!(sweeper.last_was_full_sweep(), "{label}");
+        let m = sweeper.tasks.len();
+        let mut baseline = vec![0usize; m];
+        sweeper.count_sorted(Kernel::Baseline, &mut baseline);
+        assert_eq!(baseline, sweeper.counts, "{label}: baseline kernel");
+        match Kernel::detect() {
+            Kernel::Baseline => println!("{label}: AVX2 kernel skipped, this CPU lacks AVX2"),
+            wide => {
+                let mut counts = vec![0usize; m];
+                sweeper.count_sorted(wide, &mut counts);
+                assert_eq!(counts, baseline, "{label}: {wide:?} kernel");
+            }
+        }
+    }
+
     fn sample(area: Rect, rng: &mut rand::rngs::StdRng, n: usize) -> Vec<Point> {
         (0..n).map(|_| area.sample_uniform(rng)).collect()
     }
@@ -432,7 +530,9 @@ mod tests {
     fn full_sweep_matches_naive() {
         let area = Rect::square(1000.0).unwrap();
         let mut rng = rand::rngs::StdRng::seed_from_u64(0xCE11);
-        for (n, m, radius) in [(0, 5, 100.0), (50, 0, 100.0), (300, 25, 150.0), (40, 7, 5000.0)] {
+        let cases =
+            [(0, 5, 100.0), (50, 0, 100.0), (300, 25, 150.0), (3000, 25, 150.0), (40, 7, 5000.0)];
+        for (n, m, radius) in cases {
             let tasks = sample(area, &mut rng, m);
             let users = sample(area, &mut rng, n);
             let mut sweeper = CellSweeper::new(area, radius, tasks.clone());
@@ -440,6 +540,7 @@ mod tests {
             assert_eq!(counts, naive(&tasks, &users, radius), "n={n} m={m} R={radius}");
             assert!(sweeper.last_was_full_sweep());
             assert_eq!(sweeper.moved_last_round(), n);
+            assert_kernels_agree(&sweeper, &format!("uniform n={n} m={m} R={radius}"));
         }
     }
 
@@ -526,6 +627,7 @@ mod tests {
         let mut sweeper = CellSweeper::new(area, radius, tasks.clone());
         let counts = sweeper.counts(&users).unwrap().to_vec();
         assert_eq!(counts, naive(&tasks, &users, radius));
+        assert_kernels_agree(&sweeper, "exact boundary");
     }
 
     #[test]
@@ -541,6 +643,7 @@ mod tests {
             let mut sweeper = CellSweeper::new(area, radius, tasks.clone());
             let counts = sweeper.counts(&users).unwrap().to_vec();
             assert_eq!(counts, naive(&tasks, &users, radius), "R={radius}");
+            assert_kernels_agree(&sweeper, &format!("one cell R={radius}"));
         }
     }
 

@@ -10,7 +10,7 @@
 //!    mobile users" criterion of the demand indicator) —
 //!    [`CellSweeper::counts`] / [`KdTree::within_radius`].
 //! 3. *Where do entities start, and how do they move between rounds?* —
-//!    [`placement`] samplers and [`mobility`] models.
+//!    [`placement`] samplers and the random-waypoint [`mobility`] model.
 //!
 //! Everything here is deterministic given an explicit [`rand::Rng`]; no
 //! hidden global randomness.
@@ -28,7 +28,9 @@
 //! # Ok::<(), paydemand_geo::GeoError>(())
 //! ```
 
-#![forbid(unsafe_code)]
+// One `unsafe` block, allowed where it stands: the call into the
+// AVX2 build of the full cell sweep, after the CPU reported AVX2.
+#![deny(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
 mod cell_sweep;
@@ -47,7 +49,6 @@ pub use cell_sweep::CellSweeper;
 pub use error::GeoError;
 pub use kdtree::KdTree;
 pub use matrix::DistanceMatrix;
-pub use mobility::MobilityModel;
 pub use placement::PlacementSampler;
 pub use point::Point;
 pub use rect::Rect;

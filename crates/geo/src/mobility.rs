@@ -1,72 +1,24 @@
-//! Mobility models: how a user's *starting* location evolves between
-//! sensing rounds.
+//! Inter-round mobility: how a wandering user's *starting* location
+//! evolves between sensing rounds.
 //!
 //! The paper regenerates experiments independently and does not pin down
 //! inter-round mobility; its model is equivalent to users starting each
-//! round from wherever the workload puts them. We provide three models so
-//! the simulator can study robustness of the incentive mechanisms to user
-//! movement:
-//!
-//! * [`Static`] — users never move between rounds (within a round they
-//!   still travel to perform tasks; this model controls where the *next*
-//!   round starts).
-//! * [`Teleport`] — fresh uniform location each round (an upper bound on
-//!   mixing; matches re-sampling users every round).
-//! * [`RandomWaypoint`] — the classic model: pick a uniform waypoint,
-//!   walk towards it at a fixed speed, pick a new one on arrival;
-//! * [`LevyFlight`] — heavy-tailed hop lengths (human-mobility studies
-//!   consistently find Lévy-like step distributions);
-//! * [`GaussMarkov`] — temporally correlated velocity: smooth paths
-//!   whose randomness is tunable between straight-line and Brownian.
+//! round from wherever the workload puts them. The simulator's `Wander`
+//! motion walks each user under [`RandomWaypoint`], the classic model:
+//! pick a uniform waypoint, walk towards it at a fixed speed, pick a new
+//! one on arrival.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::rand_util::standard_normal;
 use crate::{Point, Rect};
-
-/// A mobility model advances a user's round-start location by one round.
-pub trait MobilityModel: std::fmt::Debug {
-    /// Returns the location at the start of the next round, given the
-    /// location at the end of this round. `elapsed` is the wall-clock
-    /// length of a round in seconds.
-    fn advance<R: Rng + ?Sized>(
-        &mut self,
-        current: Point,
-        area: Rect,
-        elapsed: f64,
-        rng: &mut R,
-    ) -> Point
-    where
-        Self: Sized;
-}
-
-/// Users stay where the previous round left them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Static;
-
-impl MobilityModel for Static {
-    fn advance<R: Rng + ?Sized>(&mut self, current: Point, _: Rect, _: f64, _: &mut R) -> Point {
-        current
-    }
-}
-
-/// Fresh uniform location every round.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Teleport;
-
-impl MobilityModel for Teleport {
-    fn advance<R: Rng + ?Sized>(&mut self, _: Point, area: Rect, _: f64, rng: &mut R) -> Point {
-        area.sample_uniform(rng)
-    }
-}
 
 /// Random-waypoint mobility at a fixed walking speed (m/s).
 ///
 /// # Examples
 ///
 /// ```
-/// use paydemand_geo::mobility::{MobilityModel, RandomWaypoint};
+/// use paydemand_geo::mobility::RandomWaypoint;
 /// use paydemand_geo::{Point, Rect};
 /// use rand::SeedableRng;
 ///
@@ -121,10 +73,11 @@ impl RandomWaypoint {
         assert!(speed.is_finite() && speed > 0.0, "speed must be positive");
         RandomWaypoint { speed, waypoint }
     }
-}
 
-impl MobilityModel for RandomWaypoint {
-    fn advance<R: Rng + ?Sized>(
+    /// Returns the location at the start of the next round, given the
+    /// location at the end of this round, after walking for `elapsed`
+    /// seconds.
+    pub fn advance<R: Rng + ?Sized>(
         &mut self,
         current: Point,
         area: Rect,
@@ -149,225 +102,14 @@ impl MobilityModel for RandomWaypoint {
                     }
                 }
             } else {
-                pos = pos.step_towards(wp, budget);
+                // The leg is longer than the budget (so `d > 0`): walk
+                // `budget` of its `d` metres, as `step_towards` would,
+                // without measuring the leg a second time.
+                pos = pos.lerp(wp, budget / d);
                 budget = 0.0;
             }
         }
         area.clamp(pos)
-    }
-}
-
-/// Lévy-flight mobility: hop in a uniformly random direction with a
-/// Pareto-distributed length, truncated to what the walking speed
-/// allows in the elapsed time, clamped to the area.
-///
-/// Human-mobility traces (e.g. Rhee et al., "On the Levy-walk nature of
-/// human mobility") show heavy-tailed hop lengths; `alpha` is the
-/// Pareto tail exponent (1 < α ≤ 3 typical; smaller = heavier tail).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LevyFlight {
-    speed: f64,
-    alpha: f64,
-    min_hop: f64,
-}
-
-impl LevyFlight {
-    /// Creates a Lévy-flight model.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `speed > 0`, `alpha > 1` and `min_hop > 0` (all
-    /// finite).
-    #[must_use]
-    pub fn new(speed: f64, alpha: f64, min_hop: f64) -> Self {
-        assert!(speed.is_finite() && speed > 0.0, "speed must be positive");
-        assert!(alpha.is_finite() && alpha > 1.0, "alpha must exceed 1");
-        assert!(min_hop.is_finite() && min_hop > 0.0, "min_hop must be positive");
-        LevyFlight { speed, alpha, min_hop }
-    }
-
-    /// Draws one Pareto(α, min_hop) hop length.
-    fn sample_hop<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u: f64 = 1.0 - rng.gen::<f64>(); // in (0, 1]
-        self.min_hop / u.powf(1.0 / self.alpha)
-    }
-}
-
-impl MobilityModel for LevyFlight {
-    fn advance<R: Rng + ?Sized>(
-        &mut self,
-        current: Point,
-        area: Rect,
-        elapsed: f64,
-        rng: &mut R,
-    ) -> Point {
-        let reach = self.speed * elapsed.max(0.0);
-        if reach == 0.0 {
-            return current;
-        }
-        let hop = self.sample_hop(rng).min(reach);
-        let theta = rng.gen_range(0.0..std::f64::consts::TAU);
-        area.clamp(Point::new(current.x + hop * theta.cos(), current.y + hop * theta.sin()))
-    }
-}
-
-/// Gauss–Markov mobility: velocity is an AR(1) process
-/// `v' = β·v + (1−β)·v̄ + σ√(1−β²)·ε`, giving smooth, temporally
-/// correlated motion. `beta → 1` is near-straight-line travel; `beta →
-/// 0` is memoryless jitter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct GaussMarkov {
-    beta: f64,
-    mean_speed: f64,
-    sigma: f64,
-    velocity: Point,
-}
-
-impl GaussMarkov {
-    /// Creates a Gauss–Markov model. `mean_speed` (m/s) sets the mean
-    /// velocity magnitude, `sigma` the per-step randomness.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 ≤ beta ≤ 1`, `mean_speed ≥ 0` and `sigma ≥ 0`
-    /// (all finite).
-    #[must_use]
-    pub fn new(beta: f64, mean_speed: f64, sigma: f64) -> Self {
-        assert!(beta.is_finite() && (0.0..=1.0).contains(&beta), "beta must be in [0, 1]");
-        assert!(mean_speed.is_finite() && mean_speed >= 0.0, "mean_speed must be >= 0");
-        assert!(sigma.is_finite() && sigma >= 0.0, "sigma must be >= 0");
-        GaussMarkov { beta, mean_speed, sigma, velocity: Point::ORIGIN }
-    }
-
-    /// The current velocity vector (m/s).
-    #[must_use]
-    pub fn velocity(&self) -> Point {
-        self.velocity
-    }
-}
-
-impl MobilityModel for GaussMarkov {
-    fn advance<R: Rng + ?Sized>(
-        &mut self,
-        current: Point,
-        area: Rect,
-        elapsed: f64,
-        rng: &mut R,
-    ) -> Point {
-        // Mean velocity points along the current heading (or a random
-        // one when stationary) at the mean speed.
-        let heading = if self.velocity.norm() > 0.0 {
-            self.velocity / self.velocity.norm()
-        } else {
-            let theta = rng.gen_range(0.0..std::f64::consts::TAU);
-            Point::new(theta.cos(), theta.sin())
-        };
-        let mean_v = heading * self.mean_speed;
-        let noise = self.sigma * (1.0 - self.beta * self.beta).sqrt();
-        self.velocity = self.velocity * self.beta
-            + mean_v * (1.0 - self.beta)
-            + Point::new(standard_normal(rng) * noise, standard_normal(rng) * noise);
-        let next = current + self.velocity * elapsed.max(0.0);
-        // Bounce the velocity at the walls so users do not pile up on
-        // the boundary.
-        let clamped = area.clamp(next);
-        if clamped.x != next.x {
-            self.velocity.x = -self.velocity.x;
-        }
-        if clamped.y != next.y {
-            self.velocity.y = -self.velocity.y;
-        }
-        clamped
-    }
-}
-
-/// Serialisable choice of mobility model for scenario configs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-#[non_exhaustive]
-#[derive(Default)]
-pub enum Mobility {
-    /// No inter-round movement.
-    #[default]
-    Static,
-    /// Fresh uniform location each round.
-    Teleport,
-    /// Random waypoint at the given speed (m/s).
-    RandomWaypoint {
-        /// Walking speed in m/s.
-        speed: f64,
-    },
-    /// Lévy flight with Pareto(α) hop lengths.
-    LevyFlight {
-        /// Walking speed in m/s (caps the per-round hop).
-        speed: f64,
-        /// Pareto tail exponent (> 1).
-        alpha: f64,
-        /// Minimum hop length in metres.
-        min_hop: f64,
-    },
-    /// Gauss–Markov correlated-velocity motion.
-    GaussMarkov {
-        /// Temporal correlation `β ∈ [0, 1]`.
-        beta: f64,
-        /// Mean speed in m/s.
-        mean_speed: f64,
-        /// Velocity noise (m/s per step).
-        sigma: f64,
-    },
-}
-
-impl Mobility {
-    /// Instantiates the stateful model for one user.
-    #[must_use]
-    pub fn instantiate(&self) -> MobilityState {
-        match *self {
-            Mobility::Static => MobilityState::Static(Static),
-            Mobility::Teleport => MobilityState::Teleport(Teleport),
-            Mobility::RandomWaypoint { speed } => {
-                MobilityState::RandomWaypoint(RandomWaypoint::new(speed))
-            }
-            Mobility::LevyFlight { speed, alpha, min_hop } => {
-                MobilityState::LevyFlight(LevyFlight::new(speed, alpha, min_hop))
-            }
-            Mobility::GaussMarkov { beta, mean_speed, sigma } => {
-                MobilityState::GaussMarkov(GaussMarkov::new(beta, mean_speed, sigma))
-            }
-        }
-    }
-}
-
-/// Per-user mobility state (one enum so users can be stored in a `Vec`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-#[non_exhaustive]
-pub enum MobilityState {
-    /// See [`Static`].
-    Static(Static),
-    /// See [`Teleport`].
-    Teleport(Teleport),
-    /// See [`RandomWaypoint`].
-    RandomWaypoint(RandomWaypoint),
-    /// See [`LevyFlight`].
-    LevyFlight(LevyFlight),
-    /// See [`GaussMarkov`].
-    GaussMarkov(GaussMarkov),
-}
-
-impl MobilityState {
-    /// Advances one round; see [`MobilityModel::advance`].
-    pub fn advance<R: Rng + ?Sized>(
-        &mut self,
-        current: Point,
-        area: Rect,
-        elapsed: f64,
-        rng: &mut R,
-    ) -> Point {
-        match self {
-            MobilityState::Static(m) => m.advance(current, area, elapsed, rng),
-            MobilityState::Teleport(m) => m.advance(current, area, elapsed, rng),
-            MobilityState::RandomWaypoint(m) => m.advance(current, area, elapsed, rng),
-            MobilityState::LevyFlight(m) => m.advance(current, area, elapsed, rng),
-            MobilityState::GaussMarkov(m) => m.advance(current, area, elapsed, rng),
-        }
     }
 }
 
@@ -378,22 +120,6 @@ mod tests {
 
     fn rng(seed: u64) -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(seed)
-    }
-
-    #[test]
-    fn static_never_moves() {
-        let area = Rect::square(100.0).unwrap();
-        let p = Point::new(40.0, 60.0);
-        assert_eq!(Static.advance(p, area, 1e6, &mut rng(0)), p);
-    }
-
-    #[test]
-    fn teleport_lands_inside() {
-        let area = Rect::square(100.0).unwrap();
-        let mut m = Teleport;
-        for _ in 0..100 {
-            assert!(area.contains(m.advance(Point::ORIGIN, area, 1.0, &mut rng(1))));
-        }
     }
 
     #[test]
@@ -433,99 +159,57 @@ mod tests {
         let _ = RandomWaypoint::new(-1.0);
     }
 
-    #[test]
-    fn levy_respects_reach_and_area() {
-        let area = Rect::square(1000.0).unwrap();
-        let mut m = LevyFlight::new(2.0, 1.8, 10.0);
-        let mut pos = Point::new(500.0, 500.0);
-        let mut r = rng(21);
-        for _ in 0..200 {
-            let next = m.advance(pos, area, 60.0, &mut r);
-            assert!(pos.distance(next) <= 2.0 * 60.0 + 1e-9);
-            assert!(area.contains(next));
-            pos = next;
-        }
-    }
-
-    #[test]
-    fn levy_hops_are_heavy_tailed() {
-        // Empirical check: the hop distribution should produce a much
-        // larger max/median ratio than, say, uniform hops would.
-        let mut m = LevyFlight::new(1000.0, 1.5, 10.0);
-        let area = Rect::square(1e9).unwrap();
-        let start = Point::new(5e8, 5e8);
-        let mut r = rng(22);
-        let mut hops: Vec<f64> =
-            (0..2000).map(|_| start.distance(m.advance(start, area, 1e6, &mut r))).collect();
-        hops.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let median = hops[hops.len() / 2];
-        let p99 = hops[(hops.len() as f64 * 0.99) as usize];
-        assert!(p99 / median > 10.0, "Levy tail too light: median {median}, p99 {p99}");
-    }
-
-    #[test]
-    fn levy_zero_elapsed_stays_put() {
-        let area = Rect::square(100.0).unwrap();
-        let mut m = LevyFlight::new(2.0, 2.0, 5.0);
-        let p = Point::new(50.0, 50.0);
-        assert_eq!(m.advance(p, area, 0.0, &mut rng(23)), p);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha must exceed 1")]
-    fn levy_rejects_bad_alpha() {
-        let _ = LevyFlight::new(2.0, 1.0, 5.0);
-    }
-
-    #[test]
-    fn gauss_markov_stays_inside_and_moves_smoothly() {
-        let area = Rect::square(1000.0).unwrap();
-        let mut m = GaussMarkov::new(0.9, 2.0, 0.5);
-        let mut pos = Point::new(500.0, 500.0);
-        let mut r = rng(24);
-        let mut headings = Vec::new();
-        for _ in 0..100 {
-            let next = m.advance(pos, area, 30.0, &mut r);
-            assert!(area.contains(next));
-            if next != pos {
-                headings.push(pos.bearing(next));
-            }
-            pos = next;
-        }
-        // With β = 0.9 consecutive headings should be correlated: the
-        // mean absolute heading change stays well below the ~π/2 of an
-        // uncorrelated walk.
-        let mean_turn: f64 = headings
-            .windows(2)
-            .map(|w| {
-                let mut d = (w[1] - w[0]).abs();
-                if d > std::f64::consts::PI {
-                    d = std::f64::consts::TAU - d;
+    /// Reference walk: a partial leg goes through `step_towards`,
+    /// which measures the leg again.
+    fn advance_via_step_towards(
+        walker: &mut RandomWaypoint,
+        current: Point,
+        area: Rect,
+        elapsed: f64,
+        rng: &mut rand::rngs::StdRng,
+    ) -> Point {
+        let mut pos = current;
+        let mut budget = walker.speed * elapsed.max(0.0);
+        while budget > 0.0 {
+            let wp = *walker.waypoint.get_or_insert_with(|| area.sample_uniform(rng));
+            let d = pos.distance(wp);
+            if d <= budget {
+                pos = wp;
+                budget -= d;
+                walker.waypoint = None;
+                if d == 0.0 {
+                    walker.waypoint = Some(area.sample_uniform(rng));
+                    if walker.waypoint == Some(pos) {
+                        break;
+                    }
                 }
-                d
-            })
-            .sum::<f64>()
-            / (headings.len() - 1) as f64;
-        assert!(mean_turn < 1.0, "mean turn {mean_turn} rad looks uncorrelated");
-    }
-
-    #[test]
-    fn gauss_markov_beta_zero_is_memoryless_but_valid() {
-        let area = Rect::square(1000.0).unwrap();
-        let mut m = GaussMarkov::new(0.0, 2.0, 1.0);
-        let mut pos = Point::new(500.0, 500.0);
-        let mut r = rng(25);
-        for _ in 0..50 {
-            pos = m.advance(pos, area, 10.0, &mut r);
-            assert!(area.contains(pos));
+            } else {
+                pos = pos.step_towards(wp, budget);
+                budget = 0.0;
+            }
         }
-        assert!(m.velocity().is_finite());
+        area.clamp(pos)
     }
 
     #[test]
-    #[should_panic(expected = "beta must be in [0, 1]")]
-    fn gauss_markov_rejects_bad_beta() {
-        let _ = GaussMarkov::new(1.5, 2.0, 1.0);
+    fn a_partial_leg_lands_where_step_towards_does() {
+        // Rounds that end mid-leg, pass one waypoint or pass several:
+        // every position, waypoint and draw keeps its bits.
+        let area = Rect::square(3000.0).unwrap();
+        for (seed, elapsed) in [(11, 1.0), (12, 60.0), (13, 700.0), (14, 4000.0)] {
+            let (mut r, mut r_ref) = (rng(seed), rng(seed));
+            let (mut walker, mut reference) = (RandomWaypoint::new(1.7), RandomWaypoint::new(1.7));
+            let (mut pos, mut pos_ref) = (Point::new(1500.0, 1500.0), Point::new(1500.0, 1500.0));
+            for step in 0..200 {
+                pos = walker.advance(pos, area, elapsed, &mut r);
+                pos_ref =
+                    advance_via_step_towards(&mut reference, pos_ref, area, elapsed, &mut r_ref);
+                assert_eq!(pos.x.to_bits(), pos_ref.x.to_bits(), "seed {seed} step {step}");
+                assert_eq!(pos.y.to_bits(), pos_ref.y.to_bits(), "seed {seed} step {step}");
+                assert_eq!(walker, reference, "seed {seed} step {step}");
+            }
+            assert_eq!(r.to_state(), r_ref.to_state(), "seed {seed}");
+        }
     }
 
     #[test]
@@ -542,28 +226,5 @@ mod tests {
             model.advance(pos, area, 5.0, &mut r),
             restored.advance(pos, area, 5.0, &mut r2)
         );
-    }
-
-    #[test]
-    fn new_models_dispatch_through_enum() {
-        let area = Rect::square(200.0).unwrap();
-        let p = Point::new(100.0, 100.0);
-        let mut levy = Mobility::LevyFlight { speed: 2.0, alpha: 2.0, min_hop: 5.0 }.instantiate();
-        assert!(area.contains(levy.advance(p, area, 30.0, &mut rng(26))));
-        let mut gm = Mobility::GaussMarkov { beta: 0.5, mean_speed: 1.5, sigma: 0.3 }.instantiate();
-        assert!(area.contains(gm.advance(p, area, 30.0, &mut rng(27))));
-    }
-
-    #[test]
-    fn enum_dispatch_matches_concrete() {
-        let area = Rect::square(100.0).unwrap();
-        let p = Point::new(10.0, 10.0);
-        let mut s = Mobility::Static.instantiate();
-        assert_eq!(s.advance(p, area, 5.0, &mut rng(5)), p);
-        let mut t = Mobility::Teleport.instantiate();
-        assert!(area.contains(t.advance(p, area, 5.0, &mut rng(6))));
-        let mut w = Mobility::RandomWaypoint { speed: 1.5 }.instantiate();
-        let next = w.advance(p, area, 10.0, &mut rng(7));
-        assert!(p.distance(next) <= 15.0 + 1e-9);
     }
 }

@@ -166,9 +166,14 @@ impl Positions for PositionStore {
 }
 
 impl FromIterator<Point> for PositionStore {
+    /// Reserves the iterator's lower size bound up front, so an
+    /// exact-size source fills the store at its final capacity instead
+    /// of growing it by doubling.
     fn from_iter<I: IntoIterator<Item = Point>>(iter: I) -> Self {
-        let mut xs = Vec::new();
-        let mut ys = Vec::new();
+        let iter = iter.into_iter();
+        let (len, _) = iter.size_hint();
+        let mut xs = Vec::with_capacity(len);
+        let mut ys = Vec::with_capacity(len);
         for p in iter {
             xs.push(p.x);
             ys.push(p.y);
@@ -221,5 +226,13 @@ mod tests {
         assert_eq!(store.len(), 4);
         assert_eq!(store.xs(), &[0.0, 1.0, 2.0, 3.0]);
         assert_eq!(store.ys(), &[0.5; 4]);
+    }
+
+    #[test]
+    fn collecting_an_exact_size_iterator_leaves_no_spare_capacity() {
+        let store: PositionStore = (0..1000).map(|i| Point::new(f64::from(i), 0.5)).collect();
+        assert_eq!(store.len(), 1000);
+        assert_eq!(store.xs.capacity(), store.len());
+        assert_eq!(store.ys.capacity(), store.len());
     }
 }

@@ -108,6 +108,34 @@ impl CostMatrix {
         }
     }
 
+    /// Fills `row[j]` with the distance to every task `j` from the
+    /// start (`from` is `None`) or from task `i` (`from` is `Some(i)`):
+    /// the values [`from_start`](Self::from_start) and
+    /// [`between`](Self::between) return, bit for bit. Panics unless
+    /// `row` holds one slot per task and `i` is a task.
+    pub(crate) fn distances_from(&self, from: Option<usize>, row: &mut [f64]) {
+        assert_eq!(row.len(), self.tasks(), "one distance per task");
+        match (from, &self.tasks) {
+            (None, _) => row.copy_from_slice(&self.start),
+            (Some(i), TaskDistances::Points(points)) => {
+                // `distance_squared` is bitwise symmetric, so measuring
+                // from `i` gives `between`'s bits whichever index is
+                // lower. The diagonal is `between`'s 0.0 even for a NaN
+                // point, whose distance to itself is NaN.
+                let here = points[i];
+                for (d, &p) in row.iter_mut().zip(points) {
+                    *d = here.distance(p);
+                }
+                row[i] = 0.0;
+            }
+            (Some(i), TaskDistances::Table(table)) => {
+                for (j, d) in row.iter_mut().enumerate() {
+                    *d = table.get(i, j);
+                }
+            }
+        }
+    }
+
     /// Total length of the route start → `order[0]` → `order[1]` → …
     /// (an open path: the user does not return to the start).
     ///
@@ -227,6 +255,24 @@ mod tests {
                 for j in 0..pts.len() {
                     prop_assert_eq!(c.between(i, j).to_bits(), table.get(i, j).to_bits(),
                         "pair ({}, {})", i, j);
+                }
+            }
+            let tabled = CostMatrix::from_fn(
+                pts.iter().map(|&p| start.distance(p)).collect(),
+                |i, j| table.get(i, j),
+            );
+            let mut row = vec![f64::NAN; pts.len()];
+            for costs in [&c, &tabled] {
+                costs.distances_from(None, &mut row);
+                for (j, d) in row.iter().enumerate() {
+                    prop_assert_eq!(d.to_bits(), c.from_start(j).to_bits(), "start to {}", j);
+                }
+                for i in 0..pts.len() {
+                    costs.distances_from(Some(i), &mut row);
+                    for (j, d) in row.iter().enumerate() {
+                        prop_assert_eq!(d.to_bits(), table.get(i, j).to_bits(),
+                            "row ({}, {})", i, j);
+                    }
                 }
             }
             if !pts.is_empty() {

@@ -258,47 +258,8 @@ pub fn solve_greedy(instance: &Instance<'_>) -> Solution {
 /// more than the tasks chosen, for the final pass that finds nothing).
 #[must_use]
 pub fn solve_greedy_with_stats(instance: &Instance<'_>) -> (Solution, u64) {
-    let m = instance.costs.tasks();
-    let mut selected = vec![false; m];
-    let mut order: Vec<usize> = Vec::new();
-    let mut traveled = 0.0;
-    let mut loaded = 0.0; // travel + service, against the budget
-    let mut iterations: u64 = 0;
-    loop {
-        iterations += 1;
-        let mut best: Option<(usize, f64, f64)> = None; // (task, detour, marginal)
-                                                        // The index *is* the task id here; an enumerate() over the flag
-                                                        // vector would obscure that.
-        #[allow(clippy::needless_range_loop)]
-        for j in 0..m {
-            if selected[j] {
-                continue;
-            }
-            let detour = match order.last() {
-                None => instance.costs.from_start(j),
-                Some(&last) => instance.costs.between(last, j),
-            };
-            if loaded + detour + instance.service_of(j) > instance.distance_budget {
-                continue;
-            }
-            let marginal = instance.rewards[j] - instance.cost_per_meter * detour;
-            if marginal <= 0.0 {
-                continue;
-            }
-            if best.is_none_or(|(_, _, bm)| marginal > bm) {
-                best = Some((j, detour, marginal));
-            }
-        }
-        match best {
-            None => break,
-            Some((j, detour, _)) => {
-                selected[j] = true;
-                order.push(j);
-                traveled += detour;
-                loaded = traveled + instance.service_load(&order);
-            }
-        }
-    }
+    let mut order = Vec::new();
+    let iterations = extend_greedily(instance, &mut order, 0.0);
     (Solution::from_order(order, instance), iterations)
 }
 
@@ -323,7 +284,9 @@ pub fn solve_greedy_two_opt_with_stats(instance: &Instance<'_>) -> (Solution, u6
         iterations += 1;
         let improved_order = two_opt::improve(instance.costs, solution.order.clone());
         let improved = Solution::from_order(improved_order, instance);
-        let extended = extend_greedily(instance, improved);
+        let mut order = improved.order;
+        extend_greedily(instance, &mut order, improved.distance);
+        let extended = Solution::from_order(order, instance);
         if extended.order.len() == solution.order.len() && extended.profit <= solution.profit {
             let best = if extended.profit > solution.profit { extended } else { solution };
             return (best, iterations);
@@ -335,50 +298,68 @@ pub fn solve_greedy_two_opt_with_stats(instance: &Instance<'_>) -> (Solution, u6
     }
 }
 
-/// Greedily appends further tasks to an existing route (helper for the
-/// 2-opt loop).
-fn extend_greedily(instance: &Instance<'_>, base: Solution) -> Solution {
+/// The greedy scan: appends to `order`, a route `traveled` metres long,
+/// the unselected task of highest marginal profit (`reward − rate ·
+/// detour`) while one is positive and still fits the budget. Returns
+/// the selection passes made, one per pick plus the last that finds
+/// nothing.
+///
+/// Each pass runs in two: the first fills the row of detours from the
+/// route's end, and the second scores every task from that row without
+/// branching on it, updating the best only when it takes a candidate.
+fn extend_greedily(instance: &Instance<'_>, order: &mut Vec<usize>, mut traveled: f64) -> u64 {
     let m = instance.costs.tasks();
     let mut selected = vec![false; m];
-    for &j in &base.order {
+    for &j in order.iter() {
         selected[j] = true;
     }
-    let mut order = base.order;
-    let mut traveled = base.distance;
-    let mut loaded = traveled + instance.service_load(&order);
+    let mut detours = vec![0.0; m];
+    let mut loaded = traveled + instance.service_load(order); // against the budget
+    let mut iterations = 0;
     loop {
-        let mut best: Option<(usize, f64, f64)> = None;
-        #[allow(clippy::needless_range_loop)]
-        for j in 0..m {
-            if selected[j] {
-                continue;
-            }
-            let detour = match order.last() {
-                None => instance.costs.from_start(j),
-                Some(&last) => instance.costs.between(last, j),
-            };
-            if loaded + detour + instance.service_of(j) > instance.distance_budget {
-                continue;
-            }
-            let marginal = instance.rewards[j] - instance.cost_per_meter * detour;
-            if marginal <= 0.0 {
-                continue;
-            }
-            if best.is_none_or(|(_, _, bm)| marginal > bm) {
-                best = Some((j, detour, marginal));
-            }
-        }
-        match best {
-            None => break,
-            Some((j, detour, _)) => {
-                selected[j] = true;
-                order.push(j);
-                traveled += detour;
-                loaded = traveled + instance.service_load(&order);
-            }
+        iterations += 1;
+        instance.costs.distances_from(order.last().copied(), &mut detours);
+        let pick = if instance.service.is_empty() {
+            best_pick(instance, &detours, &selected, loaded, |_| 0.0)
+        } else {
+            best_pick(instance, &detours, &selected, loaded, |j| instance.service[j])
+        };
+        let Some(j) = pick else { break };
+        selected[j] = true;
+        order.push(j);
+        traveled += detours[j];
+        loaded = traveled + instance.service_load(order);
+    }
+    iterations
+}
+
+/// The scan's scoring pass. A task is feasible when it is unselected,
+/// not over the budget (`loaded + detour + service > budget` fails,
+/// as it does for NaN) and not unprofitable (`marginal ≤ 0` fails).
+/// The first feasible task becomes the best and only a strictly larger
+/// marginal replaces it, so a NaN marginal wins only when it comes
+/// first.
+#[inline(always)]
+fn best_pick(
+    instance: &Instance<'_>,
+    detours: &[f64],
+    selected: &[bool],
+    loaded: f64,
+    service: impl Fn(usize) -> f64,
+) -> Option<usize> {
+    let (budget, rate) = (instance.distance_budget, instance.cost_per_meter);
+    let (mut best, mut best_marginal, mut found) = (0, 0.0, false);
+    let candidates = detours.iter().zip(instance.rewards).zip(selected).enumerate();
+    for (j, ((&detour, &reward), &taken)) in candidates {
+        let over_budget = loaded + detour + service(j) > budget;
+        let marginal = reward - rate * detour;
+        let unprofitable = marginal <= 0.0;
+        let feasible = !taken & !over_budget & !unprofitable;
+        if feasible & (!found | (marginal > best_marginal)) {
+            (best, best_marginal, found) = (j, marginal, true);
         }
     }
-    Solution::from_order(order, instance)
+    found.then_some(best)
 }
 
 #[cfg(test)]

@@ -52,7 +52,7 @@ use rand::SeedableRng;
 
 use paydemand_core::{PlatformState, TaskId};
 use paydemand_faults::FaultInjector;
-use paydemand_geo::mobility::{MobilityState, RandomWaypoint};
+use paydemand_geo::mobility::RandomWaypoint;
 use paydemand_geo::Point;
 use paydemand_obs::Recorder;
 
@@ -172,12 +172,9 @@ pub(crate) fn encode(engine: &Engine) -> Result<Vec<u8>, SimError> {
         buf.put_u8(0);
     } else {
         buf.put_u8(1);
-        for state in &engine.wander {
-            let MobilityState::RandomWaypoint(rw) = state else {
-                return Err(SimError::checkpoint("unexpected mobility state variant"));
-            };
-            buf.put_f64_le(rw.speed());
-            match rw.waypoint() {
+        for walker in &engine.wander {
+            buf.put_f64_le(walker.speed());
+            match walker.waypoint() {
                 Some(p) => {
                     buf.put_u8(1);
                     put_point(&mut buf, p);
@@ -386,7 +383,7 @@ pub(crate) fn resume(
         if !matches!(scenario.user_motion, UserMotion::Wander { .. }) {
             return Err(SimError::checkpoint("wander state present for a non-wander scenario"));
         }
-        let mut states = Vec::new();
+        let mut states = Vec::with_capacity(n);
         for _ in 0..n {
             let speed = r.f64()?;
             // `with_waypoint` panics on a speed it could not walk at.
@@ -394,9 +391,7 @@ pub(crate) fn resume(
                 return Err(SimError::checkpoint(format!("bad wander speed {speed}")));
             }
             let waypoint = if r.flag()? { Some(point(&mut r)?) } else { None };
-            states.push(MobilityState::RandomWaypoint(RandomWaypoint::with_waypoint(
-                speed, waypoint,
-            )));
+            states.push(RandomWaypoint::with_waypoint(speed, waypoint));
         }
         states
     } else {
@@ -575,6 +570,7 @@ pub(crate) fn resume(
         metrics_on,
         instruments,
         trace: crate::trace::TraceSink::disabled(),
+        order: Vec::new(),
     })
 }
 
@@ -765,11 +761,8 @@ mod tests {
         // After an empty `contributed` list, `quality_received` and the
         // estimates: the wander flag, then the first user's speed.
         let at = contributed_at(n) + 4 + 28 * m;
-        let MobilityState::RandomWaypoint(first) = &engine.wander[0] else {
-            panic!("wander state is a random waypoint");
-        };
         assert_eq!(bytes[at], 1);
-        assert_eq!(bytes[at + 1..at + 9], first.speed().to_le_bytes());
+        assert_eq!(bytes[at + 1..at + 9], engine.wander[0].speed().to_le_bytes());
         for speed in [0.0, -1.0, f64::NAN, f64::INFINITY] {
             let damaged = resigned(bytes.clone(), |body| {
                 body[at + 1..at + 9].copy_from_slice(&speed.to_le_bytes());

@@ -63,7 +63,7 @@ use paydemand_core::selection::{
 };
 use paydemand_core::{CoreError, Platform, PublishedTask, TaskId, UserId};
 use paydemand_faults::{FaultInjector, RoundFaults, UploadFate};
-use paydemand_geo::mobility::{MobilityState, RandomWaypoint};
+use paydemand_geo::mobility::RandomWaypoint;
 use paydemand_geo::network::RoadNetwork;
 use paydemand_geo::{Point, PositionStore, Rect};
 use paydemand_obs::{Alerts, AllocPhase, Counter, Gauge, Histogram, Recorder, TimeSeries};
@@ -641,7 +641,7 @@ pub struct Engine {
     pub(crate) contributed: Vec<HashSet<TaskId>>,
     pub(crate) quality_received: Vec<f64>,
     pub(crate) estimates: Vec<crate::sensing::Estimate>,
-    pub(crate) wander: Vec<MobilityState>,
+    pub(crate) wander: Vec<RandomWaypoint>,
     pub(crate) rounds: Vec<RoundRecord>,
     /// The next round to run, 1-based.
     pub(crate) next_round: u32,
@@ -668,6 +668,9 @@ pub struct Engine {
     /// Decision journal hook; the disabled default is a true no-op (no
     /// allocation, no RNG, no clock), so untraced runs are untouched.
     pub(crate) trace: TraceSink,
+    /// The participation order's buffer, refilled and shuffled each
+    /// round. Scratch, not state: never checkpointed.
+    pub(crate) order: Vec<u32>,
 }
 
 impl fmt::Debug for Engine {
@@ -735,10 +738,8 @@ impl Engine {
         let n = workload.users.len();
         let m = workload.tasks.len();
         let locations: PositionStore = workload.users.iter().map(|u| u.location()).collect();
-        let wander: Vec<MobilityState> = match scenario.user_motion {
-            UserMotion::Wander { .. } => (0..n)
-                .map(|_| MobilityState::RandomWaypoint(RandomWaypoint::new(scenario.speed)))
-                .collect(),
+        let wander: Vec<RandomWaypoint> = match scenario.user_motion {
+            UserMotion::Wander { .. } => vec![RandomWaypoint::new(scenario.speed); n],
             _ => Vec::new(),
         };
 
@@ -767,6 +768,7 @@ impl Engine {
             metrics_on,
             instruments,
             trace: TraceSink::disabled(),
+            order: Vec::new(),
         })
     }
 
@@ -1200,9 +1202,14 @@ impl Engine {
     fn participate(&mut self, rs: &mut RoundState) -> Result<(), SimError> {
         let participation_start = self.metrics_on.then(Instant::now);
         let mut settlement_ns = 0u64;
-        let mut order: Vec<usize> = (0..self.workload.users.len()).collect();
-        order.shuffle(&mut self.rng);
-        for &ui in &order {
+        // The vendored `shuffle` draws `0..=i` whatever the element
+        // type: `u32` indices get the permutation `usize` ones would.
+        let n = self.workload.users.len();
+        self.order.clear();
+        self.order.extend((0..n).map(|ui| ui as u32));
+        self.order.shuffle(&mut self.rng);
+        for k in 0..n {
+            let ui = self.order[k] as usize;
             if self.sits_out(rs.round, ui) {
                 continue;
             }

@@ -5,7 +5,8 @@
 //! against the golden seed-0xD5EED values; (2) a profiled run exports
 //! every per-phase memory family, and two engines racing on one shared
 //! recorder lose no allocator updates; (3) the CellSweep demand
-//! backend's steady-state delta rounds allocate nothing at 100k users.
+//! backend's steady-state rounds allocate nothing at 100k users, both
+//! delta rounds and full sweeps.
 //!
 //! Every test that enables profiling holds the exclusive window so the
 //! exact-accounting assertions never see another test's enable cycle.
@@ -138,17 +139,11 @@ fn shared_recorder_loses_no_allocator_updates() {
     }
 }
 
-#[test]
+/// 100k users on a lattice over a 10 km square and 64 tasks, with a
+/// sweeper that has not yet counted them.
 #[allow(clippy::cast_precision_loss)]
-fn cell_sweep_delta_rounds_allocate_nothing_at_scale() {
-    // The allocation-regression gate pins this via the scaling bench;
-    // here the claim is tested directly at the acceptance scale: after
-    // the priming sweep and one warm-up delta round, a 100k-user
-    // CellSweeper serves delta rounds without touching the allocator.
-    let _window = alloc::exclusive_profile();
-    let recorder = profiled_recorder(); // keeps global tracking alive
+fn sweeper_at_scale() -> (CellSweeper, PositionStore) {
     let n = 100_000usize;
-    let moves_per_round = 32usize;
     let area = Rect::square(10_000.0).unwrap();
     let tasks: Vec<Point> = (0..64)
         .map(|i| {
@@ -158,12 +153,25 @@ fn cell_sweep_delta_rounds_allocate_nothing_at_scale() {
             )
         })
         .collect();
-    let mut sweeper = CellSweeper::new(area, 500.0, tasks);
-    let mut users = PositionStore::from_points(
+    let users = PositionStore::from_points(
         &(0..n)
             .map(|i| Point::new((i % 1000) as f64 * 10.0 + 0.5, (i / 1000) as f64 * 100.0 + 0.5))
             .collect::<Vec<_>>(),
     );
+    (CellSweeper::new(area, 500.0, tasks), users)
+}
+
+#[test]
+fn cell_sweep_delta_rounds_allocate_nothing_at_scale() {
+    // The allocation-regression gate pins this via the scaling bench;
+    // here the claim is tested directly at the acceptance scale: after
+    // the priming sweep and one warm-up delta round, a 100k-user
+    // CellSweeper serves delta rounds without touching the allocator.
+    let _window = alloc::exclusive_profile();
+    let recorder = profiled_recorder(); // keeps global tracking alive
+    let moves_per_round = 32usize;
+    let (mut sweeper, mut users) = sweeper_at_scale();
+    let n = users.len();
     let shuffle = |users: &mut PositionStore, round: usize| {
         for k in 0..moves_per_round {
             let i = (round * 97 + k * 311) % n;
@@ -190,6 +198,38 @@ fn cell_sweep_delta_rounds_allocate_nothing_at_scale() {
             "round {round}: steady-state delta sweep allocated"
         );
         assert!(!sweeper.last_was_full_sweep(), "round {round} fell back to a full sweep");
+    }
+    drop(recorder);
+}
+
+#[test]
+fn cell_sweep_full_rounds_allocate_nothing_at_scale() {
+    // Every user moves each round, so every round recounts in full:
+    // after the priming sweep and one warm-up round, the sweeper's kept
+    // buffers serve full sweeps without touching the allocator.
+    let _window = alloc::exclusive_profile();
+    let recorder = profiled_recorder(); // keeps global tracking alive
+    let (mut sweeper, mut users) = sweeper_at_scale();
+    let reflect = |users: &mut PositionStore| {
+        for i in 0..users.len() {
+            let p = users.point(i);
+            users.set(i, Point::new(10_000.0 - p.x, 10_000.0 - p.y));
+        }
+    };
+    sweeper.counts(&users).unwrap();
+    reflect(&mut users);
+    sweeper.counts(&users).unwrap();
+    assert!(sweeper.last_was_full_sweep(), "warm-up round was not a full sweep");
+
+    for round in 1..5usize {
+        reflect(&mut users);
+        let _tag = PhaseGuard::enter(AllocPhase::Demand);
+        let before = alloc::phase_totals(AllocPhase::Demand);
+        sweeper.counts(&users).unwrap();
+        let after = alloc::phase_totals(AllocPhase::Demand);
+        assert_eq!(after.allocs - before.allocs, 0, "round {round}: full sweep allocated");
+        assert!(sweeper.last_was_full_sweep(), "round {round} was not a full sweep");
+        assert_eq!(sweeper.moved_last_round(), users.len(), "round {round}");
     }
     drop(recorder);
 }

@@ -9,10 +9,15 @@
 //! through on-demand or its indicator, a wandering population whose
 //! neighbour counts and `N_max` change every round, and a faulted run
 //! with demand outages, a budget shock, GPS noise and the budget cap.
+//! The wandering run's checkpoint is pinned too: it holds every user's
+//! position and waypoint bits, the main RNG state, the contributions
+//! and the round records, so movement, the participation order and
+//! the per-user solves keep their bits, not only the prices.
 
+use paydemand::obs::Recorder;
 use paydemand::sim::frame::fnv1a64;
 use paydemand::sim::{
-    engine, FaultKind, FaultPlan, MechanismKind, Scenario, SelectorKind, SimulationResult,
+    engine, Engine, FaultKind, FaultPlan, MechanismKind, Scenario, SelectorKind, SimulationResult,
     UserMotion,
 };
 
@@ -65,8 +70,7 @@ fn mechanisms_built_on_the_indicator_post_the_same_prices() {
 /// About 50 of 3000 wandering users select each round, as in the
 /// benchmark's 1M-user city: neighbour counts and `N_max` move every
 /// round while most tasks stay open.
-#[test]
-fn a_wandering_city_posts_the_same_prices() {
+fn wandering_city() -> Scenario {
     let mut scenario = Scenario::paper_default()
         .with_users(3000)
         .with_tasks(300)
@@ -77,12 +81,26 @@ fn a_wandering_city_posts_the_same_prices() {
     scenario.user_motion = UserMotion::Wander { seconds: 60.0 };
     scenario.dropout_rate = 1.0 - 50.0 / 3000.0;
     scenario.reward_budget = 1e5;
-    let results = run_all(&[scenario]);
+    scenario
+}
+
+#[test]
+fn a_wandering_city_posts_the_same_prices() {
+    let results = run_all(&[wandering_city()]);
     for rr in &results[0].rounds {
         let selecting = rr.users.iter().filter(|u| u.selected > 0).count();
         assert!((20..=100).contains(&selecting), "round {}: {selecting} selecting", rr.round);
     }
     assert_eq!(fingerprint(&results), 0x66d1_d9bb_acd6_be98);
+}
+
+#[test]
+fn a_wandering_city_checkpoints_the_same_bytes() {
+    let mut engine = Engine::new(&wandering_city(), &Recorder::disabled()).unwrap();
+    while engine.step_round().unwrap() {}
+    assert_eq!(engine.rounds_run(), 8);
+    let bytes = engine.checkpoint().unwrap();
+    assert_eq!(fnv1a64(&bytes), 0x5dca_e2b5_5ce5_1508);
 }
 
 #[test]
