@@ -15,9 +15,12 @@
 //!
 //! [`subset_dp`]: crate::subset_dp
 
+use std::cell::RefCell;
+use std::cmp::Ordering;
+
 use serde::{Deserialize, Serialize};
 
-use crate::{subset_dp, two_opt, CostMatrix, Route, RoutingError};
+use crate::{subset_dp, two_opt, CostMatrix, Route, RoutingError, SubsetDp};
 
 /// A task-selection problem instance for one user at one sensing round.
 #[derive(Debug, Clone)]
@@ -145,7 +148,7 @@ impl<'a> Instance<'a> {
         if self.service.is_empty() {
             return 0.0;
         }
-        (0..self.costs.tasks()).filter(|&j| mask & (1 << j) != 0).map(|j| self.service[j]).sum()
+        subset_dp::bits(mask).map(|j| self.service[j]).sum()
     }
 
     /// Total service load of an explicit order.
@@ -216,30 +219,53 @@ pub fn solve_exact(instance: &Instance<'_>) -> Result<Solution, RoutingError> {
 /// budget-pruned table stored (the solver's actual work; feeds the
 /// `selector_states_expanded_total` metric).
 ///
+/// The DP fills a table the calling thread keeps, so a warmed solve
+/// allocates only the route it returns. Rows are scored in the order
+/// the DP reached them and the first strictly most profitable one wins.
+///
 /// # Errors
 ///
 /// Same as [`solve_exact`].
 pub fn solve_exact_with_stats(instance: &Instance<'_>) -> Result<(Solution, u64), RoutingError> {
-    let dp = subset_dp::solve(instance.costs, instance.distance_budget)?;
-    let states = dp.state_count();
-    let mut best = Solution::stay_home();
-    for mask in dp.feasible_masks() {
-        let distance = dp.shortest(mask).expect("feasible mask has a length");
+    thread_local! {
+        static TABLE: RefCell<SubsetDp> = const { RefCell::new(SubsetDp::new()) };
+    }
+    TABLE.with(|table| {
+        let mut dp = table.borrow_mut();
+        dp.fill(instance.costs, instance.distance_budget)?;
+        let solution = best_row(&dp, instance);
+        let states = dp.state_count();
+        if dp.oversized() {
+            *dp = SubsetDp::new();
+        }
+        Ok((solution, states))
+    })
+}
+
+/// Scores every reached row by `P(ℓ) = R(ℓ) − C(ℓ)` and reconstructs
+/// the route of the first strictly most profitable one (stay home when
+/// none beats profit 0).
+fn best_row(dp: &SubsetDp, instance: &Instance<'_>) -> Solution {
+    let (mut best_mask, mut best) = (0, Solution::stay_home());
+    for (mask, ends) in dp.rows() {
+        let distance = ends.iter().copied().fold(f64::INFINITY, f64::min);
         // Service consumes budget on top of travel.
-        if distance + instance.service_load_mask(mask) > instance.distance_budget {
+        if !distance.is_finite()
+            || distance + instance.service_load_mask(mask) > instance.distance_budget
+        {
             continue;
         }
-        let reward: f64 = (0..instance.costs.tasks())
-            .filter(|&j| mask & (1 << j) != 0)
-            .map(|j| instance.rewards[j])
-            .sum();
+        let reward: f64 = subset_dp::bits(mask).map(|j| instance.rewards[j]).sum();
         let profit = reward - instance.cost_per_meter * distance;
         if profit > best.profit {
-            let order = dp.reconstruct(mask).expect("feasible mask reconstructs");
-            best = Solution { order, distance, reward, profit };
+            best_mask = mask;
+            best = Solution { order: Vec::new(), distance, reward, profit };
         }
     }
-    Ok((best, states))
+    if best_mask != 0 {
+        best.order = dp.reconstruct(best_mask).expect("a reached mask reconstructs");
+    }
+    best
 }
 
 /// The paper's greedy task selection (§V-B, Theorem 3, `O(m²)`).
@@ -287,11 +313,9 @@ pub fn solve_greedy_two_opt_with_stats(instance: &Instance<'_>) -> (Solution, u6
         let mut order = improved.order;
         extend_greedily(instance, &mut order, improved.distance);
         let extended = Solution::from_order(order, instance);
-        if extended.order.len() == solution.order.len() && extended.profit <= solution.profit {
-            let best = if extended.profit > solution.profit { extended } else { solution };
-            return (best, iterations);
-        }
-        if extended.profit <= solution.profit {
+        // Only a strictly larger profit goes on: a NaN one, which
+        // compares unordered, ends the loop.
+        if extended.profit.partial_cmp(&solution.profit) != Some(Ordering::Greater) {
             return (solution, iterations);
         }
         solution = extended;

@@ -17,14 +17,22 @@
 //! region per round — this makes the exact solver output-sensitive and
 //! fast even at m = 20. Passing `budget = ∞` reproduces the full table.
 //!
-//! The reached states live in one flat arena, a row of `m` states per
-//! mask, in the order the expansion first reached each mask. That order
-//! depends only on the costs and the budget, so every walk over the
-//! table — and with it the exact solver's choice between equal-profit
-//! subsets — repeats exactly from run to run.
-
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+//! The reached states live in one flat arena, a row of `m` lengths and
+//! `m` parents per mask, in the order the expansion first reached each
+//! mask. That order depends only on the costs and the budget, so every
+//! walk over the table — and with it the exact solver's choice between
+//! equal-profit subsets — repeats exactly from run to run. An
+//! open-addressing index (a power-of-two table of `row + 1`, probed
+//! linearly, at most half full) finds a mask's row.
+//!
+//! A fill reads each task-to-task distance once, into an `m × m` table,
+//! and walks only the bits that matter: ending tasks `j` over the set
+//! bits of a row's mask, next tasks `q` over its clear bits, both
+//! ascending. That is the update order of the plain `0..m` loops, since
+//! a state ending outside its mask is never reached. The exact solver
+//! fills one table per thread and reuses its buffers from solve to
+//! solve, releasing them after a solve that filled more than a full
+//! 14-task table.
 
 use crate::{CostMatrix, RoutingError};
 
@@ -35,35 +43,13 @@ pub const MAX_TASKS: usize = 25;
 /// Sentinel parent for states whose path is `start → j` directly.
 const PARENT_START: u8 = u8::MAX;
 
-/// One multiply per mask: the DP's maps are small and hot, and their
-/// keys come from the DP itself, never from outside input, so std's
-/// collision-resistant SipHash buys nothing here.
-#[derive(Default)]
-struct MaskHasher(u64);
+/// Index slots a fill starts from; the index doubles when half full.
+const MIN_SLOTS: usize = 32;
 
-impl Hasher for MaskHasher {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("masks hash through write_u32");
-    }
-
-    fn write_u32(&mut self, mask: u32) {
-        // Fold the well-mixed high half into the low bits the table
-        // picks its bucket from.
-        let h = u64::from(mask).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = h ^ (h >> 32);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-struct State {
-    dist: f64,
-    /// Ending task of the predecessor state, or [`PARENT_START`].
-    parent: u8,
-}
+/// The most states a kept table holds on to: a full 14-task table
+/// (`14 · 2^14`, ~2 MB with its parents, masks and index). A solve that
+/// fills more releases the buffers after it.
+const KEEP_STATES: usize = 14 << 14;
 
 /// The solved table: shortest path lengths for every *budget-feasible*
 /// subset of tasks, with parent pointers for route reconstruction.
@@ -89,11 +75,17 @@ pub struct SubsetDp {
     tasks: usize,
     /// Every reached mask, in the order the expansion first reached it.
     masks: Vec<u32>,
-    /// Row `r` (`states[r * tasks..][..tasks]`) holds one state per
-    /// ending task of `masks[r]`; infeasible endings hold `dist = ∞`.
-    states: Vec<State>,
-    /// Mask → row.
-    rows: HashMap<u32, usize, BuildHasherDefault<MaskHasher>>,
+    /// Row `r` (`dist[r * tasks..][..tasks]`) holds one length per
+    /// ending task of `masks[r]`; unreached endings hold `∞`.
+    dist: Vec<f64>,
+    /// Ending task of each state's predecessor, or [`PARENT_START`].
+    parent: Vec<u8>,
+    /// Mask → `row + 1`, 0 for an empty slot.
+    index: Vec<u32>,
+    /// Task-to-task distances, row-major `tasks × tasks`.
+    between: Vec<f64>,
+    /// Finite states in `dist`.
+    states: u64,
 }
 
 /// Runs the budget-pruned DP. `distance_budget` is in the same unit as
@@ -106,86 +98,196 @@ pub struct SubsetDp {
 /// * [`RoutingError::InvalidParameter`] if `distance_budget` is NaN or
 ///   negative (`+∞` is allowed and disables pruning).
 pub fn solve(costs: &CostMatrix, distance_budget: f64) -> Result<SubsetDp, RoutingError> {
-    let m = costs.tasks();
-    if m > MAX_TASKS {
-        return Err(RoutingError::TooManyTasks { got: m, max: MAX_TASKS });
-    }
-    if distance_budget.is_nan() || distance_budget < 0.0 {
-        return Err(RoutingError::InvalidParameter {
-            name: "distance_budget",
-            value: distance_budget,
-        });
-    }
-
-    let mut dp =
-        SubsetDp { tasks: m, masks: Vec::new(), states: Vec::new(), rows: HashMap::default() };
-
-    // Layer 1: start -> j.
-    for j in 0..m {
-        let d = costs.from_start(j);
-        if d <= distance_budget {
-            let row = dp.row_of(1u32 << j);
-            dp.states[row * m + j] = State { dist: d, parent: PARENT_START };
-        }
-    }
-
-    // Expand layer by layer. Each layer is the run of rows the previous
-    // one appended: masks in a layer share a popcount, so a successor
-    // mask always lands in a strictly later layer and no row is
-    // expanded twice.
-    let mut layer = 0..dp.masks.len();
-    while !layer.is_empty() {
-        for row in layer.clone() {
-            let mask = dp.masks[row];
-            for j in 0..m {
-                let dist_j = dp.states[row * m + j].dist;
-                if !dist_j.is_finite() {
-                    continue;
-                }
-                for q in 0..m {
-                    if mask & (1 << q) != 0 {
-                        continue;
-                    }
-                    let cand = dist_j + costs.between(j, q);
-                    if cand > distance_budget {
-                        continue;
-                    }
-                    let next = dp.row_of(mask | (1 << q));
-                    let state = &mut dp.states[next * m + q];
-                    if cand < state.dist {
-                        *state = State { dist: cand, parent: j as u8 };
-                    }
-                }
-            }
-        }
-        layer = layer.end..dp.masks.len();
-    }
-
+    let mut dp = SubsetDp::new();
+    dp.fill(costs, distance_budget)?;
     Ok(dp)
 }
 
+/// The set bits of `mask`, ascending.
+pub(crate) fn bits(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let j = mask.trailing_zeros() as usize;
+        mask &= mask.wrapping_sub(1);
+        (j < 32).then_some(j)
+    })
+}
+
+/// The index slot a probe for `mask` starts at, in a table of `slots`
+/// (a power of two): the top bits of a Fibonacci hash.
+fn home(mask: u32, slots: usize) -> usize {
+    (mask.wrapping_mul(0x9E37_79B9) >> (32 - slots.trailing_zeros())) as usize
+}
+
 impl SubsetDp {
-    /// The row of `mask`, appending an all-infeasible one the first time
+    /// An empty table.
+    pub(crate) const fn new() -> Self {
+        SubsetDp {
+            tasks: 0,
+            masks: Vec::new(),
+            dist: Vec::new(),
+            parent: Vec::new(),
+            index: Vec::new(),
+            between: Vec::new(),
+            states: 0,
+        }
+    }
+
+    /// Runs the DP over `costs` into this table, reusing its buffers:
+    /// nothing but their capacity carries over from an earlier fill.
+    pub(crate) fn fill(
+        &mut self,
+        costs: &CostMatrix,
+        distance_budget: f64,
+    ) -> Result<(), RoutingError> {
+        let m = costs.tasks();
+        if m > MAX_TASKS {
+            return Err(RoutingError::TooManyTasks { got: m, max: MAX_TASKS });
+        }
+        if distance_budget.is_nan() || distance_budget < 0.0 {
+            return Err(RoutingError::InvalidParameter {
+                name: "distance_budget",
+                value: distance_budget,
+            });
+        }
+        self.tasks = m;
+        self.masks.clear();
+        self.dist.clear();
+        self.parent.clear();
+        self.index.clear();
+        self.index.resize(MIN_SLOTS, 0);
+        self.states = 0;
+
+        // Layer 1: start -> j.
+        for j in 0..m {
+            let d = costs.from_start(j);
+            if d <= distance_budget {
+                let row = self.row_of(1u32 << j);
+                self.improve(row * m + j, d, PARENT_START);
+            }
+        }
+        if self.masks.is_empty() {
+            return Ok(());
+        }
+
+        // Every distance the expansion reads, once. `distances_from`
+        // gives `between`'s bits.
+        let mut between = std::mem::take(&mut self.between);
+        between.clear();
+        between.resize(m * m, 0.0);
+        for (i, row) in between.chunks_exact_mut(m).enumerate() {
+            costs.distances_from(Some(i), row);
+        }
+
+        // Expand layer by layer. Each layer is the run of rows the previous
+        // one appended: masks in a layer share a popcount, so a successor
+        // mask always lands in a strictly later layer and no row is
+        // expanded twice.
+        let all = u32::MAX >> (32 - m);
+        let mut layer = 0..self.masks.len();
+        while !layer.is_empty() {
+            for row in layer.clone() {
+                let mask = self.masks[row];
+                for j in bits(mask) {
+                    let dist_j = self.dist[row * m + j];
+                    if !dist_j.is_finite() {
+                        continue;
+                    }
+                    let from_j = &between[j * m..][..m];
+                    for q in bits(!mask & all) {
+                        let cand = dist_j + from_j[q];
+                        if cand > distance_budget {
+                            continue;
+                        }
+                        let at = self.row_of(mask | (1 << q)) * m + q;
+                        if cand < self.dist[at] {
+                            self.improve(at, cand, j as u8);
+                        }
+                    }
+                }
+            }
+            layer = layer.end..self.masks.len();
+        }
+        self.between = between;
+        Ok(())
+    }
+
+    /// Whether the last fill went past [`KEEP_STATES`], so a table kept
+    /// between solves should release its buffers.
+    pub(crate) fn oversized(&self) -> bool {
+        self.dist.len() > KEEP_STATES
+    }
+
+    /// Lowers state `at` to `dist` through `parent`, counting the
+    /// states that turn finite.
+    fn improve(&mut self, at: usize, dist: f64, parent: u8) {
+        let was = self.dist[at];
+        self.states = self.states + u64::from(dist.is_finite()) - u64::from(was.is_finite());
+        self.dist[at] = dist;
+        self.parent[at] = parent;
+    }
+
+    /// The row of `mask`, appending an all-unreached one the first time
     /// the mask is reached.
     fn row_of(&mut self, mask: u32) -> usize {
-        let next = self.masks.len();
-        let row = *self.rows.entry(mask).or_insert(next);
-        if row == next {
-            self.masks.push(mask);
-            let infeasible = State { dist: f64::INFINITY, parent: PARENT_START };
-            self.states.resize(self.states.len() + self.tasks, infeasible);
+        let slot = match self.probe(mask) {
+            Ok(row) => return row,
+            Err(slot) => slot,
+        };
+        let row = self.masks.len();
+        self.index[slot] = row as u32 + 1;
+        self.masks.push(mask);
+        self.dist.resize(self.dist.len() + self.tasks, f64::INFINITY);
+        self.parent.resize(self.parent.len() + self.tasks, PARENT_START);
+        if 2 * self.masks.len() > self.index.len() {
+            self.grow_index();
         }
         row
     }
 
-    /// The states of row `row`, one per ending task.
-    fn row_at(&self, row: usize) -> &[State] {
-        &self.states[row * self.tasks..][..self.tasks]
+    /// Doubles the index and inserts every row again.
+    fn grow_index(&mut self) {
+        let slots = 2 * self.index.len();
+        self.index.clear();
+        self.index.resize(slots, 0);
+        for (row, &mask) in self.masks.iter().enumerate() {
+            let mut slot = home(mask, slots);
+            while self.index[slot] != 0 {
+                slot = (slot + 1) & (slots - 1);
+            }
+            self.index[slot] = row as u32 + 1;
+        }
     }
 
-    /// The states of `mask`; `None` if the DP never reached it.
-    fn row(&self, mask: u32) -> Option<&[State]> {
-        self.rows.get(&mask).map(|&row| self.row_at(row))
+    /// The lengths of row `row`, one per ending task.
+    fn row_at(&self, row: usize) -> &[f64] {
+        &self.dist[row * self.tasks..][..self.tasks]
+    }
+
+    /// The row of `mask`, or the empty index slot where it would go.
+    fn probe(&self, mask: u32) -> Result<usize, usize> {
+        let wrap = self.index.len() - 1;
+        let mut slot = home(mask, self.index.len());
+        loop {
+            match self.index[slot] as usize {
+                0 => return Err(slot),
+                r if self.masks[r - 1] == mask => return Ok(r - 1),
+                _ => slot = (slot + 1) & wrap,
+            }
+        }
+    }
+
+    /// The row of `mask`; `None` if the DP never reached it.
+    fn find(&self, mask: u32) -> Option<usize> {
+        if self.index.is_empty() {
+            return None;
+        }
+        self.probe(mask).ok()
+    }
+
+    /// Every reached mask with its lengths, one per ending task, in the
+    /// order the DP first reached them.
+    pub(crate) fn rows(&self) -> impl Iterator<Item = (u32, &[f64])> {
+        self.masks.iter().copied().zip(self.dist.chunks_exact(self.tasks.max(1)))
     }
 
     /// Number of tasks the DP was run over.
@@ -202,8 +304,8 @@ impl SubsetDp {
         if mask == 0 {
             return Some(0.0);
         }
-        let row = self.row(mask)?;
-        let best = row.iter().map(|s| s.dist).fold(f64::INFINITY, f64::min);
+        let row = self.row_at(self.find(mask)?);
+        let best = row.iter().copied().fold(f64::INFINITY, f64::min);
         best.is_finite().then_some(best)
     }
 
@@ -211,7 +313,7 @@ impl SubsetDp {
     /// task `j` — the paper's `dp[ℓ][j]`. `None` when infeasible.
     #[must_use]
     pub fn shortest_ending_at(&self, mask: u32, j: usize) -> Option<f64> {
-        let d = self.row(mask)?.get(j)?.dist;
+        let d = *self.row_at(self.find(mask)?).get(j)?;
         d.is_finite().then_some(d)
     }
 
@@ -222,21 +324,23 @@ impl SubsetDp {
         if mask == 0 {
             return Some(Vec::new());
         }
-        let row = self.row(mask)?;
+        let mut row = self.find(mask)?;
+        let dist = self.row_at(row);
         let mut j = (0..self.tasks)
-            .filter(|&j| row[j].dist.is_finite())
-            .min_by(|&a, &b| row[a].dist.partial_cmp(&row[b].dist).expect("finite"))?;
+            .filter(|&j| dist[j].is_finite())
+            .min_by(|&a, &b| dist[a].partial_cmp(&dist[b]).expect("finite"))?;
         let mut order = Vec::with_capacity(mask.count_ones() as usize);
         let mut cur_mask = mask;
         loop {
             order.push(j);
-            let state = self.row(cur_mask)?[j];
+            let parent = self.parent[row * self.tasks + j];
             cur_mask &= !(1 << j);
-            if state.parent == PARENT_START {
+            if parent == PARENT_START {
                 debug_assert_eq!(cur_mask, 0, "parent chain must consume the mask");
                 break;
             }
-            j = state.parent as usize;
+            j = usize::from(parent);
+            row = self.find(cur_mask)?;
         }
         order.reverse();
         Some(order)
@@ -247,9 +351,7 @@ impl SubsetDp {
     /// fixed order that depends only on the costs and the budget. Mask 0
     /// (stay home) is always implicitly feasible.
     pub fn feasible_masks(&self) -> impl Iterator<Item = u32> + '_ {
-        self.masks.iter().enumerate().filter_map(|(row, &mask)| {
-            self.row_at(row).iter().any(|s| s.dist.is_finite()).then_some(mask)
-        })
+        self.rows().filter_map(|(mask, dist)| dist.iter().any(|d| d.is_finite()).then_some(mask))
     }
 
     /// Number of stored (feasible) masks — useful to observe how hard
@@ -264,7 +366,7 @@ impl SubsetDp {
     /// pruning. Feeds the `selector_states_expanded_total` metric.
     #[must_use]
     pub fn state_count(&self) -> u64 {
-        self.states.iter().filter(|s| s.dist.is_finite()).count() as u64
+        self.states
     }
 }
 
@@ -379,6 +481,41 @@ mod tests {
         assert_eq!(costs.route_length(&order), best);
     }
 
+    /// Each feasible mask with its shortest length's bits and route.
+    type Rows = Vec<(u32, u64, Vec<usize>)>;
+
+    /// Everything a table answers: its rows in discovery order, the
+    /// state count and the mask count.
+    fn answers(dp: &SubsetDp) -> (Rows, u64, usize) {
+        let rows = dp
+            .feasible_masks()
+            .map(|mask| {
+                let shortest = dp.shortest(mask).unwrap().to_bits();
+                (mask, shortest, dp.reconstruct(mask).unwrap())
+            })
+            .collect();
+        (rows, dp.state_count(), dp.feasible_mask_count())
+    }
+
+    #[test]
+    fn a_refilled_table_answers_like_a_fresh_one() {
+        // A full 15-task table is past what a kept table holds on to;
+        // filling smaller instances into it afterwards must forget it.
+        let grid: Vec<Point> =
+            (0..15).map(|i| Point::new(f64::from(i % 4) * 10.0, f64::from(i / 4) * 10.0)).collect();
+        let big = CostMatrix::from_points(Point::new(15.0, 15.0), &grid);
+        let mut kept = SubsetDp::new();
+        kept.fill(&big, f64::INFINITY).unwrap();
+        assert!(kept.oversized());
+        assert_eq!(kept.state_count(), 15 << 14);
+        for budget in [15.0, 25.0, f64::INFINITY] {
+            kept.fill(&line_costs(), budget).unwrap();
+            assert!(!kept.oversized());
+            assert_eq!(answers(&kept), answers(&solve(&line_costs(), budget).unwrap()));
+            assert_eq!(kept.shortest(0b1_0000), None, "a mask of the big table survived");
+        }
+    }
+
     /// Brute-force shortest path over all permutations of `mask`.
     fn brute_force(costs: &CostMatrix, mask: u32) -> Option<f64> {
         let tasks: Vec<usize> = (0..costs.tasks()).filter(|&j| mask & (1 << j) != 0).collect();
@@ -428,6 +565,25 @@ mod tests {
                 prop_assert!((costs.route_length(&order) - got).abs() < 1e-9);
                 let visited: u32 = order.iter().map(|&j| 1u32 << j).sum();
                 prop_assert_eq!(visited, mask);
+            }
+        }
+
+        #[test]
+        fn refills_count_states_and_answer_like_fresh_tables(
+            instances in proptest::collection::vec(
+                (proptest::collection::vec((0.0..100.0f64, 0.0..100.0f64), 0..8), 0.0..250.0f64),
+                1..5,
+            ),
+        ) {
+            let mut kept = SubsetDp::new();
+            for (coords, budget) in instances {
+                let pts: Vec<Point> = coords.into_iter().map(Point::from).collect();
+                let costs = CostMatrix::from_points(Point::new(50.0, 50.0), &pts);
+                kept.fill(&costs, budget).unwrap();
+                let finite: usize =
+                    kept.rows().map(|(_, d)| d.iter().filter(|d| d.is_finite()).count()).sum();
+                prop_assert_eq!(kept.state_count(), finite as u64);
+                prop_assert_eq!(answers(&kept), answers(&solve(&costs, budget).unwrap()));
             }
         }
 

@@ -33,8 +33,9 @@
 //! leaves the main RNG exactly on the stored travel state and hashes to
 //! the stored workload hash. Per-user data is sparse, in user order:
 //! `contributed` lists only users with a contribution (`user u32 | k
-//! u32 | k task ids`), and each round record lists only the users with
-//! an entry (`user u32 | profit f64 | selected u32`).
+//! u32 | k task ids`, strictly increasing), and each round record lists
+//! only the users with an entry (`user u32 | profit f64 | selected
+//! u32`).
 //!
 //! The checksum trailer is [`fnv1a64_words`] over every byte before it,
 //! read as little-endian words (the last one zero-padded). It is
@@ -44,7 +45,6 @@
 //! every read goes through a bounds-checked [`Cursor`] and surfaces
 //! [`SimError::Checkpoint`].
 
-use std::collections::HashSet;
 use std::sync::OnceLock;
 
 use rand::rngs::StdRng;
@@ -147,15 +147,13 @@ pub(crate) fn encode(engine: &Engine) -> Result<Vec<u8>, SimError> {
     for p in engine.locations.iter() {
         put_point(&mut buf, p);
     }
-    let contributors = engine.contributed.iter().enumerate().filter(|(_, set)| !set.is_empty());
+    let contributors = engine.contributed.iter().enumerate().filter(|(_, ids)| !ids.is_empty());
     buf.put_u32_le(contributors.clone().count() as u32);
-    for (user, set) in contributors {
-        let mut ids: Vec<u32> = set.iter().map(|t| t.0 as u32).collect();
-        ids.sort_unstable();
+    for (user, ids) in contributors {
         buf.put_u32_le(user as u32);
         buf.put_u32_le(ids.len() as u32);
         for id in ids {
-            buf.put_u32_le(id);
+            buf.put_u32_le(id.0 as u32);
         }
     }
     for &q in &engine.quality_received {
@@ -356,15 +354,23 @@ pub(crate) fn resume(
     for _ in 0..n {
         locations.push(point(&mut r)?);
     }
-    let mut contributed: Vec<HashSet<TaskId>> = vec![HashSet::new(); n];
+    let mut contributed: Vec<Vec<TaskId>> = vec![Vec::new(); n];
     let mut prev = None;
     for _ in 0..r.u32()? {
         let user = next_user(&mut r, prev, n)?;
         prev = Some(user);
-        let k = r.u32()? as usize;
-        let set = &mut contributed[user as usize];
+        let k = r.u32()?;
+        // The engine binary-searches these lists, so each must be
+        // strictly increasing task ids of this workload.
+        let ids = &mut contributed[user as usize];
         for _ in 0..k {
-            set.insert(TaskId(r.u32()? as usize));
+            let id = r.u32()? as usize;
+            if id >= m || ids.last().is_some_and(|last| id <= last.0) {
+                return Err(SimError::checkpoint(format!(
+                    "user {user}'s contributed task {id} is unknown or out of order"
+                )));
+            }
+            ids.push(TaskId(id));
         }
     }
     let mut quality_received = Vec::new();
@@ -731,8 +737,8 @@ mod tests {
     fn signed_contributions_with_unknown_or_out_of_order_users_are_refused() {
         let s = scenario();
         let mut engine = Engine::new(&s, &Recorder::disabled()).unwrap();
-        engine.contributed[1].insert(TaskId(0));
-        engine.contributed[2].insert(TaskId(1));
+        engine.contributed[1].push(TaskId(0));
+        engine.contributed[2].push(TaskId(1));
         let bytes = engine.checkpoint().unwrap();
         assert!(Engine::resume(&s, &bytes, &Recorder::disabled()).is_ok());
         let n = engine.workload.users.len();
@@ -748,6 +754,34 @@ mod tests {
                 body[at + 16..at + 20].copy_from_slice(&second.to_le_bytes());
             });
             assert!(refusal(&s, &damaged).contains("unknown or out of order"), "user {second}");
+        }
+    }
+
+    #[test]
+    fn signed_contributed_tasks_that_are_unknown_or_out_of_order_are_refused() {
+        let s = scenario();
+        let mut engine = Engine::new(&s, &Recorder::disabled()).unwrap();
+        engine.contributed[1] = vec![TaskId(2), TaskId(5)];
+        let bytes = engine.checkpoint().unwrap();
+        let resumed = Engine::resume(&s, &bytes, &Recorder::disabled()).unwrap();
+        assert_eq!(resumed.contributed[1], [TaskId(2), TaskId(5)]);
+        let (m, n) = (engine.workload.tasks.len() as u32, engine.workload.users.len());
+        let at = contributed_at(n);
+        let words: Vec<u32> = bytes[at..at + 20]
+            .chunks(4)
+            .map(|w| u32::from_le_bytes(w.try_into().unwrap()))
+            .collect();
+        // count | user 1 | k | task 2 | task 5
+        assert_eq!(words, [1, 1, 2, 2, 5]);
+        for (first, second) in [(5, 2), (2, 2), (2, m), (m, m + 1)] {
+            let damaged = resigned(bytes.clone(), |body| {
+                body[at + 12..at + 16].copy_from_slice(&first.to_le_bytes());
+                body[at + 16..at + 20].copy_from_slice(&second.to_le_bytes());
+            });
+            assert!(
+                refusal(&s, &damaged).contains("unknown or out of order"),
+                "tasks {first}, {second}"
+            );
         }
     }
 

@@ -43,7 +43,6 @@
 //!   round (zero if the task is withheld then), or abandoned once the
 //!   task completes or the retry budget runs out.
 
-use std::collections::HashSet;
 use std::fmt;
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -638,7 +637,8 @@ pub struct Engine {
     pub(crate) platform: Platform<Box<dyn IncentiveMechanism>>,
     pub(crate) selector: Box<dyn TaskSelector>,
     pub(crate) locations: PositionStore,
-    pub(crate) contributed: Vec<HashSet<TaskId>>,
+    /// Per user, the tasks they have contributed to, ascending.
+    pub(crate) contributed: Vec<Vec<TaskId>>,
     pub(crate) quality_received: Vec<f64>,
     pub(crate) estimates: Vec<crate::sensing::Estimate>,
     pub(crate) wander: Vec<RandomWaypoint>,
@@ -753,7 +753,7 @@ impl Engine {
             platform,
             selector,
             locations,
-            contributed: vec![HashSet::new(); n],
+            contributed: vec![Vec::new(); n],
             quality_received: vec![0.0f64; m],
             estimates: vec![crate::sensing::Estimate::default(); m],
             wander,
@@ -1112,7 +1112,7 @@ impl Engine {
         for (idx, user, task, value) in std::mem::take(&mut rs.uploads) {
             let outcome = match self.settle(rs, user, task, Some(value)) {
                 Ok(pay) => {
-                    self.contributed[user].insert(task);
+                    self.note_contribution(user, task);
                     rs.user_parts.push(UserRound { user: user as u32, profit: pay, selected: 0 });
                     self.recorder.counter("external_uploads_total").inc();
                     EventOutcome::Paid(pay)
@@ -1247,6 +1247,15 @@ impl Engine {
         offline
     }
 
+    /// Records that user `ui` contributed to `task`, keeping the
+    /// user's list in order.
+    fn note_contribution(&mut self, ui: usize, task: TaskId) {
+        let list = &mut self.contributed[ui];
+        if let Err(at) = list.binary_search(&task) {
+            list.insert(at, task);
+        }
+    }
+
     /// The posted tasks still open to user `ui`: incomplete right now
     /// and never contributed by them before.
     fn open_tasks(
@@ -1256,7 +1265,7 @@ impl Engine {
     ) -> Result<Vec<PublishedTask>, SimError> {
         let mut available = Vec::with_capacity(published.len());
         for t in published {
-            if self.contributed[ui].contains(&t.id) {
+            if self.contributed[ui].binary_search(&t.id).is_ok() {
                 continue;
             }
             let received = self.platform.received(t.id).map_err(|_| {
@@ -1370,7 +1379,7 @@ impl Engine {
                     faulted = true;
                 }
             }
-            self.contributed[ui].insert(task);
+            self.note_contribution(ui, task);
             performed += 1;
         }
         let profit = if performed == outcome.tasks().len() && !faulted {

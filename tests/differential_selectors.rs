@@ -13,7 +13,9 @@
 //!
 //! The greedy family's exact answers are pinned too: route order,
 //! profit bits and selection passes, on 1k-task instances and on the
-//! corner cases where a scan's tie and NaN rules decide the pick.
+//! corner cases where a scan's tie and NaN rules decide the pick. So
+//! are the DP's: its answers, state counts and the table it fills, in
+//! the discovery order that breaks its ties.
 
 use paydemand::core::selection::{
     BranchBoundSelector, DpSelector, GreedySelector, GreedyTwoOptSelector, SelectionProblem,
@@ -21,7 +23,7 @@ use paydemand::core::selection::{
 };
 use paydemand::core::{PublishedTask, TaskId};
 use paydemand::geo::{Point, Rect};
-use paydemand::routing::CostMatrix;
+use paydemand::routing::{subset_dp, CostMatrix};
 use paydemand::sim::frame::fnv1a64;
 use rand::{Rng, SeedableRng};
 
@@ -189,44 +191,56 @@ fn city_instance(seed: u64) -> SelectionProblem {
     SelectionProblem::new(location, &tasks, time_budget, 2.0, 0.002).expect("valid instance")
 }
 
-/// Hand-built instances where the scan's rules, not the geometry,
-/// decide the picks.
-fn corner_cases() -> Vec<SelectionProblem> {
-    let mut cases = Vec::new();
-    // Ties: equal rewards at equal detours, first from the start and
-    // again from the first pick.
-    let ties = [
+/// Equal rewards at equal detours, first from the start and again from
+/// the first pick.
+fn ties(time_budget: f64) -> SelectionProblem {
+    let tasks = [
         task(0, 100.0, 0.0, 1.0),
         task(1, -100.0, 0.0, 1.0),
         task(2, 0.0, 100.0, 1.0),
         task(3, 0.0, -100.0, 1.0),
         task(4, 200.0, 0.0, 1.0),
     ];
-    for budget in [60.0, 160.0, 400.0] {
-        cases.push(SelectionProblem::new(Point::ORIGIN, &ties, budget, 2.0, 0.002).unwrap());
-    }
-    // Service loads: sensing time eats the budget but costs nothing.
+    SelectionProblem::new(Point::ORIGIN, &tasks, time_budget, 2.0, 0.002).unwrap()
+}
+
+/// `n` tasks over an 800 m square with the user at its centre, each
+/// taking `seconds` to sense: sensing time eats the budget but costs
+/// nothing.
+fn service_loads(n: usize, time_budget: f64, seconds: f64) -> SelectionProblem {
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x5E41);
-    let spread: Vec<PublishedTask> = (0..60)
+    let spread: Vec<PublishedTask> = (0..n)
         .map(|i| task(i, rng.gen_range(0.0..800.0), rng.gen_range(0.0..800.0), 1.5))
         .collect();
-    for seconds in [0.0, 20.0, 90.0] {
-        let problem = SelectionProblem::new(Point::new(400.0, 400.0), &spread, 900.0, 2.0, 0.002)
-            .unwrap()
-            .with_sensing_seconds(seconds, 2.0)
-            .unwrap();
-        cases.push(problem);
-    }
-    // A Manhattan cost table on a lattice: many equal detours.
-    let lattice: Vec<PublishedTask> = (0..100)
-        .map(|i| task(i, f64::from(i as u32 % 10) * 50.0, f64::from(i as u32 / 10) * 50.0, 1.0))
+    SelectionProblem::new(Point::new(400.0, 400.0), &spread, time_budget, 2.0, 0.002)
+        .unwrap()
+        .with_sensing_seconds(seconds, 2.0)
+        .unwrap()
+}
+
+/// A Manhattan cost table on a `side × side` lattice 50 m apart, with
+/// the user at its centre: many equal detours.
+fn lattice(side: u32, time_budget: f64) -> (SelectionProblem, CostMatrix) {
+    let tasks: Vec<PublishedTask> = (0..side * side)
+        .map(|i| task(i as usize, f64::from(i % side) * 50.0, f64::from(i / side) * 50.0, 1.0))
         .collect();
-    let start = Point::new(225.0, 225.0);
+    let centre = f64::from(side - 1) * 25.0;
+    let start = Point::new(centre, centre);
     let costs = CostMatrix::from_fn(
-        lattice.iter().map(|t| start.manhattan_distance(t.location)).collect(),
-        |i, j| lattice[i].location.manhattan_distance(lattice[j].location),
+        tasks.iter().map(|t| start.manhattan_distance(t.location)).collect(),
+        |i, j| tasks[i].location.manhattan_distance(tasks[j].location),
     );
-    cases.push(SelectionProblem::with_costs(start, &lattice, costs, 700.0, 2.0, 0.002).unwrap());
+    let problem =
+        SelectionProblem::with_costs(start, &tasks, costs.clone(), time_budget, 2.0, 0.002);
+    (problem.unwrap(), costs)
+}
+
+/// Hand-built instances where the scan's rules, not the geometry,
+/// decide the picks.
+fn corner_cases() -> Vec<SelectionProblem> {
+    let mut cases: Vec<_> = [60.0, 160.0, 400.0].map(ties).into();
+    cases.extend([0.0, 20.0, 90.0].map(|seconds| service_loads(60, 900.0, seconds)));
+    cases.push(lattice(10, 700.0).0);
     cases
 }
 
@@ -246,11 +260,84 @@ fn nan_cases() -> Vec<SelectionProblem> {
     cases
 }
 
+/// Paper-sized instances: 14 candidates over the 3 km square, a
+/// 600–1200 s budget at 2 m/s and rewards on the 0.5 pricing grid, as
+/// one user of the paper's sweep sees them after the candidate cap.
+fn paper_instance(seed: u64) -> SelectionProblem {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let area = Rect::square(3000.0).expect("valid area");
+    let tasks: Vec<PublishedTask> = (0..14)
+        .map(|i| PublishedTask {
+            id: TaskId(i),
+            location: area.sample_uniform(&mut rng),
+            reward: f64::from(rng.gen_range(1..=8u32)) * 0.5,
+        })
+        .collect();
+    let location = area.sample_uniform(&mut rng);
+    let time_budget = rng.gen_range(600.0..=1200.0);
+    SelectionProblem::new(location, &tasks, time_budget, 2.0, 0.002).expect("valid instance")
+}
+
+/// The exact solver's cases, each with the cost matrix its problem
+/// routes over: the random battery, paper-sized instances, and small
+/// versions of the greedy corner cases (ties, service loads, a
+/// Manhattan lattice, NaN coordinates).
+fn exact_cases() -> Vec<(SelectionProblem, CostMatrix)> {
+    let euclidean = |problem: SelectionProblem| {
+        let points: Vec<Point> = problem.tasks().iter().map(|t| t.location).collect();
+        let costs = CostMatrix::from_points(problem.location(), &points);
+        (problem, costs)
+    };
+    let mut cases: Vec<_> = (0..250)
+        .map(random_instance)
+        .chain((0..24).map(|seed| paper_instance(0x9A9E + seed)))
+        .map(euclidean)
+        .collect();
+    cases.extend([60.0, 160.0, 400.0].map(ties).map(euclidean));
+    cases.extend([0.0, 20.0, 90.0].map(|seconds| euclidean(service_loads(12, 300.0, seconds))));
+    cases.push(lattice(4, 150.0));
+    cases.extend(nan_cases().into_iter().map(euclidean));
+    cases
+}
+
+/// Every exact answer keeps its bits: for each case, the DP selector's
+/// task ids, the `distance`, `reward` and `profit` bits and the states
+/// it stored, then the table the DP fills over the case's costs — each
+/// reached mask in discovery order, its shortest length's bits and its
+/// reconstructed route. Discovery order breaks ties between
+/// equal-profit subsets, so a change to it shows here.
+#[test]
+fn exact_outcomes_keep_their_bits() {
+    let mut bytes = Vec::new();
+    let mut states = 0;
+    for (problem, costs) in exact_cases() {
+        let (outcome, stats) = DpSelector.select_with_stats(&problem).expect("dp solves");
+        bytes.extend((outcome.tasks().len() as u64).to_le_bytes());
+        for id in outcome.tasks() {
+            bytes.extend((id.0 as u64).to_le_bytes());
+        }
+        for value in [outcome.distance(), outcome.reward(), outcome.profit()] {
+            bytes.extend(value.to_bits().to_le_bytes());
+        }
+        bytes.extend(stats.states_expanded.to_le_bytes());
+        states += stats.states_expanded;
+        let dp = subset_dp::solve(&costs, problem.distance_budget()).expect("dp fills");
+        for mask in dp.feasible_masks() {
+            bytes.extend(mask.to_le_bytes());
+            bytes.extend(dp.shortest(mask).expect("reached").to_bits().to_le_bytes());
+            for j in dp.reconstruct(mask).expect("reached") {
+                bytes.extend((j as u64).to_le_bytes());
+            }
+        }
+    }
+    assert_eq!(states, 17_903, "cases changed");
+    assert_eq!(fnv1a64(&bytes), 0xee0d_dff2_a47d_5a97);
+}
+
 /// Every greedy answer keeps its bits: for each instance and selector,
 /// the route's task ids, the profit's `f64` bits and the selection
-/// passes, hashed in order. Greedy+2-opt sits out the NaN cases: once
-/// the route's profit is NaN, no polish round compares as "no better",
-/// so its loop never ends.
+/// passes, hashed in order. Greedy+2-opt sits out the NaN cases here;
+/// `greedy_two_opt_stops_on_a_nan_profit` checks it on them.
 #[test]
 fn greedy_outcomes_keep_their_bits() {
     let both = [&GreedySelector as &dyn TaskSelector, &GreedyTwoOptSelector];
@@ -271,4 +358,18 @@ fn greedy_outcomes_keep_their_bits() {
         }
     }
     assert_eq!(fnv1a64(&bytes), 0xb02c_efa7_ea18_4024);
+}
+
+/// Greedy+2-opt stops on a NaN profit: a polish round that is not
+/// strictly more profitable ends the loop, so on every NaN case it
+/// returns the greedy's route and profit bits after one more pass.
+#[test]
+fn greedy_two_opt_stops_on_a_nan_profit() {
+    for (k, problem) in nan_cases().iter().enumerate() {
+        let (greedy, passes) = GreedySelector.select_with_stats(problem).expect("greedy solves");
+        let (polished, stats) = GreedyTwoOptSelector.select_with_stats(problem).expect("solves");
+        assert_eq!(polished.tasks(), greedy.tasks(), "case {k}");
+        assert_eq!(polished.profit().to_bits(), greedy.profit().to_bits(), "case {k}");
+        assert_eq!(stats.iterations, passes.iterations + 1, "case {k}");
+    }
 }

@@ -6,7 +6,8 @@
 //! every per-phase memory family, and two engines racing on one shared
 //! recorder lose no allocator updates; (3) the CellSweep demand
 //! backend's steady-state rounds allocate nothing at 100k users, both
-//! delta rounds and full sweeps.
+//! delta rounds and full sweeps, and a warmed exact solve allocates
+//! only the route it returns.
 //!
 //! Every test that enables profiling holds the exclusive window so the
 //! exact-accounting assertions never see another test's enable cycle.
@@ -14,7 +15,9 @@
 use paydemand::geo::{CellSweeper, Point, PositionStore, Rect};
 use paydemand::obs::alloc::{self, AllocPhase, PhaseGuard};
 use paydemand::obs::Recorder;
+use paydemand::routing::{orienteering, CostMatrix};
 use paydemand::sim::{engine, runner, MechanismKind, Scenario, SelectorKind};
+use rand::{Rng, SeedableRng};
 
 /// The golden scenario from tests/determinism.rs.
 fn scenario() -> Scenario {
@@ -231,5 +234,49 @@ fn cell_sweep_full_rounds_allocate_nothing_at_scale() {
         assert!(sweeper.last_was_full_sweep(), "round {round} was not a full sweep");
         assert_eq!(sweeper.moved_last_round(), users.len(), "round {round}");
     }
+    drop(recorder);
+}
+
+/// One user's problem in the paper's sweep: 14 candidates over the
+/// 3 km square, a 600–1200 s budget at 2 m/s (in metres) and rewards
+/// on the 0.5 pricing grid.
+fn paper_problem(seed: u64) -> (CostMatrix, Vec<f64>, f64) {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let area = Rect::square(3000.0).unwrap();
+    let tasks: Vec<Point> = (0..14).map(|_| area.sample_uniform(&mut rng)).collect();
+    let rewards = (0..14).map(|_| f64::from(rng.gen_range(1..=8u32)) * 0.5).collect();
+    let start = area.sample_uniform(&mut rng);
+    let budget = rng.gen_range(600.0..=1200.0) * 2.0;
+    (CostMatrix::from_points(start, &tasks), rewards, budget)
+}
+
+#[test]
+fn warmed_exact_solves_allocate_only_their_route() {
+    // After one pass over 40 paper-sized problems the exact solver's
+    // kept table has the capacity they need: a second pass allocates
+    // the returned route and nothing else.
+    let _window = alloc::exclusive_profile();
+    let recorder = profiled_recorder(); // keeps global tracking alive
+    let problems: Vec<_> = (0..40).map(|k| paper_problem(0xE8AC7 + k)).collect();
+    let instances: Vec<_> = problems
+        .iter()
+        .map(|(costs, rewards, budget)| {
+            orienteering::Instance::new(costs, rewards, *budget, 0.002).unwrap()
+        })
+        .collect();
+    for instance in &instances {
+        orienteering::solve_exact_with_stats(instance).unwrap();
+    }
+    let mut routes = 0;
+    for (k, instance) in instances.iter().enumerate() {
+        let _tag = PhaseGuard::enter(AllocPhase::Selection);
+        let before = alloc::phase_totals(AllocPhase::Selection);
+        let (solution, _) = orienteering::solve_exact_with_stats(instance).unwrap();
+        let after = alloc::phase_totals(AllocPhase::Selection);
+        let route = u64::from(!solution.order.is_empty());
+        assert_eq!(after.allocs - before.allocs, route, "solve {k} allocated beyond its route");
+        routes += route;
+    }
+    assert!(routes >= 20, "only {routes}/40 problems chose a route");
     drop(recorder);
 }
