@@ -13,10 +13,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use paydemand_bench::{random_published_tasks, random_user};
-use paydemand_core::selection::{
-    DpSelector, GreedySelector, GreedyTwoOptSelector, SelectionOutcome, SelectionProblem,
-    TaskSelector,
-};
+use paydemand_core::selection::{SelectionOutcome, SelectionProblem, SelectorKind};
 use paydemand_core::PublishedTask;
 use paydemand_geo::Point;
 use rand::SeedableRng;
@@ -24,14 +21,14 @@ use rand::SeedableRng;
 /// One user's round: build the problem from the published tasks, then
 /// select (2 m/s walking, 0.002 $/m).
 fn build_and_select(
-    selector: &dyn TaskSelector,
+    selector: SelectorKind,
     user: Point,
     tasks: &[PublishedTask],
     time_budget: f64,
 ) -> SelectionOutcome {
     let problem =
         SelectionProblem::new(black_box(user), black_box(tasks), time_budget, 2.0, 0.002).unwrap();
-    selector.select(&problem).unwrap()
+    selector.solve(&problem).unwrap().0
 }
 
 fn bench_dp_scaling(c: &mut Criterion) {
@@ -41,7 +38,7 @@ fn bench_dp_scaling(c: &mut Criterion) {
         let tasks = random_published_tasks(m, &mut rng);
         let user = random_user(&mut rng);
         group.bench_with_input(BenchmarkId::from_parameter(m), &tasks, |b, tasks| {
-            b.iter(|| build_and_select(&DpSelector, user, tasks, 900.0));
+            b.iter(|| build_and_select(SelectorKind::exact_dp(), user, tasks, 900.0));
         });
     }
     group.finish();
@@ -57,7 +54,7 @@ fn bench_dp_budget_pruning(c: &mut Criterion) {
             BenchmarkId::from_parameter(format!("{}m", (time_budget * 2.0) as u64)),
             &time_budget,
             |b, &time_budget| {
-                b.iter(|| build_and_select(&DpSelector, user, &tasks, time_budget));
+                b.iter(|| build_and_select(SelectorKind::exact_dp(), user, &tasks, time_budget));
             },
         );
     }
@@ -66,7 +63,7 @@ fn bench_dp_budget_pruning(c: &mut Criterion) {
 
 fn bench_heuristics(c: &mut Criterion) {
     for (name, selector) in
-        [("greedy", &GreedySelector as &dyn TaskSelector), ("greedy2opt", &GreedyTwoOptSelector)]
+        [("greedy", SelectorKind::Greedy), ("greedy2opt", SelectorKind::GreedyTwoOpt)]
     {
         let mut group = c.benchmark_group(name);
         for m in [20usize, 100, 400, 1000] {

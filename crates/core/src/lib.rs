@@ -15,9 +15,10 @@
 //! it into **demand levels** ([`DemandLevels`]) and pays **on-demand
 //! rewards** ([`RewardSchedule`], [`incentive::OnDemandIncentive`])
 //! under a global budget. Baseline mechanisms
-//! ([`incentive::FixedIncentive`], [`incentive::SteeredIncentive`]) and
-//! selectors plug into the same traits, which is how the evaluation
-//! harness compares them.
+//! ([`incentive::FixedIncentive`], [`incentive::SteeredIncentive`]) plug
+//! into the same [`incentive::IncentiveMechanism`] trait, and each
+//! [`selection::SelectorKind`] names one selection algorithm, which is
+//! how the evaluation harness compares them.
 //!
 //! # Examples
 //!
@@ -25,7 +26,7 @@
 //!
 //! ```
 //! use paydemand_core::incentive::{IncentiveMechanism, OnDemandIncentive};
-//! use paydemand_core::selection::{DpSelector, SelectionProblem, TaskSelector};
+//! use paydemand_core::selection::{SelectionProblem, SelectorKind};
 //! use paydemand_core::{Platform, TaskId, TaskSpec, UserId};
 //! use paydemand_geo::{Point, Rect};
 //! use rand::SeedableRng;
@@ -45,7 +46,7 @@
 //!
 //! // The user selects tasks to maximise profit within a 1 km walk.
 //! let problem = SelectionProblem::new(users[0], &published, 500.0, 2.0, 0.002)?;
-//! let outcome = DpSelector.select(&problem)?;
+//! let (outcome, _) = SelectorKind::exact_dp().solve(&problem)?;
 //! for &task in outcome.tasks() {
 //!     platform.submit(UserId(0), task)?;
 //! }

@@ -3,33 +3,126 @@
 //!
 //! [`SelectionProblem`] captures one user's view — location, the
 //! published tasks they may still contribute to, and their travel
-//! economics. The [`TaskSelector`] trait is the strategy plug point:
+//! economics. [`SelectorKind`] names the algorithm and
+//! [`SelectorKind::solve`] runs the routing solver it names:
 //!
-//! * [`DpSelector`] — the paper's optimal bitmask-DP algorithm;
-//! * [`GreedySelector`] — the paper's `O(m²)` greedy;
-//! * [`GreedyTwoOptSelector`] — greedy polished with 2-opt route
+//! * [`SelectorKind::Dp`] — the paper's optimal bitmask-DP algorithm;
+//! * [`SelectorKind::Greedy`] — the paper's `O(m²)` greedy;
+//! * [`SelectorKind::GreedyTwoOpt`] — greedy polished with 2-opt route
 //!   shortening (an extension for the ablation study);
-//! * [`InsertionSelector`] — profit-aware cheapest insertion (another
-//!   polynomial extension baseline);
-//! * [`BranchBoundSelector`] — exact branch and bound, no task-count
-//!   cap (extension).
-
-mod branch_bound;
-mod dp;
-mod greedy;
-mod insertion;
-
-pub use branch_bound::BranchBoundSelector;
-pub use dp::DpSelector;
-pub use greedy::{GreedySelector, GreedyTwoOptSelector};
-pub use insertion::InsertionSelector;
+//! * [`SelectorKind::Insertion`] — profit-aware cheapest insertion
+//!   (another polynomial extension baseline);
+//! * [`SelectorKind::BranchBound`] — exact branch and bound, no
+//!   task-count cap (extension).
 
 use serde::{Deserialize, Serialize};
 
 use paydemand_geo::Point;
-use paydemand_routing::{orienteering, CostMatrix};
+pub use paydemand_routing::SolveStats;
+use paydemand_routing::{branch_bound, insertion, orienteering, CostMatrix};
 
 use crate::{CoreError, PublishedTask, TaskId};
+
+/// Which task-selection algorithm users run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum SelectorKind {
+    /// The paper's optimal bitmask DP (§V-A, Eq. 11–12): exact, but
+    /// exponential in the task count (Theorem 2), so it refuses more
+    /// than 25 tasks. `candidate_cap` bounds how many (nearest
+    /// reachable) tasks enter it; `None` means uncapped. The cap is the
+    /// engine's pre-filter, applied before it builds the problem:
+    /// [`solve`](Self::solve) runs the DP over every task of the problem
+    /// it is given.
+    Dp {
+        /// Keep only this many nearest reachable candidates (None = all).
+        candidate_cap: Option<usize>,
+    },
+    /// The paper's `O(m²)` greedy (§V-B, Theorem 3): "each mobile user
+    /// will greedily select the task which can mostly increase the
+    /// total profit at each step within the traveling time/distance
+    /// budget until no satisfied task can be found".
+    Greedy,
+    /// Greedy + 2-opt polish, the saved distance re-invested into
+    /// further greedy picks (extension).
+    GreedyTwoOpt,
+    /// Profit-aware cheapest insertion (extension): each task goes where
+    /// in the route it costs least, so tasks on the way come nearly
+    /// free. `O(m³)` worst case.
+    Insertion,
+    /// Exact branch and bound, no task-count cap (extension); degrades
+    /// to factorial time when the budget leaves the search unpruned.
+    BranchBound,
+}
+
+impl SelectorKind {
+    /// Exact DP with no candidate cap.
+    #[must_use]
+    pub const fn exact_dp() -> Self {
+        SelectorKind::Dp { candidate_cap: None }
+    }
+
+    /// Stable label used in reports and as the `selector` label of the
+    /// selector metrics.
+    #[must_use]
+    pub const fn label(&self) -> &'static str {
+        match self {
+            SelectorKind::Dp { .. } => "dp",
+            SelectorKind::Greedy => "greedy",
+            SelectorKind::GreedyTwoOpt => "greedy+2opt",
+            SelectorKind::Insertion => "insertion",
+            SelectorKind::BranchBound => "branch-bound",
+        }
+    }
+
+    /// Solves `problem` with the routing solver this kind names,
+    /// returning the chosen tasks and economics with the solver's work
+    /// counters (all zero for insertion, which keeps none).
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Routing`] when the DP refuses the problem (more
+    /// than 25 tasks).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use paydemand_core::selection::{SelectionProblem, SelectorKind};
+    /// use paydemand_core::{PublishedTask, TaskId};
+    /// use paydemand_geo::Point;
+    ///
+    /// let tasks = [
+    ///     PublishedTask { id: TaskId(0), location: Point::new(1000.0, 0.0), reward: 3.0 },
+    ///     PublishedTask { id: TaskId(1), location: Point::new(500.0, 0.0), reward: 1.0 },
+    /// ];
+    /// let problem = SelectionProblem::new(Point::ORIGIN, &tasks, 600.0, 2.0, 0.002)?;
+    /// // t1 lies on the way to t0: the exact solvers and insertion visit
+    /// // both, while the greedy, which only appends, heads for t0 alone.
+    /// for kind in [SelectorKind::exact_dp(), SelectorKind::BranchBound, SelectorKind::Insertion] {
+    ///     let (outcome, _) = kind.solve(&problem)?;
+    ///     assert_eq!(outcome.tasks(), &[TaskId(1), TaskId(0)]);
+    /// }
+    /// let (greedy, stats) = SelectorKind::Greedy.solve(&problem)?;
+    /// assert_eq!(greedy.tasks(), &[TaskId(0)]);
+    /// assert_eq!(stats.iterations, 2); // one pick, then a pass that finds none
+    /// # Ok::<(), paydemand_core::CoreError>(())
+    /// ```
+    pub fn solve(
+        self,
+        problem: &SelectionProblem,
+    ) -> Result<(SelectionOutcome, SolveStats), CoreError> {
+        let instance = problem.instance()?;
+        let (solution, stats) = match self {
+            SelectorKind::Dp { .. } => orienteering::solve_exact(&instance)?,
+            SelectorKind::Greedy => orienteering::solve_greedy(&instance),
+            SelectorKind::GreedyTwoOpt => orienteering::solve_greedy_two_opt(&instance),
+            SelectorKind::Insertion => {
+                (insertion::solve_insertion(&instance), SolveStats::default())
+            }
+            SelectorKind::BranchBound => branch_bound::solve_branch_bound(&instance),
+        };
+        Ok((problem.outcome_from(solution), stats))
+    }
+}
 
 /// One user's task-selection problem at one sensing round.
 #[derive(Debug, Clone)]
@@ -37,6 +130,8 @@ pub struct SelectionProblem {
     location: Point,
     tasks: Vec<PublishedTask>,
     costs: CostMatrix,
+    /// Per-task rewards, in `tasks` order.
+    rewards: Vec<f64>,
     distance_budget: f64,
     cost_per_meter: f64,
     /// Per-task sensing time converted to distance-equivalent units.
@@ -59,6 +154,28 @@ impl SelectionProblem {
         speed: f64,
         cost_per_meter: f64,
     ) -> Result<Self, CoreError> {
+        let locations: Vec<Point> = tasks.iter().map(|t| t.location).collect();
+        let costs = CostMatrix::from_points(location, &locations);
+        SelectionProblem::with_costs(location, tasks, costs, time_budget, speed, cost_per_meter)
+    }
+
+    /// Builds the problem over an explicit travel-cost matrix (e.g. a
+    /// road-network matrix from
+    /// [`paydemand_geo::network::RoadNetwork::travel_matrix`]), instead
+    /// of straight-line distances.
+    ///
+    /// # Errors
+    ///
+    /// As [`new`](Self::new), plus [`CoreError::InvalidCount`] if
+    /// `costs` covers a different number of tasks than `tasks`.
+    pub fn with_costs(
+        location: Point,
+        tasks: &[PublishedTask],
+        costs: CostMatrix,
+        time_budget: f64,
+        speed: f64,
+        cost_per_meter: f64,
+    ) -> Result<Self, CoreError> {
         if !time_budget.is_finite() || time_budget < 0.0 {
             return Err(CoreError::InvalidParameter { name: "time_budget", value: time_budget });
         }
@@ -71,11 +188,17 @@ impl SelectionProblem {
                 value: cost_per_meter,
             });
         }
-        let locations: Vec<Point> = tasks.iter().map(|t| t.location).collect();
+        if costs.tasks() != tasks.len() {
+            return Err(CoreError::InvalidCount {
+                name: "cost_matrix_tasks",
+                value: costs.tasks(),
+            });
+        }
         Ok(SelectionProblem {
             location,
             tasks: tasks.to_vec(),
-            costs: CostMatrix::from_points(location, &locations),
+            costs,
+            rewards: tasks.iter().map(|t| t.reward).collect(),
             distance_budget: time_budget * speed,
             cost_per_meter,
             service: Vec::new(),
@@ -97,35 +220,6 @@ impl SelectionProblem {
         }
         self.service = vec![seconds * speed; self.tasks.len()];
         Ok(self)
-    }
-
-    /// Builds the problem over an explicit travel-cost matrix (e.g. a
-    /// road-network matrix from
-    /// [`paydemand_geo::network::RoadNetwork::travel_matrix`]), instead
-    /// of straight-line distances.
-    ///
-    /// # Errors
-    ///
-    /// As [`new`](Self::new), plus [`CoreError::InvalidCount`] if
-    /// `costs` covers a different number of tasks than `tasks`.
-    pub fn with_costs(
-        location: Point,
-        tasks: &[PublishedTask],
-        costs: CostMatrix,
-        time_budget: f64,
-        speed: f64,
-        cost_per_meter: f64,
-    ) -> Result<Self, CoreError> {
-        let mut problem =
-            SelectionProblem::new(location, tasks, time_budget, speed, cost_per_meter)?;
-        if costs.tasks() != tasks.len() {
-            return Err(CoreError::InvalidCount {
-                name: "cost_matrix_tasks",
-                value: costs.tasks(),
-            });
-        }
-        problem.costs = costs;
-        Ok(problem)
     }
 
     /// The per-task service loads (distance-equivalent; empty = none).
@@ -158,50 +252,30 @@ impl SelectionProblem {
         self.cost_per_meter
     }
 
-    /// The routing-layer instance for this problem.
-    pub(crate) fn instance(&self) -> Result<RoutingParts<'_>, CoreError> {
-        Ok(RoutingParts {
-            costs: &self.costs,
-            rewards: self.tasks.iter().map(|t| t.reward).collect(),
-        })
+    /// The routing-layer instance for this problem, borrowing its
+    /// costs, rewards and service loads.
+    fn instance(&self) -> Result<orienteering::Instance<'_>, CoreError> {
+        let instance = orienteering::Instance::new(
+            &self.costs,
+            &self.rewards,
+            self.distance_budget,
+            self.cost_per_meter,
+        )?;
+        if self.service.is_empty() {
+            Ok(instance)
+        } else {
+            Ok(instance.with_service(&self.service)?)
+        }
     }
 
     /// Maps a routing solution (local indices) back to task ids.
-    pub(crate) fn outcome_from(&self, solution: orienteering::Solution) -> SelectionOutcome {
+    fn outcome_from(&self, solution: orienteering::Solution) -> SelectionOutcome {
         SelectionOutcome {
             tasks: solution.order.iter().map(|&j| self.tasks[j].id).collect(),
             distance: solution.distance,
             reward: solution.reward,
             profit: solution.profit,
             end_location: solution.order.last().map_or(self.location, |&j| self.tasks[j].location),
-        }
-    }
-}
-
-/// Borrowed pieces a selector needs from the problem.
-#[derive(Debug)]
-pub(crate) struct RoutingParts<'a> {
-    pub(crate) costs: &'a CostMatrix,
-    pub(crate) rewards: Vec<f64>,
-}
-
-impl RoutingParts<'_> {
-    /// Builds the routing-layer instance, carrying the problem's budget,
-    /// cost rate and service loads.
-    pub(crate) fn build(
-        &self,
-        problem: &SelectionProblem,
-    ) -> Result<orienteering::Instance<'_>, CoreError> {
-        let instance = orienteering::Instance::new(
-            self.costs,
-            &self.rewards,
-            problem.distance_budget(),
-            problem.cost_per_meter(),
-        )?;
-        if problem.service().is_empty() {
-            Ok(instance)
-        } else {
-            Ok(instance.with_service(problem.service().to_vec())?)
         }
     }
 }
@@ -262,77 +336,21 @@ impl SelectionOutcome {
     }
 }
 
-/// Work counters from one selector solve, for the observability layer.
-/// Which fields are populated depends on the algorithm: the DP reports
-/// `states_expanded`, branch and bound reports `states_expanded`
-/// (nodes visited) and `nodes_pruned`, the greedy family reports
-/// `iterations`. The default [`TaskSelector::select_with_stats`] leaves
-/// everything zero.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SolveStats {
-    /// DP states stored / B&B search nodes visited.
-    pub states_expanded: u64,
-    /// Search nodes cut by a bound.
-    pub nodes_pruned: u64,
-    /// Heuristic selection passes.
-    pub iterations: u64,
-}
-
-/// A task-selection strategy. `Send` so an engine holding a boxed
-/// selector can move between (or be shared across) threads.
-pub trait TaskSelector: std::fmt::Debug + Send {
-    /// A short, stable name for reports (e.g. `"dp"`, `"greedy"`).
-    fn name(&self) -> &'static str;
-
-    /// Solves `problem`, returning the chosen tasks and economics.
-    ///
-    /// # Errors
-    ///
-    /// Implementations surface routing-layer failures (e.g. the DP's
-    /// task-count cap) as [`CoreError::Routing`].
-    fn select(&self, problem: &SelectionProblem) -> Result<SelectionOutcome, CoreError>;
-
-    /// [`select`](Self::select), also reporting how much work the solve
-    /// took. The default delegates and reports zeros; selectors with
-    /// meaningful counters override it. Implementations must return the
-    /// exact outcome [`select`](Self::select) would — stats reporting
-    /// may never change the decision.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`select`](Self::select).
-    fn select_with_stats(
-        &self,
-        problem: &SelectionProblem,
-    ) -> Result<(SelectionOutcome, SolveStats), CoreError> {
-        Ok((self.select(problem)?, SolveStats::default()))
-    }
-}
-
-impl<T: TaskSelector + ?Sized> TaskSelector for Box<T> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    fn select(&self, problem: &SelectionProblem) -> Result<SelectionOutcome, CoreError> {
-        (**self).select(problem)
-    }
-
-    fn select_with_stats(
-        &self,
-        problem: &SelectionProblem,
-    ) -> Result<(SelectionOutcome, SolveStats), CoreError> {
-        (**self).select_with_stats(problem)
-    }
-}
-
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    pub(crate) fn published(id: usize, x: f64, y: f64, reward: f64) -> PublishedTask {
+    fn published(id: usize, x: f64, y: f64, reward: f64) -> PublishedTask {
         PublishedTask { id: TaskId(id), location: Point::new(x, y), reward }
     }
+
+    /// The outcome `kind` chooses for `problem`.
+    fn select(kind: SelectorKind, problem: &SelectionProblem) -> SelectionOutcome {
+        kind.solve(problem).unwrap().0
+    }
+
+    const DP: SelectorKind = SelectorKind::exact_dp();
 
     #[test]
     fn problem_validation() {
@@ -354,7 +372,6 @@ pub(crate) mod tests {
 
     #[test]
     fn with_costs_overrides_travel() {
-        use crate::selection::GreedySelector;
         // A Manhattan cost matrix makes the single task 20 m away
         // instead of the Euclidean ~14.1 m.
         let tasks = [published(0, 10.0, 10.0, 1.0)];
@@ -364,8 +381,7 @@ pub(crate) mod tests {
         );
         let p = SelectionProblem::with_costs(Point::ORIGIN, &tasks, manhattan, 100.0, 2.0, 0.002)
             .unwrap();
-        let o = GreedySelector.select(&p).unwrap();
-        assert_eq!(o.distance(), 20.0);
+        assert_eq!(select(SelectorKind::Greedy, &p).distance(), 20.0);
         // Mismatched matrix size is rejected.
         let wrong = CostMatrix::from_fn(vec![1.0, 2.0], |_, _| 0.0);
         assert!(matches!(
@@ -383,10 +399,193 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn boxed_selector_delegates() {
-        let boxed: Box<dyn TaskSelector> = Box::new(DpSelector);
-        assert_eq!(boxed.name(), "dp");
+    fn picks_profit_maximal_subset() {
+        // Near cheap task and far rich task; budget covers either alone.
+        let tasks = vec![published(0, 100.0, 0.0, 1.0), published(1, 0.0, 900.0, 5.0)];
+        // 600 s × 2 m/s = 1200 m: enough for 0 -> t0 -> t1 (~1006 m).
+        let p = SelectionProblem::new(Point::ORIGIN, &tasks, 600.0, 2.0, 0.002).unwrap();
+        let o = select(DP, &p);
+        // Profit(t1 alone) = 5 − 1.8 = 3.2; both ≈ 6 − 2.01 = 3.99.
+        assert_eq!(o.tasks().len(), 2);
+        assert!(o.profit() > 3.2);
+        assert_eq!(o.end_location(), Point::new(0.0, 900.0));
+    }
+
+    #[test]
+    fn equal_profit_ties_resolve_the_same_way_every_time() {
+        // Mirror images 100 m either side; 75 s × 2 m/s = 150 m fits one.
+        let tasks = vec![published(0, 100.0, 0.0, 1.0), published(1, -100.0, 0.0, 1.0)];
+        let p = SelectionProblem::new(Point::ORIGIN, &tasks, 75.0, 2.0, 0.002).unwrap();
+        for _ in 0..200 {
+            assert_eq!(select(DP, &p).tasks(), &[TaskId(0)]);
+        }
+    }
+
+    #[test]
+    fn respects_time_budget() {
+        let tasks = vec![published(0, 3000.0, 0.0, 100.0)];
+        // 500 s × 2 m/s = 1000 m < 3000 m away.
+        let p = SelectionProblem::new(Point::ORIGIN, &tasks, 500.0, 2.0, 0.002).unwrap();
+        let o = select(DP, &p);
+        assert!(o.tasks().is_empty());
+        assert_eq!(o.profit(), 0.0);
+    }
+
+    #[test]
+    fn declines_unprofitable_tasks() {
+        let tasks = vec![published(0, 1000.0, 0.0, 1.0)]; // cost 2 > reward 1
+        let p = SelectionProblem::new(Point::ORIGIN, &tasks, 10_000.0, 2.0, 0.002).unwrap();
+        assert!(select(DP, &p).tasks().is_empty());
+    }
+
+    #[test]
+    fn too_many_tasks_is_a_core_error() {
+        let tasks: Vec<_> = (0..30).map(|i| published(i, i as f64, 0.0, 1.0)).collect();
+        let p = SelectionProblem::new(Point::ORIGIN, &tasks, 500.0, 2.0, 0.002).unwrap();
+        assert!(matches!(DP.solve(&p), Err(CoreError::Routing(_))));
+    }
+
+    #[test]
+    fn orders_visits_to_minimise_travel() {
+        // Tasks on a line: optimal order is outward sweep.
+        let tasks = vec![
+            published(0, 200.0, 0.0, 2.0),
+            published(1, 100.0, 0.0, 2.0),
+            published(2, 300.0, 0.0, 2.0),
+        ];
+        let p = SelectionProblem::new(Point::ORIGIN, &tasks, 1000.0, 2.0, 0.002).unwrap();
+        let o = select(DP, &p);
+        assert_eq!(o.tasks(), &[TaskId(1), TaskId(0), TaskId(2)]);
+        assert_eq!(o.distance(), 300.0);
+    }
+
+    #[test]
+    fn greedy_scales_past_the_dp_cap() {
+        let tasks: Vec<_> = (0..200)
+            .map(|i| published(i, (i % 20) as f64 * 50.0, (i / 20) as f64 * 50.0, 1.0))
+            .collect();
+        let p = SelectionProblem::new(Point::ORIGIN, &tasks, 2000.0, 2.0, 0.002).unwrap();
+        let o = select(SelectorKind::Greedy, &p);
+        assert!(o.distance() <= p.distance_budget());
+        assert!(!o.tasks().is_empty());
+        assert!(o.profit() > 0.0);
+    }
+
+    #[test]
+    fn two_opt_never_worse_than_greedy() {
+        let tasks = vec![
+            published(0, 100.0, 0.0, 1.0),
+            published(1, 0.0, 100.0, 1.0),
+            published(2, 100.0, 100.0, 1.0),
+            published(3, 200.0, 0.0, 1.0),
+        ];
+        let p = SelectionProblem::new(Point::ORIGIN, &tasks, 1000.0, 2.0, 0.002).unwrap();
+        let g = select(SelectorKind::Greedy, &p);
+        let t = select(SelectorKind::GreedyTwoOpt, &p);
+        assert!(t.profit() >= g.profit() - 1e-12);
+    }
+
+    #[test]
+    fn names_are_distinct() {
+        assert_eq!(SelectorKind::Greedy.label(), "greedy");
+        assert_eq!(SelectorKind::GreedyTwoOpt.label(), "greedy+2opt");
+    }
+
+    #[test]
+    fn empty_problem_stays_home() {
+        let p = SelectionProblem::new(Point::ORIGIN, &[], 1000.0, 2.0, 0.002).unwrap();
+        for kind in [SelectorKind::Greedy, SelectorKind::GreedyTwoOpt] {
+            let o = select(kind, &p);
+            assert!(o.tasks().is_empty());
+            assert_eq!(o.end_location(), Point::ORIGIN);
+        }
+    }
+
+    #[test]
+    fn insertion_label_and_empty() {
+        assert_eq!(SelectorKind::Insertion.label(), "insertion");
         let p = SelectionProblem::new(Point::ORIGIN, &[], 100.0, 2.0, 0.002).unwrap();
-        assert!(boxed.select(&p).is_ok());
+        assert!(select(SelectorKind::Insertion, &p).tasks().is_empty());
+    }
+
+    #[test]
+    fn branch_bound_label_and_empty() {
+        assert_eq!(SelectorKind::BranchBound.label(), "branch-bound");
+        let p = SelectionProblem::new(Point::ORIGIN, &[], 100.0, 2.0, 0.002).unwrap();
+        assert!(select(SelectorKind::BranchBound, &p).tasks().is_empty());
+    }
+
+    #[test]
+    fn handles_more_tasks_than_the_dp_cap() {
+        let tasks: Vec<_> = (0..40)
+            .map(|i| published(i, (i % 8) as f64 * 150.0, (i / 8) as f64 * 150.0, 1.0))
+            .collect();
+        let p = SelectionProblem::new(Point::ORIGIN, &tasks, 400.0, 2.0, 0.002).unwrap();
+        assert!(DP.solve(&p).is_err(), "dp should refuse 40 tasks");
+        let o = select(SelectorKind::BranchBound, &p);
+        assert!(o.distance() <= p.distance_budget() + 1e-9);
+        assert!(o.profit() >= 0.0);
+    }
+
+    /// Up to 7 tasks over a 1.5 km square, the user at its centre.
+    fn random_problem(
+        coords: &[(f64, f64)],
+        rewards: &[f64],
+        time_budget: f64,
+    ) -> SelectionProblem {
+        let tasks: Vec<_> =
+            coords.iter().enumerate().map(|(i, &(x, y))| published(i, x, y, rewards[i])).collect();
+        SelectionProblem::new(Point::new(750.0, 750.0), &tasks, time_budget, 2.0, 0.002).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+        #[test]
+        fn dp_dominates_heuristics(
+            coords in proptest::collection::vec((0.0..1500.0f64, 0.0..1500.0f64), 0..7),
+            rewards in proptest::collection::vec(0.5..2.5f64, 7),
+            time_budget in 0.0..2000.0f64,
+        ) {
+            let p = random_problem(&coords, &rewards, time_budget);
+            let dp = select(DP, &p);
+            let greedy = select(SelectorKind::Greedy, &p);
+            let two = select(SelectorKind::GreedyTwoOpt, &p);
+            prop_assert!(dp.profit() >= greedy.profit() - 1e-9);
+            prop_assert!(dp.profit() >= two.profit() - 1e-9);
+            prop_assert!(two.profit() >= greedy.profit() - 1e-9);
+            for o in [&dp, &greedy, &two] {
+                prop_assert!(o.distance() <= p.distance_budget() + 1e-9);
+                prop_assert!(o.profit() >= 0.0);
+            }
+        }
+
+        #[test]
+        fn insertion_bounded_by_dp(
+            coords in proptest::collection::vec((0.0..1500.0f64, 0.0..1500.0f64), 0..7),
+            rewards in proptest::collection::vec(0.5..2.5f64, 7),
+            time_budget in 0.0..1500.0f64,
+        ) {
+            let p = random_problem(&coords, &rewards, time_budget);
+            let ins = select(SelectorKind::Insertion, &p);
+            let dp = select(DP, &p);
+            prop_assert!(ins.profit() <= dp.profit() + 1e-9);
+            prop_assert!(ins.distance() <= p.distance_budget() + 1e-9);
+            prop_assert!(ins.profit() >= 0.0);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        #[test]
+        fn matches_dp_profit(
+            coords in proptest::collection::vec((0.0..1500.0f64, 0.0..1500.0f64), 0..7),
+            rewards in proptest::collection::vec(0.5..2.5f64, 7),
+            time_budget in 0.0..1200.0f64,
+        ) {
+            let p = random_problem(&coords, &rewards, time_budget);
+            let bb = select(SelectorKind::BranchBound, &p);
+            let dp = select(DP, &p);
+            prop_assert!((bb.profit() - dp.profit()).abs() < 1e-9);
+        }
     }
 }

@@ -10,9 +10,11 @@
 //! instances it degrades to factorial time, which is why the DP remains
 //! the default exact solver for `m ≤ 25`.
 
-use crate::orienteering::{Instance, Solution};
+use crate::orienteering::{Instance, Solution, SolveStats};
 
-/// Exactly solves an orienteering instance by branch and bound.
+/// Exactly solves an orienteering instance by branch and bound,
+/// reporting the search nodes visited as `states_expanded` and those
+/// the bound cut as `nodes_pruned`.
 ///
 /// Produces a solution with the same profit as
 /// [`solve_exact`](crate::orienteering::solve_exact) (tie-breaking may
@@ -29,36 +31,21 @@ use crate::orienteering::{Instance, Solution};
 ///     &[Point::new(100.0, 0.0), Point::new(0.0, 100.0)],
 /// );
 /// let instance = orienteering::Instance::new(&costs, &[5.0, 5.0], 300.0, 0.002)?;
-/// let bb = branch_bound::solve_branch_bound(&instance);
-/// let dp = orienteering::solve_exact(&instance)?;
+/// let (bb, stats) = branch_bound::solve_branch_bound(&instance);
+/// let (dp, _) = orienteering::solve_exact(&instance)?;
 /// assert!((bb.profit - dp.profit).abs() < 1e-9);
+/// assert!(stats.states_expanded > 0);
 /// # Ok::<(), paydemand_routing::RoutingError>(())
 /// ```
 #[must_use]
-pub fn solve_branch_bound(instance: &Instance<'_>) -> Solution {
-    solve_branch_bound_with_stats(instance).0
-}
-
-/// Search-effort counters from one branch-and-bound solve.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BranchBoundStats {
-    /// Nodes (partial routes) the depth-first search entered.
-    pub visited: u64,
-    /// Nodes cut by the optimistic completion bound.
-    pub pruned: u64,
-}
-
-/// [`solve_branch_bound`], also reporting how many search nodes were
-/// visited and how many the bound pruned.
-#[must_use]
-pub fn solve_branch_bound_with_stats(instance: &Instance<'_>) -> (Solution, BranchBoundStats) {
+pub fn solve_branch_bound(instance: &Instance<'_>) -> (Solution, SolveStats) {
     let m = instance.costs().tasks();
     let mut search = Search {
         instance,
         selected: vec![false; m],
         order: Vec::with_capacity(m),
         best: Solution::stay_home(),
-        stats: BranchBoundStats::default(),
+        stats: SolveStats::default(),
     };
     search.dfs(0.0, 0.0);
     (search.best, search.stats)
@@ -69,14 +56,14 @@ struct Search<'a, 'b> {
     selected: Vec<bool>,
     order: Vec<usize>,
     best: Solution,
-    stats: BranchBoundStats,
+    stats: SolveStats,
 }
 
 impl Search<'_, '_> {
     /// `distance` is pure travel; `loaded` adds service and is what the
     /// budget constrains.
     fn dfs(&mut self, distance: f64, reward: f64) {
-        self.stats.visited += 1;
+        self.stats.states_expanded += 1;
         let inst = self.instance;
         let rate = inst.cost_per_meter();
         let profit = reward - rate * distance;
@@ -92,7 +79,7 @@ impl Search<'_, '_> {
             .map(|j| inst.rewards()[j])
             .sum();
         if profit + optimistic <= self.best.profit {
-            self.stats.pruned += 1;
+            self.stats.nodes_pruned += 1;
             return;
         }
         for j in 0..inst.costs().tasks() {
@@ -138,14 +125,14 @@ mod tests {
     fn empty_instance_stays_home() {
         let costs = CostMatrix::from_points(Point::ORIGIN, &[]);
         let inst = Instance::new(&costs, &[], 100.0, 0.002).unwrap();
-        assert_eq!(solve_branch_bound(&inst), Solution::stay_home());
+        assert_eq!(solve_branch_bound(&inst).0, Solution::stay_home());
     }
 
     #[test]
     fn declines_unprofitable_task() {
         let costs = CostMatrix::from_points(Point::ORIGIN, &[Point::new(1000.0, 0.0)]);
         let inst = Instance::new(&costs, &[1.0], 5000.0, 0.002).unwrap();
-        assert_eq!(solve_branch_bound(&inst), Solution::stay_home());
+        assert_eq!(solve_branch_bound(&inst).0, Solution::stay_home());
     }
 
     #[test]
@@ -156,7 +143,7 @@ mod tests {
         let costs = CostMatrix::from_points(Point::ORIGIN, &pts);
         let rewards = vec![1.0; 30];
         let inst = Instance::new(&costs, &rewards, 800.0, 0.002).unwrap();
-        let s = solve_branch_bound(&inst);
+        let s = solve_branch_bound(&inst).0;
         assert!(s.distance <= 800.0 + 1e-9);
         assert!(s.profit > 0.0);
         // Self-consistent economics.
@@ -174,8 +161,8 @@ mod tests {
             let pts: Vec<Point> = coords.into_iter().map(Point::from).collect();
             let costs = CostMatrix::from_points(Point::new(400.0, 400.0), &pts);
             let inst = Instance::new(&costs, &rewards[..pts.len()], budget, 0.002).unwrap();
-            let bb = solve_branch_bound(&inst);
-            let dp = solve_exact(&inst).unwrap();
+            let bb = solve_branch_bound(&inst).0;
+            let dp = solve_exact(&inst).unwrap().0;
             prop_assert!((bb.profit - dp.profit).abs() < 1e-9,
                 "bb {} vs dp {}", bb.profit, dp.profit);
             prop_assert!(bb.distance <= budget + 1e-9);

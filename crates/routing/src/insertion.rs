@@ -120,7 +120,7 @@ mod tests {
         let ins = solve_insertion(&inst);
         assert_eq!(ins.order, vec![1, 0], "insertion should sequence the line");
         assert_eq!(ins.distance, 1000.0);
-        let greedy = solve_greedy(&inst);
+        let (greedy, _) = solve_greedy(&inst);
         assert!(ins.profit >= greedy.profit - 1e-12);
     }
 
@@ -173,7 +173,7 @@ mod tests {
             let inst =
                 Instance::new(&costs, &rewards[..pts.len()], budget, 0.002).unwrap();
             let ins = solve_insertion(&inst);
-            let exact = solve_exact(&inst).unwrap();
+            let (exact, _) = solve_exact(&inst).unwrap();
             prop_assert!(ins.profit <= exact.profit + 1e-9,
                 "insertion {} beat exact {}", ins.profit, exact.profit);
             prop_assert!(ins.distance <= budget + 1e-9);

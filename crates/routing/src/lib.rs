@@ -17,8 +17,7 @@
 //! * [`orienteering`] — exact profit maximisation on top of the DP
 //!   (the paper's "dynamic programming based task selection algorithm"),
 //!   the `O(m²)` marginal-profit greedy (Theorem 3), and a 2-opt
-//!   route-improvement pass;
-//! * [`Route`] — an ordered visit plan with its length.
+//!   route-improvement pass, each reporting its work as [`SolveStats`].
 //!
 //! # Examples
 //!
@@ -31,9 +30,10 @@
 //!     &[Point::new(100.0, 0.0), Point::new(0.0, 100.0)],
 //! );
 //! let instance = orienteering::Instance::new(&costs, &[5.0, 5.0], 300.0, 0.002)?;
-//! let best = orienteering::solve_exact(&instance)?;
+//! let (best, stats) = orienteering::solve_exact(&instance)?;
 //! assert_eq!(best.order.len(), 2); // both tasks fit in the budget
 //! assert!(best.profit > 0.0);
+//! assert!(stats.states_expanded > 0);
 //! # Ok::<(), paydemand_routing::RoutingError>(())
 //! ```
 
@@ -45,11 +45,10 @@ mod cost_matrix;
 mod error;
 pub mod insertion;
 pub mod orienteering;
-mod route;
 pub mod subset_dp;
 pub mod two_opt;
 
 pub use cost_matrix::CostMatrix;
 pub use error::RoutingError;
-pub use route::Route;
+pub use orienteering::SolveStats;
 pub use subset_dp::SubsetDp;

@@ -1,8 +1,9 @@
 //! Profit-maximising task selection (the paper's §V solvers).
 //!
-//! An [`Instance`] packages the cost matrix, per-task rewards, the
-//! user's travel budget (already converted from time to metres) and the
-//! movement cost rate. Two solvers match the paper:
+//! An [`Instance`] borrows the cost matrix, the per-task rewards and
+//! service loads, and carries the user's travel budget (already
+//! converted from time to metres) and the movement cost rate. Two
+//! solvers match the paper:
 //!
 //! * [`solve_exact`] — the optimal dynamic-programming algorithm:
 //!   enumerate every budget-feasible subset via [`subset_dp`], score
@@ -11,7 +12,8 @@
 //!
 //! [`solve_greedy_two_opt`] additionally polishes the greedy route with
 //! 2-opt and re-invests the saved distance into more tasks — an
-//! extension used by the ablation benches.
+//! extension used by the ablation benches. Each returns its
+//! [`SolveStats`] beside the [`Solution`].
 //!
 //! [`subset_dp`]: crate::subset_dp
 
@@ -20,7 +22,7 @@ use std::cmp::Ordering;
 
 use serde::{Deserialize, Serialize};
 
-use crate::{subset_dp, two_opt, CostMatrix, Route, RoutingError, SubsetDp};
+use crate::{subset_dp, two_opt, CostMatrix, RoutingError, SubsetDp};
 
 /// A task-selection problem instance for one user at one sensing round.
 #[derive(Debug, Clone)]
@@ -32,7 +34,7 @@ pub struct Instance<'a> {
     /// Per-task service load in *distance-equivalent* units (sensing
     /// time × walking speed): consumes budget but not movement cost.
     /// Empty = all zero (the paper's negligible-sensing-time model).
-    service: Vec<f64>,
+    service: &'a [f64],
 }
 
 impl<'a> Instance<'a> {
@@ -75,7 +77,7 @@ impl<'a> Instance<'a> {
         if let Some(&bad) = rewards.iter().find(|r| !r.is_finite()) {
             return Err(RoutingError::InvalidParameter { name: "reward", value: bad });
         }
-        Ok(Instance { costs, rewards, distance_budget, cost_per_meter, service: Vec::new() })
+        Ok(Instance { costs, rewards, distance_budget, cost_per_meter, service: &[] })
     }
 
     /// Attaches per-task service loads, in distance-equivalent units
@@ -91,7 +93,7 @@ impl<'a> Instance<'a> {
     ///   `rewards` field for the supplied length);
     /// * [`RoutingError::InvalidParameter`] for negative or non-finite
     ///   loads.
-    pub fn with_service(mut self, service: Vec<f64>) -> Result<Self, RoutingError> {
+    pub fn with_service(mut self, service: &'a [f64]) -> Result<Self, RoutingError> {
         if service.len() != self.costs.tasks() {
             return Err(RoutingError::RewardMismatch {
                 tasks: self.costs.tasks(),
@@ -186,12 +188,6 @@ impl Solution {
         let profit = reward - instance.cost_per_meter() * distance;
         Solution { order, distance, reward, profit }
     }
-
-    /// The route of this solution.
-    #[must_use]
-    pub fn route(&self, costs: &CostMatrix) -> Route {
-        Route::new(self.order.clone(), costs)
-    }
 }
 
 impl Default for Solution {
@@ -200,24 +196,29 @@ impl Default for Solution {
     }
 }
 
+/// Work counters from one solve, for the observability layer. Which
+/// fields a solver fills depends on the algorithm: the exact DP reports
+/// `states_expanded` (finite states stored), branch and bound reports
+/// `states_expanded` (nodes visited) and `nodes_pruned`, the greedy
+/// family reports `iterations`. Insertion keeps no counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SolveStats {
+    /// DP states stored / B&B search nodes visited.
+    pub states_expanded: u64,
+    /// Search nodes cut by a bound.
+    pub nodes_pruned: u64,
+    /// Heuristic selection passes.
+    pub iterations: u64,
+}
+
 /// The paper's optimal dynamic-programming task selection (§V-A).
 ///
 /// Enumerates every budget-feasible subset with the pruned Held-Karp DP,
 /// scores each by `P(ℓ) = R(ℓ) − C(ℓ)`, and returns the most profitable
 /// (the empty set, profit 0, when nothing profitable is reachable — the
-/// paper's rational-user assumption).
-///
-/// # Errors
-///
-/// Returns [`RoutingError::TooManyTasks`] past
-/// [`MAX_TASKS`](crate::subset_dp::MAX_TASKS) tasks.
-pub fn solve_exact(instance: &Instance<'_>) -> Result<Solution, RoutingError> {
-    solve_exact_with_stats(instance).map(|(solution, _)| solution)
-}
-
-/// [`solve_exact`], also reporting the number of finite DP states the
-/// budget-pruned table stored (the solver's actual work; feeds the
-/// `selector_states_expanded_total` metric).
+/// paper's rational-user assumption), with the number of finite DP
+/// states the budget-pruned table stored (the solver's actual work;
+/// feeds the `selector_states_expanded_total` metric).
 ///
 /// The DP fills a table the calling thread keeps, so a warmed solve
 /// allocates only the route it returns. Rows are scored in the order
@@ -225,8 +226,9 @@ pub fn solve_exact(instance: &Instance<'_>) -> Result<Solution, RoutingError> {
 ///
 /// # Errors
 ///
-/// Same as [`solve_exact`].
-pub fn solve_exact_with_stats(instance: &Instance<'_>) -> Result<(Solution, u64), RoutingError> {
+/// Returns [`RoutingError::TooManyTasks`] past
+/// [`MAX_TASKS`](crate::subset_dp::MAX_TASKS) tasks.
+pub fn solve_exact(instance: &Instance<'_>) -> Result<(Solution, SolveStats), RoutingError> {
     thread_local! {
         static TABLE: RefCell<SubsetDp> = const { RefCell::new(SubsetDp::new()) };
     }
@@ -234,11 +236,11 @@ pub fn solve_exact_with_stats(instance: &Instance<'_>) -> Result<(Solution, u64)
         let mut dp = table.borrow_mut();
         dp.fill(instance.costs, instance.distance_budget)?;
         let solution = best_row(&dp, instance);
-        let states = dp.state_count();
+        let stats = SolveStats { states_expanded: dp.state_count(), ..SolveStats::default() };
         if dp.oversized() {
             *dp = SubsetDp::new();
         }
-        Ok((solution, states))
+        Ok((solution, stats))
     })
 }
 
@@ -273,20 +275,15 @@ fn best_row(dp: &SubsetDp, instance: &Instance<'_>) -> Solution {
 /// From the current location, repeatedly move to the task with the
 /// highest marginal profit (`reward − rate · detour`), provided the
 /// marginal profit is positive and the extended route still fits the
-/// budget; stop when "no satisfied task can be found".
+/// budget; stop when "no satisfied task can be found". Reports the
+/// selection passes the outer loop made as `iterations` (each scans
+/// every unselected task; the count is one more than the tasks chosen,
+/// for the final pass that finds nothing).
 #[must_use]
-pub fn solve_greedy(instance: &Instance<'_>) -> Solution {
-    solve_greedy_with_stats(instance).0
-}
-
-/// [`solve_greedy`], also reporting the number of selection passes the
-/// outer loop made (each scans every unselected task; the count is one
-/// more than the tasks chosen, for the final pass that finds nothing).
-#[must_use]
-pub fn solve_greedy_with_stats(instance: &Instance<'_>) -> (Solution, u64) {
+pub fn solve_greedy(instance: &Instance<'_>) -> (Solution, SolveStats) {
     let mut order = Vec::new();
     let iterations = extend_greedily(instance, &mut order, 0.0);
-    (Solution::from_order(order, instance), iterations)
+    (Solution::from_order(order, instance), SolveStats { iterations, ..SolveStats::default() })
 }
 
 /// Greedy selection followed by 2-opt route shortening, looped until no
@@ -295,19 +292,14 @@ pub fn solve_greedy_with_stats(instance: &Instance<'_>) -> (Solution, u64) {
 ///
 /// Always at least as profitable as [`solve_greedy`] and still
 /// polynomial; used by the ablation benches to quantify how much of the
-/// DP-vs-greedy gap cheap local search recovers.
+/// DP-vs-greedy gap cheap local search recovers. Reports the total
+/// selection passes as `iterations`: the seeding greedy's passes plus
+/// one per 2-opt polish round.
 #[must_use]
-pub fn solve_greedy_two_opt(instance: &Instance<'_>) -> Solution {
-    solve_greedy_two_opt_with_stats(instance).0
-}
-
-/// [`solve_greedy_two_opt`], also reporting the total selection passes:
-/// the seeding greedy's passes plus one per 2-opt polish round.
-#[must_use]
-pub fn solve_greedy_two_opt_with_stats(instance: &Instance<'_>) -> (Solution, u64) {
-    let (mut solution, mut iterations) = solve_greedy_with_stats(instance);
+pub fn solve_greedy_two_opt(instance: &Instance<'_>) -> (Solution, SolveStats) {
+    let (mut solution, mut stats) = solve_greedy(instance);
     loop {
-        iterations += 1;
+        stats.iterations += 1;
         let improved_order = two_opt::improve(instance.costs, solution.order.clone());
         let improved = Solution::from_order(improved_order, instance);
         let mut order = improved.order;
@@ -316,7 +308,7 @@ pub fn solve_greedy_two_opt_with_stats(instance: &Instance<'_>) -> (Solution, u6
         // Only a strictly larger profit goes on: a NaN one, which
         // compares unordered, ends the loop.
         if extended.profit.partial_cmp(&solution.profit) != Some(Ordering::Greater) {
-            return (solution, iterations);
+            return (solution, stats);
         }
         solution = extended;
     }
@@ -425,7 +417,7 @@ mod tests {
             &[Point::new(100.0, 0.0), Point::new(0.0, 100.0)],
         );
         let inst = square_instance(&costs, &[5.0, 5.0]);
-        let s = solve_exact(&inst).unwrap();
+        let s = solve_exact(&inst).unwrap().0;
         assert_eq!(s.order.len(), 2);
         assert!(s.profit > 0.0);
         assert!((s.profit - inst.profit_of(&s.order)).abs() < 1e-12);
@@ -436,7 +428,7 @@ mod tests {
         // One task 1000 m away worth only 1$: cost 2$ > reward.
         let costs = CostMatrix::from_points(Point::ORIGIN, &[Point::new(1000.0, 0.0)]);
         let inst = square_instance(&costs, &[1.0]);
-        let s = solve_exact(&inst).unwrap();
+        let s = solve_exact(&inst).unwrap().0;
         assert_eq!(s, Solution::stay_home());
     }
 
@@ -445,7 +437,7 @@ mod tests {
         // Rich but unreachable task.
         let costs = CostMatrix::from_points(Point::ORIGIN, &[Point::new(2000.0, 0.0)]);
         let inst = Instance::new(&costs, &[100.0], 1000.0, 0.002).unwrap();
-        let s = solve_exact(&inst).unwrap();
+        let s = solve_exact(&inst).unwrap().0;
         assert!(s.order.is_empty());
     }
 
@@ -457,7 +449,7 @@ mod tests {
             &[Point::new(100.0, 0.0), Point::new(900.0, 0.0)],
         );
         let inst = square_instance(&costs, &[5.0, 0.5]);
-        let s = solve_exact(&inst).unwrap();
+        let s = solve_exact(&inst).unwrap().0;
         assert_eq!(s.order, vec![0]);
     }
 
@@ -471,7 +463,7 @@ mod tests {
         );
         let inst = Instance::new(&costs, &[1.0, 1.0], 150.0, 0.002).unwrap();
         for _ in 0..200 {
-            assert_eq!(solve_exact(&inst).unwrap().order, vec![0]);
+            assert_eq!(solve_exact(&inst).unwrap().0.order, vec![0]);
         }
     }
 
@@ -487,7 +479,7 @@ mod tests {
             ],
         );
         let inst = square_instance(&costs, &[2.0, 2.0, 3.0, 1.0]);
-        let s = solve_greedy(&inst);
+        let s = solve_greedy(&inst).0;
         assert!(s.distance <= inst.distance_budget());
         assert!(s.profit >= 0.0);
     }
@@ -496,8 +488,8 @@ mod tests {
     fn greedy_zero_tasks() {
         let costs = CostMatrix::from_points(Point::ORIGIN, &[]);
         let inst = Instance::new(&costs, &[], 100.0, 0.002).unwrap();
-        assert_eq!(solve_greedy(&inst), Solution::stay_home());
-        assert_eq!(solve_exact(&inst).unwrap(), Solution::stay_home());
+        assert_eq!(solve_greedy(&inst).0, Solution::stay_home());
+        assert_eq!(solve_exact(&inst).unwrap().0, Solution::stay_home());
     }
 
     #[test]
@@ -514,8 +506,8 @@ mod tests {
             ],
         );
         let inst = Instance::new(&costs, &[1.0, 4.0, 4.0, 4.0], 1500.0, 0.002).unwrap();
-        let exact = solve_exact(&inst).unwrap();
-        let greedy = solve_greedy(&inst);
+        let exact = solve_exact(&inst).unwrap().0;
+        let greedy = solve_greedy(&inst).0;
         assert!(exact.profit >= greedy.profit - 1e-9);
     }
 
@@ -531,8 +523,8 @@ mod tests {
             ],
         );
         let inst = square_instance(&costs, &[1.0, 1.0, 1.0, 1.0]);
-        let greedy = solve_greedy(&inst);
-        let improved = solve_greedy_two_opt(&inst);
+        let greedy = solve_greedy(&inst).0;
+        let improved = solve_greedy_two_opt(&inst).0;
         assert!(improved.profit >= greedy.profit - 1e-12);
         assert!(improved.distance <= inst.distance_budget() + 1e-9);
     }
@@ -545,17 +537,16 @@ mod tests {
         assert_eq!(s.distance, 100.0);
         assert_eq!(s.reward, 5.0);
         assert!((s.profit - (5.0 - 0.2)).abs() < 1e-12);
-        assert_eq!(s.route(&costs).length(), 100.0);
     }
 
     #[test]
     fn service_validation() {
         let costs = CostMatrix::from_points(Point::ORIGIN, &[Point::new(1.0, 0.0)]);
         let inst = Instance::new(&costs, &[1.0], 10.0, 0.1).unwrap();
-        assert!(inst.clone().with_service(vec![1.0, 2.0]).is_err());
-        assert!(inst.clone().with_service(vec![-1.0]).is_err());
-        assert!(inst.clone().with_service(vec![f64::NAN]).is_err());
-        let with = inst.with_service(vec![3.5]).unwrap();
+        assert!(inst.clone().with_service(&[1.0, 2.0]).is_err());
+        assert!(inst.clone().with_service(&[-1.0]).is_err());
+        assert!(inst.clone().with_service(&[f64::NAN]).is_err());
+        let with = inst.with_service(&[3.5]).unwrap();
         assert_eq!(with.service_of(0), 3.5);
         assert_eq!(with.service_of(9), 0.0);
     }
@@ -569,17 +560,17 @@ mod tests {
             &[Point::new(100.0, 0.0), Point::new(200.0, 0.0)],
         );
         let plain = Instance::new(&costs, &[2.0, 2.0], 250.0, 0.002).unwrap();
-        assert_eq!(solve_exact(&plain).unwrap().order.len(), 2);
+        assert_eq!(solve_exact(&plain).unwrap().0.order.len(), 2);
         // 60 m-equivalent of sensing per task: 200 + 120 > 250, so only
         // one task fits...
-        let slow = plain.clone().with_service(vec![60.0, 60.0]).unwrap();
-        let s = solve_exact(&slow).unwrap();
+        let slow = plain.clone().with_service(&[60.0, 60.0]).unwrap();
+        let s = solve_exact(&slow).unwrap().0;
         assert_eq!(s.order.len(), 1);
         // ...and the profit still only charges movement, not service.
         assert!((s.profit - (2.0 - 0.002 * s.distance)).abs() < 1e-12);
         // Heuristics agree on feasibility.
-        assert_eq!(solve_greedy(&slow).order.len(), 1);
-        assert_eq!(solve_greedy_two_opt(&slow).order.len(), 1);
+        assert_eq!(solve_greedy(&slow).0.order.len(), 1);
+        assert_eq!(solve_greedy_two_opt(&slow).0.order.len(), 1);
     }
 
     proptest! {
@@ -603,14 +594,14 @@ mod tests {
             let solve_all = |costs| {
                 let inst = Instance::new(costs, &rewards[..pts.len()], budget, 0.002)
                     .unwrap()
-                    .with_service(service[..pts.len()].to_vec())
+                    .with_service(&service[..pts.len()])
                     .unwrap();
                 let solutions = [
-                    solve_exact(&inst).unwrap(),
-                    solve_greedy(&inst),
-                    solve_greedy_two_opt(&inst),
+                    solve_exact(&inst).unwrap().0,
+                    solve_greedy(&inst).0,
+                    solve_greedy_two_opt(&inst).0,
                     crate::insertion::solve_insertion(&inst),
-                    crate::branch_bound::solve_branch_bound(&inst),
+                    crate::branch_bound::solve_branch_bound(&inst).0,
                 ];
                 (inst, solutions)
             };
@@ -636,9 +627,9 @@ mod tests {
             let costs = CostMatrix::from_points(Point::new(500.0, 500.0), &pts);
             let r = &rewards[..pts.len()];
             let inst = Instance::new(&costs, r, budget, 0.002).unwrap();
-            let exact = solve_exact(&inst).unwrap();
-            let greedy = solve_greedy(&inst);
-            let polished = solve_greedy_two_opt(&inst);
+            let exact = solve_exact(&inst).unwrap().0;
+            let greedy = solve_greedy(&inst).0;
+            let polished = solve_greedy_two_opt(&inst).0;
             prop_assert!(exact.profit >= greedy.profit - 1e-9,
                 "greedy beat the optimum: {} > {}", greedy.profit, exact.profit);
             prop_assert!(exact.profit >= polished.profit - 1e-9);

@@ -354,13 +354,6 @@ impl SubsetDp {
         self.rows().filter_map(|(mask, dist)| dist.iter().any(|d| d.is_finite()).then_some(mask))
     }
 
-    /// Number of stored (feasible) masks — useful to observe how hard
-    /// the budget prunes.
-    #[must_use]
-    pub fn feasible_mask_count(&self) -> usize {
-        self.masks.len()
-    }
-
     /// Total number of finite `(mask, ending-task)` states the DP
     /// stored — the work the solver actually performed after budget
     /// pruning. Feeds the `selector_states_expanded_total` metric.
@@ -424,7 +417,7 @@ mod tests {
         assert_eq!(dp.shortest(0b001), Some(10.0));
         assert_eq!(dp.shortest(0b010), None, "20 m exceeds the 15 m budget");
         assert_eq!(dp.shortest(0b111), None);
-        assert_eq!(dp.feasible_mask_count(), 1);
+        assert_eq!(dp.feasible_masks().count(), 1);
     }
 
     #[test]
@@ -436,7 +429,7 @@ mod tests {
     #[test]
     fn zero_budget_allows_nothing() {
         let dp = solve(&line_costs(), 0.0).unwrap();
-        assert_eq!(dp.feasible_mask_count(), 0);
+        assert_eq!(dp.feasible_masks().count(), 0);
         assert_eq!(dp.shortest(0), Some(0.0));
     }
 
@@ -484,8 +477,8 @@ mod tests {
     /// Each feasible mask with its shortest length's bits and route.
     type Rows = Vec<(u32, u64, Vec<usize>)>;
 
-    /// Everything a table answers: its rows in discovery order, the
-    /// state count and the mask count.
+    /// Everything a table answers: its feasible rows in discovery
+    /// order, the state count and the count of every reached row.
     fn answers(dp: &SubsetDp) -> (Rows, u64, usize) {
         let rows = dp
             .feasible_masks()
@@ -494,7 +487,7 @@ mod tests {
                 (mask, shortest, dp.reconstruct(mask).unwrap())
             })
             .collect();
-        (rows, dp.state_count(), dp.feasible_mask_count())
+        (rows, dp.state_count(), dp.rows().count())
     }
 
     #[test]

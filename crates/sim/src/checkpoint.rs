@@ -56,7 +56,7 @@ use paydemand_geo::mobility::RandomWaypoint;
 use paydemand_geo::Point;
 use paydemand_obs::Recorder;
 
-use crate::engine::{build_mechanism, build_selector, EngineInstruments, PendingUpload};
+use crate::engine::{build_mechanism, EngineInstruments, PendingUpload};
 use crate::engine::{Engine, RoundRecord, UserRound};
 use crate::frame::{fnv1a64, fnv1a64_words, BufMut, Cursor, CursorError, Header, HeaderError};
 use crate::sensing::Estimate;
@@ -360,6 +360,11 @@ pub(crate) fn resume(
         let user = next_user(&mut r, prev, n)?;
         prev = Some(user);
         let k = r.u32()?;
+        // `encode` writes only users who contributed: an empty list
+        // would resume, then checkpoint without this entry.
+        if k == 0 {
+            return Err(SimError::checkpoint(format!("user {user}'s contributed list is empty")));
+        }
         // The engine binary-searches these lists, so each must be
         // strictly increasing task ids of this workload.
         let ids = &mut contributed[user as usize];
@@ -546,9 +551,8 @@ pub(crate) fn resume(
         _ => None,
     };
 
-    let selector = build_selector(scenario.selector);
     let metrics_on = recorder.is_enabled();
-    let instruments = EngineInstruments::new(recorder, selector.name());
+    let instruments = EngineInstruments::new(recorder, scenario.selector.label());
     instruments.runs_total.inc();
 
     Ok(Engine {
@@ -559,7 +563,6 @@ pub(crate) fn resume(
         travel_rng_state,
         travel,
         platform,
-        selector,
         locations,
         contributed,
         quality_received,
@@ -755,6 +758,23 @@ mod tests {
             });
             assert!(refusal(&s, &damaged).contains("unknown or out of order"), "user {second}");
         }
+    }
+
+    #[test]
+    fn a_signed_empty_contribution_list_is_refused() {
+        let s = scenario();
+        let mut engine = Engine::new(&s, &Recorder::disabled()).unwrap();
+        engine.contributed[1].push(TaskId(0));
+        engine.contributed[2].push(TaskId(1));
+        let mut bytes = engine.checkpoint().unwrap();
+        let at = contributed_at(engine.workload.users.len());
+        // count | user 1 | k | task 0 | user 2 | k | task 1: drop user
+        // 1's one task and set its k to 0.
+        bytes.drain(at + 12..at + 16);
+        let damaged = resigned(bytes, |body| {
+            body[at + 8..at + 12].copy_from_slice(&0u32.to_le_bytes());
+        });
+        assert!(refusal(&s, &damaged).contains("user 1's contributed list is empty"));
     }
 
     #[test]

@@ -56,10 +56,7 @@ use paydemand_core::incentive::{
     FixedIncentive, HybridIncentive, IncentiveMechanism, OnDemandIncentive, ProportionalIncentive,
     SteeredIncentive,
 };
-use paydemand_core::selection::{
-    BranchBoundSelector, DpSelector, GreedySelector, GreedyTwoOptSelector, InsertionSelector,
-    SelectionOutcome, SelectionProblem, TaskSelector,
-};
+use paydemand_core::selection::{SelectionOutcome, SelectionProblem, SolveStats};
 use paydemand_core::{CoreError, Platform, PublishedTask, TaskId, UserId};
 use paydemand_faults::{FaultInjector, RoundFaults, UploadFate};
 use paydemand_geo::mobility::RandomWaypoint;
@@ -635,7 +632,6 @@ pub struct Engine {
     pub(crate) travel_rng_state: [u64; 4],
     pub(crate) travel: TravelContext,
     pub(crate) platform: Platform<Box<dyn IncentiveMechanism>>,
-    pub(crate) selector: Box<dyn TaskSelector>,
     pub(crate) locations: PositionStore,
     /// Per user, the tasks they have contributed to, ascending.
     pub(crate) contributed: Vec<Vec<TaskId>>,
@@ -722,9 +718,8 @@ impl Engine {
         platform.set_recorder(recorder);
         let travel_rng_state = rng.to_state();
         let travel = TravelContext::for_scenario(scenario, workload.area, &mut rng)?;
-        let selector = build_selector(scenario.selector);
         let metrics_on = recorder.is_enabled();
-        let instruments = EngineInstruments::new(recorder, selector.name());
+        let instruments = EngineInstruments::new(recorder, scenario.selector.label());
         instruments.runs_total.inc();
         let injector = match &scenario.faults {
             Some(plan) if !plan.is_empty() => Some(
@@ -751,7 +746,6 @@ impl Engine {
             travel_rng_state,
             travel,
             platform,
-            selector,
             locations,
             contributed: vec![Vec::new(); n],
             quality_received: vec![0.0f64; m],
@@ -1288,7 +1282,6 @@ impl Engine {
         let solve_start = self.metrics_on.then(Instant::now);
         let selection_tag = self.recorder.alloc_phase(AllocPhase::Selection);
         let (outcome, stats) = solve_selection(
-            self.selector.as_ref(),
             self.scenario.selector,
             &self.travel,
             self.locations.point(ui),
@@ -1679,17 +1672,6 @@ pub(crate) fn build_mechanism(
     })
 }
 
-/// Builds the configured selector as a trait object.
-pub(crate) fn build_selector(kind: SelectorKind) -> Box<dyn TaskSelector> {
-    match kind {
-        SelectorKind::Dp { .. } => Box::new(DpSelector),
-        SelectorKind::Greedy => Box::new(GreedySelector),
-        SelectorKind::GreedyTwoOpt => Box::new(GreedyTwoOptSelector),
-        SelectorKind::Insertion => Box::new(InsertionSelector),
-        SelectorKind::BranchBound => Box::new(BranchBoundSelector),
-    }
-}
-
 /// The wire byte identifying a selector in Selection frames; see
 /// [`trace::solver_label`] for the inverse mapping.
 pub(crate) fn solver_code(kind: SelectorKind) -> u8 {
@@ -1702,13 +1684,12 @@ pub(crate) fn solver_code(kind: SelectorKind) -> u8 {
     }
 }
 
-/// Solves one user's selection, applying the DP candidate cap if
-/// configured: only the `cap` nearest *reachable* tasks enter the
-/// exponential solver (heuristic pre-filter; see DESIGN.md). Returns
-/// the selector's work counters beside the outcome.
+/// Solves one user's selection with `kind`, applying the DP candidate
+/// cap if configured: only the `cap` nearest *reachable* tasks enter
+/// the exponential solver (heuristic pre-filter; see DESIGN.md).
+/// Returns the solver's work counters beside the outcome.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn solve_selection(
-    selector: &dyn TaskSelector,
     kind: SelectorKind,
     travel: &TravelContext,
     location: Point,
@@ -1717,7 +1698,7 @@ pub(crate) fn solve_selection(
     speed: f64,
     cost_per_meter: f64,
     sensing_seconds: f64,
-) -> Result<(SelectionOutcome, paydemand_core::selection::SolveStats), SimError> {
+) -> Result<(SelectionOutcome, SolveStats), SimError> {
     let capped: Vec<PublishedTask>;
     let candidates: &[PublishedTask] = match kind {
         SelectorKind::Dp { candidate_cap: Some(cap) } if available.len() > cap => {
@@ -1741,7 +1722,7 @@ pub(crate) fn solve_selection(
     if sensing_seconds > 0.0 {
         problem = problem.with_sensing_seconds(sensing_seconds, speed)?;
     }
-    Ok(selector.select_with_stats(&problem)?)
+    Ok(kind.solve(&problem)?)
 }
 
 #[cfg(test)]
@@ -2258,7 +2239,6 @@ mod tests {
         // coordinate (corrupt data, over-noised GPS) must degrade to
         // "unreachable", not panic.
         let travel = TravelContext::euclidean();
-        let selector = build_selector(SelectorKind::Dp { candidate_cap: Some(2) });
         let mut tasks: Vec<PublishedTask> = (0..4)
             .map(|i| PublishedTask {
                 id: TaskId(i),
@@ -2268,7 +2248,6 @@ mod tests {
             .collect();
         tasks[1].location = Point::new(f64::NAN, f64::NAN);
         let (outcome, _) = solve_selection(
-            selector.as_ref(),
             SelectorKind::Dp { candidate_cap: Some(2) },
             &travel,
             Point::new(0.0, 0.0),

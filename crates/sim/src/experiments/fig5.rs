@@ -21,7 +21,6 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use paydemand_core::selection::{DpSelector, GreedySelector};
 use paydemand_core::{Platform, PublishedTask, TaskId, UserId};
 use paydemand_geo::Point;
 
@@ -165,7 +164,6 @@ fn run_round(
         }
         let travel = crate::engine::TravelContext::euclidean();
         let (dp_outcome, _) = solve_selection(
-            &DpSelector,
             dp_kind,
             &travel,
             locations[ui],
@@ -177,7 +175,6 @@ fn run_round(
         )?;
         if let Some(shadow_profits) = shadow.as_deref_mut() {
             let (greedy_outcome, _) = solve_selection(
-                &GreedySelector,
                 SelectorKind::Greedy,
                 &travel,
                 locations[ui],

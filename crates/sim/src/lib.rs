@@ -66,8 +66,9 @@ pub use engine::{
     Engine, EventOutcome, ExternalEvent, RoundRecord, SimulationResult, TaskStatus, UserRound,
 };
 pub use error::SimError;
+pub use paydemand_core::selection::SelectorKind;
 pub use paydemand_core::IndexingMode;
 pub use paydemand_faults::{FaultKind, FaultPlan};
 pub use replay::{ReplayError, ReplaySummary};
-pub use scenario::{MechanismKind, Scenario, SelectorKind, TravelModel, UserMotion};
+pub use scenario::{MechanismKind, Scenario, TravelModel, UserMotion};
 pub use workload::Workload;

@@ -1,5 +1,6 @@
 use serde::{Deserialize, Serialize};
 
+use paydemand_core::selection::SelectorKind;
 use paydemand_core::IndexingMode;
 use paydemand_geo::placement::Placement;
 
@@ -48,47 +49,6 @@ impl MechanismKind {
             MechanismKind::SteeredPaperConstants => "steered(paper-constants)",
             MechanismKind::Proportional => "proportional",
             MechanismKind::Hybrid { .. } => "hybrid",
-        }
-    }
-}
-
-/// Which task-selection algorithm users run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[non_exhaustive]
-pub enum SelectorKind {
-    /// The paper's optimal bitmask DP. `candidate_cap` bounds how many
-    /// (nearest reachable) tasks enter the exponential solver; `None`
-    /// means uncapped (exact, refuses > 25 tasks).
-    Dp {
-        /// Keep only this many nearest reachable candidates (None = all).
-        candidate_cap: Option<usize>,
-    },
-    /// The paper's `O(m²)` greedy.
-    Greedy,
-    /// Greedy + 2-opt polish (extension).
-    GreedyTwoOpt,
-    /// Profit-aware cheapest insertion (extension).
-    Insertion,
-    /// Exact branch and bound, no task-count cap (extension).
-    BranchBound,
-}
-
-impl SelectorKind {
-    /// Exact DP with no candidate cap.
-    #[must_use]
-    pub const fn exact_dp() -> Self {
-        SelectorKind::Dp { candidate_cap: None }
-    }
-
-    /// Stable label used in reports.
-    #[must_use]
-    pub const fn label(&self) -> &'static str {
-        match self {
-            SelectorKind::Dp { .. } => "dp",
-            SelectorKind::Greedy => "greedy",
-            SelectorKind::GreedyTwoOpt => "greedy+2opt",
-            SelectorKind::Insertion => "insertion",
-            SelectorKind::BranchBound => "branch-bound",
         }
     }
 }

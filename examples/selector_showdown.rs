@@ -8,9 +8,7 @@
 
 use std::time::Instant;
 
-use paydemand::core::selection::{
-    DpSelector, GreedySelector, GreedyTwoOptSelector, SelectionProblem, TaskSelector,
-};
+use paydemand::core::selection::{SelectionProblem, SelectorKind};
 use paydemand::core::{PublishedTask, TaskId};
 use paydemand::geo::Rect;
 use rand::{Rng, SeedableRng};
@@ -22,8 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("selector showdown — 200 random selection problems, 14 tasks each");
     println!("{:-<72}", "");
 
-    let selectors: [(&str, &dyn TaskSelector); 3] =
-        [("dp", &DpSelector), ("greedy", &GreedySelector), ("greedy+2opt", &GreedyTwoOptSelector)];
+    let selectors = [SelectorKind::exact_dp(), SelectorKind::Greedy, SelectorKind::GreedyTwoOpt];
     let mut total_profit = [0.0f64; 3];
     let mut total_time = [std::time::Duration::ZERO; 3];
     let mut greedy_optimal = 0usize;
@@ -42,9 +39,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let problem = SelectionProblem::new(user, &tasks, time_budget, 2.0, 0.002)?;
 
         let mut profits = [0.0f64; 3];
-        for (k, (_, selector)) in selectors.iter().enumerate() {
+        for (k, selector) in selectors.iter().enumerate() {
             let t = Instant::now();
-            let outcome = selector.select(&problem)?;
+            let (outcome, _) = selector.solve(&problem)?;
             total_time[k] += t.elapsed();
             profits[k] = outcome.profit();
             total_profit[k] += outcome.profit();
@@ -57,10 +54,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("{:<14} {:>16} {:>18}", "selector", "mean profit ($)", "mean solve time");
-    for (k, (name, _)) in selectors.iter().enumerate() {
+    for (k, selector) in selectors.iter().enumerate() {
         println!(
             "{:<14} {:>16.3} {:>18?}",
-            name,
+            selector.label(),
             total_profit[k] / trials as f64,
             total_time[k] / trials as u32
         );

@@ -17,10 +17,7 @@
 //! are the DP's: its answers, state counts and the table it fills, in
 //! the discovery order that breaks its ties.
 
-use paydemand::core::selection::{
-    BranchBoundSelector, DpSelector, GreedySelector, GreedyTwoOptSelector, SelectionProblem,
-    TaskSelector,
-};
+use paydemand::core::selection::{SelectionProblem, SelectorKind};
 use paydemand::core::{PublishedTask, TaskId};
 use paydemand::geo::{Point, Rect};
 use paydemand::routing::{subset_dp, CostMatrix};
@@ -103,9 +100,9 @@ fn random_instance(seed: u64) -> SelectionProblem {
 
 #[test]
 fn exact_solvers_match_brute_force_and_greedy_never_exceeds_it() {
-    let dp = DpSelector;
-    let bb = BranchBoundSelector;
-    let greedy = GreedySelector;
+    let dp = SelectorKind::exact_dp();
+    let bb = SelectorKind::BranchBound;
+    let greedy = SelectorKind::Greedy;
     let mut nonzero_optima = 0usize;
 
     for seed in 0..250u64 {
@@ -115,9 +112,9 @@ fn exact_solvers_match_brute_force_and_greedy_never_exceeds_it() {
             nonzero_optima += 1;
         }
 
-        let dp_profit = dp.select(&problem).expect("dp solves ≤10 tasks").profit();
-        let bb_profit = bb.select(&problem).expect("b&b solves ≤10 tasks").profit();
-        let greedy_profit = greedy.select(&problem).expect("greedy always solves").profit();
+        let dp_profit = dp.solve(&problem).expect("dp solves ≤10 tasks").0.profit();
+        let bb_profit = bb.solve(&problem).expect("b&b solves ≤10 tasks").0.profit();
+        let greedy_profit = greedy.solve(&problem).expect("greedy always solves").0.profit();
 
         assert!(
             (dp_profit - optimal).abs() <= EPS,
@@ -142,12 +139,12 @@ fn exact_solvers_match_brute_force_and_greedy_never_exceeds_it() {
 fn exact_solver_outcomes_are_feasible_and_priced_consistently() {
     for seed in 0..50u64 {
         let problem = random_instance(seed);
-        for selector in [&DpSelector as &dyn TaskSelector, &BranchBoundSelector] {
-            let outcome = selector.select(&problem).expect("solves ≤10 tasks");
+        for selector in [SelectorKind::exact_dp(), SelectorKind::BranchBound] {
+            let (outcome, _) = selector.solve(&problem).expect("solves ≤10 tasks");
             assert!(
                 outcome.distance() <= problem.distance_budget() + EPS,
                 "seed {seed}: {} route over budget",
-                selector.name()
+                selector.label()
             );
             // Recompute the route economics from the outcome's order.
             let by_id = |id: TaskId| {
@@ -311,7 +308,7 @@ fn exact_outcomes_keep_their_bits() {
     let mut bytes = Vec::new();
     let mut states = 0;
     for (problem, costs) in exact_cases() {
-        let (outcome, stats) = DpSelector.select_with_stats(&problem).expect("dp solves");
+        let (outcome, stats) = SelectorKind::exact_dp().solve(&problem).expect("dp solves");
         bytes.extend((outcome.tasks().len() as u64).to_le_bytes());
         for id in outcome.tasks() {
             bytes.extend((id.0 as u64).to_le_bytes());
@@ -340,7 +337,7 @@ fn exact_outcomes_keep_their_bits() {
 /// `greedy_two_opt_stops_on_a_nan_profit` checks it on them.
 #[test]
 fn greedy_outcomes_keep_their_bits() {
-    let both = [&GreedySelector as &dyn TaskSelector, &GreedyTwoOptSelector];
+    let both = [SelectorKind::Greedy, SelectorKind::GreedyTwoOpt];
     let finite = (0..6).map(|seed| city_instance(0xC17 + seed)).chain(corner_cases());
     let runs = finite
         .map(|problem| (problem, &both[..]))
@@ -348,7 +345,7 @@ fn greedy_outcomes_keep_their_bits() {
     let mut bytes = Vec::new();
     for (problem, selectors) in runs {
         for selector in selectors {
-            let (outcome, stats) = selector.select_with_stats(&problem).expect("greedy solves");
+            let (outcome, stats) = selector.solve(&problem).expect("greedy solves");
             bytes.extend((outcome.tasks().len() as u64).to_le_bytes());
             for id in outcome.tasks() {
                 bytes.extend((id.0 as u64).to_le_bytes());
@@ -366,8 +363,8 @@ fn greedy_outcomes_keep_their_bits() {
 #[test]
 fn greedy_two_opt_stops_on_a_nan_profit() {
     for (k, problem) in nan_cases().iter().enumerate() {
-        let (greedy, passes) = GreedySelector.select_with_stats(problem).expect("greedy solves");
-        let (polished, stats) = GreedyTwoOptSelector.select_with_stats(problem).expect("solves");
+        let (greedy, passes) = SelectorKind::Greedy.solve(problem).expect("greedy solves");
+        let (polished, stats) = SelectorKind::GreedyTwoOpt.solve(problem).expect("solves");
         assert_eq!(polished.tasks(), greedy.tasks(), "case {k}");
         assert_eq!(polished.profit().to_bits(), greedy.profit().to_bits(), "case {k}");
         assert_eq!(stats.iterations, passes.iterations + 1, "case {k}");

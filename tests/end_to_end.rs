@@ -2,7 +2,7 @@
 //! publish → select → perform → pay → reprice loop.
 
 use paydemand::core::incentive::OnDemandIncentive;
-use paydemand::core::selection::{DpSelector, SelectionProblem, TaskSelector};
+use paydemand::core::selection::SelectionProblem;
 use paydemand::core::{Platform, TaskId, TaskSpec, UserId};
 use paydemand::geo::{Point, Rect};
 use paydemand::sim::{engine, metrics, MechanismKind, Scenario, SelectorKind};
@@ -37,7 +37,7 @@ fn manual_two_round_campaign() {
     // Task 0 expires next round (deadline 2) but has a neighbour; task 1
     // has 10 rounds and no neighbours. Both are unstarted.
     let problem = SelectionProblem::new(users[0], &published, 600.0, 2.0, 0.002).unwrap();
-    let outcome = DpSelector.select(&problem).unwrap();
+    let (outcome, _) = SelectorKind::exact_dp().solve(&problem).unwrap();
     assert!(outcome.tasks().contains(&TaskId(0)), "nearby profitable task must be taken");
     let mut paid = 0.0;
     for &task in outcome.tasks() {
@@ -171,11 +171,11 @@ fn selection_and_routing_agree() {
         .collect();
 
     let problem = SelectionProblem::new(user, &published, 600.0, 2.0, 0.002).unwrap();
-    let via_core = DpSelector.select(&problem).unwrap();
+    let (via_core, _) = SelectorKind::exact_dp().solve(&problem).unwrap();
 
     let costs = CostMatrix::from_points(user, &locations);
     let instance = orienteering::Instance::new(&costs, &rewards, 1200.0, 0.002).unwrap();
-    let via_routing = orienteering::solve_exact(&instance).unwrap();
+    let (via_routing, _) = orienteering::solve_exact(&instance).unwrap();
 
     assert!((via_core.profit() - via_routing.profit).abs() < 1e-12);
     assert_eq!(via_core.tasks().len(), via_routing.order.len());

@@ -125,7 +125,7 @@ fn road_network_distances_compose_with_routing() {
             tm.get(i + 1, j + 1)
         });
     let inst = orienteering::Instance::new(&costs, &[2.0, 2.0], 2000.0, 0.002).unwrap();
-    let s = orienteering::solve_exact(&inst).unwrap();
+    let (s, _) = orienteering::solve_exact(&inst).unwrap();
     // Straight chain along streets: 500 + 500 = 1000 m.
     assert_eq!(s.order, vec![0, 1]);
     assert_eq!(s.distance, 1000.0);

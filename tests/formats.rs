@@ -25,6 +25,9 @@
 //!   v1 file (`tests/fixtures/pdck-v1.ck`) is refused with its version
 //!   named, by `Engine::resume` and by a daemon resuming a state
 //!   directory that holds it.
+//! * Every `SelectorKind` setting keeps its checkpoint bytes, which
+//!   hash the scenario's `Debug` form, and counts its solves under its
+//!   metric label.
 //!
 //! A debug build runs a reduced set; `cargo test --release --test
 //! formats` runs all of it.
@@ -32,7 +35,7 @@
 use std::path::{Path, PathBuf};
 
 use paydemand::obs::Recorder;
-use paydemand::sim::frame::fnv1a64_words;
+use paydemand::sim::frame::{fnv1a64, fnv1a64_words};
 use paydemand::sim::{
     Engine, ExternalEvent, FaultKind, FaultPlan, Scenario, SelectorKind, SimError, UserMotion,
 };
@@ -527,6 +530,42 @@ fn checkpoints_refuse_every_cut_and_byte_replacement() {
             }
         }
     }
+}
+
+/// Every selector setting keeps its checkpoint bytes and its metric
+/// label. A checkpoint carries the hash of the scenario's `Debug` form,
+/// so the folded hash holds how each `SelectorKind` prints as well as
+/// what its solves decided; the label is the one each setting's solves
+/// are counted under.
+#[test]
+fn every_selector_keeps_its_checkpoint_bytes_and_metric_label() {
+    let settings = [
+        (SelectorKind::Dp { candidate_cap: Some(14) }, "dp"),
+        (SelectorKind::exact_dp(), "dp"),
+        (SelectorKind::Greedy, "greedy"),
+        (SelectorKind::GreedyTwoOpt, "greedy+2opt"),
+        (SelectorKind::Insertion, "insertion"),
+        (SelectorKind::BranchBound, "branch-bound"),
+    ];
+    let mut hashes = Vec::new();
+    for (selector, label) in settings {
+        let scenario = Scenario::paper_default()
+            .with_users(15)
+            .with_tasks(6)
+            .with_max_rounds(3)
+            .with_selector(selector)
+            .with_seed(23);
+        let recorder = Recorder::enabled();
+        let mut engine = Engine::new(&scenario, &recorder).unwrap();
+        engine.step_round().unwrap();
+        hashes.extend(fnv1a64(&engine.checkpoint().unwrap()).to_le_bytes());
+        // No task is complete or contributed to in round 1, so every
+        // user solves once.
+        let solves =
+            recorder.snapshot().counter_value("selector_solves_total", Some(("selector", label)));
+        assert_eq!(solves, Some(15), "{selector:?}");
+    }
+    assert_eq!(fnv1a64(&hashes), 0xc1d6_fd3b_7aa4_c7e9);
 }
 
 #[test]

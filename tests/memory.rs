@@ -265,13 +265,13 @@ fn warmed_exact_solves_allocate_only_their_route() {
         })
         .collect();
     for instance in &instances {
-        orienteering::solve_exact_with_stats(instance).unwrap();
+        orienteering::solve_exact(instance).unwrap();
     }
     let mut routes = 0;
     for (k, instance) in instances.iter().enumerate() {
         let _tag = PhaseGuard::enter(AllocPhase::Selection);
         let before = alloc::phase_totals(AllocPhase::Selection);
-        let (solution, _) = orienteering::solve_exact_with_stats(instance).unwrap();
+        let (solution, _) = orienteering::solve_exact(instance).unwrap();
         let after = alloc::phase_totals(AllocPhase::Selection);
         let route = u64::from(!solution.order.is_empty());
         assert_eq!(after.allocs - before.allocs, route, "solve {k} allocated beyond its route");
