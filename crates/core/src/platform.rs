@@ -1,4 +1,4 @@
-use std::collections::HashSet;
+use std::borrow::Cow;
 
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
@@ -58,20 +58,22 @@ pub struct RoundContext {
 
 /// The platform's mutable state at a round boundary, as captured by
 /// [`Platform::export_state`] and replayed by
-/// [`Platform::restore_state`]. All collections are indexed by task id;
-/// contributor lists are sorted so equal platforms export equal states.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PlatformState {
+/// [`Platform::restore_state`]. All collections are indexed by task id.
+/// An export borrows the platform's own vectors, so capturing state
+/// copies nothing but the mechanism's blob; a decoder builds an owned
+/// one for restore.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PlatformState<'a> {
     /// Measurements received so far, per task.
-    pub received: Vec<u32>,
+    pub received: Cow<'a, [u32]>,
     /// Round at which each task completed, if it has.
-    pub completed_round: Vec<Option<u32>>,
-    /// Sorted contributing user ids, per task.
-    pub contributors: Vec<Vec<usize>>,
+    pub completed_round: Cow<'a, [Option<u32>]>,
+    /// Contributing users per task, strictly increasing.
+    pub contributors: Cow<'a, [Vec<UserId>]>,
     /// Rewards currently published (0 for unpublished tasks).
-    pub current_rewards: Vec<f64>,
+    pub current_rewards: Cow<'a, [f64]>,
     /// Per-task, per-round measurement counts.
-    pub round_receipts: Vec<Vec<u32>>,
+    pub round_receipts: Cow<'a, [Vec<u32>]>,
     /// Rounds opened so far.
     pub round: u32,
     /// Total rewards paid.
@@ -100,7 +102,8 @@ pub struct Platform<M> {
     received: Vec<u32>,
     /// Round at which each task reached `φ_i` measurements, if ever.
     completed_round: Vec<Option<u32>>,
-    contributors: Vec<HashSet<UserId>>,
+    /// Users who contributed to each task, strictly increasing.
+    contributors: Vec<Vec<UserId>>,
     /// Rewards currently published, per task (0 for unpublished tasks).
     current_rewards: Vec<f64>,
     /// Measurement counts per task per round, for round-resolved metrics.
@@ -172,7 +175,7 @@ impl<M: IncentiveMechanism> Platform<M> {
             specs,
             received: vec![0; m],
             completed_round: vec![None; m],
-            contributors: vec![HashSet::new(); m],
+            contributors: vec![Vec::new(); m],
             current_rewards: vec![0.0; m],
             round_receipts: vec![Vec::new(); m],
             area,
@@ -414,33 +417,26 @@ impl<M: IncentiveMechanism> Platform<M> {
         Ok(published)
     }
 
-    /// Serializes the platform's mutable state at a round boundary, for
-    /// checkpointing. Contributor sets are exported as sorted id lists
-    /// so the state is canonical; the cell sweep's state is a perf-only
-    /// cache (both indexing modes agree exactly) and is rebuilt on
-    /// demand after a restore rather than exported.
+    /// The platform's mutable state at a round boundary, for
+    /// checkpointing: borrowed, so nothing is copied but the mechanism's
+    /// blob. Contributor lists are kept sorted, so equal platforms
+    /// export equal states. The cell sweep's state is a perf-only cache
+    /// (both indexing modes agree exactly) and is rebuilt on demand
+    /// after a restore rather than exported.
     ///
     /// # Errors
     ///
     /// [`CoreError::RoundNotOpen`] if called mid-round.
-    pub fn export_state(&self) -> Result<PlatformState, CoreError> {
+    pub fn export_state(&self) -> Result<PlatformState<'_>, CoreError> {
         if self.round_open {
             return Err(CoreError::RoundNotOpen);
         }
         Ok(PlatformState {
-            received: self.received.clone(),
-            completed_round: self.completed_round.clone(),
-            contributors: self
-                .contributors
-                .iter()
-                .map(|set| {
-                    let mut ids: Vec<usize> = set.iter().map(|u| u.0).collect();
-                    ids.sort_unstable();
-                    ids
-                })
-                .collect(),
-            current_rewards: self.current_rewards.clone(),
-            round_receipts: self.round_receipts.clone(),
+            received: Cow::Borrowed(&self.received),
+            completed_round: Cow::Borrowed(&self.completed_round),
+            contributors: Cow::Borrowed(&self.contributors),
+            current_rewards: Cow::Borrowed(&self.current_rewards),
+            round_receipts: Cow::Borrowed(&self.round_receipts),
             round: self.round,
             total_paid: self.total_paid,
             spend_cap: self.spend_cap,
@@ -451,14 +447,17 @@ impl<M: IncentiveMechanism> Platform<M> {
     /// Restores state captured by [`Platform::export_state`] onto a
     /// freshly built platform over the same task book. The spend cap is
     /// taken from the state verbatim (it may differ from the configured
-    /// budget after a mid-campaign budget shock).
+    /// budget after a mid-campaign budget shock). An owned state moves
+    /// in without a copy. Each contributor list must be strictly
+    /// increasing, as exported: [`submit`](Self::submit) binary-searches
+    /// them.
     ///
     /// # Errors
     ///
     /// [`CoreError::InvalidCount`] if the state's per-task vectors do
     /// not match the task book; any error of the mechanism's own
     /// [`IncentiveMechanism::restore_state`].
-    pub fn restore_state(&mut self, state: PlatformState) -> Result<(), CoreError> {
+    pub fn restore_state(&mut self, state: PlatformState<'_>) -> Result<(), CoreError> {
         let m = self.specs.len();
         if state.received.len() != m
             || state.completed_round.len() != m
@@ -472,15 +471,11 @@ impl<M: IncentiveMechanism> Platform<M> {
             });
         }
         self.mechanism.restore_state(&state.mechanism)?;
-        self.received = state.received;
-        self.completed_round = state.completed_round;
-        self.contributors = state
-            .contributors
-            .into_iter()
-            .map(|ids| ids.into_iter().map(UserId).collect())
-            .collect();
-        self.current_rewards = state.current_rewards;
-        self.round_receipts = state.round_receipts;
+        self.received = state.received.into_owned();
+        self.completed_round = state.completed_round.into_owned();
+        self.contributors = state.contributors.into_owned();
+        self.current_rewards = state.current_rewards.into_owned();
+        self.round_receipts = state.round_receipts.into_owned();
         self.round = state.round;
         self.round_open = false;
         self.total_paid = state.total_paid;
@@ -546,9 +541,11 @@ impl<M: IncentiveMechanism> Platform<M> {
         if reward > self.remaining_budget() {
             return Err(CoreError::BudgetExhausted { task, remaining: self.remaining_budget() });
         }
-        if !self.contributors[i].insert(user) {
+        let contributors = &mut self.contributors[i];
+        let Err(at) = contributors.binary_search(&user) else {
             return Err(CoreError::DuplicateContribution { user, task });
-        }
+        };
+        contributors.insert(at, user);
         self.received[i] += 1;
         *self.round_receipts[i].last_mut().expect("round receipts opened") += 1;
         if self.received[i] >= spec.required() {
@@ -621,7 +618,7 @@ impl<M: IncentiveMechanism> Platform<M> {
     ///
     /// [`CoreError::UnknownTask`] for an unknown id.
     pub fn contributor_count(&self, task: TaskId) -> Result<usize, CoreError> {
-        self.contributors.get(task.0).map(HashSet::len).ok_or(CoreError::UnknownTask(task))
+        self.contributors.get(task.0).map(Vec::len).ok_or(CoreError::UnknownTask(task))
     }
 
     /// The mechanism, for inspection.
@@ -1022,9 +1019,9 @@ mod tests {
         assert!(matches!(p.export_state(), Err(CoreError::RoundNotOpen)));
         p.finish_round();
         let mut state = p.export_state().unwrap();
-        state.received.pop();
+        state.received.to_mut().pop();
         assert!(matches!(
-            p.restore_state(state),
+            platform().restore_state(state),
             Err(CoreError::InvalidCount { name: "platform state tasks", .. })
         ));
     }

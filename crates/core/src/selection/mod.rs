@@ -155,7 +155,7 @@ impl SelectionProblem {
         cost_per_meter: f64,
     ) -> Result<Self, CoreError> {
         let locations: Vec<Point> = tasks.iter().map(|t| t.location).collect();
-        let costs = CostMatrix::from_points(location, &locations);
+        let costs = CostMatrix::from_points(location, locations);
         SelectionProblem::with_costs(location, tasks, costs, time_budget, speed, cost_per_meter)
     }
 

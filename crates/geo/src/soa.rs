@@ -86,6 +86,12 @@ impl PositionStore {
         }
     }
 
+    /// An empty store with room for `capacity` positions.
+    #[must_use]
+    pub fn with_capacity(capacity: usize) -> Self {
+        PositionStore { xs: Vec::with_capacity(capacity), ys: Vec::with_capacity(capacity) }
+    }
+
     /// Number of positions held.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -171,14 +177,11 @@ impl FromIterator<Point> for PositionStore {
     /// of growing it by doubling.
     fn from_iter<I: IntoIterator<Item = Point>>(iter: I) -> Self {
         let iter = iter.into_iter();
-        let (len, _) = iter.size_hint();
-        let mut xs = Vec::with_capacity(len);
-        let mut ys = Vec::with_capacity(len);
+        let mut store = PositionStore::with_capacity(iter.size_hint().0);
         for p in iter {
-            xs.push(p.x);
-            ys.push(p.y);
+            store.push(p);
         }
-        PositionStore { xs, ys }
+        store
     }
 }
 

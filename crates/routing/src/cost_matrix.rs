@@ -1,3 +1,5 @@
+use std::borrow::Cow;
+
 use serde::{Deserialize, Serialize};
 
 use paydemand_geo::{DistanceMatrix, Point};
@@ -48,12 +50,15 @@ enum TaskDistances {
 }
 
 impl CostMatrix {
-    /// Builds the matrix from the start point and task locations.
+    /// Builds the matrix from the start point and task locations. The
+    /// matrix keeps the locations: a `Vec` moves in, a borrowed slice is
+    /// copied.
     #[must_use]
-    pub fn from_points(start: Point, task_locations: &[Point]) -> Self {
+    pub fn from_points<'a>(start: Point, task_locations: impl Into<Cow<'a, [Point]>>) -> Self {
+        let points = task_locations.into().into_owned();
         CostMatrix {
-            start: task_locations.iter().map(|&t| start.distance(t)).collect(),
-            tasks: TaskDistances::Points(task_locations.to_vec()),
+            start: points.iter().map(|&t| start.distance(t)).collect(),
+            tasks: TaskDistances::Points(points),
         }
     }
 

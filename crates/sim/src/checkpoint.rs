@@ -44,16 +44,29 @@
 //! is refused by its version. Decoding never panics on corrupt input:
 //! every read goes through a bounds-checked [`Cursor`] and surfaces
 //! [`SimError::Checkpoint`].
+//!
+//! State moves in bulk. [`encode`] counts the file's exact length
+//! first and allocates it once, then writes each run of fixed-size
+//! fields (locations, per-task arrays, contributor lists, round
+//! entries, the retry queue) as one slice, straight from the engine's
+//! vectors and the platform's borrowed [`PlatformState`]. [`resume`]
+//! reads those runs back with one bounds check each, into vectors
+//! allocated at their final length from counts already checked: m and
+//! n against the workload the scenario draws, every other count
+//! against the bytes that remain. It also refuses what a run could not
+//! have held: a position or waypoint outside the area, and a sorted id
+//! list (a user's contributed tasks, a task's contributors) that is not
+//! strictly increasing or names an unknown id.
 
 use std::sync::OnceLock;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use paydemand_core::{PlatformState, TaskId};
+use paydemand_core::{PlatformState, TaskId, UserId};
 use paydemand_faults::FaultInjector;
 use paydemand_geo::mobility::RandomWaypoint;
-use paydemand_geo::Point;
+use paydemand_geo::{Point, PositionStore, Rect};
 use paydemand_obs::Recorder;
 
 use crate::engine::{build_mechanism, EngineInstruments, PendingUpload};
@@ -65,6 +78,9 @@ use crate::{Scenario, SimError, UserMotion, Workload};
 const VERSION: u8 = 2;
 const HEADER: Header = Header { magic: *b"PDCK", version: VERSION };
 const TRAILER_LEN: usize = 8;
+/// Bytes before the locations: the header, fingerprint, round, done
+/// flag, both RNGs, m, n and the workload hash.
+const PREFIX_LEN: usize = 5 + 8 + 4 + 1 + 2 * 32 + 4 + 4 + 8;
 
 /// FNV-1a 64 over the scenario's `Debug` rendering: cheap, stable
 /// within a build, and sensitive to every scenario field including the
@@ -110,30 +126,133 @@ impl From<CursorError> for SimError {
     }
 }
 
-fn put_point(buf: &mut Vec<u8>, p: Point) {
-    buf.put_f64_le(p.x);
-    buf.put_f64_le(p.y);
-}
-
 fn put_rng_state(buf: &mut Vec<u8>, state: [u64; 4]) {
     for word in state {
         buf.put_u64_le(word);
     }
 }
 
-/// Serialises `engine` at its current round boundary.
+/// Appends a run of fixed-size chunks in one resize of `buf`: one
+/// capacity check for the run instead of one per field.
+fn put_chunks<const N: usize>(buf: &mut Vec<u8>, chunks: impl ExactSizeIterator<Item = [u8; N]>) {
+    let at = buf.len();
+    buf.resize(at + N * chunks.len(), 0);
+    for (slot, chunk) in buf[at..].as_chunks_mut().0.iter_mut().zip(chunks) {
+        *slot = chunk;
+    }
+}
+
+/// `fields` end to end, as one `N`-byte chunk.
+#[inline]
+fn chunk<const N: usize>(fields: &[&[u8]]) -> [u8; N] {
+    let mut out = [0; N];
+    let mut at = 0;
+    for field in fields {
+        out[at..at + field.len()].copy_from_slice(field);
+        at += field.len();
+    }
+    assert_eq!(at, N, "fields do not fill the chunk");
+    out
+}
+
+/// A `u32` count, then the ids one by one: lists are short, so a resize
+/// per list would cost more than its ids.
+fn put_list(buf: &mut Vec<u8>, ids: impl ExactSizeIterator<Item = u32>) {
+    buf.extend_from_slice(&(ids.len() as u32).to_le_bytes());
+    for id in ids {
+        buf.extend_from_slice(&id.to_le_bytes());
+    }
+}
+
+/// A 0/1 flag, then `value`'s bytes when it is present.
+fn put_flagged<const N: usize>(buf: &mut Vec<u8>, value: Option<[u8; N]>) {
+    match value {
+        Some(bytes) => {
+            buf.push(1);
+            buf.extend_from_slice(&bytes);
+        }
+        None => buf.push(0),
+    }
+}
+
+/// The encoded length of a flagged field of `len` bytes.
+fn flagged_len<T>(value: &Option<T>, len: usize) -> usize {
+    1 + if value.is_some() { len } else { 0 }
+}
+
+/// The encoded length of lists written by [`put_list`].
+fn lists_len<T>(lists: &[Vec<T>]) -> usize {
+    lists.iter().map(|list| 4 + 4 * list.len()).sum()
+}
+
+fn point_bytes(p: Point) -> [u8; 16] {
+    chunk(&[&p.x.to_le_bytes(), &p.y.to_le_bytes()])
+}
+
+/// The exact length of `engine`'s checkpoint, trailer included, given
+/// how many users contributed and to how many tasks in all.
+fn encoded_len(engine: &Engine, state: &PlatformState<'_>, contributed: (usize, usize)) -> usize {
+    let (m, n) = (engine.workload.tasks.len(), engine.workload.users.len());
+    let wander: usize = engine.wander.iter().map(|w| 8 + flagged_len(&w.waypoint(), 16)).sum();
+    let rounds: usize = engine
+        .rounds
+        .iter()
+        .map(|rr| {
+            let rewards: usize = rr.rewards.iter().map(|r| flagged_len(r, 8)).sum();
+            4 + rewards + 4 * m + 4 + 16 * rr.users.len()
+        })
+        .sum();
+    let completed: usize = state.completed_round.iter().map(|c| flagged_len(c, 4)).sum();
+    let platform = 4 * m
+        + completed
+        + lists_len(&state.contributors)
+        + 8 * m
+        + lists_len(&state.round_receipts)
+        + 4
+        + 8
+        + flagged_len(&state.spend_cap, 8)
+        + 4
+        + state.mechanism.len();
+    PREFIX_LEN
+        + 16 * n
+        + 4
+        + 8 * contributed.0
+        + 4 * contributed.1
+        + 28 * m
+        + 1
+        + wander
+        + 4
+        + rounds
+        + platform
+        + flagged_len(&engine.injector, 32)
+        + 4
+        + 24 * engine.pending.len()
+        + TRAILER_LEN
+}
+
+/// Serialises `engine` at its current round boundary into one buffer
+/// of the checkpoint's exact length. Each run of fixed-size fields
+/// (locations, per-task arrays, contributor lists, round entries) is
+/// written as one slice, straight from the engine's and the platform's
+/// own vectors.
 pub(crate) fn encode(engine: &Engine) -> Result<Vec<u8>, SimError> {
     let state = engine.platform.export_state().map_err(|e| {
         SimError::checkpoint(format!("platform state not at a round boundary: {e}"))
     })?;
     let w = &engine.workload;
-    let m = w.tasks.len();
-    let n = w.users.len();
-    let per_user = if engine.wander.is_empty() { 16 } else { 41 };
-    let mut buf = Vec::with_capacity(1024 + per_user * n + (64 + 16 * engine.rounds.len()) * m);
+    let (m, n) = (w.tasks.len(), w.users.len());
+    // Contributing users and their ids in all, counted without a branch
+    // per user.
+    let contributed = engine.contributed.iter().fold((0, 0), |(users, ids), list| {
+        (users + usize::from(!list.is_empty()), ids + list.len())
+    });
+    let len = encoded_len(engine, &state, contributed);
+    let mut buf = Vec::with_capacity(len);
 
     buf.put_slice(&HEADER.bytes());
-    buf.put_u64_le(scenario_fingerprint(&engine.scenario));
+    buf.put_u64_le(
+        *engine.scenario_fingerprint.get_or_init(|| scenario_fingerprint(&engine.scenario)),
+    );
     buf.put_u32_le(engine.next_round);
     buf.put_u8(u8::from(engine.done));
     put_rng_state(&mut buf, engine.rng.to_state());
@@ -144,104 +263,64 @@ pub(crate) fn encode(engine: &Engine) -> Result<Vec<u8>, SimError> {
     buf.put_u32_le(n as u32);
     buf.put_u64_le(*engine.workload_hash.get_or_init(|| workload_hash(w)));
 
-    for p in engine.locations.iter() {
-        put_point(&mut buf, p);
+    let (xs, ys) = (engine.locations.xs(), engine.locations.ys());
+    put_chunks(&mut buf, xs.iter().zip(ys).map(|(x, y)| point_bytes(Point::new(*x, *y))));
+    buf.put_u32_le(contributed.0 as u32);
+    for (user, ids) in engine.contributed.iter().enumerate().filter(|(_, ids)| !ids.is_empty()) {
+        buf.extend_from_slice(&(user as u32).to_le_bytes());
+        put_list(&mut buf, ids.iter().map(|id| id.0 as u32));
     }
-    let contributors = engine.contributed.iter().enumerate().filter(|(_, ids)| !ids.is_empty());
-    buf.put_u32_le(contributors.clone().count() as u32);
-    for (user, ids) in contributors {
-        buf.put_u32_le(user as u32);
-        buf.put_u32_le(ids.len() as u32);
-        for id in ids {
-            buf.put_u32_le(id.0 as u32);
-        }
-    }
-    for &q in &engine.quality_received {
-        buf.put_f64_le(q);
-    }
-    for e in &engine.estimates {
-        buf.put_u32_le(e.count);
-        buf.put_f64_le(e.sum);
-        buf.put_f64_le(e.sum_sq);
-    }
+    put_chunks(&mut buf, engine.quality_received.iter().map(|q| q.to_le_bytes()));
+    put_chunks(
+        &mut buf,
+        engine.estimates.iter().map(|e| {
+            chunk::<20>(&[&e.count.to_le_bytes(), &e.sum.to_le_bytes(), &e.sum_sq.to_le_bytes()])
+        }),
+    );
 
     // Wander state, present only for Wander motion.
-    if engine.wander.is_empty() {
-        buf.put_u8(0);
-    } else {
-        buf.put_u8(1);
-        for walker in &engine.wander {
-            buf.put_f64_le(walker.speed());
-            match walker.waypoint() {
-                Some(p) => {
-                    buf.put_u8(1);
-                    put_point(&mut buf, p);
-                }
-                None => buf.put_u8(0),
-            }
-        }
+    buf.put_u8(u8::from(!engine.wander.is_empty()));
+    for walker in &engine.wander {
+        buf.extend_from_slice(&walker.speed().to_le_bytes());
+        put_flagged(&mut buf, walker.waypoint().map(point_bytes));
     }
 
     // Completed round records.
     buf.put_u32_le(engine.rounds.len() as u32);
     for rr in &engine.rounds {
-        buf.put_u32_le(rr.round);
+        buf.extend_from_slice(&rr.round.to_le_bytes());
         for reward in &rr.rewards {
-            match reward {
-                Some(v) => {
-                    buf.put_u8(1);
-                    buf.put_f64_le(*v);
-                }
-                None => buf.put_u8(0),
-            }
+            put_flagged(&mut buf, reward.map(f64::to_le_bytes));
         }
-        for &c in &rr.new_measurements {
-            buf.put_u32_le(c);
-        }
-        buf.put_u32_le(rr.users.len() as u32);
-        for u in &rr.users {
-            buf.put_u32_le(u.user);
-            buf.put_f64_le(u.profit);
-            buf.put_u32_le(u.selected);
-        }
+        put_chunks(&mut buf, rr.new_measurements.iter().map(|c| c.to_le_bytes()));
+        buf.extend_from_slice(&(rr.users.len() as u32).to_le_bytes());
+        put_chunks(
+            &mut buf,
+            rr.users.iter().map(|u| {
+                chunk::<16>(&[
+                    &u.user.to_le_bytes(),
+                    &u.profit.to_le_bytes(),
+                    &u.selected.to_le_bytes(),
+                ])
+            }),
+        );
     }
-    // Platform state.
-    for &r in &state.received {
-        buf.put_u32_le(r);
+
+    // Platform state, borrowed from the platform.
+    put_chunks(&mut buf, state.received.iter().map(|r| r.to_le_bytes()));
+    for round in state.completed_round.iter() {
+        put_flagged(&mut buf, round.map(u32::to_le_bytes));
     }
-    for cr in &state.completed_round {
-        match cr {
-            Some(round) => {
-                buf.put_u8(1);
-                buf.put_u32_le(*round);
-            }
-            None => buf.put_u8(0),
-        }
+    for users in state.contributors.iter() {
+        put_list(&mut buf, users.iter().map(|u| u.0 as u32));
     }
-    for ids in &state.contributors {
-        buf.put_u32_le(ids.len() as u32);
-        for &id in ids {
-            buf.put_u32_le(id as u32);
-        }
-    }
-    for &r in &state.current_rewards {
-        buf.put_f64_le(r);
-    }
-    for receipts in &state.round_receipts {
-        buf.put_u32_le(receipts.len() as u32);
-        for &r in receipts {
-            buf.put_u32_le(r);
-        }
+    put_chunks(&mut buf, state.current_rewards.iter().map(|r| r.to_le_bytes()));
+    for receipts in state.round_receipts.iter() {
+        put_list(&mut buf, receipts.iter().copied());
     }
     buf.put_u32_le(state.round);
     buf.put_f64_le(state.total_paid);
-    match state.spend_cap {
-        Some(cap) => {
-            buf.put_u8(1);
-            buf.put_f64_le(cap);
-        }
-        None => buf.put_u8(0),
-    }
+    put_flagged(&mut buf, state.spend_cap.map(f64::to_le_bytes));
     buf.put_u32_le(state.mechanism.len() as u32);
     buf.put_slice(&state.mechanism);
 
@@ -257,16 +336,22 @@ pub(crate) fn encode(engine: &Engine) -> Result<Vec<u8>, SimError> {
 
     // Retry queue.
     buf.put_u32_le(engine.pending.len() as u32);
-    for up in &engine.pending {
-        buf.put_u32_le(up.user as u32);
-        buf.put_u32_le(up.task.0 as u32);
-        buf.put_f64_le(up.value);
-        buf.put_u32_le(up.attempts);
-        buf.put_u32_le(up.due_round);
-    }
+    put_chunks(
+        &mut buf,
+        engine.pending.iter().map(|up| {
+            chunk::<24>(&[
+                &(up.user as u32).to_le_bytes(),
+                &(up.task.0 as u32).to_le_bytes(),
+                &up.value.to_le_bytes(),
+                &up.attempts.to_le_bytes(),
+                &up.due_round.to_le_bytes(),
+            ])
+        }),
+    );
 
     let sum = checksum(&buf);
     buf.put_u64_le(sum);
+    debug_assert_eq!(buf.len(), len, "checkpoint length miscounted");
     Ok(buf)
 }
 
@@ -280,6 +365,24 @@ fn rng_state(r: &mut Cursor<'_>) -> Result<[u64; 4], CursorError> {
     Ok([r.u64()?, r.u64()?, r.u64()?, r.u64()?])
 }
 
+fn u32s(chunks: &[[u8; 4]]) -> Vec<u32> {
+    chunks.iter().map(|c| u32::from_le_bytes(*c)).collect()
+}
+
+fn f64s(chunks: &[[u8; 8]]) -> Vec<f64> {
+    chunks.iter().map(|c| f64::from_le_bytes(*c)).collect()
+}
+
+/// `p`, if it lies in `area`. Every position a run holds does (its
+/// placement, validated moves and clamped walks keep it there), and an
+/// engine resumed with one outside would fail its next demand count.
+fn inside(area: Rect, p: Point, what: &str, user: usize) -> Result<Point, SimError> {
+    if area.contains(p) {
+        return Ok(p);
+    }
+    Err(SimError::checkpoint(format!("user {user}'s {what} {p} lies outside the area")))
+}
+
 /// Reads a user id that must name one of `n` users and, within one
 /// sparse list, come after `prev`.
 fn next_user(r: &mut Cursor<'_>, prev: Option<u32>, n: usize) -> Result<u32, SimError> {
@@ -290,8 +393,36 @@ fn next_user(r: &mut Cursor<'_>, prev: Option<u32>, n: usize) -> Result<u32, Sim
     Ok(user)
 }
 
+/// Reads `k` ids, each below `bound` and above the one before it, as
+/// the engine and the platform keep their lists for binary search;
+/// `refusal` names the first id that is not.
+fn ascending<T>(
+    r: &mut Cursor<'_>,
+    k: usize,
+    bound: usize,
+    id: impl Fn(usize) -> T,
+    refusal: impl Fn(usize) -> String,
+) -> Result<Vec<T>, SimError> {
+    let words = r.chunks::<4>(k)?;
+    let mut ids = Vec::with_capacity(k);
+    let mut least = 0;
+    for word in words {
+        let raw = u32::from_le_bytes(*word) as usize;
+        if raw < least || raw >= bound {
+            return Err(SimError::checkpoint(refusal(raw)));
+        }
+        least = raw + 1;
+        ids.push(id(raw));
+    }
+    Ok(ids)
+}
+
 /// Rebuilds an engine from `bytes` under `scenario`; see
 /// [`Engine::resume`].
+///
+/// Every vector is allocated once, at its final length, from a count
+/// already checked: m and n against the workload the scenario draws,
+/// every other count against the bytes that remain.
 pub(crate) fn resume(
     scenario: &Scenario,
     bytes: &[u8],
@@ -349,45 +480,32 @@ pub(crate) fn resume(
             "workload does not match the checkpointed run (workload hash mismatch)",
         ));
     }
+    let area = workload.area;
 
-    let mut locations = paydemand_geo::PositionStore::default();
-    for _ in 0..n {
-        locations.push(point(&mut r)?);
+    let mut locations = PositionStore::with_capacity(n);
+    for (user, [x, y]) in r.chunks::<8>(2 * n)?.as_chunks::<2>().0.iter().enumerate() {
+        let p = Point::new(f64::from_le_bytes(*x), f64::from_le_bytes(*y));
+        locations.push(inside(area, p, "position", user)?);
     }
     let mut contributed: Vec<Vec<TaskId>> = vec![Vec::new(); n];
     let mut prev = None;
     for _ in 0..r.u32()? {
         let user = next_user(&mut r, prev, n)?;
         prev = Some(user);
-        let k = r.u32()?;
+        let k = r.u32()? as usize;
         // `encode` writes only users who contributed: an empty list
         // would resume, then checkpoint without this entry.
         if k == 0 {
             return Err(SimError::checkpoint(format!("user {user}'s contributed list is empty")));
         }
-        // The engine binary-searches these lists, so each must be
-        // strictly increasing task ids of this workload.
-        let ids = &mut contributed[user as usize];
-        for _ in 0..k {
-            let id = r.u32()? as usize;
-            if id >= m || ids.last().is_some_and(|last| id <= last.0) {
-                return Err(SimError::checkpoint(format!(
-                    "user {user}'s contributed task {id} is unknown or out of order"
-                )));
-            }
-            ids.push(TaskId(id));
-        }
+        contributed[user as usize] = ascending(&mut r, k, m, TaskId, |id| {
+            format!("user {user}'s contributed task {id} is unknown or out of order")
+        })?;
     }
-    let mut quality_received = Vec::new();
+    let quality_received = f64s(r.chunks(m)?);
+    let mut estimates = Vec::with_capacity(m);
     for _ in 0..m {
-        quality_received.push(r.f64()?);
-    }
-    let mut estimates = Vec::new();
-    for _ in 0..m {
-        let count = r.u32()?;
-        let sum = r.f64()?;
-        let sum_sq = r.f64()?;
-        estimates.push(Estimate { count, sum, sum_sq });
+        estimates.push(Estimate { count: r.u32()?, sum: r.f64()?, sum_sq: r.f64()? });
     }
 
     let wander = if r.flag()? {
@@ -395,13 +513,17 @@ pub(crate) fn resume(
             return Err(SimError::checkpoint("wander state present for a non-wander scenario"));
         }
         let mut states = Vec::with_capacity(n);
-        for _ in 0..n {
+        for user in 0..n {
             let speed = r.f64()?;
             // `with_waypoint` panics on a speed it could not walk at.
             if !(speed.is_finite() && speed > 0.0) {
                 return Err(SimError::checkpoint(format!("bad wander speed {speed}")));
             }
-            let waypoint = if r.flag()? { Some(point(&mut r)?) } else { None };
+            let waypoint = if r.flag()? {
+                Some(inside(area, point(&mut r)?, "waypoint", user)?)
+            } else {
+                None
+            };
             states.push(RandomWaypoint::with_waypoint(speed, waypoint));
         }
         states
@@ -412,60 +534,48 @@ pub(crate) fn resume(
         Vec::new()
     };
 
+    // A round record holds at least its number, m flags, m counts and
+    // its entry count.
     let round_count = r.u32()? as usize;
-    let mut rounds = Vec::new();
+    r.need(round_count.saturating_mul(5 * m + 8))?;
+    let mut rounds = Vec::with_capacity(round_count);
     for _ in 0..round_count {
         let round = r.u32()?;
-        let mut rewards = Vec::new();
+        let mut rewards = Vec::with_capacity(m);
         for _ in 0..m {
             rewards.push(if r.flag()? { Some(r.f64()?) } else { None });
         }
-        let mut new_measurements = Vec::new();
-        for _ in 0..m {
-            new_measurements.push(r.u32()?);
-        }
-        let mut users = Vec::new();
+        let new_measurements = u32s(r.chunks(m)?);
+        let entries = r.u32()? as usize;
+        r.need(entries.saturating_mul(16))?;
+        let mut users = Vec::with_capacity(entries);
         let mut prev = None;
-        for _ in 0..r.u32()? {
+        for _ in 0..entries {
             let user = next_user(&mut r, prev, n)?;
             prev = Some(user);
-            let profit = r.f64()?;
-            let selected = r.u32()?;
-            users.push(UserRound { user, profit, selected });
+            users.push(UserRound { user, profit: r.f64()?, selected: r.u32()? });
         }
         rounds.push(RoundRecord { round, rewards, new_measurements, users });
     }
 
     // Platform state.
-    let mut received = Vec::new();
-    for _ in 0..m {
-        received.push(r.u32()?);
-    }
-    let mut completed_round = Vec::new();
+    let received = u32s(r.chunks(m)?);
+    let mut completed_round = Vec::with_capacity(m);
     for _ in 0..m {
         completed_round.push(if r.flag()? { Some(r.u32()?) } else { None });
     }
-    let mut contributors = Vec::new();
+    let mut contributors = Vec::with_capacity(m);
+    for task in 0..m {
+        let k = r.u32()? as usize;
+        contributors.push(ascending(&mut r, k, n, UserId, |user| {
+            format!("task {task}'s contributor {user} is unknown or out of order")
+        })?);
+    }
+    let current_rewards = f64s(r.chunks(m)?);
+    let mut round_receipts = Vec::with_capacity(m);
     for _ in 0..m {
         let k = r.u32()? as usize;
-        let mut ids = Vec::new();
-        for _ in 0..k {
-            ids.push(r.u32()? as usize);
-        }
-        contributors.push(ids);
-    }
-    let mut current_rewards = Vec::new();
-    for _ in 0..m {
-        current_rewards.push(r.f64()?);
-    }
-    let mut round_receipts = Vec::new();
-    for _ in 0..m {
-        let k = r.u32()? as usize;
-        let mut receipts = Vec::new();
-        for _ in 0..k {
-            receipts.push(r.u32()?);
-        }
-        round_receipts.push(receipts);
+        round_receipts.push(u32s(r.chunks(k)?));
     }
     let platform_round = r.u32()?;
     let total_paid = r.f64()?;
@@ -473,11 +583,11 @@ pub(crate) fn resume(
     let mech_len = r.u32()? as usize;
     let mechanism_state = r.take(mech_len)?.to_vec();
     let state = PlatformState {
-        received,
-        completed_round,
-        contributors,
-        current_rewards,
-        round_receipts,
+        received: received.into(),
+        completed_round: completed_round.into(),
+        contributors: contributors.into(),
+        current_rewards: current_rewards.into(),
+        round_receipts: round_receipts.into(),
         round: platform_round,
         total_paid,
         spend_cap,
@@ -487,7 +597,8 @@ pub(crate) fn resume(
     let injector_state = if r.flag()? { Some(rng_state(&mut r)?) } else { None };
 
     let pending_count = r.u32()? as usize;
-    let mut pending = Vec::new();
+    r.need(pending_count.saturating_mul(24))?;
+    let mut pending = Vec::with_capacity(pending_count);
     for _ in 0..pending_count {
         let user = r.u32()? as usize;
         let task = TaskId(r.u32()? as usize);
@@ -557,6 +668,7 @@ pub(crate) fn resume(
 
     Ok(Engine {
         scenario: scenario.clone(),
+        scenario_fingerprint: OnceLock::from(fingerprint),
         workload,
         workload_hash: OnceLock::from(hash),
         rng: StdRng::from_state(main_rng_state),
@@ -823,6 +935,97 @@ mod tests {
             });
             assert!(refusal(&s, &damaged).contains("bad wander speed"), "speed {speed}");
         }
+    }
+
+    /// Bytes of an engine's `contributed` section: its count, then
+    /// `user | k | k task ids` per contributing user.
+    fn contributed_len(engine: &Engine) -> usize {
+        let lists = engine.contributed.iter().filter(|ids| !ids.is_empty());
+        4 + lists.map(|ids| 8 + 4 * ids.len()).sum::<usize>()
+    }
+
+    #[test]
+    fn signed_positions_and_waypoints_outside_the_area_are_refused() {
+        // Every position a run holds lies in the area. One outside it,
+        // NaN included, used to resume and fail the next demand count.
+        let mut s = scenario();
+        s.user_motion = UserMotion::Wander { seconds: 60.0 };
+        let mut engine = Engine::new(&s, &Recorder::disabled()).unwrap();
+        engine.step_round().unwrap();
+        let bytes = engine.checkpoint().unwrap();
+        let (m, n) = (engine.workload.tasks.len(), engine.workload.users.len());
+        // User 0's position opens the locations; its waypoint follows
+        // the wander flag, its speed and its waypoint flag.
+        let position = contributed_at(0);
+        assert_eq!(bytes[position..position + 8], engine.locations.point(0).x.to_le_bytes());
+        let waypoint = contributed_at(n) + contributed_len(&engine) + 28 * m + 1 + 8 + 1;
+        let walked_to = engine.wander[0].waypoint().expect("a walked user has a waypoint");
+        assert_eq!(bytes[waypoint..waypoint + 8], walked_to.x.to_le_bytes());
+        for (at, what) in [(position, "user 0's position"), (waypoint, "user 0's waypoint")] {
+            for x in [1e9, -1.0, f64::NAN, f64::INFINITY] {
+                let damaged = resigned(bytes.clone(), |body| {
+                    body[at..at + 8].copy_from_slice(&x.to_le_bytes());
+                });
+                let message = refusal(&s, &damaged);
+                assert!(
+                    message.contains(what) && message.contains("outside the area"),
+                    "{message}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn signed_platform_contributors_that_are_unknown_or_out_of_order_are_refused() {
+        let s = scenario();
+        let mut engine = Engine::new(&s, &Recorder::disabled()).unwrap();
+        engine.step_round().unwrap();
+        let bytes = engine.checkpoint().unwrap();
+        let state = engine.platform.export_state().unwrap();
+        let (m, n) = (engine.workload.tasks.len(), engine.workload.users.len());
+        // The platform's lists sit before its rewards, receipts, round,
+        // total paid, spend cap flag, empty mechanism blob, injector
+        // flag, empty retry queue and the trailer.
+        assert!(state.spend_cap.is_none() && state.mechanism.is_empty());
+        assert!(engine.injector.is_none() && engine.pending.is_empty());
+        let tail = 8 * m + lists_len(&state.round_receipts) + 4 + 8 + 1 + 4 + 1 + 4 + TRAILER_LEN;
+        let mut at = bytes.len() - tail - lists_len(&state.contributors);
+        let (task, users) =
+            state.contributors.iter().enumerate().find(|(_, users)| users.len() >= 2).unwrap();
+        at += lists_len(&state.contributors[..task]);
+        let word =
+            |i: usize| u32::from_le_bytes(bytes[at + 4 * i..at + 4 * i + 4].try_into().unwrap());
+        assert_eq!(word(0) as usize, users.len());
+        assert_eq!((word(1) as usize, word(2) as usize), (users[0].0, users[1].0));
+        for (first, second) in [(word(2), word(1)), (word(1), word(1)), (word(1), n as u32)] {
+            let damaged = resigned(bytes.clone(), |body| {
+                body[at + 4..at + 8].copy_from_slice(&first.to_le_bytes());
+                body[at + 8..at + 12].copy_from_slice(&second.to_le_bytes());
+            });
+            let message = refusal(&s, &damaged);
+            assert!(
+                message.contains(&format!("task {task}'s contributor"))
+                    && message.contains("unknown or out of order"),
+                "users {first}, {second}: {message}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_signed_round_count_beyond_the_file_is_refused_before_allocating() {
+        let s = scenario();
+        let mut engine = Engine::new(&s, &Recorder::disabled()).unwrap();
+        engine.step_round().unwrap();
+        let bytes = engine.checkpoint().unwrap();
+        let (m, n) = (engine.workload.tasks.len(), engine.workload.users.len());
+        // After the contributed lists, the per-task arrays and the
+        // absent wander flag.
+        let at = contributed_at(n) + contributed_len(&engine) + 28 * m + 1;
+        assert_eq!(bytes[at..at + 4], 1u32.to_le_bytes());
+        let damaged = resigned(bytes, |body| {
+            body[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        });
+        assert!(refusal(&s, &damaged).contains("truncated"));
     }
 
     #[test]

@@ -620,6 +620,10 @@ fn nanos_since(start: Instant) -> u64 {
 /// ```
 pub struct Engine {
     pub(crate) scenario: Scenario,
+    /// The checkpoint's fingerprint of `scenario`, taken at the first
+    /// checkpoint (or verified at resume) and kept, like
+    /// `workload_hash`.
+    pub(crate) scenario_fingerprint: OnceLock<u64>,
     pub(crate) workload: Workload,
     /// The checkpoint's hash of `workload`, taken at the first
     /// checkpoint (or verified at resume) and kept: the workload never
@@ -740,6 +744,7 @@ impl Engine {
 
         Ok(Engine {
             scenario: scenario.clone(),
+            scenario_fingerprint: OnceLock::new(),
             workload,
             workload_hash: OnceLock::new(),
             rng,

@@ -93,6 +93,15 @@ impl<'a> Cursor<'a> {
         Ok(head)
     }
 
+    /// Reads the next `count` chunks of `N` bytes in one bounds check.
+    /// A count read off the input is checked against the bytes that
+    /// remain here, before anything is sized from it.
+    #[inline]
+    pub fn chunks<const N: usize>(&mut self, count: usize) -> Result<&'a [[u8; N]], CursorError> {
+        let len = count.saturating_mul(N);
+        Ok(self.take(len)?.as_chunks().0)
+    }
+
     #[inline]
     fn array<const N: usize>(&mut self) -> Result<[u8; N], CursorError> {
         let Some((head, rest)) = self.buf.split_first_chunk::<N>() else {
@@ -429,6 +438,17 @@ mod tests {
         assert_eq!(c.f64(), Err(CursorError::Truncated { need: 8, have: 0 }));
         assert_eq!(c.take(0), Ok(&[][..]));
         assert_eq!(Cursor::new(&[1, 2]).take(3), Err(CursorError::Truncated { need: 3, have: 2 }));
+    }
+
+    #[test]
+    fn chunks_are_bounds_checked_before_any_read() {
+        let bytes = [1u8, 2, 3, 4, 5];
+        let mut c = Cursor::new(&bytes);
+        assert_eq!(c.chunks::<2>(2), Ok(&[[1, 2], [3, 4]][..]));
+        assert_eq!(c.chunks::<2>(1), Err(CursorError::Truncated { need: 2, have: 1 }));
+        assert_eq!(c.chunks::<4>(0), Ok(&[][..]));
+        let huge = Cursor::new(&bytes).chunks::<8>(usize::MAX);
+        assert_eq!(huge, Err(CursorError::Truncated { need: usize::MAX, have: 5 }));
     }
 
     #[test]

@@ -52,29 +52,29 @@ impl Workload {
             .map_err(paydemand_core::CoreError::from)
             .map_err(SimError::from)?;
 
+        // Filled at their validated final lengths: a fallible collect
+        // would start empty and grow by doubling.
         let task_locations = scenario.task_placement.sample(area, scenario.tasks, rng);
-        let tasks: Vec<TaskSpec> = task_locations
-            .into_iter()
-            .enumerate()
-            .map(|(i, loc)| {
-                let (lo, hi) = scenario.deadline_range;
-                let deadline = rng.gen_range(lo..=hi);
-                TaskSpec::new(TaskId(i), loc, deadline, scenario.required_per_task)
-                    .map_err(SimError::from)
-            })
-            .collect::<Result<_, _>>()?;
+        let mut tasks = Vec::with_capacity(scenario.tasks);
+        for (i, loc) in task_locations.into_iter().enumerate() {
+            let (lo, hi) = scenario.deadline_range;
+            let deadline = rng.gen_range(lo..=hi);
+            tasks.push(TaskSpec::new(TaskId(i), loc, deadline, scenario.required_per_task)?);
+        }
 
         let user_locations = scenario.user_placement.sample(area, scenario.users, rng);
-        let users: Vec<UserProfile> = user_locations
-            .into_iter()
-            .enumerate()
-            .map(|(i, loc)| {
-                let (lo, hi) = scenario.time_budget_range;
-                let budget = if lo == hi { lo } else { rng.gen_range(lo..=hi) };
-                UserProfile::new(UserId(i), loc, budget, scenario.speed, scenario.cost_per_meter)
-                    .map_err(SimError::from)
-            })
-            .collect::<Result<_, _>>()?;
+        let mut users = Vec::with_capacity(scenario.users);
+        for (i, loc) in user_locations.into_iter().enumerate() {
+            let (lo, hi) = scenario.time_budget_range;
+            let budget = if lo == hi { lo } else { rng.gen_range(lo..=hi) };
+            users.push(UserProfile::new(
+                UserId(i),
+                loc,
+                budget,
+                scenario.speed,
+                scenario.cost_per_meter,
+            )?);
+        }
 
         let qualities: Vec<f64> =
             (0..scenario.users).map(|_| scenario.user_quality.sample(rng)).collect();

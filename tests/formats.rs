@@ -37,7 +37,8 @@ use std::path::{Path, PathBuf};
 use paydemand::obs::Recorder;
 use paydemand::sim::frame::{fnv1a64, fnv1a64_words};
 use paydemand::sim::{
-    Engine, ExternalEvent, FaultKind, FaultPlan, Scenario, SelectorKind, SimError, UserMotion,
+    Engine, ExternalEvent, FaultKind, FaultPlan, MechanismKind, Scenario, SelectorKind, SimError,
+    UserMotion,
 };
 use paydemand_serve::lineage::{
     AppliedFrame, Disposition, LineageFrame, LineageIndex, RoundFrame, TaskPrice,
@@ -566,6 +567,64 @@ fn every_selector_keeps_its_checkpoint_bytes_and_metric_label() {
         assert_eq!(solves, Some(15), "{selector:?}");
     }
     assert_eq!(fnv1a64(&hashes), 0xc1d6_fd3b_7aa4_c7e9);
+}
+
+/// Engines driven the way the daemon drives one: a batch of outside
+/// moves and uploads, a round, then a checkpoint. Between them they
+/// fill every section of the file: contributed lists, contributor sets
+/// and round entries from the uploads; the retry queue, the injector
+/// RNG and a spend cap from straggling uploads and a budget shock; a
+/// mechanism blob from `Fixed`; the wander section from `Wander`. Each
+/// checkpoint resumes and encodes again to the same bytes, and the
+/// folded hash holds what every one of them wrote.
+#[test]
+fn a_daemon_shaped_checkpoint_keeps_its_bytes() {
+    let faults = FaultPlan::new(8)
+        .with(FaultKind::StragglerUploads { rate: 0.4, max_retries: 2, backoff_rounds: 1 })
+        .with(FaultKind::BudgetShock { round: 3, factor: 0.5 });
+    let on_demand = plain_scenario().with_max_rounds(6).with_faults(faults.clone());
+    let mut fixed_wanderer = on_demand.clone().with_mechanism(MechanismKind::Fixed);
+    fixed_wanderer.user_motion = UserMotion::Wander { seconds: 60.0 };
+    let recorder = Recorder::disabled();
+    let mut hashes = Vec::new();
+    for scenario in [fixed_wanderer, on_demand] {
+        let mut engine = Engine::new(&scenario, &recorder).unwrap();
+        let (users, tasks) = (engine.num_users() as u32, engine.num_tasks() as u32);
+        let side = scenario.area_side;
+        let mut rng = StdRng::seed_from_u64(0xDAE_0C4E);
+        let (mut retried, mut paid) = (false, 0);
+        for round in 1..=4 {
+            for _ in 0..8 {
+                let user = rng.gen_range(0..users);
+                let event = if rng.gen_bool(0.5) {
+                    ExternalEvent::Move {
+                        user,
+                        x: rng.gen_range(0.0..side),
+                        y: rng.gen_range(0.0..side),
+                    }
+                } else {
+                    let (task, value) = (rng.gen_range(0..tasks), rng.gen_range(40.0..80.0));
+                    ExternalEvent::Upload { user, task, value }
+                };
+                engine.enqueue_event(event).unwrap();
+            }
+            engine.step_round().unwrap();
+            retried |= engine.pending_retries() > 0;
+            paid += engine.last_event_outcomes().iter().filter(|o| o.label() == "paid").count();
+            let bytes = engine.checkpoint().unwrap();
+            let resumed = Engine::resume(&scenario, &bytes, &recorder).unwrap();
+            assert_eq!(
+                resumed.checkpoint().unwrap(),
+                bytes,
+                "{:?} round {round}",
+                scenario.mechanism
+            );
+            hashes.extend(fnv1a64(&bytes).to_le_bytes());
+        }
+        assert!(retried && paid > 0, "{:?}: retried {retried}, paid {paid}", scenario.mechanism);
+        assert!(engine.spend_cap().is_some(), "{:?}: the shock set no cap", scenario.mechanism);
+    }
+    assert_eq!(fnv1a64(&hashes), 0x3712_7073_8adb_8c05);
 }
 
 #[test]

@@ -6,8 +6,9 @@
 //! every per-phase memory family, and two engines racing on one shared
 //! recorder lose no allocator updates; (3) the CellSweep demand
 //! backend's steady-state rounds allocate nothing at 100k users, both
-//! delta rounds and full sweeps, and a warmed exact solve allocates
-//! only the route it returns.
+//! delta rounds and full sweeps, a warmed exact solve allocates only
+//! the route it returns, and a warmed checkpoint allocates only its
+//! exactly sized buffer.
 //!
 //! Every test that enables profiling holds the exclusive window so the
 //! exact-accounting assertions never see another test's enable cycle.
@@ -16,7 +17,9 @@ use paydemand::geo::{CellSweeper, Point, PositionStore, Rect};
 use paydemand::obs::alloc::{self, AllocPhase, PhaseGuard};
 use paydemand::obs::Recorder;
 use paydemand::routing::{orienteering, CostMatrix};
-use paydemand::sim::{engine, runner, MechanismKind, Scenario, SelectorKind};
+use paydemand::sim::{
+    engine, runner, Engine, ExternalEvent, MechanismKind, Scenario, SelectorKind,
+};
 use rand::{Rng, SeedableRng};
 
 /// The golden scenario from tests/determinism.rs.
@@ -278,5 +281,54 @@ fn warmed_exact_solves_allocate_only_their_route() {
         routes += route;
     }
     assert!(routes >= 20, "only {routes}/40 problems chose a route");
+    drop(recorder);
+}
+
+/// An engine over `tasks` tasks after two rounds of outside uploads
+/// that reach every task, checkpointed once so its scenario fingerprint
+/// and workload hash are taken. Almost every user sits the rounds out.
+fn contributed_engine(users: usize, tasks: usize) -> Engine {
+    let mut scenario = Scenario::paper_default()
+        .with_users(users)
+        .with_tasks(tasks)
+        .with_selector(SelectorKind::Greedy)
+        .with_seed(0xC4EC);
+    scenario.dropout_rate = 0.99;
+    scenario.reward_budget = 1e6;
+    let mut engine = Engine::new(&scenario, &Recorder::disabled()).unwrap();
+    for round in 0..2u32 {
+        for task in 0..tasks as u32 {
+            let user = (task * 7 + round) % users as u32;
+            engine.enqueue_event(ExternalEvent::Upload { user, task, value: 1.0 }).unwrap();
+        }
+        engine.step_round().unwrap();
+    }
+    engine.checkpoint().unwrap();
+    engine
+}
+
+#[test]
+fn a_warmed_checkpoint_allocates_only_its_buffer() {
+    // The platform's state is written from its own vectors, not from
+    // per-task copies, and the buffer is allocated once at the file's
+    // exact length: the allocations do not grow with m or n.
+    let _window = alloc::exclusive_profile();
+    let recorder = profiled_recorder(); // keeps global tracking alive
+    let mut allocs = Vec::new();
+    for (users, tasks) in [(100, 250), (400, 1_000)] {
+        let engine = contributed_engine(users, tasks);
+        let reached = engine.task_statuses().unwrap().iter().filter(|t| t.received > 0).count();
+        assert!(reached * 10 >= tasks * 9, "uploads reached {reached} of {tasks} tasks");
+        let _tag = PhaseGuard::enter(AllocPhase::Checkpoint);
+        let before = alloc::phase_totals(AllocPhase::Checkpoint);
+        let bytes = engine.checkpoint().unwrap();
+        let after = alloc::phase_totals(AllocPhase::Checkpoint);
+        let allocated = after.bytes_allocated - before.bytes_allocated;
+        assert_eq!(allocated, bytes.len() as u64, "{tasks} tasks: buffer not sized exactly");
+        allocs.push(after.allocs - before.allocs);
+    }
+    // The output buffer, and no mechanism blob: on-demand pricing keeps
+    // no state between rounds.
+    assert_eq!(allocs, [1, 1]);
     drop(recorder);
 }
