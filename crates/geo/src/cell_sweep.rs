@@ -35,13 +35,28 @@
 //!
 //! # Kernels
 //!
-//! The full sweep's counting loop has one body, built twice: for the
+//! A full recount copies the users into the sweeper's mirror and tags
+//! each with its cell in one pass, then counting-sorts them by cell:
+//! the scatter places each user's coordinates in its cell's run of the
+//! sorted buffers. The count streams each occupied cell's residents
+//! through its candidate tasks, task-outer: four candidates per pass
+//! over the run, each with its own count, and the remainder one at a
+//! time.
+//!
+//! The scatter and the count share one body, built twice: for the
 //! target's baseline instruction set (two `f64` lanes of SSE2 on
-//! x86-64) and, on x86-64, with AVX2 enabled (four lanes). The CPU
-//! picks at run time. Both builds run the same IEEE operations — a
-//! subtract, two multiplies, an add and a compare per pair, with no
+//! x86-64) and, on x86-64, with AVX2 enabled (four lanes), where the
+//! scatter also prefetches each destination run two cache lines ahead.
+//! The CPU picks at run time. Both builds run the same IEEE operations
+//! — a subtract, two multiplies, an add and a compare per pair, with no
 //! fused multiply-add — and add integer hits, so their counts are
 //! identical.
+//!
+//! Every position maps to its cell by the same division,
+//! `(p − min) / cell` floored and clamped per axis, in the candidate
+//! boxes, the tags and the delta path. A multiply by `1/cell` rounds
+//! differently on cell edges, which would move users between cells and
+//! reorder the sorted buffers; it measured no faster.
 
 use crate::soa::{PositionStore, Positions};
 use crate::{GeoError, Point, Rect};
@@ -58,9 +73,7 @@ use crate::{GeoError, Point, Rect};
 pub struct CellSweeper {
     area: Rect,
     radius: f64,
-    cell: f64,
-    cols: usize,
-    rows: usize,
+    grid: Grid,
     tasks: Vec<Point>,
     /// CSR offsets into `cand_tasks`, one slot per grid cell plus one.
     cand_offsets: Vec<u32>,
@@ -94,6 +107,44 @@ pub struct CellSweeper {
 /// about a million cells however small the radius is against the area.
 const MAX_CELLS_PER_SIDE: f64 = 1024.0;
 
+/// How far past a run's write cursor the AVX2 scatter prefetches: two
+/// 64-byte cache lines of `f64`s.
+const PREFETCH_AHEAD: usize = 16;
+
+/// The grid's cell mapping: `(p − min) / cell` floored and clamped per
+/// axis, monotone in each coordinate.
+#[derive(Debug, Clone, Copy)]
+struct Grid {
+    min: Point,
+    cell: f64,
+    cols: usize,
+    rows: usize,
+}
+
+impl Grid {
+    fn num_cells(self) -> usize {
+        self.cols * self.rows
+    }
+
+    /// Column and row of `p`. The quotient converts to `u32`, not
+    /// `usize`: both conversions saturate and a grid never has
+    /// `u32::MAX` columns or rows, so the clamped result is the same
+    /// for every `p`, and the narrower conversion is cheaper.
+    #[inline(always)]
+    fn col_row(self, p: Point) -> (u32, u32) {
+        let c = (((p.x - self.min.x) / self.cell) as u32).min(self.cols as u32 - 1);
+        let r = (((p.y - self.min.y) / self.cell) as u32).min(self.rows as u32 - 1);
+        (c, r)
+    }
+
+    /// Row-major cell of `p`.
+    #[inline(always)]
+    fn index(self, p: Point) -> u32 {
+        let (c, r) = self.col_row(p);
+        r * self.cols as u32 + c
+    }
+}
+
 impl CellSweeper {
     /// Creates a sweeper for fixed `tasks` inside `area`, counting
     /// users strictly closer than `radius`. A cell is `radius` wide, or
@@ -116,9 +167,7 @@ impl CellSweeper {
         let mut sweeper = CellSweeper {
             area,
             radius,
-            cell,
-            cols,
-            rows,
+            grid: Grid { min: area.min(), cell, cols, rows },
             tasks,
             cand_offsets: Vec::new(),
             cand_tasks: Vec::new(),
@@ -186,21 +235,13 @@ impl CellSweeper {
             + (self.starts.capacity() + self.cursor.capacity()) * std::mem::size_of::<u32>()
     }
 
-    /// Grid cell (row-major) of `p` — a clamped floor mapping, monotone
-    /// in each coordinate.
-    fn cell_index(&self, p: Point) -> u32 {
-        let c = (((p.x - self.area.min().x) / self.cell) as usize).min(self.cols - 1);
-        let r = (((p.y - self.area.min().y) / self.cell) as usize).min(self.rows - 1);
-        (r * self.cols + c) as u32
-    }
-
     /// Builds the per-cell candidate task lists: task `t` is a
     /// candidate of every cell in the clamped `±R` bounding box of its
-    /// location. By monotonicity of `cell_index`, any in-area user
+    /// location. By monotonicity of the cell mapping, any in-area user
     /// strictly within `R` of `t` is bucketed into one of those cells.
     fn build_candidates(&mut self, valid_radius: bool) {
-        let num_cells = self.cols * self.rows;
-        let mut per_cell = vec![0u32; num_cells + 1];
+        let grid = self.grid;
+        let mut per_cell = vec![0u32; grid.num_cells() + 1];
         if !valid_radius {
             self.cand_offsets = per_cell;
             self.cand_tasks = Vec::new();
@@ -212,29 +253,27 @@ impl CellSweeper {
             .map(|&t| {
                 let min = self.area.clamp(Point::new(t.x - self.radius, t.y - self.radius));
                 let max = self.area.clamp(Point::new(t.x + self.radius, t.y + self.radius));
-                let c0 = (((min.x - self.area.min().x) / self.cell) as usize).min(self.cols - 1);
-                let r0 = (((min.y - self.area.min().y) / self.cell) as usize).min(self.rows - 1);
-                let c1 = (((max.x - self.area.min().x) / self.cell) as usize).min(self.cols - 1);
-                let r1 = (((max.y - self.area.min().y) / self.cell) as usize).min(self.rows - 1);
-                (c0, r0, c1, r1)
+                let (c0, r0) = grid.col_row(min);
+                let (c1, r1) = grid.col_row(max);
+                (c0 as usize, r0 as usize, c1 as usize, r1 as usize)
             })
             .collect();
         for &(c0, r0, c1, r1) in &ranges {
             for r in r0..=r1 {
                 for c in c0..=c1 {
-                    per_cell[r * self.cols + c + 1] += 1;
+                    per_cell[r * grid.cols + c + 1] += 1;
                 }
             }
         }
         for i in 1..per_cell.len() {
             per_cell[i] += per_cell[i - 1];
         }
-        let mut cand_tasks = vec![0u32; per_cell[num_cells] as usize];
+        let mut cand_tasks = vec![0u32; per_cell[grid.num_cells()] as usize];
         let mut cursor = per_cell.clone();
         for (t, &(c0, r0, c1, r1)) in ranges.iter().enumerate() {
             for r in r0..=r1 {
                 for c in c0..=c1 {
-                    let slot = &mut cursor[r * self.cols + c];
+                    let slot = &mut cursor[r * grid.cols + c];
                     cand_tasks[*slot as usize] = t as u32;
                     *slot += 1;
                 }
@@ -290,25 +329,27 @@ impl CellSweeper {
             for i in 0..n {
                 let p = users.at(i);
                 self.mirror.set(i, p);
-                self.mirror_cells[i] = self.cell_index(p);
+                self.mirror_cells[i] = self.grid.index(p);
             }
             self.moved_last_round = moved;
         } else {
             self.mirror = (0..n).map(|i| users.at(i)).collect();
-            self.mirror_cells = (0..n).map(|i| self.cell_index(users.at(i))).collect();
+            self.mirror_cells = (0..n).map(|i| self.grid.index(users.at(i))).collect();
             self.primed = true;
             self.moved_last_round = n;
         }
-        self.full_sweep();
+        self.full_sweep(Kernel::detect());
         Ok(&self.counts)
     }
 
     /// Recounts every task from the mirror: users are bucketed by cell
-    /// (a counting sort into the kept buffers), then each occupied cell
-    /// streams its residents through its candidate tasks.
-    fn full_sweep(&mut self) {
+    /// (a counting sort into the kept buffers), then `kernel`'s build of
+    /// [`sweep_body`] scatters their coordinates into each cell's run
+    /// and streams each occupied cell's residents through its candidate
+    /// tasks.
+    fn full_sweep(&mut self, kernel: Kernel) {
         let n = self.mirror.len();
-        let num_cells = self.cols * self.rows;
+        let num_cells = self.grid.num_cells();
         self.last_was_full = true;
         self.counts.clear();
         self.counts.resize(self.tasks.len(), 0);
@@ -329,34 +370,18 @@ impl CellSweeper {
         self.cursor.extend_from_slice(&self.starts[..num_cells]);
         self.sorted_x.resize(n, 0.0);
         self.sorted_y.resize(n, 0.0);
-        let (xs, ys) = (self.mirror.xs(), self.mirror.ys());
-        for (i, &c) in self.mirror_cells.iter().enumerate() {
-            let slot = &mut self.cursor[c as usize];
-            self.sorted_x[*slot as usize] = xs[i];
-            self.sorted_y[*slot as usize] = ys[i];
-            *slot += 1;
-        }
-
-        let mut counts = std::mem::take(&mut self.counts);
-        self.count_sorted(Kernel::detect(), &mut counts);
-        self.counts = counts;
-    }
-
-    /// Adds each task's hits among the sorted residents to `counts`,
-    /// with `kernel`'s build of the loop.
-    fn count_sorted(&self, kernel: Kernel, counts: &mut [usize]) {
         match kernel {
-            Kernel::Baseline => count_sorted_body(self, counts),
+            Kernel::Baseline => sweep_body(self, |_| {}),
             #[cfg(target_arch = "x86_64")]
             Kernel::Avx2 => {
                 assert!(std::arch::is_x86_feature_detected!("avx2"), "AVX2 kernel without AVX2");
-                // SAFETY: `count_sorted_avx2` is safe code compiled with
-                // AVX2 enabled; the one requirement for calling it is a
-                // CPU that runs AVX2, which the assert above has just
+                // SAFETY: `sweep_avx2` is safe code compiled with AVX2
+                // enabled; the one requirement for calling it is a CPU
+                // that runs AVX2, which the assert above has just
                 // checked.
                 #[allow(unsafe_code)]
                 unsafe {
-                    count_sorted_avx2(self, counts);
+                    sweep_avx2(self);
                 }
             }
         }
@@ -382,7 +407,7 @@ impl CellSweeper {
             if old == new {
                 continue;
             }
-            let new_cell = self.cell_index(new);
+            let new_cell = self.grid.index(new);
             departures.push((self.mirror_cells[i], old));
             arrivals.push((new_cell, new));
             self.mirror.set(i, new);
@@ -437,12 +462,13 @@ impl CellSweeper {
     }
 }
 
-/// A build of the full sweep's counting loop.
+/// A build of the full sweep's scatter and count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Kernel {
     /// The target's baseline instruction set.
     Baseline,
-    /// AVX2: four `f64` lanes per instruction.
+    /// AVX2: four `f64` lanes per instruction, and a prefetching
+    /// scatter.
     #[cfg(target_arch = "x86_64")]
     Avx2,
 }
@@ -458,44 +484,106 @@ impl Kernel {
     }
 }
 
-/// The full sweep's counting loop, the one body both kernels build.
-/// Task-outer over each occupied cell's contiguous coordinates: the
-/// inner loop is a dense branch-free scan the compiler vectorises. The
-/// predicate is the exact `dx·dx + dy·dy < R²` of
+/// The full sweep's scatter and count, the one body both kernels build.
+///
+/// The scatter writes each mirrored user's coordinates at its cell's
+/// cursor, first handing `prefetch` the slot [`PREFETCH_AHEAD`] past it
+/// in each buffer. The count runs task-outer over each occupied cell's
+/// contiguous residents: four candidate tasks per pass over them, each
+/// with its own count, then the remaining candidates one per pass.
+/// Each inner loop is a dense branch-free scan the compiler vectorises.
+/// The predicate is the exact `dx·dx + dy·dy < R²` of
 /// `Point::distance_squared` and the accumulation stays integer `+1`s,
 /// so counts are bit-identical to the user-outer order.
 #[inline(always)]
-fn count_sorted_body(sweeper: &CellSweeper, counts: &mut [usize]) {
-    let r2 = sweeper.radius * sweeper.radius;
-    for (cell, span) in sweeper.starts.windows(2).enumerate() {
+fn sweep_body(sweeper: &mut CellSweeper, prefetch: impl Fn(*const f64)) {
+    let CellSweeper {
+        radius,
+        ref tasks,
+        ref cand_offsets,
+        ref cand_tasks,
+        ref mirror,
+        ref mirror_cells,
+        ref mut counts,
+        ref mut sorted_x,
+        ref mut sorted_y,
+        ref starts,
+        ref mut cursor,
+        ..
+    } = *sweeper;
+    for (&c, (&x, &y)) in mirror_cells.iter().zip(mirror.xs().iter().zip(mirror.ys())) {
+        let slot = &mut cursor[c as usize];
+        let at = *slot as usize;
+        prefetch(sorted_x.as_ptr().wrapping_add(at + PREFETCH_AHEAD));
+        prefetch(sorted_y.as_ptr().wrapping_add(at + PREFETCH_AHEAD));
+        sorted_x[at] = x;
+        sorted_y[at] = y;
+        *slot += 1;
+    }
+
+    let r2 = radius * radius;
+    for (cell, span) in starts.windows(2).enumerate() {
         let (lo, hi) = (span[0] as usize, span[1] as usize);
         if lo == hi {
             continue;
         }
-        let (xs, ys) = (&sweeper.sorted_x[lo..hi], &sweeper.sorted_y[lo..hi]);
-        for &t in sweeper.candidates(cell) {
-            let task = sweeper.tasks[t as usize];
-            let mut hits = 0usize;
-            for (&x, &y) in xs.iter().zip(ys) {
-                let dx = x - task.x;
-                let dy = y - task.y;
-                hits += usize::from(dx * dx + dy * dy < r2);
+        let (xs, ys) = (&sorted_x[lo..hi], &sorted_y[lo..hi]);
+        let candidates = &cand_tasks[cand_offsets[cell] as usize..cand_offsets[cell + 1] as usize];
+        let mut quads = candidates.chunks_exact(4);
+        for quad in &mut quads {
+            let quad = [quad[0], quad[1], quad[2], quad[3]];
+            let hits = hits4(xs, ys, quad.map(|t| tasks[t as usize]), r2);
+            for (t, h) in quad.into_iter().zip(hits) {
+                counts[t as usize] += h;
             }
-            counts[t as usize] += hits;
+        }
+        for &t in quads.remainder() {
+            counts[t as usize] += hits(xs, ys, tasks[t as usize], r2);
         }
     }
 }
 
-/// [`count_sorted_body`] built with AVX2 enabled (and no FMA).
+/// Whether the resident at `(x, y)` is strictly within `R` of `task`.
+#[inline(always)]
+fn hit(x: f64, y: f64, task: Point, r2: f64) -> usize {
+    let dx = x - task.x;
+    let dy = y - task.y;
+    usize::from(dx * dx + dy * dy < r2)
+}
+
+/// `task`'s hits among the residents `xs`/`ys`.
+#[inline(always)]
+fn hits(xs: &[f64], ys: &[f64], task: Point, r2: f64) -> usize {
+    xs.iter().zip(ys).map(|(&x, &y)| hit(x, y, task, r2)).sum()
+}
+
+/// Four tasks' hits among the residents `xs`/`ys`, in one pass.
+#[inline(always)]
+fn hits4(xs: &[f64], ys: &[f64], tasks: [Point; 4], r2: f64) -> [usize; 4] {
+    let [a, b, c, d] = tasks;
+    let (mut ha, mut hb, mut hc, mut hd) = (0usize, 0usize, 0usize, 0usize);
+    for (&x, &y) in xs.iter().zip(ys) {
+        ha += hit(x, y, a, r2);
+        hb += hit(x, y, b, r2);
+        hc += hit(x, y, c, r2);
+        hd += hit(x, y, d, r2);
+    }
+    [ha, hb, hc, hd]
+}
+
+/// [`sweep_body`] built with AVX2 enabled (and no FMA), its scatter
+/// prefetching each destination run.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn count_sorted_avx2(sweeper: &CellSweeper, counts: &mut [usize]) {
-    count_sorted_body(sweeper, counts);
+fn sweep_avx2(sweeper: &mut CellSweeper) {
+    use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+    sweep_body(sweeper, |slot| _mm_prefetch::<_MM_HINT_T0>(slot.cast()));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::soa::PositionStore;
     use rand::{Rng, SeedableRng};
 
     fn naive(tasks: &[Point], users: &[Point], radius: f64) -> Vec<usize> {
@@ -503,22 +591,30 @@ mod tests {
         tasks.iter().map(|&t| users.iter().filter(|u| u.distance_squared(t) < r2).count()).collect()
     }
 
-    /// Runs both kernels over the sorted buffers the last full sweep
-    /// left, where this CPU runs both: each must give the sweep's
-    /// counts. Only a release build tests the loops as shipped.
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Reruns the last full sweep (histogram, scatter and count) under
+    /// each build this CPU runs, from the same cell tags: each must
+    /// leave the sweep's runs, sorted buffers and counts. Only a release
+    /// build tests the loops as shipped.
     fn assert_kernels_agree(sweeper: &CellSweeper, label: &str) {
         assert!(sweeper.last_was_full_sweep(), "{label}");
-        let m = sweeper.tasks.len();
-        let mut baseline = vec![0usize; m];
-        sweeper.count_sorted(Kernel::Baseline, &mut baseline);
-        assert_eq!(baseline, sweeper.counts, "{label}: baseline kernel");
+        let mut kernels = vec![Kernel::Baseline];
         match Kernel::detect() {
             Kernel::Baseline => println!("{label}: AVX2 kernel skipped, this CPU lacks AVX2"),
-            wide => {
-                let mut counts = vec![0usize; m];
-                sweeper.count_sorted(wide, &mut counts);
-                assert_eq!(counts, baseline, "{label}: {wide:?} kernel");
-            }
+            wide => kernels.push(wide),
+        }
+        for kernel in kernels {
+            let mut rerun = sweeper.clone();
+            rerun.sorted_x.fill(f64::NAN);
+            rerun.sorted_y.fill(f64::NAN);
+            rerun.full_sweep(kernel);
+            assert_eq!(rerun.starts, sweeper.starts, "{label}: {kernel:?} runs");
+            assert_eq!(bits(&rerun.sorted_x), bits(&sweeper.sorted_x), "{label}: {kernel:?} x");
+            assert_eq!(bits(&rerun.sorted_y), bits(&sweeper.sorted_y), "{label}: {kernel:?} y");
+            assert_eq!(rerun.counts, sweeper.counts, "{label}: {kernel:?} counts");
         }
     }
 
@@ -544,6 +640,90 @@ mod tests {
         }
     }
 
+    /// FNV-1a over the bits of `values`, continuing from `hash`.
+    fn fold_bits(hash: u64, values: &[f64]) -> u64 {
+        values.iter().fold(hash, |h, v| (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01B3))
+    }
+
+    #[test]
+    fn a_full_sweep_keeps_its_sorted_buffers_bits() {
+        // Every 25th user sits on a cell corner. At this cell width a
+        // multiply by `1/cell` floors 39 of the 62 column edges
+        // differently from the division, so such a mapping moves users
+        // between cells and reorders the buffers.
+        let area = Rect::square(3000.0).unwrap();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5027);
+        let tasks = sample(area, &mut rng, 300);
+        let users: Vec<Point> = (0..50_000)
+            .map(|i| {
+                let p = area.sample_uniform(&mut rng);
+                if i % 25 == 0 {
+                    Point::new(49.0 * (p.x / 49.0).floor(), 49.0 * (p.y / 49.0).floor())
+                } else {
+                    p
+                }
+            })
+            .collect();
+        let mut sweeper = CellSweeper::new(area, 49.0, tasks.clone());
+        let counts = sweeper.counts(&users).unwrap().to_vec();
+        assert_eq!(counts, naive(&tasks, &users, 49.0));
+        let fold =
+            fold_bits(fold_bits(0xCBF2_9CE4_8422_2325, &sweeper.sorted_x), &sweeper.sorted_y);
+        assert_eq!(fold, 0x8F86_6A13_987E_F52F, "sorted buffers {fold:#018x}");
+    }
+
+    #[test]
+    fn the_u32_cell_conversion_clamps_like_usize() {
+        let grid = Grid { min: Point::new(-3.0, 2.0), cell: 0.75, cols: 7, rows: 1025 };
+        let edges = [
+            f64::NAN,
+            f64::NEG_INFINITY,
+            -1e300,
+            -0.5,
+            -0.0,
+            0.0,
+            0.74,
+            0.75,
+            5.25,
+            767.9,
+            768.0,
+            4294967296.0,
+            1.8446744073709552e19,
+            1e300,
+            f64::INFINITY,
+        ];
+        for &x in &edges {
+            for &y in &edges {
+                let p = Point::new(grid.min.x + x, grid.min.y + y);
+                let c = (((p.x - grid.min.x) / grid.cell) as usize).min(grid.cols - 1);
+                let r = (((p.y - grid.min.y) / grid.cell) as usize).min(grid.rows - 1);
+                assert_eq!(grid.index(p), (r * grid.cols + c) as u32, "({x}, {y})");
+            }
+        }
+    }
+
+    #[test]
+    fn a_crowded_cell_counts_every_candidate_exactly() {
+        // 2,565 residents in cell (4, 4) of a 10 × 10 grid, an odd run
+        // that leaves a partial vector at the end of each pass, against
+        // 1 to 9 tasks inside that cell, each of them a candidate of it:
+        // the four-task passes and the one-task remainder both run.
+        let area = Rect::square(1000.0).unwrap();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x711E);
+        let mut in_cell = || Point::new(rng.gen_range(400.0..500.0), rng.gen_range(400.0..500.0));
+        let users: Vec<Point> = (0..2_565).map(|_| in_cell()).collect();
+        for m in [1, 3, 4, 5, 9] {
+            let tasks: Vec<Point> = (0..m).map(|_| in_cell()).collect();
+            let mut sweeper = CellSweeper::new(area, 100.0, tasks.clone());
+            let counts = sweeper.counts(&users).unwrap().to_vec();
+            let cell = sweeper.grid.index(Point::new(450.0, 450.0)) as usize;
+            assert_eq!(sweeper.candidates(cell).len(), m);
+            assert_eq!(sweeper.starts[cell + 1] - sweeper.starts[cell], users.len() as u32);
+            assert_eq!(counts, naive(&tasks, &users, 100.0), "{m} tasks");
+            assert_kernels_agree(&sweeper, &format!("{m} tasks in one cell"));
+        }
+    }
+
     #[test]
     fn a_radius_tiny_against_the_area_keeps_the_grid_bounded_and_exact() {
         // Cells of R = 1 m over a 1e9 m square would number 1e18.
@@ -560,7 +740,8 @@ mod tests {
         }
         let users: Vec<Point> = users.into_iter().map(|p| area.clamp(p)).collect();
         let mut sweeper = CellSweeper::new(area, 1.0, tasks.clone());
-        assert!(sweeper.cols * sweeper.rows <= 1025 * 1025, "{}x{}", sweeper.cols, sweeper.rows);
+        let grid = sweeper.grid;
+        assert!(grid.num_cells() <= 1025 * 1025, "{}x{}", grid.cols, grid.rows);
         let counts = sweeper.counts(&users).unwrap().to_vec();
         assert_eq!(counts, naive(&tasks, &users, 1.0));
         assert!(counts.iter().take(3).all(|&c| c >= 2), "{counts:?}");
@@ -696,16 +877,29 @@ mod tests {
 
     #[test]
     fn soa_store_input_matches_slice_input() {
+        // The same positions as a `PositionStore` and as a `&[Point]`:
+        // round by round, on both sides of the full-sweep switch, the
+        // two sweepers must agree.
         let area = Rect::square(800.0).unwrap();
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x50A);
         let tasks = sample(area, &mut rng, 12);
-        let users = sample(area, &mut rng, 150);
-        let store = PositionStore::from_points(&users);
-        let mut a = CellSweeper::new(area, 120.0, tasks.clone());
-        let mut b = CellSweeper::new(area, 120.0, tasks);
-        assert_eq!(
-            a.counts(users.as_slice()).unwrap().to_vec(),
-            b.counts(&store).unwrap().to_vec()
-        );
+        let mut users = sample(area, &mut rng, 150);
+        let mut by_point = CellSweeper::new(area, 120.0, tasks.clone());
+        let mut by_store = CellSweeper::new(area, 120.0, tasks.clone());
+        // Priming, then more than half, exactly half, everyone, a few,
+        // and half plus one of the 150 users moving.
+        for (round, moving) in [0usize, 100, 75, 150, 9, 76].into_iter().enumerate() {
+            for u in users.iter_mut().take(moving) {
+                *u = area.sample_uniform(&mut rng);
+            }
+            let store = PositionStore::from_points(&users);
+            let counts = by_point.counts(users.as_slice()).unwrap().to_vec();
+            assert_eq!(by_store.counts(&store).unwrap(), counts, "round {round}");
+            assert_eq!(counts, naive(&tasks, &users, 120.0), "round {round}");
+            let full = round == 0 || moving * 2 > users.len();
+            assert_eq!(by_point.last_was_full_sweep(), full, "round {round}");
+            assert_eq!(by_store.last_was_full_sweep(), full, "round {round}");
+            assert_eq!(by_point.moved_last_round(), by_store.moved_last_round(), "round {round}");
+        }
     }
 }
