@@ -67,7 +67,6 @@ mod platform;
 mod reward;
 pub mod selection;
 mod task;
-mod user;
 
 pub use demand::{DemandCriteria, DemandIndicator, DemandWeights};
 pub use error::CoreError;
@@ -78,4 +77,3 @@ pub use neighbors::{naive_counts_in, CellSweepCounter, IndexingMode};
 pub use platform::{Platform, PlatformState, RoundContext, TaskProgress};
 pub use reward::RewardSchedule;
 pub use task::{PublishedTask, TaskSpec};
-pub use user::UserProfile;

@@ -304,16 +304,28 @@ impl CellSweeper {
         let tracked = self.primed && self.mirror.len() == n;
         // Validate everything up front so a bad location leaves the
         // sweeper exactly as it was; the same pass counts the users
-        // that moved since the mirror was taken.
+        // that moved since the mirror was taken. Both folds run over
+        // every user with no early exit, so the pass has no branch per
+        // user; only when some user lies outside (NaN included) does a
+        // second scan find the first one.
+        let (lo, hi) = (self.area.min(), self.area.max());
+        let within = |p: Point| (p.x >= lo.x) & (p.x <= hi.x) & (p.y >= lo.y) & (p.y <= hi.y);
+        let mut inside = true;
         let mut moved = 0usize;
-        for i in 0..n {
-            let p = users.at(i);
-            if !self.area.contains(p) {
-                return Err(GeoError::OutOfBounds { point: p });
+        if tracked {
+            for i in 0..n {
+                let (p, was) = (users.at(i), self.mirror.point(i));
+                inside &= within(p);
+                moved += usize::from((p.x != was.x) | (p.y != was.y));
             }
-            if tracked {
-                moved += usize::from(p != self.mirror.point(i));
+        } else {
+            for i in 0..n {
+                inside &= within(users.at(i));
             }
+        }
+        if !inside {
+            let point = (0..n).map(|i| users.at(i)).find(|p| !within(*p));
+            return Err(GeoError::OutOfBounds { point: point.expect("a user lies outside") });
         }
         if tracked {
             // A delta scans the candidates of two cells per moved user
@@ -859,6 +871,40 @@ mod tests {
         let err = sweeper.counts(&bad).unwrap_err();
         assert!(matches!(err, GeoError::OutOfBounds { point } if point.x == 200.0));
         assert_eq!(sweeper.counts(&good).unwrap(), &[1]);
+
+        // A population of the same size takes the tracked path, which
+        // validates and counts the moved users in one pass: a bad user
+        // first, in the middle or last, two bad users (the first is
+        // named) and a NaN are each refused, and the next good call
+        // returns the old counts.
+        let good: Vec<Point> = (0..9).map(|i| Point::new(38.0 + f64::from(i), 50.0)).collect();
+        assert_eq!(sweeper.counts(&good).unwrap(), &[9]);
+        let out = Point::new(-1.0, 50.0);
+        let later = Point::new(50.0, 101.0);
+        let nan = Point::new(50.0, f64::NAN);
+        for (at, first, second) in [
+            (0, out, None),
+            (4, out, None),
+            (8, out, None),
+            (2, out, Some((6, later))),
+            (3, later, Some((5, out))),
+            (5, nan, None),
+        ] {
+            let mut bad = good.clone();
+            bad[at] = first;
+            if let Some((at2, p2)) = second {
+                bad[at2] = p2;
+            }
+            let err = sweeper.counts(&bad).unwrap_err();
+            assert!(
+                matches!(err, GeoError::OutOfBounds { point }
+                    if point.x.to_bits() == first.x.to_bits()
+                        && point.y.to_bits() == first.y.to_bits()),
+                "user {at}: {err}"
+            );
+            assert_eq!(sweeper.counts(&good).unwrap(), &[9], "after user {at}");
+            assert!(!sweeper.last_was_full_sweep(), "after user {at}");
+        }
     }
 
     #[test]

@@ -13,7 +13,13 @@ use serde::{Deserialize, Serialize};
 
 use crate::{Point, Rect};
 
-/// Random-waypoint mobility at a fixed walking speed (m/s).
+/// Random-waypoint mobility: the waypoint a user walks towards.
+///
+/// The walking speed is not part of the state: every user of a
+/// scenario walks at its one speed, which [`advance`](Self::advance)
+/// takes. A walker is 16 bytes, its waypoint's two coordinates, and NaN
+/// coordinates stand for "no waypoint": a drawn waypoint lies inside
+/// the area, so it is never NaN.
 ///
 /// # Examples
 ///
@@ -24,34 +30,39 @@ use crate::{Point, Rect};
 ///
 /// let area = Rect::square(1000.0)?;
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(4);
-/// let mut model = RandomWaypoint::new(2.0);
-/// let next = model.advance(Point::new(500.0, 500.0), area, 60.0, &mut rng);
+/// let mut model = RandomWaypoint::new();
+/// let next = model.advance(Point::new(500.0, 500.0), area, 2.0, 60.0, &mut rng);
 /// // 60 s at 2 m/s moves at most 120 m.
 /// assert!(next.distance(Point::new(500.0, 500.0)) <= 120.0 + 1e-9);
 /// # Ok::<(), paydemand_geo::GeoError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct RandomWaypoint {
-    speed: f64,
-    waypoint: Option<Point>,
+    waypoint: Point,
+}
+
+/// The stored waypoint of a walker with none.
+const NO_WAYPOINT: Point = Point { x: f64::NAN, y: f64::NAN };
+
+impl Default for RandomWaypoint {
+    fn default() -> Self {
+        RandomWaypoint::new()
+    }
+}
+
+/// Two walkers are equal when they walk towards the same waypoint, or
+/// both towards none.
+impl PartialEq for RandomWaypoint {
+    fn eq(&self, other: &Self) -> bool {
+        self.waypoint() == other.waypoint()
+    }
 }
 
 impl RandomWaypoint {
-    /// Creates a random-waypoint model with walking speed in m/s.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `speed` is not positive and finite.
+    /// A walker with no waypoint yet: it draws one when it first walks.
     #[must_use]
-    pub fn new(speed: f64) -> Self {
-        assert!(speed.is_finite() && speed > 0.0, "speed must be positive");
-        RandomWaypoint { speed, waypoint: None }
-    }
-
-    /// The configured walking speed in m/s.
-    #[must_use]
-    pub fn speed(&self) -> f64 {
-        self.speed
+    pub fn new() -> Self {
+        RandomWaypoint { waypoint: NO_WAYPOINT }
     }
 
     /// The waypoint currently being walked towards, if one is active.
@@ -59,45 +70,57 @@ impl RandomWaypoint {
     /// Exposed so simulation checkpoints can capture mid-walk state.
     #[must_use]
     pub fn waypoint(&self) -> Option<Point> {
-        self.waypoint
+        (!self.waypoint.x.is_nan()).then_some(self.waypoint)
     }
 
-    /// Rebuilds a model mid-walk, e.g. from a checkpoint captured with
-    /// [`RandomWaypoint::waypoint`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `speed` is not positive and finite.
+    /// Rebuilds a walker mid-walk, e.g. from a checkpoint captured with
+    /// [`RandomWaypoint::waypoint`]. A waypoint with a NaN `x` reads as
+    /// none.
     #[must_use]
-    pub fn with_waypoint(speed: f64, waypoint: Option<Point>) -> Self {
-        assert!(speed.is_finite() && speed > 0.0, "speed must be positive");
-        RandomWaypoint { speed, waypoint }
+    pub fn with_waypoint(waypoint: Option<Point>) -> Self {
+        RandomWaypoint { waypoint: waypoint.unwrap_or(NO_WAYPOINT) }
     }
 
     /// Returns the location at the start of the next round, given the
-    /// location at the end of this round, after walking for `elapsed`
-    /// seconds.
+    /// location at the end of this round, after walking at `speed` m/s
+    /// for `elapsed` seconds. A walk of no positive length (a speed or
+    /// time that is zero, negative or NaN) stays where it is.
+    ///
+    /// Nothing is checked at the start of a walk: a walker advances
+    /// once a user a round, and a check there cost ~10% of a 1M-user
+    /// movement phase.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the walk is endless (`speed × elapsed` is infinite).
     pub fn advance<R: Rng + ?Sized>(
         &mut self,
         current: Point,
         area: Rect,
+        speed: f64,
         elapsed: f64,
         rng: &mut R,
     ) -> Point {
         let mut pos = current;
-        let mut budget = self.speed * elapsed.max(0.0);
+        let mut budget = speed * elapsed.max(0.0);
         while budget > 0.0 {
-            let wp = *self.waypoint.get_or_insert_with(|| area.sample_uniform(rng));
+            if self.waypoint.x.is_nan() {
+                self.waypoint = area.sample_uniform(rng);
+            }
+            let wp = self.waypoint;
             let d = pos.distance(wp);
             if d <= budget {
+                // An infinite budget reaches every waypoint and is never
+                // spent.
+                assert!(budget < f64::INFINITY, "an endless walk never ends");
                 pos = wp;
                 budget -= d;
-                self.waypoint = None;
+                self.waypoint = NO_WAYPOINT;
                 if d == 0.0 {
                     // Degenerate waypoint equal to current position:
                     // resample next iteration but avoid infinite loop.
-                    self.waypoint = Some(area.sample_uniform(rng));
-                    if self.waypoint == Some(pos) {
+                    self.waypoint = area.sample_uniform(rng);
+                    if self.waypoint == pos {
                         break;
                     }
                 }
@@ -123,13 +146,23 @@ mod tests {
     }
 
     #[test]
+    fn a_walker_is_its_waypoint() {
+        assert_eq!(std::mem::size_of::<RandomWaypoint>(), 16);
+        assert_eq!(RandomWaypoint::new().waypoint(), None);
+        let p = Point::new(3.0, 4.0);
+        assert_eq!(RandomWaypoint::with_waypoint(Some(p)).waypoint(), Some(p));
+        assert_eq!(RandomWaypoint::with_waypoint(None), RandomWaypoint::new());
+        assert_ne!(RandomWaypoint::with_waypoint(Some(p)), RandomWaypoint::new());
+    }
+
+    #[test]
     fn waypoint_respects_speed_limit() {
         let area = Rect::square(1000.0).unwrap();
-        let mut m = RandomWaypoint::new(2.0);
+        let mut m = RandomWaypoint::new();
         let mut pos = Point::new(500.0, 500.0);
         let mut r = rng(2);
         for _ in 0..50 {
-            let next = m.advance(pos, area, 30.0, &mut r);
+            let next = m.advance(pos, area, 2.0, 30.0, &mut r);
             assert!(pos.distance(next) <= 2.0 * 30.0 + 1e-9);
             assert!(area.contains(next));
             pos = next;
@@ -139,47 +172,60 @@ mod tests {
     #[test]
     fn waypoint_zero_elapsed_stays_put() {
         let area = Rect::square(1000.0).unwrap();
-        let mut m = RandomWaypoint::new(2.0);
+        let mut m = RandomWaypoint::new();
         let p = Point::new(1.0, 2.0);
-        assert_eq!(m.advance(p, area, 0.0, &mut rng(3)), p);
+        assert_eq!(m.advance(p, area, 2.0, 0.0, &mut rng(3)), p);
     }
 
     #[test]
     fn waypoint_eventually_moves() {
         let area = Rect::square(1000.0).unwrap();
-        let mut m = RandomWaypoint::new(2.0);
+        let mut m = RandomWaypoint::new();
         let p = Point::new(500.0, 500.0);
-        let next = m.advance(p, area, 100.0, &mut rng(4));
+        let next = m.advance(p, area, 2.0, 100.0, &mut rng(4));
         assert!(p.distance(next) > 0.0);
     }
 
     #[test]
-    #[should_panic(expected = "speed must be positive")]
-    fn waypoint_rejects_bad_speed() {
-        let _ = RandomWaypoint::new(-1.0);
+    fn a_walk_of_no_length_stays_put() {
+        let area = Rect::square(1000.0).unwrap();
+        let p = Point::new(1.0, 2.0);
+        for (speed, elapsed) in [(0.0, 9.0), (-1.0, 9.0), (f64::NAN, 9.0), (2.0, f64::NAN)] {
+            let mut m = RandomWaypoint::new();
+            assert_eq!(m.advance(p, area, speed, elapsed, &mut rng(5)), p, "{speed} m/s");
+            assert_eq!(m.waypoint(), None, "{speed} m/s");
+        }
     }
 
-    /// Reference walk: a partial leg goes through `step_towards`,
-    /// which measures the leg again.
+    #[test]
+    #[should_panic(expected = "an endless walk never ends")]
+    fn an_endless_walk_panics() {
+        let area = Rect::square(1000.0).unwrap();
+        let _ = RandomWaypoint::new().advance(Point::ORIGIN, area, f64::INFINITY, 1.0, &mut rng(5));
+    }
+
+    /// Reference walk: the waypoint as an `Option`, and a partial leg
+    /// through `step_towards`, which measures the leg again.
     fn advance_via_step_towards(
-        walker: &mut RandomWaypoint,
+        waypoint: &mut Option<Point>,
         current: Point,
         area: Rect,
+        speed: f64,
         elapsed: f64,
         rng: &mut rand::rngs::StdRng,
     ) -> Point {
         let mut pos = current;
-        let mut budget = walker.speed * elapsed.max(0.0);
+        let mut budget = speed * elapsed.max(0.0);
         while budget > 0.0 {
-            let wp = *walker.waypoint.get_or_insert_with(|| area.sample_uniform(rng));
+            let wp = *waypoint.get_or_insert_with(|| area.sample_uniform(rng));
             let d = pos.distance(wp);
             if d <= budget {
                 pos = wp;
                 budget -= d;
-                walker.waypoint = None;
+                *waypoint = None;
                 if d == 0.0 {
-                    walker.waypoint = Some(area.sample_uniform(rng));
-                    if walker.waypoint == Some(pos) {
+                    *waypoint = Some(area.sample_uniform(rng));
+                    if *waypoint == Some(pos) {
                         break;
                     }
                 }
@@ -198,15 +244,25 @@ mod tests {
         let area = Rect::square(3000.0).unwrap();
         for (seed, elapsed) in [(11, 1.0), (12, 60.0), (13, 700.0), (14, 4000.0)] {
             let (mut r, mut r_ref) = (rng(seed), rng(seed));
-            let (mut walker, mut reference) = (RandomWaypoint::new(1.7), RandomWaypoint::new(1.7));
+            let (mut walker, mut reference) = (RandomWaypoint::new(), None);
             let (mut pos, mut pos_ref) = (Point::new(1500.0, 1500.0), Point::new(1500.0, 1500.0));
             for step in 0..200 {
-                pos = walker.advance(pos, area, elapsed, &mut r);
-                pos_ref =
-                    advance_via_step_towards(&mut reference, pos_ref, area, elapsed, &mut r_ref);
+                pos = walker.advance(pos, area, 1.7, elapsed, &mut r);
+                pos_ref = advance_via_step_towards(
+                    &mut reference,
+                    pos_ref,
+                    area,
+                    1.7,
+                    elapsed,
+                    &mut r_ref,
+                );
                 assert_eq!(pos.x.to_bits(), pos_ref.x.to_bits(), "seed {seed} step {step}");
                 assert_eq!(pos.y.to_bits(), pos_ref.y.to_bits(), "seed {seed} step {step}");
-                assert_eq!(walker, reference, "seed {seed} step {step}");
+                assert_eq!(
+                    walker,
+                    RandomWaypoint::with_waypoint(reference),
+                    "seed {seed} step {step}"
+                );
             }
             assert_eq!(r.to_state(), r_ref.to_state(), "seed {seed}");
         }
@@ -215,16 +271,16 @@ mod tests {
     #[test]
     fn waypoint_state_roundtrips_mid_walk() {
         let area = Rect::square(500.0).unwrap();
-        let mut model = RandomWaypoint::new(2.0);
+        let mut model = RandomWaypoint::new();
         let mut r = rng(99);
-        let pos = model.advance(Point::new(250.0, 250.0), area, 10.0, &mut r);
-        let mut restored = RandomWaypoint::with_waypoint(model.speed(), model.waypoint());
+        let pos = model.advance(Point::new(250.0, 250.0), area, 2.0, 10.0, &mut r);
+        let mut restored = RandomWaypoint::with_waypoint(model.waypoint());
         // Same pending waypoint ⇒ the next step is identical and
         // consumes no randomness while the walk is still in progress.
         let mut r2 = r.clone();
         assert_eq!(
-            model.advance(pos, area, 5.0, &mut r),
-            restored.advance(pos, area, 5.0, &mut r2)
+            model.advance(pos, area, 2.0, 5.0, &mut r),
+            restored.advance(pos, area, 2.0, 5.0, &mut r2)
         );
     }
 }

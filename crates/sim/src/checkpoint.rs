@@ -27,11 +27,11 @@
 //! field* (seed, fault plan, mechanism, …) is refused up front rather
 //! than silently diverging.
 //!
-//! Only state that changes is written. The workload (tasks, user
-//! profiles, qualities, truths) is never stored: [`resume`] draws it
-//! again from the scenario seed, and refuses the file unless the draw
-//! leaves the main RNG exactly on the stored travel state and hashes to
-//! the stored workload hash. Per-user data is sparse, in user order:
+//! Only state that changes is written. The workload (tasks, the
+//! users' homes and time budgets, qualities, truths) is never stored:
+//! [`resume`] draws it again from the scenario seed, and refuses the
+//! file unless the draw leaves the main RNG exactly on the stored
+//! travel state and hashes to the stored workload hash. Per-user data is sparse, in user order:
 //! `contributed` lists only users with a contribution (`user u32 | k
 //! u32 | k task ids`, strictly increasing), and each round record lists
 //! only the users with an entry (`user u32 | profit f64 | selected
@@ -54,9 +54,11 @@
 //! allocated at their final length from counts already checked: m and
 //! n against the workload the scenario draws, every other count
 //! against the bytes that remain. It also refuses what a run could not
-//! have held: a position or waypoint outside the area, and a sorted id
-//! list (a user's contributed tasks, a task's contributors) that is not
-//! strictly increasing or names an unknown id.
+//! have held: a position or waypoint outside the area, a walker speed
+//! that is not the scenario's (the file keeps one per user, as every
+//! user walks at the scenario's), and a sorted id list (a user's
+//! contributed tasks, a task's contributors) that is not strictly
+//! increasing or names an unknown id.
 
 use std::sync::OnceLock;
 
@@ -69,6 +71,7 @@ use paydemand_geo::mobility::RandomWaypoint;
 use paydemand_geo::{Point, PositionStore, Rect};
 use paydemand_obs::Recorder;
 
+use crate::contributions::Contributions;
 use crate::engine::{build_mechanism, EngineInstruments, PendingUpload};
 use crate::engine::{Engine, RoundRecord, UserRound};
 use crate::frame::{fnv1a64, fnv1a64_words, BufMut, Cursor, CursorError, Header, HeaderError};
@@ -97,9 +100,10 @@ pub(crate) fn workload_hash(w: &Workload) -> u64 {
         let [x, y] = point(t.location());
         [x, y, u64::from(t.deadline()), u64::from(t.required())]
     });
-    let users = w.users.iter().flat_map(|u| {
-        let [x, y] = point(u.location());
-        [x, y, u.time_budget().to_bits(), u.speed().to_bits(), u.cost_per_meter().to_bits()]
+    let (speed, cost) = (w.speed.to_bits(), w.cost_per_meter.to_bits());
+    let users = w.homes.iter().zip(&w.time_budgets).flat_map(|(home, budget)| {
+        let [x, y] = point(*home);
+        [x, y, budget.to_bits(), speed, cost]
     });
     let values = w.qualities.iter().chain(&w.truths).map(|v| v.to_bits());
     fnv1a64_words(area.chain(tasks).chain(users).chain(values))
@@ -189,10 +193,9 @@ fn point_bytes(p: Point) -> [u8; 16] {
     chunk(&[&p.x.to_le_bytes(), &p.y.to_le_bytes()])
 }
 
-/// The exact length of `engine`'s checkpoint, trailer included, given
-/// how many users contributed and to how many tasks in all.
-fn encoded_len(engine: &Engine, state: &PlatformState<'_>, contributed: (usize, usize)) -> usize {
-    let (m, n) = (engine.workload.tasks.len(), engine.workload.users.len());
+/// The exact length of `engine`'s checkpoint, trailer included.
+fn encoded_len(engine: &Engine, state: &PlatformState<'_>) -> usize {
+    let (m, n) = (engine.workload.tasks.len(), engine.workload.homes.len());
     let wander: usize = engine.wander.iter().map(|w| 8 + flagged_len(&w.waypoint(), 16)).sum();
     let rounds: usize = engine
         .rounds
@@ -216,8 +219,8 @@ fn encoded_len(engine: &Engine, state: &PlatformState<'_>, contributed: (usize, 
     PREFIX_LEN
         + 16 * n
         + 4
-        + 8 * contributed.0
-        + 4 * contributed.1
+        + 8 * engine.contributed.users()
+        + 4 * engine.contributed.ids()
         + 28 * m
         + 1
         + wander
@@ -240,13 +243,8 @@ pub(crate) fn encode(engine: &Engine) -> Result<Vec<u8>, SimError> {
         SimError::checkpoint(format!("platform state not at a round boundary: {e}"))
     })?;
     let w = &engine.workload;
-    let (m, n) = (w.tasks.len(), w.users.len());
-    // Contributing users and their ids in all, counted without a branch
-    // per user.
-    let contributed = engine.contributed.iter().fold((0, 0), |(users, ids), list| {
-        (users + usize::from(!list.is_empty()), ids + list.len())
-    });
-    let len = encoded_len(engine, &state, contributed);
+    let (m, n) = (w.tasks.len(), w.homes.len());
+    let len = encoded_len(engine, &state);
     let mut buf = Vec::with_capacity(len);
 
     buf.put_slice(&HEADER.bytes());
@@ -265,8 +263,8 @@ pub(crate) fn encode(engine: &Engine) -> Result<Vec<u8>, SimError> {
 
     let (xs, ys) = (engine.locations.xs(), engine.locations.ys());
     put_chunks(&mut buf, xs.iter().zip(ys).map(|(x, y)| point_bytes(Point::new(*x, *y))));
-    buf.put_u32_le(contributed.0 as u32);
-    for (user, ids) in engine.contributed.iter().enumerate().filter(|(_, ids)| !ids.is_empty()) {
+    buf.put_u32_le(engine.contributed.users() as u32);
+    for (user, ids) in engine.contributed.iter() {
         buf.extend_from_slice(&(user as u32).to_le_bytes());
         put_list(&mut buf, ids.iter().map(|id| id.0 as u32));
     }
@@ -278,10 +276,12 @@ pub(crate) fn encode(engine: &Engine) -> Result<Vec<u8>, SimError> {
         }),
     );
 
-    // Wander state, present only for Wander motion.
+    // Wander state, present only for Wander motion: every user walks
+    // at the scenario's speed, written per user.
     buf.put_u8(u8::from(!engine.wander.is_empty()));
+    let speed = engine.scenario.speed.to_le_bytes();
     for walker in &engine.wander {
-        buf.extend_from_slice(&walker.speed().to_le_bytes());
+        buf.extend_from_slice(&speed);
         put_flagged(&mut buf, walker.waypoint().map(point_bytes));
     }
 
@@ -462,11 +462,11 @@ pub(crate) fn resume(
     let stored_hash = r.u64()?;
     let mut rng = StdRng::seed_from_u64(scenario.seed);
     let workload = Workload::generate(scenario, &mut rng)?;
-    if (workload.tasks.len(), workload.users.len()) != (m, n) {
+    if (workload.tasks.len(), workload.homes.len()) != (m, n) {
         return Err(SimError::checkpoint(format!(
             "checkpoint has {m} tasks and {n} users; the scenario draws {} and {}",
             workload.tasks.len(),
-            workload.users.len()
+            workload.homes.len()
         )));
     }
     if rng.to_state() != travel_rng_state {
@@ -487,9 +487,12 @@ pub(crate) fn resume(
         let p = Point::new(f64::from_le_bytes(*x), f64::from_le_bytes(*y));
         locations.push(inside(area, p, "position", user)?);
     }
-    let mut contributed: Vec<Vec<TaskId>> = vec![Vec::new(); n];
+    // Each entry holds at least its user, its count and one task.
+    let contributors = r.u32()? as usize;
+    r.need(contributors.saturating_mul(12))?;
+    let mut contributed = Contributions::with_capacity(n, contributors);
     let mut prev = None;
-    for _ in 0..r.u32()? {
+    for _ in 0..contributors {
         let user = next_user(&mut r, prev, n)?;
         prev = Some(user);
         let k = r.u32()? as usize;
@@ -498,9 +501,10 @@ pub(crate) fn resume(
         if k == 0 {
             return Err(SimError::checkpoint(format!("user {user}'s contributed list is empty")));
         }
-        contributed[user as usize] = ascending(&mut r, k, m, TaskId, |id| {
+        let tasks = ascending(&mut r, k, m, TaskId, |id| {
             format!("user {user}'s contributed task {id} is unknown or out of order")
         })?;
+        contributed.restore(user as usize, tasks);
     }
     let quality_received = f64s(r.chunks(m)?);
     let mut estimates = Vec::with_capacity(m);
@@ -514,17 +518,21 @@ pub(crate) fn resume(
         }
         let mut states = Vec::with_capacity(n);
         for user in 0..n {
+            // `encode` writes the scenario's speed for every user, and
+            // the walk uses that speed, not the stored one.
             let speed = r.f64()?;
-            // `with_waypoint` panics on a speed it could not walk at.
-            if !(speed.is_finite() && speed > 0.0) {
-                return Err(SimError::checkpoint(format!("bad wander speed {speed}")));
+            if speed.to_bits() != scenario.speed.to_bits() {
+                return Err(SimError::checkpoint(format!(
+                    "bad wander speed {speed} for user {user}: the scenario walks at {}",
+                    scenario.speed
+                )));
             }
             let waypoint = if r.flag()? {
                 Some(inside(area, point(&mut r)?, "waypoint", user)?)
             } else {
                 None
             };
-            states.push(RandomWaypoint::with_waypoint(speed, waypoint));
+            states.push(RandomWaypoint::with_waypoint(waypoint));
         }
         states
     } else {
@@ -839,7 +847,7 @@ mod tests {
         let s = scenario();
         let mut engine = Engine::new(&s, &Recorder::disabled()).unwrap();
         engine.step_round().unwrap();
-        let n = engine.workload.users.len() as u32;
+        let n = engine.workload.homes.len() as u32;
         let entry = |user| UserRound { user, profit: 1.0, selected: 1 };
         for users in [vec![entry(3), entry(1)], vec![entry(2), entry(2)], vec![entry(n)]] {
             engine.rounds[0].users = users;
@@ -852,11 +860,11 @@ mod tests {
     fn signed_contributions_with_unknown_or_out_of_order_users_are_refused() {
         let s = scenario();
         let mut engine = Engine::new(&s, &Recorder::disabled()).unwrap();
-        engine.contributed[1].push(TaskId(0));
-        engine.contributed[2].push(TaskId(1));
+        engine.contributed.note(1, TaskId(0));
+        engine.contributed.note(2, TaskId(1));
         let bytes = engine.checkpoint().unwrap();
         assert!(Engine::resume(&s, &bytes, &Recorder::disabled()).is_ok());
-        let n = engine.workload.users.len();
+        let n = engine.workload.homes.len();
         let at = contributed_at(n);
         let words: Vec<u32> = bytes[at..at + 28]
             .chunks(4)
@@ -876,10 +884,10 @@ mod tests {
     fn a_signed_empty_contribution_list_is_refused() {
         let s = scenario();
         let mut engine = Engine::new(&s, &Recorder::disabled()).unwrap();
-        engine.contributed[1].push(TaskId(0));
-        engine.contributed[2].push(TaskId(1));
+        engine.contributed.note(1, TaskId(0));
+        engine.contributed.note(2, TaskId(1));
         let mut bytes = engine.checkpoint().unwrap();
-        let at = contributed_at(engine.workload.users.len());
+        let at = contributed_at(engine.workload.homes.len());
         // count | user 1 | k | task 0 | user 2 | k | task 1: drop user
         // 1's one task and set its k to 0.
         bytes.drain(at + 12..at + 16);
@@ -893,11 +901,12 @@ mod tests {
     fn signed_contributed_tasks_that_are_unknown_or_out_of_order_are_refused() {
         let s = scenario();
         let mut engine = Engine::new(&s, &Recorder::disabled()).unwrap();
-        engine.contributed[1] = vec![TaskId(2), TaskId(5)];
+        engine.contributed.note(1, TaskId(5));
+        engine.contributed.note(1, TaskId(2));
         let bytes = engine.checkpoint().unwrap();
         let resumed = Engine::resume(&s, &bytes, &Recorder::disabled()).unwrap();
-        assert_eq!(resumed.contributed[1], [TaskId(2), TaskId(5)]);
-        let (m, n) = (engine.workload.tasks.len() as u32, engine.workload.users.len());
+        assert_eq!(resumed.contributed.of(1), [TaskId(2), TaskId(5)]);
+        let (m, n) = (engine.workload.tasks.len() as u32, engine.workload.homes.len());
         let at = contributed_at(n);
         let words: Vec<u32> = bytes[at..at + 20]
             .chunks(4)
@@ -922,14 +931,17 @@ mod tests {
         let mut s = scenario();
         s.user_motion = UserMotion::Wander { seconds: 60.0 };
         let engine = Engine::new(&s, &Recorder::disabled()).unwrap();
-        let (m, n) = (engine.workload.tasks.len(), engine.workload.users.len());
+        let (m, n) = (engine.workload.tasks.len(), engine.workload.homes.len());
         let bytes = engine.checkpoint().unwrap();
         // After an empty `contributed` list, `quality_received` and the
         // estimates: the wander flag, then the first user's speed.
         let at = contributed_at(n) + 4 + 28 * m;
         assert_eq!(bytes[at], 1);
-        assert_eq!(bytes[at + 1..at + 9], engine.wander[0].speed().to_le_bytes());
-        for speed in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+        assert_eq!(bytes[at + 1..at + 9], s.speed.to_le_bytes());
+        // Finite and positive, but not the scenario's: `encode` writes
+        // neither, and the walk would not use them.
+        let ulp_up = f64::from_bits(s.speed.to_bits() + 1);
+        for speed in [0.0, -1.0, f64::NAN, f64::INFINITY, 3.0, ulp_up] {
             let damaged = resigned(bytes.clone(), |body| {
                 body[at + 1..at + 9].copy_from_slice(&speed.to_le_bytes());
             });
@@ -940,8 +952,7 @@ mod tests {
     /// Bytes of an engine's `contributed` section: its count, then
     /// `user | k | k task ids` per contributing user.
     fn contributed_len(engine: &Engine) -> usize {
-        let lists = engine.contributed.iter().filter(|ids| !ids.is_empty());
-        4 + lists.map(|ids| 8 + 4 * ids.len()).sum::<usize>()
+        4 + engine.contributed.iter().map(|(_, ids)| 8 + 4 * ids.len()).sum::<usize>()
     }
 
     #[test]
@@ -953,7 +964,7 @@ mod tests {
         let mut engine = Engine::new(&s, &Recorder::disabled()).unwrap();
         engine.step_round().unwrap();
         let bytes = engine.checkpoint().unwrap();
-        let (m, n) = (engine.workload.tasks.len(), engine.workload.users.len());
+        let (m, n) = (engine.workload.tasks.len(), engine.workload.homes.len());
         // User 0's position opens the locations; its waypoint follows
         // the wander flag, its speed and its waypoint flag.
         let position = contributed_at(0);
@@ -982,7 +993,7 @@ mod tests {
         engine.step_round().unwrap();
         let bytes = engine.checkpoint().unwrap();
         let state = engine.platform.export_state().unwrap();
-        let (m, n) = (engine.workload.tasks.len(), engine.workload.users.len());
+        let (m, n) = (engine.workload.tasks.len(), engine.workload.homes.len());
         // The platform's lists sit before its rewards, receipts, round,
         // total paid, spend cap flag, empty mechanism blob, injector
         // flag, empty retry queue and the trailer.
@@ -1017,7 +1028,7 @@ mod tests {
         let mut engine = Engine::new(&s, &Recorder::disabled()).unwrap();
         engine.step_round().unwrap();
         let bytes = engine.checkpoint().unwrap();
-        let (m, n) = (engine.workload.tasks.len(), engine.workload.users.len());
+        let (m, n) = (engine.workload.tasks.len(), engine.workload.homes.len());
         // After the contributed lists, the per-task arrays and the
         // absent wander flag.
         let at = contributed_at(n) + contributed_len(&engine) + 28 * m + 1;

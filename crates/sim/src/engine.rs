@@ -65,6 +65,7 @@ use paydemand_geo::{Point, PositionStore, Rect};
 use paydemand_obs::{Alerts, AllocPhase, Counter, Gauge, Histogram, Recorder, TimeSeries};
 use paydemand_routing::CostMatrix;
 
+use crate::contributions::Contributions;
 use crate::trace::{self, TraceEvent, TraceSink};
 use crate::{
     metrics, MechanismKind, Scenario, SelectorKind, SimError, TravelModel, UserMotion, Workload,
@@ -638,7 +639,7 @@ pub struct Engine {
     pub(crate) platform: Platform<Box<dyn IncentiveMechanism>>,
     pub(crate) locations: PositionStore,
     /// Per user, the tasks they have contributed to, ascending.
-    pub(crate) contributed: Vec<Vec<TaskId>>,
+    pub(crate) contributed: Contributions,
     pub(crate) quality_received: Vec<f64>,
     pub(crate) estimates: Vec<crate::sensing::Estimate>,
     pub(crate) wander: Vec<RandomWaypoint>,
@@ -727,18 +728,18 @@ impl Engine {
         instruments.runs_total.inc();
         let injector = match &scenario.faults {
             Some(plan) if !plan.is_empty() => Some(
-                FaultInjector::new(plan, scenario.seed, workload.users.len(), recorder).map_err(
+                FaultInjector::new(plan, scenario.seed, workload.homes.len(), recorder).map_err(
                     |e| SimError::InvalidScenario { field: "faults", message: e.to_string() },
                 )?,
             ),
             _ => None,
         };
 
-        let n = workload.users.len();
+        let n = workload.homes.len();
         let m = workload.tasks.len();
-        let locations: PositionStore = workload.users.iter().map(|u| u.location()).collect();
+        let locations = PositionStore::from_points(&workload.homes);
         let wander: Vec<RandomWaypoint> = match scenario.user_motion {
-            UserMotion::Wander { .. } => vec![RandomWaypoint::new(scenario.speed); n],
+            UserMotion::Wander { .. } => vec![RandomWaypoint::new(); n],
             _ => Vec::new(),
         };
 
@@ -752,7 +753,7 @@ impl Engine {
             travel,
             platform,
             locations,
-            contributed: vec![Vec::new(); n],
+            contributed: Contributions::new(n),
             quality_received: vec![0.0f64; m],
             estimates: vec![crate::sensing::Estimate::default(); m],
             wander,
@@ -833,7 +834,7 @@ impl Engine {
     /// Number of users in the generated workload.
     #[must_use]
     pub fn num_users(&self) -> usize {
-        self.workload.users.len()
+        self.workload.homes.len()
     }
 
     /// Number of tasks in the generated workload.
@@ -922,7 +923,7 @@ impl Engine {
             return Err(SimError::event("run is finished; no further round will apply events"));
         }
         event
-            .validate(self.workload.users.len(), self.workload.tasks.len(), self.workload.area)
+            .validate(self.workload.homes.len(), self.workload.tasks.len(), self.workload.area)
             .map_err(SimError::event)?;
         self.inbox.push(event);
         Ok(())
@@ -1111,7 +1112,7 @@ impl Engine {
         for (idx, user, task, value) in std::mem::take(&mut rs.uploads) {
             let outcome = match self.settle(rs, user, task, Some(value)) {
                 Ok(pay) => {
-                    self.note_contribution(user, task);
+                    self.contributed.note(user, task);
                     rs.user_parts.push(UserRound { user: user as u32, profit: pay, selected: 0 });
                     self.recorder.counter("external_uploads_total").inc();
                     EventOutcome::Paid(pay)
@@ -1203,7 +1204,7 @@ impl Engine {
         let mut settlement_ns = 0u64;
         // The vendored `shuffle` draws `0..=i` whatever the element
         // type: `u32` indices get the permutation `usize` ones would.
-        let n = self.workload.users.len();
+        let n = self.workload.homes.len();
         self.order.clear();
         self.order.extend((0..n).map(|ui| ui as u32));
         self.order.shuffle(&mut self.rng);
@@ -1246,15 +1247,6 @@ impl Engine {
         offline
     }
 
-    /// Records that user `ui` contributed to `task`, keeping the
-    /// user's list in order.
-    fn note_contribution(&mut self, ui: usize, task: TaskId) {
-        let list = &mut self.contributed[ui];
-        if let Err(at) = list.binary_search(&task) {
-            list.insert(at, task);
-        }
-    }
-
     /// The posted tasks still open to user `ui`: incomplete right now
     /// and never contributed by them before.
     fn open_tasks(
@@ -1263,8 +1255,9 @@ impl Engine {
         ui: usize,
     ) -> Result<Vec<PublishedTask>, SimError> {
         let mut available = Vec::with_capacity(published.len());
+        let contributed = self.contributed.of(ui);
         for t in published {
-            if self.contributed[ui].binary_search(&t.id).is_ok() {
+            if contributed.binary_search(&t.id).is_ok() {
                 continue;
             }
             let received = self.platform.received(t.id).map_err(|_| {
@@ -1291,7 +1284,7 @@ impl Engine {
             &self.travel,
             self.locations.point(ui),
             available,
-            self.workload.users[ui].time_budget(),
+            self.workload.time_budgets[ui],
             self.scenario.speed,
             self.scenario.cost_per_meter,
             self.scenario.sensing_seconds,
@@ -1377,7 +1370,7 @@ impl Engine {
                     faulted = true;
                 }
             }
-            self.note_contribution(ui, task);
+            self.contributed.note(ui, task);
             performed += 1;
         }
         let profit = if performed == outcome.tasks().len() && !faulted {
@@ -1483,8 +1476,8 @@ impl Engine {
         match self.scenario.user_motion {
             UserMotion::StayAtRouteEnd => {}
             UserMotion::ReturnHome => {
-                for (i, u) in self.workload.users.iter().enumerate() {
-                    self.locations.set(i, u.location());
+                for (i, home) in self.workload.homes.iter().enumerate() {
+                    self.locations.set(i, *home);
                 }
             }
             UserMotion::Teleport => {
@@ -1494,9 +1487,10 @@ impl Engine {
                 }
             }
             UserMotion::Wander { seconds } => {
-                let area = self.workload.area;
-                for (i, state) in self.wander.iter_mut().enumerate() {
-                    let next = state.advance(self.locations.point(i), area, seconds, &mut self.rng);
+                let (area, speed) = (self.workload.area, self.scenario.speed);
+                for (i, walker) in self.wander.iter_mut().enumerate() {
+                    let here = self.locations.point(i);
+                    let next = walker.advance(here, area, speed, seconds, &mut self.rng);
                     self.locations.set(i, next);
                 }
             }
@@ -1797,7 +1791,7 @@ mod tests {
 
     fn check_invariants(r: &SimulationResult) {
         let m = r.workload.tasks.len();
-        let n = r.workload.users.len();
+        let n = r.workload.homes.len();
         assert_eq!(r.received.len(), m);
         assert!(!r.rounds.is_empty());
         // Measurements never exceed φ.
@@ -1994,8 +1988,7 @@ mod tests {
         // Per-round, a user can at most fit budget/(sensing time) tasks.
         for rr in &slow.rounds {
             for u in &rr.users {
-                let cap =
-                    (slow.workload.users[u.user as usize].time_budget() / 300.0).floor() as u32;
+                let cap = (slow.workload.time_budgets[u.user as usize] / 300.0).floor() as u32;
                 assert!(u.selected <= cap, "user fit {} tasks over cap {cap}", u.selected);
             }
         }

@@ -102,8 +102,8 @@ fn one_repetition(scenario: &crate::Scenario) -> Result<(Vec<f64>, Vec<f64>), Si
     };
     let mut platform =
         Platform::new(workload.tasks.clone(), mechanism, workload.area, scenario.neighbor_radius)?;
-    let n = workload.users.len();
-    let mut locations: Vec<Point> = workload.users.iter().map(|u| u.location()).collect();
+    let n = workload.homes.len();
+    let mut locations: Vec<Point> = workload.homes.clone();
     let mut contributed: Vec<HashSet<TaskId>> = vec![HashSet::new(); n];
 
     // Round 1: execute with the DP selector.
@@ -142,14 +142,14 @@ fn run_round(
     rng: &mut StdRng,
     mut shadow: Option<&mut Vec<f64>>,
 ) -> Result<Vec<f64>, SimError> {
-    let n = workload.users.len();
+    let n = workload.homes.len();
     let published = platform.publish_round(locations, rng)?;
     let mut order: Vec<usize> = (0..n).collect();
     order.shuffle(rng);
     let mut profits = vec![0.0; n];
     let dp_kind = SelectorKind::Dp { candidate_cap: Some(14) };
     for &ui in &order {
-        let profile = &workload.users[ui];
+        let time_budget = workload.time_budgets[ui];
         let available: Vec<PublishedTask> = published
             .iter()
             .filter(|t| {
@@ -168,7 +168,7 @@ fn run_round(
             &travel,
             locations[ui],
             &available,
-            profile.time_budget(),
+            time_budget,
             scenario.speed,
             scenario.cost_per_meter,
             scenario.sensing_seconds,
@@ -179,7 +179,7 @@ fn run_round(
                 &travel,
                 locations[ui],
                 &available,
-                profile.time_budget(),
+                time_budget,
                 scenario.speed,
                 scenario.cost_per_meter,
                 scenario.sensing_seconds,

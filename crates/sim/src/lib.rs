@@ -44,6 +44,7 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 mod checkpoint;
+mod contributions;
 pub mod engine;
 mod error;
 pub mod experiments;

@@ -147,7 +147,7 @@ pub fn average_profit_at_round(result: &SimulationResult, k: u32) -> f64 {
     let Some(rr) = result.rounds.get(k as usize - 1) else {
         return 0.0;
     };
-    let n = result.workload.users.len();
+    let n = result.workload.homes.len();
     if n == 0 {
         return 0.0;
     }
@@ -160,7 +160,7 @@ pub fn average_profit_at_round(result: &SimulationResult, k: u32) -> f64 {
 /// Total profit each user earned across all rounds, by user id.
 #[must_use]
 pub fn user_total_profits(result: &SimulationResult) -> Vec<f64> {
-    let n = result.workload.users.len();
+    let n = result.workload.homes.len();
     let mut totals = vec![0.0; n];
     for rr in &result.rounds {
         for u in &rr.users {
@@ -409,7 +409,7 @@ mod tests {
     fn user_totals_sum_to_round_profits() {
         let r = result();
         let totals = user_total_profits(&r);
-        assert_eq!(totals.len(), r.workload.users.len());
+        assert_eq!(totals.len(), r.workload.homes.len());
         let total_from_rounds: f64 =
             r.rounds.iter().flat_map(|rr| &rr.users).map(|u| u.profit).sum();
         let total: f64 = totals.iter().sum();

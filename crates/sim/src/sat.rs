@@ -134,9 +134,9 @@ pub fn run_sat(scenario: &Scenario, config: &SatConfig) -> Result<SimulationResu
     let mut rng = StdRng::seed_from_u64(scenario.seed);
     let workload = Workload::generate(scenario, &mut rng)?;
     let m = workload.tasks.len();
-    let n = workload.users.len();
+    let n = workload.homes.len();
 
-    let mut locations: Vec<Point> = workload.users.iter().map(|u| u.location()).collect();
+    let mut locations: Vec<Point> = workload.homes.clone();
     let mut contributed: Vec<HashSet<TaskId>> = vec![HashSet::new(); n];
     let mut received = vec![0u32; m];
     let mut quality_received = vec![0.0f64; m];
@@ -152,7 +152,7 @@ pub fn run_sat(scenario: &Scenario, config: &SatConfig) -> Result<SimulationResu
             if scenario.dropout_rate > 0.0 && rng.gen::<f64>() < scenario.dropout_rate {
                 continue;
             }
-            let reach = workload.users[ui].time_budget() * scenario.speed;
+            let reach = workload.time_budgets[ui] * scenario.speed;
             for (ti, spec) in workload.tasks.iter().enumerate() {
                 if received[ti] >= spec.required()
                     || contributed[ui].contains(&spec.id())

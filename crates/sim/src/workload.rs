@@ -1,13 +1,19 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use paydemand_core::{TaskId, TaskSpec, UserId, UserProfile};
-use paydemand_geo::Rect;
+use paydemand_core::{TaskId, TaskSpec};
+use paydemand_geo::{Point, Rect};
 
 use crate::{Scenario, SimError};
 
-/// The concrete random draw of one repetition: task specs and user
-/// profiles, generated from a [`Scenario`] and an RNG.
+/// The concrete random draw of one repetition: task specs and the
+/// users' homes and time budgets, generated from a [`Scenario`] and an
+/// RNG.
+///
+/// Users are held as columns, one entry per user in id order. The
+/// paper gives every user its own per-round time budget `B^k_{u_i}`
+/// but one walking speed and one movement cost rate (2 m/s and
+/// 0.002 $/m in its evaluation), so those two are held once.
 ///
 /// # Examples
 ///
@@ -19,7 +25,10 @@ use crate::{Scenario, SimError};
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(scenario.seed);
 /// let workload = Workload::generate(&scenario, &mut rng)?;
 /// assert_eq!(workload.tasks.len(), 20);
-/// assert_eq!(workload.users.len(), 100);
+/// assert_eq!(workload.homes.len(), 100);
+/// // The travel budget in metres: time budget × speed.
+/// let reach = workload.time_budgets[0] * workload.speed;
+/// assert!((1200.0..=2400.0).contains(&reach));
 /// # Ok::<(), paydemand_sim::SimError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -28,8 +37,14 @@ pub struct Workload {
     pub area: Rect,
     /// Task specifications, id order.
     pub tasks: Vec<TaskSpec>,
-    /// User profiles, id order.
-    pub users: Vec<UserProfile>,
+    /// Each user's initial location, inside the area, id order.
+    pub homes: Vec<Point>,
+    /// Each user's per-round time budget in seconds, id order.
+    pub time_budgets: Vec<f64>,
+    /// Every user's walking speed in m/s.
+    pub speed: f64,
+    /// Every user's movement cost in currency per metre.
+    pub cost_per_meter: f64,
     /// Per-user sensing quality in `(0, 1]`, id order (all 1 under the
     /// paper's implicit perfect-quality model).
     pub qualities: Vec<f64>,
@@ -44,8 +59,8 @@ impl Workload {
     /// # Errors
     ///
     /// [`SimError::InvalidScenario`] if the scenario fails validation,
-    /// [`SimError::Core`] if a generated entity is rejected by the
-    /// domain layer (cannot happen for validated scenarios).
+    /// [`SimError::Core`] if a generated task is rejected by the domain
+    /// layer (cannot happen for validated scenarios).
     pub fn generate<R: Rng + ?Sized>(scenario: &Scenario, rng: &mut R) -> Result<Self, SimError> {
         scenario.validate()?;
         let area = Rect::square(scenario.area_side)
@@ -62,26 +77,30 @@ impl Workload {
             tasks.push(TaskSpec::new(TaskId(i), loc, deadline, scenario.required_per_task)?);
         }
 
-        let user_locations = scenario.user_placement.sample(area, scenario.users, rng);
-        let mut users = Vec::with_capacity(scenario.users);
-        for (i, loc) in user_locations.into_iter().enumerate() {
-            let (lo, hi) = scenario.time_budget_range;
-            let budget = if lo == hi { lo } else { rng.gen_range(lo..=hi) };
-            users.push(UserProfile::new(
-                UserId(i),
-                loc,
-                budget,
-                scenario.speed,
-                scenario.cost_per_meter,
-            )?);
-        }
+        // Every placement draws inside the area, and validation keeps
+        // the budget range finite and non-negative, so neither column
+        // needs a check of its own.
+        let homes = scenario.user_placement.sample(area, scenario.users, rng);
+        let (lo, hi) = scenario.time_budget_range;
+        let time_budgets: Vec<f64> = (0..scenario.users)
+            .map(|_| if lo == hi { lo } else { rng.gen_range(lo..=hi) })
+            .collect();
 
         let qualities: Vec<f64> =
             (0..scenario.users).map(|_| scenario.user_quality.sample(rng)).collect();
         let truths: Vec<f64> =
             (0..scenario.tasks).map(|_| scenario.sensing.sample_truth(rng)).collect();
 
-        Ok(Workload { area, tasks, users, qualities, truths })
+        Ok(Workload {
+            area,
+            tasks,
+            homes,
+            time_budgets,
+            speed: scenario.speed,
+            cost_per_meter: scenario.cost_per_meter,
+            qualities,
+            truths,
+        })
     }
 }
 
@@ -99,20 +118,18 @@ mod tests {
         let s = Scenario::paper_default();
         let w = Workload::generate(&s, &mut rng(1)).unwrap();
         assert_eq!(w.tasks.len(), 20);
-        assert_eq!(w.users.len(), 100);
+        assert_eq!((w.homes.len(), w.time_budgets.len(), w.qualities.len()), (100, 100, 100));
         for (i, t) in w.tasks.iter().enumerate() {
             assert_eq!(t.id(), TaskId(i));
             assert!(w.area.contains(t.location()));
             assert!((5..=15).contains(&t.deadline()));
             assert_eq!(t.required(), 20);
         }
-        for (i, u) in w.users.iter().enumerate() {
-            assert_eq!(u.id(), UserId(i));
-            assert!(w.area.contains(u.location()));
-            assert!((600.0..=1200.0).contains(&u.time_budget()));
-            assert_eq!(u.speed(), 2.0);
-            assert_eq!(u.cost_per_meter(), 0.002);
+        for (i, (home, budget)) in w.homes.iter().zip(&w.time_budgets).enumerate() {
+            assert!(w.area.contains(*home), "user {i}");
+            assert!((600.0..=1200.0).contains(budget), "user {i}");
         }
+        assert_eq!((w.speed, w.cost_per_meter), (2.0, 0.002));
     }
 
     #[test]
@@ -129,7 +146,7 @@ mod tests {
     fn degenerate_time_budget_range_is_exact() {
         let s = Scenario::paper_default().with_time_budget_range(750.0, 750.0);
         let w = Workload::generate(&s, &mut rng(2)).unwrap();
-        assert!(w.users.iter().all(|u| u.time_budget() == 750.0));
+        assert!(w.time_budgets.iter().all(|b| *b == 750.0));
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! backend's steady-state rounds allocate nothing at 100k users, both
 //! delta rounds and full sweeps, a warmed exact solve allocates only
 //! the route it returns, and a warmed checkpoint allocates only its
-//! exactly sized buffer.
+//! exactly sized buffer; (4) an engine's per-user state, built by
+//! `Engine::new` or `Engine::resume`, costs at most 72 bytes a user.
 //!
 //! Every test that enables profiling holds the exclusive window so the
 //! exact-accounting assertions never see another test's enable cycle.
@@ -18,7 +19,7 @@ use paydemand::obs::alloc::{self, AllocPhase, PhaseGuard};
 use paydemand::obs::Recorder;
 use paydemand::routing::{orienteering, CostMatrix};
 use paydemand::sim::{
-    engine, runner, Engine, ExternalEvent, MechanismKind, Scenario, SelectorKind,
+    engine, runner, Engine, ExternalEvent, MechanismKind, Scenario, SelectorKind, UserMotion,
 };
 use rand::{Rng, SeedableRng};
 
@@ -330,5 +331,61 @@ fn a_warmed_checkpoint_allocates_only_its_buffer() {
     // The output buffer, and no mechanism blob: on-demand pricing keeps
     // no state between rounds.
     assert_eq!(allocs, [1, 1]);
+    drop(recorder);
+}
+
+/// Bytes `build` allocates on this thread, tagged so that other
+/// threads' allocations are not counted.
+fn allocated_by<T>(build: impl FnOnce() -> T) -> (T, u64) {
+    let _tag = PhaseGuard::enter(AllocPhase::Checkpoint);
+    let before = alloc::phase_totals(AllocPhase::Checkpoint);
+    let built = build();
+    let after = alloc::phase_totals(AllocPhase::Checkpoint);
+    (built, after.bytes_allocated - before.bytes_allocated)
+}
+
+#[test]
+fn engine_state_costs_at_most_72_bytes_a_user() {
+    // 100k users wander between rounds, as `city`'s do, and about a
+    // hundred select tasks each round. A user's state is a home, a
+    // budget, a quality, a position, a walker and a contributions slot:
+    // 68 bytes. Everything else (tasks, platform, round records, the
+    // contributors' lists) is bounded per task: each task takes at most
+    // `required_per_task` contributions.
+    const USERS: usize = 100_000;
+    const TASKS: usize = 100;
+    const PER_USER: u64 = 72;
+    const PER_TASK: u64 = 2 * 1024;
+    let _window = alloc::exclusive_profile();
+    let recorder = profiled_recorder(); // keeps global tracking alive
+    let mut scenario = Scenario::paper_default()
+        .with_users(USERS)
+        .with_tasks(TASKS)
+        .with_neighbor_radius(200.0)
+        .with_selector(SelectorKind::Greedy)
+        .with_max_rounds(4)
+        .with_seed(0x5EED_B17E);
+    scenario.user_motion = UserMotion::Wander { seconds: 60.0 };
+    scenario.dropout_rate = 1.0 - 100.0 / USERS as f64;
+    scenario.reward_budget = 1e9;
+    let bound = PER_USER * USERS as u64 + PER_TASK * TASKS as u64;
+
+    let (mut engine, new_bytes) =
+        allocated_by(|| Engine::new(&scenario, &Recorder::disabled()).unwrap());
+    engine.step_round().unwrap();
+    engine.step_round().unwrap();
+    let bytes = engine.checkpoint().unwrap();
+    drop(engine);
+    let (resumed, resume_bytes) =
+        allocated_by(|| Engine::resume(&scenario, &bytes, &Recorder::disabled()).unwrap());
+    assert!(resumed.total_paid() > 0.0, "no user contributed before the checkpoint");
+    let per_user = |b: u64| b as f64 / USERS as f64;
+    assert!(
+        new_bytes <= bound && resume_bytes <= bound,
+        "Engine::new allocated {new_bytes} B ({:.1} B a user), Engine::resume {resume_bytes} B \
+         ({:.1} B a user), over {bound} B",
+        per_user(new_bytes),
+        per_user(resume_bytes)
+    );
     drop(recorder);
 }

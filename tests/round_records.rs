@@ -82,7 +82,7 @@ fn dense(rr: &RoundRecord, n: usize) -> Vec<(f64, u32)> {
 fn fingerprint(results: &[SimulationResult]) -> u64 {
     let mut bytes = Vec::new();
     for r in results {
-        let n = r.workload.users.len();
+        let n = r.workload.homes.len();
         for k in 1..=r.rounds.len() as u32 {
             bytes.extend(metrics::average_profit_at_round(r, k).to_bits().to_le_bytes());
         }
