@@ -35,8 +35,10 @@
 //!   uses too: consumed barriers are skipped, un-checkpointed barriers
 //!   re-execute their rounds deterministically *through the tick's own
 //!   apply path*, trailing events return to the pending queue. The
-//!   result — engine, WAL and lineage index alike — is bit-identical to
-//!   the run that never crashed.
+//!   result is bit-identical to the run that never crashed: the engine,
+//!   its checkpoints and every lineage frame of a round that ran before
+//!   the crash. An event still pending at the crash is applied from the
+//!   WAL recovery compacted, so its frame records its offset there.
 //! * workers are panic-isolated under a [`Supervisor`]; an engine-side
 //!   panic or error during a tick flips the daemon into a `failed`
 //!   read-only state rather than corrupting durable state.
@@ -194,10 +196,59 @@ struct Dims {
 /// `GET /events/{id}` without touching disk.
 struct LineageState {
     index: LineageIndex,
-    /// event id → its fate, for every applied event.
-    applied: BTreeMap<u64, AppliedFrame>,
+    /// Every applied event's fate, in event-id order.
+    applied: AppliedMirror,
     /// round → its pricing/budget summary.
     rounds: BTreeMap<u32, RoundFrame>,
+}
+
+/// Frames an [`AppliedMirror`] block holds.
+const MIRROR_BLOCK: usize = 2048;
+
+/// The applied events' frames in strictly increasing event-id order, in
+/// append-only blocks of [`MIRROR_BLOCK`] frames. A block is allocated
+/// at that capacity and never reallocated, so a growing mirror neither
+/// copies its frames nor leaves freed copies of them in the heap. Ids
+/// arrive in order: they are assigned under the ingest lock, drained
+/// first in first out and read back in file order; a failed WAL append
+/// can leave a gap, so lookups search rather than index.
+#[derive(Default)]
+struct AppliedMirror {
+    blocks: Vec<Vec<AppliedFrame>>,
+}
+
+impl AppliedMirror {
+    /// Appends `frame`, refusing an id that does not follow the last.
+    fn push(&mut self, frame: AppliedFrame) -> Result<(), ServeError> {
+        if let Some(last) = self.last().filter(|last| frame.event_id <= last.event_id) {
+            return Err(ServeError::Config(format!(
+                "lineage frame for event {} does not follow event {}: the index is out of order",
+                frame.event_id, last.event_id
+            )));
+        }
+        match self.blocks.last_mut() {
+            Some(block) if block.len() < MIRROR_BLOCK => block.push(frame),
+            _ => {
+                let mut block = Vec::with_capacity(MIRROR_BLOCK);
+                block.push(frame);
+                self.blocks.push(block);
+            }
+        }
+        Ok(())
+    }
+
+    /// The frame with the highest event id.
+    fn last(&self) -> Option<&AppliedFrame> {
+        self.blocks.last()?.last()
+    }
+
+    /// The frame of event `id`: a binary search of the block heads, then
+    /// of the block.
+    fn get(&self, id: u64) -> Option<&AppliedFrame> {
+        let after = self.blocks.partition_point(|b| b.first().is_some_and(|f| f.event_id <= id));
+        let block = &self.blocks[after.checked_sub(1)?];
+        block.binary_search_by_key(&id, |f| f.event_id).ok().map(|i| &block[i])
+    }
 }
 
 struct Ingest {
@@ -670,15 +721,16 @@ fn recover(
             recorder.counter("lineage_torn_bytes_total").add(torn_lineage as u64);
         }
         let next = engine.next_round();
-        let settled: Vec<LineageFrame> =
-            frames.iter().filter(|f| f.round() < next).cloned().collect();
-        let truncated = frames.len() - settled.len();
+        let scanned = frames.len();
+        let settled: Vec<LineageFrame> = frames.into_iter().filter(|f| f.round() < next).collect();
+        let truncated = scanned - settled.len();
         if truncated > 0 {
             index.rewrite(&settled)?;
             recorder.counter("lineage_truncated_frames_total").add(truncated as u64);
         }
-        let mut state = LineageState { index, applied: BTreeMap::new(), rounds: BTreeMap::new() };
-        absorb_frames(&mut state, settled);
+        let mut state =
+            LineageState { index, applied: AppliedMirror::default(), rounds: BTreeMap::new() };
+        absorb_frames(&mut state, settled)?;
         Some(state)
     } else {
         None
@@ -688,15 +740,12 @@ fn recover(
     // re-execute and regenerate their lineage through the tick's own
     // apply path. Id watermarks go past everything the WAL holds *and*
     // everything the lineage remembers (applied events get compacted
-    // out of the WAL).
-    let mut max_event_id = 0u64;
-    let mut max_request_id = 0u64;
-    if let Some(state) = &lineage_state {
-        for f in state.applied.values() {
-            max_event_id = max_event_id.max(f.event_id);
-            max_request_id = max_request_id.max(f.request_id);
-        }
-    }
+    // out of the WAL). Ids and request ids rise together, so the
+    // mirror's last frame holds the highest of both.
+    let (mut max_event_id, mut max_request_id) = lineage_state
+        .as_ref()
+        .and_then(|state| state.applied.last())
+        .map_or((0, 0), |f| (f.event_id, f.request_id));
     let mut watermark = |seq: &SequencedEvent| {
         max_event_id = max_event_id.max(seq.id);
         max_request_id = max_request_id.max(seq.request);
@@ -709,7 +758,7 @@ fn recover(
         replayed += batch.len() as u64;
         if let Some(state) = lineage_state.as_mut() {
             state.index.append(&frames)?;
-            absorb_frames(state, frames);
+            absorb_frames(state, frames)?;
         }
         Ok(())
     })?;
@@ -738,18 +787,18 @@ fn recover(
     Ok((engine, ingest, replayed))
 }
 
-/// Folds freshly-appended lineage frames into the in-memory mirror.
-fn absorb_frames(state: &mut LineageState, frames: Vec<LineageFrame>) {
+/// Folds freshly-appended lineage frames into the in-memory mirror,
+/// refusing an applied event id that does not follow the last one.
+fn absorb_frames(state: &mut LineageState, frames: Vec<LineageFrame>) -> Result<(), ServeError> {
     for frame in frames {
         match frame {
-            LineageFrame::Applied(f) => {
-                state.applied.insert(f.event_id, f);
-            }
+            LineageFrame::Applied(f) => state.applied.push(f)?,
             LineageFrame::Round(r) => {
                 state.rounds.insert(r.round, r);
             }
         }
     }
+    Ok(())
 }
 
 fn acceptor_loop(listener: &TcpListener, shared: &Arc<Shared>) {
@@ -1142,7 +1191,9 @@ fn run_tick(shared: &Arc<Shared>) -> Result<TickOutcome, ServeError> {
             shared.metrics.lineage_bytes.add(bytes);
             shared.metrics.lineage_frames.add(frames.len() as u64);
             shared.metrics.lineage_applied.add(applied as u64);
-            absorb_frames(state, frames);
+            absorb_frames(state, frames).inspect_err(|e| {
+                shared.fail("lineage mirror refused a frame", &e.to_string());
+            })?;
         }
         ingest.applying = None;
     }
@@ -1315,15 +1366,15 @@ fn event_payload_json(event: &ExternalEvent) -> String {
 /// never acked.
 fn event_json(shared: &Arc<Shared>, id: u64) -> Option<String> {
     let ingest = shared.lock_ingest();
-    for (offset, seq) in &ingest.pending {
-        if seq.id == id {
-            return Some(format!(
-                "{{\"event_id\": {id}, \"status\": \"pending\", \"request_id\": {}, \
-                 \"wal_offset\": {offset}, \"event\": {}}}\n",
-                seq.request,
-                event_payload_json(&seq.event),
-            ));
-        }
+    // Ids rise through the queue, with a gap where a WAL append failed.
+    if let Ok(at) = ingest.pending.binary_search_by_key(&id, |(_, seq)| seq.id) {
+        let (offset, seq) = &ingest.pending[at];
+        return Some(format!(
+            "{{\"event_id\": {id}, \"status\": \"pending\", \"request_id\": {}, \
+             \"wal_offset\": {offset}, \"event\": {}}}\n",
+            seq.request,
+            event_payload_json(&seq.event),
+        ));
     }
     if let Some(Applying { first, last, round }) = ingest.applying {
         if (first..=last).contains(&id) {
@@ -1333,7 +1384,7 @@ fn event_json(shared: &Arc<Shared>, id: u64) -> Option<String> {
         }
     }
     let state = ingest.lineage.as_ref()?;
-    let frame = state.applied.get(&id)?;
+    let frame = state.applied.get(id)?;
     let round = state.rounds.get(&frame.round);
     let total_paid = round.map_or("null".to_owned(), |r| format!("{}", r.total_paid));
     let round_applied = round.map_or("null".to_owned(), |r| r.applied.to_string());
@@ -1399,19 +1450,185 @@ fn status_json(shared: &Arc<Shared>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lineage::Disposition;
 
-    #[test]
-    fn an_event_a_tick_is_applying_answers_applying_then_applied() {
+    fn state_dir(tag: &str) -> PathBuf {
         let dir =
-            std::env::temp_dir().join(format!("paydemand-daemon-applying-{}", std::process::id()));
+            std::env::temp_dir().join(format!("paydemand-daemon-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let scenario = Scenario::paper_default()
+        dir
+    }
+
+    fn scenario() -> Scenario {
+        Scenario::paper_default()
             .with_users(30)
             .with_tasks(10)
             .with_max_rounds(4)
-            .with_selector(paydemand_sim::SelectorKind::Greedy);
-        let daemon = Daemon::start(DaemonConfig::new(scenario, dir.clone()), &Recorder::disabled())
-            .expect("daemon starts");
+            .with_selector(paydemand_sim::SelectorKind::Greedy)
+    }
+
+    /// Acks one batch of `count` moves, `salt` varying where they go.
+    fn post_moves(daemon: &Daemon, count: usize, salt: usize) {
+        let events: Vec<String> = (salt..salt + count)
+            .map(|k| {
+                let (user, x, y) = (k % 30, k % 2999, (7 * k) % 2999);
+                format!(r#"{{"type": "move", "user": {user}, "x": {x}.5, "y": {y}.25}}"#)
+            })
+            .collect();
+        let body = format!(r#"{{"events": [{}]}}"#, events.join(", "));
+        let ack = http::request(
+            daemon.local_addr(),
+            "POST",
+            "/events",
+            body.as_bytes(),
+            Duration::from_secs(10),
+        )
+        .expect("request completes");
+        assert_eq!(ack.status, 202, "{}", ack.body);
+    }
+
+    fn frame(event_id: u64) -> AppliedFrame {
+        AppliedFrame {
+            event_id,
+            request_id: event_id / 100,
+            wal_offset: 46 * event_id,
+            round: 1,
+            disposition: Disposition::Moved,
+            pay: 0.0,
+        }
+    }
+
+    #[test]
+    fn mirror_blocks_stay_full_at_their_capacity_and_answer_every_edge() {
+        // Odd ids from 3, a gap between every two, over two full blocks
+        // and part of a third.
+        let ids: Vec<u64> = (0..2 * MIRROR_BLOCK as u64 + 5).map(|i| 3 + 2 * i).collect();
+        let mut mirror = AppliedMirror::default();
+        for &id in &ids {
+            mirror.push(frame(id)).unwrap();
+        }
+        assert_eq!(mirror.blocks.len(), 3);
+        for block in &mirror.blocks {
+            assert_eq!(block.capacity(), MIRROR_BLOCK);
+        }
+        assert!(mirror.blocks[..2].iter().all(|b| b.len() == MIRROR_BLOCK));
+        for block in &mirror.blocks {
+            for id in [block[0].event_id, block[block.len() - 1].event_id] {
+                assert_eq!(mirror.get(id), Some(&frame(id)));
+            }
+        }
+        assert!(ids.iter().all(|&id| mirror.get(id) == Some(&frame(id))));
+        let last = *ids.last().unwrap();
+        assert_eq!(mirror.last(), Some(&frame(last)));
+        for missing in [0, 1, 2, 4, 2 * MIRROR_BLOCK as u64 + 2, last + 1, u64::MAX] {
+            assert_eq!(mirror.get(missing), None, "id {missing}");
+        }
+        assert_eq!(AppliedMirror::default().get(0), None);
+    }
+
+    #[test]
+    fn an_applied_id_that_does_not_follow_the_last_is_refused() {
+        let mut mirror = AppliedMirror::default();
+        mirror.push(frame(5)).unwrap();
+        for id in [5, 4, 0] {
+            match mirror.push(frame(id)) {
+                Err(ServeError::Config(message)) => {
+                    assert!(message.contains(&format!("event {id} does not follow event 5")));
+                }
+                other => panic!("id {id} after 5: {other:?}"),
+            }
+        }
+        assert_eq!(mirror.blocks, [vec![frame(5)]]);
+        mirror.push(frame(6)).unwrap();
+    }
+
+    #[test]
+    fn event_lookups_answer_block_edges_and_pending_ids_by_search() {
+        let dir = state_dir("lookups");
+        let mut config = DaemonConfig::new(scenario(), dir.clone());
+        config.fsync = false;
+        let daemon = Daemon::start(config, &Recorder::disabled()).expect("daemon starts");
+        for salt in [0, 1000, 2000] {
+            post_moves(&daemon, 1000, salt);
+        }
+        assert_eq!(daemon.tick().unwrap().applied, 3000);
+        let shared = Arc::clone(&daemon.shared);
+        let status = |id| {
+            event_json(&shared, id).map(|body| {
+                let at = body.find("\"status\": \"").expect("a status") + 11;
+                body[at..].split('"').next().unwrap().to_owned()
+            })
+        };
+        // Ids 1..=2048 fill the first block, 2049..=3000 start the next.
+        for id in [1, 2048, 2049, 3000] {
+            assert_eq!(status(id).as_deref(), Some("applied"), "id {id}");
+        }
+        assert_eq!(status(0), None);
+        assert_eq!(status(3001), None);
+
+        post_moves(&daemon, 3, 0);
+        for id in [3001, 3002, 3003] {
+            let body = event_json(&shared, id).expect("a pending id answers");
+            assert!(body.starts_with(&format!("{{\"event_id\": {id}, \"status\": \"pending\"")));
+        }
+        assert_eq!(status(2999).as_deref(), Some("applied"));
+        assert_eq!(status(3004), None);
+        daemon.shutdown().expect("graceful shutdown");
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_regenerated_round_answers_every_id_as_the_uninterrupted_daemon_does() {
+        // Checkpoints land every second tick, so a crash after the third
+        // leaves its lineage past the checkpoint: recovery truncates it
+        // and the replay regenerates it.
+        let run = |tag: &str, crash: bool| {
+            let dir = state_dir(tag);
+            let mut config = DaemonConfig::new(scenario(), dir.clone());
+            config.checkpoint_every = 2;
+            let daemon = Daemon::start(config.clone(), &Recorder::disabled()).unwrap();
+            for tick in 0..3 {
+                post_moves(&daemon, 1200, 1200 * tick);
+                daemon.tick().unwrap();
+            }
+            let daemon = if crash {
+                daemon.crash();
+                config.resume = true;
+                let recorder = Recorder::enabled();
+                let resumed = Daemon::start(config, &recorder).unwrap();
+                let truncated = recorder
+                    .snapshot()
+                    .counter_value("lineage_truncated_frames_total", None)
+                    .unwrap_or(0);
+                assert_eq!(truncated, 1201, "round 3's frames are truncated");
+                assert_eq!(resumed.replayed_events(), 1200);
+                resumed
+            } else {
+                daemon
+            };
+            let bodies: Vec<Option<String>> =
+                (0..=3601).map(|id| event_json(&daemon.shared, id)).collect();
+            daemon.shutdown().unwrap();
+            let _ = std::fs::remove_dir_all(dir);
+            bodies
+        };
+        let reference = run("uninterrupted", false);
+        let recovered = run("recovered", true);
+        assert!(reference[1..=3600]
+            .iter()
+            .all(|body| body.as_ref().is_some_and(|b| b.contains("\"applied\""))));
+        assert_eq!((reference[0].as_ref(), reference[3601].as_ref()), (None, None));
+        for (id, (want, got)) in reference.iter().zip(&recovered).enumerate() {
+            assert_eq!(want, got, "event {id}");
+        }
+    }
+
+    #[test]
+    fn an_event_a_tick_is_applying_answers_applying_then_applied() {
+        let dir = state_dir("applying");
+        let daemon =
+            Daemon::start(DaemonConfig::new(scenario(), dir.clone()), &Recorder::disabled())
+                .expect("daemon starts");
         let body = br#"{"events": [{"type": "move", "user": 3, "x": 100.0, "y": 200.0},
             {"type": "upload", "user": 5, "task": 2, "value": 7.5}]}"#;
         let ack =

@@ -13,7 +13,7 @@
 //! layout is:
 //!
 //! ```text
-//! magic "PDCK" | version u8 = 2 | scenario fingerprint u64
+//! magic "PDCK" | version u8 = 3 | scenario fingerprint u64
 //! next_round u32 | done u8 | main rng 4×u64 | travel rng 4×u64
 //! m u32 | n u32 | workload hash u64
 //! locations | contributed | quality_received | estimates
@@ -31,34 +31,47 @@
 //! users' homes and time budgets, qualities, truths) is never stored:
 //! [`resume`] draws it again from the scenario seed, and refuses the
 //! file unless the draw leaves the main RNG exactly on the stored
-//! travel state and hashes to the stored workload hash. Per-user data is sparse, in user order:
-//! `contributed` lists only users with a contribution (`user u32 | k
-//! u32 | k task ids`, strictly increasing), and each round record lists
-//! only the users with an entry (`user u32 | profit f64 | selected
-//! u32`).
+//! travel state and hashes to the stored workload hash. Per-user data
+//! is sparse, in user order:
+//!
+//! * `locations` holds ⌈n/64⌉ `u64` words, then one point (x, y) for
+//!   each set bit, in user order. Bit `i % 64` of word `i / 64` is set
+//!   when user `i` is away: their position differs from their drawn
+//!   home by bits (`-0.0` against a `0.0` home is away). A user at home
+//!   costs one bit.
+//! * `contributed` lists only users with a contribution (`user u32 | k
+//!   u32 | k task ids`, strictly increasing).
+//! * each round record lists only the users with an entry (`user u32 |
+//!   profit f64 | selected u32`).
+//!
+//! The wander section, present (flag 1) only under `Wander` motion,
+//! holds n waypoints of 16 bytes as the walkers keep them: a walker
+//! with none writes the two canonical NaNs. Every user walks at the
+//! scenario's speed, so no speed is stored.
 //!
 //! The checksum trailer is [`fnv1a64_words`] over every byte before it,
 //! read as little-endian words (the last one zero-padded). It is
 //! checked right after the magic and version, so a damaged or cut file
 //! is refused before any field is read, and a file of another version
-//! is refused by its version. Decoding never panics on corrupt input:
-//! every read goes through a bounds-checked [`Cursor`] and surfaces
-//! [`SimError::Checkpoint`].
+//! (v1, v2) is refused by its version. Decoding never panics on corrupt
+//! input: every read goes through a bounds-checked [`Cursor`] and
+//! surfaces [`SimError::Checkpoint`].
 //!
 //! State moves in bulk. [`encode`] counts the file's exact length
-//! first and allocates it once, then writes each run of fixed-size
-//! fields (locations, per-task arrays, contributor lists, round
-//! entries, the retry queue) as one slice, straight from the engine's
-//! vectors and the platform's borrowed [`PlatformState`]. [`resume`]
-//! reads those runs back with one bounds check each, into vectors
-//! allocated at their final length from counts already checked: m and
-//! n against the workload the scenario draws, every other count
-//! against the bytes that remain. It also refuses what a run could not
-//! have held: a position or waypoint outside the area, a walker speed
-//! that is not the scenario's (the file keeps one per user, as every
-//! user walks at the scenario's), and a sorted id list (a user's
-//! contributed tasks, a task's contributors) that is not strictly
-//! increasing or names an unknown id.
+//! first (a compare pass counts the away users) and allocates it once,
+//! then writes each run of fixed-size fields (the away words, waypoints,
+//! per-task arrays, contributor lists, round entries, the retry queue)
+//! as one slice, straight from the engine's vectors and the platform's
+//! borrowed [`PlatformState`]. [`resume`] reads those runs back with one
+//! bounds check each, into vectors allocated at their final length from
+//! counts already checked: m and n against the workload the scenario
+//! draws, every other count against the bytes that remain. It also
+//! refuses what `encode` could not have written: an away bit past user
+//! n, an away user whose stored position is their home, a position or
+//! waypoint outside the area (a NaN other than a walker's no-waypoint
+//! pair included), and a sorted id list (a user's contributed tasks, a
+//! task's contributors) that is not strictly increasing or names an
+//! unknown id.
 
 use std::sync::OnceLock;
 
@@ -78,7 +91,7 @@ use crate::frame::{fnv1a64, fnv1a64_words, BufMut, Cursor, CursorError, Header, 
 use crate::sensing::Estimate;
 use crate::{Scenario, SimError, UserMotion, Workload};
 
-const VERSION: u8 = 2;
+const VERSION: u8 = 3;
 const HEADER: Header = Header { magic: *b"PDCK", version: VERSION };
 const TRAILER_LEN: usize = 8;
 /// Bytes before the locations: the header, fingerprint, round, done
@@ -193,10 +206,56 @@ fn point_bytes(p: Point) -> [u8; 16] {
     chunk(&[&p.x.to_le_bytes(), &p.y.to_le_bytes()])
 }
 
-/// The exact length of `engine`'s checkpoint, trailer included.
-fn encoded_len(engine: &Engine, state: &PlatformState<'_>) -> usize {
+/// What a walker with no waypoint keeps, and the file holds for it: two
+/// canonical NaNs.
+const NO_WAYPOINT: Point = Point { x: f64::NAN, y: f64::NAN };
+
+/// Whether `a` and `b` are the same point bit for bit: `-0.0` is not
+/// `0.0`, and a NaN is only its own bits.
+#[inline]
+fn same_bits(a: Point, b: Point) -> bool {
+    (a.x.to_bits() ^ b.x.to_bits()) | (a.y.to_bits() ^ b.y.to_bits()) == 0
+}
+
+/// Bit `i` set when the position (`xs[i]`, `ys[i]`) differs from
+/// `homes[i]` by bits, for up to 64 users.
+#[inline]
+fn away_word(xs: &[f64], ys: &[f64], homes: &[Point]) -> u64 {
+    let mut word = 0;
+    for (i, ((x, y), home)) in xs.iter().zip(ys).zip(homes).enumerate() {
+        word |= u64::from(!same_bits(Point::new(*x, *y), *home)) << i;
+    }
+    word
+}
+
+/// The locations section's words: 64 users a word, bit set when the
+/// user is away from home.
+fn away_words(engine: &Engine) -> impl ExactSizeIterator<Item = u64> + '_ {
+    let (xs, ys) = (engine.locations.xs(), engine.locations.ys());
+    xs.chunks(64)
+        .zip(ys.chunks(64))
+        .zip(engine.workload.homes.chunks(64))
+        .map(|((xs, ys), homes)| away_word(xs, ys, homes))
+}
+
+/// The users whose bits are set in `words`, ascending.
+fn set_users(words: &[[u8; 8]]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, word)| {
+        let mut bits = u64::from_le_bytes(*word);
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let user = 64 * w + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                user
+            })
+        })
+    })
+}
+
+/// The exact length of `engine`'s checkpoint, trailer included, with
+/// `away` users away from home.
+fn encoded_len(engine: &Engine, state: &PlatformState<'_>, away: usize) -> usize {
     let (m, n) = (engine.workload.tasks.len(), engine.workload.homes.len());
-    let wander: usize = engine.wander.iter().map(|w| 8 + flagged_len(&w.waypoint(), 16)).sum();
     let rounds: usize = engine
         .rounds
         .iter()
@@ -217,13 +276,14 @@ fn encoded_len(engine: &Engine, state: &PlatformState<'_>) -> usize {
         + 4
         + state.mechanism.len();
     PREFIX_LEN
-        + 16 * n
+        + 8 * n.div_ceil(64)
+        + 16 * away
         + 4
         + 8 * engine.contributed.users()
         + 4 * engine.contributed.ids()
         + 28 * m
         + 1
-        + wander
+        + 16 * engine.wander.len()
         + 4
         + rounds
         + platform
@@ -235,16 +295,17 @@ fn encoded_len(engine: &Engine, state: &PlatformState<'_>) -> usize {
 
 /// Serialises `engine` at its current round boundary into one buffer
 /// of the checkpoint's exact length. Each run of fixed-size fields
-/// (locations, per-task arrays, contributor lists, round entries) is
-/// written as one slice, straight from the engine's and the platform's
-/// own vectors.
+/// (the away words and points, waypoints, per-task arrays, contributor
+/// lists, round entries) is written as one slice, straight from the
+/// engine's and the platform's own vectors.
 pub(crate) fn encode(engine: &Engine) -> Result<Vec<u8>, SimError> {
     let state = engine.platform.export_state().map_err(|e| {
         SimError::checkpoint(format!("platform state not at a round boundary: {e}"))
     })?;
     let w = &engine.workload;
     let (m, n) = (w.tasks.len(), w.homes.len());
-    let len = encoded_len(engine, &state);
+    let away = away_words(engine).map(|word| word.count_ones() as usize).sum();
+    let len = encoded_len(engine, &state, away);
     let mut buf = Vec::with_capacity(len);
 
     buf.put_slice(&HEADER.bytes());
@@ -261,8 +322,16 @@ pub(crate) fn encode(engine: &Engine) -> Result<Vec<u8>, SimError> {
     buf.put_u32_le(n as u32);
     buf.put_u64_le(*engine.workload_hash.get_or_init(|| workload_hash(w)));
 
-    let (xs, ys) = (engine.locations.xs(), engine.locations.ys());
-    put_chunks(&mut buf, xs.iter().zip(ys).map(|(x, y)| point_bytes(Point::new(*x, *y))));
+    // Locations: the away words, then each away user's position.
+    let words_at = buf.len();
+    put_chunks(&mut buf, away_words(engine).map(u64::to_le_bytes));
+    let points_at = buf.len();
+    buf.resize(points_at + 16 * away, 0);
+    let (head, points) = buf.split_at_mut(points_at);
+    let words = head[words_at..].as_chunks::<8>().0;
+    for (slot, user) in points.as_chunks_mut::<16>().0.iter_mut().zip(set_users(words)) {
+        *slot = point_bytes(engine.locations.point(user));
+    }
     buf.put_u32_le(engine.contributed.users() as u32);
     for (user, ids) in engine.contributed.iter() {
         buf.extend_from_slice(&(user as u32).to_le_bytes());
@@ -276,14 +345,13 @@ pub(crate) fn encode(engine: &Engine) -> Result<Vec<u8>, SimError> {
         }),
     );
 
-    // Wander state, present only for Wander motion: every user walks
-    // at the scenario's speed, written per user.
+    // Wander state, present only for Wander motion: each walker's
+    // waypoint, or the no-waypoint NaNs.
     buf.put_u8(u8::from(!engine.wander.is_empty()));
-    let speed = engine.scenario.speed.to_le_bytes();
-    for walker in &engine.wander {
-        buf.extend_from_slice(&speed);
-        put_flagged(&mut buf, walker.waypoint().map(point_bytes));
-    }
+    put_chunks(
+        &mut buf,
+        engine.wander.iter().map(|w| point_bytes(w.waypoint().unwrap_or(NO_WAYPOINT))),
+    );
 
     // Completed round records.
     buf.put_u32_le(engine.rounds.len() as u32);
@@ -355,10 +423,8 @@ pub(crate) fn encode(engine: &Engine) -> Result<Vec<u8>, SimError> {
     Ok(buf)
 }
 
-fn point(r: &mut Cursor<'_>) -> Result<Point, CursorError> {
-    let x = r.f64()?;
-    let y = r.f64()?;
-    Ok(Point::new(x, y))
+fn point_from([x, y]: &[[u8; 8]; 2]) -> Point {
+    Point::new(f64::from_le_bytes(*x), f64::from_le_bytes(*y))
 }
 
 fn rng_state(r: &mut Cursor<'_>) -> Result<[u64; 4], CursorError> {
@@ -482,10 +548,28 @@ pub(crate) fn resume(
     }
     let area = workload.area;
 
-    let mut locations = PositionStore::with_capacity(n);
-    for (user, [x, y]) in r.chunks::<8>(2 * n)?.as_chunks::<2>().0.iter().enumerate() {
-        let p = Point::new(f64::from_le_bytes(*x), f64::from_le_bytes(*y));
-        locations.push(inside(area, p, "position", user)?);
+    // Locations: the drawn homes, with each away user's stored
+    // position over theirs.
+    let words = r.chunks::<8>(n.div_ceil(64))?;
+    if let (Some(last), 1..) = (words.last(), n % 64) {
+        if u64::from_le_bytes(*last) >> (n % 64) != 0 {
+            return Err(SimError::checkpoint(format!(
+                "an away bit names a user beyond the {n} users"
+            )));
+        }
+    }
+    let away: usize = words.iter().map(|w| u64::from_le_bytes(*w).count_ones() as usize).sum();
+    let points = r.chunks::<8>(2 * away)?.as_chunks::<2>().0;
+    let mut locations = PositionStore::from_points(&workload.homes);
+    for (user, pair) in set_users(words).zip(points) {
+        let p = inside(area, point_from(pair), "position", user)?;
+        // `encode` marks only users whose position differs from home.
+        if same_bits(p, workload.homes[user]) {
+            return Err(SimError::checkpoint(format!(
+                "user {user} is marked away but stored at their home {p}"
+            )));
+        }
+        locations.set(user, p);
     }
     // Each entry holds at least its user, its count and one task.
     let contributors = r.u32()? as usize;
@@ -517,20 +601,12 @@ pub(crate) fn resume(
             return Err(SimError::checkpoint("wander state present for a non-wander scenario"));
         }
         let mut states = Vec::with_capacity(n);
-        for user in 0..n {
-            // `encode` writes the scenario's speed for every user, and
-            // the walk uses that speed, not the stored one.
-            let speed = r.f64()?;
-            if speed.to_bits() != scenario.speed.to_bits() {
-                return Err(SimError::checkpoint(format!(
-                    "bad wander speed {speed} for user {user}: the scenario walks at {}",
-                    scenario.speed
-                )));
-            }
-            let waypoint = if r.flag()? {
-                Some(inside(area, point(&mut r)?, "waypoint", user)?)
-            } else {
+        for (user, pair) in r.chunks::<8>(2 * n)?.as_chunks::<2>().0.iter().enumerate() {
+            let p = point_from(pair);
+            let waypoint = if same_bits(p, NO_WAYPOINT) {
                 None
+            } else {
+                Some(inside(area, p, "waypoint", user)?)
             };
             states.push(RandomWaypoint::with_waypoint(waypoint));
         }
@@ -828,11 +904,20 @@ mod tests {
         bytes
     }
 
-    /// Offset of the `contributed` section of an `n`-user checkpoint:
-    /// after the header, fingerprint, round, done flag, both RNGs, m, n,
-    /// the workload hash and the locations.
-    fn contributed_at(n: usize) -> usize {
-        5 + 8 + 4 + 1 + 2 * 32 + 4 + 4 + 8 + 16 * n
+    /// Offset of the locations section: after the header, fingerprint,
+    /// round, done flag, both RNGs, m, n and the workload hash.
+    const LOCATIONS_AT: usize = 5 + 8 + 4 + 1 + 2 * 32 + 4 + 4 + 8;
+
+    /// The users whose position differs from their home by bits.
+    fn away_users(engine: &Engine) -> Vec<usize> {
+        let homes = &engine.workload.homes;
+        (0..homes.len()).filter(|&u| !same_bits(engine.locations.point(u), homes[u])).collect()
+    }
+
+    /// Offset of the `contributed` section of `engine`'s checkpoint:
+    /// after the locations' ⌈n/64⌉ away words and 16 bytes per away user.
+    fn contributed_at(engine: &Engine) -> usize {
+        LOCATIONS_AT + 8 * engine.workload.homes.len().div_ceil(64) + 16 * away_users(engine).len()
     }
 
     fn refusal(s: &Scenario, bytes: &[u8]) -> String {
@@ -865,7 +950,7 @@ mod tests {
         let bytes = engine.checkpoint().unwrap();
         assert!(Engine::resume(&s, &bytes, &Recorder::disabled()).is_ok());
         let n = engine.workload.homes.len();
-        let at = contributed_at(n);
+        let at = contributed_at(&engine);
         let words: Vec<u32> = bytes[at..at + 28]
             .chunks(4)
             .map(|w| u32::from_le_bytes(w.try_into().unwrap()))
@@ -887,7 +972,7 @@ mod tests {
         engine.contributed.note(1, TaskId(0));
         engine.contributed.note(2, TaskId(1));
         let mut bytes = engine.checkpoint().unwrap();
-        let at = contributed_at(engine.workload.homes.len());
+        let at = contributed_at(&engine);
         // count | user 1 | k | task 0 | user 2 | k | task 1: drop user
         // 1's one task and set its k to 0.
         bytes.drain(at + 12..at + 16);
@@ -906,8 +991,8 @@ mod tests {
         let bytes = engine.checkpoint().unwrap();
         let resumed = Engine::resume(&s, &bytes, &Recorder::disabled()).unwrap();
         assert_eq!(resumed.contributed.of(1), [TaskId(2), TaskId(5)]);
-        let (m, n) = (engine.workload.tasks.len() as u32, engine.workload.homes.len());
-        let at = contributed_at(n);
+        let m = engine.workload.tasks.len() as u32;
+        let at = contributed_at(&engine);
         let words: Vec<u32> = bytes[at..at + 20]
             .chunks(4)
             .map(|w| u32::from_le_bytes(w.try_into().unwrap()))
@@ -923,29 +1008,6 @@ mod tests {
                 refusal(&s, &damaged).contains("unknown or out of order"),
                 "tasks {first}, {second}"
             );
-        }
-    }
-
-    #[test]
-    fn a_signed_wander_speed_that_cannot_be_walked_is_refused() {
-        let mut s = scenario();
-        s.user_motion = UserMotion::Wander { seconds: 60.0 };
-        let engine = Engine::new(&s, &Recorder::disabled()).unwrap();
-        let (m, n) = (engine.workload.tasks.len(), engine.workload.homes.len());
-        let bytes = engine.checkpoint().unwrap();
-        // After an empty `contributed` list, `quality_received` and the
-        // estimates: the wander flag, then the first user's speed.
-        let at = contributed_at(n) + 4 + 28 * m;
-        assert_eq!(bytes[at], 1);
-        assert_eq!(bytes[at + 1..at + 9], s.speed.to_le_bytes());
-        // Finite and positive, but not the scenario's: `encode` writes
-        // neither, and the walk would not use them.
-        let ulp_up = f64::from_bits(s.speed.to_bits() + 1);
-        for speed in [0.0, -1.0, f64::NAN, f64::INFINITY, 3.0, ulp_up] {
-            let damaged = resigned(bytes.clone(), |body| {
-                body[at + 1..at + 9].copy_from_slice(&speed.to_le_bytes());
-            });
-            assert!(refusal(&s, &damaged).contains("bad wander speed"), "speed {speed}");
         }
     }
 
@@ -965,11 +1027,12 @@ mod tests {
         engine.step_round().unwrap();
         let bytes = engine.checkpoint().unwrap();
         let (m, n) = (engine.workload.tasks.len(), engine.workload.homes.len());
-        // User 0's position opens the locations; its waypoint follows
-        // the wander flag, its speed and its waypoint flag.
-        let position = contributed_at(0);
+        // User 0 walked, so their position is the first away point,
+        // after the away words; their waypoint follows the wander flag.
+        assert_eq!(away_users(&engine).first(), Some(&0));
+        let position = LOCATIONS_AT + 8 * n.div_ceil(64);
         assert_eq!(bytes[position..position + 8], engine.locations.point(0).x.to_le_bytes());
-        let waypoint = contributed_at(n) + contributed_len(&engine) + 28 * m + 1 + 8 + 1;
+        let waypoint = contributed_at(&engine) + contributed_len(&engine) + 28 * m + 1;
         let walked_to = engine.wander[0].waypoint().expect("a walked user has a waypoint");
         assert_eq!(bytes[waypoint..waypoint + 8], walked_to.x.to_le_bytes());
         for (at, what) in [(position, "user 0's position"), (waypoint, "user 0's waypoint")] {
@@ -983,6 +1046,117 @@ mod tests {
                     "{message}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn only_users_away_from_home_are_stored() {
+        let s = scenario();
+        let mut engine = Engine::new(&s, &Recorder::disabled()).unwrap();
+        let n = engine.workload.homes.len();
+        let at_home = engine.checkpoint().unwrap();
+        assert_eq!(at_home[LOCATIONS_AT..LOCATIONS_AT + 8], [0; 8]);
+        engine.step_round().unwrap();
+        let away = away_users(&engine);
+        assert!(!away.is_empty() && away.len() < n, "{away:?}");
+        let bytes = engine.checkpoint().unwrap();
+        let word = u64::from_le_bytes(bytes[LOCATIONS_AT..LOCATIONS_AT + 8].try_into().unwrap());
+        assert_eq!(word, away.iter().map(|u| 1 << u).sum::<u64>());
+        let points = &bytes[LOCATIONS_AT + 8..];
+        for (point, &user) in points.chunks(16).zip(&away) {
+            assert_eq!(point, point_bytes(engine.locations.point(user)));
+        }
+    }
+
+    #[test]
+    fn a_signed_away_bit_past_the_last_user_is_refused() {
+        let s = scenario();
+        let engine = Engine::new(&s, &Recorder::disabled()).unwrap();
+        let n = engine.workload.homes.len();
+        assert!(n < 64 && away_users(&engine).is_empty());
+        let bytes = engine.checkpoint().unwrap();
+        for bit in [n, 63] {
+            let damaged = resigned(bytes.clone(), |body| {
+                body[LOCATIONS_AT..LOCATIONS_AT + 8].copy_from_slice(&(1u64 << bit).to_le_bytes());
+            });
+            assert!(refusal(&s, &damaged).contains("beyond the 15 users"), "bit {bit}");
+        }
+    }
+
+    #[test]
+    fn a_signed_away_user_stored_at_home_is_refused() {
+        let s = scenario();
+        let mut engine = Engine::new(&s, &Recorder::disabled()).unwrap();
+        engine.step_round().unwrap();
+        let user = away_users(&engine)[0];
+        let bytes = engine.checkpoint().unwrap();
+        let at = LOCATIONS_AT + 8;
+        assert_eq!(bytes[at..at + 16], point_bytes(engine.locations.point(user)));
+        let damaged = resigned(bytes, |body| {
+            body[at..at + 16].copy_from_slice(&point_bytes(engine.workload.homes[user]));
+        });
+        let message = refusal(&s, &damaged);
+        assert!(message.contains(&format!("user {user} is marked away")), "{message}");
+    }
+
+    #[test]
+    fn minus_zero_against_a_zero_home_is_away_and_keeps_its_sign() {
+        // Hotspots far wider than the area clamp many homes onto its
+        // edges, at exactly 0.0.
+        let mut s = scenario().with_users(60);
+        s.user_placement =
+            paydemand_geo::placement::Placement::Clustered { clusters: 1, sigma: 1e5 };
+        let mut engine = Engine::new(&s, &Recorder::disabled()).unwrap();
+        let homes = &engine.workload.homes;
+        let user = homes.iter().position(|h| h.x.to_bits() == 0).expect("a home on the x = 0 edge");
+        let home = homes[user];
+        engine.locations.set(user, Point::new(-0.0, home.y));
+        assert_eq!(away_users(&engine), [user]);
+        let bytes = engine.checkpoint().unwrap();
+        let resumed = Engine::resume(&s, &bytes, &Recorder::disabled()).unwrap();
+        assert_eq!(resumed.locations.point(user).x.to_bits(), (-0.0f64).to_bits());
+        assert_eq!(resumed.checkpoint().unwrap(), bytes);
+    }
+
+    #[test]
+    fn signed_away_points_past_the_file_are_refused_before_anything_is_sized() {
+        // 1,000 users at home: 16 words and no points. Every bit set
+        // asks for 16,000 bytes of points the file does not hold.
+        let s = scenario().with_users(1000);
+        let engine = Engine::new(&s, &Recorder::disabled()).unwrap();
+        let bytes = engine.checkpoint().unwrap();
+        assert!(bytes.len() < LOCATIONS_AT + 16 * 8 + 16 * 1000);
+        let damaged = resigned(bytes, |body| {
+            let words = &mut body[LOCATIONS_AT..LOCATIONS_AT + 16 * 8];
+            words.fill(0xff);
+            // User 999 is bit 39 of the last word: clear the bits past it.
+            words[15 * 8..].copy_from_slice(&((1u64 << 40) - 1).to_le_bytes());
+        });
+        assert!(refusal(&s, &damaged).contains("truncated"));
+    }
+
+    #[test]
+    fn a_signed_waypoint_that_is_not_the_no_waypoint_nan_is_refused() {
+        // Before the first walk every walker has no waypoint, written as
+        // two canonical NaNs; any other NaN is no position in the area.
+        let mut s = scenario();
+        s.user_motion = UserMotion::Wander { seconds: 60.0 };
+        let engine = Engine::new(&s, &Recorder::disabled()).unwrap();
+        let m = engine.workload.tasks.len();
+        let bytes = engine.checkpoint().unwrap();
+        let at = contributed_at(&engine) + 4 + 28 * m + 1;
+        assert_eq!(bytes[at - 1], 1);
+        assert_eq!(bytes[at..at + 16], point_bytes(NO_WAYPOINT));
+        let canonical = f64::NAN.to_bits();
+        let negative = canonical | 1 << 63;
+        for (x, y) in [(canonical | 1, canonical), (canonical, canonical | 1), (negative, negative)]
+        {
+            let damaged = resigned(bytes.clone(), |body| {
+                body[at..at + 8].copy_from_slice(&x.to_le_bytes());
+                body[at + 8..at + 16].copy_from_slice(&y.to_le_bytes());
+            });
+            let message = refusal(&s, &damaged);
+            assert!(message.contains("user 0's waypoint") && message.contains("outside the area"));
         }
     }
 
@@ -1028,10 +1202,10 @@ mod tests {
         let mut engine = Engine::new(&s, &Recorder::disabled()).unwrap();
         engine.step_round().unwrap();
         let bytes = engine.checkpoint().unwrap();
-        let (m, n) = (engine.workload.tasks.len(), engine.workload.homes.len());
+        let m = engine.workload.tasks.len();
         // After the contributed lists, the per-task arrays and the
         // absent wander flag.
-        let at = contributed_at(n) + contributed_len(&engine) + 28 * m + 1;
+        let at = contributed_at(&engine) + contributed_len(&engine) + 28 * m + 1;
         assert_eq!(bytes[at..at + 4], 1u32.to_le_bytes());
         let damaged = resigned(bytes, |body| {
             body[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());

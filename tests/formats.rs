@@ -21,13 +21,15 @@
 //!   every byte. Each cut or damaged body is also signed again with a
 //!   valid trailer, as a file from another build would be, to reach
 //!   the decoder's own checks: a re-signed cut is still refused, and a
-//!   re-signed replacement resumes or is refused, never panics. A PDCK
-//!   v1 file (`tests/fixtures/pdck-v1.ck`) is refused with its version
-//!   named, by `Engine::resume` and by a daemon resuming a state
-//!   directory that holds it.
+//!   re-signed replacement resumes or is refused, never panics. PDCK v1
+//!   and v2 files (`tests/fixtures/pdck-v1.ck`, `pdck-v2.ck`) are
+//!   refused with their version named, by `Engine::resume` and by a
+//!   daemon resuming a state directory that holds one.
 //! * Every `SelectorKind` setting keeps its checkpoint bytes, which
 //!   hash the scenario's `Debug` form, and counts its solves under its
-//!   metric label.
+//!   metric label. Beside each byte pin, a second constant folds what
+//!   the checkpoints hold, whatever their layout: each resumed and run
+//!   to completion.
 //!
 //! A debug build runs a reduced set; `cargo test --release --test
 //! formats` runs all of it.
@@ -47,6 +49,8 @@ use paydemand_serve::wal::{SequencedEvent, Wal, WalRecord};
 use paydemand_serve::{Daemon, DaemonConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+mod common;
 
 /// Instances per property: (round trips, cut-and-damage files).
 fn instances() -> (u64, u64) {
@@ -439,7 +443,10 @@ fn lineage_keeps_exactly_the_frames_before_a_cut_or_a_damaged_byte() {
 
 /// The 15-user scenario behind every checkpoint here, and behind
 /// `tests/fixtures/pdck-v1.ck` (written after one round by the last
-/// build that wrote PDCK v1).
+/// build that wrote PDCK v1) and `pdck-v2.ck` (written after round 4
+/// by the last build that wrote PDCK v2, with `paydemand run --users
+/// 15 --tasks 6 --rounds 5 --reps 1 --selector greedy --seed 21
+/// --checkpoint-every 4 --checkpoint-file tests/fixtures/pdck-v2.ck`).
 fn plain_scenario() -> Scenario {
     Scenario::paper_default()
         .with_users(15)
@@ -450,7 +457,9 @@ fn plain_scenario() -> Scenario {
 }
 
 const V1_FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/pdck-v1.ck");
-const V1_REFUSAL: &str = "unsupported checkpoint version 1 (expected 2)";
+const V1_REFUSAL: &str = "unsupported checkpoint version 1 (expected 3)";
+const V2_FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/pdck-v2.ck");
+const V2_REFUSAL: &str = "unsupported checkpoint version 2 (expected 3)";
 
 /// `body` followed by a valid PDCK trailer: the word hash of its
 /// little-endian 8-byte words, the last one zero-padded.
@@ -548,7 +557,7 @@ fn every_selector_keeps_its_checkpoint_bytes_and_metric_label() {
         (SelectorKind::Insertion, "insertion"),
         (SelectorKind::BranchBound, "branch-bound"),
     ];
-    let mut hashes = Vec::new();
+    let (mut hashes, mut held) = (Vec::new(), Vec::new());
     for (selector, label) in settings {
         let scenario = Scenario::paper_default()
             .with_users(15)
@@ -559,14 +568,17 @@ fn every_selector_keeps_its_checkpoint_bytes_and_metric_label() {
         let recorder = Recorder::enabled();
         let mut engine = Engine::new(&scenario, &recorder).unwrap();
         engine.step_round().unwrap();
-        hashes.extend(fnv1a64(&engine.checkpoint().unwrap()).to_le_bytes());
+        let bytes = engine.checkpoint().unwrap();
+        hashes.extend(fnv1a64(&bytes).to_le_bytes());
+        held.push(common::held(&scenario, &bytes));
         // No task is complete or contributed to in round 1, so every
         // user solves once.
         let solves =
             recorder.snapshot().counter_value("selector_solves_total", Some(("selector", label)));
         assert_eq!(solves, Some(15), "{selector:?}");
     }
-    assert_eq!(fnv1a64(&hashes), 0xc1d6_fd3b_7aa4_c7e9);
+    assert_eq!(fnv1a64(&hashes), 0x94e6_56dc_623a_79cd);
+    assert_eq!(fnv1a64_words(held), 0xecf6_448f_4870_e79b);
 }
 
 /// Engines driven the way the daemon drives one: a batch of outside
@@ -586,7 +598,7 @@ fn a_daemon_shaped_checkpoint_keeps_its_bytes() {
     let mut fixed_wanderer = on_demand.clone().with_mechanism(MechanismKind::Fixed);
     fixed_wanderer.user_motion = UserMotion::Wander { seconds: 60.0 };
     let recorder = Recorder::disabled();
-    let mut hashes = Vec::new();
+    let (mut hashes, mut held) = (Vec::new(), Vec::new());
     for scenario in [fixed_wanderer, on_demand] {
         let mut engine = Engine::new(&scenario, &recorder).unwrap();
         let (users, tasks) = (engine.num_users() as u32, engine.num_tasks() as u32);
@@ -620,34 +632,57 @@ fn a_daemon_shaped_checkpoint_keeps_its_bytes() {
                 scenario.mechanism
             );
             hashes.extend(fnv1a64(&bytes).to_le_bytes());
+            held.push(common::held(&scenario, &bytes));
         }
         assert!(retried && paid > 0, "{:?}: retried {retried}, paid {paid}", scenario.mechanism);
         assert!(engine.spend_cap().is_some(), "{:?}: the shock set no cap", scenario.mechanism);
     }
-    assert_eq!(fnv1a64(&hashes), 0x3712_7073_8adb_8c05);
+    assert_eq!(fnv1a64(&hashes), 0x42b9_a0e6_5df8_999a);
+    assert_eq!(fnv1a64_words(held), 0x0bbc_125c_6623_c42c);
+}
+
+/// `Engine::resume` refuses the checkpoint in `fixture` with `refusal`.
+fn assert_resume_refuses(fixture: &str, refusal: &str) {
+    let bytes = std::fs::read(fixture).unwrap();
+    match Engine::resume(&plain_scenario(), &bytes, &Recorder::disabled()) {
+        Err(SimError::Checkpoint { message }) => assert!(message.contains(refusal), "{message}"),
+        other => panic!("{fixture} resumed or failed otherwise: {:?}", other.map(|_| ())),
+    }
+}
+
+/// A daemon refuses to resume a state directory whose checkpoint is
+/// `fixture`, with `refusal`.
+fn assert_daemon_refuses(fixture: &str, refusal: &str, tag: &str) {
+    let dir = scratch(tag);
+    std::fs::copy(fixture, dir.join("checkpoint.ck")).unwrap();
+    let mut config = DaemonConfig::new(plain_scenario(), dir.clone());
+    config.resume = true;
+    match Daemon::start(config, &Recorder::disabled()) {
+        Err(e) => assert!(e.to_string().contains(refusal), "{e}"),
+        Ok(daemon) => {
+            let _ = daemon.shutdown();
+            panic!("a daemon resumed a state directory holding {fixture}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn a_v1_checkpoint_is_refused_with_its_version_named() {
-    let bytes = std::fs::read(V1_FIXTURE).unwrap();
-    match Engine::resume(&plain_scenario(), &bytes, &Recorder::disabled()) {
-        Err(SimError::Checkpoint { message }) => assert!(message.contains(V1_REFUSAL), "{message}"),
-        other => panic!("a v1 checkpoint resumed or failed otherwise: {:?}", other.map(|_| ())),
-    }
+    assert_resume_refuses(V1_FIXTURE, V1_REFUSAL);
 }
 
 #[test]
 fn a_daemon_refuses_to_resume_a_v1_state_directory() {
-    let dir = scratch("v1-state");
-    std::fs::copy(V1_FIXTURE, dir.join("checkpoint.ck")).unwrap();
-    let mut config = DaemonConfig::new(plain_scenario(), dir.clone());
-    config.resume = true;
-    match Daemon::start(config, &Recorder::disabled()) {
-        Err(e) => assert!(e.to_string().contains(V1_REFUSAL), "{e}"),
-        Ok(daemon) => {
-            let _ = daemon.shutdown();
-            panic!("a daemon resumed a v1 state directory");
-        }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
+    assert_daemon_refuses(V1_FIXTURE, V1_REFUSAL, "v1-state");
+}
+
+#[test]
+fn a_v2_checkpoint_is_refused_with_its_version_named() {
+    assert_resume_refuses(V2_FIXTURE, V2_REFUSAL);
+}
+
+#[test]
+fn a_daemon_refuses_to_resume_a_v2_state_directory() {
+    assert_daemon_refuses(V2_FIXTURE, V2_REFUSAL, "v2-state");
 }

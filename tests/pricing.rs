@@ -12,7 +12,9 @@
 //! The wandering run's checkpoint is pinned too: it holds every user's
 //! position and waypoint bits, the main RNG state, the contributions
 //! and the round records, so movement, the participation order and
-//! the per-user solves keep their bits, not only the prices.
+//! the per-user solves keep their bits, not only the prices. A second
+//! constant folds what that checkpoint holds, resumed, whatever its
+//! layout.
 
 use paydemand::obs::Recorder;
 use paydemand::sim::frame::fnv1a64;
@@ -20,6 +22,8 @@ use paydemand::sim::{
     engine, Engine, FaultKind, FaultPlan, MechanismKind, Scenario, SelectorKind, SimulationResult,
     UserMotion,
 };
+
+mod common;
 
 fn run_all(scenarios: &[Scenario]) -> Vec<SimulationResult> {
     scenarios.iter().map(|s| engine::run(s).unwrap()).collect()
@@ -100,7 +104,8 @@ fn a_wandering_city_checkpoints_the_same_bytes() {
     while engine.step_round().unwrap() {}
     assert_eq!(engine.rounds_run(), 8);
     let bytes = engine.checkpoint().unwrap();
-    assert_eq!(fnv1a64(&bytes), 0x5dca_e2b5_5ce5_1508);
+    assert_eq!(fnv1a64(&bytes), 0x694b_7e2e_75da_875a);
+    assert_eq!(common::held(&wandering_city(), &bytes), 0xd917_0979_fdfd_669b);
 }
 
 #[test]
