@@ -12,23 +12,11 @@
 use std::process::ExitCode;
 
 use paydemand_bench::gate::{
-    compare, parse, phase_deltas, BenchDoc, PROFILING_OVERHEAD_TARGET, TELEMETRY_OVERHEAD_TARGET,
-    TRACE_OVERHEAD_TARGET,
+    compare, parse, phase_deltas, BenchDoc, TELEMETRY_OVERHEAD_TARGET, TRACE_OVERHEAD_TARGET,
 };
-use paydemand_bench::scaling::{profile_arm, Arm, Config};
 
-/// Rounds for the post-failure attribution profile of a regressed arm:
-/// enough for the sampler to land, few enough to stay cheap even on
-/// the naive arm.
-const ATTRIBUTION_ROUNDS: u32 = 3;
-/// Sampling rate for the attribution profile; well above the default
-/// 99 Hz because the arm only runs for a few rounds.
-const ATTRIBUTION_HZ: u32 = 499;
-
-/// On a wall-clock failure, attribute it: print per-phase deltas from
-/// the two documents, then re-run the first regressed arm under the
-/// sampling profiler and print where the fresh build actually spends
-/// its time.
+/// On a wall-clock failure, attribute it: print how each per-phase
+/// metric moved between the two documents for every regressed arm.
 fn attribute_regressions(baseline: &BenchDoc, fresh: &BenchDoc, regressed: &[String]) {
     for key in regressed {
         let deltas = phase_deltas(baseline, fresh, key);
@@ -38,35 +26,6 @@ fn attribute_regressions(baseline: &BenchDoc, fresh: &BenchDoc, regressed: &[Str
                 println!("gate:   {line}");
             }
         }
-    }
-    // One fresh capture for the first regressed arm whose key parses.
-    let Some((key, cfg, arm)) = regressed.iter().find_map(|key| {
-        let (point, label) = key.split_once(':')?;
-        let (users, tasks) = point.split_once('x')?;
-        let cfg = Config {
-            rounds: ATTRIBUTION_ROUNDS,
-            ..Config::at(users.parse().ok()?, tasks.parse().ok()?)
-        };
-        Some((key, cfg, Arm::from_label(label)?))
-    }) else {
-        return;
-    };
-    println!(
-        "gate: profiling regressed arm {key} ({} rounds at {ATTRIBUTION_HZ} Hz) ...",
-        ATTRIBUTION_ROUNDS
-    );
-    let profile = profile_arm(&cfg, arm, ATTRIBUTION_HZ);
-    if profile.is_empty() {
-        println!("gate:   (run too short for samples; see the phase deltas above)");
-        return;
-    }
-    for stack in profile.top_stacks(5) {
-        println!(
-            "gate:   {:>6} samples (~{:.3}s)  {}",
-            stack.samples,
-            profile.seconds_for(stack.samples),
-            stack.folded_name()
-        );
     }
 }
 
@@ -124,14 +83,6 @@ fn main() -> ExitCode {
             String::new()
         };
         println!("live-telemetry overhead: {:+.1}%{note}", 100.0 * overhead);
-    }
-    if let Some(overhead) = fresh.profiling_overhead {
-        let note = if overhead > PROFILING_OVERHEAD_TARGET {
-            format!(" (WARNING: above the {:.0}% target)", 100.0 * PROFILING_OVERHEAD_TARGET)
-        } else {
-            String::new()
-        };
-        println!("sampling-profiler overhead: {:+.1}%{note}", 100.0 * overhead);
     }
     if failures.is_empty() {
         println!("gate: ok ({} arms compared)", verdicts.len());

@@ -1,14 +1,8 @@
 //! Round-loop scaling benchmark: emits `BENCH_scaling.json`.
 //!
 //! ```sh
-//! cargo run --release -p paydemand-bench --bin scaling -- \
-//!     [OUT_PATH] [--profile-cpu [HZ]] [--profile-out PATH]
+//! cargo run --release -p paydemand-bench --bin scaling -- [OUT_PATH]
 //! ```
-//!
-//! `--profile-cpu` samples the whole sweep with the statistical
-//! profiler (default 99 Hz) and writes the capture next to the JSON
-//! (`--profile-out`, default `scaling.prof`) for `paydemand profile
-//! report`/`diff`.
 //!
 //! Sweeps users ∈ {100, 1k, 10k, 50k} × tasks ∈ {100, 1k}, plus two
 //! demand-wall points at 250k and 1M users × 1k tasks (fewer rounds —
@@ -19,39 +13,17 @@
 //! before any timing is reported; see `paydemand_bench::scaling`.
 
 use paydemand_bench::scaling::{
-    measure_profiling_overhead, measure_telemetry_overhead, measure_trace_overhead, run_point,
-    to_json_doc, Config,
+    measure_telemetry_overhead, measure_trace_overhead, run_point, to_json_doc, Config,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut out_path = "BENCH_scaling.json".to_string();
-    let mut profile_cpu: Option<u32> = None;
-    let mut profile_out = "scaling.prof".to_string();
-    let mut args = std::env::args().skip(1).peekable();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--profile-cpu" => {
-                profile_cpu = Some(match args.peek().and_then(|v| v.parse::<u32>().ok()) {
-                    Some(hz) => {
-                        args.next();
-                        hz
-                    }
-                    None => 99,
-                });
-            }
-            "--profile-out" => {
-                profile_out = args.next().ok_or("--profile-out needs a path")?;
-            }
-            flag if flag.starts_with("--") => {
-                return Err(format!("unknown flag `{flag}`").into());
-            }
-            path => out_path = path.to_string(),
+    for arg in std::env::args().skip(1) {
+        if arg.starts_with("--") {
+            return Err(format!("unknown flag `{arg}`").into());
         }
+        out_path = arg;
     }
-    let profiler = profile_cpu.map(|hz| {
-        eprintln!("scaling: sampling the sweep at {hz} Hz -> {profile_out}");
-        paydemand_obs::Profiler::start(paydemand_obs::ProfilerConfig::at_hz(hz))
-    });
     let users_axis = [100usize, 1_000, 10_000, 50_000];
     let tasks_axis = [100usize, 1_000];
 
@@ -100,20 +72,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         points.push(point);
     }
 
-    // Stop before the overhead measurements below: their plain arms
-    // must run unsampled or the comparison means nothing.
-    if let Some(profiler) = profiler {
-        let profile = profiler.stop();
-        eprintln!(
-            "scaling: sweep profile: {} samples ({} dropped) across {} stacks",
-            profile.samples_total,
-            profile.dropped_samples,
-            profile.stacks.len(),
-        );
-        std::fs::write(&profile_out, profile.to_capture())?;
-        eprintln!("wrote {profile_out}");
-    }
-
     eprintln!("scaling: trace overhead on the 10k-user engine arm ...");
     let trace = measure_trace_overhead(10_000, 100, 8, 3);
     eprintln!(
@@ -138,19 +96,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         telemetry.identical,
     );
 
-    eprintln!("scaling: sampling-profiler overhead on the 10k-user engine arm ...");
-    let profiling = measure_profiling_overhead(10_000, 100, 8, 7);
-    eprintln!(
-        "  plain {:.4} s, profiled {:.4} s ({:+.1}%) at {} Hz, {} samples, identical: {}",
-        profiling.plain_seconds,
-        profiling.profiled_seconds,
-        100.0 * profiling.overhead_fraction(),
-        profiling.hz,
-        profiling.samples,
-        profiling.identical,
-    );
-
-    let json = to_json_doc(&points, Some(&trace), Some(&telemetry), Some(&profiling));
+    let json = to_json_doc(&points, Some(&trace), Some(&telemetry));
     std::fs::write(&out_path, &json)?;
     eprintln!("wrote {out_path}");
 
@@ -162,9 +108,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     if !telemetry.identical {
         return Err("telemetry-enabled run diverged from the plain run".into());
-    }
-    if !profiling.identical {
-        return Err("profiled run diverged from the plain run".into());
     }
     Ok(())
 }

@@ -21,9 +21,6 @@ pub const TRACE_OVERHEAD_TARGET: f64 = 0.15;
 /// Live-telemetry (time series + alerts + span trace) overhead above
 /// this fraction draws a warning on the same arm.
 pub const TELEMETRY_OVERHEAD_TARGET: f64 = 0.15;
-/// Sampling-profiler overhead above this fraction draws a warning on
-/// the same arm (the 99 Hz sampler is meant to be always-on cheap).
-pub const PROFILING_OVERHEAD_TARGET: f64 = 0.05;
 /// Relative allocation-metric growth that fails the gate (25%),
 /// applied to bytes/round, allocs/round, and peak live bytes.
 pub const MAX_ALLOC_REGRESSION: f64 = 0.25;
@@ -69,10 +66,6 @@ pub struct BenchDoc {
     pub telemetry_overhead: Option<f64>,
     /// The `"telemetry"` object's `identical` flag, when present.
     pub telemetry_identical: Option<bool>,
-    /// The `"profiling"` object's `overhead_fraction`, when present.
-    pub profiling_overhead: Option<f64>,
-    /// The `"profiling"` object's `identical` flag, when present.
-    pub profiling_identical: Option<bool>,
 }
 
 /// Extracts the raw text of `"key": value` from a JSON fragment.
@@ -105,11 +98,6 @@ pub fn parse(doc: &str) -> Result<BenchDoc, String> {
         if trimmed.starts_with("\"telemetry\":") {
             out.telemetry_overhead = num(line, "overhead_fraction");
             out.telemetry_identical = field(line, "identical").map(|v| v == "true");
-            continue;
-        }
-        if trimmed.starts_with("\"profiling\":") {
-            out.profiling_overhead = num(line, "overhead_fraction");
-            out.profiling_identical = field(line, "identical").map(|v| v == "true");
             continue;
         }
         if !trimmed.starts_with('{') || !line.contains("\"arms\":") {
@@ -258,9 +246,6 @@ pub fn compare(baseline: &BenchDoc, fresh: &BenchDoc) -> (Vec<Verdict>, Vec<Stri
     if fresh.telemetry_identical == Some(false) {
         failures.push("fresh telemetry-enabled run diverged from the plain run".into());
     }
-    if fresh.profiling_identical == Some(false) {
-        failures.push("fresh profiled run diverged from the plain run".into());
-    }
     (verdicts, failures)
 }
 
@@ -404,37 +389,6 @@ mod tests {
             failures.iter().any(|f| f.contains("telemetry-enabled run diverged")),
             "{failures:?}"
         );
-    }
-
-    #[test]
-    fn profiling_section_parses_and_gates_identity() {
-        let with_profiling = |overhead: f64, identical: bool| {
-            let base = doc(0.1, 0.05, None);
-            base.replacen(
-                "  \"points\":",
-                &format!(
-                    "  \"profiling\": {{\"users\": 10000, \"tasks\": 100, \"rounds\": 8, \
-                     \"hz\": 99, \"plain_seconds\": 1.0, \"profiled_seconds\": {:.3}, \
-                     \"overhead_fraction\": {overhead:.4}, \"samples\": 250, \
-                     \"identical\": {identical}}},\n  \"points\":",
-                    1.0 + overhead
-                ),
-                1,
-            )
-        };
-        let parsed = parse(&with_profiling(0.02, true)).unwrap();
-        assert_eq!(parsed.profiling_overhead, Some(0.02));
-        assert_eq!(parsed.profiling_identical, Some(true));
-        // Pre-existing baselines carry no profiling section.
-        assert_eq!(parse(&doc(0.1, 0.05, None)).unwrap().profiling_overhead, None);
-
-        let baseline = parse(&doc(0.1, 0.05, None)).unwrap();
-        let heavy = parse(&with_profiling(0.2, true)).unwrap();
-        let (_, failures) = compare(&baseline, &heavy);
-        assert!(failures.is_empty(), "overhead above target warns, never fails: {failures:?}");
-        let diverged = parse(&with_profiling(0.01, false)).unwrap();
-        let (_, failures) = compare(&baseline, &diverged);
-        assert!(failures.iter().any(|f| f.contains("profiled run diverged")), "{failures:?}");
     }
 
     #[test]

@@ -22,7 +22,7 @@ use paydemand_core::neighbors::naive_counts;
 use paydemand_core::{CellSweepCounter, DemandIndicator, DemandLevels, RewardSchedule};
 use paydemand_geo::{Point, Rect};
 use paydemand_obs::alloc::{self, AllocPhase};
-use paydemand_obs::{prof, Recorder, Span};
+use paydemand_obs::{Recorder, Span};
 use rand::{Rng, SeedableRng};
 
 /// One scaling point: population sizes plus workload shape.
@@ -82,13 +82,6 @@ impl Arm {
             Arm::Naive => "naive",
             Arm::Cell => "cell",
         }
-    }
-
-    /// Inverse of [`Arm::label`], for re-running an arm named in a
-    /// gate key.
-    #[must_use]
-    pub fn from_label(label: &str) -> Option<Arm> {
-        Arm::ALL.into_iter().find(|arm| arm.label() == label)
     }
 }
 
@@ -224,7 +217,6 @@ fn run_arm(cfg: &Config, w: &SharedWorkload, arm: Arm) -> ArmResult {
             users[user] = location;
         }
         let demand_tag = recorder.alloc_phase(AllocPhase::Demand);
-        let demand_frame = prof::frame("demand");
         let demand_span = Span::on(&phase_demand);
         match arm {
             Arm::Naive => counts = naive_counts(&w.task_locations, &users, cfg.radius),
@@ -234,7 +226,6 @@ fn run_arm(cfg: &Config, w: &SharedWorkload, arm: Arm) -> ArmResult {
             }
         }
         drop(demand_span);
-        drop(demand_frame);
         drop(demand_tag);
         if round <= 2 {
             // Warmup ends after round 2: round 1 is the priming full
@@ -243,7 +234,6 @@ fn run_arm(cfg: &Config, w: &SharedWorkload, arm: Arm) -> ArmResult {
             demand_allocs_primed = alloc::phase_totals(AllocPhase::Demand).allocs;
         }
         let pricing_tag = recorder.alloc_phase(AllocPhase::Pricing);
-        let pricing_frame = prof::frame("pricing");
         let pricing_span = Span::on(&phase_pricing);
         let max_neighbors = counts.iter().copied().max().unwrap_or(0);
         for (task, &count) in counts.iter().enumerate() {
@@ -259,7 +249,6 @@ fn run_arm(cfg: &Config, w: &SharedWorkload, arm: Arm) -> ArmResult {
             rewards_checksum = fold(rewards_checksum, reward.to_bits());
         }
         drop(pricing_span);
-        drop(pricing_frame);
         drop(pricing_tag);
         // Deterministic progress: tasks near users fill up faster. Same
         // counts across arms → same progress across arms.
@@ -499,175 +488,29 @@ pub fn measure_telemetry_overhead(
     }
 }
 
-/// Sampling-profiler overhead at one population point: the same engine
-/// scenario run plain and with the 99 Hz statistical profiler sampling
-/// it, interleaved best-of-N. `identical` pins the observability
-/// promise — the profiled run must produce the same `SimulationResult`
-/// bit-for-bit.
-#[derive(Debug, Clone)]
-pub struct ProfilingOverhead {
-    /// Users in the measured scenario.
-    pub users: usize,
-    /// Tasks in the measured scenario.
-    pub tasks: usize,
-    /// Rounds the scenario runs.
-    pub rounds: u32,
-    /// Sampling rate the profiler ran at.
-    pub hz: u32,
-    /// Best wall-clock seconds for the plain run.
-    pub plain_seconds: f64,
-    /// Best wall-clock seconds with the profiler sampling.
-    pub profiled_seconds: f64,
-    /// Samples collected during the profiled runs (last iteration).
-    pub samples: u64,
-    /// Whether the profiled result matched the plain result exactly.
-    pub identical: bool,
-}
-
-impl ProfilingOverhead {
-    /// Relative slowdown of the profiled run (`0.05` = 5% slower).
-    #[must_use]
-    pub fn overhead_fraction(&self) -> f64 {
-        if self.plain_seconds > 0.0 {
-            self.profiled_seconds / self.plain_seconds - 1.0
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Measures sampling-profiler overhead on a full engine run at the
-/// given population: `iterations` plain/profiled leg pairs (order
-/// alternated each iteration so machine drift cannot bias one leg),
-/// keeping the best time of each. The profiler starts before and
-/// stops after each timed window, so the measurement captures exactly
-/// the cost of being sampled while running — frame pushes on the span
-/// path plus the sampler thread's reads. Allocation tracking stays
-/// off: its per-allocation cost belongs to the alloc gate's budget,
-/// not the sampler's.
-#[must_use]
-pub fn measure_profiling_overhead(
-    users: usize,
-    tasks: usize,
-    rounds: u32,
-    iterations: usize,
-) -> ProfilingOverhead {
-    use paydemand_obs::{Profiler, ProfilerConfig};
-    use paydemand_sim::{engine, MechanismKind, Scenario, SelectorKind};
-
-    let mut scenario = Scenario::paper_default()
-        .with_users(users)
-        .with_tasks(tasks)
-        .with_max_rounds(rounds)
-        .with_selector(SelectorKind::Greedy)
-        .with_mechanism(MechanismKind::OnDemand)
-        .with_seed(0x0B5E_11E0);
-    scenario.reward_budget = 2.5 * (tasks as f64) * f64::from(scenario.required_per_task);
-
-    // Sampler cost only: allocation tracking is the (optional) PR-7
-    // accounting machinery, whose regression budget the alloc gate
-    // already owns — fusing it here would charge its per-allocation
-    // cost to the sampler.
-    let config = ProfilerConfig { track_allocs: false, ..ProfilerConfig::default() };
-    let hz = config.hz;
-    // Untimed reference for the bitwise identity check (the engine is
-    // deterministic, so one copy serves every iteration).
-    let reference = engine::run(&scenario).expect("reference run");
-    let mut plain_seconds = f64::INFINITY;
-    let mut profiled_seconds = f64::INFINITY;
-    let mut samples = 0u64;
-    let mut identical = true;
-    for iteration in 0..iterations.max(1) {
-        // Alternate leg order so a slow drift in machine speed (VM
-        // steal time, thermal decay) cannot bias the second leg; the
-        // best-of-N minimum per leg then converges on true cost.
-        let mut legs = [false, true];
-        if iteration % 2 == 1 {
-            legs.reverse();
-        }
-        for profiled_leg in legs {
-            if profiled_leg {
-                let profiler = Profiler::start(config);
-                let started = Instant::now();
-                let profiled = engine::run(&scenario).expect("profiled run");
-                profiled_seconds = profiled_seconds.min(started.elapsed().as_secs_f64());
-                let profile = profiler.stop();
-                samples = samples.max(profile.samples_total);
-                identical &= profiled == reference;
-            } else {
-                let started = Instant::now();
-                let plain = engine::run(&scenario).expect("plain run");
-                plain_seconds = plain_seconds.min(started.elapsed().as_secs_f64());
-                identical &= plain == reference;
-            }
-        }
-    }
-    ProfilingOverhead {
-        users,
-        tasks,
-        rounds,
-        hz,
-        plain_seconds,
-        profiled_seconds,
-        samples,
-        identical,
-    }
-}
-
-/// Profiles a single bench arm at one point: generates the workload,
-/// runs the arm once with the sampling profiler attached at `hz`, and
-/// returns the capture. Used by the gate to attribute a fresh profile
-/// to a regressed arm; stacks come out as `demand`/`pricing` frames.
-#[must_use]
-pub fn profile_arm(cfg: &Config, arm: Arm, hz: u32) -> paydemand_obs::Profile {
-    use paydemand_obs::{Profiler, ProfilerConfig};
-
-    let workload = generate_workload(cfg);
-    let profiler = Profiler::start(ProfilerConfig::at_hz(hz));
-    let _ = run_arm(cfg, &workload, arm);
-    profiler.stop()
-}
-
 /// Serialises points as the `BENCH_scaling.json` document (no external
 /// JSON dependency; the format is flat enough to emit by hand).
 #[must_use]
 pub fn to_json(points: &[PointResult]) -> String {
-    to_json_doc(points, None, None, None)
+    to_json_doc(points, None, None)
 }
 
 /// [`to_json`] plus an optional top-level `"trace"` overhead object.
 #[must_use]
 pub fn to_json_full(points: &[PointResult], trace: Option<&TraceOverhead>) -> String {
-    to_json_doc(points, trace, None, None)
+    to_json_doc(points, trace, None)
 }
 
-/// [`to_json`] plus optional top-level `"trace"`, `"telemetry"` and
-/// `"profiling"` overhead objects (each a single line, so the gate's
-/// line-oriented parser reads them directly).
+/// [`to_json`] plus optional top-level `"trace"` and `"telemetry"`
+/// overhead objects (each a single line, so the gate's line-oriented
+/// parser reads them directly).
 #[must_use]
 pub fn to_json_doc(
     points: &[PointResult],
     trace: Option<&TraceOverhead>,
     telemetry: Option<&TelemetryOverhead>,
-    profiling: Option<&ProfilingOverhead>,
 ) -> String {
     let mut out = String::from("{\n  \"benchmark\": \"round_loop_scaling\",\n");
-    if let Some(p) = profiling {
-        out.push_str(&format!(
-            "  \"profiling\": {{\"users\": {}, \"tasks\": {}, \"rounds\": {}, \"hz\": {}, \
-             \"plain_seconds\": {:.6}, \"profiled_seconds\": {:.6}, \
-             \"overhead_fraction\": {:.4}, \"samples\": {}, \"identical\": {}}},\n",
-            p.users,
-            p.tasks,
-            p.rounds,
-            p.hz,
-            p.plain_seconds,
-            p.profiled_seconds,
-            p.overhead_fraction(),
-            p.samples,
-            p.identical,
-        ));
-    }
     if let Some(t) = telemetry {
         out.push_str(&format!(
             "  \"telemetry\": {{\"users\": {}, \"tasks\": {}, \"rounds\": {}, \
@@ -847,7 +690,7 @@ mod tests {
         assert!(t.span_events > 0, "engine spans reached the trace log");
         assert!(t.plain_seconds > 0.0 && t.telemetry_seconds > 0.0);
         let trace = measure_trace_overhead(30, 8, 4, 1);
-        let json = to_json_doc(&[run_point(&tiny())], Some(&trace), Some(&t), None);
+        let json = to_json_doc(&[run_point(&tiny())], Some(&trace), Some(&t));
         assert!(json.contains("\"telemetry\": {\"users\": 30"));
         assert!(json.contains("\"round_samples\": 4"));
         assert!(json.contains("\"trace\": {\"users\": 30"));
@@ -857,41 +700,6 @@ mod tests {
         assert!(line.contains("\"overhead_fraction\"") && line.contains("\"identical\""));
         // Without the section the document is unchanged in shape.
         assert!(!to_json(&[run_point(&tiny())]).contains("\"telemetry\""));
-    }
-
-    #[test]
-    fn profiling_overhead_preserves_results_and_serialises() {
-        let p = measure_profiling_overhead(30, 8, 4, 1);
-        assert!(p.identical, "profiling changed the simulation: {p:?}");
-        assert_eq!(p.hz, 99, "default sampling rate");
-        assert!(p.plain_seconds > 0.0 && p.profiled_seconds > 0.0);
-        let json = to_json_doc(&[run_point(&tiny())], None, None, Some(&p));
-        assert!(json.contains("\"profiling\": {\"users\": 30"));
-        assert!(json.contains("\"hz\": 99"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        // The profiling section is a single line for the gate's parser.
-        let line = json.lines().find(|l| l.contains("\"profiling\":")).unwrap();
-        assert!(line.contains("\"overhead_fraction\"") && line.contains("\"identical\""));
-        // Without the section the document is unchanged in shape.
-        assert!(!to_json(&[run_point(&tiny())]).contains("\"profiling\""));
-    }
-
-    #[test]
-    fn profile_arm_captures_phase_stacks() {
-        let cfg = tiny();
-        let profile = profile_arm(&cfg, Arm::Naive, 500);
-        // A 4-round 300-user arm is fast; samples are not guaranteed,
-        // but the capture must be well-formed and frames, when present,
-        // must be the phase names.
-        assert_eq!(profile.hz, 500);
-        for stack in &profile.stacks {
-            for frame in &stack.frames {
-                assert!(
-                    frame == "demand" || frame == "pricing" || frame == "(truncated)",
-                    "unexpected frame {frame:?}"
-                );
-            }
-        }
     }
 
     #[test]

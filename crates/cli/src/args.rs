@@ -13,7 +13,7 @@ use paydemand_serve::DaemonConfig;
 use paydemand_sim::{
     presets, FaultKind, FaultPlan, IndexingMode, MechanismKind, Scenario, SelectorKind, TravelModel,
 };
-use Arity::{OptionalNum, Switch, Value, ValueFor};
+use Arity::{Switch, Value, ValueFor};
 
 /// Top-level usage text.
 pub const USAGE: &str = "\
@@ -33,16 +33,19 @@ USAGE:
     paydemand alerts  PATH [--rule SPEC]... [--fatal]
                                   evaluate alert rules offline against a
                                   time series saved by --timeseries-out
-    paydemand profile SUBCOMMAND  report and diff sampling-profiler
-                                  captures (see docs/PROFILING.md)
+    paydemand profile SUBCOMMAND  fold span traces written by
+                                  --trace-events into per-stack self
+                                  time (see docs/PROFILING.md)
     paydemand --help
 
-PROFILE SUBCOMMANDS (captures are the folded-stack text written by
-`run --profile-cpu --profile-out` or GET /profile):
-    profile report PATH [--top N] print the hottest stacks of a capture
+PROFILE SUBCOMMANDS (over Chrome traces written by `run --trace-events`;
+a span's self time is its duration less its children's, summed per
+stack of span names such as job;round;demand):
+    profile report PATH [--top N] print the stacks with the most self
+                                  time, and the spans the trace dropped
     profile diff BEFORE AFTER [--top N]
-                                  differential profile: per-stack seconds
-                                  delta, worst regression first
+                                  per-stack self-time delta, worst
+                                  regression first
 
 TRACE SUBCOMMANDS (over a journal written by `run --trace-out`):
     trace inspect PATH            frame counts, rounds, totals, faults
@@ -110,17 +113,13 @@ OPTIONS (both commands):
     --alloc-profile    attribute heap allocations to engine phases and
                        export per-phase byte/count/peak families
                        (identical simulation results either way)
-    --profile-cpu [HZ] sample the run's span stacks at HZ (default 99)
-                       and print the hottest stacks to stderr
-                       (identical simulation results either way)
-    --profile-out PATH write the --profile-cpu capture to PATH instead
-                       (read it back with `paydemand profile`)
     --timeseries-out PATH   snapshot every metric family at each round
                        boundary and write the per-round series to PATH
                        (.csv extension = CSV, anything else = JSON; the
                        JSON form feeds `paydemand alerts`)
     --trace-events PATH     write span timings as Chrome trace_event
-                       JSON, openable in Perfetto / chrome://tracing
+                       JSON, openable in Perfetto / speedscope /
+                       chrome://tracing; `paydemand profile` folds it
     --serve-metrics ADDR    serve /metrics, /healthz, /rounds.json and
                        /alerts.json over HTTP while the run executes
                        (e.g. 127.0.0.1:9090; port 0 picks a free one)
@@ -205,25 +204,25 @@ pub enum Command {
     Lineage(Box<LineageCommand>),
     /// Evaluate alert rules offline against a saved time series.
     Alerts(AlertsCommand),
-    /// Report or diff sampling-profiler captures.
+    /// Fold or diff `--trace-events` span traces.
     Profile(ProfileCommand),
 }
 
 /// The `paydemand profile` subcommand family.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProfileCommand {
-    /// Print the hottest stacks of a saved capture.
+    /// Print the stacks with the most self time in one trace.
     Report {
-        /// Capture file.
+        /// Chrome trace file.
         path: String,
         /// Stacks to show.
         top: usize,
     },
-    /// Differential profile between two captures.
+    /// Per-stack self-time deltas between two traces.
     Diff {
-        /// Baseline capture.
+        /// Baseline trace.
         before: String,
-        /// Capture to compare against the baseline.
+        /// Trace to compare against the baseline.
         after: String,
         /// Entries to show.
         top: usize,
@@ -360,10 +359,6 @@ pub struct Options {
     pub serve_metrics: Option<String>,
     /// Exit non-zero when any default alert rule fired.
     pub alerts_fatal: bool,
-    /// Sample the run's span stacks at this rate (`--profile-cpu`).
-    pub profile_cpu: Option<u32>,
-    /// Where the `--profile-cpu` capture goes; stderr report if unset.
-    pub profile_out: Option<String>,
 }
 
 impl Options {
@@ -372,7 +367,6 @@ impl Options {
     pub fn recording(&self) -> bool {
         self.profile
             || self.alloc_profile
-            || self.profile_cpu.is_some()
             || self.metrics_out.is_some()
             || self.timeseries_out.is_some()
             || self.trace_events_out.is_some()
@@ -404,9 +398,6 @@ pub enum MetricsFormat {
 
 /// Master seed when `--seed` is not given.
 const DEFAULT_SEED: u64 = 24157;
-
-/// Sampling rate when `--profile-cpu` is given without one.
-const DEFAULT_PROFILE_HZ: u32 = 99;
 
 /// A set of subcommands, one bit each.
 type Subs = u8;
@@ -443,8 +434,6 @@ enum Arity {
     Switch,
     /// One required value.
     Value,
-    /// A number if the next token is one (`--profile-cpu [HZ]`).
-    OptionalNum,
     /// A required value for these subcommands; a switch for the rest.
     ValueFor(Subs),
 }
@@ -555,11 +544,6 @@ const FLAGS: &[Flag] = &[
     }),
     flag("--profile", SIM, Switch, |p, _| put(&mut p.options.profile, Ok(true))),
     flag("--alloc-profile", SIM, Switch, |p, _| put(&mut p.options.alloc_profile, Ok(true))),
-    flag("--profile-cpu", SIM, OptionalNum, |p, a| {
-        let hz = if a.value.is_some() { a.positive() } else { Ok(DEFAULT_PROFILE_HZ) };
-        put(&mut p.options.profile_cpu, hz.map(Some))
-    }),
-    flag("--profile-out", SIM, Value, |p, a| put(&mut p.options.profile_out, Ok(a.path()))),
     flag("--timeseries-out", SIM | SERVE, Value, |p, a| {
         put(&mut p.options.timeseries_out, Ok(a.path()))
     }),
@@ -736,7 +720,7 @@ impl Parsed {
 ///
 /// A human-readable message naming the offending flag or argument.
 pub fn parse(argv: &[String]) -> Result<Command, String> {
-    let mut it = argv.iter().map(String::as_str).peekable();
+    let mut it = argv.iter().map(String::as_str);
     // Nothing, `help` or `--help` where a subcommand or an action
     // belongs asks for the usage.
     let mut word = || it.next().filter(|w| !matches!(*w, "--help" | "-h" | "help"));
@@ -773,7 +757,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             .ok_or_else(|| format!("unknown flag `{token}` for `{label}`"))?;
         let value = match flag.arity {
             Switch => None,
-            OptionalNum => it.next_if(|v| v.parse::<u32>().is_ok()),
             ValueFor(subs) if subs & sub == 0 => None,
             Value | ValueFor(_) => Some(it.next().ok_or_else(|| format!("{token} needs a value"))?),
         };
@@ -805,9 +788,6 @@ fn build(mut p: Parsed, label: &str, action: &str, positional: &[&str]) -> Resul
             }
             if checkpointed && options.trace_out.is_some() {
                 return Err("--trace-out does not combine with checkpointed runs".into());
-            }
-            if options.profile_out.is_some() && options.profile_cpu.is_none() {
-                return Err("--profile-out needs --profile-cpu".into());
             }
             if p.sub == RUN {
                 Command::Run(options)
@@ -881,11 +861,11 @@ fn build(mut p: Parsed, label: &str, action: &str, positional: &[&str]) -> Resul
         }
         PROFILE => Command::Profile(match action {
             "report" => {
-                let [path] = takes(label, positional, "one capture path")?;
+                let [path] = takes(label, positional, "one trace path")?;
                 ProfileCommand::Report { path: path.into(), top: p.top }
             }
             "diff" => {
-                let [before, after] = takes(label, positional, "two capture paths (BEFORE AFTER)")?;
+                let [before, after] = takes(label, positional, "two trace paths (BEFORE AFTER)")?;
                 ProfileCommand::Diff { before: before.into(), after: after.into(), top: p.top }
             }
             other => return Err(format!("unknown profile subcommand `{other}`")),
@@ -1161,67 +1141,39 @@ mod tests {
     }
 
     #[test]
-    fn profile_cpu_flag_parses_with_and_without_a_rate() {
-        let Command::Run(opts) = parse(&argv("run --profile-cpu 250 --seed 7")).unwrap() else {
-            panic!("expected run");
-        };
-        assert_eq!(opts.profile_cpu, Some(250));
-        assert_eq!(opts.scenario.seed, 7, "the rate operand must not eat --seed");
-        assert!(opts.recording(), "--profile-cpu alone implies recording");
-
-        // No operand: the next flag survives and the rate defaults.
-        let Command::Run(opts) = parse(&argv("run --profile-cpu --seed 7")).unwrap() else {
-            panic!("expected run");
-        };
-        assert_eq!(opts.profile_cpu, Some(99));
-        assert_eq!(opts.scenario.seed, 7);
-
-        // Trailing position works too.
-        let Command::Run(opts) = parse(&argv("run --profile-cpu")).unwrap() else {
-            panic!("expected run");
-        };
-        assert_eq!(opts.profile_cpu, Some(99));
-
-        let Command::Run(opts) =
-            parse(&argv("run --profile-cpu 99 --profile-out /tmp/run.prof")).unwrap()
-        else {
-            panic!("expected run");
-        };
-        assert_eq!(opts.profile_out.as_deref(), Some("/tmp/run.prof"));
-
-        let Command::Run(defaults) = parse(&argv("run")).unwrap() else {
-            panic!("expected run");
-        };
-        assert_eq!(defaults.profile_cpu, None);
-        assert!(parse(&argv("run --profile-cpu 0")).unwrap_err().contains("at least 1"));
-        assert!(parse(&argv("run --profile-out /tmp/p")).unwrap_err().contains("--profile-cpu"));
-        assert!(parse(&argv("compare --profile-cpu 50")).is_ok());
+    fn the_sampling_profiler_flags_are_unknown() {
+        for sub in ["run", "compare"] {
+            for flag in ["--profile-cpu", "--profile-out"] {
+                let err = parse(&argv(&format!("{sub} {flag} 99"))).unwrap_err();
+                assert!(err.contains(&format!("unknown flag `{flag}` for `{sub}`")), "{err}");
+            }
+        }
     }
 
     #[test]
     fn profile_subcommands_parse() {
         assert_eq!(
-            parse(&argv("profile report /tmp/a.prof --top 3")).unwrap(),
-            Command::Profile(ProfileCommand::Report { path: "/tmp/a.prof".into(), top: 3 })
+            parse(&argv("profile report /tmp/a.json --top 3")).unwrap(),
+            Command::Profile(ProfileCommand::Report { path: "/tmp/a.json".into(), top: 3 })
         );
         assert_eq!(
-            parse(&argv("profile diff /tmp/a.prof /tmp/b.prof")).unwrap(),
+            parse(&argv("profile diff /tmp/a.json /tmp/b.json")).unwrap(),
             Command::Profile(ProfileCommand::Diff {
-                before: "/tmp/a.prof".into(),
-                after: "/tmp/b.prof".into(),
+                before: "/tmp/a.json".into(),
+                after: "/tmp/b.json".into(),
                 top: 20,
             })
         );
         assert_eq!(parse(&argv("profile --help")).unwrap(), Command::Help);
-        // Captures are recorded by `run --profile-cpu HZ --profile-out OUT`.
-        assert!(parse(&argv("profile record /tmp/a.prof"))
+        // Traces are recorded by `run --trace-events OUT`.
+        assert!(parse(&argv("profile record /tmp/a.json"))
             .unwrap_err()
             .contains("unknown profile subcommand"));
-        assert!(parse(&argv("profile diff /tmp/a.prof")).unwrap_err().contains("two capture"));
-        assert!(parse(&argv("profile report /tmp/a.prof --top 0"))
+        assert!(parse(&argv("profile diff /tmp/a.json")).unwrap_err().contains("two trace"));
+        assert!(parse(&argv("profile report /tmp/a.json --top 0"))
             .unwrap_err()
             .contains("at least 1"));
-        assert!(parse(&argv("profile report /tmp/a.prof --hz 9"))
+        assert!(parse(&argv("profile report /tmp/a.json --hz 9"))
             .unwrap_err()
             .contains("unknown flag"));
         assert!(parse(&argv("profile flamethrow")).unwrap_err().contains("unknown profile"));

@@ -2,7 +2,7 @@
 
 use std::path::Path;
 
-use paydemand_obs::{Alerts, MetricsServer, Profiler, ProfilerConfig, Recorder, TimeSeries};
+use paydemand_obs::{Alerts, MetricsServer, Recorder, TimeSeries};
 use paydemand_sim::stats::Summary;
 use paydemand_sim::{frame, metrics, runner, Engine, MechanismKind, SimError, SimulationResult};
 
@@ -73,14 +73,12 @@ pub fn run(options: &Options) -> Result<RunStatus, SimError> {
     );
     let recorder = make_recorder(options);
     let server = start_server(options, &recorder)?;
-    let profiler = start_profiler(options);
     let results = runner::run_repetitions_parallel_recorded(
         &options.scenario,
         options.reps,
         threads,
         &recorder,
     )?;
-    finish_profiler(options, &recorder, profiler)?;
     println!("{:-<52}", "");
     for row in METRICS {
         let summary = Summary::of(&runner::collect_metric(&results, row.extract));
@@ -156,7 +154,6 @@ fn run_checkpointed(options: &Options) -> Result<RunStatus, SimError> {
         options.scenario.tasks,
         options.scenario.max_rounds,
     );
-    let profiler = start_profiler(options);
     let mut rounds_this_session = 0u32;
     while engine.step_round()? {
         rounds_this_session += 1;
@@ -168,7 +165,6 @@ fn run_checkpointed(options: &Options) -> Result<RunStatus, SimError> {
         }
     }
     let result = engine.finish()?;
-    finish_profiler(options, &recorder, profiler)?;
     println!("{:-<52}", "");
     for row in METRICS {
         println!("{:<26} {:>10.3} {}", row.name, (row.extract)(&result), row.unit);
@@ -202,7 +198,6 @@ pub fn compare(options: &Options) -> Result<RunStatus, SimError> {
     );
     let recorder = make_recorder(options);
     let server = start_server(options, &recorder)?;
-    let profiler = start_profiler(options);
     let mut columns = Vec::new();
     for mechanism in MechanismKind::paper_lineup() {
         let scenario = options.scenario.clone().with_mechanism(mechanism);
@@ -210,7 +205,6 @@ pub fn compare(options: &Options) -> Result<RunStatus, SimError> {
             runner::run_repetitions_parallel_recorded(&scenario, options.reps, threads, &recorder)?;
         columns.push((mechanism.label(), results));
     }
-    finish_profiler(options, &recorder, profiler)?;
     print!("{:<26}", "");
     for (label, _) in &columns {
         print!("{label:>16}");
@@ -255,38 +249,6 @@ fn make_recorder(options: &Options) -> Recorder {
         recorder.enable_trace_events(TRACE_EVENT_CAP);
     }
     recorder
-}
-
-/// Starts the `--profile-cpu` sampler, if asked. The profiler only
-/// reads span stacks; simulation results are identical either way.
-fn start_profiler(options: &Options) -> Option<Profiler> {
-    options.profile_cpu.map(|hz| Profiler::start(ProfilerConfig::at_hz(hz)))
-}
-
-/// Stops the `--profile-cpu` sampler, folds its counters into the
-/// recorder, and writes `--profile-out` (or prints the hottest stacks
-/// to stderr when no path was given).
-fn finish_profiler(
-    options: &Options,
-    recorder: &Recorder,
-    profiler: Option<Profiler>,
-) -> Result<(), SimError> {
-    let Some(profiler) = profiler else { return Ok(()) };
-    let profile = profiler.stop();
-    recorder.record_profile(&profile);
-    if let Some(path) = &options.profile_out {
-        std::fs::write(path, profile.to_capture())
-            .map_err(|e| SimError::Io(format!("writing --profile-out {path}: {e}")))?;
-        eprintln!(
-            "profile-cpu: {} samples across {} stacks at {} Hz -> {path}",
-            profile.samples_total,
-            profile.stacks.len(),
-            profile.hz,
-        );
-    } else {
-        eprint!("{}", profile.render_report(10));
-    }
-    Ok(())
 }
 
 /// Binds the `--serve-metrics` endpoint before the jobs start, so the
@@ -335,12 +297,15 @@ fn finish_metrics(options: &Options, recorder: &Recorder) -> Result<(), SimError
         println!("timeseries: wrote {} round samples -> {path}", series.len());
     }
     if let Some(path) = &options.trace_events_out {
-        let payload = recorder
-            .trace_events_json()
+        let log = recorder
+            .span_log()
             .ok_or_else(|| SimError::Io("--trace-events: span log was never enabled".into()))?;
-        std::fs::write(path, payload)
+        std::fs::write(path, log.to_trace_json())
             .map_err(|e| SimError::Io(format!("writing --trace-events {path}: {e}")))?;
-        println!("trace-events: wrote Perfetto-compatible span trace -> {path}");
+        println!(
+            "trace-events: wrote Perfetto-compatible span trace ({} events dropped) -> {path}",
+            log.dropped()
+        );
     }
     if options.profile {
         eprint!("{}", snapshot.profile_table());

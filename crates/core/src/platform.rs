@@ -322,7 +322,6 @@ impl<M: IncentiveMechanism> Platform<M> {
         // all locations up front, reporting the first offender).
         let demand_span = self.recorder.scoped("demand", &self.phase_demand);
         let neighbor_counts = self.neighbor_counts(user_locations)?;
-        test_spin_demand();
         drop(demand_span);
         self.round += 1;
         self.round_open = true;
@@ -625,30 +624,6 @@ impl<M: IncentiveMechanism> Platform<M> {
     #[must_use]
     pub fn mechanism(&self) -> &M {
         &self.mechanism
-    }
-}
-
-/// Test-only wall-clock ballast for the demand phase: when
-/// `PAYDEMAND_TEST_SPIN_DEMAND_US` is set, busy-waits that many
-/// microseconds inside the demand span each round, so profiler tests
-/// and the differential-profile CI check can manufacture a
-/// deterministic slowdown. It burns time only — no round state, RNG,
-/// or allocation is touched, so results are bit-identical either way.
-/// The variable is read once per process.
-fn test_spin_demand() {
-    use std::sync::OnceLock;
-    static SPIN_MICROS: OnceLock<u64> = OnceLock::new();
-    let micros = *SPIN_MICROS.get_or_init(|| {
-        std::env::var("PAYDEMAND_TEST_SPIN_DEMAND_US")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0)
-    });
-    if micros > 0 {
-        let until = std::time::Instant::now() + std::time::Duration::from_micros(micros);
-        while std::time::Instant::now() < until {
-            std::hint::spin_loop();
-        }
     }
 }
 

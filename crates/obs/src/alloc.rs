@@ -190,9 +190,6 @@ pub fn tracking_enabled() -> bool {
 
 #[allow(clippy::cast_possible_wrap)]
 fn note_alloc(size: usize) {
-    // Profiler fusion: attribute the allocation to the thread's live
-    // span stack (one relaxed load when no profiler is sampling).
-    crate::prof::on_alloc(size);
     let cells = &STATS[current_tag()];
     let bytes = size as u64;
     cells.allocs.fetch_add(1, Ordering::Relaxed);

@@ -110,16 +110,6 @@
 //! | `log_rate_limited_total` | counter | Log entries dropped by the per-second rate limiter. |
 //! | `log_sink_errors_total` | counter | Failed writes to the `--log-json` JSONL sink. |
 //!
-//! The sampling profiler ([`prof`]; see `docs/PROFILING.md`) accounts
-//! for itself whenever a capture is folded into a recorder with
-//! [`Recorder::record_profile`]:
-//!
-//! | Metric | Kind | Meaning |
-//! |---|---|---|
-//! | `profile_samples_total` | counter | Stack samples collected across finished captures. |
-//! | `profile_dropped_samples_total` | counter | Sampler ticks missed (behind schedule or table contended). |
-//! | `profiler_overhead_seconds` | histogram | Wall time the sampler thread spent inside sampling work, one record per capture. |
-//!
 //! # Live telemetry
 //!
 //! Beyond point-in-time snapshots, a recorder can carry optional
@@ -131,7 +121,8 @@
 //!   offline analysis;
 //! * [`SpanLog`] (via [`Recorder::enable_trace_events`]) — a
 //!   parent-aware span tree exported in Chrome `trace_event` JSON,
-//!   openable in Perfetto or `chrome://tracing`;
+//!   openable in Perfetto, speedscope or `chrome://tracing`, and
+//!   folded into per-stack self time by `paydemand profile`;
 //! * [`Alerts`] — threshold rules ([`AlertRule`]) evaluated at each
 //!   round boundary, with [`evaluate_series`] replaying the same rules
 //!   offline against a saved time series;
@@ -176,7 +167,6 @@ pub mod http;
 pub mod json;
 pub mod log;
 mod metrics;
-pub mod prof;
 mod recorder;
 mod serve;
 mod spans;
@@ -189,7 +179,6 @@ pub use log::{LogEntry, LogLevel, Logger, DEFAULT_LOG_CAPACITY};
 pub use metrics::{
     bucket_bounds, bucket_index, Counter, Gauge, Histogram, HistogramSnapshot, BUCKETS,
 };
-pub use prof::{CaptureFormat, CaptureRequest, Profile, Profiler, ProfilerConfig};
 pub use recorder::{MetricKey, Recorder, Snapshot, Span};
 pub use serve::MetricsServer;
 pub use spans::{CounterSample, SpanEvent, SpanLog};

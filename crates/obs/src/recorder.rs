@@ -189,9 +189,6 @@ impl Recorder {
     /// [`Span::on`].
     #[must_use]
     pub fn scoped(&self, name: &str, histogram: &Histogram) -> Span {
-        // One relaxed load when no profiler is sampling — the span
-        // fast path stays a true no-op with profiling off.
-        let frame = crate::prof::frame(name);
         let event = self.span_log().map(|log| log.open(name));
         let start = (histogram.is_enabled() || event.is_some()).then(Instant::now);
         // With alloc profiling on, a span whose name is a phase name
@@ -201,7 +198,7 @@ impl Recorder {
         } else {
             None
         };
-        Span { histogram: histogram.clone(), start, event, _tag: tag, _frame: frame }
+        Span { histogram: histogram.clone(), start, event, _tag: tag }
     }
 
     /// Turns on allocator profiling for this registry: spans named
@@ -422,19 +419,6 @@ impl Recorder {
             .unwrap_or_default()
     }
 
-    /// Folds a finished profile's self-accounting into the registry:
-    /// `profile_samples_total`, `profile_dropped_samples_total` and
-    /// the `profiler_overhead_seconds` histogram (nanoseconds by the
-    /// span-timer convention, scaled on export). A no-op on a
-    /// disabled recorder.
-    pub fn record_profile(&self, profile: &crate::prof::Profile) {
-        self.counter("profile_samples_total").add(profile.samples_total);
-        self.counter("profile_dropped_samples_total").add(profile.dropped_samples);
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        self.histogram("profiler_overhead_seconds")
-            .record((profile.overhead_seconds * 1e9).max(0.0) as u64);
-    }
-
     /// A point-in-time copy of every registered metric, sorted by
     /// [`MetricKey`]. Empty for a disabled recorder.
     ///
@@ -487,9 +471,6 @@ pub struct Span {
     /// so the histogram record and trace finish are still attributed
     /// to this span's phase.
     _tag: Option<PhaseGuard>,
-    /// Span-stack frame held while a sampling profiler is active
-    /// ([`crate::prof`]); `None` — after one relaxed load — otherwise.
-    _frame: Option<crate::prof::FrameGuard>,
 }
 
 impl Span {
@@ -498,7 +479,7 @@ impl Span {
     #[must_use]
     pub fn on(histogram: &Histogram) -> Self {
         let start = histogram.is_enabled().then(Instant::now);
-        Span { histogram: histogram.clone(), start, event: None, _tag: None, _frame: None }
+        Span { histogram: histogram.clone(), start, event: None, _tag: None }
     }
 
     /// Stops the timer without recording into the histogram. A trace

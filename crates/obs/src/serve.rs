@@ -10,7 +10,6 @@
 //! | `/healthz` | a small JSON liveness document |
 //! | `/rounds.json` | the live per-round time series ([`TimeSeries::to_json`](crate::TimeSeries::to_json)) |
 //! | `/alerts.json` | alert rules and firings ([`Alerts::to_json`](crate::Alerts::to_json)) |
-//! | `/profile?seconds=N&format=folded\|speedscope` | an on-demand CPU/alloc profile capture ([`crate::prof`]) |
 //!
 //! The server holds only a cloned [`Recorder`]; the time series and
 //! alert evaluator attached to that recorder are reachable through it,
@@ -107,7 +106,7 @@ fn handle_connection(mut stream: TcpStream, recorder: &Recorder, limits: &HttpLi
         http::respond(&mut stream, 405, TEXT, "only GET is supported\n");
         return;
     }
-    let (path, query) = request.path.split_once('?').unwrap_or((&request.path, ""));
+    let path = request.path.split_once('?').map_or(request.path.as_str(), |(path, _)| path);
     match path {
         "/metrics" => {
             let body = recorder.snapshot().to_prometheus();
@@ -130,28 +129,6 @@ fn handle_connection(mut stream: TcpStream, recorder: &Recorder, limits: &HttpLi
         "/alerts.json" => {
             let body = recorder.alerts().to_json();
             http::respond(&mut stream, 200, "application/json; charset=utf-8", &body);
-        }
-        "/profile" => {
-            // The capture blocks the (single) serving thread for its
-            // window; CaptureRequest bounds `seconds` so a request
-            // cannot wedge scrapes for long. The capture is recorded
-            // into the recorder so sampler self-accounting shows up
-            // on the next /metrics scrape.
-            match crate::prof::CaptureRequest::parse_query(query) {
-                Ok(request) => {
-                    let profile = request.capture();
-                    recorder.record_profile(&profile);
-                    http::respond(
-                        &mut stream,
-                        200,
-                        request.content_type(),
-                        &request.render(&profile),
-                    );
-                }
-                Err(message) => {
-                    http::respond(&mut stream, 400, TEXT, &format!("{message}\n"));
-                }
-            }
         }
         _ => http::respond(&mut stream, 404, TEXT, "not found\n"),
     }
@@ -220,40 +197,9 @@ mod tests {
         let alerts = crate::json::parse_json(&body).unwrap();
         assert_eq!(alerts.get("rules").unwrap().as_array().unwrap().len(), 9);
 
-        let (status, _, _) = get(addr, "/nope");
-        assert_eq!(status, 404);
-
-        server.stop();
-    }
-
-    #[test]
-    fn profile_endpoint_captures_and_validates() {
-        let server = MetricsServer::start("127.0.0.1:0", fixture_recorder()).unwrap();
-        let addr = server.local_addr();
-
-        // Work under a live frame so the short capture has something
-        // to observe (a no-op capture is still a valid 200, so the
-        // assertion only requires the header to be present).
-        let (status, content_type, body) = get(addr, "/profile?seconds=0.2");
-        assert_eq!(status, 200);
-        assert!(content_type.starts_with("text/plain"), "{content_type}");
-        assert!(body.starts_with("# paydemand-profile v1"), "{body}");
-
-        let (status, content_type, body) = get(addr, "/profile?seconds=0.2&format=speedscope");
-        assert_eq!(status, 200);
-        assert!(content_type.starts_with("application/json"));
-        let doc = crate::json::parse_json(&body).unwrap();
-        assert!(doc.get("$schema").is_some(), "{body}");
-        assert_eq!(doc.get("activeProfileIndex").unwrap().as_u64(), Some(0));
-
-        let (status, _, body) = get(addr, "/profile?seconds=600");
-        assert_eq!(status, 400, "{body}");
-        let (status, _, _) = get(addr, "/profile?format=pprof");
-        assert_eq!(status, 400);
-
-        // The capture recorded its self-accounting into the recorder.
-        let (_, _, metrics) = get(addr, "/metrics");
-        assert!(metrics.contains("profile_samples_total"), "{metrics}");
+        for route in ["/nope", "/profile"] {
+            assert_eq!(get(addr, route).0, 404, "{route}");
+        }
 
         server.stop();
     }

@@ -157,8 +157,11 @@ impl SpanLog {
 
     /// Renders the log as a chrome `trace_event` JSON document
     /// (`{"traceEvents": [...]}` with `"ph": "X"` complete events,
-    /// timestamps in fractional microseconds). Open the output in
-    /// Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`.
+    /// timestamps in fractional microseconds). The format's metadata
+    /// field, `"otherData": {"dropped_events": N}`, says how many
+    /// events the capacity bound turned away, so a cut trace does not
+    /// read as complete. Open the output in Perfetto
+    /// (<https://ui.perfetto.dev>), speedscope or `chrome://tracing`.
     ///
     /// # Panics
     ///
@@ -167,7 +170,11 @@ impl SpanLog {
     pub fn to_trace_json(&self) -> String {
         let events = self.events();
         let counters = self.counter_samples();
-        let mut out = String::from("{\"displayTimeUnit\": \"ms\", \"traceEvents\": [");
+        let mut out = format!(
+            "{{\"displayTimeUnit\": \"ms\", \"otherData\": {{\"dropped_events\": {}}}, \
+             \"traceEvents\": [",
+            self.dropped()
+        );
         let mut emitted = 0usize;
         for event in &events {
             if emitted > 0 {
@@ -330,6 +337,11 @@ mod tests {
         }
         assert_eq!(log.events().len(), 2);
         assert_eq!(log.dropped(), 3);
+        // The trace says how much it lost.
+        let doc = crate::json::parse_json(&log.to_trace_json()).unwrap();
+        assert_eq!(doc.get("traceEvents").unwrap().as_array().unwrap().len(), 2);
+        let dropped = doc.get("otherData").and_then(|o| o.get("dropped_events"));
+        assert_eq!(dropped.and_then(crate::json::JsonValue::as_u64), Some(3));
     }
 
     #[test]

@@ -895,20 +895,6 @@ fn route(stream: &mut TcpStream, request: &Request, shared: &Arc<Shared>) {
                 }
             }
         }
-        ("GET", path) if path == "/profile" || path.starts_with("/profile?") => {
-            // On-demand sampling capture (crates/obs prof module). The
-            // capture blocks this worker for its (bounded) window; the
-            // other workers keep serving ingest meanwhile.
-            let query = path.strip_prefix("/profile").and_then(|rest| rest.strip_prefix('?'));
-            match paydemand_obs::prof::CaptureRequest::parse_query(query.unwrap_or("")) {
-                Ok(request) => {
-                    let profile = request.capture();
-                    shared.recorder.record_profile(&profile);
-                    http::respond(stream, 200, request.content_type(), &request.render(&profile));
-                }
-                Err(message) => http::respond(stream, 400, JSON, &error_body(&message)),
-            }
-        }
         ("GET", "/healthz") => {
             let body = format!(
                 "{{\"status\": \"{}\", \"next_round\": {}, \"queue_depth\": {}}}\n",
@@ -925,10 +911,6 @@ fn route(stream: &mut TcpStream, request: &Request, shared: &Arc<Shared>) {
 
 fn post_events(stream: &mut TcpStream, body: &[u8], shared: &Arc<Shared>) {
     let accepted = Instant::now();
-    // The ingest stages are hand-timed (no spans), so they publish
-    // their own profiler frames; each is a single relaxed load unless
-    // a sampling capture is live.
-    let _ingest_frame = paydemand_obs::prof::frame("ingest");
     if shared.draining.load(Ordering::SeqCst) || shared.failed.load(Ordering::SeqCst) {
         shared.metrics.rejected_draining.inc();
         http::respond_with(
@@ -946,7 +928,6 @@ fn post_events(stream: &mut TcpStream, body: &[u8], shared: &Arc<Shared>) {
         return;
     }
     let parse_started = Instant::now();
-    let parse_frame = paydemand_obs::prof::frame("parse");
     let batch = match decode_batch(body) {
         Ok(batch) => batch,
         Err(e) => {
@@ -960,11 +941,9 @@ fn post_events(stream: &mut TcpStream, body: &[u8], shared: &Arc<Shared>) {
         }
     };
     shared.metrics.stage_parse.record_duration(parse_started.elapsed());
-    drop(parse_frame);
     // Batches apply atomically: one bad event rejects the whole batch,
     // so a client never has to guess which half was accepted.
     let validate_started = Instant::now();
-    let validate_frame = paydemand_obs::prof::frame("validate");
     let Dims { users, tasks, area } = shared.dims;
     for (i, event) in batch.iter().enumerate() {
         if let Err(message) = event.validate(users, tasks, area) {
@@ -975,10 +954,8 @@ fn post_events(stream: &mut TcpStream, body: &[u8], shared: &Arc<Shared>) {
         }
     }
     shared.metrics.stage_validate.record_duration(validate_started.elapsed());
-    drop(validate_frame);
 
     let enqueue_started = Instant::now();
-    let enqueue_frame = paydemand_obs::prof::frame("enqueue");
     let fsync_spent;
     let (depth, first_id, request_id) = {
         let mut ingest = shared.lock_ingest();
@@ -1022,7 +999,6 @@ fn post_events(stream: &mut TcpStream, body: &[u8], shared: &Arc<Shared>) {
         // Durability before acknowledgement: the WAL append (+fsync)
         // happens inside the lock, before the 202 below.
         let fsync_started = Instant::now();
-        let fsync_frame = paydemand_obs::prof::frame("fsync");
         let offsets = match ingest.wal.append_events(&sequenced) {
             Ok(offsets) => offsets,
             Err(e) => {
@@ -1038,7 +1014,6 @@ fn post_events(stream: &mut TcpStream, body: &[u8], shared: &Arc<Shared>) {
             }
         };
         fsync_spent = fsync_started.elapsed();
-        drop(fsync_frame);
         shared.metrics.wal_bytes.set(ingest.wal.bytes() as i64);
         for (offset, seq) in offsets.into_iter().zip(sequenced) {
             ingest.pending.push_back((offset, seq));
@@ -1050,7 +1025,6 @@ fn post_events(stream: &mut TcpStream, body: &[u8], shared: &Arc<Shared>) {
         .metrics
         .stage_enqueue
         .record_duration(enqueue_started.elapsed().saturating_sub(fsync_spent));
-    drop(enqueue_frame);
     shared.metrics.ingest_events.add(batch.len() as u64);
     shared.set_queue_gauges(depth);
     http::respond(

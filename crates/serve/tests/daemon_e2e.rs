@@ -104,6 +104,7 @@ fn full_http_surface_round_trip() {
     assert!(metrics.body.contains("ingest_events_total 2"), "metrics: {}", metrics.body);
 
     assert_eq!(get(addr, "/nope").status, 404);
+    assert_eq!(get(addr, "/profile").status, 404);
     assert_eq!(http::request(addr, "PUT", "/events", b"{}", TIMEOUT).unwrap().status, 405);
 
     let report = daemon.shutdown().expect("graceful shutdown");

@@ -183,6 +183,28 @@ fn trace_events_json_is_valid_and_spans_nest() {
 }
 
 #[test]
+fn a_panic_mid_span_leaves_the_open_span_stack_empty() {
+    // Spans unwind with the panic, so the thread's stack of open spans
+    // is empty after it: the next span is a root, and the trace's
+    // parent links (what `paydemand profile` folds) stay true.
+    let recorder = Recorder::enabled();
+    recorder.enable_trace_events(64);
+    let hist = recorder.histogram("round_phase_seconds");
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let _round = recorder.scoped("round", &hist);
+        let _demand = recorder.scoped("demand", &hist);
+        panic!("boom mid-span");
+    }));
+    assert!(caught.is_err());
+    drop(recorder.scoped("next", &hist));
+    let events = recorder.span_log().unwrap().events();
+    let by_name = |name: &str| events.iter().find(|e| e.name == name).unwrap();
+    assert_eq!(events.len(), 3, "both unwound spans completed: {events:?}");
+    assert_eq!(by_name("demand").parent, Some(by_name("round").id));
+    assert_eq!(by_name("next").parent, None, "a panic left spans open");
+}
+
+#[test]
 fn default_alerts_fire_on_faults_and_stay_silent_on_the_golden_run() {
     // The healthy golden run must not page anyone.
     let recorder = telemetry_recorder();
