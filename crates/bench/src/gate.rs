@@ -18,7 +18,7 @@ pub const ABSOLUTE_GRACE_SECONDS: f64 = 0.005;
 /// Trace-journal overhead above this fraction draws a warning (the
 /// target is <15% on the 10k-user arm).
 pub const TRACE_OVERHEAD_TARGET: f64 = 0.15;
-/// Live-telemetry (time series + alerts + span trace) overhead above
+/// Live-telemetry (time series + span trace) overhead above
 /// this fraction draws a warning on the same arm.
 pub const TELEMETRY_OVERHEAD_TARGET: f64 = 0.15;
 /// Relative allocation-metric growth that fails the gate (25%),

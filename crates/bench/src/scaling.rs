@@ -396,10 +396,9 @@ pub fn measure_trace_overhead(
 
 /// Live-telemetry overhead at one population point: the same engine
 /// scenario run plain and with the full telemetry stack attached
-/// (per-round time-series snapshots, default alert rules, span
-/// tracing), interleaved best-of-N. `identical` pins the observability
-/// promise — the telemetry run must produce the same
-/// `SimulationResult` bit-for-bit.
+/// (per-round time-series snapshots and span tracing), interleaved
+/// best-of-N. `identical` pins the observability promise — the
+/// telemetry run must produce the same `SimulationResult` bit-for-bit.
 #[derive(Debug, Clone)]
 pub struct TelemetryOverhead {
     /// Users in the measured scenario.
@@ -442,7 +441,7 @@ pub fn measure_telemetry_overhead(
     rounds: u32,
     iterations: usize,
 ) -> TelemetryOverhead {
-    use paydemand_obs::{Alerts, TimeSeries};
+    use paydemand_obs::TimeSeries;
     use paydemand_sim::{engine, MechanismKind, Scenario, SelectorKind};
 
     let mut scenario = Scenario::paper_default()
@@ -466,7 +465,6 @@ pub fn measure_telemetry_overhead(
 
         let recorder = Recorder::enabled();
         recorder.attach_timeseries(&TimeSeries::with_capacity(rounds as usize + 1));
-        recorder.attach_alerts(&Alerts::with_defaults());
         recorder.enable_trace_events(1 << 16);
         let started = Instant::now();
         let instrumented = engine::run_recorded(&scenario, &recorder).expect("telemetry run");

@@ -1,13 +1,12 @@
 //! Implementation of the `paydemand alerts` subcommand: replay alert
 //! rules offline over a time series saved by `--timeseries-out`.
 //!
-//! The evaluation is [`paydemand_obs::evaluate_series`], the exact
-//! streak semantics the live engine applies at each round boundary, so
-//! a saved run and a watched run report identical firings.
+//! The evaluation is [`paydemand_obs::evaluate_series`] and the report
+//! [`paydemand_obs::render_table`], as for a run's own `--alerts-fatal`
+//! and `--profile` over the series it holds in memory, so a run and the
+//! replay of its saved series report identical firings.
 
-use std::fmt::Write as _;
-
-use paydemand_obs::{evaluate_series, AlertRule, TimeSeries};
+use paydemand_obs::{evaluate_series, render_table, AlertRule, TimeSeries};
 
 use crate::args::AlertsCommand;
 
@@ -23,40 +22,14 @@ pub fn dispatch(cmd: &AlertsCommand) -> Result<bool, String> {
     }
     let samples = series.samples();
     let events = evaluate_series(&rules, &samples);
-    print!("{}", render(&rules, samples.len(), &events));
+    print!("{}", render_table(&rules, samples.len(), series.dropped(), &events));
     Ok(!events.is_empty())
-}
-
-/// Builds the report: a header line, then one row per firing.
-fn render(rules: &[AlertRule], rounds: usize, events: &[paydemand_obs::AlertEvent]) -> String {
-    let mut out = String::new();
-    if events.is_empty() {
-        let _ =
-            writeln!(out, "alerts: none fired ({} rules over {rounds} round samples)", rules.len());
-        return out;
-    }
-    let width = events.iter().map(|e| e.rule.len()).chain([5]).max().unwrap_or(5);
-    let _ = writeln!(out, "{:<width$} {:>6} {:>14} condition", "alert", "round", "value");
-    for event in events {
-        let _ = writeln!(
-            out,
-            "{:<width$} {:>6} {:>14} {} {} {}",
-            event.rule, event.round, event.value, event.metric, event.comparator, event.threshold,
-        );
-    }
-    let _ = writeln!(
-        out,
-        "{} firing(s) from {} rules over {rounds} round samples",
-        events.len(),
-        rules.len()
-    );
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use paydemand_obs::{Comparator, Recorder};
+    use paydemand_obs::Recorder;
 
     /// Saves a three-round series where the retry queue sits at depth 4
     /// from round 2 on — deep enough for a custom rule, silent for the
@@ -119,23 +92,5 @@ mod tests {
         })
         .unwrap_err();
         assert!(err.contains("bad.json"), "{err}");
-    }
-
-    #[test]
-    fn render_formats_events() {
-        let rules = AlertRule::defaults();
-        assert!(render(&rules, 5, &[]).contains("none fired"));
-        let event = paydemand_obs::AlertEvent {
-            rule: "queue".into(),
-            metric: "engine_retry_queue_depth".into(),
-            round: 3,
-            value: 4.0,
-            threshold: 1.0,
-            comparator: Comparator::Ge,
-        };
-        let table = render(&rules, 5, &[event]);
-        assert!(table.contains("alert"), "{table}");
-        assert!(table.contains("queue"), "{table}");
-        assert!(table.contains("engine_retry_queue_depth >= 1"), "{table}");
     }
 }

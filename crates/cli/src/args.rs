@@ -106,10 +106,12 @@ OPTIONS (both commands):
     --indexing MODE    cell | naive neighbour counting (identical
                        results; naive is the reference)  [default: cell]
     --metrics-out PATH write collected metrics to PATH (implies recording;
-                       round-phase latencies and selector counters)
-    --metrics-format F prom | json exporter for --metrics-out [default: prom]
-    --profile          record metrics and print a latency/counter summary
-                       to stderr (identical simulation results either way)
+                       round-phase latencies and selector counters):
+                       JSON when PATH ends in .json, Prometheus text
+                       otherwise
+    --profile          record metrics and print a latency/counter summary,
+                       then the alert table, to stderr (identical
+                       simulation results either way)
     --alloc-profile    attribute heap allocations to engine phases and
                        export per-phase byte/count/peak families
                        (identical simulation results either way)
@@ -120,11 +122,8 @@ OPTIONS (both commands):
     --trace-events PATH     write span timings as Chrome trace_event
                        JSON, openable in Perfetto / speedscope /
                        chrome://tracing; `paydemand profile` folds it
-    --serve-metrics ADDR    serve /metrics, /healthz, /rounds.json and
-                       /alerts.json over HTTP while the run executes
-                       (e.g. 127.0.0.1:9090; port 0 picks a free one)
-    --alerts-fatal     evaluate the default alert rules each round and
-                       exit non-zero if any fired
+    --alerts-fatal     evaluate the default alert rules over the run's
+                       round samples and exit non-zero if any fired
 
     --faults SPEC      comma-separated fault arms, injected from their
                        own seeded RNG stream (zero rates change nothing):
@@ -333,10 +332,9 @@ pub struct Options {
     pub reps: usize,
     /// Worker threads (`None` = one per available core).
     pub threads: Option<usize>,
-    /// Where to write collected metrics, if anywhere.
+    /// Where to write collected metrics, if anywhere (JSON iff the path
+    /// ends in `.json`, Prometheus text otherwise).
     pub metrics_out: Option<String>,
-    /// Exporter for `metrics_out`.
-    pub metrics_format: MetricsFormat,
     /// Print a profile summary to stderr after the run.
     pub profile: bool,
     /// Attribute heap allocations to engine phases via the tracking
@@ -355,8 +353,6 @@ pub struct Options {
     pub timeseries_out: Option<String>,
     /// Write Chrome trace_event JSON of span timings here.
     pub trace_events_out: Option<String>,
-    /// Serve live metrics over HTTP at this address during the run.
-    pub serve_metrics: Option<String>,
     /// Exit non-zero when any default alert rule fired.
     pub alerts_fatal: bool,
 }
@@ -370,30 +366,17 @@ impl Options {
             || self.metrics_out.is_some()
             || self.timeseries_out.is_some()
             || self.trace_events_out.is_some()
-            || self.serve_metrics.is_some()
             || self.alerts_fatal
     }
 
-    /// Whether round-boundary telemetry (time series + alert rules)
-    /// should be attached to the recorder. Plain `--metrics-out` runs
-    /// skip it so their exports carry exactly the historical families.
+    /// Whether a round-boundary time series, which the alert rules are
+    /// evaluated over, should be attached to the recorder. Plain
+    /// `--metrics-out` runs skip it so their exports carry exactly the
+    /// historical families.
     #[must_use]
     pub fn telemetry(&self) -> bool {
-        self.profile
-            || self.timeseries_out.is_some()
-            || self.serve_metrics.is_some()
-            || self.alerts_fatal
+        self.profile || self.timeseries_out.is_some() || self.alerts_fatal
     }
-}
-
-/// Exporter format for `--metrics-out`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MetricsFormat {
-    /// Prometheus text exposition.
-    #[default]
-    Prometheus,
-    /// A flat JSON document.
-    Json,
 }
 
 /// Master seed when `--seed` is not given.
@@ -539,16 +522,12 @@ const FLAGS: &[Flag] = &[
         put(&mut p.options.threads, a.num().map(|n| (n > 0).then_some(n)))
     }),
     flag("--metrics-out", SIM, Value, |p, a| put(&mut p.options.metrics_out, Ok(a.path()))),
-    flag("--metrics-format", SIM, Value, |p, a| {
-        put(&mut p.options.metrics_format, lookup(METRICS_FORMATS, "metrics format", a.text()))
-    }),
     flag("--profile", SIM, Switch, |p, _| put(&mut p.options.profile, Ok(true))),
     flag("--alloc-profile", SIM, Switch, |p, _| put(&mut p.options.alloc_profile, Ok(true))),
     flag("--timeseries-out", SIM | SERVE, Value, |p, a| {
         put(&mut p.options.timeseries_out, Ok(a.path()))
     }),
     flag("--trace-events", SIM, Value, |p, a| put(&mut p.options.trace_events_out, Ok(a.path()))),
-    flag("--serve-metrics", SIM, Value, |p, a| put(&mut p.options.serve_metrics, Ok(a.path()))),
     flag("--alerts-fatal", SIM, Switch, |p, _| put(&mut p.options.alerts_fatal, Ok(true))),
     flag("--checkpoint-every", RUN, Value, |p, a| {
         put(&mut p.options.checkpoint_every, a.positive().map(Some))
@@ -621,10 +600,6 @@ const STREETS: &str = "streets:";
 /// `--indexing` values.
 const INDEXING_MODES: &[(&str, IndexingMode)] =
     &[("cell", IndexingMode::CellSweep), ("naive", IndexingMode::NaiveReference)];
-
-/// `--metrics-format` values.
-const METRICS_FORMATS: &[(&str, MetricsFormat)] =
-    &[("prom", MetricsFormat::Prometheus), ("json", MetricsFormat::Json)];
 
 /// Reads a fault arm's next `:`-separated parameter, named for errors.
 type Param<'a> = dyn FnMut(&str) -> Result<f64, String> + 'a;
@@ -1094,14 +1069,12 @@ mod tests {
 
     #[test]
     fn metrics_flags_parse() {
-        let Command::Run(opts) =
-            parse(&argv("run --profile --metrics-out /tmp/m.json --metrics-format json")).unwrap()
+        let Command::Run(opts) = parse(&argv("run --profile --metrics-out /tmp/m.json")).unwrap()
         else {
             panic!("expected run");
         };
         assert!(opts.profile);
         assert_eq!(opts.metrics_out.as_deref(), Some("/tmp/m.json"));
-        assert_eq!(opts.metrics_format, MetricsFormat::Json);
         assert!(opts.recording());
 
         let Command::Run(defaults) = parse(&argv("run")).unwrap() else {
@@ -1109,7 +1082,6 @@ mod tests {
         };
         assert!(!defaults.profile);
         assert_eq!(defaults.metrics_out, None);
-        assert_eq!(defaults.metrics_format, MetricsFormat::Prometheus);
         assert!(!defaults.recording());
 
         let Command::Run(out_only) = parse(&argv("run --metrics-out /tmp/m.prom")).unwrap() else {
@@ -1118,10 +1090,10 @@ mod tests {
         assert!(out_only.recording(), "--metrics-out alone implies recording");
 
         assert!(parse(&argv("compare --profile")).is_ok());
-        for refused in ["yaml", "prometheus"] {
-            assert!(parse(&argv(&format!("run --metrics-format {refused}")))
-                .unwrap_err()
-                .contains("unknown metrics format"));
+        // The path's suffix picks the format; there is no format flag.
+        for sub in ["run", "compare"] {
+            let err = parse(&argv(&format!("{sub} --metrics-format json"))).unwrap_err();
+            assert!(err.contains(&format!("unknown flag `--metrics-format` for `{sub}`")), "{err}");
         }
     }
 
@@ -1349,15 +1321,13 @@ mod tests {
     #[test]
     fn telemetry_flags_parse() {
         let Command::Run(opts) = parse(&argv(
-            "run --timeseries-out /tmp/ts.json --trace-events /tmp/t.json \
-             --serve-metrics 127.0.0.1:0 --alerts-fatal",
+            "run --timeseries-out /tmp/ts.json --trace-events /tmp/t.json --alerts-fatal",
         ))
         .unwrap() else {
             panic!("expected run");
         };
         assert_eq!(opts.timeseries_out.as_deref(), Some("/tmp/ts.json"));
         assert_eq!(opts.trace_events_out.as_deref(), Some("/tmp/t.json"));
-        assert_eq!(opts.serve_metrics.as_deref(), Some("127.0.0.1:0"));
         assert!(opts.alerts_fatal);
         assert!(opts.recording(), "telemetry flags imply recording");
         assert!(opts.telemetry());
@@ -1371,9 +1341,12 @@ mod tests {
             panic!("expected run");
         };
         assert!(metrics_only.recording() && !metrics_only.telemetry());
-        // Compare serves sweep-style workloads too.
-        assert!(parse(&argv("compare --serve-metrics 127.0.0.1:0")).is_ok());
         assert!(parse(&argv("compare --timeseries-out /tmp/ts.csv")).is_ok());
+        // A batch run's telemetry is read from its files once it ends.
+        for sub in ["run", "compare"] {
+            let err = parse(&argv(&format!("{sub} --serve-metrics 127.0.0.1:0"))).unwrap_err();
+            assert!(err.contains(&format!("unknown flag `--serve-metrics` for `{sub}`")), "{err}");
+        }
     }
 
     #[test]
@@ -1661,7 +1634,6 @@ mod tests {
         accepted.extend(MECHANISMS.iter().map(|(n, _)| *n));
         accepted.extend(TRAVEL_MODELS.iter().map(|(n, _)| *n));
         accepted.extend(INDEXING_MODES.iter().map(|(n, _)| *n));
-        accepted.extend(METRICS_FORMATS.iter().map(|(n, _)| *n));
         accepted.extend(FAULT_ARMS.iter().map(|(n, _)| *n));
         accepted.extend(SUBCOMMANDS.iter().map(|(n, _)| *n));
         accepted.extend([HYBRID, STREETS].map(|prefix| prefix.trim_end_matches(':')));

@@ -2,11 +2,11 @@
 
 use std::path::Path;
 
-use paydemand_obs::{Alerts, MetricsServer, Recorder, TimeSeries};
+use paydemand_obs::{evaluate_series, render_table, AlertRule, Recorder, TimeSeries};
 use paydemand_sim::stats::Summary;
 use paydemand_sim::{frame, metrics, runner, Engine, MechanismKind, SimError, SimulationResult};
 
-use crate::args::{MetricsFormat, Options};
+use crate::args::Options;
 
 /// What a completed command wants the process to exit with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,7 +19,7 @@ pub enum RunStatus {
 
 /// Upper bound on retained round samples, so an enormous sweep cannot
 /// hold every snapshot in memory (the ring evicts oldest and counts
-/// the drops, which the JSON export reports).
+/// the drops, which the JSON export and the alert table report).
 const TIMESERIES_CAP: usize = 100_000;
 
 /// Span events kept for `--trace-events` (drops are counted too).
@@ -71,8 +71,9 @@ pub fn run(options: &Options) -> Result<RunStatus, SimError> {
         options.scenario.max_rounds,
         options.reps,
     );
-    let recorder = make_recorder(options);
-    let server = start_server(options, &recorder)?;
+    // `--trace-out` re-runs repetition 0 on the same recorder.
+    let engines = options.reps.saturating_add(usize::from(options.trace_out.is_some()));
+    let recorder = make_recorder(options, engines);
     let results = runner::run_repetitions_parallel_recorded(
         &options.scenario,
         options.reps,
@@ -93,11 +94,7 @@ pub fn run(options: &Options) -> Result<RunStatus, SimError> {
     if let Some(path) = &options.trace_out {
         write_trace(options, &recorder, &results[0], path)?;
     }
-    finish_metrics(options, &recorder)?;
-    if let Some(server) = server {
-        server.stop();
-    }
-    Ok(alert_status(options, &recorder))
+    finish_metrics(options, &recorder)
 }
 
 /// `--trace-out`: re-run repetition 0 with the decision journal
@@ -129,8 +126,7 @@ fn write_trace(
 /// The scenario runs under its own seed (no per-repetition reseeding),
 /// so a resumed run reproduces the uninterrupted one exactly.
 fn run_checkpointed(options: &Options) -> Result<RunStatus, SimError> {
-    let recorder = make_recorder(options);
-    let server = start_server(options, &recorder)?;
+    let recorder = make_recorder(options, 1);
     let mut engine = match &options.resume_from {
         Some(path) => {
             let bytes = std::fs::read(path)
@@ -169,11 +165,7 @@ fn run_checkpointed(options: &Options) -> Result<RunStatus, SimError> {
     for row in METRICS {
         println!("{:<26} {:>10.3} {}", row.name, (row.extract)(&result), row.unit);
     }
-    finish_metrics(options, &recorder)?;
-    if let Some(server) = server {
-        server.stop();
-    }
-    Ok(alert_status(options, &recorder))
+    finish_metrics(options, &recorder)
 }
 
 /// Writes checkpoint bytes via a synced sibling temp file + rename, so
@@ -196,10 +188,10 @@ pub fn compare(options: &Options) -> Result<RunStatus, SimError> {
         options.scenario.max_rounds,
         options.reps,
     );
-    let recorder = make_recorder(options);
-    let server = start_server(options, &recorder)?;
+    let lineup = MechanismKind::paper_lineup();
+    let recorder = make_recorder(options, lineup.len().saturating_mul(options.reps));
     let mut columns = Vec::new();
-    for mechanism in MechanismKind::paper_lineup() {
+    for mechanism in lineup {
         let scenario = options.scenario.clone().with_mechanism(mechanism);
         let results =
             runner::run_repetitions_parallel_recorded(&scenario, options.reps, threads, &recorder)?;
@@ -219,19 +211,16 @@ pub fn compare(options: &Options) -> Result<RunStatus, SimError> {
         }
         println!();
     }
-    finish_metrics(options, &recorder)?;
-    if let Some(server) = server {
-        server.stop();
-    }
-    Ok(alert_status(options, &recorder))
+    finish_metrics(options, &recorder)
 }
 
 /// An enabled recorder when any metrics flag asked for one, else the
-/// inert no-op. Telemetry flags (`--timeseries-out`, `--serve-metrics`,
-/// `--alerts-fatal`, `--profile`) additionally attach a per-round time
-/// series and the default alert rules; `--trace-events` switches the
-/// span log on.
-fn make_recorder(options: &Options) -> Recorder {
+/// inert no-op. Telemetry flags (`--timeseries-out`, `--alerts-fatal`,
+/// `--profile`) additionally attach a per-round time series, which the
+/// alert rules are evaluated over, with room for every round of the
+/// `engines` runs that record into it (up to [`TIMESERIES_CAP`]);
+/// `--trace-events` switches the span log on.
+fn make_recorder(options: &Options, engines: usize) -> Recorder {
     if !options.recording() {
         return Recorder::disabled();
     }
@@ -241,9 +230,8 @@ fn make_recorder(options: &Options) -> Recorder {
     }
     if options.telemetry() {
         let rounds = (options.scenario.max_rounds as usize).max(1);
-        let capacity = (options.reps.max(1).saturating_mul(rounds)).clamp(1, TIMESERIES_CAP);
+        let capacity = engines.saturating_mul(rounds).clamp(1, TIMESERIES_CAP);
         recorder.attach_timeseries(&TimeSeries::with_capacity(capacity));
-        recorder.attach_alerts(&Alerts::with_defaults());
     }
     if options.trace_events_out.is_some() {
         recorder.enable_trace_events(TRACE_EVENT_CAP);
@@ -251,41 +239,17 @@ fn make_recorder(options: &Options) -> Recorder {
     recorder
 }
 
-/// Binds the `--serve-metrics` endpoint before the jobs start, so the
-/// run is observable from its first round.
-fn start_server(options: &Options, recorder: &Recorder) -> Result<Option<MetricsServer>, SimError> {
-    let Some(addr) = &options.serve_metrics else { return Ok(None) };
-    let server = MetricsServer::start(addr, recorder.clone())
-        .map_err(|e| SimError::Io(format!("--serve-metrics {addr}: {e}")))?;
-    println!(
-        "serving http://{0}/metrics (also /healthz, /rounds.json, /alerts.json)",
-        server.local_addr()
-    );
-    Ok(Some(server))
-}
-
-/// `--alerts-fatal`: turn fired alert rules into a non-zero exit.
-fn alert_status(options: &Options, recorder: &Recorder) -> RunStatus {
-    let fired = recorder.alerts().fired_total();
-    if options.alerts_fatal && fired > 0 {
-        RunStatus::AlertsFired(fired)
-    } else {
-        RunStatus::Clean
-    }
-}
-
-/// Writes `--metrics-out` / `--timeseries-out` / `--trace-events` and
-/// prints the `--profile` summary, if asked.
-fn finish_metrics(options: &Options, recorder: &Recorder) -> Result<(), SimError> {
+/// Writes `--metrics-out` / `--timeseries-out` / `--trace-events`,
+/// prints the `--profile` summary and evaluates the default alert rules
+/// over the run's time series when `--profile` or `--alerts-fatal` asks.
+fn finish_metrics(options: &Options, recorder: &Recorder) -> Result<RunStatus, SimError> {
     if !options.recording() {
-        return Ok(());
+        return Ok(RunStatus::Clean);
     }
     let snapshot = recorder.snapshot();
     if let Some(path) = &options.metrics_out {
-        let payload = match options.metrics_format {
-            MetricsFormat::Prometheus => snapshot.to_prometheus(),
-            MetricsFormat::Json => snapshot.to_json(),
-        };
+        let payload =
+            if path.ends_with(".json") { snapshot.to_json() } else { snapshot.to_prometheus() };
         std::fs::write(path, payload)
             .map_err(|e| SimError::Io(format!("writing --metrics-out {path}: {e}")))?;
     }
@@ -307,14 +271,22 @@ fn finish_metrics(options: &Options, recorder: &Recorder) -> Result<(), SimError
             log.dropped()
         );
     }
+    if !options.profile && !options.alerts_fatal {
+        return Ok(RunStatus::Clean);
+    }
+    let series = recorder.timeseries();
+    let samples = series.samples();
+    let rules = AlertRule::defaults();
+    let events = evaluate_series(&rules, &samples);
     if options.profile {
         eprint!("{}", snapshot.profile_table());
-        let alerts = recorder.alerts();
-        if alerts.is_enabled() {
-            eprint!("{}", alerts.render_table());
-        }
+        eprint!("{}", render_table(&rules, samples.len(), series.dropped(), &events));
     }
-    Ok(())
+    Ok(if options.alerts_fatal && !events.is_empty() {
+        RunStatus::AlertsFired(events.len())
+    } else {
+        RunStatus::Clean
+    })
 }
 
 fn unit_suffix(unit: &str) -> String {
@@ -355,10 +327,23 @@ mod tests {
         run(&opts).unwrap();
     }
 
+    /// The sample and eviction counts of a series saved by `--timeseries-out`.
+    fn saved_rounds(path: &Path) -> (usize, u64) {
+        let series = TimeSeries::from_json(&std::fs::read_to_string(path).unwrap()).unwrap();
+        (series.len(), series.dropped())
+    }
+
     #[test]
     fn compare_executes_small_scenario() {
-        let opts = options("compare --users 10 --tasks 5 --rounds 3 --reps 2 --selector greedy");
+        let series =
+            std::env::temp_dir().join(format!("paydemand-compare-{}.json", std::process::id()));
+        let opts = options(&format!(
+            "compare --users 10 --tasks 5 --rounds 3 --reps 2 --selector greedy --timeseries-out {}",
+            series.display()
+        ));
         compare(&opts).unwrap();
+        // The ring the alert reports read keeps every mechanism's rounds.
+        assert_eq!(saved_rounds(&series), (3 * 2 * 3, 0));
     }
 
     #[test]
@@ -369,7 +354,7 @@ mod tests {
         let prom = dir.join("m.prom");
         let opts = options(&format!(
             "run --users 10 --tasks 5 --rounds 3 --reps 2 --selector greedy \
-             --profile --metrics-out {} --metrics-format json",
+             --profile --metrics-out {}",
             json.display()
         ));
         run(&opts).unwrap();
@@ -436,16 +421,20 @@ mod tests {
     fn run_with_trace_out_writes_a_verified_journal() {
         let dir = std::env::temp_dir().join("paydemand-cli-trace-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("run.trace");
+        let (path, series) = (dir.join("run.trace"), dir.join("ts.json"));
         let opts = options(&format!(
-            "run --users 10 --tasks 5 --rounds 3 --reps 2 --selector greedy --trace-out {}",
-            path.display()
+            "run --users 10 --tasks 5 --rounds 3 --reps 2 --selector greedy --trace-out {} \
+             --timeseries-out {}",
+            path.display(),
+            series.display()
         ));
         run(&opts).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         let summary = paydemand_sim::replay::audit(&bytes).unwrap();
         assert_eq!(summary.rounds, 3);
         assert!(summary.measurements > 0);
+        // The re-run of repetition 0 records beside both repetitions.
+        assert_eq!(saved_rounds(&series), ((2 + 1) * 3, 0));
     }
 
     #[test]

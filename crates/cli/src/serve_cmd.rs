@@ -10,7 +10,7 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
-use paydemand_obs::{Alerts, Logger, Recorder, TimeSeries, DEFAULT_LOG_CAPACITY};
+use paydemand_obs::{Logger, Recorder, TimeSeries, DEFAULT_LOG_CAPACITY};
 use paydemand_serve::{Daemon, ShutdownReport};
 
 use crate::args::ServeCommand;
@@ -26,7 +26,6 @@ pub fn dispatch(cmd: &ServeCommand) -> Result<(), String> {
     if cmd.timeseries_out.is_some() {
         let rounds = (config.scenario.max_rounds as usize).clamp(1, TIMESERIES_CAP);
         recorder.attach_timeseries(&TimeSeries::with_capacity(rounds));
-        recorder.attach_alerts(&Alerts::with_defaults());
     }
     let log = Logger::enabled(DEFAULT_LOG_CAPACITY, cmd.log_level, &recorder);
     if let Some(path) = &cmd.log_json {

@@ -51,3 +51,34 @@ fn a_small_run_exits_zero_with_the_metrics_table() {
         assert!(metrics.contains(&metric), "no `{metric}` row in:\n{stdout}");
     }
 }
+
+/// A run's `--alerts-fatal` count and `--profile` alert table are what
+/// `paydemand alerts` reports over the series the run saved, also when
+/// two threads interleave their rounds in that series.
+#[test]
+fn a_run_and_the_replay_of_its_series_report_the_same_firings() {
+    let dir = std::env::temp_dir().join(format!("paydemand-cli-alerts-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let series = dir.join("ts.json");
+    let run = paydemand(&format!(
+        "run --users 100 --tasks 10 --rounds 10 --reps 40 --selector greedy --budget 500 \
+         --faults straggler:0.05:3:1 --fault-seed 2 --threads 2 \
+         --profile --alerts-fatal --timeseries-out {}",
+        series.display()
+    ));
+    assert_eq!(run.status.code(), Some(1), "{}", text(&run.stderr));
+    let replay = paydemand(&format!("alerts {} --fatal", series.display()));
+    assert_eq!(replay.status.code(), Some(1), "{}", text(&replay.stderr));
+    let table = text(&replay.stdout);
+    let fired: usize = table
+        .lines()
+        .last()
+        .and_then(|count| count.split(' ').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no count line in:\n{table}"));
+    let stderr = text(&run.stderr);
+    assert!(stderr.contains(table), "the run's table differs from the replay's:\n{stderr}");
+    let verdict = format!("error: {fired} alert rule(s) fired (--alerts-fatal)\n");
+    assert!(stderr.ends_with(&verdict), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -1,13 +1,15 @@
-//! Threshold alert rules evaluated per round against the time series.
+//! Threshold alert rules evaluated over a recorded time series.
 //!
 //! A rule names a *per-round metric view* key (see below), a
 //! comparator, a threshold, and how many consecutive rounds the
 //! condition must hold before the alert fires (Prometheus' `for:`
-//! semantics). The engine calls [`Alerts::evaluate`] at every round
-//! boundary; firings increment `alerts_total{rule="…"}` through the
-//! [`Recorder`] and are listed by `/alerts.json`, the `--profile`
-//! table, and the offline `paydemand alerts` subcommand
-//! ([`evaluate_series`] replays a saved time series identically).
+//! semantics). The engine records one [`RoundSample`] per round
+//! boundary into the attached [`TimeSeries`](crate::TimeSeries);
+//! [`evaluate_series`] steps the rules over those samples and
+//! [`render_table`] prints the firings. `--alerts-fatal`, `--profile`
+//! and the offline `paydemand alerts` subcommand all read the series
+//! through these two functions, so a run and the replay of its saved
+//! series report the same firings.
 //!
 //! # Metric view keys
 //!
@@ -35,11 +37,10 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex};
 
-use crate::export::{json_escape, label_suffix, scale_of};
+use crate::export::{label_suffix, scale_of};
 use crate::metrics::HistogramSnapshot;
-use crate::recorder::{Recorder, Snapshot};
+use crate::recorder::Snapshot;
 use crate::timeseries::RoundSample;
 
 /// How a rule compares the observed value to its threshold.
@@ -97,7 +98,7 @@ impl fmt::Display for Comparator {
 /// One threshold rule over the per-round metric view.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AlertRule {
-    /// Stable rule name (the `alerts_total` label value).
+    /// Stable rule name, shown in reports.
     pub name: String,
     /// Metric view key the rule watches (module docs list the forms).
     pub metric: String,
@@ -227,195 +228,14 @@ struct RuleState {
     firing: bool,
 }
 
-#[derive(Debug)]
-struct AlertsState {
-    prev: Option<Snapshot>,
-    states: Vec<RuleState>,
-    events: Vec<AlertEvent>,
-}
-
-#[derive(Debug)]
-struct AlertsInner {
-    rules: Vec<AlertRule>,
-    state: Mutex<AlertsState>,
-}
-
-/// A cloneable handle to a per-round alert evaluator.
-///
-/// Like the [`Recorder`], the disabled handle (also [`Default`]) is a
-/// true no-op. The evaluator keeps the previous round's snapshot to
-/// compute per-round deltas, so with several engines sharing one
-/// recorder the deltas mix their progress — attach alerts to
-/// single-engine runs when exact per-round attribution matters.
-#[derive(Debug, Clone, Default)]
-pub struct Alerts {
-    inner: Option<Arc<AlertsInner>>,
-}
-
-impl Alerts {
-    /// The no-op handle: evaluates nothing, reports nothing.
-    #[must_use]
-    pub fn disabled() -> Self {
-        Alerts { inner: None }
-    }
-
-    /// A live evaluator over `rules`.
-    #[must_use]
-    pub fn with_rules(rules: Vec<AlertRule>) -> Self {
-        let states = rules.iter().map(|_| RuleState { streak: 0, firing: false }).collect();
-        Alerts {
-            inner: Some(Arc::new(AlertsInner {
-                rules,
-                state: Mutex::new(AlertsState { prev: None, states, events: Vec::new() }),
-            })),
-        }
-    }
-
-    /// A live evaluator over [`AlertRule::defaults`].
-    #[must_use]
-    pub fn with_defaults() -> Self {
-        Alerts::with_rules(AlertRule::defaults())
-    }
-
-    /// Whether [`evaluate`](Self::evaluate) does anything.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// The configured rules (empty for the disabled handle).
-    #[must_use]
-    pub fn rules(&self) -> Vec<AlertRule> {
-        self.inner.as_ref().map_or_else(Vec::new, |inner| inner.rules.clone())
-    }
-
-    /// Evaluates every rule against the round's metric view and
-    /// records transitions to firing; newly-fired rules increment
-    /// `alerts_total{rule="…"}` on `recorder`. A no-op on the disabled
-    /// handle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state mutex was poisoned by a panicking thread.
-    pub fn evaluate(&self, round: u32, snapshot: &Snapshot, recorder: &Recorder) {
-        let Some(inner) = &self.inner else { return };
-        let mut state = inner.state.lock().expect("alert state poisoned");
-        let view = flatten(state.prev.as_ref(), snapshot);
-        let mut fired = Vec::new();
-        for (rule, rule_state) in inner.rules.iter().zip(&mut state.states) {
-            if let Some(event) = step_rule(rule, rule_state, round, &view) {
-                recorder.counter_with("alerts_total", "rule", &rule.name).inc();
-                fired.push(event);
-            }
-        }
-        state.events.extend(fired);
-        state.prev = Some(snapshot.clone());
-    }
-
-    /// Every firing transition so far, in evaluation order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state mutex was poisoned by a panicking thread.
-    #[must_use]
-    pub fn events(&self) -> Vec<AlertEvent> {
-        self.inner.as_ref().map_or_else(Vec::new, |inner| {
-            inner.state.lock().expect("alert state poisoned").events.clone()
-        })
-    }
-
-    /// Number of firing transitions so far.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state mutex was poisoned by a panicking thread.
-    #[must_use]
-    pub fn fired_total(&self) -> usize {
-        self.inner
-            .as_ref()
-            .map_or(0, |inner| inner.state.lock().expect("alert state poisoned").events.len())
-    }
-
-    /// Renders the rules and firings as a JSON document:
-    /// `{"rules": […], "fired": […]}` (both empty for the disabled
-    /// handle).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"rules\": [");
-        let rules = self.rules();
-        for (i, rule) in rules.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"name\": \"{}\", \"metric\": \"{}\", \"comparator\": \"{}\", \
-                 \"threshold\": {}, \"for_rounds\": {}}}",
-                json_escape(&rule.name),
-                json_escape(&rule.metric),
-                rule.comparator,
-                fmt_f64(rule.threshold),
-                rule.for_rounds,
-            );
-        }
-        if !rules.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n  \"fired\": [");
-        let events = self.events();
-        for (i, event) in events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"rule\": \"{}\", \"metric\": \"{}\", \"round\": {}, \"value\": {}, \
-                 \"threshold\": {}, \"comparator\": \"{}\"}}",
-                json_escape(&event.rule),
-                json_escape(&event.metric),
-                event.round,
-                fmt_f64(event.value),
-                fmt_f64(event.threshold),
-                event.comparator,
-            );
-        }
-        if !events.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
-        out
-    }
-
-    /// Renders the firings as an aligned text table (the `alerts`
-    /// section of the `--profile` output and the offline subcommand).
-    #[must_use]
-    pub fn render_table(&self) -> String {
-        let events = self.events();
-        let mut out = String::new();
-        if self.is_enabled() && events.is_empty() {
-            let _ = writeln!(out, "alerts: none fired ({} rules evaluated)", self.rules().len());
-            return out;
-        }
-        let width = events.iter().map(|e| e.rule.len()).chain([5]).max().unwrap_or(5);
-        let _ = writeln!(out, "{:<width$} {:>6} {:>14} condition", "alert", "round", "value");
-        for event in &events {
-            let _ = writeln!(
-                out,
-                "{:<width$} {:>6} {:>14} {} {} {}",
-                event.rule,
-                event.round,
-                fmt_f64(event.value),
-                event.metric,
-                event.comparator,
-                fmt_f64(event.threshold),
-            );
-        }
-        out
-    }
-}
-
-/// Replays `rules` over a saved time series exactly as the live
-/// evaluator would have (same flattening, same streak semantics).
+/// Steps `rules` over a recorded time series, oldest sample first, and
+/// returns every transition into the firing state in series order.
+/// This is the only alert evaluator: `--alerts-fatal`, `--profile` and
+/// `paydemand alerts` all call it, so a run and the replay of its saved
+/// series report the same firings. Several engines recording into one
+/// series (a threaded run) interleave their samples, so deltas and
+/// streaks mix their progress; a single-engine series attributes every
+/// round exactly.
 #[must_use]
 pub fn evaluate_series(rules: &[AlertRule], samples: &[RoundSample]) -> Vec<AlertEvent> {
     let mut states: Vec<RuleState> =
@@ -432,6 +252,37 @@ pub fn evaluate_series(rules: &[AlertRule], samples: &[RoundSample]) -> Vec<Aler
         prev = Some(&sample.snapshot);
     }
     events
+}
+
+/// Renders firings as an aligned table, one row per firing, closed by a
+/// count line; `rounds` is the number of samples evaluated and
+/// `dropped` the older samples the series evicted before them, which
+/// the report names so a tail is never read as the whole run.
+#[must_use]
+pub fn render_table(
+    rules: &[AlertRule],
+    rounds: usize,
+    dropped: u64,
+    events: &[AlertEvent],
+) -> String {
+    let mut over = format!("{} rules over {rounds} round samples", rules.len());
+    if dropped > 0 {
+        let _ = write!(over, "; {dropped} older samples were dropped");
+    }
+    if events.is_empty() {
+        return format!("alerts: none fired ({over})\n");
+    }
+    let width = events.iter().map(|e| e.rule.len()).chain([5]).max().unwrap_or(5);
+    let mut out = format!("{:<width$} {:>6} {:>14} condition\n", "alert", "round", "value");
+    for event in events {
+        let _ = writeln!(
+            out,
+            "{:<width$} {:>6} {:>14} {} {} {}",
+            event.rule, event.round, event.value, event.metric, event.comparator, event.threshold,
+        );
+    }
+    let _ = writeln!(out, "{} firing(s) from {over}", events.len());
+    out
 }
 
 /// Advances one rule's streak for one round; `Some` on the transition
@@ -559,16 +410,6 @@ fn delta_histogram(prev: Option<&HistogramSnapshot>, cur: &HistogramSnapshot) ->
     delta
 }
 
-/// Shortest-roundtrip float formatting, integers without a decimal
-/// point (matches the exporters' style).
-fn fmt_f64(value: f64) -> String {
-    if value.fract() == 0.0 && value.abs() < 1e15 {
-        format!("{value:.0}")
-    } else {
-        format!("{value}")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -578,6 +419,17 @@ mod tests {
         let r = Recorder::enabled();
         f(&r);
         r.snapshot()
+    }
+
+    /// Numbers `snapshots` as rounds 1, 2, … of a recorded series.
+    fn series(snapshots: impl IntoIterator<Item = Snapshot>) -> Vec<RoundSample> {
+        (1..).zip(snapshots).map(|(round, snapshot)| RoundSample { round, snapshot }).collect()
+    }
+
+    /// Firings over the series' first `rounds` samples: what a run
+    /// that stopped there would report.
+    fn fired_by(rules: &[AlertRule], samples: &[RoundSample], rounds: usize) -> usize {
+        evaluate_series(rules, &samples[..rounds]).len()
     }
 
     #[test]
@@ -650,47 +502,37 @@ mod tests {
 
     #[test]
     fn streaks_fire_once_and_reset() {
-        let alerts = Alerts::with_rules(vec![AlertRule {
+        let rules = [AlertRule {
             name: "queue".into(),
             metric: "engine_retry_queue_depth".into(),
             comparator: Comparator::Ge,
             threshold: 1.0,
             for_rounds: 2,
-        }]);
-        let recorder = Recorder::enabled();
+        }];
         let depth = |d: i64| {
             snap(|r| {
                 r.gauge("engine_retry_queue_depth").set(d);
             })
         };
-        alerts.evaluate(1, &depth(1), &recorder);
-        assert_eq!(alerts.fired_total(), 0, "streak of 1 < for_rounds");
-        alerts.evaluate(2, &depth(3), &recorder);
-        assert_eq!(alerts.fired_total(), 1, "streak reached for_rounds");
-        alerts.evaluate(3, &depth(5), &recorder);
-        assert_eq!(alerts.fired_total(), 1, "still firing, no re-fire");
-        alerts.evaluate(4, &depth(0), &recorder);
-        alerts.evaluate(5, &depth(2), &recorder);
-        alerts.evaluate(6, &depth(2), &recorder);
-        assert_eq!(alerts.fired_total(), 2, "cleared then re-fired");
-        let event = &alerts.events()[0];
-        assert_eq!((event.round, event.value), (2, 3.0));
-        assert_eq!(
-            recorder.snapshot().counter_value("alerts_total", Some(("rule", "queue"))),
-            Some(2)
-        );
+        let samples = series([1, 3, 5, 0, 2, 2].map(depth));
+        assert_eq!(fired_by(&rules, &samples, 1), 0, "streak of 1 < for_rounds");
+        assert_eq!(fired_by(&rules, &samples, 2), 1, "streak reached for_rounds");
+        assert_eq!(fired_by(&rules, &samples, 3), 1, "still firing, no re-fire");
+        let events = evaluate_series(&rules, &samples);
+        assert_eq!(events.len(), 2, "cleared then re-fired");
+        assert_eq!((events[0].round, events[0].value), (2, 3.0));
+        assert_eq!(events[1].round, 6);
     }
 
     #[test]
     fn missing_metric_resets_the_streak() {
-        let alerts = Alerts::with_rules(vec![AlertRule {
+        let rules = [AlertRule {
             name: "burn".into(),
             metric: "ingest_ack_slo_burn_rate".into(),
             comparator: Comparator::Ge,
             threshold: 1.0,
             for_rounds: 2,
-        }]);
-        let recorder = Recorder::enabled();
+        }];
         // Every ack breaches, so any round with acks burns at 100×.
         let acked = |n: u64| {
             snap(|r| {
@@ -698,36 +540,28 @@ mod tests {
                 r.counter("ingest_ack_slo_breaches_total").add(n);
             })
         };
-        alerts.evaluate(1, &acked(5), &recorder);
-        alerts.evaluate(2, &acked(5), &recorder);
-        assert_eq!(alerts.fired_total(), 0, "round 2 had no acks: reset");
-        alerts.evaluate(3, &acked(6), &recorder);
-        alerts.evaluate(4, &acked(7), &recorder);
-        assert_eq!(alerts.fired_total(), 1);
+        let samples = series([5, 5, 6, 7].map(acked));
+        assert_eq!(fired_by(&rules, &samples, 2), 0, "round 2 had no acks: reset");
+        assert_eq!(fired_by(&rules, &samples, 4), 1);
     }
 
     #[test]
-    fn offline_replay_matches_live_evaluation() {
+    fn a_reloaded_series_evaluates_the_same() {
         let rules = AlertRule::defaults();
-        let alerts = Alerts::with_rules(rules.clone());
-        let recorder = Recorder::enabled();
         let ts = crate::TimeSeries::with_capacity(16);
         for round in 1..=6u32 {
             let snapshot = snap(|r| {
                 r.gauge("engine_budget_spent_permille").set(if round >= 3 { 990 } else { 400 });
                 r.gauge("engine_retry_queue_depth").set(i64::from(round % 2));
             });
-            ts.record(round, snapshot.clone());
-            alerts.evaluate(round, &snapshot, &recorder);
+            ts.record(round, snapshot);
         }
-        let live = alerts.events();
-        assert_eq!(live.len(), 1, "only the budget rule fires: {live:?}");
-        assert_eq!(live[0].rule, "budget_overrun_proximity");
-        assert_eq!(live[0].round, 4, "held at rounds 3 and 4");
-        let replayed = evaluate_series(&rules, &ts.samples());
-        assert_eq!(replayed, live);
+        let events = evaluate_series(&rules, &ts.samples());
+        assert_eq!(events.len(), 1, "only the budget rule fires: {events:?}");
+        assert_eq!(events[0].rule, "budget_overrun_proximity");
+        assert_eq!(events[0].round, 4, "held at rounds 3 and 4");
         let reloaded = crate::TimeSeries::from_json(&ts.to_json()).unwrap();
-        assert_eq!(evaluate_series(&rules, &reloaded.samples()), live, "JSON round trip");
+        assert_eq!(evaluate_series(&rules, &reloaded.samples()), events, "JSON round trip");
     }
 
     #[test]
@@ -754,8 +588,7 @@ mod tests {
 
     #[test]
     fn memory_leak_rule_fires_after_five_growing_rounds() {
-        let alerts = Alerts::with_defaults();
-        let recorder = Recorder::enabled();
+        let rules = AlertRule::defaults();
         let live = |bytes: i64| {
             snap(|r| {
                 r.gauge("memory_live_bytes").set(bytes);
@@ -763,63 +596,48 @@ mod tests {
         };
         // Round 1 establishes the baseline (no delta yet); rounds 2-6
         // each grow strictly, completing the 5-round streak at round 6.
-        for (round, bytes) in (1..=6u32).zip([100, 200, 300, 400, 500, 600i64]) {
-            alerts.evaluate(round, &live(bytes), &recorder);
-        }
-        let events = alerts.events();
+        // The flat round 7 resets the streak, so rounds 8-11 are only
+        // four growth rounds: no second firing.
+        let samples =
+            series([100, 200, 300, 400, 500, 600, 600, 700, 800, 900, 1_000i64].map(live));
+        let events = evaluate_series(&rules, &samples[..6]);
         assert_eq!(events.len(), 1, "{events:?}");
         assert_eq!(events[0].rule, "memory_leak_suspected");
         assert_eq!(events[0].round, 6);
-        // A flat round resets the streak: five more growth rounds are
-        // needed before it can re-fire.
-        alerts.evaluate(7, &live(600), &recorder);
-        for (round, bytes) in (8..=11u32).zip([700, 800, 900, 1_000i64]) {
-            alerts.evaluate(round, &live(bytes), &recorder);
-        }
-        assert_eq!(alerts.fired_total(), 1, "only 4 growth rounds since the reset");
+        assert_eq!(fired_by(&rules, &samples, 11), 1, "only 4 growth rounds since the reset");
     }
 
     #[test]
     fn peak_rss_rule_fires_immediately_at_threshold() {
-        let alerts = Alerts::with_defaults();
-        let recorder = Recorder::enabled();
         let hot = snap(|r| {
             r.gauge("process_peak_rss_bytes").set(3 * 1024 * 1024 * 1024);
         });
-        alerts.evaluate(1, &hot, &recorder);
-        let events = alerts.events();
+        let events = evaluate_series(&AlertRule::defaults(), &series([hot]));
         assert_eq!(events.len(), 1, "{events:?}");
         assert_eq!(events[0].rule, "peak_rss_high");
     }
 
     #[test]
     fn ingest_queue_saturation_rule_fires_after_three_hot_rounds() {
-        let alerts = Alerts::with_defaults();
-        let recorder = Recorder::enabled();
+        let rules = AlertRule::defaults();
         let saturation = |permille: i64| {
             snap(|r| {
                 r.gauge("ingest_queue_saturation_permille").set(permille);
             })
         };
-        alerts.evaluate(1, &saturation(950), &recorder);
-        alerts.evaluate(2, &saturation(900), &recorder);
-        assert_eq!(alerts.fired_total(), 0, "two hot rounds are not enough");
-        alerts.evaluate(3, &saturation(980), &recorder);
-        let events = alerts.events();
+        // Dipping below 90% at round 4 clears the streak.
+        let samples = series([950, 900, 980, 500, 950, 950].map(saturation));
+        assert_eq!(fired_by(&rules, &samples, 2), 0, "two hot rounds are not enough");
+        let events = evaluate_series(&rules, &samples[..3]);
         assert_eq!(events.len(), 1, "{events:?}");
         assert_eq!(events[0].rule, "ingest_queue_saturation");
         assert_eq!(events[0].round, 3);
-        // Dipping below 90% clears the streak.
-        alerts.evaluate(4, &saturation(500), &recorder);
-        alerts.evaluate(5, &saturation(950), &recorder);
-        alerts.evaluate(6, &saturation(950), &recorder);
-        assert_eq!(alerts.fired_total(), 1, "streak was reset by the cool round");
+        assert_eq!(fired_by(&rules, &samples, 6), 1, "streak was reset by the cool round");
     }
 
     #[test]
     fn ingest_shedding_rule_watches_the_per_round_delta() {
-        let alerts = Alerts::with_defaults();
-        let recorder = Recorder::enabled();
+        let rules = AlertRule::defaults();
         let shed = |total: u64| {
             snap(|r| {
                 r.counter("shed_total").add(total);
@@ -828,12 +646,9 @@ mod tests {
         // Cumulative 5 → 5 → 9: sheds in rounds 1 and 3, none in 2 —
         // the flat round must reset the streak even though the
         // cumulative counter stays positive.
-        alerts.evaluate(1, &shed(5), &recorder);
-        alerts.evaluate(2, &shed(5), &recorder);
-        alerts.evaluate(3, &shed(9), &recorder);
-        assert_eq!(alerts.fired_total(), 0, "never two shedding rounds in a row");
-        alerts.evaluate(4, &shed(12), &recorder);
-        let events = alerts.events();
+        let samples = series([5, 5, 9, 12].map(shed));
+        assert_eq!(fired_by(&rules, &samples, 3), 0, "never two shedding rounds in a row");
+        let events = evaluate_series(&rules, &samples);
         assert_eq!(events.len(), 1, "{events:?}");
         assert_eq!(events[0].rule, "ingest_shedding");
         assert_eq!(events[0].round, 4);
@@ -854,8 +669,7 @@ mod tests {
         let idle = flatten(Some(&first), &first);
         assert!(!idle.contains_key("ingest_ack_slo_burn_rate"));
 
-        let alerts = Alerts::with_defaults();
-        let recorder = Recorder::enabled();
+        let rules = AlertRule::defaults();
         let burn = |acks: u64, breaches: u64| {
             snap(|r| {
                 r.counter("ingest_ack_total").add(acks);
@@ -864,23 +678,16 @@ mod tests {
         };
         // Rounds 1-2: 20% of acks breach → burn rate 20 ≥ 14, the fast
         // rule fires at round 2. The slow rule (≥ 1 for 6) keeps
-        // accumulating through round 6.
-        alerts.evaluate(1, &burn(100, 20), &recorder);
-        alerts.evaluate(2, &burn(200, 40), &recorder);
-        let events = alerts.events();
+        // accumulating through round 6. Rounds 3-6 keep the cumulative
+        // series monotonic: +100 acks and +6 breaches per round (burn
+        // rate 6 — below the fast threshold, above the slow one).
+        let later = (3..=6u64).map(|round| burn(round * 100, 40 + (round - 2) * 6));
+        let samples = series([burn(100, 20), burn(200, 40)].into_iter().chain(later));
+        let events = evaluate_series(&rules, &samples[..2]);
         assert_eq!(events.len(), 1, "{events:?}");
         assert_eq!(events[0].rule, "ingest_ack_slo_fast_burn");
-        // Rounds 3-6 keep the cumulative series monotonic: +100 acks
-        // and +6 breaches per round (burn rate 6 — below the fast
-        // threshold, above the slow one).
-        for round in 3..=6u64 {
-            alerts.evaluate(
-                u32::try_from(round).unwrap(),
-                &burn(round * 100, 40 + (round - 2) * 6),
-                &recorder,
-            );
-        }
-        let rules_fired: Vec<String> = alerts.events().iter().map(|e| e.rule.clone()).collect();
+        let rules_fired: Vec<String> =
+            evaluate_series(&rules, &samples).iter().map(|e| e.rule.clone()).collect();
         assert!(
             rules_fired.contains(&"ingest_ack_slo_slow_burn".to_owned()),
             "slow burn after 6 burning rounds: {rules_fired:?}"
@@ -888,32 +695,36 @@ mod tests {
     }
 
     #[test]
-    fn disabled_handle_is_inert_and_exports_empty() {
-        let alerts = Alerts::disabled();
-        assert!(!alerts.is_enabled());
-        alerts.evaluate(1, &snap(|_| {}), &Recorder::enabled());
-        assert_eq!(alerts.fired_total(), 0);
-        assert_eq!(alerts.to_json(), "{\n  \"rules\": [],\n  \"fired\": []\n}\n");
-        assert_eq!(Alerts::default().events(), Vec::new());
-    }
-
-    #[test]
-    fn alerts_json_is_parseable_and_complete() {
-        let alerts = Alerts::with_defaults();
-        let recorder = Recorder::enabled();
+    fn render_table_lists_firings_and_names_dropped_samples() {
+        let rules = AlertRule::defaults();
         let hot = snap(|r| {
             r.gauge("engine_budget_spent_permille").set(999);
         });
-        alerts.evaluate(1, &hot, &recorder);
-        alerts.evaluate(2, &hot, &recorder);
-        let doc = crate::json::parse_json(&alerts.to_json()).unwrap();
-        assert_eq!(doc.get("rules").unwrap().as_array().unwrap().len(), 9);
-        let fired = doc.get("fired").unwrap().as_array().unwrap();
-        assert_eq!(fired.len(), 1);
-        assert_eq!(fired[0].get("rule").unwrap().as_str(), Some("budget_overrun_proximity"));
-        assert_eq!(fired[0].get("round").unwrap().as_u64(), Some(2));
-        let table = alerts.render_table();
-        assert!(table.contains("budget_overrun_proximity"), "{table}");
-        assert!(Alerts::with_defaults().render_table().contains("none fired"));
+        let samples = series([hot.clone(), hot]);
+        let table = render_table(&rules, samples.len(), 0, &evaluate_series(&rules, &samples));
+        let lines: Vec<&str> = table.lines().collect();
+        assert_eq!(lines.len(), 3, "{table}");
+        let words = |line: &str| line.split_whitespace().map(str::to_owned).collect::<Vec<_>>();
+        assert_eq!(words(lines[0]), ["alert", "round", "value", "condition"]);
+        assert_eq!(
+            words(lines[1]),
+            ["budget_overrun_proximity", "2", "999", "engine_budget_spent_permille", ">=", "950"]
+        );
+        assert_eq!(lines[2], "1 firing(s) from 9 rules over 2 round samples");
+        let value_end = |line: &str, word: &str| line.find(word).map(|at| at + word.len());
+        assert_eq!(value_end(lines[0], "value"), value_end(lines[1], "999"), "{table}");
+        assert_eq!(
+            render_table(&rules, 2, 0, &[]),
+            "alerts: none fired (9 rules over 2 round samples)\n"
+        );
+
+        // A ring keeps only its tail; the report says how much it lost.
+        let ring = crate::TimeSeries::with_capacity(2);
+        for round in 1..=5 {
+            ring.record(round, snap(|_| {}));
+        }
+        let kept = ring.samples();
+        let table = render_table(&rules, kept.len(), ring.dropped(), &[]);
+        assert!(table.contains("over 2 round samples; 3 older samples were dropped"), "{table}");
     }
 }

@@ -166,9 +166,8 @@ impl Snapshot {
 
     /// Renders every metric family as an aligned table (the body of the
     /// CLI's `--profile` stderr output): histograms first, then gauges,
-    /// then counters, with `alerts_total` broken out into its own
-    /// `alert` section at the end. Times are in seconds for `*_seconds`
-    /// histograms, raw units otherwise.
+    /// then the memory families, then counters. Times are in seconds
+    /// for `*_seconds` histograms, raw units otherwise.
     ///
     /// The snapshot is already sorted by [`MetricKey`], so the rows are
     /// deterministic; the name column widens to fit the longest series
@@ -222,10 +221,8 @@ impl Snapshot {
                 let _ = writeln!(out, "{:<width$} {value:>9}", series_of(key));
             }
         }
-        let (alerts, counters): (Vec<_>, Vec<_>) =
-            self.counters.iter().partition(|(key, _)| key.name == "alerts_total");
         let (memory_counters, counters): (Vec<_>, Vec<_>) =
-            counters.into_iter().partition(|(key, _)| is_memory(key));
+            self.counters.iter().partition(|(key, _)| is_memory(key));
         if !memory_gauges.is_empty() || !memory_counters.is_empty() {
             let _ = writeln!(out, "{:<width$} {:>12}", "memory", "value");
             for (key, value) in memory_gauges {
@@ -238,12 +235,6 @@ impl Snapshot {
         if !counters.is_empty() {
             let _ = writeln!(out, "{:<width$} {:>9}", "counter", "value");
             for (key, value) in counters {
-                let _ = writeln!(out, "{:<width$} {value:>9}", series_of(key));
-            }
-        }
-        if !alerts.is_empty() {
-            let _ = writeln!(out, "{:<width$} {:>9}", "alert", "fired");
-            for (key, value) in alerts {
                 let _ = writeln!(out, "{:<width$} {value:>9}", series_of(key));
             }
         }
@@ -360,25 +351,19 @@ round_phase_seconds_count{phase=\"pricing\"} 2
     }
 
     #[test]
-    fn profile_table_lists_gauges_and_breaks_out_alerts() {
+    fn profile_table_lists_gauges_and_widens_for_long_names() {
         let r = Recorder::enabled();
         let long = "a_rather_long_histogram_family_name_that_needs_more_than_the_default_width";
         r.histogram(long).record(1_000);
         r.gauge("engine_budget_spent_permille").set(721);
         r.counter("engine_rounds_total").add(8);
-        r.counter_with("alerts_total", "rule", "budget_overrun_proximity").add(2);
         let table = r.snapshot().profile_table();
-        // Section order: histograms, gauges, counters, alerts.
+        // Section order: histograms, gauges, counters.
         let histogram_at = table.find("histogram").unwrap();
         let gauge_at = table.find("\ngauge").unwrap();
         let counter_at = table.find("\ncounter").unwrap();
-        let alert_at = table.find("\nalert ").unwrap();
-        assert!(histogram_at < gauge_at && gauge_at < counter_at && counter_at < alert_at);
+        assert!(histogram_at < gauge_at && gauge_at < counter_at);
         assert!(table.contains("engine_budget_spent_permille"));
-        assert!(table.contains("alerts_total{rule=\"budget_overrun_proximity\"}"));
-        // The alerts_total family moves out of the counter section.
-        let counter_section = &table[counter_at..alert_at];
-        assert!(!counter_section.contains("alerts_total"), "{counter_section}");
         // Long names widen the column instead of breaking alignment:
         // every value column ends at the same offset on scalar rows.
         for line in table.lines().filter(|l| !l.contains("histogram") && !l.contains(long)) {

@@ -1,10 +1,9 @@
 //! A hardened, zero-dependency blocking HTTP/1.1 layer.
 //!
-//! Both servers in the workspace read and answer requests through this
-//! one module: the `paydemand serve` daemon (which re-exports it as
-//! `paydemand_serve::http`) and the embedded metrics endpoint
-//! ([`crate::MetricsServer`]). Both face real sockets, so the parser
-//! assumes the peer is hostile until proven otherwise:
+//! The `paydemand serve` daemon reads and answers every request through
+//! this module, which it re-exports as `paydemand_serve::http`. The
+//! daemon faces real sockets, so the parser assumes the peer is hostile
+//! until proven otherwise:
 //!
 //! * every read honours a *total* head deadline, not just a per-read
 //!   socket timeout — a slow-loris client dripping one byte per second

@@ -2,9 +2,9 @@
 //!
 //! The workspace builds offline, so there is no `serde_json`. The
 //! exporters in this crate hand-roll their JSON output; this module is
-//! the matching reader, used by the offline alert evaluator (reloading
-//! a saved time series) and by schema tests that validate emitted
-//! documents (trace events, the HTTP endpoints). It is a strict
+//! the matching reader, used by `paydemand alerts` (reloading a saved
+//! time series) and by schema tests that validate emitted documents
+//! (trace events, the daemon's HTTP endpoints). It is a strict
 //! recursive-descent parser over the full JSON grammar minus the
 //! corners the crate never emits: no `\uXXXX` surrogate pairs beyond
 //! the BMP and no tolerance for trailing garbage.
@@ -332,12 +332,12 @@ mod tests {
     #[test]
     fn round_trips_crate_emitted_reports() {
         let recorder = crate::Recorder::enabled();
-        recorder.counter_with("alerts_total", "rule", "budget").add(2);
+        recorder.counter_with("fault_events_total", "kind", "dropout").add(2);
         recorder.gauge("depth").set(-3);
         recorder.histogram("engine_round_seconds").record(1024);
         let doc = parse_json(&recorder.snapshot().to_json()).unwrap();
         let counters = doc.get("counters").unwrap().as_array().unwrap();
-        assert_eq!(counters[0].get("name").unwrap().as_str(), Some("alerts_total"));
+        assert_eq!(counters[0].get("name").unwrap().as_str(), Some("fault_events_total"));
         assert_eq!(counters[0].get("value").unwrap().as_u64(), Some(2));
         assert_eq!(
             doc.get("gauges").unwrap().as_array().unwrap()[0].get("value").unwrap().as_f64(),

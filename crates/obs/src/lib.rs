@@ -55,7 +55,6 @@
 //! | `runner_threads` | gauge | Worker threads of the last batch. |
 //! | `engine_budget_spent_permille` | gauge | Paid reward as ‰ of the spend cap (set each round when telemetry is attached). |
 //! | `engine_retry_queue_depth` | gauge | Straggler uploads pending retry at the round boundary. |
-//! | `alerts_total{rule}` | counter | Alert-rule transitions into the firing state. |
 //!
 //! With alloc profiling on ([`Recorder::enable_alloc_profile`]), the
 //! memory families join them (sampled per round by
@@ -123,17 +122,16 @@
 //!   parent-aware span tree exported in Chrome `trace_event` JSON,
 //!   openable in Perfetto, speedscope or `chrome://tracing`, and
 //!   folded into per-stack self time by `paydemand profile`;
-//! * [`Alerts`] — threshold rules ([`AlertRule`]) evaluated at each
-//!   round boundary, with [`evaluate_series`] replaying the same rules
-//!   offline against a saved time series;
-//! * [`MetricsServer`] — an embedded zero-dependency HTTP endpoint
-//!   serving `/metrics`, `/healthz`, `/rounds.json` and `/alerts.json`
-//!   from a background thread, through [`http`] — the hardened
-//!   HTTP/1.1 reader and writer the `paydemand serve` daemon uses too;
 //! * [`Logger`] — a leveled JSON flight recorder (ring buffer,
 //!   rate-limited, panic-safe, optional JSONL file sink) attachable
 //!   with [`Recorder::attach_logger`] so deep layers can emit without
 //!   threading an extra handle.
+//!
+//! [`evaluate_series`] steps threshold [`AlertRule`]s over a time
+//! series' samples and [`render_table`] prints the firings: one report
+//! for a finished run and for the series it saved. [`http`] is the
+//! hardened HTTP/1.1 reader and writer the `paydemand serve` daemon
+//! serves through.
 //!
 //! # Example
 //!
@@ -168,11 +166,10 @@ pub mod json;
 pub mod log;
 mod metrics;
 mod recorder;
-mod serve;
 mod spans;
 mod timeseries;
 
-pub use alerts::{evaluate_series, AlertEvent, AlertRule, Alerts, Comparator};
+pub use alerts::{evaluate_series, render_table, AlertEvent, AlertRule, Comparator};
 pub use alloc::{AllocPhase, PhaseGuard, PhaseTotals, TrackingAllocator};
 pub use json::{parse_json, JsonError, JsonValue};
 pub use log::{LogEntry, LogLevel, Logger, DEFAULT_LOG_CAPACITY};
@@ -180,6 +177,5 @@ pub use metrics::{
     bucket_bounds, bucket_index, Counter, Gauge, Histogram, HistogramSnapshot, BUCKETS,
 };
 pub use recorder::{MetricKey, Recorder, Snapshot, Span};
-pub use serve::MetricsServer;
 pub use spans::{CounterSample, SpanEvent, SpanLog};
 pub use timeseries::{RoundSample, TimeSeries};

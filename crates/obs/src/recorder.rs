@@ -5,7 +5,6 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::alerts::Alerts;
 use crate::alloc::{self, AllocPhase, PhaseGuard, PhaseTotals, ALLOC_PHASES};
 use crate::log::Logger;
 use crate::metrics::{Counter, Gauge, Histogram, HistogramCells, HistogramSnapshot, BUCKETS};
@@ -38,7 +37,6 @@ struct Registry {
     /// attachments because they share the registry.
     span_log: Mutex<Option<Arc<SpanLog>>>,
     timeseries: Mutex<Option<TimeSeries>>,
-    alerts: Mutex<Option<Alerts>>,
     logger: Mutex<Option<Logger>>,
     /// Whether this registry profiles the global allocator. While true,
     /// spans and explicit [`Recorder::alloc_phase`] calls tag the
@@ -364,31 +362,6 @@ impl Recorder {
             .and_then(|registry| {
                 registry.timeseries.lock().expect("time series slot poisoned").clone()
             })
-            .unwrap_or_default()
-    }
-
-    /// Attaches an alert evaluator; the engine evaluates it at every
-    /// round boundary. A no-op on a disabled recorder.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the attachment mutex was poisoned.
-    pub fn attach_alerts(&self, alerts: &Alerts) {
-        if let Some(registry) = &self.registry {
-            *registry.alerts.lock().expect("alerts slot poisoned") = Some(alerts.clone());
-        }
-    }
-
-    /// The attached alert evaluator, or the disabled handle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the attachment mutex was poisoned.
-    #[must_use]
-    pub fn alerts(&self) -> Alerts {
-        self.registry
-            .as_ref()
-            .and_then(|registry| registry.alerts.lock().expect("alerts slot poisoned").clone())
             .unwrap_or_default()
     }
 

@@ -2,20 +2,20 @@
 //!
 //! The Recorder's [`Snapshot`](crate::Snapshot) is an end-of-run
 //! aggregate; this module keeps the *trajectory*: the engine records
-//! one snapshot per round boundary into a bounded ring, so a live run
-//! can be scraped mid-flight (`/rounds.json`), dumped for offline
-//! analysis (`--timeseries-out`), and fed to the alert evaluator.
+//! one snapshot per round boundary into a bounded ring, which the alert
+//! rules are evaluated over ([`evaluate_series`](crate::evaluate_series))
+//! and which `--timeseries-out` dumps for offline analysis.
 //!
 //! Like the Recorder, the disabled handle ([`TimeSeries::disabled`],
 //! also [`Default`]) is a true no-op — no storage, no locks, no clock —
 //! so simulation results are bit-identical with the time series on or
 //! off. The ring drops the *oldest* sample once `capacity` is reached
-//! (the live endpoints care about the recent past) and counts the
-//! evictions in [`TimeSeries::dropped`].
+//! and counts the evictions in [`TimeSeries::dropped`], which the alert
+//! report names.
 //!
 //! Exported values are raw (counters and histogram sums in their native
 //! units, `*_seconds` histograms in nanoseconds) so a reloaded series
-//! evaluates alert rules exactly as the live run did; the alert
+//! evaluates alert rules exactly as the run's own series did; the alert
 //! flattener applies the seconds scaling, as the exporters do.
 
 use std::collections::VecDeque;
@@ -150,8 +150,8 @@ impl TimeSeries {
     /// "counters": […], "gauges": […], "histograms": […]}]}`.
     /// Histogram entries carry their full bucket vectors (trailing
     /// zeros trimmed), so [`TimeSeries::from_json`] reconstructs the
-    /// series losslessly and offline alert evaluation matches the live
-    /// run bit for bit.
+    /// series losslessly and offline alert evaluation matches the run's
+    /// own bit for bit.
     #[must_use]
     pub fn to_json(&self) -> String {
         let samples = self.samples();

@@ -10,8 +10,7 @@
 //! * [`http`] — a hardened, dependency-free HTTP/1.1 reader/writer:
 //!   total-head deadlines (slow-loris-proof), request-line/head/body
 //!   size caps, typed 4xx for malformed input, never a panic. It lives
-//!   in `paydemand-obs`, whose metrics endpoint shares it, and is
-//!   re-exported here.
+//!   in `paydemand-obs` and is re-exported here.
 //! * [`events`] — the `POST /events` wire format and its two-tier
 //!   decode errors (transport → 400, schema → 422).
 //! * [`wal`] — a checksummed write-ahead log with tick barriers, torn-

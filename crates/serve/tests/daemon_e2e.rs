@@ -9,7 +9,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use paydemand_obs::{evaluate_series, AlertRule, Alerts, Recorder, TimeSeries};
+use paydemand_obs::{evaluate_series, AlertRule, Recorder, TimeSeries};
 use paydemand_serve::http;
 use paydemand_serve::{Daemon, DaemonConfig, HttpLimits};
 use paydemand_sim::{MechanismKind, Scenario, SelectorKind};
@@ -242,20 +242,17 @@ fn finished_run_answers_409_and_draining_daemon_503() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
-/// The ingest alert rules fire on live daemon telemetry, and replaying
-/// the captured time series offline (what `paydemand alerts` does)
-/// produces the identical firings.
+/// The ingest alert rules fire over the daemon's recorded time series,
+/// the series `serve --timeseries-out` saves for `paydemand alerts`.
 #[test]
-fn ingest_alerts_fire_live_and_replay_identically_offline() {
+fn ingest_alerts_fire_over_the_recorded_series() {
     let dir = fresh_dir("alerts");
     let mut config = DaemonConfig::new(scenario(), dir.clone());
     config.queue_capacity = 2; // saturates with one 2-event batch
 
     let recorder = Recorder::enabled();
     let ts = TimeSeries::with_capacity(16);
-    let live_alerts = Alerts::with_defaults();
     recorder.attach_timeseries(&ts);
-    recorder.attach_alerts(&live_alerts);
     let daemon = Daemon::start(config, &recorder).expect("daemon starts");
     let addr = daemon.local_addr();
 
@@ -269,14 +266,10 @@ fn ingest_alerts_fire_live_and_replay_identically_offline() {
     }
     daemon.shutdown().unwrap();
 
-    let fired: Vec<String> = live_alerts.events().iter().map(|e| e.rule.clone()).collect();
-    assert!(fired.contains(&"ingest_shedding".to_owned()), "live firings: {fired:?}");
-    assert!(fired.contains(&"ingest_queue_saturation".to_owned()), "live firings: {fired:?}");
-
-    // Offline replay over the same samples — the `paydemand alerts`
-    // code path — must reproduce the live firings event for event.
-    let replayed = evaluate_series(&AlertRule::defaults(), &ts.samples());
-    assert_eq!(replayed, live_alerts.events(), "offline replay diverged from live");
+    let events = evaluate_series(&AlertRule::defaults(), &ts.samples());
+    let fired: Vec<String> = events.iter().map(|e| e.rule.clone()).collect();
+    assert!(fired.contains(&"ingest_shedding".to_owned()), "firings: {fired:?}");
+    assert!(fired.contains(&"ingest_queue_saturation".to_owned()), "firings: {fired:?}");
     let _ = std::fs::remove_dir_all(dir);
 }
 

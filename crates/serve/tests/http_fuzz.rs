@@ -213,15 +213,19 @@ fn exact_edge_cases_resolve() {
     fire(b"");
     // Bare CRLFs.
     fire(b"\r\n\r\n");
-    // A request line exactly at, then past, the cap.
+    // Past a cap is a typed refusal, never a response to the truncated
+    // prefix: a request line past its cap is a 414, a header flood past
+    // the head cap a 431.
+    let status_of =
+        |response: Vec<u8>| String::from_utf8_lossy(&response).split(' ').nth(1).map(str::to_owned);
     let limits = HttpLimits::default();
-    fire(format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(limits.max_request_line_bytes)).as_bytes());
-    // Header flood up to the head cap.
+    let long_line = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(limits.max_request_line_bytes));
+    assert_eq!(status_of(fire(long_line.as_bytes())).as_deref(), Some("414"));
     let mut flood = b"GET /healthz HTTP/1.1\r\n".to_vec();
     while flood.len() < limits.max_head_bytes + 1024 {
         flood.extend_from_slice(b"X-Flood: yes\r\n");
     }
-    fire(&flood);
+    assert_eq!(status_of(fire(&flood)).as_deref(), Some("431"));
     // Null bytes in the request line.
     fire(b"GET /\x00\x00 HTTP/1.1\r\n\r\n");
     // Negative and non-numeric Content-Length.
@@ -232,8 +236,7 @@ fn exact_edge_cases_resolve() {
     // transfer coding a 501 (§6.1). Identical duplicates are served.
     let body = valid_body(1);
     let status = |headers: String| {
-        let payload = format!("POST /events HTTP/1.1\r\n{headers}\r\n{body}");
-        String::from_utf8_lossy(&fire(payload.as_bytes())).split(' ').nth(1).map(str::to_owned)
+        status_of(fire(format!("POST /events HTTP/1.1\r\n{headers}\r\n{body}").as_bytes()))
     };
     let n = body.len();
     let conflicting = status(format!("Content-Length: 0\r\nContent-Length: {n}\r\n"));

@@ -62,7 +62,7 @@ use paydemand_faults::{FaultInjector, RoundFaults, UploadFate};
 use paydemand_geo::mobility::RandomWaypoint;
 use paydemand_geo::network::RoadNetwork;
 use paydemand_geo::{Point, PositionStore, Rect};
-use paydemand_obs::{Alerts, AllocPhase, Counter, Gauge, Histogram, Recorder, TimeSeries};
+use paydemand_obs::{AllocPhase, Counter, Gauge, Histogram, Recorder, TimeSeries};
 use paydemand_routing::CostMatrix;
 
 use crate::contributions::Contributions;
@@ -492,18 +492,18 @@ pub(crate) struct EngineInstruments {
     states_expanded: Counter,
     nodes_pruned: Counter,
     iterations: Counter,
-    /// Live-telemetry hook, present only when a time series or alert
-    /// evaluator is attached to the recorder — so plain metrics runs
-    /// register no extra gauge families and telemetry-off runs skip the
-    /// round-boundary snapshot entirely.
+    /// Live-telemetry hook, present only when a time series is attached
+    /// to the recorder — so plain metrics runs register no extra gauge
+    /// families and telemetry-off runs skip the round-boundary snapshot
+    /// entirely.
     telemetry: Option<RoundTelemetry>,
 }
 
-/// Round-boundary telemetry resolved once per run: the attached sinks
-/// plus the gauges only meaningful when someone is watching per-round.
+/// Round-boundary telemetry resolved once per run: the attached time
+/// series plus the gauges only meaningful when someone is watching
+/// per-round.
 pub(crate) struct RoundTelemetry {
     timeseries: TimeSeries,
-    alerts: Alerts,
     budget_spent_permille: Gauge,
     retry_queue_depth: Gauge,
 }
@@ -511,10 +511,8 @@ pub(crate) struct RoundTelemetry {
 impl RoundTelemetry {
     fn resolve(recorder: &Recorder) -> Option<Self> {
         let timeseries = recorder.timeseries();
-        let alerts = recorder.alerts();
-        (timeseries.is_enabled() || alerts.is_enabled()).then(|| RoundTelemetry {
+        timeseries.is_enabled().then(|| RoundTelemetry {
             timeseries,
-            alerts,
             budget_spent_permille: recorder.gauge("engine_budget_spent_permille"),
             retry_queue_depth: recorder.gauge("engine_retry_queue_depth"),
         })
@@ -1501,8 +1499,9 @@ impl Engine {
     /// on: structural byte accounting from the platform, then the
     /// allocator's per-phase deltas via [`Recorder::sample_alloc`].
     /// Runs before the telemetry snapshot so the time series (and the
-    /// alert rules) see this round's memory state. A no-op — no gauge
-    /// writes, no allocator reads — when profiling is off.
+    /// alert rules evaluated over it) see this round's memory state. A
+    /// no-op — no gauge writes, no allocator reads — when profiling is
+    /// off.
     fn sample_round_memory(&mut self) {
         if !self.recorder.alloc_profile_enabled() {
             return;
@@ -1513,9 +1512,10 @@ impl Engine {
     }
 
     /// Snapshots every metric family at the round boundary into the
-    /// attached time series and runs the alert rules over it. A no-op
-    /// (no gauge writes, no snapshot, no clock) when no telemetry sink
-    /// is attached, preserving the bit-identical-off guarantee.
+    /// attached time series, which the alert rules are evaluated over
+    /// once the run ends. A no-op (no gauge writes, no snapshot, no
+    /// clock) when no time series is attached, preserving the
+    /// bit-identical-off guarantee.
     fn observe_round_telemetry(&mut self, round: u32) {
         let Some(telemetry) = &self.instruments.telemetry else { return };
         let cap = self.platform.spend_cap().unwrap_or(self.scenario.reward_budget);
@@ -1524,9 +1524,7 @@ impl Engine {
             if cap > 0.0 { (self.platform.total_paid() / cap * 1000.0).round() as i64 } else { 0 };
         telemetry.budget_spent_permille.set(permille);
         telemetry.retry_queue_depth.set(self.pending.len() as i64);
-        let snapshot = self.recorder.snapshot();
-        telemetry.alerts.evaluate(round, &snapshot, &self.recorder);
-        telemetry.timeseries.record(round, snapshot);
+        telemetry.timeseries.record(round, self.recorder.snapshot());
     }
 
     /// Serialises the engine's state at the current round boundary:

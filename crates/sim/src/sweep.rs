@@ -112,24 +112,6 @@ impl Sweep {
         y_label: &str,
         metric: impl Fn(&SimulationResult) -> f64 + Copy,
     ) -> Result<Figure, SimError> {
-        self.run_recorded(id, y_label, metric, &paydemand_obs::Recorder::disabled())
-    }
-
-    /// [`run`](Self::run) with observability: every job reports into
-    /// the shared `recorder` (including any attached time series and
-    /// alert evaluator), so a long sweep can be watched live through
-    /// `--serve-metrics`. Results are unchanged by recording.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first failure from any point.
-    pub fn run_recorded(
-        &self,
-        id: &str,
-        y_label: &str,
-        metric: impl Fn(&SimulationResult) -> f64 + Copy,
-        recorder: &paydemand_obs::Recorder,
-    ) -> Result<Figure, SimError> {
         // Flatten the whole sweep into independent, pre-seeded jobs.
         let mut jobs =
             Vec::with_capacity(self.mechanisms.len() * self.axis.values.len() * self.reps);
@@ -142,7 +124,7 @@ impl Sweep {
                 }
             }
         }
-        let results = runner::run_scenarios_parallel_recorded(&jobs, self.threads, recorder)?;
+        let results = runner::run_scenarios_parallel(&jobs, self.threads)?;
 
         // Reassemble in (mechanism, point) order.
         let mut series = Vec::with_capacity(self.mechanisms.len());
