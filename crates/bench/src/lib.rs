@@ -14,14 +14,16 @@
 //! * `src/bin/figures.rs` — regenerates every table/figure series of
 //!   the paper (the reproduction deliverable);
 //! * `src/bin/ablations.rs` — quality ablations over the design choices
-//!   DESIGN.md calls out.
+//!   DESIGN.md calls out;
+//! * `src/bin/chaos.rs` — the cost of fault injection and checkpointing,
+//!   with an inert plan checked bitwise against the plain path.
+//!
+//! End-to-end timing lives in the `perf` package at the repository
+//! root, which compares two commits on one machine.
 
 use paydemand_core::{PublishedTask, TaskId};
 use paydemand_geo::{Point, Rect};
 use rand::Rng;
-
-pub mod gate;
-pub mod scaling;
 
 /// Draws a random selection problem of `m` tasks in the paper's area,
 /// used by the solver benchmarks.

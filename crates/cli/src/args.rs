@@ -157,8 +157,9 @@ OPTIONS (serve only; the scenario flags --preset --users --tasks
     --http-workers N   connection worker threads (panic-isolated,
                        restarted by the supervisor)   [default: 4]
     --checkpoint-every-ticks N
-                       checkpoint + compact the WAL every N ticks
-                       [default: 1]
+                       checkpoint + compact the WAL after every round
+                       that is a multiple of N (every N ticks from a
+                       fresh start)                  [default: 1]
     --max-body-bytes N largest accepted request body  [default: 262144]
     --no-fsync         skip the per-append WAL fsync (throughput
                        experiments only; weakens kill -9 durability)

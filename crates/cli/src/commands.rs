@@ -71,9 +71,7 @@ pub fn run(options: &Options) -> Result<RunStatus, SimError> {
         options.scenario.max_rounds,
         options.reps,
     );
-    // `--trace-out` re-runs repetition 0 on the same recorder.
-    let engines = options.reps.saturating_add(usize::from(options.trace_out.is_some()));
-    let recorder = make_recorder(options, engines);
+    let recorder = make_recorder(options, options.reps);
     let results = runner::run_repetitions_parallel_recorded(
         &options.scenario,
         options.reps,
@@ -92,7 +90,7 @@ pub fn run(options: &Options) -> Result<RunStatus, SimError> {
         );
     }
     if let Some(path) = &options.trace_out {
-        write_trace(options, &recorder, &results[0], path)?;
+        write_trace(options, &results[0], path)?;
     }
     finish_metrics(options, &recorder)
 }
@@ -101,15 +99,12 @@ pub fn run(options: &Options) -> Result<RunStatus, SimError> {
 /// enabled, replay-verify the journal against the live repetition-0
 /// result (bitwise — prices, payments, completions), then write it to
 /// disk. The traced re-run reproduces repetition 0 exactly because the
-/// sink never touches the RNG or the clock.
-fn write_trace(
-    options: &Options,
-    recorder: &Recorder,
-    rep0: &SimulationResult,
-    path: &str,
-) -> Result<(), SimError> {
+/// sink never touches the RNG or the clock. It records nowhere: it is
+/// a check, not a repetition, so the run's metrics and series count
+/// only the repetitions.
+fn write_trace(options: &Options, rep0: &SimulationResult, path: &str) -> Result<(), SimError> {
     let scenario = options.scenario.clone().with_seed(runner::rep_seed(options.scenario.seed, 0));
-    let (_, journal) = paydemand_sim::engine::run_traced(&scenario, recorder)?;
+    let (_, journal) = paydemand_sim::engine::run_traced(&scenario, &Recorder::disabled())?;
     paydemand_sim::replay::verify(&journal, rep0).map_err(SimError::from)?;
     std::fs::write(path, &journal)
         .map_err(|e| SimError::Io(format!("writing --trace-out {path}: {e}")))?;
@@ -421,20 +416,26 @@ mod tests {
     fn run_with_trace_out_writes_a_verified_journal() {
         let dir = std::env::temp_dir().join("paydemand-cli-trace-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let (path, series) = (dir.join("run.trace"), dir.join("ts.json"));
+        let (path, series, prom) = (dir.join("run.trace"), dir.join("ts.json"), dir.join("m.prom"));
         let opts = options(&format!(
             "run --users 10 --tasks 5 --rounds 3 --reps 2 --selector greedy --trace-out {} \
-             --timeseries-out {}",
+             --timeseries-out {} --metrics-out {}",
             path.display(),
-            series.display()
+            series.display(),
+            prom.display()
         ));
         run(&opts).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         let summary = paydemand_sim::replay::audit(&bytes).unwrap();
         assert_eq!(summary.rounds, 3);
         assert!(summary.measurements > 0);
-        // The re-run of repetition 0 records beside both repetitions.
-        assert_eq!(saved_rounds(&series), ((2 + 1) * 3, 0));
+        // The verifying re-run of repetition 0 records nowhere: the
+        // series and the counters hold the two repetitions alone.
+        assert_eq!(saved_rounds(&series), (2 * 3, 0));
+        let metrics = std::fs::read_to_string(&prom).unwrap();
+        for line in ["engine_runs_total 2", "engine_rounds_total 6"] {
+            assert!(metrics.lines().any(|l| l == line), "missing `{line}` in {metrics}");
+        }
     }
 
     #[test]

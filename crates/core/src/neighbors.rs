@@ -25,7 +25,7 @@ pub enum IndexingMode {
     #[default]
     CellSweep,
     /// `O(n·m)` pairwise scan with no index at all. The reference
-    /// implementation for differential tests and scaling benchmarks;
+    /// implementation for differential tests and `--indexing naive`;
     /// never the production path.
     NaiveReference,
 }

@@ -7,7 +7,8 @@
 //! (trace events, the daemon's HTTP endpoints). It is a strict
 //! recursive-descent parser over the full JSON grammar minus the
 //! corners the crate never emits: no `\uXXXX` surrogate pairs beyond
-//! the BMP and no tolerance for trailing garbage.
+//! the BMP, no tolerance for trailing garbage and no nesting deeper
+//! than [`MAX_DEPTH`].
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -88,6 +89,13 @@ impl JsonValue {
     }
 }
 
+/// How deeply arrays and objects may nest. The parser recurses once a
+/// level, and so does dropping the tree it builds; the daemon parses
+/// every `POST /events` body on a worker thread, so an unbounded
+/// document of `[`s would overflow that thread's stack and abort the
+/// process. No document the workspace writes nests past a handful.
+pub const MAX_DEPTH: usize = 128;
+
 /// Where and why parsing failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
@@ -113,7 +121,7 @@ impl std::error::Error for JsonError {}
 /// A [`JsonError`] naming the byte offset and the expectation that
 /// failed.
 pub fn parse_json(input: &str) -> Result<JsonValue, JsonError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -126,6 +134,8 @@ pub fn parse_json(input: &str) -> Result<JsonValue, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -163,8 +173,15 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("at most {MAX_DEPTH} levels of nesting")));
+                }
+                self.depth += 1;
+                let value = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -352,6 +369,23 @@ mod tests {
         }
         let err = parse_json("[1, oops]").unwrap_err();
         assert!(err.to_string().contains("byte 4"), "{err}");
+    }
+
+    #[test]
+    fn nesting_is_bounded_with_a_named_error() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse_json(&nested(MAX_DEPTH)).is_ok());
+        let objects = "{\"a\":".repeat(MAX_DEPTH - 1) + "{}" + &"}".repeat(MAX_DEPTH - 1);
+        assert!(parse_json(&objects).is_ok());
+        let too_deep = format!("expected at most {MAX_DEPTH} levels of nesting");
+        for (doc, offset) in [
+            (nested(MAX_DEPTH + 1), MAX_DEPTH),
+            ("[".repeat(250_000), MAX_DEPTH),
+            ("{\"a\":".repeat(MAX_DEPTH + 1), 5 * MAX_DEPTH),
+        ] {
+            let err = parse_json(&doc).unwrap_err();
+            assert_eq!((err.offset, &err.message), (offset, &too_deep), "{err}");
+        }
     }
 
     #[test]

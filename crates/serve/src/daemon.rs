@@ -37,8 +37,10 @@
 //!   apply path*, trailing events return to the pending queue. The
 //!   result is bit-identical to the run that never crashed: the engine,
 //!   its checkpoints and every lineage frame of a round that ran before
-//!   the crash. An event still pending at the crash is applied from the
-//!   WAL recovery compacted, so its frame records its offset there.
+//!   the crash. Recovery writes a checkpoint but leaves the WAL as it
+//!   found it, so an event still pending at the crash keeps its WAL
+//!   offset, and its frame matches the uninterrupted run's byte for
+//!   byte; the next checkpointing tick compacts.
 //! * workers are panic-isolated under a [`Supervisor`]; an engine-side
 //!   panic or error during a tick flips the daemon into a `failed`
 //!   read-only state rather than corrupting durable state.
@@ -113,7 +115,8 @@ pub struct DaemonConfig {
     pub workers: usize,
     /// Per-connection parse limits and deadlines.
     pub limits: HttpLimits,
-    /// Checkpoint (and compact the WAL) every this many ticks.
+    /// Checkpoint (and compact the WAL) after every round that is a
+    /// multiple of this: every this many ticks from a fresh start.
     pub checkpoint_every: u32,
     /// fsync the WAL on every append. On for anything that must
     /// survive kill‑9; off only for throughput experiments.
@@ -681,8 +684,8 @@ impl Daemon {
 /// Builds the engine from scratch or from the state directory,
 /// replaying the WAL (and regenerating crash-window lineage); returns
 /// the engine and the fully-recovered ingest state. Always leaves a
-/// fresh checkpoint + compacted WAL behind so the directory is clean
-/// however the last process died.
+/// fresh checkpoint behind, so a crash right after recovery replays
+/// nothing twice; the WAL keeps every record it held.
 fn recover(
     config: &DaemonConfig,
     recorder: &Recorder,
@@ -705,7 +708,7 @@ fn recover(
         Engine::new(&config.scenario, recorder)?
     };
 
-    let (mut wal, records, torn) = Wal::open(&wal_path, config.fsync)?;
+    let (wal, records, torn) = Wal::open(&wal_path, config.fsync)?;
     if torn > 0 {
         recorder.counter("wal_torn_bytes_total").add(torn as u64);
         recorder.logger().warn("wal", "torn WAL tail truncated", &[("bytes", &torn.to_string())]);
@@ -767,18 +770,16 @@ fn recover(
         recorder.counter("resume_replayed_events_total").add(replayed);
     }
 
-    // Normalise: the durable state now reflects exactly (engine,
-    // pending events, their lineage) so the next crash recovers from
-    // here. Compaction moves the pending events, so refresh their
-    // recorded offsets from compact's return.
+    // Checkpoint the replayed rounds, so the next crash skips their
+    // barriers instead of re-executing them. The WAL is left as the
+    // scan read it: the pending events keep the offsets they had
+    // before the crash, as they do in a run that never crashed, and
+    // the next checkpointing tick compacts.
     let ck = engine.checkpoint()?;
     write_atomic(&ck_path, &ck, config.fsync)?;
-    let events: Vec<SequencedEvent> = fifo.iter().map(|&(_, seq)| seq).collect();
-    let offsets = wal.compact(&events)?;
-    let pending: VecDeque<(u64, SequencedEvent)> = offsets.into_iter().zip(events).collect();
     let ingest = Ingest {
         wal,
-        pending,
+        pending: fifo,
         applying: None,
         next_event_id: max_event_id + 1,
         next_request_id: max_request_id + 1,
@@ -1123,7 +1124,11 @@ fn run_tick(shared: &Arc<Shared>) -> Result<TickOutcome, ServeError> {
     let applied = batch.len();
     let lineage_on = shared.config.lineage;
     let this_tick = shared.ticks.load(Ordering::SeqCst) + 1;
-    let checkpoint_due = this_tick.is_multiple_of(u64::from(shared.config.checkpoint_every));
+    // Keyed to the round, not to this process's tick count, so a
+    // resumed daemon checkpoints and compacts the WAL where the
+    // uninterrupted one does, and later events land at the same WAL
+    // offsets.
+    let checkpoint_due = round.is_multiple_of(shared.config.checkpoint_every);
 
     // The engine lock covers the round and the checkpoint encode; the
     // journal is decoded into lineage frames after it is released.

@@ -10,6 +10,7 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use paydemand_obs::{evaluate_series, AlertRule, Recorder, TimeSeries};
+use paydemand_serve::daemon::LINEAGE_FILE;
 use paydemand_serve::http;
 use paydemand_serve::{Daemon, DaemonConfig, HttpLimits};
 use paydemand_sim::{MechanismKind, Scenario, SelectorKind};
@@ -145,6 +146,34 @@ fn malformed_and_invalid_events_get_typed_rejections() {
     assert!(status.body.contains("\"ingested_events_total\": 0"), "{}", status.body);
 
     daemon.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// The JSON reader recurses once a nesting level, on a worker thread:
+/// a deep body is refused at the reader's depth bound, not met with a
+/// stack overflow that aborts the process.
+#[test]
+fn deeply_nested_bodies_are_refused_and_the_daemon_keeps_serving() {
+    let dir = fresh_dir("nested");
+    let (daemon, _recorder) = start(DaemonConfig::new(scenario(), dir.clone()));
+    let addr = daemon.local_addr();
+
+    let cap = HttpLimits::default().max_body_bytes;
+    for depth in [1_000, 10_000, 250_000] {
+        // Balanced while that fits under the body cap, the opening
+        // brackets alone past it.
+        let balanced = format!("{{\"events\": {}{}}}", "[".repeat(depth), "]".repeat(depth));
+        let body = if balanced.len() <= cap { balanced } else { "[".repeat(depth) };
+        assert!(body.len() <= cap, "depth {depth}");
+        let refused = post(addr, "/events", &body);
+        assert!(matches!(refused.status, 400 | 422), "depth {depth}: {}", refused.status);
+    }
+    assert_eq!(get(addr, "/healthz").status, 200);
+    assert_eq!(post(addr, "/events", &round_events(1)).status, 202);
+
+    let report = daemon.shutdown().unwrap();
+    assert_eq!(report.ingested_events, 2);
+    assert_eq!(report.worker_restarts, 0);
     let _ = std::fs::remove_dir_all(dir);
 }
 
@@ -288,26 +317,32 @@ fn fresh_start_refuses_occupied_state_dir() {
 /// The tentpole guarantee: a daemon killed without ceremony mid-run
 /// and restarted with `--resume` produces exactly the run the
 /// uninterrupted daemon produces — same prices, same total paid, same
-/// checkpoint bytes.
+/// checkpoint and lineage bytes.
 #[test]
 fn kill9_recovery_is_bit_identical() {
-    // Reference: uninterrupted run, events every round, tick to end.
-    let ref_dir = fresh_dir("ref");
-    let (reference, _r1) = start(DaemonConfig::new(scenario(), ref_dir.clone()));
-    let ref_addr = reference.local_addr();
-    for round in 1..=8u32 {
-        assert_eq!(post(ref_addr, "/events", &round_events(round)).status, 202);
-        assert_eq!(post(ref_addr, "/tick", "").status, 200);
-    }
-    let ref_prices = get(ref_addr, "/prices").body;
-    let ref_status = get(ref_addr, "/status").body;
-    reference.shutdown().unwrap();
-    let ref_ck = std::fs::read(ref_dir.join("checkpoint.ck")).unwrap();
-
-    // Crash leg: same stream, but the daemon dies after round 3's
-    // events were acknowledged and NOT yet ticked — the WAL alone
-    // carries them — then again mid-run after round 5.
     for checkpoint_every in [1u32, 3] {
+        // Reference: uninterrupted run, events every round, tick to
+        // end. It compacts the WAL on the same rounds as the crash leg,
+        // so their events get the same WAL offsets.
+        let ref_dir = fresh_dir(&format!("ref-every{checkpoint_every}"));
+        let mut config = DaemonConfig::new(scenario(), ref_dir.clone());
+        config.checkpoint_every = checkpoint_every;
+        let (reference, _r1) = start(config);
+        let ref_addr = reference.local_addr();
+        for round in 1..=8u32 {
+            assert_eq!(post(ref_addr, "/events", &round_events(round)).status, 202);
+            assert_eq!(post(ref_addr, "/tick", "").status, 200);
+        }
+        let ref_prices = get(ref_addr, "/prices").body;
+        let ref_status = get(ref_addr, "/status").body;
+        reference.shutdown().unwrap();
+        let ref_ck = std::fs::read(ref_dir.join("checkpoint.ck")).unwrap();
+        let ref_lineage = std::fs::read(ref_dir.join(LINEAGE_FILE)).unwrap();
+        let _ = std::fs::remove_dir_all(ref_dir);
+
+        // Crash leg: same stream, but the daemon dies after round 3's
+        // events were acknowledged and NOT yet ticked — the WAL alone
+        // carries them — then again mid-run after round 5.
         let dir = fresh_dir(&format!("crash-every{checkpoint_every}"));
         let mut config = DaemonConfig::new(scenario(), dir.clone());
         config.checkpoint_every = checkpoint_every;
@@ -355,15 +390,23 @@ fn kill9_recovery_is_bit_identical() {
             "total paid diverged (checkpoint_every={checkpoint_every})"
         );
         assert_eq!(ck, ref_ck, "checkpoint bytes diverged (checkpoint_every={checkpoint_every})");
+        // Every frame, WAL offsets included: an event acked after a
+        // resume lands where it would have in the uninterrupted WAL.
+        let lineage = std::fs::read(dir.join(LINEAGE_FILE)).unwrap();
+        assert!(
+            lineage == ref_lineage,
+            "lineage.idx bytes diverged (checkpoint_every={checkpoint_every})"
+        );
         let _ = std::fs::remove_dir_all(dir);
     }
-    let _ = std::fs::remove_dir_all(ref_dir);
 }
 
 /// A crash in the replay window (acked events, barrier written, no
 /// checkpoint yet) followed by a *second* crash immediately after
 /// resume still recovers — recovery itself is crash-safe because it
-/// rewrites a fresh checkpoint + compacted WAL before serving.
+/// writes a fresh checkpoint before serving and leaves the WAL as it
+/// found it, so the next recovery skips the barriers that checkpoint
+/// covers and returns the same events to the queue.
 #[test]
 fn double_crash_recovers() {
     let dir = fresh_dir("double");

@@ -2,8 +2,8 @@
 //!
 //! Every case throws hostile bytes at a shared daemon — truncations,
 //! oversized bodies, invalid UTF-8, random garbage, pipelined junk,
-//! lying Content-Lengths — and asserts the two properties the
-//! hardening layer exists for:
+//! lying Content-Lengths, mutated and deeply nested batches — and
+//! asserts the two properties the hardening layer exists for:
 //!
 //! 1. **never panic**: `worker_restarts_total` stays 0 for the whole
 //!    battery, and `/healthz` answers 200 after every case;
@@ -21,6 +21,7 @@ use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
+use paydemand_obs::json::MAX_DEPTH;
 use paydemand_obs::Recorder;
 use paydemand_serve::{http, Daemon, DaemonConfig, HttpLimits};
 use paydemand_sim::{MechanismKind, Scenario, SelectorKind};
@@ -113,15 +114,25 @@ fn valid_body(event_count: usize) -> String {
     body
 }
 
-/// A well-formed events request, the honest baseline the mutations
-/// start from.
-fn valid_request(event_count: usize) -> Vec<u8> {
-    let body = valid_body(event_count);
+/// A `POST /events` request framed exactly around `body`.
+fn framed(body: &[u8]) -> Vec<u8> {
     let mut request =
         format!("POST /events HTTP/1.1\r\nHost: fuzz\r\nContent-Length: {}\r\n\r\n", body.len())
             .into_bytes();
-    request.extend_from_slice(body.as_bytes());
+    request.extend_from_slice(body);
     request
+}
+
+/// A well-formed events request, the honest baseline the mutations
+/// start from.
+fn valid_request(event_count: usize) -> Vec<u8> {
+    framed(valid_body(event_count).as_bytes())
+}
+
+/// The status code of a response, `None` when the server closed
+/// without one.
+fn status_of(response: &[u8]) -> Option<u16> {
+    String::from_utf8_lossy(response).split(' ').nth(1)?.parse().ok()
 }
 
 // One proptest! block per property, plain comments inside: the
@@ -216,16 +227,14 @@ fn exact_edge_cases_resolve() {
     // Past a cap is a typed refusal, never a response to the truncated
     // prefix: a request line past its cap is a 414, a header flood past
     // the head cap a 431.
-    let status_of =
-        |response: Vec<u8>| String::from_utf8_lossy(&response).split(' ').nth(1).map(str::to_owned);
     let limits = HttpLimits::default();
     let long_line = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(limits.max_request_line_bytes));
-    assert_eq!(status_of(fire(long_line.as_bytes())).as_deref(), Some("414"));
+    assert_eq!(status_of(&fire(long_line.as_bytes())), Some(414));
     let mut flood = b"GET /healthz HTTP/1.1\r\n".to_vec();
     while flood.len() < limits.max_head_bytes + 1024 {
         flood.extend_from_slice(b"X-Flood: yes\r\n");
     }
-    assert_eq!(status_of(fire(&flood)).as_deref(), Some("431"));
+    assert_eq!(status_of(&fire(&flood)), Some(431));
     // Null bytes in the request line.
     fire(b"GET /\x00\x00 HTTP/1.1\r\n\r\n");
     // Negative and non-numeric Content-Length.
@@ -236,21 +245,63 @@ fn exact_edge_cases_resolve() {
     // transfer coding a 501 (§6.1). Identical duplicates are served.
     let body = valid_body(1);
     let status = |headers: String| {
-        status_of(fire(format!("POST /events HTTP/1.1\r\n{headers}\r\n{body}").as_bytes()))
+        status_of(&fire(format!("POST /events HTTP/1.1\r\n{headers}\r\n{body}").as_bytes()))
     };
     let n = body.len();
     let conflicting = status(format!("Content-Length: 0\r\nContent-Length: {n}\r\n"));
-    assert_eq!(conflicting.as_deref(), Some("400"));
+    assert_eq!(conflicting, Some(400));
     let coded = status(format!("Transfer-Encoding: chunked\r\nContent-Length: {n}\r\n"));
-    assert_eq!(coded.as_deref(), Some("501"));
+    assert_eq!(coded, Some(501));
     let duplicate = status(format!("Content-Length: {n}\r\nContent-Length: {n}\r\n"));
-    assert_eq!(duplicate.as_deref(), Some("202"));
+    assert_eq!(duplicate, Some(202));
     // Whitespace before a field name's colon is a 400 (RFC 9112 §5.1),
     // and so is a sign on a length whose grammar is `1*DIGIT`.
     let spaced = status(format!("Content-Length : {n}\r\n"));
-    assert_eq!(spaced.as_deref(), Some("400"));
+    assert_eq!(spaced, Some(400));
     let signed = status(format!("Content-Length: +{n}\r\n"));
-    assert_eq!(signed.as_deref(), Some("400"));
+    assert_eq!(signed, Some(400));
+}
+
+/// A seeded mutation pass over one valid batch, each mutant framed
+/// exactly so that the daemon judges the body alone: the body cut at
+/// every byte, single bytes replaced, and the batch wrapped in arrays
+/// and objects up to far past the JSON reader's depth bound. Every
+/// mutant is answered, with a 2xx or a 4xx.
+#[test]
+fn mutated_batches_are_answered_2xx_or_4xx() {
+    let body = valid_body(3).into_bytes();
+    let mut mutants: Vec<Vec<u8>> = (0..body.len()).map(|cut| body[..cut].to_vec()).collect();
+    // SplitMix64 from a fixed seed: the same flips on every run.
+    let mut state = 0x5EED_0F11_u64;
+    let mut next = || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    for _ in 0..256 {
+        let word = next();
+        let mut flipped = body.clone();
+        let at = (word % body.len() as u64) as usize;
+        flipped[at] = word.to_le_bytes()[7];
+        mutants.push(flipped);
+    }
+    for depth in [1, MAX_DEPTH - 1, MAX_DEPTH, MAX_DEPTH + 1, 1_000, 30_000] {
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            mutants.push(
+                [open.repeat(depth).as_bytes(), &body, close.repeat(depth).as_bytes()].concat(),
+            );
+        }
+    }
+    for mutant in &mutants {
+        assert!(mutant.len() <= HttpLimits::default().max_body_bytes);
+        let status = status_of(&fire(&framed(mutant)));
+        assert!(
+            matches!(status, Some(200..=299 | 400..=499)),
+            "{status:?} for {:?}",
+            String::from_utf8_lossy(&mutant[..mutant.len().min(200)])
+        );
+    }
 }
 
 /// The slow-loris case proper: bytes trickled slower than the head

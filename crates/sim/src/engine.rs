@@ -411,8 +411,8 @@ impl SimulationResult {
 
     /// Whether two runs produced the same *observable* outcome —
     /// everything except the scenario that configured them. This is how
-    /// the equivalence tests and scaling benches state "the indexing
-    /// mode is performance-only": runs under different modes have
+    /// the equivalence tests state "the indexing mode is
+    /// performance-only": runs under different modes have
     /// unequal scenarios but must be observationally equal.
     #[must_use]
     pub fn observationally_eq(&self, other: &Self) -> bool {

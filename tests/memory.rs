@@ -170,10 +170,9 @@ fn sweeper_at_scale() -> (CellSweeper, PositionStore) {
 
 #[test]
 fn cell_sweep_delta_rounds_allocate_nothing_at_scale() {
-    // The allocation-regression gate pins this via the scaling bench;
-    // here the claim is tested directly at the acceptance scale: after
-    // the priming sweep and one warm-up delta round, a 100k-user
-    // CellSweeper serves delta rounds without touching the allocator.
+    // After the priming sweep and one warm-up delta round, a
+    // 100k-user CellSweeper serves delta rounds without touching the
+    // allocator.
     let _window = alloc::exclusive_profile();
     let recorder = profiled_recorder(); // keeps global tracking alive
     let moves_per_round = 32usize;
