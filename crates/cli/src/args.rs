@@ -154,8 +154,8 @@ OPTIONS (serve only; the scenario flags --preset --users --tasks
     --queue-cap N      ingest queue capacity in events; past it,
                        requests are shed with 429 + Retry-After
                        [default: 4096]
-    --http-workers N   connection worker threads (panic-isolated,
-                       restarted by the supervisor)   [default: 4]
+    --http-workers N   connection worker threads; each survives a
+                       handler's panic               [default: 4]
     --checkpoint-every-ticks N
                        checkpoint + compact the WAL after every round
                        that is a multiple of N (every N ticks from a
@@ -170,8 +170,8 @@ OPTIONS (serve only; the scenario flags --preset --users --tasks
                        GET /logs.json              [default: info]
     --log-json PATH    tee every log entry to PATH as JSON lines
                        (appending; sink errors are counted, not fatal)
-    --debug-panic-route     expose POST /debug/panic, which kills the
-                       handling worker (supervisor testing only)
+    --debug-panic-route     expose POST /debug/panic, whose handler
+                       panics (panic-isolation testing only)
 
 OPTIONS (run only):
     --mechanism NAME   on-demand | fixed | steered | steered-paper |

@@ -85,7 +85,7 @@
 //! | `queue_depth` | gauge | Events waiting in the bounded ingest queue. |
 //! | `ingest_queue_saturation_permille` | gauge | Queue depth as ‰ of capacity (the saturation alert watches this). |
 //! | `shed_total` | counter | Events refused with 429 because the queue was full. |
-//! | `worker_restarts_total` | counter | Connection workers respawned by the supervisor after a panic. |
+//! | `worker_restarts_total` | counter | Handler panics a connection worker caught and survived. |
 //! | `http_requests_total` | counter | Well-formed HTTP requests served. |
 //! | `external_uploads_total` | counter | External uploads settled by the engine. |
 //! | `external_uploads_rejected_total{reason}` | counter | External uploads dropped at settlement: `task_complete`, `duplicate`, `budget`. |

@@ -3,11 +3,12 @@
 //! # Architecture
 //!
 //! ```text
-//!             ┌────────────┐   bounded    ┌──────────────┐
-//!  clients ──▶│  acceptor   │─────────────▶│ worker pool  │──▶ engine (Mutex)
-//!             │ (503 when  │  conn queue  │ (supervised, │──▶ ingest (Mutex):
-//!             │  backlogged)│              │  panic-safe) │      WAL + pending
-//!             └────────────┘              └──────────────┘        + lineage
+//!             ┌─────────────┐ sync_channel ┌───────────────┐
+//!  clients ──▶│  acceptor   │─────────────▶│    workers    │──▶ engine (Mutex)
+//!             │ (503 when   │  (256 deep)  │ (each catches │──▶ ingest (Mutex):
+//!             │  backlogged)│              │  its handler's│      WAL + pending
+//!             └─────────────┘              │  panics)      │        + lineage
+//!                                          └───────────────┘
 //!                                 ticker ──▶ tick(): barrier → apply → step
 //!                                            → lineage → checkpoint → compact
 //! ```
@@ -41,9 +42,11 @@
 //!   found it, so an event still pending at the crash keeps its WAL
 //!   offset, and its frame matches the uninterrupted run's byte for
 //!   byte; the next checkpointing tick compacts.
-//! * workers are panic-isolated under a [`Supervisor`]; an engine-side
-//!   panic or error during a tick flips the daemon into a `failed`
-//!   read-only state rather than corrupting durable state.
+//! * every connection is served inside `catch_unwind`: a handler that
+//!   panics costs only its own connection, and its worker keeps
+//!   serving. An engine-side panic or error during a tick flips the
+//!   daemon into a `failed` read-only state rather than corrupting
+//!   durable state.
 //!
 //! # Observability
 //!
@@ -58,8 +61,10 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -72,8 +77,6 @@ use paydemand_sim::{Engine, ExternalEvent, Scenario};
 use crate::events::decode_batch;
 use crate::http::{self, error_body, HttpLimits, Request};
 use crate::lineage::{self, AppliedFrame, LineageFrame, LineageIndex, RoundFrame};
-use crate::queue::{Bounded, PushError};
-use crate::supervisor::{Supervisor, WorkerFn};
 use crate::wal::{SequencedEvent, Wal};
 use crate::ServeError;
 
@@ -90,6 +93,10 @@ pub const LINEAGE_FILE: &str = "lineage.idx";
 /// the default alert rules page when the breach ratio burns the 1%
 /// error budget too fast.
 pub const ACK_SLO_TARGET: Duration = Duration::from_millis(50);
+
+/// Accepted connections queued for the workers; past it, the acceptor
+/// answers 503 + `Retry-After` itself.
+const CONNECTION_BACKLOG: usize = 256;
 
 /// Everything configurable about a daemon instance.
 #[derive(Debug, Clone, PartialEq)]
@@ -109,8 +116,6 @@ pub struct DaemonConfig {
     pub tick_interval: Option<Duration>,
     /// Ingest queue capacity (events); beyond it, 429 + `Retry-After`.
     pub queue_capacity: usize,
-    /// Accepted-connection queue capacity; beyond it, immediate 503.
-    pub connection_backlog: usize,
     /// Connection worker threads.
     pub workers: usize,
     /// Per-connection parse limits and deadlines.
@@ -126,8 +131,8 @@ pub struct DaemonConfig {
     /// default; `GET /events/{id}` resolves only still-pending events
     /// when off.
     pub lineage: bool,
-    /// Expose `POST /debug/panic` (kills the handling worker) so the
-    /// supervisor can be exercised end-to-end. Off by default.
+    /// Expose `POST /debug/panic`, whose handler panics, so a worker's
+    /// panic isolation can be exercised end to end. Off by default.
     pub debug_panic_route: bool,
 }
 
@@ -143,7 +148,6 @@ impl DaemonConfig {
             resume: false,
             tick_interval: None,
             queue_capacity: 4096,
-            connection_backlog: 256,
             workers: 4,
             limits: HttpLimits::default(),
             checkpoint_every: 1,
@@ -182,7 +186,7 @@ pub struct ShutdownReport {
     pub replayed_events: u64,
     /// Events refused with 429 because the queue was full.
     pub shed_events: u64,
-    /// Worker threads the supervisor had to replace.
+    /// Handler panics a worker caught and survived.
     pub worker_restarts: u64,
 }
 
@@ -361,9 +365,8 @@ struct Shared {
     log: Logger,
     engine: Mutex<Engine>,
     ingest: Mutex<Ingest>,
-    connections: Bounded<TcpStream>,
     /// Threads exit when this flips (set by shutdown/crash).
-    shutdown: Arc<AtomicBool>,
+    shutdown: AtomicBool,
     /// New events are refused (503) while draining.
     draining: AtomicBool,
     /// A tick panicked or errored: durable state is still good, the
@@ -433,7 +436,7 @@ pub struct Daemon {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
     acceptor: Option<JoinHandle<()>>,
-    supervisor: Option<Supervisor>,
+    workers: Vec<JoinHandle<()>>,
     ticker: Option<JoinHandle<()>>,
 }
 
@@ -453,8 +456,9 @@ impl Daemon {
     /// # Errors
     ///
     /// Configuration errors (occupied non-`--resume` state directory,
-    /// zero workers), engine/scenario errors, corrupt state files, or
-    /// bind failures.
+    /// zero workers), engine/scenario errors, corrupt state files, bind
+    /// failures, or a thread that could not be spawned
+    /// ([`ServeError::Io`]; the threads started before it are stopped).
     pub fn start(config: DaemonConfig, recorder: &Recorder) -> Result<Daemon, ServeError> {
         if config.workers == 0 {
             return Err(ServeError::Config("at least one worker thread is required".into()));
@@ -479,14 +483,12 @@ impl Daemon {
         let metrics = Metrics::resolve(recorder);
         metrics.wal_bytes.set(ingest.wal.bytes() as i64);
         let log = recorder.logger();
-        let shutdown = Arc::new(AtomicBool::new(false));
         let shared = Arc::new(Shared {
-            connections: Bounded::new(config.connection_backlog),
             engine: Mutex::new(engine),
             ingest: Mutex::new(ingest),
             recorder: recorder.clone(),
             log,
-            shutdown: Arc::clone(&shutdown),
+            shutdown: AtomicBool::new(false),
             draining: AtomicBool::new(false),
             failed: AtomicBool::new(false),
             finished: AtomicBool::new(finished),
@@ -516,38 +518,36 @@ impl Daemon {
             );
         }
 
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("paydemand-accept".to_owned())
-                .spawn(move || acceptor_loop(&listener, &shared))?
-        };
-        let worker: WorkerFn = {
-            let shared = Arc::clone(&shared);
-            Arc::new(move |_slot| worker_loop(&shared))
-        };
-        let supervisor = Supervisor::start(
-            "paydemand-serve",
-            shared.config.workers,
-            Arc::clone(&shutdown),
-            shared.metrics.worker_restarts.clone(),
-            shared.log.clone(),
-            worker,
-        )?;
-        let ticker = shared.config.tick_interval.map(|interval| {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("paydemand-tick".to_owned())
-                .spawn(move || ticker_loop(&shared, interval))
-                .expect("spawn ticker thread")
-        });
-        Ok(Daemon {
-            local_addr,
-            shared,
-            acceptor: Some(acceptor),
-            supervisor: Some(supervisor),
-            ticker,
-        })
+        let mut daemon =
+            Daemon { shared, local_addr, acceptor: None, workers: Vec::new(), ticker: None };
+        if let Err(e) = daemon.spawn_threads(listener) {
+            daemon.stop_threads();
+            return Err(e);
+        }
+        Ok(daemon)
+    }
+
+    /// Spawns the workers, the acceptor that feeds them and the ticker,
+    /// stopping at the first spawn that fails. The channel's sender is
+    /// then gone, dropped with this frame or with the acceptor, so
+    /// [`Daemon::stop_threads`] stops every thread that did start.
+    fn spawn_threads(&mut self, listener: TcpListener) -> Result<(), ServeError> {
+        let (connections, queued) = sync_channel(CONNECTION_BACKLOG);
+        let queued = Arc::new(Mutex::new(queued));
+        for slot in 0..self.shared.config.workers {
+            let (queued, shared) = (Arc::clone(&queued), Arc::clone(&self.shared));
+            let work = move || worker_loop(&queued, &shared);
+            self.workers.push(spawn_named(&format!("paydemand-serve-worker-{slot}"), work)?);
+        }
+        let shared = Arc::clone(&self.shared);
+        let accept = move || acceptor_loop(&listener, &connections, &shared);
+        self.acceptor = Some(spawn_named("paydemand-accept", accept)?);
+        if let Some(interval) = self.shared.config.tick_interval {
+            let shared = Arc::clone(&self.shared);
+            self.ticker =
+                Some(spawn_named("paydemand-tick", move || ticker_loop(&shared, interval))?);
+        }
+        Ok(())
     }
 
     /// The actually-bound address (resolves port 0).
@@ -669,14 +669,11 @@ impl Daemon {
 
     fn stop_threads(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.connections.close();
-        // Unblock the acceptor's blocking accept().
+        // Unblock the acceptor's blocking accept(). Its exit drops the
+        // channel's sender, which ends every worker's recv().
         let _ = TcpStream::connect(self.local_addr);
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        if let Some(s) = self.supervisor.take() {
-            s.join();
+        for thread in self.acceptor.take().into_iter().chain(self.workers.drain(..)) {
+            let _ = thread.join();
         }
     }
 }
@@ -802,37 +799,62 @@ fn absorb_frames(state: &mut LineageState, frames: Vec<LineageFrame>) -> Result<
     Ok(())
 }
 
-fn acceptor_loop(listener: &TcpListener, shared: &Arc<Shared>) {
+/// Spawns a named thread; a failed spawn is a [`ServeError::Io`].
+fn spawn_named(
+    name: &str,
+    body: impl FnOnce() + Send + 'static,
+) -> Result<JoinHandle<()>, ServeError> {
+    std::thread::Builder::new()
+        .name(name.to_owned())
+        .spawn(body)
+        .map_err(|e| ServeError::Io(format!("spawn thread {name}: {e}")))
+}
+
+fn acceptor_loop(listener: &TcpListener, connections: &SyncSender<TcpStream>, shared: &Shared) {
     for stream in listener.incoming() {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
         let Ok(stream) = stream else { continue };
-        match shared.connections.push(stream) {
-            Ok(()) => {}
-            Err(PushError::Full(mut s) | PushError::Closed(mut s)) => {
-                // Explicit shed at the edge: the client learns to back
-                // off instead of waiting in an invisible kernel queue.
-                shared.metrics.rejected_overload.inc();
-                let _ = s.set_write_timeout(Some(shared.config.limits.write_timeout));
-                http::respond_with(
-                    &mut s,
-                    503,
-                    JSON,
-                    &error_body("server overloaded"),
-                    &[("Retry-After", "1".to_owned())],
-                );
-            }
+        if let Err(TrySendError::Full(mut s) | TrySendError::Disconnected(mut s)) =
+            connections.try_send(stream)
+        {
+            // Explicit shed at the edge: the client learns to back off
+            // instead of waiting in an invisible kernel queue.
+            shared.metrics.rejected_overload.inc();
+            let _ = s.set_write_timeout(Some(shared.config.limits.write_timeout));
+            http::respond_with(
+                &mut s,
+                503,
+                JSON,
+                &error_body("server overloaded"),
+                &[("Retry-After", "1".to_owned())],
+            );
         }
     }
 }
 
-fn worker_loop(shared: &Arc<Shared>) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        let Some(stream) = shared.connections.pop_timeout(Duration::from_millis(50)) else {
-            continue;
-        };
-        handle_connection(stream, shared);
+/// Serves queued connections until the acceptor drops the channel's
+/// sender. A stream received once shutdown has begun is dropped
+/// unserved, so a crash never serves a request. A handler that panics
+/// costs only its own connection: the panic is logged and counted in
+/// `worker_restarts_total`, and the worker takes the next connection.
+fn worker_loop(queued: &Mutex<Receiver<TcpStream>>, shared: &Arc<Shared>) {
+    loop {
+        let received = queued.lock().unwrap_or_else(PoisonError::into_inner).recv();
+        let Ok(stream) = received else { return };
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        if let Err(panic) = catch_unwind(AssertUnwindSafe(|| handle_connection(stream, shared))) {
+            shared.metrics.worker_restarts.inc();
+            let message = panic
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("(not a string)");
+            shared.log.error("daemon", "connection handler panicked", &[("panic", message)]);
+        }
     }
 }
 
@@ -862,8 +884,8 @@ fn route(stream: &mut TcpStream, request: &Request, shared: &Arc<Shared>) {
             http::respond(stream, 200, JSON, "{\"status\": \"draining\"}\n");
         }
         ("POST", "/debug/panic") if shared.config.debug_panic_route => {
-            // Deliberately kills this worker; the supervisor must
-            // replace it. Gated behind config, off by default.
+            // Deliberately panics this handler; its worker must catch
+            // it and keep serving. Gated behind config, off by default.
             panic!("debug panic route");
         }
         ("GET", "/prices") => {
@@ -1132,7 +1154,7 @@ fn run_tick(shared: &Arc<Shared>) -> Result<TickOutcome, ServeError> {
 
     // The engine lock covers the round and the checkpoint encode; the
     // journal is decoded into lineage frames after it is released.
-    let stepped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+    let stepped = catch_unwind(AssertUnwindSafe(|| {
         lineage::apply_batch(shared.lock_engine(), round, &batch, lineage_on, |engine| {
             let checkpoint = if checkpoint_due || engine.is_finished() {
                 Some(engine.checkpoint()?)

@@ -24,12 +24,11 @@
 //!   Both are payload layouts over [`paydemand_sim::frame`], which owns
 //!   the record framing, checksum, torn-tail scan and atomic rewrite
 //!   they share with the engine's checkpoint and decision journal.
-//! * [`queue`] — the bounded connection queue behind explicit
-//!   backpressure (shed with 503/429, never unbounded growth).
-//! * [`supervisor`] — panic-isolated worker threads, respawned with
-//!   capped exponential backoff.
 //! * [`signals`] — SIGTERM/SIGINT → graceful drain, no libc crate.
-//! * [`daemon`] — the assembly: routes, the tick protocol
+//! * [`daemon`] — the assembly: an acceptor that queues connections
+//!   in a bounded `std::sync::mpsc::sync_channel` (a full queue is an
+//!   immediate 503, a full ingest queue a 429), workers that catch a
+//!   handler's panic and keep serving, routes, the tick protocol
 //!   (barrier → apply → step → lineage → checkpoint → compact) and
 //!   kill‑9 recovery that continues bit-identically under `--resume`.
 //!
@@ -41,9 +40,7 @@
 pub mod daemon;
 pub mod events;
 pub mod lineage;
-pub mod queue;
 pub mod signals;
-pub mod supervisor;
 pub mod wal;
 
 pub use paydemand_obs::http;

@@ -7,29 +7,17 @@
 //! async-signal-safe handler may: store to a static atomic, which the
 //! daemon's run loop polls.
 //!
-//! On non-Unix targets installation is a no-op and the flag only flips
-//! via [`request_termination`] (the `POST /shutdown` route), keeping
-//! the daemon portable.
+//! On non-Unix targets installation is a no-op, keeping the daemon
+//! portable; `POST /shutdown` stops it there as everywhere.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
 static TERMINATE: AtomicBool = AtomicBool::new(false);
 
-/// Whether a termination signal (or explicit request) has arrived.
+/// Whether a termination signal has arrived.
 #[must_use]
 pub fn termination_requested() -> bool {
     TERMINATE.load(Ordering::SeqCst)
-}
-
-/// Flips the termination flag by hand — the `POST /shutdown` route and
-/// the tests use this in place of a real signal.
-pub fn request_termination() {
-    TERMINATE.store(true, Ordering::SeqCst);
-}
-
-/// Clears the flag; only tests need this (the process exits otherwise).
-pub fn reset_termination() {
-    TERMINATE.store(false, Ordering::SeqCst);
 }
 
 /// Installs the SIGTERM and SIGINT handlers. Safe to call repeatedly.
@@ -72,20 +60,4 @@ mod imp {
 #[cfg(not(unix))]
 mod imp {
     pub(super) fn install() {}
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn flag_flips_and_resets() {
-        install_termination_handler();
-        reset_termination();
-        assert!(!termination_requested());
-        request_termination();
-        assert!(termination_requested());
-        reset_termination();
-        assert!(!termination_requested());
-    }
 }

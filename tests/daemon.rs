@@ -4,7 +4,7 @@
 //! `--resume` must continue bit-identically.
 //!
 //! The serve crate's own e2e suite covers the full surface (routing,
-//! backpressure, supervisor, alerts); these tests keep the two
+//! backpressure, panic isolation, alerts); these tests keep the two
 //! load-bearing guarantees visible at tier 1, next to the engine
 //! goldens they extend.
 
